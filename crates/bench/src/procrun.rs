@@ -339,7 +339,7 @@ impl ProcRow {
              \"am_count\": {}, \"retries\": {}, \"gave_up\": {}, \
              \"injected_drops\": {}, \"injected_delays\": {}, \
              \"injected_dups\": {}, \"comm\": {comm}, \"latency\": {}, \
-             \"reclaim\": null}}",
+             \"reclaim\": null, \"shard\": null}}",
             jstr(&self.name),
             self.locales,
             self.wall_ns,

@@ -1,0 +1,354 @@
+//! Engine tests over real loopback TCP: the two service classes, reply
+//! order, pipelined versioned reads, connection reuse, and how a requester
+//! fails when its peer dies or stalls.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicUsize;
+use std::sync::{Barrier, Condvar};
+
+use pgas_sim::{symheap, EngineKind, Runtime, RuntimeConfig};
+
+use super::*;
+
+/// One rank's runtime, with the handle a test needs to look at its server.
+struct Rank {
+    rt: Runtime,
+    server: Arc<ServerState>,
+}
+
+fn start(rank: usize, listener: TcpListener, peers: Vec<SocketAddr>) -> Rank {
+    let engine = ProcEngine::new(rank as LocaleId, listener, peers.clone());
+    let server = Arc::clone(&engine.state);
+    let config = RuntimeConfig::cluster(peers.len())
+        .with_engine(EngineKind::Proc)
+        .with_vread_fastpath(true);
+    Rank {
+        rt: Runtime::with_engine(config, Box::new(engine)),
+        server,
+    }
+}
+
+fn listeners(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+        .collect();
+    let addrs = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("listener address"))
+        .collect();
+    (listeners, addrs)
+}
+
+/// Two engines wired to each other inside this process.
+fn pair() -> [Rank; 2] {
+    let (listeners, peers) = listeners(2);
+    let mut ranks = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(r, l)| start(r, l, peers.clone()));
+    [ranks.next().unwrap(), ranks.next().unwrap()]
+}
+
+/// Rank 0 of a two-rank topology whose rank 1 is `peer`, a bare socket the
+/// test plays by hand.
+fn rank0_against(peer: &TcpListener) -> Rank {
+    let (mut own, mut peers) = listeners(1);
+    peers.push(peer.local_addr().expect("peer address"));
+    start(0, own.remove(0), peers)
+}
+
+fn panic_text(f: impl FnOnce()) -> String {
+    let p = catch_unwind(AssertUnwindSafe(f)).expect_err("the call must panic");
+    panic_message(&*p)
+}
+
+const OFF_COUNTER: u64 = 0;
+const OFF_WIDE: u64 = 16;
+const OFF_BUF: u64 = 64;
+
+// --- the two service classes ---------------------------------------------
+
+static IN_HANDLER: AtomicBool = AtomicBool::new(false);
+static HANDLER_RUNS: AtomicUsize = AtomicUsize::new(0);
+
+/// Flags itself as running, gives every other thread the chance to
+/// trespass, and leaves.
+fn exclusive(_core: &RuntimeCore, _args: &[u8]) -> Vec<u8> {
+    assert!(
+        !IN_HANDLER.swap(true, Ordering::SeqCst),
+        "two registered handlers ran at once"
+    );
+    std::thread::yield_now();
+    HANDLER_RUNS.fetch_add(1, Ordering::SeqCst);
+    IN_HANDLER.store(false, Ordering::SeqCst);
+    Vec::new()
+}
+
+#[test]
+fn handlers_stay_serialized_under_concurrent_callers_and_one_sided_traffic() {
+    const CALLERS: usize = 4;
+    const CALLS: usize = 200;
+    let exclusive = handlers::register("net.tests.exclusive", exclusive);
+    let [r0, _r1] = pair();
+    let start = Barrier::new(CALLERS + 2);
+    let calling = AtomicUsize::new(CALLERS);
+    std::thread::scope(|s| {
+        for _ in 0..CALLERS {
+            s.spawn(|| {
+                r0.rt.run(|| {
+                    start.wait();
+                    for _ in 0..CALLS {
+                        handlers::call(1, exclusive, &[]);
+                    }
+                });
+                calling.fetch_sub(1, Ordering::SeqCst);
+            });
+        }
+        // Each on a connection of its own, served by a reader of its own.
+        let one_sided = s.spawn(|| {
+            r0.rt.run(|| {
+                start.wait();
+                let mut adds = 0;
+                while calling.load(Ordering::SeqCst) > 0 {
+                    assert_eq!(symheap::fetch_add(1, OFF_COUNTER, 1), adds);
+                    adds += 1;
+                }
+                adds
+            })
+        });
+        s.spawn(|| {
+            r0.rt.run(|| {
+                start.wait();
+                let mut buf = [0u8; 64];
+                while calling.load(Ordering::SeqCst) > 0 {
+                    symheap::get(1, OFF_BUF, &mut buf);
+                    assert_eq!(buf, [0u8; 64]);
+                }
+            })
+        });
+        let adds = one_sided.join().expect("fetch_add driver panicked");
+        assert_eq!(r0.rt.run(|| symheap::load(1, OFF_COUNTER)), adds);
+    });
+    assert_eq!(HANDLER_RUNS.load(Ordering::SeqCst), CALLERS * CALLS);
+}
+
+/// Where `parked` stands: idle, occupying the handler thread, or let go.
+#[derive(PartialEq)]
+enum Park {
+    Idle,
+    Parked,
+    Released,
+}
+static PARK: (std::sync::Mutex<Park>, Condvar) =
+    (std::sync::Mutex::new(Park::Idle), Condvar::new());
+
+fn park_move(from: Park, to: Park) {
+    let mut at = PARK.0.lock().unwrap();
+    while *at != from {
+        at = PARK.1.wait(at).unwrap();
+    }
+    *at = to;
+    PARK.1.notify_all();
+}
+
+/// Occupies the handler thread until the test lets go.
+fn parked(_core: &RuntimeCore, _args: &[u8]) -> Vec<u8> {
+    park_move(Park::Idle, Park::Parked);
+    park_move(Park::Released, Park::Idle);
+    vec![1]
+}
+
+#[test]
+fn one_sided_requests_do_not_queue_behind_a_running_handler() {
+    let parked = handlers::register("net.tests.parked", parked);
+    let [r0, _r1] = pair();
+    std::thread::scope(|s| {
+        let call = s.spawn(|| r0.rt.run(|| handlers::call(1, parked, &[])));
+        // Returns once the owner's handler thread is inside `parked`, where
+        // it stays; its readers serve all four one-sided kinds regardless.
+        park_move(Park::Parked, Park::Parked);
+        r0.rt.run(|| {
+            assert_eq!(symheap::fetch_add(1, OFF_COUNTER, 5), 0);
+            assert_eq!(symheap::dcas(1, OFF_WIDE, 0, 9), (true, 0));
+            assert_eq!(symheap::read_wide(1, OFF_WIDE), 9);
+            symheap::put(1, OFF_BUF, &[3; 8]);
+            let mut buf = [0u8; 8];
+            symheap::get(1, OFF_BUF, &mut buf);
+            assert_eq!(buf, [3; 8]);
+        });
+        park_move(Park::Parked, Park::Released);
+        assert_eq!(call.join().expect("handler call panicked"), vec![1]);
+    });
+}
+
+/// `args` back, after a pause long enough for a later reply to overtake.
+fn slow_echo(_core: &RuntimeCore, args: &[u8]) -> Vec<u8> {
+    std::thread::sleep(Duration::from_millis(20));
+    args.to_vec()
+}
+
+#[test]
+fn pipelined_replies_come_back_in_request_order() {
+    let echo = handlers::register("net.tests.slow_echo", slow_echo);
+    let (listeners, peers) = listeners(2);
+    let mut listeners = listeners.into_iter();
+    // Rank 0's engine stays in hand: `request_pipelined` is its method.
+    let requester = ProcEngine::new(0, listeners.next().unwrap(), peers.clone());
+    let _r1 = start(1, listeners.next().unwrap(), peers);
+    let replies = requester.request_pipelined(
+        1,
+        &[
+            Msg::Handler {
+                id: echo.0,
+                args: vec![0xAB],
+            },
+            Msg::Atomic64 {
+                offset: OFF_COUNTER,
+                op: SymOp64::FetchAdd(2),
+            },
+            Msg::Get {
+                offset: OFF_COUNTER,
+                len: 8,
+            },
+        ],
+    );
+    // The GET ran after the fetch_add, which ran after the handler replied:
+    // a reader that served on past a pending handler would fail the seq
+    // cross-check inside `request_pipelined`.
+    assert_eq!(
+        replies,
+        [
+            Msg::ReplyBytes(vec![0xAB]),
+            Msg::ReplyU64(0),
+            Msg::ReplyBytes(2u64.to_le_bytes().to_vec()),
+        ]
+    );
+}
+
+// --- versioned reads --------------------------------------------------------
+
+#[test]
+fn pipelined_versioned_reads_never_tear_under_a_dcas_writer() {
+    const WRITES: u128 = 20_000;
+    let [r0, _r1] = pair();
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    std::thread::scope(|s| {
+        // Writer and reader hold a connection each, so their requests run on
+        // two of rank 1's reader threads at once.
+        s.spawn(|| {
+            r0.rt.run(|| {
+                start.wait();
+                for n in 1..=WRITES {
+                    let prev = ((n - 1) << 64) | (n - 1);
+                    let (ok, seen) = symheap::dcas(1, OFF_WIDE, prev, (n << 64) | n);
+                    assert!(ok && seen == prev, "single writer must always succeed");
+                }
+            });
+            done.store(true, Ordering::SeqCst);
+        });
+        r0.rt.run(|| {
+            start.wait();
+            let mut last = 0;
+            while !done.load(Ordering::SeqCst) {
+                let v = symheap::read_wide(1, OFF_WIDE);
+                assert_eq!(v as u64, (v >> 64) as u64, "torn pair {v:#x}");
+                assert!(v as u64 >= last, "reads went backwards");
+                last = v as u64;
+            }
+        });
+    });
+    let c = r0.rt.total_comm();
+    assert!(
+        c.vread_fast > 0,
+        "the pipelined fast path must have validated reads"
+    );
+    assert_eq!(
+        c.gets,
+        2 * (c.vread_fast + c.vread_retries),
+        "two GETs per attempt"
+    );
+}
+
+// --- connection reuse -------------------------------------------------------
+
+fn nop(_core: &RuntimeCore, _args: &[u8]) -> Vec<u8> {
+    Vec::new()
+}
+
+#[test]
+fn async_handler_calls_reuse_one_connection() {
+    let nop = handlers::register("net.tests.nop", nop);
+    let [r0, r1] = pair();
+    r0.rt.run(|| {
+        for _ in 0..1000 {
+            handlers::call_async(1, nop, Vec::new()).wait();
+        }
+        // Polled to completion rather than waited for: same connection.
+        let mut c = handlers::call_async(1, nop, Vec::new());
+        while !c.completed() {
+            std::thread::yield_now();
+        }
+        handlers::call(1, nop, &[]);
+    });
+    assert_eq!(
+        r1.server.conns.lock().len(),
+        1,
+        "1002 sequential calls need one connection and one reader thread"
+    );
+    assert_eq!(r1.server.readers.lock().len(), 1);
+}
+
+// --- failing peers ----------------------------------------------------------
+
+#[test]
+fn a_peer_that_closes_mid_frame_fails_the_request_naming_both_ranks() {
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let r0 = rank0_against(&peer);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let (conn, _) = peer.accept().expect("accept the requester");
+            // The whole request, or the hang-up below is a reset.
+            wire::read_msg(&mut BufReader::new(&conn)).expect("a request arrives");
+            // A prefix promising 32 bytes, five of them, and a hang-up.
+            (&conn)
+                .write_all(&[32, 0, 0, 0, 1, 2, 3, 4, 5])
+                .expect("partial reply");
+        });
+        let text = panic_text(|| {
+            r0.rt.run(|| symheap::fetch_add(1, OFF_COUNTER, 1));
+        });
+        assert!(
+            text.contains("locale 0") && text.contains("locale 1") && text.contains("mid-frame"),
+            "unhelpful failure: {text}"
+        );
+    });
+}
+
+#[test]
+fn a_peer_that_accepts_and_stalls_fails_the_request_within_the_timeout() {
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let r0 = rank0_against(&peer);
+    let answered = Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            // Holds the connection open and never answers.
+            let _conn = peer.accept().expect("accept the requester");
+            answered.wait();
+        });
+        let t0 = Instant::now();
+        let text = panic_text(|| {
+            r0.rt.run(|| symheap::fetch_add(1, OFF_COUNTER, 1));
+        });
+        let waited = t0.elapsed();
+        answered.wait();
+        assert!(
+            text.contains("locale 0") && text.contains("locale 1") && text.contains("seq 1"),
+            "the failure must name the local rank, the peer and the pending seq: {text}"
+        );
+        assert!(
+            waited >= REQUEST_TIMEOUT && waited < 4 * REQUEST_TIMEOUT,
+            "gave up after {waited:?}"
+        );
+    });
+}

@@ -7,20 +7,33 @@
 //! payload = [u64 LE sequence][u8 tag][tag-specific fields, all LE]
 //! ```
 //!
-//! The sequence number ties a reply to its request on a connection (each
-//! pooled connection carries one request at a time, so this is a cheap
+//! The sequence number ties a reply to its request on a connection (replies
+//! come back in request order, one per request, so this is a cheap
 //! cross-check, not a demultiplexer). Variable-length fields
 //! (PUT payloads, handler arguments, error strings) are `u32`
 //! length-prefixed within the payload. Decoding is strict: truncated
 //! frames, trailing bytes, unknown tags, and over-length frames are all
 //! [`WireError`]s, never panics — a malformed peer must not take the
 //! progress service down.
+//!
+//! A frame costs one syscall in each direction: [`encode_frame`] appends
+//! prefix and payload to one buffer (several frames can share it and leave
+//! in a single `write`), and [`read_msg_opt`] reads through a
+//! [`std::io::BufRead`] — a `BufReader` of [`READ_BUF`] bytes per
+//! connection — so prefix and payload arrive in one `read` and a frame that
+//! fits the buffer is decoded in place.
+
+use std::io::{self, BufRead, ErrorKind};
 
 use pgas_sim::SymOp64;
 
 /// Upper bound on a frame payload, bounding a malicious or corrupt length
 /// prefix. Large enough for any symmetric-heap PUT the bench issues.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Capacity of a connection's read buffer: several of the small frames the
+/// symmetric-heap operations exchange, and a fixed cost per connection.
+pub const READ_BUF: usize = 4096;
 
 /// One message of the process-backend protocol: requests carry a
 /// symmetric-heap or handler descriptor, replies carry the result.
@@ -129,14 +142,29 @@ fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
 }
 
 /// Encode `(seq, msg)` into a frame payload (without the outer length
-/// prefix; [`write_msg`] adds it).
+/// prefix; [`encode_frame`] adds it).
 pub fn encode_payload(seq: u64, msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    put_u64(&mut out, seq);
+    put_payload(&mut out, seq, msg);
+    out
+}
+
+/// Append one whole frame — length prefix, then payload — to `out`.
+pub fn encode_frame(out: &mut Vec<u8>, seq: u64, msg: &Msg) {
+    let prefix = out.len();
+    put_u32(out, 0);
+    put_payload(out, seq, msg);
+    let len = out.len() - prefix - 4;
+    debug_assert!(len <= MAX_FRAME);
+    out[prefix..prefix + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+fn put_payload(out: &mut Vec<u8>, seq: u64, msg: &Msg) {
+    put_u64(out, seq);
     match msg {
         Msg::Atomic64 { offset, op } => {
             out.push(0);
-            put_u64(&mut out, *offset);
+            put_u64(out, *offset);
             let (optag, a, b) = match *op {
                 SymOp64::Load => (0u8, 0, 0),
                 SymOp64::Store(v) => (1, v, 0),
@@ -145,8 +173,8 @@ pub fn encode_payload(seq: u64, msg: &Msg) -> Vec<u8> {
                 SymOp64::Cas { expected, new } => (4, expected, new),
             };
             out.push(optag);
-            put_u64(&mut out, a);
-            put_u64(&mut out, b);
+            put_u64(out, a);
+            put_u64(out, b);
         }
         Msg::Dcas {
             offset,
@@ -154,47 +182,46 @@ pub fn encode_payload(seq: u64, msg: &Msg) -> Vec<u8> {
             new,
         } => {
             out.push(1);
-            put_u64(&mut out, *offset);
-            put_u128(&mut out, *expected);
-            put_u128(&mut out, *new);
+            put_u64(out, *offset);
+            put_u128(out, *expected);
+            put_u128(out, *new);
         }
         Msg::Get { offset, len } => {
             out.push(2);
-            put_u64(&mut out, *offset);
-            put_u32(&mut out, *len);
+            put_u64(out, *offset);
+            put_u32(out, *len);
         }
         Msg::Put { offset, data } => {
             out.push(3);
-            put_u64(&mut out, *offset);
-            put_bytes(&mut out, data);
+            put_u64(out, *offset);
+            put_bytes(out, data);
         }
         Msg::Handler { id, args } => {
             out.push(4);
-            put_u32(&mut out, *id);
-            put_bytes(&mut out, args);
+            put_u32(out, *id);
+            put_bytes(out, args);
         }
         Msg::ReplyU64(v) => {
             out.push(5);
-            put_u64(&mut out, *v);
+            put_u64(out, *v);
         }
         Msg::ReplyDcas { ok, current } => {
             out.push(6);
             out.push(u8::from(*ok));
-            put_u128(&mut out, *current);
+            put_u128(out, *current);
         }
         Msg::ReplyBytes(data) => {
             out.push(7);
-            put_bytes(&mut out, data);
+            put_bytes(out, data);
         }
         Msg::ReplyUnit => {
             out.push(8);
         }
         Msg::ReplyErr(s) => {
             out.push(9);
-            put_bytes(&mut out, s.as_bytes());
+            put_bytes(out, s.as_bytes());
         }
     }
-    out
 }
 
 /// Bounds-checked cursor over a frame payload.
@@ -299,24 +326,21 @@ pub fn decode_payload(buf: &[u8]) -> Result<(u64, Msg), WireError> {
     Ok((seq, msg))
 }
 
-/// Write one length-prefixed frame.
-pub fn write_msg<W: std::io::Write>(w: &mut W, seq: u64, msg: &Msg) -> std::io::Result<()> {
-    let payload = encode_payload(seq, msg);
-    debug_assert!(payload.len() <= MAX_FRAME);
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+/// Write one length-prefixed frame with a single `write`.
+pub fn write_msg<W: io::Write>(w: &mut W, seq: u64, msg: &Msg) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(64);
+    encode_frame(&mut frame, seq, msg);
     w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one length-prefixed frame, decoding strictly. A malformed length
 /// or payload surfaces as `InvalidData`, not a panic.
-pub fn read_msg<R: std::io::Read>(r: &mut R) -> std::io::Result<(u64, Msg)> {
+pub fn read_msg<R: BufRead>(r: &mut R) -> io::Result<(u64, Msg)> {
     match read_msg_opt(r)? {
         Some(m) => Ok(m),
-        None => Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
+        None => Err(io::Error::new(
+            ErrorKind::UnexpectedEof,
             "connection closed before a frame",
         )),
     }
@@ -325,33 +349,55 @@ pub fn read_msg<R: std::io::Read>(r: &mut R) -> std::io::Result<(u64, Msg)> {
 /// Like [`read_msg`], but a clean EOF *at a frame boundary* yields
 /// `Ok(None)` (the peer hung up between requests; not an error for a
 /// server loop).
-pub fn read_msg_opt<R: std::io::Read>(r: &mut R) -> std::io::Result<Option<(u64, Msg)>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..])? {
-            0 if got == 0 => return Ok(None),
-            0 => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            n => got += n,
-        }
+pub fn read_msg_opt<R: BufRead>(r: &mut R) -> io::Result<Option<(u64, Msg)>> {
+    if buffered(r)? == 0 {
+        return Ok(None);
     }
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf).map_err(mid_frame)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len == 0 || len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        return Err(io::Error::new(
+            ErrorKind::InvalidData,
             format!("bad frame length {len}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    decode_payload(&payload)
+    // The sender wrote prefix and payload together, so the read that brought
+    // the prefix usually brought the payload too: decode it where it lies.
+    let decoded = if buffered(r)? >= len {
+        let decoded = decode_payload(&r.fill_buf()?[..len]);
+        r.consume(len);
+        decoded
+    } else {
+        let mut payload = vec![0u8; len];
+        r.read_exact(&mut payload).map_err(mid_frame)?;
+        decode_payload(&payload)
+    };
+    decoded
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Bytes `r` holds ready, after one read of the source if it held none;
+/// zero only at end of stream.
+fn buffered<R: BufRead>(r: &mut R) -> io::Result<usize> {
+    loop {
+        match r.fill_buf() {
+            Ok(buf) => return Ok(buf.len()),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// `read_exact` reports a stream that ends inside a frame as a bare
+/// `UnexpectedEof`; say which end it was.
+fn mid_frame(e: io::Error) -> io::Error {
+    if e.kind() == ErrorKind::UnexpectedEof {
+        io::Error::new(ErrorKind::UnexpectedEof, "connection closed mid-frame")
+    } else {
+        e
+    }
 }
 
 #[cfg(test)]
@@ -436,7 +482,7 @@ mod tests {
         frame.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
         frame.extend_from_slice(&[0u8; 16]);
         let err = read_msg(&mut frame.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]

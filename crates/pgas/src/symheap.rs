@@ -213,17 +213,22 @@ impl SymHeap {
     /// Copy `out.len()` bytes starting at byte offset `off` into `out`.
     /// Word-sized relaxed loads with masking at the edges: concurrent
     /// writers can interleave at word granularity, which is the real
-    /// one-sided GET contract.
+    /// one-sided GET contract. Each word is loaded once, in ascending
+    /// address order.
     pub fn read_bytes(&self, off: u64, out: &mut [u8]) {
         let off = off as usize;
         assert!(
             off + out.len() <= self.len_bytes(),
             "symmetric-heap read out of range"
         );
-        for (i, byte) in out.iter_mut().enumerate() {
+        let mut i = 0;
+        while i < out.len() {
             let pos = off + i;
-            let w = self.words[pos / 8].load(Ordering::Acquire);
-            *byte = w.to_le_bytes()[pos % 8];
+            let lane = pos % 8;
+            let take = (8 - lane).min(out.len() - i);
+            let word = self.words[pos / 8].load(Ordering::Acquire).to_le_bytes();
+            out[i..i + take].copy_from_slice(&word[lane..lane + take]);
+            i += take;
         }
     }
 
@@ -394,6 +399,36 @@ mod tests {
         assert_eq!(out[2], 0xAA);
         assert_eq!(&out[3..6], &[0x11, 0x22, 0x33]);
         assert_eq!(out[6], 0xAA);
+    }
+
+    #[test]
+    fn read_bytes_matches_bytewise_reference() {
+        let h = SymHeap::new(64);
+        for (i, w) in h.words.iter().enumerate() {
+            let bytes: [u8; 8] = std::array::from_fn(|b| (i * 8 + b) as u8 ^ 0x5A);
+            w.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        for off in 0..16usize {
+            for len in 0..=40usize {
+                // The reference: one load per byte.
+                let expect: Vec<u8> = (off..off + len)
+                    .map(|pos| h.words[pos / 8].load(Ordering::Relaxed).to_le_bytes()[pos % 8])
+                    .collect();
+                // A canary either side catches a write outside `out`.
+                let mut out = vec![0xEE; len + 2];
+                h.read_bytes(off as u64, &mut out[1..=len]);
+                assert_eq!(&out[1..=len], &expect[..], "offset {off}, length {len}");
+                assert_eq!((out[0], out[len + 1]), (0xEE, 0xEE));
+            }
+        }
+        // Up to the last byte of the heap, and an empty read just past it.
+        let mut tail = [0u8; 5];
+        h.read_bytes(59, &mut tail);
+        assert_eq!(
+            tail,
+            [59 ^ 0x5A, 60 ^ 0x5A, 61 ^ 0x5A, 62 ^ 0x5A, 63 ^ 0x5A]
+        );
+        h.read_bytes(64, &mut []);
     }
 
     #[test]

@@ -453,11 +453,16 @@ where
     fn drop(&mut self) {
         let teardown = || {
             let rt = ctx::current_runtime();
-            for shard in self.shards.iter() {
-                for &sentinel in shard.iter() {
-                    // SAFETY: quiescent teardown.
-                    unsafe { chain_teardown(&rt, sentinel) };
-                }
+            for l in 0..self.shards.len() {
+                // Shard `l`'s chains live on locale `l`: torn down there,
+                // every free is local, and the drop costs one active
+                // message per remote shard instead of one per node.
+                rt.on(l as LocaleId, || {
+                    for &sentinel in self.shards[l].iter() {
+                        // SAFETY: quiescent teardown.
+                        unsafe { chain_teardown(&rt, sentinel) };
+                    }
+                });
             }
         };
         if pgas_sim::try_here().is_some() {
@@ -725,6 +730,68 @@ mod tests {
             drop(tok);
             m.clear_reclaim();
         });
+        assert_eq!(rt.live_objects(), 0);
+    }
+
+    /// Counts its drops, as a key and as a value.
+    #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    struct Counted(u64);
+    static COUNTED_DROPS: AtomicUsize = AtomicUsize::new(0);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            COUNTED_DROPS.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn drop_tears_each_shard_down_on_its_owner() {
+        const N: u64 = 400;
+        const LOCALES: u64 = 4;
+        let rt = Runtime::new(RuntimeConfig::cluster(LOCALES as usize).without_network_atomics());
+        // `N` counted entries, and the count at zero: the bulk path drops
+        // temporaries of its own.
+        let build = || {
+            rt.run(|| {
+                let m: ShardedHashMap<Counted, Counted> = ShardedHashMap::new(16);
+                m.insert_bulk((0..N).map(|k| (Counted(k), Counted(k + N))).collect());
+                assert_eq!(m.len(), N as usize);
+                m.clear_reclaim();
+                COUNTED_DROPS.store(0, Ordering::SeqCst);
+                m
+            })
+        };
+
+        // Dropped by a task on locale 2, which owns a quarter of the nodes.
+        // The reclaimer's own drop is one more `clear`, whatever that costs.
+        let m = build();
+        let clear_ams = rt.run(|| {
+            rt.on(2, || {
+                let before = rt.total_comm();
+                m.clear_reclaim();
+                let clear_ams = (rt.total_comm() - before).am_sent;
+                drop(m);
+                let sent = (rt.total_comm() - before).am_sent - 2 * clear_ams;
+                assert!(
+                    sent < LOCALES,
+                    "one AM per remote shard, not per node: {sent}"
+                );
+                clear_ams
+            })
+        });
+        assert_eq!(COUNTED_DROPS.load(Ordering::SeqCst), 2 * N as usize);
+        assert_eq!(rt.live_objects(), 0);
+
+        // Dropped by a thread that is not in the runtime at all.
+        let m = build();
+        let before = rt.total_comm();
+        drop(m);
+        let sent = (rt.total_comm() - before).am_sent - clear_ams;
+        assert!(
+            sent < LOCALES,
+            "one AM per remote shard, not per node: {sent}"
+        );
+        assert_eq!(COUNTED_DROPS.load(Ordering::SeqCst), 2 * N as usize);
         assert_eq!(rt.live_objects(), 0);
     }
 }

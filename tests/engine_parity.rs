@@ -637,7 +637,7 @@ mod simproc {
         assert_eq!(
             c.bytes_got,
             READS * (16 + 24),
-            "GET 1 covers seq+lo, GET 2 the whole cell"
+            "one GET covers the whole cell, the other seq+lo"
         );
         assert_eq!(c.am_sent, 1, "only the seeding DCAS crossed as an AM");
 
