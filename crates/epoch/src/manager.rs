@@ -16,13 +16,40 @@
 //! 3. Scan every locale's allocated tokens; the advance is safe only if
 //!    every token is quiescent or pinned in the current global epoch.
 //! 4. If safe: bump the global epoch (`(e % 3) + 1`), then on every locale
-//!    update the cached epoch, detach the two-advances-old limbo list, and
-//!    **scatter** its objects by owning locale so each destination receives
-//!    one bulk-free active message instead of one RPC per object.
-//! 5. Clear both flags.
+//!    update the cached epoch and detach and drain the two-advances-old
+//!    limbo list; the drained objects are **scattered** by owning locale so
+//!    each destination receives one bulk-free active message instead of one
+//!    RPC per object.
+//! 5. Clear both flags (a drop guard: a panicking observer or handler must
+//!    not leave the manager unable to ever advance again).
 //!
-//! `clear` reclaims every limbo list unconditionally and must only be
-//! called in quiescence (single-owner teardown), as in the paper.
+//! Steps 3 and 4 are the paper's `coforall loc in Locales do on loc`. Here
+//! each is one [`pgas_sim::RuntimeCore::on_each_locale`] fan-out: the
+//! winner's own locale is handled inline, every other locale by one short
+//! active message on its progress thread, all posted before any is awaited.
+//! No task is spawned, and **the handlers never block or send**:
+//!
+//! * the step-3 handler reads its locale's tokens and replies one `bool`;
+//! * the step-4 handler writes its locale's cached epoch, drains its limbo
+//!   list, frees the objects *its own* locale owns on the spot, and returns
+//!   the rest in its reply (charged on the wire like a PUT of that many
+//!   `Erased` records);
+//! * the winner — a task, which may communicate — then frees what it owns
+//!   of the returned objects inline and sends one bulk-free message per
+//!   remaining owner, so an advance costs at most L−1 bulk frees however
+//!   the objects were spread over the L limbo lists.
+//!
+//! A handler that sent its own bulk free would hold its locale's progress
+//! thread while waiting on another's; two managers reclaiming toward each
+//! other's locale would then deadlock with one progress thread per locale.
+//! For the same reason `try_reclaim` and `clear` are to be called from
+//! *tasks* (inside `run`, `coforall_*`, `forall_dist`), not from inside an
+//! `on`/`on_combining` body: there they would wait for other locales while
+//! occupying a progress thread.
+//!
+//! `clear` reclaims every limbo list unconditionally, by the same fan-out,
+//! and must only be called in quiescence (single-owner teardown), as in the
+//! paper.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -31,7 +58,7 @@ use pgas_atomics::AtomicInt;
 use pgas_sim::engine::Batcher;
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
-use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeCore, RuntimeHandle};
+use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeHandle};
 
 use crate::limbo::{LimboList, NodePool};
 use crate::math::{limbo_index, next_epoch, reclaim_epoch, EPOCHS};
@@ -165,7 +192,8 @@ impl EpochManager {
 
     /// Listing 4: attempt a global epoch advance + reclamation. Returns
     /// `true` if this call advanced the epoch. Non-blocking: callers that
-    /// lose either election return immediately.
+    /// lose either election return immediately. Call it from a task, not
+    /// from inside an `on` body (see the module docs).
     pub fn try_reclaim(&self) -> bool {
         let inst = self.instances.get();
         // Local election: one candidate per locale.
@@ -179,55 +207,50 @@ impl EpochManager {
             ReclaimStats::bump(&self.stats.lost_global_election);
             return false;
         }
-
-        let this_epoch = self.global.epoch.read();
-        // Is it safe to reclaim across all locales? (`&&` reduction)
-        let safe = std::sync::atomic::AtomicBool::new(true);
-        self.rt.coforall_locales(|_| {
-            let _this = self.instances.get();
-            for tok in _this.tokens.iter() {
-                let e = tok.epoch();
-                if e != QUIESCENT && e != this_epoch {
-                    safe.store(false, Ordering::Relaxed);
-                    break;
-                }
-            }
-        });
-
-        let advanced = if safe.load(Ordering::Relaxed) {
-            let new_epoch = next_epoch(this_epoch);
-            self.global.epoch.write(new_epoch);
-            ReclaimStats::bump(&self.stats.advances);
-            if let Some(obs) = self.observer.get() {
-                obs.on_advance(new_epoch);
-            }
-            let use_scatter = self.use_scatter.load(Ordering::Relaxed);
-            self.rt.coforall_locales(|_| {
-                let _this = self.instances.get();
-                // Update each locale's cached epoch.
-                _this.locale_epoch.write(new_epoch);
-                let freed = ctx::with_core(|core, _| {
-                    reclaim_list(
-                        core,
-                        _this,
-                        reclaim_epoch(new_epoch),
-                        use_scatter,
-                        self.observer.get(),
-                        new_epoch,
-                        false,
-                    )
-                });
-                ReclaimStats::add(&self.stats.objects_reclaimed, freed);
-            });
-            true
-        } else {
-            ReclaimStats::bump(&self.stats.unsafe_scans);
-            false
+        // Both flags are released when the winner leaves, also by unwinding:
+        // a flag left set would turn every later call into a lost election.
+        let _elected = Elected {
+            local: &inst.is_setting_epoch,
+            global: &self.global.is_setting_epoch,
         };
 
-        self.global.is_setting_epoch.clear();
-        inst.is_setting_epoch.clear();
-        advanced
+        let this_epoch = self.global.epoch.read();
+        if !self.all_tokens_allow_advance(this_epoch) {
+            ReclaimStats::bump(&self.stats.unsafe_scans);
+            return false;
+        }
+        let new_epoch = next_epoch(this_epoch);
+        self.global.epoch.write(new_epoch);
+        ReclaimStats::bump(&self.stats.advances);
+        if let Some(obs) = self.observer.get() {
+            obs.on_advance(new_epoch);
+        }
+        let winner = pgas_sim::here();
+        let drained = self.rt.on_each_locale(|_| {
+            let this = self.instances.get();
+            // Update each locale's cached epoch.
+            this.locale_epoch.write(new_epoch);
+            let mut rest = Vec::new();
+            let n = self.drain_list(this, reclaim_epoch(new_epoch), new_epoch, false, &mut rest);
+            Drained::reply(winner, n, rest)
+        });
+        self.free_rest(drained);
+        true
+    }
+
+    /// Step 3 of Listing 4, the `&&` reduction over every locale's tokens:
+    /// the advance is safe only if each is quiescent or pinned in
+    /// `this_epoch`. One message per remote locale; the handlers only read.
+    fn all_tokens_allow_advance(&self, this_epoch: u64) -> bool {
+        self.rt
+            .on_each_locale(|_| {
+                self.instances.get().tokens.iter().all(|tok| {
+                    let e = tok.epoch();
+                    e == QUIESCENT || e == this_epoch
+                })
+            })
+            .into_iter()
+            .all(|ok| ok)
     }
 
     /// Ablation variant of [`Self::try_reclaim`] (A3 in DESIGN.md): what
@@ -238,19 +261,7 @@ impl EpochManager {
     /// preserved (the actual advance still goes through the flags); only
     /// the wasted scan work is modeled.
     pub fn try_reclaim_unelected(&self) -> bool {
-        let this_epoch = self.global.epoch.read();
-        let safe = std::sync::atomic::AtomicBool::new(true);
-        self.rt.coforall_locales(|_| {
-            let _this = self.instances.get();
-            for tok in _this.tokens.iter() {
-                let e = tok.epoch();
-                if e != QUIESCENT && e != this_epoch {
-                    safe.store(false, Ordering::Relaxed);
-                    break;
-                }
-            }
-        });
-        if !safe.load(Ordering::Relaxed) {
+        if !self.all_tokens_allow_advance(self.global.epoch.read()) {
             ReclaimStats::bump(&self.stats.unsafe_scans);
             return false;
         }
@@ -259,22 +270,22 @@ impl EpochManager {
 
     /// Reclaim all objects across all epochs on all locales,
     /// unconditionally. Only call when no other task is interacting with
-    /// the manager (e.g. teardown after a `forall` has joined).
+    /// the manager (e.g. teardown after a `forall` has joined), and from a
+    /// task, not from inside an `on` body (see the module docs).
     pub fn clear(&self) {
-        let use_scatter = self.use_scatter.load(Ordering::Relaxed);
-        self.rt.coforall_locales(|_| {
-            let _this = self.instances.get();
-            let mut freed = 0;
+        let winner = pgas_sim::here();
+        let drained = self.rt.on_each_locale(|_| {
+            let this = self.instances.get();
+            let mut rest = Vec::new();
+            let mut n = 0;
             for e in 1..=EPOCHS {
-                freed += ctx::with_core(|core, _| {
-                    // `during_clear = true`: the caller guarantees
-                    // quiescence, so age rules are suspended for the
-                    // observer.
-                    reclaim_list(core, _this, e, use_scatter, self.observer.get(), e, true)
-                });
+                // `during_clear = true`: the caller guarantees quiescence,
+                // so age rules are suspended for the observer.
+                n += self.drain_list(this, e, e, true, &mut rest);
             }
-            ReclaimStats::add(&self.stats.objects_reclaimed, freed);
+            Drained::reply(winner, n, rest)
         });
+        self.free_rest(drained);
     }
 
     /// TEST-ONLY: deliberately reclaim the *current* epoch's limbo list on
@@ -287,12 +298,10 @@ impl EpochManager {
     pub fn debug_reclaim_current_epoch_early(&self) -> u64 {
         let inst = self.instances.get();
         let e = inst.locale_epoch.read();
-        let use_scatter = self.use_scatter.load(Ordering::Relaxed);
-        let freed = ctx::with_core(|core, _| {
-            reclaim_list(core, inst, e, use_scatter, self.observer.get(), e, false)
-        });
-        ReclaimStats::add(&self.stats.objects_reclaimed, freed);
-        freed
+        let mut rest = Vec::new();
+        let n = self.drain_list(inst, e, e, false, &mut rest);
+        self.free_rest(vec![Drained { n, rest }]);
+        n
     }
 
     /// Aggregate reclamation counters.
@@ -314,66 +323,129 @@ impl EpochManager {
     }
 }
 
-/// Detach one locale's limbo list for `epoch`, scatter its contents by
-/// owning locale, and free each group — one bulk active message per remote
-/// destination (or one AM per object when `use_scatter` is off). Each
-/// drained object is reported to `observer` (with the epoch whose list it
-/// came from and the epoch current at reclamation) before it is freed;
-/// `during_clear` marks quiescent teardown, where the observer's age rules
-/// do not apply.
-fn reclaim_list(
-    core: &RuntimeCore,
-    inst: &LocaleInstance,
-    epoch: u64,
-    use_scatter: bool,
-    observer: Option<&Arc<dyn ReclaimObserver>>,
-    current_epoch: u64,
-    during_clear: bool,
-) -> u64 {
-    let observe = |e: &Erased| {
-        if let Some(obs) = observer {
-            obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
-        }
-    };
-    let first_defer = inst.first_defer_vtime[limbo_index(epoch)].swap(u64::MAX, Ordering::Relaxed);
-    let n = if use_scatter {
-        // The scatter list is a `Batcher` over erased objects: unbounded
-        // per-destination buffers with one explicit flush at the end, so
-        // each destination still receives exactly one bulk-free active
-        // message per drained limbo list.
-        let src = pgas_sim::here();
-        let mut scatter = Batcher::new(core, usize::MAX, move |dest, batch: Vec<Erased>| {
-            // SAFETY: the epoch protocol guarantees no task still holds
-            // a reference to anything in a two-advances-old limbo list
-            // (or the caller guaranteed quiescence for clear()); the
-            // handler runs on `dest`, where every object in the batch
-            // lives.
-            unsafe { pgas_sim::free_erased_local_batch(core, batch, dest != src) };
-        });
-        let n = inst.limbo[limbo_index(epoch)]
-            .take()
-            .drain_into(&inst.pool, |e| {
-                observe(&e);
-                scatter.aggregate(e.owner(), e)
-            });
-        scatter.flush_all();
-        n as u64
-    } else {
-        let n = inst.limbo[limbo_index(epoch)]
-            .take()
-            .drain_into(&inst.pool, |e| {
-                observe(&e);
-                // SAFETY: as above.
-                unsafe { pgas_sim::free_erased(core, e) }
-            });
-        n as u64
-    };
-    let stats = &core.locale(pgas_sim::here()).stats;
-    if first_defer != u64::MAX {
-        stats.record(OpClass::Reclaim, vtime::now().saturating_sub(first_defer));
+/// Holds both election flags for the winner of [`EpochManager::try_reclaim`]
+/// and releases them on drop.
+struct Elected<'a> {
+    local: &'a AtomicInt,
+    global: &'a AtomicInt,
+}
+
+impl Drop for Elected<'_> {
+    fn drop(&mut self) {
+        self.global.clear();
+        self.local.clear();
     }
-    stats.record(OpClass::LimboDepth, n);
-    n
+}
+
+/// What one locale's drain hands back to the caller of the fan-out.
+struct Drained {
+    /// Objects taken off the locale's limbo lists.
+    n: u64,
+    /// Those of them the draining locale does not own, still to be freed.
+    rest: Vec<Erased>,
+}
+
+impl Drained {
+    /// Close a drain handler: `rest` travels back in the reply, so its bytes
+    /// are charged on the wire toward `winner` (as [`Batcher::flush_one`]
+    /// charges a batch it ships); free on the winner's own locale. A charge
+    /// only — the handler sends nothing.
+    fn reply(winner: LocaleId, n: u64, rest: Vec<Erased>) -> Drained {
+        if !rest.is_empty() {
+            ctx::with_core(|core, _| {
+                let bytes = rest.len() * std::mem::size_of::<Erased>();
+                core.engine().put(core, winner, bytes);
+            });
+        }
+        Drained { n, rest }
+    }
+}
+
+impl EpochManager {
+    /// Detach the current locale's limbo list for `epoch` and drain it: free
+    /// what this locale owns on the spot, append everything else to `rest`.
+    /// Returns the number of objects drained. Runs inside the fan-out's
+    /// handlers, so it communicates with nobody. Each drained object is
+    /// reported to the observer (with the epoch whose list it came from and
+    /// the epoch current at reclamation) before it is freed; `during_clear`
+    /// marks quiescent teardown, where the observer's age rules do not apply.
+    fn drain_list(
+        &self,
+        inst: &LocaleInstance,
+        epoch: u64,
+        current_epoch: u64,
+        during_clear: bool,
+        rest: &mut Vec<Erased>,
+    ) -> u64 {
+        let first_defer =
+            inst.first_defer_vtime[limbo_index(epoch)].swap(u64::MAX, Ordering::Relaxed);
+        let observer = self.observer.get();
+        let here = pgas_sim::here();
+        let mut mine = Vec::new();
+        let n = inst.limbo[limbo_index(epoch)]
+            .take()
+            .drain_into(&inst.pool, |e| {
+                if let Some(obs) = observer {
+                    obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
+                }
+                if e.owner() == here {
+                    mine.push(e);
+                } else {
+                    rest.push(e);
+                }
+            }) as u64;
+        ctx::with_core(|core, _| {
+            // SAFETY: the epoch protocol guarantees no task still holds a
+            // reference to anything in a two-advances-old limbo list (or the
+            // caller guaranteed quiescence for clear()), and everything in
+            // `mine` lives on this locale.
+            if self.use_scatter.load(Ordering::Relaxed) {
+                unsafe { pgas_sim::free_erased_local_batch(core, mine, false) };
+            } else {
+                for e in mine {
+                    unsafe { e.run_drop(core) };
+                }
+            }
+            let stats = &core.locale(here).stats;
+            if first_defer != u64::MAX {
+                stats.record(OpClass::Reclaim, vtime::now().saturating_sub(first_defer));
+            }
+            stats.record(OpClass::LimboDepth, n);
+        });
+        n
+    }
+
+    /// The caller's half of the deletion phase, run as a task once the
+    /// fan-out has joined: scatter every object no draining locale could
+    /// free by owning locale — one bulk-free active message per destination
+    /// however many lists it came from, one AM per object when scatter is
+    /// off — and free the caller's own inline.
+    fn free_rest(&self, drained: Vec<Drained>) {
+        let freed: u64 = drained.iter().map(|d| d.n).sum();
+        let rest = drained.into_iter().flat_map(|d| d.rest);
+        ctx::with_core(|core, here| {
+            // SAFETY (both arms): as in `drain_list`; each object is freed
+            // by a handler running on its owner.
+            if self.use_scatter.load(Ordering::Relaxed) {
+                // The scatter list is a `Batcher` over erased objects:
+                // unbounded per-destination buffers with one explicit flush
+                // at the end.
+                let mut scatter =
+                    Batcher::new(core, usize::MAX, move |dest, batch: Vec<Erased>| unsafe {
+                        pgas_sim::free_erased_local_batch(core, batch, dest != here)
+                    });
+                for e in rest {
+                    scatter.aggregate(e.owner(), e);
+                }
+                scatter.flush_all();
+            } else {
+                for e in rest {
+                    unsafe { pgas_sim::free_erased(core, e) };
+                }
+            }
+        });
+        ReclaimStats::add(&self.stats.objects_reclaimed, freed);
+    }
 }
 
 impl Default for EpochManager {
@@ -541,22 +613,18 @@ mod tests {
             let pinned = std::sync::atomic::AtomicBool::new(false);
             let release = std::sync::atomic::AtomicBool::new(false);
             std::thread::scope(|s| {
-                // A task on locale 1 stays pinned in epoch 1.
-                let em_ref = &em;
-                let rt_ref = &rt;
-                let pinned_ref = &pinned;
-                let release_ref = &release;
-                s.spawn(move || {
-                    rt_ref.run(|| {
-                        rt_ref.on(1, || {
-                            let tok = em_ref.register();
-                            tok.pin();
-                            pinned_ref.store(true, Ordering::SeqCst);
-                            while !release_ref.load(Ordering::SeqCst) {
-                                std::thread::yield_now();
-                            }
-                            tok.unpin();
-                        });
+                // A task on locale 1 stays pinned in epoch 1. A task, not an
+                // `on` body: parked there it would hold locale 1's progress
+                // thread, which has to serve the scan.
+                s.spawn(|| {
+                    rt.run_on(1, || {
+                        let tok = em.register();
+                        tok.pin();
+                        pinned.store(true, Ordering::SeqCst);
+                        while !release.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        tok.unpin();
                     });
                 });
                 while !pinned.load(Ordering::SeqCst) {
@@ -773,6 +841,195 @@ mod tests {
             em.clear();
             assert_eq!(rt.live_objects(), 0);
             assert_eq!(em.tokens_allocated(), 4, "one slot per locale");
+        });
+    }
+
+    #[test]
+    fn a_panic_in_the_winner_or_a_handler_releases_both_election_flags() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Hook {
+            Advance,
+            Reclaim,
+        }
+        /// Panics the first time `hook` fires, then never again.
+        struct PanicOnce {
+            hook: Hook,
+            fired: AtomicBool,
+        }
+        impl PanicOnce {
+            fn trip(&self, hook: Hook) {
+                if hook == self.hook && !self.fired.swap(true, Ordering::SeqCst) {
+                    panic!("observer boom in {hook:?}");
+                }
+            }
+        }
+        impl ReclaimObserver for PanicOnce {
+            fn on_defer(&self, _: usize, _: u64) {}
+            fn on_advance(&self, _: u64) {
+                self.trip(Hook::Advance);
+            }
+            fn on_reclaim(&self, _: usize, _: u64, _: u64, _: bool) {
+                self.trip(Hook::Reclaim);
+            }
+        }
+
+        // `Advance` panics on the winner between the two fan-outs;
+        // `Reclaim` panics inside locale 1's drain handler and reaches the
+        // winner through the reply. That drain's first object is lost with
+        // it: leaked, not freed.
+        for (hook, leaked) in [(Hook::Advance, 0), (Hook::Reclaim, 1)] {
+            let rt = zrt(2);
+            rt.run(|| {
+                let em = EpochManager::new();
+                em.set_observer(Arc::new(PanicOnce {
+                    hook,
+                    fired: AtomicBool::new(false),
+                }));
+                let defer_on_locale_1 = |n: u64| {
+                    rt.coforall_locales(|l| {
+                        if l == 1 {
+                            let tok = em.register();
+                            tok.pin();
+                            for i in 0..n {
+                                tok.defer_delete(alloc_local(&rt, i));
+                            }
+                            tok.unpin();
+                        }
+                    })
+                };
+                defer_on_locale_1(1);
+                let mut panics = 0;
+                let mut advances = 0;
+                for _ in 0..6 {
+                    match catch_unwind(AssertUnwindSafe(|| em.try_reclaim())) {
+                        Ok(advanced) => advances += advanced as u32,
+                        Err(_) => panics += 1,
+                    }
+                }
+                assert_eq!(panics, 1, "{hook:?}: the observer panics once");
+                assert_eq!(
+                    advances, 5,
+                    "{hook:?}: every later call wins both elections again"
+                );
+                defer_on_locale_1(7);
+                em.clear();
+                assert_eq!(rt.live_objects(), leaked, "{hook:?}");
+                let s = em.stats();
+                assert_eq!(s.objects_deferred, 8);
+                assert_eq!(s.lost_local_election + s.lost_global_election, 0);
+            });
+        }
+    }
+
+    #[test]
+    fn two_managers_reclaiming_toward_each_other_finish() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        // Task `l` wins manager `l`'s elections; the objects waiting in that
+        // manager's list on the *other* locale are owned by locale `l`. A
+        // drain handler that shipped them home itself would wait for locale
+        // `l`'s one progress thread while occupying its own — and the other
+        // manager's handler does the same in the opposite direction.
+        let (done, watchdog) = channel();
+        let worker = std::thread::spawn(move || {
+            let rt = Runtime::new(RuntimeConfig::cluster(2));
+            assert_eq!(rt.config.progress_threads, 1);
+            rt.run(|| {
+                let ems = [EpochManager::new(), EpochManager::new()];
+                rt.coforall_locales(|l| {
+                    let other = 1 - l;
+                    let mine = &ems[l as usize];
+                    let theirs = ems[other as usize].register();
+                    for i in 0..1500u64 {
+                        theirs.pin();
+                        theirs.defer_delete(alloc_on(&rt, other, i));
+                        theirs.unpin();
+                        if i % 4 == 0 {
+                            mine.try_reclaim();
+                        }
+                    }
+                });
+                for em in &ems {
+                    em.clear();
+                    let s = em.stats();
+                    assert_eq!(s.objects_deferred, 1500);
+                    assert_eq!(s.objects_reclaimed, 1500);
+                    assert!(s.advances > 0);
+                }
+                assert_eq!(rt.live_objects(), 0);
+            });
+            let _ = done.send(());
+        });
+        match watchdog.recv_timeout(std::time::Duration::from_secs(120)) {
+            Ok(()) => worker.join().expect("worker panicked after finishing"),
+            // The worker dropped its sender by panicking: show that panic.
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                worker.join().expect_err("sender dropped without a panic"),
+            ),
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("two reclaiming managers deadlocked on their progress threads")
+            }
+        }
+    }
+
+    #[test]
+    fn winner_frees_its_own_inline_and_sends_one_bulk_am_per_other_owner() {
+        use pgas_sim::faults::invariants::InvariantChecker;
+        let rt = zrt(3);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let checker = InvariantChecker::new();
+            em.set_observer(checker.clone());
+            // Locale 0 will win. Its own list holds 6 objects of locale 2;
+            // locale 1's holds 5 of locale 0, 4 of locale 2 and 3 of its own.
+            rt.coforall_locales(|l| {
+                let deferred: &[(LocaleId, u64)] = match l {
+                    0 => &[(2, 6)],
+                    1 => &[(0, 5), (2, 4), (1, 3)],
+                    _ => &[],
+                };
+                let tok = em.register();
+                tok.pin();
+                for &(owner, n) in deferred {
+                    for i in 0..n {
+                        tok.defer_delete(alloc_on(&rt, owner, i));
+                    }
+                }
+                tok.unpin();
+            });
+            assert_eq!(rt.live_objects(), 18);
+            rt.reset_metrics();
+            assert!(em.try_reclaim());
+            assert!(em.try_reclaim());
+            assert_eq!(rt.live_objects(), 0);
+            let s = rt.total_comm();
+            assert_eq!(
+                s.bulk_frees, 1,
+                "locale 0's five come home in the reply and cost no bulk free; \
+                 locale 2's ten, from two lists, share one"
+            );
+            assert_eq!(s.remote_frees, 0);
+            assert_eq!(s.bulk_freed_objects, 18);
+            assert_eq!(
+                s.am_sent, 9,
+                "per advance one scan and one drain message to each of two \
+                 locales, plus the one bulk free"
+            );
+            // The reply is not free: locale 1's handler is charged a PUT of
+            // the nine records it hands back, as the winner's scatter is for
+            // the ten it ships to locale 2.
+            let record = std::mem::size_of::<Erased>() as u64;
+            let from_1 = rt.locale(1).stats.snapshot();
+            assert_eq!((from_1.puts, from_1.bytes_put), (1, 9 * record));
+            let from_0 = rt.locale(0).stats.snapshot();
+            assert_eq!((from_0.puts, from_0.bytes_put), (1, 10 * record));
+            assert_eq!(rt.locale(2).stats.snapshot().puts, 0);
+
+            let r = em.stats();
+            assert_eq!(r.objects_deferred, 18);
+            assert_eq!(r.objects_reclaimed, 18);
+            checker.check().expect("two-advance reclamation is legal");
         });
     }
 

@@ -7,7 +7,11 @@
 //! * [`RuntimeCore::run`] — enter the runtime on locale 0 (the `main`).
 //! * [`RuntimeCore::on`] — Chapel's `on Locales[i] do { ... }`: execute a
 //!   closure on another locale and block for its result.
-//! * [`RuntimeCore::coforall_locales`] — `coforall loc in Locales do on loc`.
+//! * [`RuntimeCore::coforall_locales`] — `coforall loc in Locales do on loc`,
+//!   one spawned task per locale.
+//! * [`RuntimeCore::on_each_locale`] — the same shape as one short active
+//!   message per remote locale, for bodies that neither block nor
+//!   communicate (the reclaimer's scan and drain).
 //! * [`RuntimeCore::coforall_tasks`] — `coforall t in 0..#T` on the current
 //!   locale.
 //! * [`RuntimeCore::forall_dist`] — a distributed `forall` over a cyclically
@@ -19,7 +23,7 @@
 //! the caller's clock delta.
 
 use std::ops::Deref;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -390,6 +394,79 @@ impl RuntimeCore {
         self.engine.on_async(self, dest, Box::new(f))
     }
 
+    /// Run `f(l)` once per locale as a *message* and collect the results by
+    /// locale: `f(here)` inline on the calling thread, every other `f(l)` as
+    /// one active message ([`CommEngine::on_async`]) served by locale `l`'s
+    /// progress service. All messages are posted before any is waited for, so
+    /// the remote bodies overlap each other and the inline one; the caller's
+    /// virtual clock advances to the slowest of them, and `am_sent` rises by
+    /// one per remote locale. No thread is created — which is the difference
+    /// from [`Self::coforall_locales`], whose children are *tasks* and may
+    /// block or communicate. The children here are handlers: they occupy
+    /// their locale's progress thread, so they must be short and must not
+    /// wait for another locale (two such fan-outs whose handlers sent
+    /// messages to each other's locale would deadlock on one progress thread
+    /// each).
+    ///
+    /// `f` and its results may borrow the caller's stack: every posted
+    /// message is joined before this returns, also when `f(here)` or a
+    /// handler panics. A panic is re-raised here once all of them are joined.
+    pub fn on_each_locale<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(LocaleId) -> R + Sync,
+    {
+        /// The posted messages; joined when this goes out of scope, so the
+        /// borrows their bodies hold never outlive the frame.
+        struct Posted(Vec<Completion>);
+        impl Posted {
+            /// Wait for every message; the first handler panic, if any.
+            fn join(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
+                let mut panic = None;
+                for c in self.0.drain(..) {
+                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| c.wait())) {
+                        panic.get_or_insert(p);
+                    }
+                }
+                panic
+            }
+        }
+        impl Drop for Posted {
+            fn drop(&mut self) {
+                let _ = self.join();
+            }
+        }
+
+        let here = ctx::here();
+        let n = self.locales.len();
+        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        // Declared after `slots` (and `f`): dropped, hence joined, first.
+        let mut posted = Posted(Vec::with_capacity(n - 1));
+        for (l, slot) in slots.iter_mut().enumerate() {
+            let l = l as LocaleId;
+            if l == here {
+                continue;
+            }
+            let f = &f;
+            let body: Box<dyn FnOnce() + Send + '_> = Box::new(move || *slot = Some(f(l)));
+            // SAFETY: lifetime erasure. The body borrows `f` and its own
+            // element of `slots`; `posted` waits for it on every path out of
+            // this frame, before either is dropped, and `slots` is not
+            // touched again until then.
+            let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
+            posted.0.push(self.engine.on_async(self, l, body));
+        }
+        let mine = f(here);
+        if let Some(p) = posted.join() {
+            resume_unwind(p);
+        }
+        slots[here as usize] = Some(mine);
+        slots
+            .into_iter()
+            .map(|r| r.expect("a joined handler left no result"))
+            .collect()
+    }
+
     /// `coforall loc in Locales do on loc { f(loc) }`: run `f` once per
     /// locale, concurrently, and join. The caller's virtual clock advances
     /// to the slowest child (plus wire latency for remote children).
@@ -753,6 +830,99 @@ mod tests {
         for c in &counts {
             assert_eq!(c.load(Ordering::Relaxed), 1);
         }
+    }
+
+    #[test]
+    fn on_each_locale_runs_here_inline_and_the_rest_on_progress_threads() {
+        let rt = Runtime::cluster(4);
+        rt.run_on(2, || {
+            let caller = std::thread::current().id();
+            let weights = [10u64, 20, 30, 40]; // borrowed by every body
+            let before = rt.total_comm();
+            let got = rt.on_each_locale(|l| {
+                assert_eq!(ctx::here(), l);
+                let t = std::thread::current();
+                if l == 2 {
+                    assert_eq!(t.id(), caller, "the caller's own locale runs inline");
+                } else {
+                    let name = t.name().expect("progress threads are named").to_owned();
+                    assert!(
+                        name.starts_with(&format!("pgas-progress-{l}")),
+                        "locale {l}'s body ran on {name}"
+                    );
+                }
+                (l, &weights[l as usize])
+            });
+            let expect: Vec<_> = (0..4).map(|l| (l as LocaleId, &weights[l])).collect();
+            assert_eq!(got, expect, "results come back indexed by locale");
+            let delta = rt.total_comm() - before;
+            assert_eq!(delta.am_sent, 3, "one message per remote locale");
+            assert_eq!(delta.am_handled, 3);
+        });
+    }
+
+    #[test]
+    fn on_each_locale_vtime_is_the_slowest_child_not_the_sum() {
+        let rt = Runtime::cluster(4);
+        let ((), span) = rt.run_measured(|| {
+            rt.on_each_locale(|l| vtime::charge((l as u64 + 1) * 1_000));
+        });
+        let net = &rt.config.network;
+        // Posts precede waits: the three remote bodies overlap, and the
+        // caller pays one round trip around the longest of them.
+        assert_eq!(span, 2 * net.am_wire_ns + net.am_handler_ns + 4_000);
+    }
+
+    #[test]
+    fn on_each_locale_joins_everyone_before_reraising_a_panic() {
+        let rt = Runtime::cluster(4);
+        let inline_done = AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        rt.run(|| {
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                rt.on_each_locale(|l| match l {
+                    0 => inline_done.store(true, Ordering::SeqCst),
+                    1 => panic!("handler boom"),
+                    _ => {
+                        // Still running when the inline body is done and
+                        // locale 1's panic has long been delivered.
+                        while !inline_done.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        for _ in 0..100 {
+                            std::thread::yield_now();
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }));
+            let msg = *r
+                .unwrap_err()
+                .downcast::<&str>()
+                .expect("the body's payload");
+            assert_eq!(msg, "handler boom");
+            assert_eq!(
+                finished.load(Ordering::SeqCst),
+                2,
+                "the borrowed bodies on locales 2 and 3 were joined first"
+            );
+            // A panic in the inline body joins the posted ones too.
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                rt.on_each_locale(|l| {
+                    if l == 0 {
+                        panic!("inline boom");
+                    }
+                    for _ in 0..100 {
+                        std::thread::yield_now();
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }));
+            assert!(r.is_err());
+            assert_eq!(finished.load(Ordering::SeqCst), 5);
+            // The progress threads survived both.
+            assert_eq!(rt.on_each_locale(|l| l), vec![0, 1, 2, 3]);
+        });
     }
 
     #[test]
