@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pgas_sim::engine::{self, AtomicPath};
+use pgas_sim::engine;
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr, LocaleId, PointerMode};
 use portable_atomic::AtomicU128;
@@ -152,17 +152,12 @@ impl<T> AtomicAbaObject<T> {
         self.owner
     }
 
-    /// Route a 128-bit operation (local DCAS or active message). The
-    /// closure receives the cell together with its seqlock word so writers
-    /// can bump the sequence on the owner side, around the DCAS.
+    /// Run a 128-bit operation on the owner's cell. The closure receives
+    /// the cell together with its seqlock word so writers can bump the
+    /// sequence on the owner side, around the DCAS.
     fn route<R: Send>(&self, op: impl FnOnce(&AtomicU128, &AtomicU64) -> R + Send) -> R {
-        ctx::with_core(|core, _| match engine::remote_dcas_u128(core, self.owner) {
-            AtomicPath::CpuLocal => op(&self.cell, &self.seq),
-            AtomicPath::ActiveMessage => core.on_combining(self.owner, move || {
-                engine::handler_dcas_u128(core);
-                op(&self.cell, &self.seq)
-            }),
-            AtomicPath::Nic => unreachable!("128-bit atomics never take the NIC path"),
+        ctx::with_core(|core, _| {
+            engine::atomic_u128(core, self.owner, || op(&self.cell, &self.seq))
         })
     }
 
@@ -178,7 +173,7 @@ impl<T> AtomicAbaObject<T> {
     /// window beyond the retry budget falls back to the DCAS path below.
     pub fn read_aba(&self) -> Aba<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
-        pgas_sim::faults::with_class(pgas_sim::faults::OpClass::Idempotent, || {
+        pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
             let fast = ctx::with_core(|core, _| {
                 seqlock::fast_read(core, self.owner, &self.seq, &self.cell)
             });
@@ -235,29 +230,18 @@ impl<T> AtomicAbaObject<T> {
     /// NIC as an RDMA atomic.
     pub fn read(&self) -> GlobalPtr<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
-        pgas_sim::faults::with_class(pgas_sim::faults::OpClass::Idempotent, || {
-            ctx::with_core(
-                |core, _| match engine::remote_atomic_u64(core, self.owner) {
-                    AtomicPath::Nic | AtomicPath::CpuLocal => {
-                        // SAFETY of the narrow read: the low half of the
-                        // 128-bit cell is itself 8-byte aligned, and a racing
-                        // DCAS replaces the pair atomically, so a 64-bit load
-                        // observes a pointer word that was current at some
-                        // point — the same guarantee an RDMA GET of the low
-                        // word gives on real hardware. We express it as a full
-                        // 128-bit load and truncate, which is what
-                        // portable-atomic can do losslessly on every target.
-                        GlobalPtr::from_bits(self.cell.load(Ordering::SeqCst) as u64)
-                    }
-                    AtomicPath::ActiveMessage => {
-                        let bits = core.on_combining(self.owner, || {
-                            engine::handler_atomic_u64(core);
-                            self.cell.load(Ordering::SeqCst) as u64
-                        });
-                        GlobalPtr::from_bits(bits)
-                    }
-                },
-            )
+        pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
+            // SAFETY of the narrow read: the low half of the 128-bit cell
+            // is itself 8-byte aligned, and a racing DCAS replaces the pair
+            // atomically, so a 64-bit load observes a pointer word that was
+            // current at some point — the same guarantee an RDMA GET of the
+            // low word gives on real hardware. We express it as a full
+            // 128-bit load and truncate, which is what portable-atomic can
+            // do losslessly on every target.
+            let bits = ctx::with_core(|core, _| {
+                engine::atomic_u64(core, self.owner, || self.cell.load(Ordering::SeqCst) as u64)
+            });
+            GlobalPtr::from_bits(bits)
         })
     }
 

@@ -10,7 +10,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pgas_sim::engine::{self, AtomicPath};
+use pgas_sim::engine;
 use pgas_sim::{ctx, LocaleId};
 
 /// A 64-bit integer with Chapel-`atomic`-like semantics in the simulated
@@ -46,22 +46,14 @@ impl AtomicInt {
     }
 
     fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(
-            |core, _| match engine::remote_atomic_u64(core, self.owner) {
-                AtomicPath::Nic | AtomicPath::CpuLocal => op(&self.cell),
-                AtomicPath::ActiveMessage => core.on_combining(self.owner, move || {
-                    engine::handler_atomic_u64(core);
-                    op(&self.cell)
-                }),
-            },
-        )
+        ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(&self.cell)))
     }
 
     /// Atomic load (SeqCst, like Chapel's default). A pure read, so under
     /// fault injection it is tagged idempotent: a lost read request can be
     /// retried safely (see [`pgas_sim::faults`]).
     pub fn read(&self) -> u64 {
-        pgas_sim::faults::with_class(pgas_sim::faults::OpClass::Idempotent, || {
+        pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
             self.route(|c| c.load(Ordering::SeqCst))
         })
     }

@@ -36,7 +36,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pgas_sim::engine::{self, AtomicPath};
+use pgas_sim::engine;
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, LocaleId, Privatized, WideGlobalPtr};
 
@@ -293,15 +293,7 @@ impl<T> DescriptorAtomicObject<T> {
     }
 
     fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(
-            |core, _| match engine::remote_atomic_u64(core, self.owner) {
-                AtomicPath::Nic | AtomicPath::CpuLocal => op(&self.cell),
-                AtomicPath::ActiveMessage => core.on_combining(self.owner, move || {
-                    engine::handler_atomic_u64(core);
-                    op(&self.cell)
-                }),
-            },
-        )
+        ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(&self.cell)))
     }
 
     /// Read the current reference: one 64-bit (RDMA-capable) atomic load

@@ -19,7 +19,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pgas_sim::engine::{self, AtomicPath};
+use pgas_sim::engine;
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr, LocaleId, PointerMode, WideGlobalPtr};
 use portable_atomic::AtomicU128;
@@ -97,31 +97,14 @@ impl<T> AtomicObject<T> {
         self.owner
     }
 
-    /// Route a compressed-word operation: direct for NIC/CPU paths, active
-    /// message otherwise.
+    /// Run a compressed-word operation on the owner's cell.
     fn route64<R: Send>(&self, cell: &AtomicU64, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(
-            |core, _| match engine::remote_atomic_u64(core, self.owner) {
-                AtomicPath::Nic | AtomicPath::CpuLocal => op(cell),
-                AtomicPath::ActiveMessage => core.on_combining(self.owner, move || {
-                    engine::handler_atomic_u64(core);
-                    op(cell)
-                }),
-            },
-        )
+        ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(cell)))
     }
 
-    /// Route a wide (128-bit) operation: local DCAS or active message —
-    /// never the NIC, which tops out at 64 bits.
+    /// Run a wide (128-bit) operation on the owner's cell.
     fn route128<R: Send>(&self, cell: &AtomicU128, op: impl FnOnce(&AtomicU128) -> R + Send) -> R {
-        ctx::with_core(|core, _| match engine::remote_dcas_u128(core, self.owner) {
-            AtomicPath::CpuLocal => op(cell),
-            AtomicPath::ActiveMessage => core.on_combining(self.owner, move || {
-                engine::handler_dcas_u128(core);
-                op(cell)
-            }),
-            AtomicPath::Nic => unreachable!("128-bit atomics never take the NIC path"),
-        })
+        ctx::with_core(|core, _| engine::atomic_u128(core, self.owner, || op(cell)))
     }
 
     /// Atomically read the current reference. A pure read — idempotent
@@ -134,18 +117,20 @@ impl<T> AtomicObject<T> {
     /// retry budget (see [`crate::seqlock`]).
     pub fn read(&self) -> GlobalPtr<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
-        pgas_sim::faults::with_class(pgas_sim::faults::OpClass::Idempotent, || match &self.repr {
-            Repr::Compressed(c) => {
-                GlobalPtr::from_bits(self.route64(c, |c| c.load(Ordering::SeqCst)))
-            }
-            Repr::Wide { cell, seq } => {
-                let fast =
-                    ctx::with_core(|core, _| seqlock::fast_read(core, self.owner, seq, cell));
-                let bits = match fast {
-                    Some(bits) => bits,
-                    None => self.route128(cell, |c| c.load(Ordering::SeqCst)),
-                };
-                wide_ptr_to_global(u128_to_wide::<T>(bits))
+        pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
+            match &self.repr {
+                Repr::Compressed(c) => {
+                    GlobalPtr::from_bits(self.route64(c, |c| c.load(Ordering::SeqCst)))
+                }
+                Repr::Wide { cell, seq } => {
+                    let fast =
+                        ctx::with_core(|core, _| seqlock::fast_read(core, self.owner, seq, cell));
+                    let bits = match fast {
+                        Some(bits) => bits,
+                        None => self.route128(cell, |c| c.load(Ordering::SeqCst)),
+                    };
+                    wide_ptr_to_global(u128_to_wide::<T>(bits))
+                }
             }
         })
     }

@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use pgas_sim::engine::{self, AtomicPath};
+use pgas_sim::engine;
 use pgas_sim::{ctx, GlobalPtr, LocaleId};
 
 use crate::aba::{Aba, AtomicAbaObject};
@@ -75,13 +75,7 @@ impl<T> LocalAtomicObject<T> {
     }
 
     fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(|core, _| match engine::remote_atomic_u64(core, self.home) {
-            AtomicPath::Nic | AtomicPath::CpuLocal => op(&self.cell),
-            AtomicPath::ActiveMessage => core.on_combining(self.home, move || {
-                engine::handler_atomic_u64(core);
-                op(&self.cell)
-            }),
-        })
+        ctx::with_core(|core, _| engine::atomic_u64(core, self.home, || op(&self.cell)))
     }
 
     /// Atomically read the reference.

@@ -9,7 +9,7 @@
 //! windows they escalate to the existing DCAS slow path.
 //!
 //! The cost model and counters live in the comm layer
-//! ([`pgas_sim::engine::CommEngine::remote_vread_u128`]); this module only
+//! ([`pgas_sim::engine::vread_u128`]); this module only
 //! holds the writer-side sequence discipline and the reader-side entry
 //! point shared by [`crate::AtomicObject`] (wide repr) and
 //! [`crate::AtomicAbaObject`].
@@ -41,7 +41,7 @@ pub(crate) fn write_locked<R>(seq: &AtomicU64, f: impl FnOnce() -> R) -> R {
 
 /// One versioned fast read of `cell`: `None` when the fast path is
 /// disabled or the retry budget ran dry (the caller must then take the
-/// DCAS slow path). See [`pgas_sim::engine::CommEngine::remote_vread_u128`]
+/// DCAS slow path). See [`pgas_sim::engine::vread_u128`]
 /// for the attempt protocol, cost model, and counters.
 #[inline]
 pub(crate) fn fast_read(
@@ -53,5 +53,5 @@ pub(crate) fn fast_read(
     if !core.config.vread_fastpath {
         return None;
     }
-    engine::remote_vread_u128(core, owner, seq, &|| cell.load(Ordering::SeqCst))
+    engine::vread_u128(core, owner, seq, &|| cell.load(Ordering::SeqCst))
 }

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use pgas_nb::epoch::ReclaimSnapshot;
 use pgas_nb::prelude::*;
 use pgas_nb::sim::faults::invariants::InvariantChecker;
-use pgas_nb::sim::{faults, telemetry, FaultPlan, OpClass, RetryPolicy, TelemetrySnapshot};
+use pgas_nb::sim::{faults, telemetry, FaultPlan, RetryClass, RetryPolicy, TelemetrySnapshot};
 
 const LOCALES: usize = 4;
 const TASKS_PER_LOCALE: usize = 2;
@@ -478,7 +478,7 @@ fn injection_fingerprint(plan: &FaultPlan, sc: &Scale) -> (u64, u64, u64, u64) {
     rt.run(|| {
         for i in 0..sc.repro_ops {
             if i.is_multiple_of(2) {
-                faults::with_class(OpClass::Idempotent, || rt.on(1, || {}));
+                faults::with_class(RetryClass::Idempotent, || rt.on(1, || {}));
             } else {
                 rt.on(1, || {});
             }

@@ -46,7 +46,7 @@ use pgas_bench::{
     comm_breakdown, fig3_dist, fig3_shared, fig7_read_only, fig_deletion, runtime, A8Structure,
     CombineWorkload, ReclaimAblation, Sample, Variant, LOCALE_SWEEP, TASK_SWEEP,
 };
-use pgas_nb::prelude::{EpochManager, HazardReclaimer};
+use pgas_nb::prelude::{EpochManager, HazardReclaimer, LocalEpochManager};
 
 /// Everything printed this run, teed to `target/harness_output.txt` so a
 /// full-scale run's text output survives without polluting the repo root.
@@ -277,6 +277,11 @@ fn row_reclaim(structure: A8Structure, locales: usize, r: &ReclaimAblation) {
 
 fn write_results_json(path: &str) {
     let recs = RECORDS.lock().unwrap();
+    if recs.is_empty() {
+        // An empty array would replace the committed rows with nothing.
+        say!("results: no rows measured, {path} left as it is");
+        return;
+    }
     let mut out = String::from("[\n");
     for (i, r) in recs.iter().enumerate() {
         let chaos = r.comm.unwrap_or_default();
@@ -512,14 +517,19 @@ fn ablations(sc: &Scale) {
 
     say!("\n=== Ablation A6: epoch-based reclamation vs hazard pointers ===");
     for chain_len in [1usize, 8, 32] {
-        for ebr in [true, false] {
-            let (s, reclaimed) = ablate_reclamation_scheme(sc.fig3_ops / 16, chain_len, 64, ebr);
+        let ops = sc.fig3_ops / 16;
+        for (name, (s, reclaimed)) in [
+            (
+                "EBR (pin/unpin)",
+                ablate_reclamation_scheme::<LocalEpochManager>(ops, chain_len, 64),
+            ),
+            (
+                "hazard pointers",
+                ablate_reclamation_scheme::<HazardReclaimer>(ops, chain_len, 64),
+            ),
+        ] {
             row(
-                if ebr {
-                    "EBR (pin/unpin)"
-                } else {
-                    "hazard pointers"
-                },
+                name,
                 "hops",
                 chain_len,
                 &format!("reclaimed={reclaimed}"),
@@ -802,6 +812,21 @@ fn run_proc_engine(quick: bool) {
     }
 }
 
+/// What `main` accepts as a figure selector, besides anything that starts
+/// with `ablate` (another spelling of `ablations`). No selector means `all`.
+const SELECTORS: [&str; 10] = [
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "ablations",
+    "a8",
+    "a10",
+    "a11",
+    "all",
+];
+
 fn main() {
     // Re-exec'd as a procbench agent? Run it and exit before touching
     // argv (the orchestrator spawns `current_exe`, which is us when
@@ -829,6 +854,18 @@ fn main() {
             }
             other => selectors.push(other.to_string()),
         }
+    }
+    // A selector that matches nothing would run nothing and still rewrite
+    // the results file: refuse it before any work.
+    if let Some(bad) = selectors
+        .iter()
+        .find(|s| !SELECTORS.contains(&s.as_str()) && !s.starts_with("ablate"))
+    {
+        eprintln!(
+            "harness: unknown selector {bad:?}; expected any of {} or ablate* (none runs all)",
+            SELECTORS.join(", ")
+        );
+        std::process::exit(2);
     }
     if engine == "proc" {
         run_proc_engine(quick);

@@ -467,15 +467,15 @@ pub struct ChainNode {
 
 /// Ablation A6: EBR vs hazard pointers on a *linked traversal* — the
 /// Hart et al. trade-off the paper's §I invokes. Each operation walks a
-/// chain of `chain_len` nodes; EBR pays one pin/unpin per traversal,
-/// hazard pointers pay a fenced publication + validation per *hop*.
-/// Every `writes_every` traversals the head node is replaced and the old
-/// one retired.
-pub fn ablate_reclamation_scheme(
+/// chain of `chain_len` nodes; EBR (`R = LocalEpochManager`) pays one
+/// pin/unpin per traversal, hazard pointers (`R = HazardReclaimer`, on the
+/// same one-locale runtime) pay a fenced publication + validation per
+/// *hop*. Every `writes_every` traversals the head node is replaced and the
+/// old one retired.
+pub fn ablate_reclamation_scheme<R: Reclaimer>(
     traversals: u64,
     chain_len: usize,
     writes_every: u64,
-    use_ebr: bool,
 ) -> (Sample, u64) {
     let rt = traced(Runtime::new(RuntimeConfig::shared_memory()));
     let mut out = None;
@@ -497,72 +497,51 @@ pub fn ablate_reclamation_scheme(
 
         let wall = Instant::now();
         let t0 = vtime::now();
-        let reclaimed;
-        if use_ebr {
-            let em = pgas_nb::epoch::LocalEpochManager::new();
-            let tok = em.register();
-            for i in 0..traversals {
-                tok.pin();
-                let mut cur = head_cell.read();
-                while !cur.is_null() {
-                    let node = unsafe { cur.deref() };
-                    std::hint::black_box(node.value);
-                    cur = node.next.read();
-                }
-                if i % writes_every == 0 {
-                    let old_head = head_cell.read();
-                    let next = unsafe { old_head.deref() }.next.read();
-                    let fresh = alloc_local(
-                        &rt_h,
-                        ChainNode {
-                            value: i,
-                            next: AtomicObject::new(next),
-                        },
-                    );
-                    head_cell.write(fresh);
-                    tok.defer_delete(old_head);
-                }
-                tok.unpin();
-                if i % 64 == 0 {
-                    em.try_reclaim();
-                }
+        let em = R::new_in_runtime();
+        let tok = em.register();
+        for i in 0..traversals {
+            tok.pin();
+            // Hand-over-hand protection, alternating two slots. Under a pin
+            // these are the plain reads of an EBR traversal; a hazard-pointer
+            // guard publishes and validates every hop. Nobody unlinks
+            // concurrently, so a validation never fails.
+            let mut slot = 0;
+            let mut cur = tok.protect_root(slot, &head_cell);
+            while !cur.is_null() {
+                let node = unsafe { cur.deref() };
+                std::hint::black_box(node.value);
+                slot ^= 1;
+                let next = node.next.read();
+                let valid = tok.protect_ptr(slot, next, || node.next.read() == next);
+                debug_assert!(valid);
+                cur = next;
             }
-            drop(tok);
-            em.clear();
-            reclaimed = em.stats().objects_reclaimed;
-        } else {
-            let dom = pgas_nb::epoch::HazardDomain::new();
-            let tok = dom.register();
-            for i in 0..traversals {
-                // Hand-over-hand hazard protection, alternating two slots.
-                let mut slot = 0;
-                let mut cur = tok.protect(slot, &head_cell);
-                while !cur.is_null() {
-                    let node = unsafe { cur.deref() };
-                    std::hint::black_box(node.value);
-                    slot ^= 1;
-                    cur = tok.protect(slot, &node.next);
-                }
-                tok.release(0);
-                tok.release(1);
-                if i % writes_every == 0 {
-                    let old_head = head_cell.read();
-                    let next = unsafe { old_head.deref() }.next.read();
-                    let fresh = alloc_local(
-                        &rt_h,
-                        ChainNode {
-                            value: i,
-                            next: AtomicObject::new(next),
-                        },
-                    );
-                    head_cell.write(fresh);
-                    tok.retire(old_head);
-                }
+            tok.release(0);
+            tok.release(1);
+            if i % writes_every == 0 {
+                let old_head = head_cell.read();
+                let next = unsafe { old_head.deref() }.next.read();
+                let fresh = alloc_local(
+                    &rt_h,
+                    ChainNode {
+                        value: i,
+                        next: AtomicObject::new(next),
+                    },
+                );
+                head_cell.write(fresh);
+                tok.defer_delete(old_head);
             }
-            drop(tok);
-            dom.reclaim_all();
-            reclaimed = dom.reclaimed();
+            tok.unpin();
+            if i % 64 == 0 {
+                em.try_reclaim();
+            }
         }
+        drop(tok);
+        em.clear();
+        let reclaimed = em.stats().objects_reclaimed;
+        // A hazard-pointer backend keeps its participant records on the
+        // runtime's heap until it is dropped.
+        drop(em);
         // Quiescent teardown: free the remaining chain.
         let mut cur = head_cell.read();
         while !cur.is_null() {

@@ -50,8 +50,8 @@ pub mod prelude {
         Aba, AtomicAbaObject, AtomicInt, AtomicObject, LocalAtomicAbaObject, LocalAtomicObject,
     };
     pub use pgas_epoch::{
-        EpochManager, HazardDomain, HazardReclaimer, LocalEpochManager, LocalToken, OwnedAtomic,
-        PinGuard, ReclaimGuard, Reclaimer, Token,
+        EpochManager, HazardReclaimer, LocalEpochManager, LocalToken, OwnedAtomic, PinGuard,
+        ReclaimGuard, Reclaimer, Token,
     };
     pub use pgas_sim::{
         alloc_local, alloc_on, current_runtime, free, here, Batcher, CommEngine, Completion,

@@ -1,10 +1,15 @@
 //! `HazardReclaimer` — distributed hazard pointers as a first-class
 //! [`crate::Reclaimer`] backend.
 //!
-//! This promotes the shared-memory [`crate::HazardDomain`] ablation
-//! baseline (Michael's hazard pointers, §I refs [7]/[9]) to the full
-//! PGAS setting so the structure layer can swap it in for the
-//! `EpochManager`:
+//! Michael's hazard pointers (§I refs \[7\]/\[9\]) in the full PGAS
+//! setting, so the structure layer can swap them in for the
+//! `EpochManager`. The trade is classic: hazard pointers bound unreclaimed
+//! garbage per task and tolerate stalled readers, but every pointer
+//! *acquisition* costs a store + fence + validating re-read, whereas EBR
+//! amortizes protection over a whole pinned region. The paper chooses EBR
+//! for exactly that amortization; on a one-locale runtime this backend is
+//! the shared-memory baseline that makes the choice measurable
+//! (`harness -- ablations`, A6).
 //!
 //! - **Per-locale slot tables.** Each locale keeps an append-only list
 //!   of participant records, allocated through `GlobalPtr` so any locale
@@ -12,11 +17,10 @@
 //!   cross-locale slot read is charged as a remote atomic — the honest
 //!   distributed scan cost that EBR's single epoch counter amortizes
 //!   away.
-//! - **Remote retire lists.** Unlike the local domain, retired objects
-//!   may live on any locale. A scan partitions the unprotected ones by
-//!   owner and frees them over the same `Batcher`/scatter bulk-free path
-//!   the `EpochManager` uses (one active message per remote
-//!   destination).
+//! - **Remote retire lists.** Retired objects may live on any locale. A
+//!   scan partitions the unprotected ones by owner and frees them over
+//!   the same `Batcher`/scatter bulk-free path the `EpochManager` uses
+//!   (one active message per remote destination).
 //! - **Stall tolerance.** A guard that never unpins blocks nothing: only
 //!   the ≤ [`DIST_HP_SLOTS`] addresses it has published stay live, so
 //!   per-participant garbage is bounded by `SCAN_THRESHOLD` plus the
@@ -36,11 +40,13 @@ use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
 use pgas_sim::engine::{self, Batcher};
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
-use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeHandle};
+use pgas_sim::{ctx, vtime, Erased, GlobalPtr, Privatized, RuntimeHandle};
 
-use crate::hazard::SCAN_THRESHOLD;
 use crate::reclaim::{ReclaimGuard, Reclaimer};
 use crate::stats::{ReclaimSnapshot, ReclaimStats};
+
+/// Retired objects a participant accumulates before scanning.
+pub const SCAN_THRESHOLD: usize = 64;
 
 /// Hazard slots per participant. The structures shipped here use at
 /// most two (hand-over-hand walking pairs, or the queue's head +
@@ -111,13 +117,6 @@ pub struct HazardReclaimer {
 // SAFETY: all shared state is atomics, locks, and append-only lists.
 unsafe impl Send for HazardReclaimer {}
 unsafe impl Sync for HazardReclaimer {}
-
-#[inline]
-fn charge_atomic_to(locale: LocaleId) {
-    ctx::with_core(|core, _| {
-        let _ = engine::remote_atomic_u64(core, locale);
-    });
-}
 
 impl HazardReclaimer {
     /// Create a reclaimer spanning every locale of the current runtime.
@@ -191,7 +190,7 @@ impl HazardReclaimer {
         for (locale, table) in self.tables.iter() {
             for p in table.iter() {
                 for h in &p.hazards {
-                    charge_atomic_to(locale);
+                    engine::charge_atomic_u64(locale);
                     let a = h.load(Ordering::SeqCst);
                     if a != 0 {
                         hazards.push(a);
@@ -409,7 +408,7 @@ impl<'a> HpGuard<'a> {
                 obs.on_release(old);
             }
         }
-        charge_atomic_to(pgas_sim::here());
+        engine::charge_atomic_u64(pgas_sim::here());
         self.participant.hazards[slot].store(addr, Ordering::SeqCst);
     }
 

@@ -38,7 +38,6 @@
 
 #![warn(missing_docs)]
 
-pub mod hazard;
 pub mod hazard_dist;
 pub mod limbo;
 pub mod local_manager;
@@ -49,7 +48,6 @@ pub mod reclaim;
 pub mod stats;
 pub mod token;
 
-pub use hazard::{HazardDomain, HazardToken};
 pub use hazard_dist::{HazardReclaimer, HpGuard, DIST_HP_SLOTS};
 pub use limbo::{LimboList, NodePool};
 pub use local_manager::{LocalEpochManager, LocalToken};

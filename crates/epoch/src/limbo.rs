@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use pgas_atomics::LocalAtomicAbaObject;
 use pgas_sim::engine;
-use pgas_sim::{ctx, Erased, GlobalPtr};
+use pgas_sim::{here, Erased, GlobalPtr};
 
 /// `next` value meaning "the pushing task has not yet published the link".
 const PENDING: usize = usize::MAX;
@@ -59,15 +59,6 @@ impl LimboNode {
             next: AtomicUsize::new(PENDING),
         })
     }
-}
-
-/// Charge one locale-local 64-bit atomic through the network model (the
-/// cost depends on whether network atomics are enabled).
-#[inline]
-fn charge_local_atomic() {
-    ctx::with_core(|core, here| {
-        let _ = engine::remote_atomic_u64(core, here);
-    });
 }
 
 /// The wait-free limbo list: concurrent `push`, single-exchange bulk
@@ -97,7 +88,7 @@ impl LimboList {
         node.obj = Some(obj);
         node.next.store(PENDING, Ordering::Relaxed);
         let raw = Box::into_raw(node);
-        charge_local_atomic();
+        engine::charge_atomic_u64(here());
         let old = self.head.swap(raw as u64, Ordering::AcqRel);
         // Publish the link; a concurrent drain spins until this lands.
         unsafe { &*raw }.next.store(old as usize, Ordering::Release);
@@ -107,7 +98,7 @@ impl LimboList {
     /// Returns a drain handle that yields the deferred objects and recycles
     /// the nodes into `pool`.
     pub(crate) fn take(&self) -> TakenList {
-        charge_local_atomic();
+        engine::charge_atomic_u64(here());
         let head = self.head.swap(0, Ordering::AcqRel);
         TakenList {
             head: head as usize,

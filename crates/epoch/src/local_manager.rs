@@ -10,7 +10,7 @@ use std::sync::{Arc, OnceLock};
 
 use pgas_sim::engine;
 use pgas_sim::faults::invariants::ReclaimObserver;
-use pgas_sim::{ctx, Erased, GlobalPtr, RuntimeHandle};
+use pgas_sim::{ctx, here, Erased, GlobalPtr, RuntimeHandle};
 
 use crate::limbo::{LimboList, NodePool};
 use crate::math::{limbo_index, next_epoch, reclaim_epoch, EPOCHS};
@@ -34,13 +34,6 @@ pub struct LocalEpochManager {
 pub struct LocalToken<'a> {
     mgr: &'a LocalEpochManager,
     slot: &'a TokenSlot,
-}
-
-#[inline]
-fn charge_local_atomic() {
-    ctx::with_core(|core, here| {
-        let _ = engine::remote_atomic_u64(core, here);
-    });
 }
 
 impl LocalEpochManager {
@@ -85,7 +78,7 @@ impl LocalEpochManager {
 
     /// The manager's current epoch (1, 2, or 3).
     pub fn current_epoch(&self) -> u64 {
-        charge_local_atomic();
+        engine::charge_atomic_u64(here());
         self.epoch.load(Ordering::SeqCst)
     }
 
@@ -93,7 +86,7 @@ impl LocalEpochManager {
     /// list. Non-blocking: returns `false` immediately if another task is
     /// already reclaiming or if some token is pinned in an older epoch.
     pub fn try_reclaim(&self) -> bool {
-        charge_local_atomic();
+        engine::charge_atomic_u64(here());
         if self.is_setting_epoch.swap(1, Ordering::SeqCst) != 0 {
             ReclaimStats::bump(&self.stats.lost_local_election);
             return false;
@@ -105,7 +98,7 @@ impl LocalEpochManager {
         });
         let advanced = if safe {
             let new_epoch = next_epoch(this_epoch);
-            charge_local_atomic();
+            engine::charge_atomic_u64(here());
             self.epoch.store(new_epoch, Ordering::SeqCst);
             ReclaimStats::bump(&self.stats.advances);
             if let Some(obs) = self.observer.get() {
@@ -118,7 +111,7 @@ impl LocalEpochManager {
             ReclaimStats::bump(&self.stats.unsafe_scans);
             false
         };
-        charge_local_atomic();
+        engine::charge_atomic_u64(here());
         self.is_setting_epoch.store(0, Ordering::SeqCst);
         advanced
     }

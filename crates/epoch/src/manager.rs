@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pgas_atomics::AtomicInt;
-use pgas_sim::engine::Batcher;
+use pgas_sim::engine::{self, Batcher};
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
 use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeHandle};
@@ -354,7 +354,7 @@ impl Drained {
         if !rest.is_empty() {
             ctx::with_core(|core, _| {
                 let bytes = rest.len() * std::mem::size_of::<Erased>();
-                core.engine().put(core, winner, bytes);
+                engine::put(core, winner, bytes);
             });
         }
         Drained { n, rest }

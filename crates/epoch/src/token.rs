@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use pgas_atomics::LocalAtomicAbaObject;
 use pgas_sim::engine;
-use pgas_sim::{ctx, GlobalPtr};
+use pgas_sim::{here, GlobalPtr};
 
 /// Epoch value meaning "not in any epoch".
 pub const QUIESCENT: u64 = 0;
@@ -48,9 +48,7 @@ impl TokenSlot {
     /// Charged atomic read of the token's epoch (used by the reclamation
     /// scan).
     pub fn epoch(&self) -> u64 {
-        ctx::with_core(|core, here| {
-            let _ = engine::remote_atomic_u64(core, here);
-        });
+        engine::charge_atomic_u64(here());
         self.local_epoch.load(Ordering::SeqCst)
     }
 
@@ -61,9 +59,7 @@ impl TokenSlot {
 
     /// Charged atomic write of the token's epoch (pin/unpin).
     pub fn set_epoch(&self, e: u64) {
-        ctx::with_core(|core, here| {
-            let _ = engine::remote_atomic_u64(core, here);
-        });
+        engine::charge_atomic_u64(here());
         self.local_epoch.store(e, Ordering::SeqCst);
     }
 }
@@ -112,9 +108,7 @@ impl TokenRegistry {
         // Slow path: allocate and append to the allocated list (CAS push).
         let slot = Box::into_raw(TokenSlot::new_boxed());
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        ctx::with_core(|core, here| {
-            let _ = engine::remote_atomic_u64(core, here);
-        });
+        engine::charge_atomic_u64(here());
         let mut head = self.alloc_head.load(Ordering::Acquire);
         loop {
             unsafe { &*slot }.alloc_next.store(head, Ordering::Relaxed);

@@ -11,6 +11,8 @@
 //!    destructor runs exactly once by the time `clear` returns.
 //! 4. **Stats conservation** — after a quiescent `clear`,
 //!    `objects_deferred == objects_reclaimed` and nothing is left live.
+//! 5. **Root protection validates** — `protect_root` on a cell another
+//!    task keeps swapping returns, every time, a value the cell held.
 //!
 //! The suite is written once against the trait and instantiated per
 //! backend, so a future backend inherits the contract for free.
@@ -184,6 +186,42 @@ fn stalled_reader_semantics<R: Reclaimer>() {
     assert_eq!(rt.live_objects(), 0);
 }
 
+/// Contract 5: a root protection raced by swaps of the cell terminates and
+/// names one of the objects that rotate through it, readable while held.
+fn protect_validates_against_racing_swap<R: Reclaimer>() {
+    let rt = zrt(1);
+    rt.run(|| {
+        let rt_h = ctx::current_runtime();
+        let em = R::new_in_runtime();
+        let objs: Vec<_> = (0..4).map(|i| alloc_local(&rt_h, i as u64)).collect();
+        let cell = AtomicObject::new(objs[0]);
+        rt.coforall_tasks(3, |t| {
+            let g = em.register();
+            if t == 0 {
+                // Objects rotate; none is retired here.
+                for round in 0..200 {
+                    cell.exchange(objs[(round + 1) % 4]);
+                }
+            } else {
+                for _ in 0..300 {
+                    g.pin();
+                    let p = g.protect_root(0, &cell);
+                    // SAFETY: protected by the guard's pin/hazard.
+                    let v = unsafe { *p.deref() };
+                    assert!(v < 4, "{}", em.backend_name());
+                    g.release(0);
+                    g.unpin();
+                }
+            }
+        });
+        for o in objs {
+            // SAFETY: every guard is gone and nothing was retired.
+            unsafe { pgas_sim::free(&rt_h, o) };
+        }
+    });
+    assert_eq!(rt.live_objects(), 0);
+}
+
 macro_rules! conformance {
     ($modname:ident, $backend:ty) => {
         mod $modname {
@@ -207,6 +245,11 @@ macro_rules! conformance {
             #[test]
             fn stalled_reader_semantics() {
                 super::stalled_reader_semantics::<$backend>();
+            }
+
+            #[test]
+            fn protect_validates_against_racing_swap() {
+                super::protect_validates_against_racing_swap::<$backend>();
             }
         }
     };

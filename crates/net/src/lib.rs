@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
-use pgas_sim::engine::{AtomicPath, CommEngine, Completion, CompletionWaiter};
+use pgas_sim::engine::{CommEngine, Completion, CompletionWaiter};
 use pgas_sim::handlers::{self, HandlerId};
 use pgas_sim::runtime::RuntimeCore;
 use pgas_sim::symheap::SymOp64;
@@ -90,12 +90,6 @@ use pgas_sim::telemetry::OpClass;
 use pgas_sim::LocaleId;
 
 use wire::Msg;
-
-/// How a closure-shipping call fails on this backend: processes cannot
-/// receive code, only registered-handler descriptors.
-const NO_CLOSURES: &str = "ProcEngine cannot ship closures across processes; register a \
-     handler fn (pgas_sim::handlers::register) and use \
-     on_handler/on_handler_async, or symmetric-heap ops (sym_*)";
 
 /// The longest a requester waits for a pooled socket to take a request or
 /// deliver a reply before it gives the peer up for dead or wedged.
@@ -441,126 +435,12 @@ fn accept_loop(state: &Arc<ServerState>, listener: TcpListener, handler_tx: Send
 }
 
 impl CommEngine for ProcEngine {
-    fn remote_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-        if owner == self.rank {
-            core.locale(self.rank)
-                .stats
-                .cpu_atomics
-                .fetch_add(1, Ordering::Relaxed);
-            AtomicPath::CpuLocal
-        } else {
-            panic!(
-                "ProcEngine: raw remote atomics cannot cross processes; \
-                 use sym_atomic_u64 against the symmetric heap"
-            );
-        }
-    }
-
-    fn remote_dcas_u128(&self, core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-        if owner == self.rank {
-            core.locale(self.rank)
-                .stats
-                .cpu_dcas
-                .fetch_add(1, Ordering::Relaxed);
-            AtomicPath::CpuLocal
-        } else {
-            panic!(
-                "ProcEngine: raw remote DCAS cannot cross processes; \
-                 use sym_dcas_u128 against the symmetric heap"
-            );
-        }
-    }
-
-    fn remote_vread_u128(
-        &self,
-        _core: &RuntimeCore,
-        _owner: LocaleId,
-        _seq: &AtomicU64,
-        _load: &dyn Fn() -> u128,
-    ) -> Option<u128> {
-        panic!(
-            "ProcEngine: memory-based versioned reads cannot cross \
-             processes; use sym_read_u128 against the symmetric heap"
-        );
-    }
-
-    fn handler_atomic_u64(&self, core: &RuntimeCore) {
-        core.locale(self.rank)
-            .stats
-            .cpu_atomics
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn handler_dcas_u128(&self, core: &RuntimeCore) {
-        core.locale(self.rank)
-            .stats
-            .cpu_dcas
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn get(&self, _core: &RuntimeCore, owner: LocaleId, _bytes: usize) {
-        assert!(
-            owner == self.rank,
-            "ProcEngine: raw-pointer GET cannot cross processes; use \
-             sym_get against the symmetric heap"
-        );
-        // Local one-sided access is free and uncounted, as in the sim.
-    }
-
-    fn put(&self, _core: &RuntimeCore, owner: LocaleId, _bytes: usize) {
-        assert!(
-            owner == self.rank,
-            "ProcEngine: raw-pointer PUT cannot cross processes; use \
-             sym_put against the symmetric heap"
-        );
-    }
-
-    fn on<'a>(&self, _core: &RuntimeCore, dest: LocaleId, f: Box<dyn FnOnce() + Send + 'a>) {
-        assert!(dest == self.rank, "{NO_CLOSURES}");
-        f();
-    }
-
-    fn on_async(
-        &self,
-        _core: &RuntimeCore,
-        dest: LocaleId,
-        f: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Completion {
-        assert!(dest == self.rank, "{NO_CLOSURES}");
-        f();
-        Completion::done()
-    }
-
-    fn on_combined<'a>(
-        &self,
-        _core: &RuntimeCore,
-        dest: LocaleId,
-        f: Box<dyn FnOnce() + Send + 'a>,
-    ) {
-        assert!(dest == self.rank, "{NO_CLOSURES}");
-        f();
-    }
-
-    fn bulk_on<'a>(
-        &self,
-        _core: &RuntimeCore,
-        dest: LocaleId,
-        _items: u64,
-        f: Box<dyn FnOnce() + Send + 'a>,
-    ) {
-        assert!(dest == self.rank, "{NO_CLOSURES}");
-        f();
-    }
-
-    // --- the wire-backed symmetric-heap family ---
-
     fn sym_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, op: SymOp64) -> u64 {
+        let stats = &core.locale(self.rank).stats;
         if owner == self.rank {
-            // Counts cpu_atomics via the local routing path.
-            let _ = self.remote_atomic_u64(core, owner);
+            stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
             return core.locale(self.rank).sym.apply64(offset, op);
         }
-        let stats = &core.locale(self.rank).stats;
         stats.am_sent.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let reply = self.request(owner, &Msg::Atomic64 { offset, op });
@@ -579,11 +459,11 @@ impl CommEngine for ProcEngine {
         expected: u128,
         new: u128,
     ) -> (bool, u128) {
+        let stats = &core.locale(self.rank).stats;
         if owner == self.rank {
-            let _ = self.remote_dcas_u128(core, owner);
+            stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
             return core.locale(self.rank).sym.wide_dcas(offset, expected, new);
         }
-        let stats = &core.locale(self.rank).stats;
         stats.am_sent.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         let reply = self.request(
@@ -602,8 +482,9 @@ impl CommEngine for ProcEngine {
     }
 
     fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128 {
+        let stats = &core.locale(self.rank).stats;
         if owner == self.rank {
-            let _ = self.remote_dcas_u128(core, owner);
+            stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
             return core.locale(self.rank).sym.wide_load(offset);
         }
         if core.config.vread_fastpath {
@@ -612,7 +493,6 @@ impl CommEngine for ProcEngine {
             // cell [seq, lo, hi]; GET 2 re-reads [seq, lo] after it. Valid
             // iff both sequences are equal and even and the low halves
             // agree.
-            let stats = &core.locale(self.rank).stats;
             let tries = core.config.vread_max_tries.max(1);
             let t0 = Instant::now();
             for _ in 0..tries {

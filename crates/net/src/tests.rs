@@ -4,9 +4,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Barrier, Condvar};
 
-use pgas_sim::{symheap, EngineKind, Runtime, RuntimeConfig};
+use pgas_atomics::{AtomicAbaObject, AtomicInt};
+use pgas_sim::{here, symheap, Batcher, EngineKind, GlobalPtr, Runtime, RuntimeConfig};
 
 use super::*;
 
@@ -16,12 +18,12 @@ struct Rank {
     server: Arc<ServerState>,
 }
 
-fn start(rank: usize, listener: TcpListener, peers: Vec<SocketAddr>) -> Rank {
+fn start(rank: usize, listener: TcpListener, peers: Vec<SocketAddr>, vread: bool) -> Rank {
     let engine = ProcEngine::new(rank as LocaleId, listener, peers.clone());
     let server = Arc::clone(&engine.state);
     let config = RuntimeConfig::cluster(peers.len())
         .with_engine(EngineKind::Proc)
-        .with_vread_fastpath(true);
+        .with_vread_fastpath(vread);
     Rank {
         rt: Runtime::with_engine(config, Box::new(engine)),
         server,
@@ -41,11 +43,15 @@ fn listeners(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
 
 /// Two engines wired to each other inside this process.
 fn pair() -> [Rank; 2] {
+    pair_with(true)
+}
+
+fn pair_with(vread: bool) -> [Rank; 2] {
     let (listeners, peers) = listeners(2);
     let mut ranks = listeners
         .into_iter()
         .enumerate()
-        .map(|(r, l)| start(r, l, peers.clone()));
+        .map(|(r, l)| start(r, l, peers.clone(), vread));
     [ranks.next().unwrap(), ranks.next().unwrap()]
 }
 
@@ -54,7 +60,7 @@ fn pair() -> [Rank; 2] {
 fn rank0_against(peer: &TcpListener) -> Rank {
     let (mut own, mut peers) = listeners(1);
     peers.push(peer.local_addr().expect("peer address"));
-    start(0, own.remove(0), peers)
+    start(0, own.remove(0), peers, true)
 }
 
 fn panic_text(f: impl FnOnce()) -> String {
@@ -194,7 +200,7 @@ fn pipelined_replies_come_back_in_request_order() {
     let mut listeners = listeners.into_iter();
     // Rank 0's engine stays in hand: `request_pipelined` is its method.
     let requester = ProcEngine::new(0, listeners.next().unwrap(), peers.clone());
-    let _r1 = start(1, listeners.next().unwrap(), peers);
+    let _r1 = start(1, listeners.next().unwrap(), peers, true);
     let replies = requester.request_pipelined(
         1,
         &[
@@ -223,6 +229,111 @@ fn pipelined_replies_come_back_in_request_order() {
             Msg::ReplyBytes(2u64.to_le_bytes().to_vec()),
         ]
     );
+}
+
+// --- shared-address-space work on a process runtime -------------------------
+
+/// Runs `f` as a task of rank 0 and requires it to panic, within the request
+/// timeout, with a message that names the portable replacement. Nobody serves
+/// a closure or a raw address on this runtime, so a call that got as far as
+/// sending one would wait forever: it runs on a thread of its own, left
+/// behind if it hangs.
+fn rejected(r0: &Arc<Rank>, what: &str, f: impl FnOnce(&Runtime) + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let r = Arc::clone(r0);
+    std::thread::spawn(move || {
+        let _ = tx.send(panic_text(|| r.rt.run(|| f(&r.rt))));
+    });
+    let text = match rx.recv_timeout(REQUEST_TIMEOUT) {
+        Ok(text) => text,
+        Err(RecvTimeoutError::Timeout) => panic!("{what} hung instead of panicking"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what} did not panic"),
+    };
+    assert!(
+        text.contains("handlers") || text.contains("symmetric heap"),
+        "{what} must point at handlers or the symmetric heap: {text}"
+    );
+}
+
+#[test]
+fn closures_and_raw_atomics_aimed_at_another_rank_panic_promptly() {
+    let [r0, _r1] = pair();
+    let r0 = Arc::new(r0);
+    rejected(&r0, "on", |rt| rt.on(1, || ()));
+    rejected(&r0, "on_async", |rt| rt.on_async(1, || ()).wait());
+    rejected(&r0, "on_combining", |rt| rt.on_combining(1, || ()));
+    rejected(&r0, "a Batcher flush", |rt| {
+        let mut b = Batcher::new(rt, 4, |_, _: Vec<u64>| ());
+        b.aggregate(1, 7);
+        b.flush();
+    });
+    rejected(&r0, "AtomicInt::read", |_| {
+        AtomicInt::new_on(1, 0).read();
+    });
+    rejected(&r0, "AtomicAbaObject::read_aba", |_| {
+        AtomicAbaObject::<u64>::new_on(1, GlobalPtr::null()).read_aba();
+    });
+}
+
+#[test]
+fn the_same_calls_aimed_at_the_own_rank_run_inline() {
+    let [r0, _r1] = pair_with(false);
+    r0.rt.run(|| {
+        let rt = &r0.rt;
+        let caller = std::thread::current().id();
+        let inline = || (here(), std::thread::current().id());
+        assert_eq!(rt.on(0, inline), (0, caller));
+        assert_eq!(rt.on_combining(0, inline), (0, caller));
+        let ran = Arc::new(AtomicBool::new(false));
+        let ran2 = Arc::clone(&ran);
+        let mut done = rt.on_async(0, move || ran2.store(true, Ordering::SeqCst));
+        assert!(done.completed() && ran.load(Ordering::SeqCst));
+        done.wait();
+        let flushed = AtomicU64::new(0);
+        let mut b = Batcher::new(rt, 4, |dest, batch: Vec<u64>| {
+            assert_eq!((dest, here()), (0, 0));
+            flushed.fetch_add(batch.iter().sum(), Ordering::SeqCst);
+        });
+        b.aggregate(0, 7);
+        b.flush();
+        assert_eq!(flushed.load(Ordering::SeqCst), 7);
+        assert_eq!(AtomicInt::new_on(0, 5).read(), 5);
+        let cell = AtomicAbaObject::<u64>::new_on(0, GlobalPtr::null());
+        assert!(cell.read_aba().get_object().is_null());
+    });
+    assert_eq!(r0.rt.total_comm().am_sent, 0);
+}
+
+#[test]
+fn a_rank_local_atomic_counts_one_cpu_atomic_and_no_nic_or_message() {
+    let [r0, _r1] = pair();
+    r0.rt.run(|| {
+        let cell = AtomicInt::new_on(0, 40);
+        let before = r0.rt.total_comm();
+        assert_eq!(cell.fetch_add(2), 40);
+        let moved = r0.rt.total_comm() - before;
+        assert_eq!(
+            (moved.cpu_atomics, moved.rdma_atomics, moved.am_sent),
+            (1, 0, 0)
+        );
+    });
+}
+
+/// With the fast path on, too: a process reads its own cell with one
+/// DCAS-class load, as `sym_read_u128` does, not over a GET to itself.
+#[test]
+fn a_rank_local_versioned_read_takes_the_dcas_path() {
+    let [r0, _r1] = pair();
+    r0.rt.run(|| {
+        let cell = AtomicAbaObject::<u64>::new_on(0, GlobalPtr::null());
+        let before = r0.rt.total_comm();
+        assert!(cell.read_aba().get_object().is_null());
+        let moved = r0.rt.total_comm() - before;
+        assert_eq!(
+            (moved.cpu_dcas, moved.vread_fast, moved.gets, moved.am_sent),
+            (1, 0, 0, 0)
+        );
+    });
 }
 
 // --- versioned reads --------------------------------------------------------

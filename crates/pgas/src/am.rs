@@ -19,8 +19,9 @@
 //! cost. (The sender-observed round trip of an *uncontended* message is
 //! unchanged: `2·am_wire_ns + am_handler_ns + body`.)
 //!
-//! This module is internal plumbing: all traffic enters through
-//! [`crate::engine::CommEngine`].
+//! This module is internal plumbing of the shared-address-space model: all
+//! traffic enters through the [`crate::engine`] functions, and every
+//! message leaves through [`remote_post`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -194,22 +195,18 @@ pub(crate) fn remote_call(
     dest: LocaleId,
     f: Box<dyn FnOnce() + Send + '_>,
 ) {
-    debug_assert_ne!(src, dest, "remote_call requires a remote destination");
     let cfg = &core.config.network;
     let stats = &core.locale(src).stats;
     let t_issue = vtime::now();
-    // The sender's causal context rides the message so the destination's
-    // round-trip span (and everything it causes) joins this trace.
-    let tctx = trace::current();
 
     // Fault injection, part 1: drop + retry. Only idempotent-class sends
     // are droppable; a dropped message is lost *before* execution, so the
     // sender pays the wire cost plus the detection timeout and backoff,
     // then re-sends. After `max_attempts` consecutive drops the send is
-    // escalated to a reliable channel (the loop below cannot drop it), so
+    // escalated to a reliable channel (`remote_post` cannot drop it), so
     // the operation never hangs.
     if let Some(fs) = core.faults() {
-        if crate::faults::current_class() == crate::faults::OpClass::Idempotent {
+        if crate::faults::current_class() == crate::faults::RetryClass::Idempotent {
             let mut attempt = 0;
             while attempt < fs.max_attempts() {
                 let Some(decision) = fs.inject_drop_indexed() else {
@@ -254,65 +251,12 @@ pub(crate) fn remote_call(
         }
     }
 
-    stats
-        .am_sent
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let mut send_vtime = vtime::now() + cfg.am_wire_ns;
-    let mut duplicate = false;
-    // Fault injection, part 2: arrival delay and duplicate delivery for
-    // the send that actually goes through.
-    if let Some(fs) = core.faults() {
-        if let Some(extra) = fs.inject_delay() {
-            stats
-                .injected_delays
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            send_vtime += extra;
-        }
-        duplicate = fs.inject_dup();
-    }
-
-    let (tx, rx) = pooled_reply_channel();
-    let reply_tx = tx.clone();
-    let thunk: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-        let out = catch_unwind(AssertUnwindSafe(f));
-        let end = vtime::now();
-        // The receiver may have vanished only if the sending task panicked,
-        // in which case nobody cares about the reply.
-        let _ = reply_tx.send((out, end));
-    });
-    // SAFETY: lifetime erasure. The thunk may borrow the caller's stack,
-    // but this function blocks on `rx.recv()` until the thunk has finished
-    // executing (or is provably never going to run because the channel
-    // disconnected), so no borrow outlives this frame.
-    let thunk: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(thunk) };
-
-    core.send_am(
-        dest,
-        AmMsg::Call {
-            thunk,
-            send_vtime,
-            src,
-            ctx: tctx,
-        },
-    );
-    if duplicate {
-        // At-least-once delivery: the network delivered a second copy.
-        // The receiver's dedup discards it, modelled as a no-op handler
-        // that still occupies a server slot and pays dispatch cost.
-        stats
-            .injected_dups
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        core.send_am(
-            dest,
-            AmMsg::Call {
-                thunk: Box::new(|| {}),
-                send_vtime,
-                src,
-                ctx: tctx,
-            },
-        );
-    }
-
+    // SAFETY: lifetime erasure. `f` may borrow the caller's stack, but this
+    // function blocks on `rx.recv()` until `f` has finished executing (or
+    // is provably never going to run because the channel disconnected), so
+    // no borrow outlives this frame.
+    let f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
+    let (tx, rx) = remote_post(core, src, dest, f);
     let (out, end) = rx
         .recv()
         .expect("progress thread terminated while a remote call was pending");
@@ -326,29 +270,36 @@ pub(crate) fn remote_call(
     }
 }
 
-/// Ship `f` to locale `dest` without waiting: the sender's clock does not
-/// advance, and the returned channel pair yields the handler's completion
-/// status once it has run (the sender half is returned so the consumer can
-/// hand the drained pair back to [`recycle_reply_channel`]). Must not be
-/// called when `dest == here()`.
+/// Ship `f` to locale `dest` without waiting — the one place an
+/// [`AmMsg::Call`] is built and sent. The sender's clock does not advance,
+/// and the returned channel pair yields the handler's completion status
+/// once it has run (the sender half is returned so the consumer can hand
+/// the drained pair back to [`recycle_reply_channel`]). Must not be called
+/// when `dest == here()`.
 pub(crate) fn remote_post(
     core: &RuntimeCore,
     src: LocaleId,
     dest: LocaleId,
     f: Box<dyn FnOnce() + Send + 'static>,
 ) -> (Sender<Reply>, Receiver<Reply>) {
-    debug_assert_ne!(src, dest, "remote_post requires a remote destination");
+    debug_assert_ne!(src, dest, "an active message requires a remote destination");
+    // Without a shared address space nobody serves this queue: panic here,
+    // before anything is counted, rather than wait forever for a reply.
+    core.confined_to_rank(dest);
     let cfg = &core.config.network;
     let stats = &core.locale(src).stats;
+    // The sender's causal context rides the message so the destination's
+    // round-trip span (and everything it causes) joins this trace.
     let tctx = trace::current();
     stats
         .am_sent
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut send_vtime = vtime::now() + cfg.am_wire_ns;
     let mut duplicate = false;
-    // Fire-and-forget sends have no retry loop (the sender is not blocked
-    // and cannot observe a timeout), so drops are not injected here — only
-    // delay and duplication, both of which preserve delivery.
+    // Fault injection, part 2: arrival delay and duplicate delivery, both
+    // of which preserve delivery. Drops are injected only by the blocking
+    // caller's retry loop: a fire-and-forget sender is not blocked and
+    // cannot observe a timeout.
     if let Some(fs) = core.faults() {
         if let Some(extra) = fs.inject_delay() {
             stats
@@ -364,8 +315,9 @@ pub(crate) fn remote_post(
     let thunk: Box<dyn FnOnce() + Send + 'static> = Box::new(move || {
         let out = catch_unwind(AssertUnwindSafe(f));
         let end = vtime::now();
-        // Nobody may be waiting (fire-and-forget): a dropped Completion
-        // disconnects the channel, which is fine.
+        // Nobody may be waiting: a dropped `Completion` or a sending task
+        // that panicked disconnects the channel, and then nobody cares
+        // about the reply.
         let _ = reply_tx.send((out, end));
     });
     core.send_am(
@@ -378,6 +330,9 @@ pub(crate) fn remote_post(
         },
     );
     if duplicate {
+        // At-least-once delivery: the network delivered a second copy.
+        // The receiver's dedup discards it, modelled as a no-op handler
+        // that still occupies a server slot and pays dispatch cost.
         stats
             .injected_dups
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

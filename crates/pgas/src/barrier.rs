@@ -14,13 +14,13 @@ use crate::globalptr::LocaleId;
 use pgas_atomics_shim::AtomicInt;
 
 /// Internal shim so `pgas-sim` does not depend on `pgas-atomics` (which
-/// depends back on us): a minimal charged atomic, mirroring the routing
-/// of `pgas_atomics::AtomicInt`.
+/// depends back on us): a minimal charged atomic, routed like
+/// `pgas_atomics::AtomicInt`.
 mod pgas_atomics_shim {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use crate::ctx;
-    use crate::engine::{self, AtomicPath};
+    use crate::engine;
     use crate::globalptr::LocaleId;
 
     pub struct AtomicInt {
@@ -37,15 +37,7 @@ mod pgas_atomics_shim {
         }
 
         fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-            ctx::with_core(
-                |core, _| match engine::remote_atomic_u64(core, self.owner) {
-                    AtomicPath::Nic | AtomicPath::CpuLocal => op(&self.cell),
-                    AtomicPath::ActiveMessage => core.on(self.owner, move || {
-                        engine::handler_atomic_u64(core);
-                        op(&self.cell)
-                    }),
-                },
-            )
+            ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(&self.cell)))
         }
 
         pub fn read(&self) -> u64 {

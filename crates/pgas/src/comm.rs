@@ -21,9 +21,13 @@
 //! *every* atomic — even a local one — must go through the NIC, which the
 //! paper measured as up to an order of magnitude slower.
 //!
-//! This module is internal plumbing: callers reach it exclusively through
-//! [`crate::engine::CommEngine`] (the routing tables here are what the
-//! in-process [`crate::engine::SimEngine`] backend consults).
+//! This module is internal plumbing of the shared-address-space model:
+//! callers reach it through the [`crate::engine`] functions. Each routing
+//! function begins with the model's locality check,
+//! [`RuntimeCore::confined_to_rank`]: on a runtime whose locales share no
+//! address space only the calling rank's own memory can be the target, and
+//! a process reaches it with a plain CPU instruction — counted, never
+//! priced, never through the NIC.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -42,9 +46,8 @@ pub enum AtomicPath {
     /// NIC-executed) RDMA atomic has already been charged.
     Nic,
     /// The operation must be shipped to the owner locale as an active
-    /// message (use [`RuntimeCore::on`]); costs are charged by the AM layer
-    /// and the handler body should call [`charge_handler_atomic`] /
-    /// [`charge_handler_dcas`].
+    /// message; costs are charged by the AM layer and the handler body
+    /// should call [`charge_handler_atomic`] / [`charge_handler_dcas`].
     ActiveMessage,
 }
 
@@ -53,7 +56,11 @@ pub enum AtomicPath {
 pub fn route_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
     let here = ctx::here();
     let net = &core.config.network;
-    if net.network_atomics {
+    if core.confined_to_rank(owner) {
+        let stats = &core.locale(here).stats;
+        stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+        AtomicPath::CpuLocal
+    } else if net.network_atomics {
         // All 64-bit atomics go through the NIC, local or not.
         let stats = &core.locale(here).stats;
         let t_issue = vtime::now();
@@ -138,7 +145,11 @@ fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64)
 /// case is always an active message (paper §II-A).
 pub fn route_atomic_u128(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
     let here = ctx::here();
-    if owner == here {
+    if core.confined_to_rank(owner) {
+        let stats = &core.locale(here).stats;
+        stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
+        AtomicPath::CpuLocal
+    } else if owner == here {
         charge_handler_dcas(core);
         AtomicPath::CpuLocal
     } else {
@@ -188,7 +199,7 @@ fn rma_cost(core: &RuntimeCore, bytes: usize) -> u64 {
 /// count when the data is local.
 pub fn charge_get(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
     let here = ctx::here();
-    if owner == here {
+    if core.confined_to_rank(owner) || owner == here {
         return;
     }
     let stats = &core.locale(here).stats;
@@ -201,7 +212,7 @@ pub fn charge_get(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
 /// count when the target is local.
 pub fn charge_put(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
     let here = ctx::here();
-    if owner == here {
+    if core.confined_to_rank(owner) || owner == here {
         return;
     }
     let stats = &core.locale(here).stats;
@@ -225,12 +236,14 @@ const VREAD_BYTES: usize = 24;
 static VREAD_SKIP_VALIDATE: AtomicBool = AtomicBool::new(false);
 
 /// Enable or disable the planted validation-skip bug (see
-/// [`VREAD_SKIP_VALIDATE`]). Test-only; returns the previous value.
+/// `VREAD_SKIP_VALIDATE`). Test-only; returns the previous value.
 pub fn debug_vread_skip_validate(on: bool) -> bool {
     VREAD_SKIP_VALIDATE.swap(on, Ordering::SeqCst)
 }
 
-/// Optimistic versioned (seqlock) read of a 128-bit cell owned by `owner`.
+/// Optimistic versioned (seqlock) read of a 128-bit cell owned by `owner`,
+/// paired with sequence word `seq` and read through `load`. Idempotent,
+/// hence drop/retry-eligible under fault injection.
 ///
 /// Each attempt loads the sequence word, composes the payload from **two**
 /// separate loads of the cell (low half first, high half second — modeling
@@ -239,16 +252,17 @@ pub fn debug_vread_skip_validate(on: bool) -> bool {
 /// succeeds when the sequence was even and unchanged; a torn window bumps
 /// `vread_retries` and retries. After `vread_max_tries` failed attempts the
 /// read escalates (`vread_fallbacks`) and returns `None` — the caller must
-/// fall back to the DCAS slow path, which is also the path writers still
-/// take (writers bump the sequence to odd before and even after their
-/// DCAS, so they remain the linearization point).
+/// fall back to the DCAS slow path ([`crate::engine::atomic_u128`]), which
+/// is also the path writers still take (writers bump the sequence to odd
+/// before and even after their DCAS, so they remain the linearization
+/// point).
 ///
-/// Cost model: each attempt is a one-sided GET of [`VREAD_BYTES`]
+/// Cost model: each attempt is a one-sided GET of `VREAD_BYTES`
 /// (`rma_ns` + bandwidth term) when remote — the same wire class the
 /// [`crate::engine::Batcher`] flush payloads ride — or a single
 /// `cpu_atomic_ns` cache-line load when local. Remote attempts are
 /// drop/delay-eligible like any idempotent one-sided request
-/// ([`inject_one_sided_faults`]). A validated read records the
+/// (`inject_one_sided_faults`). A validated read records the
 /// [`OpClass::VersionedRead`] histogram and emits a `versioned_read` span;
 /// fallbacks record nothing here (the DCAS slow path keeps its existing
 /// handler-class accounting).
@@ -259,6 +273,10 @@ pub fn vread_u128(
     load: &dyn Fn() -> u128,
 ) -> Option<u128> {
     let here = ctx::here();
+    if core.confined_to_rank(owner) {
+        // A process reads its own cell through the DCAS path.
+        return None;
+    }
     let net = &core.config.network;
     let stats = &core.locale(here).stats;
     let t_issue = vtime::now();

@@ -128,7 +128,7 @@ pub struct RuntimeConfig {
     /// Progress threads per locale servicing active messages.
     pub progress_threads: usize,
     /// Default number of worker tasks per locale used by
-    /// [`crate::Runtime::forall_dist`] when the caller does not override it.
+    /// [`crate::RuntimeCore::forall_dist`] when the caller does not override it.
     pub tasks_per_locale: usize,
     /// Interconnect model.
     pub network: NetworkConfig,

@@ -4,7 +4,7 @@
 //! simulator reproduces that with a thread-local context naming the runtime
 //! and the locale the current task belongs to. Worker tasks created by
 //! `coforall`/`forall`, progress threads, and the thread inside
-//! [`crate::Runtime::run`] all carry a context; calling a communication
+//! [`crate::RuntimeCore::run`] all carry a context; calling a communication
 //! primitive without one is a programming error and panics.
 //!
 //! # Safety of the raw pointer

@@ -1,193 +1,89 @@
-//! The communication engine — the single owner of all remote-operation
-//! traffic.
+//! The communication engine: the backend contract, and the
+//! shared-address-space model the simulator adds on top of it.
 //!
-//! Every remote operation the simulator models — RDMA/NIC atomics, 128-bit
-//! DCAS routing, one-sided PUT/GET, blocking and fire-and-forget active
-//! messages, and bulk (batched) active messages — enters through one
-//! object: the runtime's [`CommEngine`]. The engine decides the path an
-//! operation takes, charges its virtual-time cost, and bumps the
-//! corresponding [`crate::stats::CommStats`] counters. Nothing else in the
-//! workspace talks to the wire: the routing tables ([`crate::comm`]) and
-//! the active-message transport ([`crate::am`]) are crate-private
-//! implementation details of the in-process backend, [`SimEngine`].
+//! **The backend contract** is [`CommEngine`]: the ten methods a transport
+//! must implement to carry a runtime. Seven move data or run code on
+//! another locale and name their target by *position*, never by address —
+//! a byte offset into the owner's symmetric heap
+//! ([`CommEngine::sym_atomic_u64`], [`CommEngine::sym_dcas_u128`],
+//! [`CommEngine::sym_read_u128`], [`CommEngine::sym_get`],
+//! [`CommEngine::sym_put`]) or the id of a registered handler function
+//! ([`CommEngine::on_handler`], [`CommEngine::on_handler_async`]) — so a
+//! backend whose locales are separate processes can honour every one of
+//! them. Three are lifecycle ([`CommEngine::entry_locale`],
+//! [`CommEngine::bind`], [`CommEngine::shutdown`]). Tasks reach the seven
+//! through the [`crate::symheap`] and [`crate::handlers`] free functions.
+//! [`SimEngine`] implements them in-process; `pgas_net::ProcEngine` over
+//! loopback TCP.
 //!
-//! Three call families:
+//! **The shared-address-space model** is everything else in this module:
+//! plain functions over the simulated NIC's routing tables (`comm`), the
+//! progress-thread active-message transport (`am`) and the [`combine`]
+//! layer, the first two crate-private. They exist because the simulator's
+//! locales live in one process, so a closure or a raw address means the
+//! same thing on every locale:
 //!
-//! * **Routing/charging** — [`CommEngine::remote_atomic_u64`],
-//!   [`CommEngine::remote_dcas_u128`], [`CommEngine::put`],
-//!   [`CommEngine::get`] and the handler-side charges. These price an
-//!   operation and tell the caller which [`AtomicPath`] performs it.
-//! * **Remote execution** — [`CommEngine::on`] (blocking, Chapel's `on`
-//!   statement) and [`CommEngine::on_async`] (fire-and-forget with a
-//!   [`Completion`] handle; the sender's clock does not advance until —
-//!   unless — it waits).
-//! * **Batching** — [`CommEngine::bulk_on`] ships one active message that
-//!   carries many aggregated operations, counted in `am_batches` /
-//!   `am_batch_items`; [`Batcher`] provides the per-task, per-destination
-//!   send buffers (the Chapel Aggregation Library pattern generalizing the
-//!   paper's scatter list) on top of it.
+//! * **Atomics on a cell in memory** — [`atomic_u64`] and [`atomic_u128`]
+//!   run an operation on a cell owned by some locale. They decide the path
+//!   (CPU atomic, NIC atomic, or an active message to the owner), charge
+//!   both sides and ship the message; no caller sees the decision.
+//!   [`vread_u128`] is the optimistic versioned read of a 128-bit cell;
+//!   [`get`]/[`put`] price one-sided transfers of raw memory.
+//! * **Closures on another locale** — [`on`] (blocking, Chapel's `on`
+//!   statement), [`on_async`] (fire-and-forget with a [`Completion`]
+//!   handle; the sender's clock does not advance until — unless — it
+//!   waits), [`on_combined`] (may share a bulk message with other tasks'
+//!   closures when [`crate::config::RuntimeConfig::combining`] is set) and
+//!   [`bulk_on`] (one message carrying many aggregated operations, counted
+//!   in `am_batches` / `am_batch_items`; [`Batcher`] provides the per-task,
+//!   per-destination send buffers on top of it).
 //!
-//! Most code reaches the engine through [`crate::runtime::RuntimeCore`]
-//! convenience methods (`on`, `on_async`, `on_combining`) or the
-//! free-function façade at the bottom of this module.
+//! Most code reaches these through [`RuntimeCore::on`],
+//! [`RuntimeCore::on_async`] and [`RuntimeCore::on_combining`], which add
+//! the generic return value.
 //!
-//! A fourth family, **combining** ([`CommEngine::on_combined`], backed by
-//! the [`combine`] submodule), coalesces concurrent same-destination
-//! operations from different tasks into single bulk active messages when
-//! [`crate::config::RuntimeConfig::combining`] is enabled.
+//! None of this can cross a process boundary. A runtime built around an
+//! external backend ([`crate::runtime::Runtime::with_engine`]) has no
+//! progress threads to serve a closure and no meaning for a peer's raw
+//! address, so there the model is confined to the calling rank: work aimed
+//! at the own locale runs inline, anything else panics with a pointer at
+//! [`crate::handlers`] and [`crate::symheap`]. That rule is one check,
+//! `RuntimeCore::confined_to_rank`, made where the routing functions and
+//! the active-message send path begin.
 
 pub mod combine;
 
 use std::panic::resume_unwind;
+use std::sync::atomic::Ordering;
 
 use crate::am;
+use crate::comm::{self, AtomicPath};
+pub use crate::comm::{
+    charge_get as get, charge_put as put, debug_vread_skip_validate, vread_u128,
+};
 use crate::ctx;
 use crate::globalptr::{GlobalPtr, LocaleId};
+use crate::handlers::{self, HandlerId};
 use crate::runtime::RuntimeCore;
+use crate::symheap::SymOp64;
 use crate::vtime;
-
-pub use crate::comm::AtomicPath;
 
 /// Default per-destination batch capacity (items) for [`Batcher`].
 pub const DEFAULT_BUFFER_CAP: usize = 1024;
 
-/// The abstract communication backend. One engine instance per runtime owns
-/// every remote operation: routing decisions, virtual-time charging, and
-/// [`crate::stats::CommStats`] accounting all live behind this trait, so a
-/// different transport (a real SHMEM/GASNet conduit, say) could be slotted
-/// in without touching the algorithm crates.
+/// What a communication backend must implement. One engine instance per
+/// runtime carries every operation that names its target by symmetric-heap
+/// offset or handler id, with the counting that goes with it
+/// ([`crate::stats::CommStats`]), so a different transport can be slotted
+/// in without touching the code above (see the module docs for what is
+/// *not* part of the contract, and why).
 ///
-/// The trait is object-safe; closures cross it boxed. Use the
-/// [`RuntimeCore::on`]/[`RuntimeCore::on_async`] wrappers for generic
-/// returns.
+/// The trait is object-safe.
 pub trait CommEngine: Send + Sync {
-    /// Route and charge a 64-bit atomic targeting memory owned by `owner`;
-    /// returns the path the caller must take. With network atomics enabled
-    /// this charges the NIC cost even for local targets (the
-    /// `CHPL_NETWORK_ATOMICS` quirk).
-    fn remote_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId) -> AtomicPath;
-
-    /// Route and charge a 128-bit (double-word CAS) atomic targeting memory
-    /// owned by `owner`. RDMA atomics max out at 64 bits, so the remote
-    /// case is always [`AtomicPath::ActiveMessage`].
-    fn remote_dcas_u128(&self, core: &RuntimeCore, owner: LocaleId) -> AtomicPath;
-
-    /// Optimistic versioned (seqlock) fast read of a 128-bit cell owned by
-    /// `owner`, paired with sequence word `seq` and read through `load`
-    /// (called twice per attempt — one per 64-bit half, modeling that
-    /// one-sided GETs cannot fetch 128 bits atomically). Rides the cheap
-    /// one-sided GET cost model instead of the DCAS/handler path and is
-    /// idempotent, hence drop/retry-eligible under fault injection.
-    /// Returns the validated payload, or `None` once the
-    /// [`crate::config::RuntimeConfig::vread_max_tries`] budget is
-    /// exhausted — the caller must then fall back to
-    /// [`Self::remote_dcas_u128`].
-    fn remote_vread_u128(
-        &self,
-        core: &RuntimeCore,
-        owner: LocaleId,
-        seq: &std::sync::atomic::AtomicU64,
-        load: &dyn Fn() -> u128,
-    ) -> Option<u128>;
-
-    /// Charge the CPU cost of a 64-bit atomic performed *inside* an AM
-    /// handler (the remote-execution fallback's actual memory operation).
-    fn handler_atomic_u64(&self, core: &RuntimeCore);
-
-    /// Charge the CPU cost of a 128-bit DCAS (locally or inside an AM
-    /// handler).
-    fn handler_dcas_u128(&self, core: &RuntimeCore);
-
-    /// Charge a one-sided GET of `bytes` from `owner`'s memory. Free and
-    /// uncounted when the data is local.
-    fn get(&self, core: &RuntimeCore, owner: LocaleId, bytes: usize);
-
-    /// Charge a one-sided PUT of `bytes` into `owner`'s memory. Free and
-    /// uncounted when the target is local.
-    fn put(&self, core: &RuntimeCore, owner: LocaleId, bytes: usize);
-
-    /// Chapel's `on Locales[dest] do f()`: execute `f` on locale `dest`,
-    /// blocking until it finishes. Runs inline (zero communication) when
-    /// the caller is already on `dest`; otherwise ships an active message
-    /// whose handling serializes on the target's progress service.
-    fn on<'a>(&self, core: &RuntimeCore, dest: LocaleId, f: Box<dyn FnOnce() + Send + 'a>);
-
-    /// Fire-and-forget remote execution: ship `f` to `dest` and return a
-    /// [`Completion`] immediately. The sender's virtual clock does *not*
-    /// advance; waiting on the handle merges the handler's completion time
-    /// (plus the reply wire) back in, exactly like a blocking [`Self::on`]
-    /// would have. Runs inline (already complete) when `dest` is the
-    /// current locale.
-    fn on_async(
-        &self,
-        core: &RuntimeCore,
-        dest: LocaleId,
-        f: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Completion;
-
-    /// Like [`Self::on`], but *combinable*: when the runtime's `combining`
-    /// toggle is set, concurrent calls from different tasks on this locale
-    /// toward the same `dest` may be coalesced into one bulk active
-    /// message by an elected combiner task (see [`combine`]). Still blocks
-    /// until `f` has executed on `dest`, still runs inline when the caller
-    /// is already there, and falls back to a plain [`Self::on`] when
-    /// combining is disabled.
-    fn on_combined<'a>(&self, core: &RuntimeCore, dest: LocaleId, f: Box<dyn FnOnce() + Send + 'a>);
-
-    /// Ship one *bulk* active message carrying `items` aggregated
-    /// operations to `dest` and block until the handler has run. Counted as
-    /// one `am_sent` plus one `am_batches` (with `items` added to
-    /// `am_batch_items`); runs inline and uncounted when `dest` is the
-    /// current locale. The handler itself is responsible for per-item
-    /// charging.
-    fn bulk_on<'a>(
-        &self,
-        core: &RuntimeCore,
-        dest: LocaleId,
-        items: u64,
-        f: Box<dyn FnOnce() + Send + 'a>,
-    );
-
-    // -----------------------------------------------------------------
-    // Symmetric-heap operations: the pointer-free op family every backend
-    // can implement (see [`crate::symheap`]). The defaults express each op
-    // through the routing/execution primitives above, so the simulator's
-    // counters and virtual-time charges are exactly what the equivalent
-    // hand-rolled atomic + AM sequence would have produced. A wire backend
-    // overrides them with real transport calls.
-    // -----------------------------------------------------------------
-
     /// Execute a 64-bit atomic descriptor against `owner`'s symmetric heap
     /// at byte offset `offset`, returning the word's previous value (see
     /// [`crate::symheap::SymOp64`]).
-    fn sym_atomic_u64(
-        &self,
-        core: &RuntimeCore,
-        owner: LocaleId,
-        offset: u64,
-        op: crate::symheap::SymOp64,
-    ) -> u64 {
-        match self.remote_atomic_u64(core, owner) {
-            AtomicPath::CpuLocal | AtomicPath::Nic => core.locale(owner).sym.apply64(offset, op),
-            AtomicPath::ActiveMessage => {
-                let mut out = 0u64;
-                {
-                    let slot = &mut out;
-                    self.on(
-                        core,
-                        owner,
-                        Box::new(move || {
-                            ctx::with_core(|c, _| {
-                                c.engine().handler_atomic_u64(c);
-                                *slot = c.locale(owner).sym.apply64(offset, op);
-                            });
-                        }),
-                    );
-                }
-                out
-            }
-        }
-    }
+    fn sym_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, op: SymOp64) -> u64;
 
     /// 128-bit compare-and-swap on the wide seqlock cell at `offset` in
     /// `owner`'s symmetric heap. Returns `(succeeded, previous value)`.
@@ -198,119 +94,41 @@ pub trait CommEngine: Send + Sync {
         offset: u64,
         expected: u128,
         new: u128,
-    ) -> (bool, u128) {
-        match self.remote_dcas_u128(core, owner) {
-            AtomicPath::CpuLocal | AtomicPath::Nic => {
-                core.locale(owner).sym.wide_dcas(offset, expected, new)
-            }
-            AtomicPath::ActiveMessage => {
-                let mut out = (false, 0u128);
-                {
-                    let slot = &mut out;
-                    self.on(
-                        core,
-                        owner,
-                        Box::new(move || {
-                            ctx::with_core(|c, _| {
-                                c.engine().handler_dcas_u128(c);
-                                *slot = c.locale(owner).sym.wide_dcas(offset, expected, new);
-                            });
-                        }),
-                    );
-                }
-                out
-            }
-        }
-    }
+    ) -> (bool, u128);
 
     /// Read the wide seqlock cell at `offset` in `owner`'s symmetric heap.
     /// With [`crate::config::RuntimeConfig::vread_fastpath`] enabled this
-    /// attempts the optimistic versioned read first
-    /// ([`Self::remote_vread_u128`]); otherwise — or once the retry budget
-    /// is exhausted — it falls back to a value-preserving
+    /// attempts an optimistic versioned read first; otherwise — or once the
+    /// retry budget is exhausted — it falls back to a value-preserving
     /// [`Self::sym_dcas_u128`] round trip (compare against an arbitrary
     /// expected value; the returned current value is the read).
-    fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128 {
-        if core.config.vread_fastpath {
-            let heap = &core.locale(owner).sym;
-            let load = || heap.wide_halves(offset);
-            if let Some(v) = self.remote_vread_u128(core, owner, heap.wide_seq(offset), &load) {
-                return v;
-            }
-        }
-        self.sym_dcas_u128(core, owner, offset, 0, 0).1
-    }
+    fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128;
 
     /// One-sided GET of `out.len()` bytes from `owner`'s symmetric heap at
-    /// `offset`. Charged like [`Self::get`] (free and uncounted locally).
-    fn sym_get(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, out: &mut [u8]) {
-        self.get(core, owner, out.len());
-        core.locale(owner).sym.read_bytes(offset, out);
-    }
+    /// `offset`. Free and uncounted when the data is local.
+    fn sym_get(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, out: &mut [u8]);
 
     /// One-sided PUT of `data` into `owner`'s symmetric heap at `offset`.
-    /// Charged like [`Self::put`] (free and uncounted locally).
-    fn sym_put(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, data: &[u8]) {
-        self.put(core, owner, data.len());
-        core.locale(owner).sym.write_bytes(offset, data);
-    }
-
-    // -----------------------------------------------------------------
-    // Registered-handler remote execution: the closure-free AM family a
-    // process backend can actually ship (see [`crate::handlers`]).
-    // -----------------------------------------------------------------
+    /// Free and uncounted when the target is local.
+    fn sym_put(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, data: &[u8]);
 
     /// Execute registered handler `h` on `dest` with `args`, blocking for
-    /// its reply bytes. Counted like [`Self::on`].
-    fn on_handler(
-        &self,
-        core: &RuntimeCore,
-        dest: LocaleId,
-        h: crate::handlers::HandlerId,
-        args: &[u8],
-    ) -> Vec<u8> {
-        let mut out = None;
-        {
-            let slot = &mut out;
-            self.on(
-                core,
-                dest,
-                Box::new(move || {
-                    ctx::with_core(|c, _| {
-                        *slot = Some(crate::handlers::invoke(h, c, args));
-                    });
-                }),
-            );
-        }
-        out.expect("remote handler did not run")
-    }
+    /// its reply bytes (see [`crate::handlers`]). Runs inline when `dest`
+    /// is the current locale; otherwise one `am_sent`.
+    fn on_handler(&self, core: &RuntimeCore, dest: LocaleId, h: HandlerId, args: &[u8]) -> Vec<u8>;
 
     /// Fire-and-forget variant of [`Self::on_handler`]: ship the descriptor
     /// and return a [`Completion`] immediately; the reply bytes are
-    /// discarded. Counted like [`Self::on_async`].
+    /// discarded.
     fn on_handler_async(
         &self,
         core: &RuntimeCore,
         dest: LocaleId,
-        h: crate::handlers::HandlerId,
+        h: HandlerId,
         args: Vec<u8>,
-    ) -> Completion {
-        self.on_async(
-            core,
-            dest,
-            Box::new(move || {
-                ctx::with_core(|c, _| {
-                    let _ = crate::handlers::invoke(h, c, &args);
-                });
-            }),
-        )
-    }
+    ) -> Completion;
 
-    // -----------------------------------------------------------------
-    // Backend lifecycle.
-    // -----------------------------------------------------------------
-
-    /// The locale [`crate::Runtime::run`] enters on this backend. The
+    /// The locale [`RuntimeCore::run`] enters on this backend. The
     /// simulator always enters locale 0 (it owns all locales); a process
     /// backend enters the one locale this OS process *is*.
     fn entry_locale(&self) -> LocaleId {
@@ -329,110 +147,226 @@ pub trait CommEngine: Send + Sync {
     fn shutdown(&self) {}
 }
 
-/// The in-process backend: routes through the simulated NIC cost tables
-/// ([`crate::comm`]) and the progress-thread AM transport ([`crate::am`]).
+/// The in-process backend. Every locale's symmetric heap is in this
+/// process, so each operation is the shared-address-space function of the
+/// same shape applied to the owner's heap: its counters and virtual-time
+/// charges are exactly those of the equivalent atomic on a cell in memory.
 #[derive(Debug, Default)]
 pub struct SimEngine;
 
 impl CommEngine for SimEngine {
-    fn remote_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-        crate::comm::route_atomic_u64(core, owner)
+    fn sym_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, op: SymOp64) -> u64 {
+        atomic_u64(core, owner, || core.locale(owner).sym.apply64(offset, op))
     }
 
-    fn remote_dcas_u128(&self, core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-        crate::comm::route_atomic_u128(core, owner)
-    }
-
-    fn remote_vread_u128(
+    fn sym_dcas_u128(
         &self,
         core: &RuntimeCore,
         owner: LocaleId,
-        seq: &std::sync::atomic::AtomicU64,
-        load: &dyn Fn() -> u128,
-    ) -> Option<u128> {
-        crate::comm::vread_u128(core, owner, seq, load)
+        offset: u64,
+        expected: u128,
+        new: u128,
+    ) -> (bool, u128) {
+        atomic_u128(core, owner, || {
+            core.locale(owner).sym.wide_dcas(offset, expected, new)
+        })
     }
 
-    fn handler_atomic_u64(&self, core: &RuntimeCore) {
-        crate::comm::charge_handler_atomic(core);
-    }
-
-    fn handler_dcas_u128(&self, core: &RuntimeCore) {
-        crate::comm::charge_handler_dcas(core);
-    }
-
-    fn get(&self, core: &RuntimeCore, owner: LocaleId, bytes: usize) {
-        crate::comm::charge_get(core, owner, bytes);
-    }
-
-    fn put(&self, core: &RuntimeCore, owner: LocaleId, bytes: usize) {
-        crate::comm::charge_put(core, owner, bytes);
-    }
-
-    fn on<'a>(&self, core: &RuntimeCore, dest: LocaleId, f: Box<dyn FnOnce() + Send + 'a>) {
-        let src = ctx::here();
-        if src == dest {
-            f();
-        } else {
-            am::remote_call(core, src, dest, f);
+    fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128 {
+        if core.config.vread_fastpath {
+            let heap = &core.locale(owner).sym;
+            let load = || heap.wide_halves(offset);
+            if let Some(v) = vread_u128(core, owner, heap.wide_seq(offset), &load) {
+                return v;
+            }
         }
+        self.sym_dcas_u128(core, owner, offset, 0, 0).1
     }
 
-    fn on_async(
+    fn sym_get(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, out: &mut [u8]) {
+        get(core, owner, out.len());
+        core.locale(owner).sym.read_bytes(offset, out);
+    }
+
+    fn sym_put(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, data: &[u8]) {
+        put(core, owner, data.len());
+        core.locale(owner).sym.write_bytes(offset, data);
+    }
+
+    fn on_handler(&self, core: &RuntimeCore, dest: LocaleId, h: HandlerId, args: &[u8]) -> Vec<u8> {
+        core.on(dest, || handlers::invoke(h, core, args))
+    }
+
+    fn on_handler_async(
         &self,
         core: &RuntimeCore,
         dest: LocaleId,
-        f: Box<dyn FnOnce() + Send + 'static>,
+        h: HandlerId,
+        args: Vec<u8>,
     ) -> Completion {
-        let src = ctx::here();
-        if src == dest {
-            f();
-            return Completion::ready();
-        }
-        let (tx, rx) = am::remote_post(core, src, dest, f);
-        Completion {
-            rx: Some((tx, rx, core.config.network.am_wire_ns)),
-            ready: None,
-            waiter: None,
-        }
+        on_async(
+            core,
+            dest,
+            Box::new(move || {
+                ctx::with_core(|c, _| {
+                    let _ = handlers::invoke(h, c, &args);
+                });
+            }),
+        )
     }
+}
 
-    fn on_combined<'a>(
-        &self,
-        core: &RuntimeCore,
-        dest: LocaleId,
-        f: Box<dyn FnOnce() + Send + 'a>,
-    ) {
-        let src = ctx::here();
-        if src == dest {
-            f();
-        } else if core.config.combining {
-            combine::submit(core, src, dest, f);
-        } else {
-            am::remote_call(core, src, dest, f);
-        }
+// ---------------------------------------------------------------------------
+// The shared-address-space model (see the module docs): atomics on cells in
+// memory, one-sided transfers of raw memory, closures on another locale.
+// ---------------------------------------------------------------------------
+
+/// Run `op` on a 64-bit cell owned by `owner` and return its result. With
+/// network atomics enabled the operation runs here and pays the NIC cost
+/// even for a local cell (the `CHPL_NETWORK_ATOMICS` quirk); without them a
+/// local cell costs a CPU atomic, and a remote one ships `op` to `owner` as
+/// a combinable active message ([`on_combined`]) whose handler pays the CPU
+/// atomic there.
+pub fn atomic_u64<R: Send>(
+    core: &RuntimeCore,
+    owner: LocaleId,
+    op: impl FnOnce() -> R + Send,
+) -> R {
+    match comm::route_atomic_u64(core, owner) {
+        AtomicPath::Nic | AtomicPath::CpuLocal => op(),
+        AtomicPath::ActiveMessage => core.on_combining(owner, move || {
+            comm::charge_handler_atomic(core);
+            op()
+        }),
     }
+}
 
-    fn bulk_on<'a>(
-        &self,
-        core: &RuntimeCore,
-        dest: LocaleId,
-        items: u64,
-        f: Box<dyn FnOnce() + Send + 'a>,
-    ) {
-        let src = ctx::here();
-        if src == dest {
-            f();
-            return;
-        }
-        use std::sync::atomic::Ordering;
-        let stats = &core.locale(src).stats;
-        stats.am_batches.fetch_add(1, Ordering::Relaxed);
-        stats.am_batch_items.fetch_add(items, Ordering::Relaxed);
-        // Batch occupancy histogram: how full bulk AMs actually are.
-        stats.record(crate::telemetry::OpClass::BatchOccupancy, items);
+/// Run `op` on a 128-bit (double-word CAS) cell owned by `owner` and return
+/// its result. RDMA atomics max out at 64 bits, so a local cell costs a CPU
+/// DCAS and a remote one always ships `op` to `owner` as a combinable
+/// active message whose handler pays the DCAS there.
+pub fn atomic_u128<R: Send>(
+    core: &RuntimeCore,
+    owner: LocaleId,
+    op: impl FnOnce() -> R + Send,
+) -> R {
+    match comm::route_atomic_u128(core, owner) {
+        AtomicPath::CpuLocal => op(),
+        AtomicPath::ActiveMessage => core.on_combining(owner, move || {
+            comm::charge_handler_dcas(core);
+            op()
+        }),
+        AtomicPath::Nic => unreachable!("128-bit atomics never take the NIC path"),
+    }
+}
+
+/// Charge the issuing side of a 64-bit atomic on a cell owned by `owner`
+/// through the network model (the cost depends on whether network atomics
+/// are enabled), for a task that performs the memory operation itself on
+/// shared memory (the reclaimers' bookkeeping words). A target that
+/// [`atomic_u64`] would reach by active message is not charged.
+pub fn charge_atomic_u64(owner: LocaleId) {
+    ctx::with_core(|core, _| {
+        let _ = comm::route_atomic_u64(core, owner);
+    });
+}
+
+/// GET a `Copy` value through a global pointer, charging RMA costs.
+///
+/// # Safety
+/// The object must be alive; see [`crate::globalptr::GlobalPtr::deref`].
+pub unsafe fn get_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>) -> T {
+    get(core, ptr.locale(), std::mem::size_of::<T>());
+    unsafe { *ptr.as_ptr() }
+}
+
+/// PUT a `Copy` value through a global pointer, charging RMA costs.
+///
+/// # Safety
+/// The object must be alive and no other task may be reading or writing
+/// it concurrently (one-sided PUTs have no synchronization, exactly like
+/// the real thing).
+pub unsafe fn put_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>, v: T) {
+    put(core, ptr.locale(), std::mem::size_of::<T>());
+    unsafe { *ptr.as_ptr() = v };
+}
+
+/// Chapel's `on Locales[dest] do f()`: execute `f` on locale `dest`,
+/// blocking until it finishes. Runs inline (zero communication) when
+/// the caller is already on `dest`; otherwise ships an active message
+/// whose handling serializes on the target's progress service. Closures
+/// cross boxed; [`RuntimeCore::on`] adds the generic return value.
+pub fn on<'a>(core: &RuntimeCore, dest: LocaleId, f: Box<dyn FnOnce() + Send + 'a>) {
+    let src = ctx::here();
+    if src == dest {
+        f();
+    } else {
         am::remote_call(core, src, dest, f);
     }
+}
+
+/// Fire-and-forget remote execution: ship `f` to `dest` and return a
+/// [`Completion`] immediately. The sender's virtual clock does *not*
+/// advance; waiting on the handle merges the handler's completion time
+/// (plus the reply wire) back in, exactly like a blocking [`on`] would
+/// have. Runs inline (already complete) when `dest` is the current locale.
+pub fn on_async(
+    core: &RuntimeCore,
+    dest: LocaleId,
+    f: Box<dyn FnOnce() + Send + 'static>,
+) -> Completion {
+    let src = ctx::here();
+    if src == dest {
+        f();
+        return Completion::done();
+    }
+    let (tx, rx) = am::remote_post(core, src, dest, f);
+    Completion {
+        rx: Some((tx, rx, core.config.network.am_wire_ns)),
+        ready: None,
+        waiter: None,
+    }
+}
+
+/// Like [`on`], but *combinable*: when the runtime's `combining` toggle is
+/// set, concurrent calls from different tasks on this locale toward the
+/// same `dest` may be coalesced into one bulk active message by an elected
+/// combiner task (see [`combine`]). Still blocks until `f` has executed on
+/// `dest`, still runs inline when the caller is already there, and is a
+/// plain [`on`] when combining is disabled.
+pub fn on_combined<'a>(core: &RuntimeCore, dest: LocaleId, f: Box<dyn FnOnce() + Send + 'a>) {
+    let src = ctx::here();
+    if src == dest {
+        f();
+    } else if core.config.combining {
+        combine::submit(core, src, dest, f);
+    } else {
+        am::remote_call(core, src, dest, f);
+    }
+}
+
+/// Ship one *bulk* active message carrying `items` aggregated operations
+/// to `dest` and block until the handler has run. Counted as one `am_sent`
+/// plus one `am_batches` (with `items` added to `am_batch_items`); runs
+/// inline and uncounted when `dest` is the current locale. The handler
+/// itself is responsible for per-item charging.
+pub fn bulk_on<'a>(
+    core: &RuntimeCore,
+    dest: LocaleId,
+    items: u64,
+    f: Box<dyn FnOnce() + Send + 'a>,
+) {
+    let src = ctx::here();
+    if src == dest {
+        f();
+        return;
+    }
+    let stats = &core.locale(src).stats;
+    stats.am_batches.fetch_add(1, Ordering::Relaxed);
+    stats.am_batch_items.fetch_add(items, Ordering::Relaxed);
+    // Batch occupancy histogram: how full bulk AMs actually are.
+    stats.record(crate::telemetry::OpClass::BatchOccupancy, items);
+    am::remote_call(core, src, dest, f);
 }
 
 /// Backend-supplied completion source for [`Completion::from_waiter`]: a
@@ -448,7 +382,8 @@ pub trait CompletionWaiter: Send {
     fn wait(self: Box<Self>);
 }
 
-/// Handle to a fire-and-forget [`CommEngine::on_async`] call.
+/// Handle to a fire-and-forget [`on_async`] (or
+/// [`CommEngine::on_handler_async`]) call.
 ///
 /// Dropping the handle abandons the result (the handler still runs);
 /// [`Completion::wait`] blocks for the handler, merges its virtual finish
@@ -473,17 +408,13 @@ pub struct Completion {
 }
 
 impl Completion {
-    fn ready() -> Completion {
+    /// An already-complete handle, for calls that ran inline.
+    pub fn done() -> Completion {
         Completion {
             rx: None,
             ready: None,
             waiter: None,
         }
-    }
-
-    /// An already-complete handle, for calls a backend ran inline.
-    pub fn done() -> Completion {
-        Completion::ready()
     }
 
     /// A handle driven by a backend-supplied [`CompletionWaiter`] (used by
@@ -557,7 +488,7 @@ impl std::fmt::Debug for Completion {
 ///
 /// Instead of issuing one small remote operation per item, a `Batcher`
 /// buffers items per destination locale and ships each buffer through the
-/// engine's bulk path ([`CommEngine::bulk_on`]): N small remote ops become
+/// bulk path ([`bulk_on`]): N small remote ops become
 /// one bulk active message, charged once for its payload on the wire and
 /// per-item in the destination-side handler.
 ///
@@ -700,9 +631,9 @@ impl<'h, T: Send> Batcher<'h, T> {
             } else {
                 let n = batch.len() as u64;
                 let bytes = batch.len() * std::mem::size_of::<T>();
-                core.engine().put(core, dest, bytes);
+                put(core, dest, bytes);
                 let handler = &self.handler;
-                core.engine().bulk_on(
+                bulk_on(
                     core,
                     dest,
                     n,
@@ -766,89 +697,12 @@ impl<T: Send> Drop for Batcher<'_, T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Free-function façade: callers that don't want the trait in scope go
-// through these (they delegate to the runtime's engine instance).
-// ---------------------------------------------------------------------------
-
-/// [`CommEngine::remote_atomic_u64`] on the runtime's engine.
-pub fn remote_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-    core.engine().remote_atomic_u64(core, owner)
-}
-
-/// [`CommEngine::remote_dcas_u128`] on the runtime's engine.
-pub fn remote_dcas_u128(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-    core.engine().remote_dcas_u128(core, owner)
-}
-
-/// [`CommEngine::remote_vread_u128`] on the runtime's engine.
-pub fn remote_vread_u128(
-    core: &RuntimeCore,
-    owner: LocaleId,
-    seq: &std::sync::atomic::AtomicU64,
-    load: &dyn Fn() -> u128,
-) -> Option<u128> {
-    core.engine().remote_vread_u128(core, owner, seq, load)
-}
-
-/// Planted-bug hook for the versioned-read torn-read oracle: when enabled,
-/// fast reads skip sequence validation (returning possibly-mixed halves).
-/// Test-only; returns the previous value. See
-/// [`CommEngine::remote_vread_u128`].
-pub fn debug_vread_skip_validate(on: bool) -> bool {
-    crate::comm::debug_vread_skip_validate(on)
-}
-
-/// [`CommEngine::handler_atomic_u64`] on the runtime's engine.
-pub fn handler_atomic_u64(core: &RuntimeCore) {
-    core.engine().handler_atomic_u64(core);
-}
-
-/// [`CommEngine::handler_dcas_u128`] on the runtime's engine.
-pub fn handler_dcas_u128(core: &RuntimeCore) {
-    core.engine().handler_dcas_u128(core);
-}
-
-/// [`CommEngine::get`] on the runtime's engine.
-pub fn get(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
-    core.engine().get(core, owner, bytes);
-}
-
-/// [`CommEngine::put`] on the runtime's engine.
-pub fn put(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
-    core.engine().put(core, owner, bytes);
-}
-
-/// GET a `Copy` value through a global pointer, charging RMA costs through
-/// the engine.
-///
-/// # Safety
-/// The object must be alive; see [`crate::globalptr::GlobalPtr::deref`].
-pub unsafe fn get_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>) -> T {
-    core.engine()
-        .get(core, ptr.locale(), std::mem::size_of::<T>());
-    unsafe { *ptr.as_ptr() }
-}
-
-/// PUT a `Copy` value through a global pointer, charging RMA costs through
-/// the engine.
-///
-/// # Safety
-/// The object must be alive and no other task may be reading or writing
-/// it concurrently (one-sided PUTs have no synchronization, exactly like
-/// the real thing).
-pub unsafe fn put_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>, v: T) {
-    core.engine()
-        .put(core, ptr.locale(), std::mem::size_of::<T>());
-    unsafe { *ptr.as_ptr() = v };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
     use crate::runtime::Runtime;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn on_async_does_not_advance_sender_clock() {
@@ -919,7 +773,7 @@ mod tests {
     fn bulk_on_counts_batches_and_items() {
         let rt = Runtime::cluster(2);
         rt.run(|| {
-            rt.engine().bulk_on(&rt, 1, 25, Box::new(|| {}));
+            bulk_on(&rt, 1, 25, Box::new(|| {}));
             let s = rt.total_comm();
             assert_eq!(s.am_sent, 1);
             assert_eq!(s.am_batches, 1);
@@ -932,7 +786,7 @@ mod tests {
         let rt = Runtime::cluster(2);
         rt.run(|| {
             let hit = AtomicU64::new(0);
-            rt.engine().bulk_on(
+            bulk_on(
                 &rt,
                 0,
                 9,

@@ -191,6 +191,10 @@ pub(crate) fn submit(
     f: Box<dyn FnOnce() + Send + '_>,
 ) {
     debug_assert_ne!(src, dest, "combining requires a remote destination");
+    // Checked before the announce, not only where the batch is sent: a
+    // combiner that panicked in `ship` would keep the role, and the next
+    // caller would spin behind it forever.
+    core.confined_to_rank(dest);
     // SAFETY: lifetime erasure under the same contract as
     // `am::remote_call` — this function blocks until the operation has
     // executed, so borrows inside `f` cannot outlive this frame.
@@ -320,7 +324,7 @@ fn ship(core: &RuntimeCore, src: LocaleId, dest: LocaleId, batch: &[NodePtr]) {
         // once. Pin the send to the non-droppable class so fault injection
         // can never lose a combined message, whatever the electing task's
         // class was.
-        crate::faults::with_class(crate::faults::OpClass::NonIdempotent, || {
+        crate::faults::with_class(crate::faults::RetryClass::NonIdempotent, || {
             am::remote_call(
                 core,
                 src,
@@ -432,7 +436,7 @@ mod tests {
 
     #[test]
     fn combined_batches_survive_fault_injection_in_fifo_order() {
-        use crate::faults::{with_class, FaultPlan, OpClass};
+        use crate::faults::{with_class, FaultPlan, RetryClass};
         // Aggressive drops + dups + delays. Combined messages are pinned
         // to the non-droppable class by `ship`, so even with every task in
         // an idempotent scope nothing may be lost, and each task's ops
@@ -457,7 +461,7 @@ mod tests {
             let order = &order;
             rt.coforall_tasks(tasks, |t| {
                 for i in 0..per_task {
-                    with_class(OpClass::Idempotent, || {
+                    with_class(RetryClass::Idempotent, || {
                         rt.on_combining(1, || {
                             order[t].lock().push(i);
                         })

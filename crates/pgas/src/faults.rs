@@ -15,7 +15,7 @@
 //!   receiver-side dedup: the duplicate occupies a server slot and pays
 //!   dispatch cost but runs no user code);
 //! - **drop** — the message is lost before execution. Only operations
-//!   tagged [`OpClass::Idempotent`] are eligible: the sender times out,
+//!   tagged [`RetryClass::Idempotent`] are eligible: the sender times out,
 //!   backs off per the plan's [`RetryPolicy`], and resends. Non-idempotent
 //!   operations (CAS publishes, frees, combined batches carrying mixed
 //!   riders) are never dropped because blind retransmission could apply
@@ -55,10 +55,10 @@ use crate::globalptr::LocaleId;
 ///
 /// The sender tags the *current task* via [`with_class`] before issuing the
 /// operation; the engine reads the tag at send time. The default — chosen
-/// whenever no scope is active — is conservative: [`OpClass::NonIdempotent`],
+/// whenever no scope is active — is conservative: [`RetryClass::NonIdempotent`],
 /// which is never dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
+pub enum RetryClass {
     /// Safe to re-execute: pure reads (atomic loads, ABA reads). Eligible
     /// for drop + retry under a fault plan.
     Idempotent,
@@ -69,14 +69,14 @@ pub enum OpClass {
 }
 
 thread_local! {
-    static CURRENT_CLASS: Cell<OpClass> = const { Cell::new(OpClass::NonIdempotent) };
+    static CURRENT_CLASS: Cell<RetryClass> = const { Cell::new(RetryClass::NonIdempotent) };
 }
 
 /// Run `f` with the calling task's operation class set to `class`,
 /// restoring the previous class afterwards (scopes nest).
-pub fn with_class<R>(class: OpClass, f: impl FnOnce() -> R) -> R {
+pub fn with_class<R>(class: RetryClass, f: impl FnOnce() -> R) -> R {
     let prev = CURRENT_CLASS.with(|c| c.replace(class));
-    struct Restore(OpClass);
+    struct Restore(RetryClass);
     impl Drop for Restore {
         fn drop(&mut self) {
             CURRENT_CLASS.with(|c| c.set(self.0));
@@ -87,7 +87,7 @@ pub fn with_class<R>(class: OpClass, f: impl FnOnce() -> R) -> R {
 }
 
 /// The operation class currently in scope on this thread.
-pub fn current_class() -> OpClass {
+pub fn current_class() -> RetryClass {
     CURRENT_CLASS.with(|c| c.get())
 }
 
@@ -451,15 +451,15 @@ mod tests {
 
     #[test]
     fn class_scopes_nest_and_restore() {
-        assert_eq!(current_class(), OpClass::NonIdempotent);
-        with_class(OpClass::Idempotent, || {
-            assert_eq!(current_class(), OpClass::Idempotent);
-            with_class(OpClass::NonIdempotent, || {
-                assert_eq!(current_class(), OpClass::NonIdempotent);
+        assert_eq!(current_class(), RetryClass::NonIdempotent);
+        with_class(RetryClass::Idempotent, || {
+            assert_eq!(current_class(), RetryClass::Idempotent);
+            with_class(RetryClass::NonIdempotent, || {
+                assert_eq!(current_class(), RetryClass::NonIdempotent);
             });
-            assert_eq!(current_class(), OpClass::Idempotent);
+            assert_eq!(current_class(), RetryClass::Idempotent);
         });
-        assert_eq!(current_class(), OpClass::NonIdempotent);
+        assert_eq!(current_class(), RetryClass::NonIdempotent);
     }
 
     #[test]
@@ -502,7 +502,7 @@ mod tests {
         rt.run(|| {
             let hits = AtomicU64::new(0);
             for _ in 0..200 {
-                with_class(OpClass::Idempotent, || {
+                with_class(RetryClass::Idempotent, || {
                     rt.on(1, || {
                         hits.fetch_add(1, Ordering::Relaxed);
                     })
@@ -551,7 +551,7 @@ mod tests {
         rt.run(|| {
             let hits = AtomicU64::new(0);
             for _ in 0..20 {
-                with_class(OpClass::Idempotent, || {
+                with_class(RetryClass::Idempotent, || {
                     rt.on(1, || {
                         hits.fetch_add(1, Ordering::Relaxed);
                     })

@@ -85,7 +85,7 @@ pub fn count() -> usize {
 }
 
 /// Run handler `h` on locale `dest` (blocking round trip), from inside any
-/// runtime task. The engine-portable sibling of [`crate::Runtime::on`].
+/// runtime task. The engine-portable sibling of [`crate::RuntimeCore::on`].
 pub fn call(dest: crate::LocaleId, h: HandlerId, args: &[u8]) -> Vec<u8> {
     crate::ctx::with_core(|c, _| c.engine().on_handler(c, dest, h, args))
 }

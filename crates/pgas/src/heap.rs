@@ -209,7 +209,7 @@ pub unsafe fn free_erased_batch(core: &RuntimeCore, owner: LocaleId, batch: Vec<
         // SAFETY: forwarded from the caller's contract.
         unsafe { free_erased_local_batch(core, batch, false) };
     } else {
-        core.engine().bulk_on(
+        crate::engine::bulk_on(
             core,
             owner,
             items,

@@ -75,8 +75,8 @@ pub use array::{Dist, DistArray};
 pub use barrier::DistBarrier;
 pub use config::{EngineKind, NetworkConfig, PointerMode, RuntimeConfig};
 pub use ctx::{current_runtime, here, try_here};
-pub use engine::{AtomicPath, Batcher, CommEngine, Completion, CompletionWaiter};
-pub use faults::{FaultPlan, OpClass, RetryPolicy};
+pub use engine::{Batcher, CommEngine, Completion, CompletionWaiter};
+pub use faults::{FaultPlan, RetryClass, RetryPolicy};
 pub use globalptr::{GlobalPtr, LocaleId, WideGlobalPtr};
 pub use handlers::HandlerId;
 pub use heap::{

@@ -33,7 +33,7 @@ use crossbeam_channel::unbounded;
 use crate::am::{self, AmMsg};
 use crate::config::RuntimeConfig;
 use crate::ctx;
-use crate::engine::{CommEngine, Completion, SimEngine};
+use crate::engine::{self, CommEngine, Completion, SimEngine};
 use crate::globalptr::LocaleId;
 use crate::locale::Locale;
 use crate::stats::CommSnapshot;
@@ -63,6 +63,9 @@ pub struct RuntimeCore {
     pub config: RuntimeConfig,
     locales: Box<[Locale]>,
     engine: Box<dyn CommEngine>,
+    /// Whether every locale lives in this process behind simulator progress
+    /// threads (see [`Self::confined_to_rank`]).
+    shared_address_space: bool,
     /// Live fault-injection state, built from [`RuntimeConfig::faults`];
     /// `None` (the default) short-circuits every injection hook.
     faults: Option<crate::faults::FaultState>,
@@ -130,7 +133,11 @@ impl Runtime {
         Runtime::build(config, engine, false)
     }
 
-    fn build(config: RuntimeConfig, engine: Box<dyn CommEngine>, sim_progress: bool) -> Runtime {
+    fn build(
+        config: RuntimeConfig,
+        engine: Box<dyn CommEngine>,
+        shared_address_space: bool,
+    ) -> Runtime {
         config.validate();
         let mut receivers = Vec::with_capacity(config.num_locales);
         let core = Arc::new_cyclic(|self_weak| {
@@ -157,6 +164,7 @@ impl Runtime {
                 config,
                 locales,
                 engine,
+                shared_address_space,
                 faults,
                 telemetry_sink: OnceLock::new(),
                 shutdown: AtomicBool::new(false),
@@ -164,7 +172,7 @@ impl Runtime {
             }
         });
         let mut progress = Vec::new();
-        if sim_progress {
+        if shared_address_space {
             for (id, rx) in receivers.into_iter().enumerate() {
                 for t in 0..core.config.progress_threads {
                     let core = Arc::clone(&core);
@@ -254,6 +262,28 @@ impl RuntimeCore {
         }
     }
 
+    /// The locality check of the shared-address-space model (see
+    /// [`crate::engine`]). `false` on a simulator runtime: any locale may be
+    /// the target of a closure or a raw-pointer operation. A runtime built
+    /// by [`Runtime::with_engine`] spawns no progress threads and its
+    /// locales share no memory, so such work would wait forever for a reply
+    /// or touch an address that means nothing here; there this returns
+    /// `true` when `target` is the calling rank — the caller runs the work
+    /// inline — and panics otherwise.
+    pub(crate) fn confined_to_rank(&self, target: LocaleId) -> bool {
+        if self.shared_address_space {
+            return false;
+        }
+        assert!(
+            target == ctx::here(),
+            "this runtime's locales share no address space (Runtime::with_engine): a \
+             closure or a raw-pointer operation cannot reach locale {target}; register \
+             a handler fn (pgas_sim::handlers::register) and use handlers::call / \
+             call_async, or keep the data in the symmetric heap (pgas_sim::symheap)"
+        );
+        true
+    }
+
     pub(crate) fn send_am(&self, dest: LocaleId, msg: AmMsg) {
         assert!(
             !self.shutdown.load(Ordering::Relaxed),
@@ -304,8 +334,9 @@ impl RuntimeCore {
         })
     }
 
-    /// The communication engine this runtime routes all remote traffic
-    /// through (see [`crate::engine::CommEngine`]).
+    /// The communication backend of this runtime (see
+    /// [`crate::engine::CommEngine`]); [`crate::symheap`] and
+    /// [`crate::handlers`] are the task-facing way to it.
     #[inline]
     pub fn engine(&self) -> &dyn CommEngine {
         &*self.engine
@@ -314,8 +345,8 @@ impl RuntimeCore {
     /// Chapel's `on Locales[dest] do f()`: execute `f` on locale `dest`,
     /// blocking until it finishes. Runs inline (zero communication) when
     /// the caller is already on `dest`; otherwise ships an active message
-    /// through the [`Self::engine`], whose handling serializes on the
-    /// target's progress threads.
+    /// ([`engine::on`]), whose handling serializes on the target's progress
+    /// threads.
     pub fn on<R, F>(&self, dest: LocaleId, f: F) -> R
     where
         R: Send,
@@ -326,13 +357,13 @@ impl RuntimeCore {
             "locale {dest} out of range (runtime has {} locales)",
             self.locales.len()
         );
-        // The engine's `on` takes a unit closure; the return value travels
-        // through this stack slot, which the engine's blocking contract
-        // guarantees is written before `on` returns.
+        // `engine::on` takes a unit closure; the return value travels
+        // through this stack slot, which its blocking contract guarantees
+        // is written before it returns.
         let mut slot: Option<R> = None;
         {
             let slot_ref = &mut slot;
-            self.engine.on(
+            engine::on(
                 self,
                 dest,
                 Box::new(move || {
@@ -361,12 +392,12 @@ impl RuntimeCore {
             "locale {dest} out of range (runtime has {} locales)",
             self.locales.len()
         );
-        // Same stack-slot pattern as `on`: the engine's blocking contract
-        // guarantees the slot is written before `on_combined` returns.
+        // Same stack-slot pattern as `on`: the blocking contract guarantees
+        // the slot is written before `on_combined` returns.
         let mut slot: Option<R> = None;
         {
             let slot_ref = &mut slot;
-            self.engine.on_combined(
+            engine::on_combined(
                 self,
                 dest,
                 Box::new(move || {
@@ -391,12 +422,12 @@ impl RuntimeCore {
             "locale {dest} out of range (runtime has {} locales)",
             self.locales.len()
         );
-        self.engine.on_async(self, dest, Box::new(f))
+        engine::on_async(self, dest, Box::new(f))
     }
 
     /// Run `f(l)` once per locale as a *message* and collect the results by
     /// locale: `f(here)` inline on the calling thread, every other `f(l)` as
-    /// one active message ([`CommEngine::on_async`]) served by locale `l`'s
+    /// one active message ([`engine::on_async`]) served by locale `l`'s
     /// progress service. All messages are posted before any is waited for, so
     /// the remote bodies overlap each other and the inline one; the caller's
     /// virtual clock advances to the slowest of them, and `am_sent` rises by
@@ -454,7 +485,7 @@ impl RuntimeCore {
             // this frame, before either is dropped, and `slots` is not
             // touched again until then.
             let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
-            posted.0.push(self.engine.on_async(self, l, body));
+            posted.0.push(engine::on_async(self, l, body));
         }
         let mine = f(here);
         if let Some(p) = posted.join() {

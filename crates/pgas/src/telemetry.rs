@@ -54,7 +54,7 @@ use crate::stats::{CommSnapshot, CommStats};
 /// own latency (or occupancy) histogram per locale, and spans are keyed by
 /// it.
 ///
-/// This is distinct from [`crate::faults::OpClass`] (idempotent vs not,
+/// This is distinct from [`crate::faults::RetryClass`] (idempotent vs not,
 /// which governs *drop eligibility*); this enum classifies *what kind of
 /// remote operation* a sample describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

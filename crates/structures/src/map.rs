@@ -1,7 +1,7 @@
 //! A distributed lock-free hash map.
 //!
 //! The paper's conclusion reports porting the *Interlocked Hash Table*
-//! [16] onto `AtomicObject` + `EpochManager` as its first application.
+//! \[16\] onto `AtomicObject` + `EpochManager` as its first application.
 //! This module is that application, simplified to its load-bearing ideas:
 //!
 //! * a fixed power-of-two bucket table whose buckets are **distributed

@@ -1,6 +1,6 @@
 //! An RCU-like parallel-safe distributed resizable array.
 //!
-//! Modeled on RCUArray (Jenkins, IPDPSW'18 — reference [15] of the
+//! Modeled on RCUArray (Jenkins, IPDPSW'18 — reference \[15\] of the
 //! paper, and one of the privatization-based structures the paper cites
 //! as motivation). The array is a table of fixed-size *blocks*
 //! distributed round-robin across locales. Reads and writes index

@@ -3,7 +3,7 @@
 //!
 //! The ordered-set structures the paper's building blocks enable do not
 //! stop at linked lists: Fraser's practical-lock-freedom thesis — the
-//! EBR source the paper builds on [10] — used skiplists as its flagship
+//! EBR source the paper builds on \[10\] — used skiplists as its flagship
 //! application. This is that structure on `AtomicObject` towers:
 //!
 //! * each node owns a tower of `next` pointers; level 0 is the Harris
