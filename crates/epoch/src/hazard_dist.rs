@@ -368,11 +368,7 @@ impl Drop for HazardReclaimer {
                 }
             });
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.rt.clone().run(teardown);
-        }
+        self.rt.clone().run_here_or_enter(teardown);
     }
 }
 

@@ -456,15 +456,9 @@ impl Default for EpochManager {
 
 impl Drop for EpochManager {
     fn drop(&mut self) {
-        if pgas_sim::try_here().is_some() {
-            self.clear();
-        } else {
-            // Entered from outside any task (e.g. the manager outlived the
-            // `run` block): re-enter the runtime to perform the final
-            // reclamation with proper accounting.
-            let rt = self.rt.clone();
-            rt.run(|| self.clear());
-        }
+        // Outside any task (the manager outlived the `run` block) this
+        // re-enters the runtime, so the final reclamation is accounted.
+        self.rt.clone().run_here_or_enter(|| self.clear());
     }
 }
 

@@ -304,6 +304,18 @@ impl RuntimeCore {
         self.run_on(self.engine.entry_locale(), f)
     }
 
+    /// Execute `f` inside the runtime: in place when the calling thread is
+    /// already in a task, otherwise by entering through [`Self::run`]. For
+    /// `Drop` impls that must touch the heap or the network: the owner may
+    /// be dropped inside a `run` block or after it.
+    pub fn run_here_or_enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        if ctx::try_here().is_some() {
+            f()
+        } else {
+            self.run(f)
+        }
+    }
+
     /// Enter the runtime on a specific locale and execute `f` on the
     /// calling thread. This is how an engine backend's progress threads
     /// establish the runtime context before invoking handlers; ordinary

@@ -228,11 +228,7 @@ impl<T: Send, R: Reclaimer> Drop for WorkStealingDeque<T, R> {
                 while self.take_from(&tok, l as LocaleId, &span).is_some() {}
             }
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 

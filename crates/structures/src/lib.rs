@@ -9,9 +9,10 @@
 //! * [`LockFreeStack`] — Treiber stack, the paper's Listing 1.
 //! * [`MsQueue`] — Michael–Scott FIFO queue.
 //! * [`LockFreeList`] — Harris ordered set (mark bit in the compressed
-//!   pointer).
+//!   pointer): one chain.
 //! * [`DistHashMap`] — hash map with buckets distributed across locales,
-//!   the Interlocked-Hash-Table application from the paper's conclusion.
+//!   the Interlocked-Hash-Table application from the paper's conclusion:
+//!   many chains, each walked in place by whoever calls.
 //! * [`LockFreeSkipList`] — ordered set with expected-logarithmic
 //!   operations (Fraser's flagship EBR application).
 //! * [`RcuArray`] — RCU-style distributed resizable array.
@@ -24,6 +25,15 @@
 //! pointer, and [`GlobalOrderedSet`] shards the skiplist per locale with
 //! cross-shard range scans.
 //!
+//! The Harris chain protocol itself (search, insert, remove, the protected
+//! read-only walk, teardown) is written once, in the private `chain`
+//! module, together with the maps' bulk scatter/gather. The list and the
+//! two maps are that module plus a policy for where chains live and who
+//! runs an operation on them — the shared-memory algorithm and the
+//! distribution policy kept apart, as the follow-up paper builds its
+//! global-view structures. (`skiplist`'s towers and `queue` are different
+//! algorithms and own theirs.)
+//!
 //! All of them are usable from any locale; nodes carry the affinity of the
 //! task that allocated them. Every structure is generic over its
 //! reclamation backend (`R: Reclaimer`, defaulting to the epoch-based
@@ -34,6 +44,7 @@
 
 #![warn(missing_docs)]
 
+mod chain;
 pub mod deque;
 pub mod list;
 pub mod map;

@@ -1,53 +1,36 @@
 //! A lock-free ordered set (Harris's linked list) over global pointers.
 //!
 //! Linked lists are the third structure the paper's introduction calls out
-//! as blocked on object atomics. This is Harris's algorithm: deletion
-//! first *marks* the outgoing link of the doomed node (logical removal),
-//! then unlinks it physically; traversals snip marked nodes as they pass.
-//! The mark lives in the low bit of the compressed global pointer — the
-//! same word the NIC can CAS — so the algorithm remains RDMA-friendly.
+//! as blocked on object atomics. The algorithm — mark the outgoing link of
+//! the doomed node, then unlink it; traversals snip marked nodes as they
+//! pass; the mark lives in the low bit of the compressed global pointer,
+//! the same word the NIC can CAS — is not written here: it is the crate's
+//! `chain` module, which the hash maps' buckets run too. A list is one
+//! chain homed on the creating locale with every `hash` 0 and no value, so
+//! chain order `(hash, key)` is key order.
 //!
 //! Reclamation of unlinked nodes is deferred to the structure's
 //! [`Reclaimer`] (epoch-based by default): a node is handed to
 //! `defer_delete` by exactly the task whose CAS physically unlinked it.
-//!
-//! Under hazard pointers, traversals protect `pred`/`curr` hand-over-hand
-//! in slots 0 and 1. A protection of `curr` is validated by re-reading
-//! `pred.next` and requiring the *unmarked* word `curr`: the mark on
-//! `pred.next` is exactly `pred`'s logical deletion, so an unmarked match
-//! proves `pred` was still in the list — and therefore so was `curr`,
-//! which cannot have been retired.
+//! Under hazard pointers the chain protects `pred`/`curr` hand-over-hand
+//! in slots 0 and 1.
 
 use std::hash::Hash;
 
-use pgas_atomics::AtomicObject;
-use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
+use pgas_epoch::{EpochManager, Reclaimer};
 use pgas_sim::telemetry::{key_hash64, opkind, OpClass, OpSpan};
-use pgas_sim::{alloc_local, ctx, GlobalPtr};
+use pgas_sim::{ctx, GlobalPtr};
 
-/// One list cell. `next` carries the Harris mark bit. The key is
-/// `MaybeUninit` only because the sentinel head node has none; every
-/// non-sentinel node's key is initialized at allocation and keys are
-/// `Copy`, so reads are plain `assume_init` loads.
-pub struct Node<K> {
-    key: std::mem::MaybeUninit<K>,
-    next: AtomicObject<Node<K>>,
-}
-
-impl<K: Copy> Node<K> {
-    /// # Safety
-    /// Must not be called on the sentinel.
-    #[inline]
-    unsafe fn key(&self) -> K {
-        unsafe { self.key.assume_init() }
-    }
-}
+use crate::chain::{
+    alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, pinned,
+    Node,
+};
 
 /// A lock-free sorted set keyed by `K`, generic over its reclamation
 /// backend.
 pub struct LockFreeList<K: Ord + Copy + Hash + Send, R: Reclaimer = EpochManager> {
     /// Sentinel node; never removed, its key is never examined.
-    head: GlobalPtr<Node<K>>,
+    head: GlobalPtr<Node<K, ()>>,
     em: R,
 }
 
@@ -71,16 +54,8 @@ impl<K: Ord + Copy + Hash + Send + 'static> LockFreeList<K> {
 impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeList<K, R> {
     /// Create an empty set using reclamation backend `R`.
     pub fn with_reclaimer() -> LockFreeList<K, R> {
-        let rt = ctx::current_runtime();
-        let head = alloc_local(
-            &rt,
-            Node {
-                key: std::mem::MaybeUninit::uninit(), // sentinel: never read
-                next: AtomicObject::null(),
-            },
-        );
         LockFreeList {
-            head,
+            head: alloc_sentinel(&ctx::current_runtime(), ctx::here()),
             em: R::new_in_runtime(),
         }
     }
@@ -90,238 +65,30 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeList<K, R> {
         self.em.register()
     }
 
-    /// Find `(pred, curr)` such that `curr` is the first unmarked node with
-    /// `key >= target` and `pred` is its unmarked predecessor, snipping
-    /// marked nodes along the way. Caller must be pinned. On return the
-    /// two nodes are protected (under HP) in slots 0 and 1, in some order.
-    fn search(&self, tok: &R::Guard<'_>, target: &K) -> (GlobalPtr<Node<K>>, GlobalPtr<Node<K>>) {
-        'retry: loop {
-            let pred = self.head;
-            // SAFETY: the sentinel is never reclaimed.
-            let mut pred_ref = unsafe { pred.deref() };
-            let mut pred_ptr = pred;
-            let mut pred_slot = 1usize;
-            let mut curr_slot = 0usize;
-            let mut curr = pred_ref.next.read().without_mark();
-            // HP: validated because the sentinel is always in the list.
-            if !curr.is_null() && !tok.protect_ptr(curr_slot, curr, || pred_ref.next.read() == curr)
-            {
-                continue 'retry;
-            }
-            loop {
-                if curr.is_null() {
-                    return (pred_ptr, curr);
-                }
-                // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
-                let curr_ref = unsafe { curr.deref() };
-                let succ = curr_ref.next.read();
-                if succ.is_marked() {
-                    // curr is logically deleted: physically unlink it.
-                    if !pred_ref.next.compare_and_swap(curr, succ.without_mark()) {
-                        continue 'retry;
-                    }
-                    // Our CAS did the unlink: we retire the node.
-                    tok.defer_delete(curr);
-                    curr = succ.without_mark();
-                    if !curr.is_null()
-                        && !tok.protect_ptr(curr_slot, curr, || pred_ref.next.read() == curr)
-                    {
-                        continue 'retry;
-                    }
-                } else {
-                    // SAFETY: curr is never the sentinel.
-                    if unsafe { curr_ref.key() } >= *target {
-                        return (pred_ptr, curr);
-                    }
-                    pred_ptr = curr;
-                    pred_ref = curr_ref;
-                    std::mem::swap(&mut pred_slot, &mut curr_slot);
-                    curr = succ;
-                    if !tok.protect_ptr(curr_slot, curr, || pred_ref.next.read() == succ) {
-                        continue 'retry;
-                    }
-                }
-            }
-        }
-    }
-
     /// Insert `key`; returns `false` if already present.
     pub fn insert(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let span = OpSpan::start(OpClass::ListOp, opkind::INSERT, key_hash64(&key));
-        tok.pin();
-        let result = loop {
-            let (pred, curr) = self.search(tok, &key);
-            if !curr.is_null() && unsafe { curr.deref().key() } == key {
-                break false;
-            }
-            let node = alloc_local(
-                &ctx::current_runtime(),
-                Node {
-                    key: std::mem::MaybeUninit::new(key),
-                    next: AtomicObject::new(curr),
-                },
-            );
-            // SAFETY: protected; pred is the sentinel or an unmarked node
-            // search just traversed.
-            if unsafe { pred.deref() }.next.compare_and_swap(curr, node) {
-                break true;
-            }
-            // Lost the race; the node was never published — free eagerly.
-            unsafe { pgas_sim::free(&ctx::current_runtime(), node) };
-            span.retry();
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        result
+        chain_insert::<K, (), R>(tok, self.head, 0, key, (), Some(&span))
     }
 
     /// Remove `key`; returns `false` if absent.
     pub fn remove(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let span = OpSpan::start(OpClass::ListOp, opkind::REMOVE, key_hash64(&key));
-        tok.pin();
-        let result = loop {
-            let (pred, curr) = self.search(tok, &key);
-            if curr.is_null() || unsafe { curr.deref().key() } != key {
-                break false;
-            }
-            let curr_ref = unsafe { curr.deref() };
-            let succ = curr_ref.next.read();
-            if succ.is_marked() {
-                span.retry();
-                continue; // someone else is deleting it; re-search
-            }
-            // Logical removal: mark the outgoing link.
-            if !curr_ref.next.compare_and_swap(succ, succ.with_mark()) {
-                span.retry();
-                continue;
-            }
-            // Physical removal: unlink. On failure, run Harris's
-            // completion step — a fresh search snips the marked node (and
-            // defers it there) before we return, so exactly-once
-            // retirement holds and no marked link outlives the remover.
-            // Read-only walks under HP cannot step across a marked link
-            // and would spin forever on one left reachable at quiescence.
-            if unsafe { pred.deref() }
-                .next
-                .compare_and_swap(curr, succ.without_mark())
-            {
-                tok.defer_delete(curr);
-            } else {
-                let _ = self.search(tok, &key);
-            }
-            break true;
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        result
+        chain_remove::<K, (), R>(tok, self.head, 0, &key, Some(&span))
     }
 
     /// Membership test. Does not modify the list (no snipping), so it is
     /// read-only with respect to communication.
     pub fn contains(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let _span = OpSpan::start(OpClass::ListOp, opkind::CONTAINS, key_hash64(&key));
-        tok.pin();
-        let found = 'retry: loop {
-            // SAFETY: sentinel, never reclaimed.
-            let mut prev_ref = unsafe { self.head.deref() };
-            let mut prev_slot = 1usize;
-            let mut curr_slot = 0usize;
-            let mut curr = prev_ref.next.read().without_mark();
-            if !curr.is_null() && !tok.protect_ptr(curr_slot, curr, || prev_ref.next.read() == curr)
-            {
-                continue 'retry;
-            }
-            let mut found = false;
-            while !curr.is_null() {
-                // SAFETY: protected.
-                let curr_ref = unsafe { curr.deref() };
-                // SAFETY: curr is never the sentinel.
-                let k = unsafe { curr_ref.key() };
-                if k > key {
-                    break;
-                }
-                let succ = curr_ref.next.read();
-                if k == key {
-                    found = !succ.is_marked();
-                    break;
-                }
-                // HP cannot safely step across a marked link (the marked
-                // node's successor may already be retired): restart. EBR
-                // walks straight through, as before.
-                if R::NEEDS_PROTECT && succ.is_marked() {
-                    continue 'retry;
-                }
-                prev_ref = curr_ref;
-                std::mem::swap(&mut prev_slot, &mut curr_slot);
-                curr = succ.without_mark();
-                if !curr.is_null()
-                    && !tok.protect_ptr(curr_slot, curr, || prev_ref.next.read() == succ)
-                {
-                    continue 'retry;
-                }
-            }
-            break found;
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        found
+        chain_get::<K, (), R>(tok, self.head, 0, &key).is_some()
     }
 
     /// Number of unmarked nodes (racy; exact in quiescence).
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::ListOp, opkind::LEN, 0);
-        if R::NEEDS_PROTECT {
-            let g = self.em.register();
-            g.pin();
-            let n = 'retry: loop {
-                let mut prev_ref = unsafe { self.head.deref() };
-                let mut prev_slot = 1usize;
-                let mut curr_slot = 0usize;
-                let mut curr = prev_ref.next.read().without_mark();
-                if !curr.is_null()
-                    && !g.protect_ptr(curr_slot, curr, || prev_ref.next.read() == curr)
-                {
-                    continue 'retry;
-                }
-                let mut n = 0;
-                while !curr.is_null() {
-                    let curr_ref = unsafe { curr.deref() };
-                    let succ = curr_ref.next.read();
-                    if succ.is_marked() {
-                        // Can't step across a marked link under HP.
-                        continue 'retry;
-                    }
-                    n += 1;
-                    prev_ref = curr_ref;
-                    std::mem::swap(&mut prev_slot, &mut curr_slot);
-                    curr = succ;
-                    if !curr.is_null()
-                        && !g.protect_ptr(curr_slot, curr, || prev_ref.next.read() == succ)
-                    {
-                        continue 'retry;
-                    }
-                }
-                break n;
-            };
-            g.release(0);
-            g.release(1);
-            g.unpin();
-            n
-        } else {
-            let mut n = 0;
-            let mut curr = unsafe { self.head.deref() }.next.read().without_mark();
-            while !curr.is_null() {
-                let succ = unsafe { curr.deref() }.next.read();
-                if !succ.is_marked() {
-                    n += 1;
-                }
-                curr = succ.without_mark();
-            }
-            n
-        }
+        let g = self.em.register();
+        pinned(&g, || chain_count::<K, (), R>(&g, self.head))
     }
 
     /// True when no unmarked nodes remain (racy; exact in quiescence).
@@ -353,22 +120,9 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> Default for LockFreeLi
 
 impl<K: Ord + Copy + Hash + Send, R: Reclaimer> Drop for LockFreeList<K, R> {
     fn drop(&mut self) {
-        let teardown = || {
-            let rt = ctx::current_runtime();
-            // Quiescent teardown: free the whole chain, sentinel included.
-            let mut curr = self.head;
-            while !curr.is_null() {
-                let next = unsafe { curr.deref() }.next.read().without_mark();
-                // SAFETY: quiescent; every node was allocated by alloc_local.
-                unsafe { pgas_sim::free(&rt, curr) };
-                curr = next;
-            }
-        };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        // SAFETY: quiescent teardown (`&mut self`).
+        let teardown = || unsafe { chain_teardown(&ctx::current_runtime(), self.head) };
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 

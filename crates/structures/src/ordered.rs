@@ -30,7 +30,7 @@ use pgas_epoch::{EpochManager, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, LocaleId, ShardRouter};
 
-use crate::map::hash_key;
+use crate::chain::hash_key;
 use crate::skiplist::LockFreeSkipList;
 
 /// An ordered set of `Copy` keys, sharded per locale with cross-shard
@@ -246,7 +246,7 @@ mod tests {
             let keys_per_shard: Vec<usize> = (0..4)
                 .map(|shard| {
                     (0..256u64)
-                        .filter(|k| s.router().owner(crate::map::hash_key(k)) == shard)
+                        .filter(|k| s.router().owner(crate::chain::hash_key(k)) == shard)
                         .count()
                 })
                 .collect();
@@ -273,7 +273,7 @@ mod tests {
             let s: GlobalOrderedSet<u64> = GlobalOrderedSet::new();
             rt.on(2, || {
                 let owned: Vec<u64> = (0..4096u64)
-                    .filter(|k| s.router().owner(crate::map::hash_key(k)) == 2)
+                    .filter(|k| s.router().owner(crate::chain::hash_key(k)) == 2)
                     .take(32)
                     .collect();
                 let before = rt.total_comm();

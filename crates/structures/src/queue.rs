@@ -224,11 +224,7 @@ impl<T: Send, R: Reclaimer> Drop for MsQueue<T, R> {
             tok.defer_delete(self.head.read());
             tok.unpin();
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 

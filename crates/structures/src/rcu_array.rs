@@ -252,11 +252,7 @@ impl<R: Reclaimer> Drop for RcuArray<R> {
                 pgas_sim::free(&rt, t_ptr);
             }
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 

@@ -20,10 +20,12 @@
 //!   [`pgas_sim::Batcher`], so a million-key preload costs one bulk AM
 //!   per destination buffer.
 //!
-//! Both tiers execute the identical chain primitives
-//! ([`crate::map::chain_insert`] and friends), so the sharded map is the
-//! legacy map with a different answer to "where do chains live and who
-//! runs the op" — which is exactly the ablation A11 measures.
+//! Neither tier owns the Harris protocol or the bulk scatter/gather: both
+//! call the crate's `chain` module, so the sharded map is the legacy map
+//! with a different answer to "where do chains live and who runs the op"
+//! (one private helper, `at_owner`) — which is exactly what ablation A11
+//! measures, and why the two stay separate types: a routing flag on one
+//! type would make every operation branch on how its map was built.
 //!
 //! ## Rebalance
 //!
@@ -38,17 +40,15 @@
 //! walks chains unprotected, like teardown.
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
-use pgas_sim::engine::DEFAULT_BUFFER_CAP;
+use pgas_epoch::{EpochManager, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
-use pgas_sim::{ctx, Batcher, GlobalPtr, LocaleId, ShardRouter};
+use pgas_sim::{ctx, GlobalPtr, LocaleId, ShardRouter};
 
-use crate::map::{
+use crate::chain::{
     alloc_sentinel, chain_collect, chain_count, chain_get, chain_insert, chain_remove,
-    chain_teardown, hash_key, Node,
+    chain_teardown, gather_get, hash_key, pinned, scatter_insert, Node,
 };
 
 /// Routing/traffic counters a sharded map accumulates over its lifetime.
@@ -220,6 +220,31 @@ where
         self.shards[shard as usize][(hash & self.mask) as usize]
     }
 
+    /// Run `op` on `hash`'s chain where it lives: in place under the
+    /// caller's guard (and `span`) when this locale owns the shard, else as
+    /// one combined AM on the owner, under a guard registered there. The
+    /// span can't travel (it's bound to this task's telemetry slot), so the
+    /// remote leg runs span-less; retries on the owner are invisible to the
+    /// caller's histogram, but the caller still times the full round trip.
+    fn at_owner<T: Send>(
+        &self,
+        tok: &R::Guard<'_>,
+        hash: u64,
+        span: &OpSpan,
+        op: impl FnOnce(&R::Guard<'_>, GlobalPtr<Node<K, V>>, Option<&OpSpan>) -> T + Send,
+    ) -> T {
+        let owner = self.router.owner(hash);
+        let sentinel = self.bucket_in(owner, hash);
+        if owner == ctx::here() {
+            self.stats.local_ops.fetch_add(1, Ordering::Relaxed);
+            op(tok, sentinel, Some(span))
+        } else {
+            self.stats.remote_ops.fetch_add(1, Ordering::Relaxed);
+            ctx::current_runtime()
+                .on_combining(owner, move || op(&self.em.register(), sentinel, None))
+        }
+    }
+
     /// Insert `(key, value)`. Locally-owned keys run the chain protocol
     /// in place under the caller's guard; remote keys ship one combined
     /// AM to the owner, whose handler registers its own guard. Returns
@@ -227,63 +252,49 @@ where
     pub fn insert(&self, tok: &R::Guard<'_>, key: K, value: V) -> bool {
         let hash = hash_key(&key);
         let span = OpSpan::start(OpClass::ShardedMapOp, opkind::INSERT, hash);
-        let owner = self.router.owner(hash);
-        let sentinel = self.bucket_in(owner, hash);
-        if owner == ctx::here() {
-            self.stats.local_ops.fetch_add(1, Ordering::Relaxed);
-            chain_insert::<K, V, R>(tok, sentinel, hash, key, value, Some(&span))
-        } else {
-            self.stats.remote_ops.fetch_add(1, Ordering::Relaxed);
-            // The span can't travel (it's bound to this task's telemetry
-            // slot), so the remote leg runs span-less; retries on the
-            // owner are invisible to the caller's histogram, but the
-            // caller still times the full round trip.
-            ctx::current_runtime().on_combining(owner, move || {
-                let tok = self.em.register();
-                chain_insert::<K, V, R>(&tok, sentinel, hash, key, value, None)
-            })
-        }
+        self.at_owner(tok, hash, &span, move |tok, sentinel, span| {
+            chain_insert::<K, V, R>(tok, sentinel, hash, key, value, span)
+        })
+    }
+
+    /// `get` and `contains_key`: one lookup at the owner, recorded as `kind`.
+    fn lookup(&self, tok: &R::Guard<'_>, key: &K, kind: u64) -> Option<V> {
+        let hash = hash_key(key);
+        let span = OpSpan::start(OpClass::ShardedMapOp, kind, hash);
+        self.at_owner(tok, hash, &span, |tok, sentinel, _| {
+            chain_get::<K, V, R>(tok, sentinel, hash, key)
+        })
     }
 
     /// Look up `key`, cloning the value out on the owning locale.
     pub fn get(&self, tok: &R::Guard<'_>, key: &K) -> Option<V> {
-        let hash = hash_key(key);
-        let _span = OpSpan::start(OpClass::ShardedMapOp, opkind::GET, hash);
-        let owner = self.router.owner(hash);
-        let sentinel = self.bucket_in(owner, hash);
-        if owner == ctx::here() {
-            self.stats.local_ops.fetch_add(1, Ordering::Relaxed);
-            chain_get::<K, V, R>(tok, sentinel, hash, key)
-        } else {
-            self.stats.remote_ops.fetch_add(1, Ordering::Relaxed);
-            ctx::current_runtime().on_combining(owner, move || {
-                let tok = self.em.register();
-                chain_get::<K, V, R>(&tok, sentinel, hash, key)
-            })
-        }
+        self.lookup(tok, key, opkind::GET)
     }
 
     /// True when `key` is present.
     pub fn contains_key(&self, tok: &R::Guard<'_>, key: &K) -> bool {
-        self.get(tok, key).is_some()
+        self.lookup(tok, key, opkind::CONTAINS).is_some()
     }
 
     /// Remove `key`; returns `true` when it was present.
     pub fn remove(&self, tok: &R::Guard<'_>, key: &K) -> bool {
         let hash = hash_key(key);
         let span = OpSpan::start(OpClass::ShardedMapOp, opkind::REMOVE, hash);
-        let owner = self.router.owner(hash);
-        let sentinel = self.bucket_in(owner, hash);
-        if owner == ctx::here() {
-            self.stats.local_ops.fetch_add(1, Ordering::Relaxed);
-            chain_remove::<K, V, R>(tok, sentinel, hash, key, Some(&span))
+        self.at_owner(tok, hash, &span, |tok, sentinel, span| {
+            chain_remove::<K, V, R>(tok, sentinel, hash, key, span)
+        })
+    }
+
+    /// Where a bulk item with `hash` goes, counted as local or remote.
+    fn bulk_dest(&self, hash: u64) -> LocaleId {
+        let dest = self.router.owner(hash);
+        let items = if dest == ctx::here() {
+            &self.stats.bulk_local_items
         } else {
-            self.stats.remote_ops.fetch_add(1, Ordering::Relaxed);
-            ctx::current_runtime().on_combining(owner, move || {
-                let tok = self.em.register();
-                chain_remove::<K, V, R>(&tok, sentinel, hash, key, None)
-            })
-        }
+            &self.stats.bulk_remote_items
+        };
+        items.fetch_add(1, Ordering::Relaxed);
+        dest
     }
 
     /// Insert many pairs, scattered per owning shard over the batched
@@ -293,65 +304,16 @@ where
     /// Returns the number of pairs actually inserted.
     pub fn insert_bulk(&self, pairs: Vec<(K, V)>) -> usize {
         let _span = OpSpan::start(OpClass::ShardedMapOp, opkind::BULK_INSERT, 0);
-        let rt = ctx::current_runtime();
-        let here = ctx::here();
-        let inserted = AtomicUsize::new(0);
-        let mut batcher = Batcher::new(&rt, DEFAULT_BUFFER_CAP, |_, batch: Vec<(K, V)>| {
-            let tok = self.em.register();
-            for (k, v) in batch {
-                if self.insert(&tok, k, v) {
-                    inserted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        })
-        .with_high_watermark(4 * DEFAULT_BUFFER_CAP);
-        for (k, v) in pairs {
-            let dest = self.router.owner(hash_key(&k));
-            if dest == here {
-                self.stats.bulk_local_items.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.stats.bulk_remote_items.fetch_add(1, Ordering::Relaxed);
-            }
-            batcher.aggregate(dest, (k, v));
-        }
-        batcher.flush();
-        drop(batcher);
-        inserted.load(Ordering::Relaxed)
+        let dest = |hash| self.bulk_dest(hash);
+        scatter_insert(&self.em, pairs, dest, |tok, k, v| self.insert(tok, k, v))
     }
 
     /// Look up many keys, gathered per owning shard over the batched
     /// path. Results are aligned with the input order.
     pub fn get_bulk(&self, keys: Vec<K>) -> Vec<Option<V>> {
         let _span = OpSpan::start(OpClass::ShardedMapOp, opkind::BULK_GET, 0);
-        let rt = ctx::current_runtime();
-        let here = ctx::here();
-        let results: Vec<Mutex<Option<V>>> = keys.iter().map(|_| Mutex::new(None)).collect();
-        let mut batcher = Batcher::new(&rt, DEFAULT_BUFFER_CAP, |_, batch: Vec<(usize, K)>| {
-            let tok = self.em.register();
-            for (i, k) in batch {
-                let hit = self.get(&tok, &k);
-                match results[i].lock() {
-                    Ok(mut slot) => *slot = hit,
-                    Err(poison) => *poison.into_inner() = hit,
-                }
-            }
-        })
-        .with_high_watermark(4 * DEFAULT_BUFFER_CAP);
-        for (i, k) in keys.into_iter().enumerate() {
-            let dest = self.router.owner(hash_key(&k));
-            if dest == here {
-                self.stats.bulk_local_items.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.stats.bulk_remote_items.fetch_add(1, Ordering::Relaxed);
-            }
-            batcher.aggregate(dest, (i, k));
-        }
-        batcher.flush();
-        drop(batcher);
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-            .collect()
+        let dest = |hash| self.bulk_dest(hash);
+        gather_get(&self.em, keys, dest, |tok, k| self.get(tok, k))
     }
 
     /// Entry count (racy; exact in quiescence). Each shard is counted by
@@ -365,15 +327,10 @@ where
         for l in 0..self.shards.len() {
             total += rt.on(l as LocaleId, || {
                 let g = self.em.register();
-                g.pin();
-                let mut n = 0usize;
-                for &sentinel in self.shards[l].iter() {
-                    n += chain_count::<K, V, R>(&g, sentinel);
-                }
-                g.release(0);
-                g.release(1);
-                g.unpin();
-                n
+                pinned(&g, || {
+                    let count = |&sentinel| chain_count::<K, V, R>(&g, sentinel);
+                    self.shards[l].iter().map(count).sum::<usize>()
+                })
             });
         }
         total
@@ -465,11 +422,7 @@ where
                 });
             }
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 
@@ -477,6 +430,7 @@ where
 mod tests {
     use super::*;
     use pgas_sim::{Runtime, RuntimeConfig};
+    use std::sync::atomic::AtomicUsize;
 
     fn zrt(n: usize) -> Runtime {
         Runtime::new(RuntimeConfig::zero_latency(n))

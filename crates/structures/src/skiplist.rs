@@ -574,11 +574,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> Drop for LockFreeSkipL
                 curr = next;
             }
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 

@@ -166,11 +166,7 @@ impl<T: Send, R: Reclaimer> Drop for LockFreeStack<T, R> {
             let tok = self.em.register();
             while self.pop(&tok).is_some() {}
         };
-        if pgas_sim::try_here().is_some() {
-            teardown();
-        } else {
-            self.em.runtime().run(teardown);
-        }
+        self.em.runtime().run_here_or_enter(teardown);
     }
 }
 

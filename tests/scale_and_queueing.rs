@@ -4,10 +4,30 @@
 use pgas_nonblocking::prelude::*;
 use pgas_nonblocking::sim::vtime;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test in this file, so they run one at a time.
+///
+/// Virtual-time queueing is accounted in the order messages reach a
+/// progress thread in *wall-clock* time. Whenever fewer senders (or
+/// progress threads) are runnable than the model assumes — which the
+/// 64-locale tests' ~130 threads arrange on a small machine — a lone
+/// sender's round trips are charged with the server idle in between, and a
+/// progress thread parked mid-handler leaves its slot's work to the other.
+/// Both only ever *inflate* a makespan, each configuration by its own
+/// amount, so a ratio of two makespans measured next to those tests is
+/// noise (12 of 80 runs of this binary failed; 0 of 160 alone).
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    // A failed test must not fail the rest through the poison flag.
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The paper's machine had 64 nodes; the simulator must handle 64 locales.
 #[test]
 fn sixty_four_locales_end_to_end() {
+    let _quiet = one_at_a_time();
     let rt = Runtime::new(RuntimeConfig::zero_latency(64));
     rt.run(|| {
         let em = EpochManager::new();
@@ -29,6 +49,7 @@ fn sixty_four_locales_end_to_end() {
 
 #[test]
 fn sixty_four_locale_atomics_roundtrip() {
+    let _quiet = one_at_a_time();
     let rt = Runtime::new(RuntimeConfig::zero_latency(64));
     rt.run(|| {
         let cell = AtomicInt::new_on(63, 0);
@@ -48,6 +69,7 @@ fn sixty_four_locale_atomics_roundtrip() {
 /// in virtual time; with two, the service rate doubles.
 #[test]
 fn progress_threads_are_a_real_queueing_bottleneck() {
+    let _quiet = one_at_a_time();
     let measure = |progress_threads: usize| {
         let rt = Runtime::new(
             RuntimeConfig::cluster(2)
@@ -65,8 +87,11 @@ fn progress_threads_are_a_real_queueing_bottleneck() {
         });
         span
     };
-    let one = measure(1);
-    let two = measure(2);
+    // The inflation is one-sided, so the smallest of a few repetitions is
+    // the best estimate of the model's makespan.
+    let best_of_3 = |progress_threads| (0..3).map(|_| measure(progress_threads)).min().unwrap();
+    let one = best_of_3(1);
+    let two = best_of_3(2);
     assert!(
         two * 10 < one * 9,
         "two progress threads must be measurably faster: {two} vs {one}"
@@ -78,6 +103,7 @@ fn progress_threads_are_a_real_queueing_bottleneck() {
 /// with the number of concurrent senders (RDMA atomics do not queue).
 #[test]
 fn am_saturation_vs_rdma_independence() {
+    let _quiet = one_at_a_time();
     let measure = |net: bool, senders: usize| {
         let cfg = if net {
             RuntimeConfig::cluster(2)
@@ -112,6 +138,7 @@ fn am_saturation_vs_rdma_independence() {
 /// Virtual time composes: sequential phases add, parallel phases max.
 #[test]
 fn vtime_composition_rules() {
+    let _quiet = one_at_a_time();
     let rt = Runtime::new(RuntimeConfig::zero_latency(2));
     rt.run(|| {
         vtime::set(0);
