@@ -43,7 +43,7 @@ use pgas_sim::telemetry::OpClass;
 use pgas_sim::{ctx, vtime, Erased, GlobalPtr, Privatized, RuntimeHandle};
 
 use crate::reclaim::{ReclaimGuard, Reclaimer};
-use crate::stats::{ReclaimSnapshot, ReclaimStats};
+use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 
 /// Retired objects a participant accumulates before scanning.
 pub const SCAN_THRESHOLD: usize = 64;
@@ -213,7 +213,7 @@ impl HazardReclaimer {
         first_retire: u64,
         during_clear: bool,
     ) -> u64 {
-        ReclaimStats::bump(&self.stats.advances);
+        self.stats.bump(Stat::Advances);
         let n = retired.len() as u64;
         let observer = self.observer.get();
         let mut kept = Vec::new();
@@ -246,8 +246,8 @@ impl HazardReclaimer {
             freed
         });
         *retired = kept;
-        ReclaimStats::add(&self.stats.objects_reclaimed, freed);
-        ReclaimStats::add(&self.stats.unsafe_scans, n - freed);
+        self.stats.add(Stat::ObjectsReclaimed, freed);
+        self.stats.add(Stat::UnsafeScans, n - freed);
         freed
     }
 
@@ -411,7 +411,7 @@ impl<'a> HpGuard<'a> {
     /// Record that the protection published in `slot` was validated.
     fn validated_protect(&self, slot: usize, addr: usize) {
         if addr != 0 {
-            ReclaimStats::bump(&self.dom.stats.hazard_protects);
+            self.dom.stats.bump(Stat::HazardProtects);
             self.validated[slot].set(addr);
             if let Some(obs) = self.dom.observer.get() {
                 obs.on_protect(addr);
@@ -442,7 +442,7 @@ impl ReclaimGuard for HpGuard<'_> {
     /// Retire a logically-removed object (any locale); freed by a later
     /// scan once no slot protects it.
     fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
-        ReclaimStats::bump(&self.dom.stats.objects_deferred);
+        self.dom.stats.bump(Stat::ObjectsDeferred);
         if let Some(obs) = self.dom.observer.get() {
             obs.on_defer(ptr.addr(), 0);
         }

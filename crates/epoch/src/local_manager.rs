@@ -14,7 +14,7 @@ use pgas_sim::{ctx, here, Erased, GlobalPtr, RuntimeHandle};
 
 use crate::limbo::{LimboList, NodePool};
 use crate::math::{limbo_index, next_epoch, reclaim_epoch, EPOCHS};
-use crate::stats::{ReclaimSnapshot, ReclaimStats};
+use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
 /// Epoch-based reclamation for a single locale.
@@ -88,7 +88,7 @@ impl LocalEpochManager {
     pub fn try_reclaim(&self) -> bool {
         engine::charge_atomic_u64(here());
         if self.is_setting_epoch.swap(1, Ordering::SeqCst) != 0 {
-            ReclaimStats::bump(&self.stats.lost_local_election);
+            self.stats.bump(Stat::LostLocalElection);
             return false;
         }
         let this_epoch = self.current_epoch();
@@ -100,15 +100,15 @@ impl LocalEpochManager {
             let new_epoch = next_epoch(this_epoch);
             engine::charge_atomic_u64(here());
             self.epoch.store(new_epoch, Ordering::SeqCst);
-            ReclaimStats::bump(&self.stats.advances);
+            self.stats.bump(Stat::Advances);
             if let Some(obs) = self.observer.get() {
                 obs.on_advance(new_epoch);
             }
             let freed = self.drain_list(reclaim_epoch(new_epoch), new_epoch, false);
-            ReclaimStats::add(&self.stats.objects_reclaimed, freed);
+            self.stats.add(Stat::ObjectsReclaimed, freed);
             true
         } else {
-            ReclaimStats::bump(&self.stats.unsafe_scans);
+            self.stats.bump(Stat::UnsafeScans);
             false
         };
         engine::charge_atomic_u64(here());
@@ -122,7 +122,7 @@ impl LocalEpochManager {
         let current = self.epoch.load(Ordering::SeqCst);
         for e in 1..=EPOCHS {
             let freed = self.drain_list(e, current, true);
-            ReclaimStats::add(&self.stats.objects_reclaimed, freed);
+            self.stats.add(Stat::ObjectsReclaimed, freed);
         }
     }
 
@@ -206,7 +206,7 @@ impl<'a> LocalToken<'a> {
     pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
         let e = self.slot.epoch_relaxed();
         debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
-        ReclaimStats::bump(&self.mgr.stats.objects_deferred);
+        self.mgr.stats.bump(Stat::ObjectsDeferred);
         if let Some(obs) = self.mgr.observer.get() {
             obs.on_defer(ptr.addr(), e);
         }

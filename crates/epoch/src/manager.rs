@@ -62,7 +62,7 @@ use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeHandl
 
 use crate::limbo::{LimboList, NodePool};
 use crate::math::{limbo_index, next_epoch, reclaim_epoch, EPOCHS};
-use crate::stats::{ReclaimSnapshot, ReclaimStats};
+use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
 /// The single, centralized epoch all locales agree on. Wrapped in its own
@@ -198,13 +198,13 @@ impl EpochManager {
         let inst = self.instances.get();
         // Local election: one candidate per locale.
         if inst.is_setting_epoch.test_and_set() {
-            ReclaimStats::bump(&self.stats.lost_local_election);
+            self.stats.bump(Stat::LostLocalElection);
             return false;
         }
         // Global election: one candidate across the system.
         if self.global.is_setting_epoch.test_and_set() {
             inst.is_setting_epoch.clear();
-            ReclaimStats::bump(&self.stats.lost_global_election);
+            self.stats.bump(Stat::LostGlobalElection);
             return false;
         }
         // Both flags are released when the winner leaves, also by unwinding:
@@ -216,12 +216,12 @@ impl EpochManager {
 
         let this_epoch = self.global.epoch.read();
         if !self.all_tokens_allow_advance(this_epoch) {
-            ReclaimStats::bump(&self.stats.unsafe_scans);
+            self.stats.bump(Stat::UnsafeScans);
             return false;
         }
         let new_epoch = next_epoch(this_epoch);
         self.global.epoch.write(new_epoch);
-        ReclaimStats::bump(&self.stats.advances);
+        self.stats.bump(Stat::Advances);
         if let Some(obs) = self.observer.get() {
             obs.on_advance(new_epoch);
         }
@@ -262,7 +262,7 @@ impl EpochManager {
     /// the wasted scan work is modeled.
     pub fn try_reclaim_unelected(&self) -> bool {
         if !self.all_tokens_allow_advance(self.global.epoch.read()) {
-            ReclaimStats::bump(&self.stats.unsafe_scans);
+            self.stats.bump(Stat::UnsafeScans);
             return false;
         }
         self.try_reclaim()
@@ -444,7 +444,7 @@ impl EpochManager {
                 }
             }
         });
-        ReclaimStats::add(&self.stats.objects_reclaimed, freed);
+        self.stats.add(Stat::ObjectsReclaimed, freed);
     }
 }
 
@@ -493,7 +493,7 @@ impl<'a> Token<'a> {
     pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
         let e = self.slot.epoch_relaxed();
         debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
-        ReclaimStats::bump(&self.mgr.stats.objects_deferred);
+        self.mgr.stats.bump(Stat::ObjectsDeferred);
         if let Some(obs) = self.mgr.observer.get() {
             obs.on_defer(ptr.addr(), e);
         }
@@ -501,8 +501,13 @@ impl<'a> Token<'a> {
         inst.limbo[limbo_index(e)].push_node(inst.pool.get(), Erased::new(ptr));
         // Remember when this slot first became non-empty so the eventual
         // drain can report pin-to-reclaim latency (bookkeeping only —
-        // charges no virtual time).
-        inst.first_defer_vtime[limbo_index(e)].fetch_min(vtime::now(), Ordering::Relaxed);
+        // charges no virtual time). Only the first defer after a drain can
+        // lower the stamp, so look before writing to the locale-shared cell.
+        let first = &inst.first_defer_vtime[limbo_index(e)];
+        let now = vtime::now();
+        if now < first.load(Ordering::Relaxed) {
+            first.fetch_min(now, Ordering::Relaxed);
+        }
     }
 
     /// Forward to [`EpochManager::try_reclaim`].

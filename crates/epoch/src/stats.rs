@@ -1,27 +1,33 @@
 //! Reclamation statistics, used by tests and the figure benchmarks.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use pgas_sim::PerThread;
 
-use crossbeam_utils::CachePadded;
+/// The cells of a [`ReclaimStats`] block, one per [`ReclaimSnapshot`] field.
+#[derive(Debug, Clone, Copy)]
+#[repr(usize)]
+pub(crate) enum Stat {
+    Advances,
+    LostLocalElection,
+    LostGlobalElection,
+    UnsafeScans,
+    ObjectsReclaimed,
+    ObjectsDeferred,
+    HazardProtects,
+}
+
+const STATS: usize = Stat::HazardProtects as usize + 1;
 
 /// Counters describing what a manager's reclamation machinery has done.
-#[derive(Debug, Default)]
-pub struct ReclaimStats {
-    /// Successful epoch advancements.
-    pub advances: CachePadded<AtomicU64>,
-    /// `try_reclaim` calls that backed out because another task on the same
-    /// locale was already electing.
-    pub lost_local_election: CachePadded<AtomicU64>,
-    /// `try_reclaim` calls that won locally but lost the global election.
-    pub lost_global_election: CachePadded<AtomicU64>,
-    /// Scans that found a token pinned in an older epoch (advance refused).
-    pub unsafe_scans: CachePadded<AtomicU64>,
-    /// User objects actually freed.
-    pub objects_reclaimed: CachePadded<AtomicU64>,
-    /// Objects deferred for deletion.
-    pub objects_deferred: CachePadded<AtomicU64>,
-    /// Validated hazard-pointer protections (0 for epoch backends).
-    pub hazard_protects: CachePadded<AtomicU64>,
+/// Sharded per recording thread ([`pgas_sim::per_thread`]): `defer_delete`
+/// on every locale bumps `objects_deferred`, and no two threads share the
+/// line it lands on.
+#[derive(Debug)]
+pub struct ReclaimStats(PerThread);
+
+impl Default for ReclaimStats {
+    fn default() -> Self {
+        ReclaimStats(PerThread::new(STATS, 0))
+    }
 }
 
 /// Snapshot of [`ReclaimStats`].
@@ -44,24 +50,27 @@ pub struct ReclaimSnapshot {
 }
 
 impl ReclaimStats {
-    pub(crate) fn bump(counter: &CachePadded<AtomicU64>) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(&self, stat: Stat) {
+        self.0.add(stat as usize, 1);
     }
 
-    pub(crate) fn add(counter: &CachePadded<AtomicU64>, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&self, stat: Stat, n: u64) {
+        self.0.add(stat as usize, n);
     }
 
     /// Capture current values.
     pub fn snapshot(&self) -> ReclaimSnapshot {
+        let mut c = [0; STATS];
+        self.0.read(0, &mut c);
+        let at = |stat: Stat| c[stat as usize];
         ReclaimSnapshot {
-            advances: self.advances.load(Ordering::Relaxed),
-            lost_local_election: self.lost_local_election.load(Ordering::Relaxed),
-            lost_global_election: self.lost_global_election.load(Ordering::Relaxed),
-            unsafe_scans: self.unsafe_scans.load(Ordering::Relaxed),
-            objects_reclaimed: self.objects_reclaimed.load(Ordering::Relaxed),
-            objects_deferred: self.objects_deferred.load(Ordering::Relaxed),
-            hazard_protects: self.hazard_protects.load(Ordering::Relaxed),
+            advances: at(Stat::Advances),
+            lost_local_election: at(Stat::LostLocalElection),
+            lost_global_election: at(Stat::LostGlobalElection),
+            unsafe_scans: at(Stat::UnsafeScans),
+            objects_reclaimed: at(Stat::ObjectsReclaimed),
+            objects_deferred: at(Stat::ObjectsDeferred),
+            hazard_protects: at(Stat::HazardProtects),
         }
     }
 }
@@ -90,8 +99,8 @@ mod tests {
     #[test]
     fn snapshot_reflects_bumps() {
         let s = ReclaimStats::default();
-        ReclaimStats::bump(&s.advances);
-        ReclaimStats::add(&s.objects_reclaimed, 7);
+        s.bump(Stat::Advances);
+        s.add(Stat::ObjectsReclaimed, 7);
         let snap = s.snapshot();
         assert_eq!(snap.advances, 1);
         assert_eq!(snap.objects_reclaimed, 7);

@@ -42,7 +42,7 @@
 //!
 //! ## Counters and latency
 //!
-//! The engine bumps the same [`pgas_sim::stats::CommStats`] counters the
+//! The engine bumps the same [`pgas_sim::stats::Counter`]s the
 //! simulator would for the equivalent operation (requester-side `am_sent`,
 //! `gets`/`puts`/bytes; server-side `am_handled`, `cpu_atomics`,
 //! `cpu_dcas`), so sim-vs-proc parity is checkable. Latency histograms are
@@ -85,6 +85,7 @@ use parking_lot::Mutex;
 use pgas_sim::engine::{CommEngine, Completion, CompletionWaiter};
 use pgas_sim::handlers::{self, HandlerId};
 use pgas_sim::runtime::RuntimeCore;
+use pgas_sim::stats::Counter;
 use pgas_sim::symheap::SymOp64;
 use pgas_sim::telemetry::OpClass;
 use pgas_sim::LocaleId;
@@ -305,8 +306,8 @@ fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
     let t0 = Instant::now();
     let reply = match msg {
         Msg::Atomic64 { offset, op } => {
-            stats.am_handled.fetch_add(1, Ordering::Relaxed);
-            stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::AmHandled, 1);
+            stats.add(Counter::CpuAtomics, 1);
             Msg::ReplyU64(locale.sym.apply64(offset, op))
         }
         Msg::Dcas {
@@ -314,8 +315,8 @@ fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
             expected,
             new,
         } => {
-            stats.am_handled.fetch_add(1, Ordering::Relaxed);
-            stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::AmHandled, 1);
+            stats.add(Counter::CpuDcas, 1);
             let (ok, current) = locale.sym.wide_dcas(offset, expected, new);
             Msg::ReplyDcas { ok, current }
         }
@@ -334,7 +335,7 @@ fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
             return Msg::ReplyUnit;
         }
         Msg::Handler { id, args } => {
-            stats.am_handled.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::AmHandled, 1);
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 handlers::invoke(HandlerId(id), core, &args)
             })) {
@@ -438,10 +439,10 @@ impl CommEngine for ProcEngine {
     fn sym_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, op: SymOp64) -> u64 {
         let stats = &core.locale(self.rank).stats;
         if owner == self.rank {
-            stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::CpuAtomics, 1);
             return core.locale(self.rank).sym.apply64(offset, op);
         }
-        stats.am_sent.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::AmSent, 1);
         let t0 = Instant::now();
         let reply = self.request(owner, &Msg::Atomic64 { offset, op });
         stats.record(OpClass::AmRoundTrip, t0.elapsed().as_nanos() as u64);
@@ -461,10 +462,10 @@ impl CommEngine for ProcEngine {
     ) -> (bool, u128) {
         let stats = &core.locale(self.rank).stats;
         if owner == self.rank {
-            stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::CpuDcas, 1);
             return core.locale(self.rank).sym.wide_dcas(offset, expected, new);
         }
-        stats.am_sent.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::AmSent, 1);
         let t0 = Instant::now();
         let reply = self.request(
             owner,
@@ -484,7 +485,7 @@ impl CommEngine for ProcEngine {
     fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128 {
         let stats = &core.locale(self.rank).stats;
         if owner == self.rank {
-            stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::CpuDcas, 1);
             return core.locale(self.rank).sym.wide_load(offset);
         }
         if core.config.vread_fastpath {
@@ -503,13 +504,13 @@ impl CommEngine for ProcEngine {
                 let (seq1, lo1, hi) = (word(&a, 0), word(&a, 1), word(&a, 2));
                 let (seq2, lo2) = (word(&b, 0), word(&b, 1));
                 if seq1 % 2 == 0 && seq1 == seq2 && lo1 == lo2 {
-                    stats.vread_fast.fetch_add(1, Ordering::Relaxed);
+                    stats.add(Counter::VreadFast, 1);
                     stats.record(OpClass::VersionedRead, t0.elapsed().as_nanos() as u64);
                     return ((hi as u128) << 64) | lo1 as u128;
                 }
-                stats.vread_retries.fetch_add(1, Ordering::Relaxed);
+                stats.add(Counter::VreadRetries, 1);
             }
-            stats.vread_fallbacks.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::VreadFallbacks, 1);
         }
         // DCAS slow path: value-preserving read via a full round trip.
         self.sym_dcas_u128(core, owner, offset, 0, 0).1
@@ -534,10 +535,8 @@ impl CommEngine for ProcEngine {
             return;
         }
         let stats = &core.locale(self.rank).stats;
-        stats.puts.fetch_add(1, Ordering::Relaxed);
-        stats
-            .bytes_put
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        stats.add(Counter::Puts, 1);
+        stats.add(Counter::BytesPut, data.len() as u64);
         let t0 = Instant::now();
         let reply = self.request(
             owner,
@@ -558,7 +557,7 @@ impl CommEngine for ProcEngine {
             return handlers::invoke(h, core, args);
         }
         let stats = &core.locale(self.rank).stats;
-        stats.am_sent.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::AmSent, 1);
         let t0 = Instant::now();
         let reply = self.request(
             dest,
@@ -586,7 +585,7 @@ impl CommEngine for ProcEngine {
             return Completion::done();
         }
         let stats = &core.locale(self.rank).stats;
-        stats.am_sent.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::AmSent, 1);
         let mut conn = self.checkout(dest);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         wire::write_msg(conn.get_mut(), seq, &Msg::Handler { id: h.0, args }).unwrap_or_else(|e| {
@@ -692,8 +691,8 @@ impl ProcEngine {
     ) -> [Vec<u8>; N] {
         let stats = &core.locale(self.rank).stats;
         let gets = ranges.map(|(offset, len)| {
-            stats.gets.fetch_add(1, Ordering::Relaxed);
-            stats.bytes_got.fetch_add(len as u64, Ordering::Relaxed);
+            stats.add(Counter::Gets, 1);
+            stats.add(Counter::BytesGot, len as u64);
             Msg::Get { offset, len }
         });
         let mut replies = self.request_pipelined(owner, &gets).into_iter();

@@ -30,6 +30,7 @@ use crossbeam_channel::{bounded, Receiver, Sender};
 
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
+use crate::stats::Counter;
 use crate::telemetry::{
     trace::{self, TraceCtx},
     OpClass, Span,
@@ -127,11 +128,11 @@ pub(crate) fn progress_loop(core: Arc<RuntimeCore>, locale: LocaleId, rx: Receiv
                 let lstats = &core.locale(locale).stats;
                 // Count before the body runs: the thunk's last act is the
                 // reply send, and the unblocked sender may read the stats
-                // immediately — the counter must already be there. The
-                // queue-wait sample is also known now (`start - arrival`).
-                lstats
-                    .am_handled
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                // immediately — the counter must already be there. It is a
+                // plain store to this thread's shard; the reply channel's
+                // send/recv is the release/acquire pair that publishes it.
+                // The queue-wait sample is also known now (`start - arrival`).
+                lstats.add(Counter::AmHandled, 1);
                 lstats.record(OpClass::AmQueue, start - send_vtime);
                 // Causal tracing: the round-trip span gets its own id on
                 // this locale, parented under the sender's context (or
@@ -212,18 +213,12 @@ pub(crate) fn remote_call(
                 let Some(decision) = fs.inject_drop_indexed() else {
                     break;
                 };
-                stats
-                    .am_sent
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                stats
-                    .injected_drops
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                stats.add(Counter::AmSent, 1);
+                stats.add(Counter::InjectedDrops, 1);
                 let before = vtime::now();
                 let penalty = fs.retry_penalty_ns(attempt);
                 vtime::charge(cfg.am_wire_ns + penalty);
-                stats
-                    .retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                stats.add(Counter::Retries, 1);
                 stats.record(OpClass::Retry, penalty);
                 // A retry span per dropped attempt, tagged with the global
                 // fault decision index that dropped it.
@@ -244,9 +239,7 @@ pub(crate) fn remote_call(
                 attempt += 1;
             }
             if attempt >= fs.max_attempts() {
-                stats
-                    .gave_up
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                stats.add(Counter::GaveUp, 1);
             }
         }
     }
@@ -291,9 +284,7 @@ pub(crate) fn remote_post(
     // The sender's causal context rides the message so the destination's
     // round-trip span (and everything it causes) joins this trace.
     let tctx = trace::current();
-    stats
-        .am_sent
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    stats.add(Counter::AmSent, 1);
     let mut send_vtime = vtime::now() + cfg.am_wire_ns;
     let mut duplicate = false;
     // Fault injection, part 2: arrival delay and duplicate delivery, both
@@ -302,9 +293,7 @@ pub(crate) fn remote_post(
     // cannot observe a timeout.
     if let Some(fs) = core.faults() {
         if let Some(extra) = fs.inject_delay() {
-            stats
-                .injected_delays
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            stats.add(Counter::InjectedDelays, 1);
             send_vtime += extra;
         }
         duplicate = fs.inject_dup();
@@ -333,9 +322,7 @@ pub(crate) fn remote_post(
         // At-least-once delivery: the network delivered a second copy.
         // The receiver's dedup discards it, modelled as a no-op handler
         // that still occupies a server slot and pays dispatch cost.
-        stats
-            .injected_dups
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        stats.add(Counter::InjectedDups, 1);
         core.send_am(
             dest,
             AmMsg::Call {

@@ -9,12 +9,11 @@
 //! locality (each element visited by a task on its owning locale) is
 //! provided by [`DistArray::forall`].
 
-use std::sync::atomic::Ordering;
-
 use crate::ctx;
 use crate::engine;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
+use crate::stats::Counter;
 use crate::vtime;
 
 /// How indices map to locales.
@@ -200,10 +199,7 @@ impl<T: Send + Sync> DistArray<T> {
             }
         });
         let spawns = (locales.saturating_sub(1)) * tasks;
-        core.locale(src)
-            .stats
-            .am_sent
-            .fetch_add(spawns as u64, Ordering::Relaxed);
+        core.locale(src).stats.add(Counter::AmSent, spawns as u64);
         vtime::advance_to(max_end);
     }
 }

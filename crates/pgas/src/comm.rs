@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::ctx;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
+use crate::stats::Counter;
 use crate::telemetry::{OpClass, Span};
 use crate::vtime;
 
@@ -58,13 +59,13 @@ pub fn route_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
     let net = &core.config.network;
     if core.confined_to_rank(owner) {
         let stats = &core.locale(here).stats;
-        stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::CpuAtomics, 1);
         AtomicPath::CpuLocal
     } else if net.network_atomics {
         // All 64-bit atomics go through the NIC, local or not.
         let stats = &core.locale(here).stats;
         let t_issue = vtime::now();
-        stats.rdma_atomics.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::RdmaAtomics, 1);
         vtime::charge(net.nic_atomic_ns);
         // Fault injection on the one-sided path (remote targets only:
         // delay and drop model wire faults). A dropped RDMA request is
@@ -79,7 +80,7 @@ pub fn route_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
         AtomicPath::Nic
     } else if owner == here {
         let locale = core.locale(here);
-        locale.stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+        locale.stats.add(Counter::CpuAtomics, 1);
         vtime::charge_sampled(&locale.stats, OpClass::CpuAtomic, net.cpu_atomic_ns);
         AtomicPath::CpuLocal
     } else {
@@ -103,7 +104,7 @@ fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64)
     }
     let stats = &core.locale(here).stats;
     if let Some(extra) = fs.inject_delay() {
-        stats.injected_delays.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::InjectedDelays, 1);
         vtime::charge(extra);
     }
     let mut attempt = 0;
@@ -111,11 +112,11 @@ fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64)
         let Some(decision) = fs.inject_drop_indexed() else {
             break;
         };
-        stats.injected_drops.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::InjectedDrops, 1);
         let before = vtime::now();
         let penalty = fs.retry_penalty_ns(attempt);
         vtime::charge(penalty + reissue_ns);
-        stats.retries.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::Retries, 1);
         stats.record(OpClass::Retry, penalty);
         // One retry span per dropped request, tagged with the fault
         // decision index that dropped it.
@@ -136,7 +137,7 @@ fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64)
         attempt += 1;
     }
     if attempt >= fs.max_attempts() {
-        stats.gave_up.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::GaveUp, 1);
     }
 }
 
@@ -147,7 +148,7 @@ pub fn route_atomic_u128(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
     let here = ctx::here();
     if core.confined_to_rank(owner) {
         let stats = &core.locale(here).stats;
-        stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::CpuDcas, 1);
         AtomicPath::CpuLocal
     } else if owner == here {
         charge_handler_dcas(core);
@@ -161,7 +162,7 @@ pub fn route_atomic_u128(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
 /// (the remote-execution fallback's actual memory operation).
 pub fn charge_handler_atomic(core: &RuntimeCore) {
     let locale = core.locale(ctx::here());
-    locale.stats.cpu_atomics.fetch_add(1, Ordering::Relaxed);
+    locale.stats.add(Counter::CpuAtomics, 1);
     vtime::charge_sampled(
         &locale.stats,
         OpClass::CpuAtomic,
@@ -172,7 +173,7 @@ pub fn charge_handler_atomic(core: &RuntimeCore) {
 /// Charge the CPU cost of a 128-bit DCAS (locally or inside an AM handler).
 pub fn charge_handler_dcas(core: &RuntimeCore) {
     let locale = core.locale(ctx::here());
-    locale.stats.cpu_dcas.fetch_add(1, Ordering::Relaxed);
+    locale.stats.add(Counter::CpuDcas, 1);
     vtime::charge_sampled(
         &locale.stats,
         OpClass::CpuDcas,
@@ -203,8 +204,8 @@ pub fn charge_get(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
         return;
     }
     let stats = &core.locale(here).stats;
-    stats.gets.fetch_add(1, Ordering::Relaxed);
-    stats.bytes_got.fetch_add(bytes as u64, Ordering::Relaxed);
+    stats.add(Counter::Gets, 1);
+    stats.add(Counter::BytesGot, bytes as u64);
     vtime::charge_sampled(stats, OpClass::Get, rma_cost(core, bytes));
 }
 
@@ -216,8 +217,8 @@ pub fn charge_put(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
         return;
     }
     let stats = &core.locale(here).stats;
-    stats.puts.fetch_add(1, Ordering::Relaxed);
-    stats.bytes_put.fetch_add(bytes as u64, Ordering::Relaxed);
+    stats.add(Counter::Puts, 1);
+    stats.add(Counter::BytesPut, bytes as u64);
     vtime::charge_sampled(stats, OpClass::Put, rma_cost(core, bytes));
 }
 
@@ -289,10 +290,8 @@ pub fn vread_u128(
         if owner == here {
             vtime::charge(net.cpu_atomic_ns);
         } else {
-            stats.gets.fetch_add(1, Ordering::Relaxed);
-            stats
-                .bytes_got
-                .fetch_add(VREAD_BYTES as u64, Ordering::Relaxed);
+            stats.add(Counter::Gets, 1);
+            stats.add(Counter::BytesGot, VREAD_BYTES as u64);
             vtime::charge_sampled(stats, OpClass::Get, rma_cost(core, VREAD_BYTES));
             inject_one_sided_faults(core, owner, rma_cost(core, VREAD_BYTES));
         }
@@ -313,7 +312,7 @@ pub fn vread_u128(
             s1 & 1 == 0 && s1 == s2
         };
         if valid {
-            stats.vread_fast.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::VreadFast, 1);
             let end = vtime::now();
             stats.record(OpClass::VersionedRead, end - t_issue);
             let (trace_id, span_id, parent) = core.span_ids(here);
@@ -332,9 +331,9 @@ pub fn vread_u128(
             });
             return Some(payload);
         }
-        stats.vread_retries.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::VreadRetries, 1);
     }
-    stats.vread_fallbacks.fetch_add(1, Ordering::Relaxed);
+    stats.add(Counter::VreadFallbacks, 1);
     None
 }
 

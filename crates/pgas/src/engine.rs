@@ -54,7 +54,6 @@
 pub mod combine;
 
 use std::panic::resume_unwind;
-use std::sync::atomic::Ordering;
 
 use crate::am;
 use crate::comm::{self, AtomicPath};
@@ -65,6 +64,7 @@ use crate::ctx;
 use crate::globalptr::{GlobalPtr, LocaleId};
 use crate::handlers::{self, HandlerId};
 use crate::runtime::RuntimeCore;
+use crate::stats::Counter;
 use crate::symheap::SymOp64;
 use crate::vtime;
 
@@ -74,7 +74,7 @@ pub const DEFAULT_BUFFER_CAP: usize = 1024;
 /// What a communication backend must implement. One engine instance per
 /// runtime carries every operation that names its target by symmetric-heap
 /// offset or handler id, with the counting that goes with it
-/// ([`crate::stats::CommStats`]), so a different transport can be slotted
+/// ([`crate::stats::Counter`]), so a different transport can be slotted
 /// in without touching the code above (see the module docs for what is
 /// *not* part of the contract, and why).
 ///
@@ -362,8 +362,8 @@ pub fn bulk_on<'a>(
         return;
     }
     let stats = &core.locale(src).stats;
-    stats.am_batches.fetch_add(1, Ordering::Relaxed);
-    stats.am_batch_items.fetch_add(items, Ordering::Relaxed);
+    stats.add(Counter::AmBatches, 1);
+    stats.add(Counter::AmBatchItems, items);
     // Batch occupancy histogram: how full bulk AMs actually are.
     stats.record(crate::telemetry::OpClass::BatchOccupancy, items);
     am::remote_call(core, src, dest, f);
@@ -702,7 +702,7 @@ mod tests {
     use super::*;
     use crate::config::RuntimeConfig;
     use crate::runtime::Runtime;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn on_async_does_not_advance_sender_clock() {

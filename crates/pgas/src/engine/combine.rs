@@ -52,6 +52,7 @@ use crate::am;
 use crate::comm;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
+use crate::stats::Counter;
 use crate::telemetry::{
     trace::{self, TraceCtx},
     OpClass, Span,
@@ -296,10 +297,10 @@ fn ship(core: &RuntimeCore, src: LocaleId, dest: LocaleId, batch: &[NodePtr]) {
     let stats = &core.locale(src).stats;
     for chunk in batch.chunks(core.config.combine_max_batch.max(1)) {
         let n = chunk.len() as u64;
-        stats.combines.fetch_add(1, Ordering::Relaxed);
-        stats.combined_ops.fetch_add(n, Ordering::Relaxed);
-        stats.am_batches.fetch_add(1, Ordering::Relaxed);
-        stats.am_batch_items.fetch_add(n, Ordering::Relaxed);
+        stats.add(Counter::Combines, 1);
+        stats.add(Counter::CombinedOps, n);
+        stats.add(Counter::AmBatches, 1);
+        stats.add(Counter::AmBatchItems, n);
         // Combine occupancy histogram: how many riders each combined
         // message actually carried (the whole point of the layer).
         stats.record(crate::telemetry::OpClass::CombineOccupancy, n);

@@ -16,11 +16,10 @@
 //! Every allocation is tracked in the owner's [`crate::stats::HeapStats`],
 //! so tests can prove reclamation completeness (`live_objects() == 0`).
 
-use std::sync::atomic::Ordering;
-
 use crate::ctx;
 use crate::globalptr::{GlobalPtr, LocaleId};
 use crate::runtime::RuntimeCore;
+use crate::stats::Counter;
 use crate::vtime;
 
 /// A type-erased deferred-deletable object: address, owning locale, and a
@@ -98,7 +97,7 @@ pub fn alloc_on<T: Send>(core: &RuntimeCore, owner: LocaleId, value: T) -> Globa
             let addr = Box::into_raw(Box::new(value));
             let loc = core.locale(owner);
             loc.heap.on_alloc();
-            loc.stats.remote_allocs.fetch_add(1, Ordering::Relaxed);
+            loc.stats.add(Counter::RemoteAllocs, 1);
             vtime::charge(core.config.network.remote_heap_op_ns);
             GlobalPtr::from_raw_parts(owner, addr)
         })
@@ -128,7 +127,7 @@ pub unsafe fn free<T: Send>(core: &RuntimeCore, ptr: GlobalPtr<T>) {
         core.on(owner, move || {
             let loc = core.locale(owner);
             loc.heap.on_free();
-            loc.stats.remote_frees.fetch_add(1, Ordering::Relaxed);
+            loc.stats.add(Counter::RemoteFrees, 1);
             vtime::charge(core.config.network.remote_heap_op_ns);
             drop(unsafe { Box::from_raw(addr as *mut T) });
         });
@@ -151,7 +150,7 @@ pub unsafe fn free_erased(core: &RuntimeCore, e: Erased) {
     } else {
         core.on_combining(owner, move || {
             let loc = core.locale(owner);
-            loc.stats.remote_frees.fetch_add(1, Ordering::Relaxed);
+            loc.stats.add(Counter::RemoteFrees, 1);
             vtime::charge(core.config.network.remote_heap_op_ns);
             unsafe { e.run_drop(core) };
         });
@@ -180,9 +179,9 @@ pub unsafe fn free_erased_local_batch(
     let loc = core.locale(here);
     let n = batch.len() as u64;
     if arrived_remotely {
-        loc.stats.bulk_frees.fetch_add(1, Ordering::Relaxed);
+        loc.stats.add(Counter::BulkFrees, 1);
     }
-    loc.stats.bulk_freed_objects.fetch_add(n, Ordering::Relaxed);
+    loc.stats.add(Counter::BulkFreedObjects, n);
     vtime::charge(core.config.network.remote_heap_op_ns * n);
     for e in batch {
         // SAFETY: forwarded from the caller's contract.
@@ -262,7 +261,7 @@ mod tests {
 
     #[test]
     fn erased_drop_runs_destructor() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         static DROPPED: AtomicBool = AtomicBool::new(false);
         struct Probe(#[allow(dead_code)] u8);
         impl Drop for Probe {

@@ -62,6 +62,7 @@ pub mod globalptr;
 pub mod handlers;
 pub mod heap;
 pub mod locale;
+pub mod per_thread;
 pub mod privatized;
 pub mod reduce;
 pub mod runtime;
@@ -83,10 +84,11 @@ pub use heap::{
     alloc_local, alloc_on, free, free_erased, free_erased_batch, free_erased_local_batch, Erased,
 };
 pub use locale::Locale;
+pub use per_thread::PerThread;
 pub use privatized::Privatized;
 pub use reduce::{all_locales, any_locales, max_locales, min_locales, reduce_locales, sum_locales};
 pub use runtime::{Runtime, RuntimeCore, RuntimeHandle};
 pub use shard::ShardRouter;
-pub use stats::{CommSnapshot, CommStats, HeapStats};
+pub use stats::{CommSnapshot, Counter, HeapStats};
 pub use symheap::{SymHeap, SymOp64};
 pub use telemetry::TelemetrySnapshot;

@@ -108,9 +108,8 @@ pub struct Locale {
     /// This locale's id (its index in the runtime's locale table).
     pub id: LocaleId,
     /// Telemetry registry for operations *initiated by or handled on* this
-    /// locale: the communication counters (the registry derefs to
-    /// [`crate::stats::CommStats`], so counter field access is unchanged)
-    /// plus per-class latency histograms.
+    /// locale: the communication counters ([`crate::stats::Counter`]) plus
+    /// per-class latency histograms.
     pub stats: Registry,
     /// Allocation accounting for objects whose affinity is this locale.
     pub heap: HeapStats,

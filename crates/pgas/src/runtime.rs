@@ -36,7 +36,7 @@ use crate::ctx;
 use crate::engine::{self, CommEngine, Completion, SimEngine};
 use crate::globalptr::LocaleId;
 use crate::locale::Locale;
-use crate::stats::CommSnapshot;
+use crate::stats::{CommSnapshot, Counter};
 use crate::telemetry::{Sink, Span, TelemetrySnapshot};
 use crate::vtime;
 
@@ -542,10 +542,7 @@ impl RuntimeCore {
             let mut panic = None;
             for (l, h) in handles.into_iter().enumerate() {
                 if l as LocaleId != src {
-                    self.locales[src as usize]
-                        .stats
-                        .am_sent
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.locales[src as usize].stats.add(Counter::AmSent, 1);
                 }
                 match h.join() {
                     Ok(end) => max_end = max_end.max(end),
@@ -673,8 +670,7 @@ impl RuntimeCore {
         let remote_spawns = (num_locales.saturating_sub(1)) * tasks;
         self.locales[src as usize]
             .stats
-            .am_sent
-            .fetch_add(remote_spawns as u64, Ordering::Relaxed);
+            .add(Counter::AmSent, remote_spawns as u64);
         vtime::advance_to(max_end);
     }
 

@@ -3,43 +3,54 @@
 //! Every simulated communication primitive increments a counter here, so
 //! tests can assert *exact* communication behaviour (e.g. "privatized access
 //! performs zero communication", "the scatter list issues one bulk free per
-//! locale") independently of the latency model.
+//! locale") independently of the latency model. The live cells are
+//! per-thread shards ([`crate::per_thread`]); [`Counter`] names a cell of a
+//! locale's [`crate::telemetry::Registry`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use crossbeam_utils::CachePadded;
+use crate::per_thread::{bump, PerThread};
 
 macro_rules! counters {
-    ($($(#[$m:meta])* $name:ident),+ $(,)?) => {
-        /// Live, concurrently-updated communication counters for one locale.
-        #[derive(Debug, Default)]
-        pub struct CommStats {
-            $($(#[$m])* pub $name: CachePadded<AtomicU64>,)+
+    ($($(#[$m:meta])* $name:ident = $variant:ident),+ $(,)?) => {
+        /// The communication counters of a locale's
+        /// [`crate::telemetry::Registry`], bumped with
+        /// [`crate::telemetry::Registry::add`]. One variant per
+        /// [`CommSnapshot`] field, in declaration order.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$m])* $variant,)+
         }
 
-        /// A plain-old-data snapshot of [`CommStats`], subtractable to
-        /// measure deltas across a benchmark phase.
+        impl Counter {
+            /// Every counter, in declaration order (the cell index order).
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),+];
+        }
+
+        /// A plain-old-data snapshot of a locale's counters, subtractable
+        /// to measure deltas across a benchmark phase.
         #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
         pub struct CommSnapshot {
             $($(#[$m])* pub $name: u64,)+
         }
 
-        impl CommStats {
-            /// Capture the current counter values.
-            pub fn snapshot(&self) -> CommSnapshot {
+        impl CommSnapshot {
+            /// Build a snapshot from the merged counter cells, indexed by
+            /// [`Counter`].
+            pub(crate) fn from_cells(cells: &[u64]) -> CommSnapshot {
                 CommSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    $($name: cells[Counter::$variant as usize],)+
                 }
             }
 
-            /// Zero all counters. Callers must ensure quiescence.
-            pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
+            /// The value of `counter`.
+            pub fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$variant => self.$name,)+
+                }
             }
-        }
 
-        impl CommSnapshot {
             /// Render every counter as a hand-rolled JSON object, keys in
             /// declaration order. Serde-free by design (the vendor set is
             /// frozen); generated by the `counters!` macro so it can never
@@ -87,70 +98,70 @@ macro_rules! counters {
 
 counters! {
     /// 64-bit atomics executed on the (simulated) NIC — RDMA atomics.
-    rdma_atomics,
+    rdma_atomics = RdmaAtomics,
     /// Atomics executed by the local CPU (network atomics disabled, local
     /// target).
-    cpu_atomics,
+    cpu_atomics = CpuAtomics,
     /// 128-bit double-word CAS operations executed by the local CPU.
-    cpu_dcas,
+    cpu_dcas = CpuDcas,
     /// Active messages *sent* from this locale.
-    am_sent,
+    am_sent = AmSent,
     /// Active messages *handled* by this locale's progress threads.
-    am_handled,
+    am_handled = AmHandled,
     /// Batched active messages sent from this locale — bulk AMs that carry
     /// many aggregated operations (scatter-list frees, [`crate::engine::Batcher`]
     /// flushes). Each batch is also counted once in `am_sent`.
-    am_batches,
+    am_batches = AmBatches,
     /// Individual operations carried inside batched active messages.
-    am_batch_items,
+    am_batch_items = AmBatchItems,
     /// Combined active messages shipped by the combining layer
     /// ([`crate::engine::combine`]): each carries the pending operations of
     /// several tasks toward one destination and is also counted once in
     /// `am_sent`, `am_batches`.
-    combines,
+    combines = Combines,
     /// Individual operations that rode combined active messages.
-    combined_ops,
+    combined_ops = CombinedOps,
     /// One-sided PUT operations issued from this locale.
-    puts,
+    puts = Puts,
     /// One-sided GET operations issued from this locale.
-    gets,
+    gets = Gets,
     /// Bytes moved by PUTs.
-    bytes_put,
+    bytes_put = BytesPut,
     /// Bytes moved by GETs.
-    bytes_got,
+    bytes_got = BytesGot,
     /// Objects allocated on this locale at a remote task's request.
-    remote_allocs,
+    remote_allocs = RemoteAllocs,
     /// Objects freed individually via a remote free request.
-    remote_frees,
+    remote_frees = RemoteFrees,
     /// Bulk-free active messages handled by this locale (scatter-list
     /// path); each covers many objects.
-    bulk_frees,
+    bulk_frees = BulkFrees,
     /// Objects released through bulk frees.
-    bulk_freed_objects,
+    bulk_freed_objects = BulkFreedObjects,
     /// Remote operations re-sent after a fault-injected drop or timeout
     /// (see [`crate::faults`]). Always zero without a fault plan.
-    retries,
+    retries = Retries,
     /// Remote operations whose retry budget was exhausted and that were
     /// escalated to a reliable (un-droppable) send. Always zero without a
     /// fault plan.
-    gave_up,
+    gave_up = GaveUp,
     /// Sends dropped by fault injection before reaching the destination.
-    injected_drops,
+    injected_drops = InjectedDrops,
     /// Remote operations whose arrival was delayed by fault injection.
-    injected_delays,
+    injected_delays = InjectedDelays,
     /// Deliveries duplicated by fault injection (the duplicate is
     /// discarded by the receiver after paying dispatch cost).
-    injected_dups,
+    injected_dups = InjectedDups,
     /// Versioned (seqlock) fast reads that validated on the optimistic
     /// path — no DCAS, no handler involvement. Always zero unless
     /// [`crate::RuntimeConfig::vread_fastpath`] is enabled.
-    vread_fast,
+    vread_fast = VreadFast,
     /// Optimistic versioned-read attempts re-run because the sequence
     /// counter moved inside the read window (torn window).
-    vread_retries,
+    vread_retries = VreadRetries,
     /// Versioned reads that exhausted their retry budget and escalated to
     /// the DCAS slow path.
-    vread_fallbacks,
+    vread_fallbacks = VreadFallbacks,
 }
 
 impl CommSnapshot {
@@ -167,56 +178,67 @@ impl CommSnapshot {
     }
 }
 
-/// Heap accounting for one locale. `live` can be asserted to reach zero at
-/// the end of a test to prove reclamation completeness.
-#[derive(Debug, Default)]
-pub struct HeapStats {
-    /// Objects currently allocated on this locale.
-    pub live: CachePadded<AtomicI64>,
-    /// Total objects ever allocated on this locale.
-    pub total_allocs: CachePadded<AtomicU64>,
-    /// Total objects ever freed on this locale.
-    pub total_frees: CachePadded<AtomicU64>,
+/// Heap accounting for one locale. `live_objects` can be asserted to reach
+/// zero at the end of a test to prove reclamation completeness.
+#[derive(Debug)]
+pub struct HeapStats(PerThread);
+
+impl Default for HeapStats {
+    fn default() -> Self {
+        HeapStats(PerThread::new(3, 0))
+    }
 }
 
 impl HeapStats {
+    // Cell indices. `LIVE` is a signed gauge kept in two's complement: a
+    // thread that only frees holds a negative shard, and the wrapping sum
+    // over shards is the true count.
+    const LIVE: usize = 0;
+    const ALLOCS: usize = 1;
+    const FREES: usize = 2;
+
     pub(crate) fn on_alloc(&self) {
-        self.live.fetch_add(1, Ordering::Relaxed);
-        self.total_allocs.fetch_add(1, Ordering::Relaxed);
+        self.0.with(|c| {
+            bump(&c[Self::LIVE], 1);
+            bump(&c[Self::ALLOCS], 1);
+        });
     }
 
     pub(crate) fn on_free(&self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        self.total_frees.fetch_add(1, Ordering::Relaxed);
+        self.0.with(|c| {
+            bump(&c[Self::LIVE], 1u64.wrapping_neg());
+            bump(&c[Self::FREES], 1);
+        });
     }
 
     /// Number of currently-live tracked objects.
     pub fn live_objects(&self) -> i64 {
-        self.live.load(Ordering::Relaxed)
+        self.0.get(Self::LIVE) as i64
     }
 
     /// Lifetime allocation count.
     pub fn allocations(&self) -> u64 {
-        self.total_allocs.load(Ordering::Relaxed)
+        self.0.get(Self::ALLOCS)
     }
 
     /// Lifetime free count.
     pub fn frees(&self) -> u64 {
-        self.total_frees.load(Ordering::Relaxed)
+        self.0.get(Self::FREES)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Registry;
 
     #[test]
     fn snapshot_sub_gives_delta() {
-        let s = CommStats::default();
-        s.am_sent.fetch_add(3, Ordering::Relaxed);
+        let s = Registry::default();
+        s.add(Counter::AmSent, 3);
         let a = s.snapshot();
-        s.am_sent.fetch_add(4, Ordering::Relaxed);
-        s.puts.fetch_add(1, Ordering::Relaxed);
+        s.add(Counter::AmSent, 4);
+        s.add(Counter::Puts, 1);
         let b = s.snapshot();
         let d = b - a;
         assert_eq!(d.am_sent, 4);
@@ -241,35 +263,56 @@ mod tests {
 
     #[test]
     fn is_zero_detects_clean_phase() {
-        let s = CommStats::default();
+        let s = Registry::default();
         assert!(s.snapshot().is_zero());
-        s.gets.fetch_add(1, Ordering::Relaxed);
+        s.add(Counter::Gets, 1);
         assert!(!s.snapshot().is_zero());
     }
 
     #[test]
     fn reset_zeroes_counters() {
-        let s = CommStats::default();
-        s.rdma_atomics.fetch_add(9, Ordering::Relaxed);
+        let s = Registry::default();
+        s.add(Counter::RdmaAtomics, 9);
         s.reset();
         assert!(s.snapshot().is_zero());
     }
 
     #[test]
-    fn heap_stats_track_live() {
+    fn every_counter_lands_in_its_own_snapshot_field() {
+        let s = Registry::default();
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "declaration order is the cell order");
+            s.add(c, i as u64 + 1);
+        }
+        let snap = s.snapshot();
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(snap.get(c), i as u64 + 1, "{c:?}");
+        }
+        assert_eq!(snap.rdma_atomics, 1);
+        assert_eq!(snap.vread_fallbacks, Counter::ALL.len() as u64);
+    }
+
+    #[test]
+    fn heap_stats_track_live_across_threads() {
         let h = HeapStats::default();
         h.on_alloc();
         h.on_alloc();
-        h.on_free();
+        // A thread that only frees holds a negative shard until it exits.
+        std::thread::scope(|s| {
+            s.spawn(|| h.on_free());
+        });
         assert_eq!(h.live_objects(), 1);
         assert_eq!(h.allocations(), 2);
         assert_eq!(h.frees(), 1);
+        h.on_free();
+        h.on_free();
+        assert_eq!(h.live_objects(), -1);
     }
 
     #[test]
     fn to_json_lists_every_counter_in_order() {
-        let s = CommStats::default();
-        s.am_sent.fetch_add(7, Ordering::Relaxed);
+        let s = Registry::default();
+        s.add(Counter::AmSent, 7);
         let j = s.snapshot().to_json();
         assert!(j.starts_with("{\"rdma_atomics\": 0, "));
         assert!(j.ends_with("\"vread_fallbacks\": 0}"));
@@ -281,7 +324,7 @@ mod tests {
 
     #[test]
     fn display_lists_every_counter() {
-        let s = CommStats::default().snapshot();
+        let s = CommSnapshot::default();
         let text = format!("{s}");
         assert!(text.contains("rdma_atomics"));
         assert!(text.contains("bulk_freed_objects"));

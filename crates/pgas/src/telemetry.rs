@@ -3,20 +3,19 @@
 //!
 //! The paper's evaluation is about *where time goes* — RDMA vs
 //! remote-execution paths, queueing at saturated progress threads, EBR
-//! overhead — so flat event counts ([`crate::stats::CommStats`]) are not
+//! overhead — so flat event counts ([`crate::stats::CommSnapshot`]) are not
 //! enough. This module adds the latency half:
 //!
 //! * [`OpClass`] — the operation classes the simulator distinguishes
 //!   (NIC atomic, AM round trip, handler queue wait, combine occupancy, …).
-//! * [`Histogram`] — a fixed-bucket log2 histogram (64 buckets, lock-free,
-//!   no dependencies; the vendor set is frozen). Percentiles come from a
+//! * [`HistSnapshot`] — a fixed-bucket log2 histogram (64 buckets, no
+//!   dependencies; the vendor set is frozen). Percentiles come from a
 //!   cumulative bucket walk; the maximum is tracked exactly so tail
 //!   latencies are not bucket-rounded.
-//! * [`Registry`] — one per locale, pairing the existing [`CommStats`]
-//!   counters (unchanged names, so exact-count tests keep passing) with a
-//!   per-class histogram set. [`Registry`] derefs to [`CommStats`], so all
-//!   existing `locale.stats.am_sent…` call sites compile and count
-//!   bit-identically.
+//! * [`Registry`] — one per locale: the [`Counter`] cells behind
+//!   [`CommSnapshot`] and one histogram per [`OpClass`], all in one block
+//!   of per-thread shards ([`crate::per_thread`]), so recording is a plain
+//!   load and store on memory only the recording thread writes.
 //! * [`Span`] — one record per remote operation, stamped from the virtual
 //!   time points that already exist (issue → wire → queue → handle →
 //!   reply), plus the causal-trace triple `trace`/`span`/`parent`.
@@ -32,23 +31,27 @@
 //!
 //! ## Overhead budget
 //!
-//! Histogram recording is always on and costs four relaxed atomic RMWs per
-//! sample; it charges **no virtual time** and touches **no counters**, so
-//! perf-guard quantities (A1 scatter AM counts, A7 combining wins) are
-//! bit-for-bit unaffected. Span emission is gated on an installed sink —
-//! the default is a single `OnceLock::get` returning `None`.
+//! Histogram recording is always on and costs one thread-local lookup plus
+//! four plain load/store pairs on the recording thread's own shard — no
+//! lock-prefixed instruction, no lock, no allocation once the thread has
+//! recorded on the registry before. It charges **no virtual time** and
+//! touches **no counters**, so perf-guard quantities (A1 scatter AM counts,
+//! A7 combining wins) are bit-for-bit unaffected. A snapshot sums the
+//! shards: exact for everything that happens-before it (a join, an AM
+//! reply, a barrier), approximate while writers run. Span emission is
+//! gated on an installed sink — the default is a single `OnceLock::get`
+//! returning `None`.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
 use std::io::Write;
-use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::globalptr::LocaleId;
-use crate::stats::{CommSnapshot, CommStats};
+use crate::per_thread::{bump, raise, PerThread};
+use crate::stats::{CommSnapshot, Counter};
 
 /// Operation classes tracked by the telemetry registry. Each class gets its
 /// own latency (or occupancy) histogram per locale, and spans are keyed by
@@ -465,66 +468,8 @@ fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// A concurrently-updated fixed-bucket log2 histogram.
-///
-/// Recording is lock-free: one relaxed `fetch_add` on the bucket, count and
-/// sum, plus a relaxed `fetch_max` so the true maximum survives bucket
-/// rounding. No dependencies, no allocation.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one sample.
-    #[inline]
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Capture a plain-old-data snapshot.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = [0u64; BUCKETS];
-        for (b, a) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *b = a.load(Ordering::Relaxed);
-        }
-        HistSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero the histogram. Callers must ensure quiescence.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A plain-old-data snapshot of a [`Histogram`], mergeable with `+`.
+/// A fixed-bucket log2 histogram as plain old data: what a [`Registry`]
+/// snapshot holds per [`OpClass`], mergeable with `+`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     buckets: [u64; BUCKETS],
@@ -545,6 +490,14 @@ impl Default for HistSnapshot {
 }
 
 impl HistSnapshot {
+    /// Record one sample — the sequential form of [`Registry::record`].
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_of(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -592,107 +545,99 @@ impl HistSnapshot {
 impl std::ops::Add for HistSnapshot {
     type Output = HistSnapshot;
     fn add(self, rhs: HistSnapshot) -> HistSnapshot {
-        let mut buckets = self.buckets;
-        for (b, r) in buckets.iter_mut().zip(rhs.buckets.iter()) {
-            *b += r;
-        }
+        // Wrapping, like recording: `sum` of saturated vtime samples
+        // overflows long before anything else is wrong.
         HistSnapshot {
-            buckets,
-            count: self.count + rhs.count,
-            sum: self.sum + rhs.sum,
+            buckets: std::array::from_fn(|i| self.buckets[i].wrapping_add(rhs.buckets[i])),
+            count: self.count.wrapping_add(rhs.count),
+            sum: self.sum.wrapping_add(rhs.sum),
             max: self.max.max(rhs.max),
         }
     }
 }
 
-/// One [`Histogram`] per [`OpClass`].
-#[derive(Debug)]
-pub struct ClassHistograms {
-    hists: [Histogram; OpClass::COUNT],
-}
+/// Number of [`Counter`] cells at the front of a registry's block.
+const COUNTERS: usize = Counter::ALL.len();
+/// Summed cells per class histogram: the buckets, then `count`, then `sum`.
+const HIST_SUMS: usize = BUCKETS + 2;
+/// Every summed cell; one `max` cell per class follows.
+const SUMS: usize = COUNTERS + OpClass::COUNT * HIST_SUMS;
 
-impl Default for ClassHistograms {
-    fn default() -> Self {
-        ClassHistograms {
-            hists: std::array::from_fn(|_| Histogram::default()),
-        }
-    }
-}
-
-impl ClassHistograms {
-    /// Record one sample for `class`.
-    #[inline]
-    pub fn record(&self, class: OpClass, value: u64) {
-        self.hists[class as usize].record(value);
-    }
-
-    /// The live histogram for `class`.
-    pub fn class(&self, class: OpClass) -> &Histogram {
-        &self.hists[class as usize]
-    }
-
-    /// Zero every histogram.
-    pub fn reset(&self) {
-        for h in &self.hists {
-            h.reset();
-        }
-    }
-
-    /// Snapshot every histogram, in [`OpClass::ALL`] order.
-    pub fn snapshot(&self) -> [HistSnapshot; OpClass::COUNT] {
-        std::array::from_fn(|i| self.hists[i].snapshot())
-    }
-}
-
-/// The per-locale metric registry: the existing [`CommStats`] counters
-/// (the counter half — same names, same semantics) plus per-class latency
-/// histograms (the new half).
+/// The per-locale metric registry: the [`Counter`] cells (the counter half
+/// — [`CommSnapshot`]'s names and semantics) and one log2 histogram per
+/// [`OpClass`] (the latency half), laid out in one [`PerThread`] block.
 ///
-/// `Registry` derefs to [`CommStats`], so `locale.stats.am_sent…` call
-/// sites keep compiling and counting exactly as before.
-#[derive(Debug, Default)]
+/// Recording threads each write a private shard, so neither [`Registry::add`]
+/// nor [`Registry::record`] issues an atomic read-modify-write; see
+/// [`crate::per_thread`] for the single-writer argument and the visibility
+/// rule of snapshots.
+#[derive(Debug)]
 pub struct Registry {
-    counters: CommStats,
-    latency: ClassHistograms,
+    cells: PerThread,
 }
 
-impl Deref for Registry {
-    type Target = CommStats;
-    fn deref(&self) -> &CommStats {
-        &self.counters
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            cells: PerThread::new(SUMS, OpClass::COUNT),
+        }
     }
 }
 
 impl Registry {
-    /// The counter half.
-    pub fn counters(&self) -> &CommStats {
-        &self.counters
-    }
-
-    /// The histogram half.
-    pub fn latency(&self) -> &ClassHistograms {
-        &self.latency
+    /// Add `n` to `counter`.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.cells.add(counter as usize, n);
     }
 
     /// Record one latency/occupancy sample. Charges no virtual time and
     /// touches no counters.
     #[inline]
     pub fn record(&self, class: OpClass, value: u64) {
-        self.latency.record(class, value);
+        let hist = COUNTERS + class as usize * HIST_SUMS;
+        self.cells.with(|c| {
+            bump(&c[hist + bucket_of(value)], 1);
+            bump(&c[hist + BUCKETS], 1);
+            bump(&c[hist + BUCKETS + 1], value);
+            raise(&c[SUMS + class as usize], value);
+        });
     }
 
     /// Zero both halves. Callers must ensure quiescence.
     pub fn reset(&self) {
-        self.counters.reset();
-        self.latency.reset();
+        self.cells.reset();
+    }
+
+    /// Capture the counter half.
+    pub fn snapshot(&self) -> CommSnapshot {
+        let mut cells = [0; COUNTERS];
+        self.cells.read(0, &mut cells);
+        CommSnapshot::from_cells(&cells)
     }
 
     /// Capture both halves as one [`TelemetrySnapshot`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
+        let mut cells = [0; SUMS + OpClass::COUNT];
+        self.cells.read(0, &mut cells);
         TelemetrySnapshot {
-            comm: self.counters.snapshot(),
-            latency: self.latency.snapshot(),
+            comm: CommSnapshot::from_cells(&cells[..COUNTERS]),
+            latency: std::array::from_fn(|class| {
+                let hist = &cells[COUNTERS + class * HIST_SUMS..][..HIST_SUMS];
+                HistSnapshot {
+                    buckets: std::array::from_fn(|i| hist[i]),
+                    count: hist[BUCKETS],
+                    sum: hist[BUCKETS + 1],
+                    max: cells[SUMS + class],
+                }
+            }),
         }
+    }
+
+    /// Per-thread shards currently listed (see
+    /// [`PerThread::live_shards`]).
+    pub fn live_shards(&self) -> usize {
+        self.cells.live_shards()
     }
 }
 
@@ -1006,11 +951,10 @@ mod tests {
 
     #[test]
     fn percentiles_and_exact_max() {
-        let h = Histogram::default();
+        let mut s = HistSnapshot::default();
         for v in [100u64, 200, 300, 400, 10_000] {
-            h.record(v);
+            s.record(v);
         }
-        let s = h.snapshot();
         assert_eq!(s.count(), 5);
         assert_eq!(s.sum(), 11_000);
         assert_eq!(s.max(), 10_000);
@@ -1026,7 +970,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let s = Histogram::default().snapshot();
+        let s = HistSnapshot::default();
         assert!(s.is_empty());
         assert_eq!(s.percentile(50.0), 0);
         assert_eq!(s.max(), 0);
@@ -1035,21 +979,44 @@ mod tests {
 
     #[test]
     fn snapshot_merge_adds_counts_and_maxes() {
-        let a = Histogram::default();
-        let b = Histogram::default();
+        let mut a = HistSnapshot::default();
+        let mut b = HistSnapshot::default();
         a.record(10);
         b.record(1000);
         b.record(1);
-        let m = a.snapshot() + b.snapshot();
+        let m = a + b;
         assert_eq!(m.count(), 3);
         assert_eq!(m.sum(), 1011);
         assert_eq!(m.max(), 1000);
     }
 
     #[test]
-    fn registry_derefs_to_counters_and_resets_both() {
+    fn snapshot_merge_wraps_like_recording() {
+        // `vtime::charge` saturates, so a sample can be u64::MAX; recording
+        // two of them wraps `sum`, and so must merging two snapshots (an
+        // unchecked `+` panicked here in debug builds).
+        let mut a = HistSnapshot::default();
+        let mut b = HistSnapshot::default();
+        a.record(u64::MAX);
+        b.record(u64::MAX);
+        let mut both = HistSnapshot::default();
+        both.record(u64::MAX);
+        both.record(u64::MAX);
+        assert_eq!(a + b, both);
+        assert_eq!((a + b).sum(), u64::MAX - 1);
+        // The same through a registry, whose snapshot merges shards.
         let r = Registry::default();
-        r.am_sent.fetch_add(2, Ordering::Relaxed); // via Deref
+        r.record(OpClass::Reclaim, u64::MAX);
+        std::thread::scope(|s| {
+            s.spawn(|| r.record(OpClass::Reclaim, u64::MAX));
+        });
+        assert_eq!(*r.telemetry_snapshot().class(OpClass::Reclaim), both);
+    }
+
+    #[test]
+    fn registry_counts_and_resets_both_halves() {
+        let r = Registry::default();
+        r.add(Counter::AmSent, 2);
         r.record(OpClass::AmRoundTrip, 2500);
         let t = r.telemetry_snapshot();
         assert_eq!(t.comm.am_sent, 2);
@@ -1224,9 +1191,8 @@ mod tests {
         // report that exact sample at every percentile (the bucket upper
         // bound is clamped by the exact max).
         for v in [0u64, 1, 2, 3, u64::MAX] {
-            let h = Histogram::default();
-            h.record(v);
-            let s = h.snapshot();
+            let mut s = HistSnapshot::default();
+            s.record(v);
             for p in [0.0, 0.1, 50.0, 99.0, 99.9, 100.0] {
                 assert_eq!(s.percentile(p), v, "single sample {v} at p{p}");
             }
@@ -1245,11 +1211,10 @@ mod tests {
                 // vendored proptest has no float range strategy).
                 mut ps_permille in proptest::collection::vec(0u64..=1000, 2..8),
             ) {
-                let h = Histogram::default();
+                let mut s = HistSnapshot::default();
                 for &v in &samples {
-                    h.record(v);
+                    s.record(v);
                 }
-                let s = h.snapshot();
                 ps_permille.sort_unstable();
                 let ps: Vec<f64> = ps_permille.iter().map(|&m| m as f64 / 10.0).collect();
                 for w in ps.windows(2) {
@@ -1267,11 +1232,10 @@ mod tests {
                 p_permille in 0u64..=1000,
             ) {
                 let p = p_permille as f64 / 10.0;
-                let h = Histogram::default();
+                let mut s = HistSnapshot::default();
                 for &v in &samples {
-                    h.record(v);
+                    s.record(v);
                 }
-                let s = h.snapshot();
                 let mut sorted = samples.clone();
                 sorted.sort_unstable();
                 let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;

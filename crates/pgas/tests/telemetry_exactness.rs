@@ -1,0 +1,245 @@
+//! Exactness of the per-thread-sharded telemetry registry.
+//!
+//! `Registry` recording is a plain load + store on a shard only the
+//! recording thread writes (`pgas_sim::per_thread`), and a snapshot merges
+//! the shards. These tests pin that no interleaving of `add` / `record` /
+//! `snapshot` / `reset` / thread exit loses or invents a count: every
+//! counter and every histogram bucket, count, sum and max equals what a
+//! sequential model of the same script holds — at every snapshot that a
+//! hand-off orders after the writes, and after the final join.
+//!
+//! The last test pins the one place the runtime itself depends on that
+//! ordering: an active message's `am_handled` count must be visible to the
+//! sender the moment its blocking call returns.
+
+use std::sync::mpsc;
+
+use proptest::prelude::*;
+
+use pgas_sim::stats::Counter;
+use pgas_sim::telemetry::{HistSnapshot, OpClass, Registry, TelemetrySnapshot};
+use pgas_sim::Runtime;
+
+/// The sequential reference: what the registry must report.
+#[derive(Clone)]
+struct Model {
+    counters: Vec<u64>,
+    hists: Vec<HistSnapshot>,
+}
+
+impl Model {
+    fn new() -> Model {
+        Model {
+            counters: vec![0; Counter::ALL.len()],
+            hists: vec![HistSnapshot::default(); OpClass::COUNT],
+        }
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Add(c, n) => {
+                self.counters[c as usize] = self.counters[c as usize].wrapping_add(n);
+            }
+            Op::Record(class, v) => self.hists[class as usize].record(v),
+        }
+    }
+
+    fn check(&self, got: &TelemetrySnapshot, when: &str) -> Result<(), TestCaseError> {
+        for &c in Counter::ALL {
+            prop_assert_eq!(
+                got.comm.get(c),
+                self.counters[c as usize],
+                "{:?} {}",
+                c,
+                when
+            );
+        }
+        for class in OpClass::ALL {
+            prop_assert_eq!(
+                got.class(class),
+                &self.hists[class as usize],
+                "{} histogram {}",
+                class,
+                when
+            );
+        }
+        Ok(())
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Add(Counter, u64),
+    Record(OpClass, u64),
+}
+
+impl Op {
+    fn run(self, r: &Registry) {
+        match self {
+            Op::Add(c, n) => r.add(c, n),
+            Op::Record(class, v) => r.record(class, v),
+        }
+    }
+}
+
+/// Decode one generated `(selector, index, value)` triple. Values cover the
+/// whole `u64` range on purpose: `vtime::charge` saturates, so `u64::MAX`
+/// samples are real and `sum` must wrap the same way in model and registry.
+fn decode(sel: u64, idx: usize, value: u64) -> Op {
+    // A third of the values are extreme, the rest small enough to collide
+    // in low buckets.
+    let value = match value % 3 {
+        0 => u64::MAX - value % 7,
+        1 => value % 1000,
+        _ => value,
+    };
+    if sel & 1 == 0 {
+        Op::Add(Counter::ALL[idx % Counter::ALL.len()], value)
+    } else {
+        Op::Record(OpClass::ALL[idx % OpClass::COUNT], value)
+    }
+}
+
+/// A recording thread driven one op at a time: the channel hand-off forces
+/// the interleaving the script names, and orders each op before the
+/// driver's next snapshot.
+struct Worker {
+    ops: mpsc::Sender<Op>,
+    done: mpsc::Receiver<()>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Worker {
+    fn spawn(r: &'static Registry) -> Worker {
+        let (ops, rx) = mpsc::channel::<Op>();
+        let (ack, done) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            for op in rx {
+                op.run(r);
+                ack.send(()).unwrap();
+            }
+        });
+        Worker { ops, done, thread }
+    }
+
+    fn run(&self, op: Op) {
+        self.ops.send(op).unwrap();
+        self.done.recv().unwrap();
+    }
+
+    fn exit(self) {
+        drop(self.ops);
+        self.thread.join().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Forced interleavings: every step names a thread slot and what it
+    /// does — record, snapshot (checked against the model on the spot),
+    /// reset (all workers idle: the quiescence contract), or exit (the
+    /// slot's next op runs on a fresh thread, the old shard folded).
+    #[test]
+    fn forced_interleavings_match_the_sequential_model(
+        steps in proptest::collection::vec((0usize..4, 0u64..16, 0usize..64, 0u64..=u64::MAX), 1..120),
+    ) {
+        // Leaked: worker threads need `'static`, and 14 KB per case is
+        // cheaper than an `Arc` in every op.
+        let r: &'static Registry = Box::leak(Box::new(Registry::default()));
+        let mut model = Model::new();
+        let mut workers: Vec<Option<Worker>> = (0..4).map(|_| None).collect();
+        for (i, &(slot, kind, idx, value)) in steps.iter().enumerate() {
+            match kind {
+                0 => model.check(&r.telemetry_snapshot(), &format!("at step {i}"))?,
+                1 => {
+                    r.reset();
+                    model = Model::new();
+                }
+                2 => {
+                    if let Some(w) = workers[slot].take() {
+                        w.exit();
+                    }
+                }
+                _ => {
+                    let op = decode(kind, idx, value);
+                    workers[slot].get_or_insert_with(|| Worker::spawn(r)).run(op);
+                    model.apply(op);
+                }
+            }
+        }
+        let live = workers.iter().flatten().count();
+        prop_assert_eq!(r.live_shards(), live, "one shard per live recording thread");
+        for w in workers.into_iter().flatten() {
+            w.exit();
+        }
+        prop_assert_eq!(r.live_shards(), 0, "every exit folded its shard");
+        model.check(&r.telemetry_snapshot(), "after the final join")?;
+    }
+
+    /// Free-running threads: each runs its own script with no hand-off,
+    /// short scripts exit while long ones still record, and a reader
+    /// snapshots throughout. After the join the totals are the model's —
+    /// sums commute, and nothing a concurrent snapshot or fold does may
+    /// disturb them.
+    #[test]
+    fn concurrent_threads_sum_exactly_after_join(
+        scripts in proptest::collection::vec(
+            proptest::collection::vec((2u64..16, 0usize..64, 0u64..=u64::MAX), 0..400),
+            1..6,
+        ),
+    ) {
+        let r = Registry::default();
+        let mut model = Model::new();
+        let scripts: Vec<Vec<Op>> = scripts
+            .iter()
+            .map(|s| s.iter().map(|&(k, i, v)| decode(k, i, v)).collect())
+            .collect();
+        for op in scripts.iter().flatten() {
+            model.apply(*op);
+        }
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                    // Histogram counts only grow while nobody resets.
+                    let t = r.telemetry_snapshot();
+                    for class in OpClass::ALL {
+                        assert!(t.class(class).count() <= model.hists[class as usize].count());
+                    }
+                }
+            });
+            let writers: Vec<_> = scripts
+                .iter()
+                .map(|script| s.spawn(|| script.iter().for_each(|op| op.run(&r))))
+                .collect();
+            for w in writers {
+                w.join().unwrap();
+            }
+            stop.store(true, std::sync::atomic::Ordering::Release);
+            reader.join().unwrap();
+        });
+        prop_assert_eq!(r.live_shards(), 0);
+        model.check(&r.telemetry_snapshot(), "after join")?;
+    }
+}
+
+/// `progress_loop` counts `am_handled` and samples `AmQueue` *before* the
+/// handler body, because the body's last act is the reply and the unblocked
+/// sender may read the stats at once. With shards that count is a plain
+/// store by the progress thread; the reply hand-off must publish it.
+#[test]
+fn am_counts_are_visible_to_the_unblocked_sender() {
+    let rt = Runtime::cluster(2);
+    rt.run(|| {
+        for i in 1..=20_000u64 {
+            rt.on(1, || {});
+            let there = rt.locale(1).stats.telemetry_snapshot();
+            assert_eq!(there.comm.am_handled, i, "am_handled behind the reply");
+            assert_eq!(there.class(OpClass::AmQueue).count(), i);
+            let here = rt.locale(0).stats.telemetry_snapshot();
+            assert_eq!(here.comm.am_sent, i);
+            assert_eq!(here.class(OpClass::AmRoundTrip).count(), i);
+        }
+    });
+}

@@ -40,33 +40,38 @@
 //! walks chains unprotected, like teardown.
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgas_epoch::{EpochManager, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
-use pgas_sim::{ctx, GlobalPtr, LocaleId, ShardRouter};
+use pgas_sim::{ctx, GlobalPtr, LocaleId, PerThread, ShardRouter};
 
 use crate::chain::{
     alloc_sentinel, chain_collect, chain_count, chain_get, chain_insert, chain_remove,
     chain_teardown, gather_get, hash_key, pinned, scatter_insert, Node,
 };
 
-/// Routing/traffic counters a sharded map accumulates over its lifetime.
-/// Plain process atomics (not simulated-NIC atomics), so bumping them
-/// never perturbs the communication counters the benchmarks assert on.
-#[derive(Default)]
-struct ShardStats {
-    local_ops: AtomicU64,
-    remote_ops: AtomicU64,
-    bulk_local_items: AtomicU64,
-    bulk_remote_items: AtomicU64,
-    rebalances: AtomicU64,
-    moved_keys: AtomicU64,
+/// Routing/traffic counters a sharded map accumulates over its lifetime:
+/// the cells of its [`PerThread`] block, one per [`ShardSnapshot`] counter.
+/// Process memory (not simulated-NIC atomics), so bumping them never
+/// perturbs the communication counters the benchmarks assert on, and
+/// sharded per thread, so every op from every locale bumping `LocalOps` /
+/// `RemoteOps` shares no cache line.
+#[derive(Clone, Copy)]
+#[repr(usize)]
+enum ShardStat {
+    LocalOps,
+    RemoteOps,
+    BulkLocalItems,
+    BulkRemoteItems,
+    Rebalances,
+    MovedKeys,
 }
 
-/// A point-in-time copy of a map's [`ShardStats`], plus the router state
-/// it was taken under. Serialized into the benchmark rows' `shard`
-/// object.
+const SHARD_STATS: usize = ShardStat::MovedKeys as usize + 1;
+
+/// A point-in-time copy of a map's routing/traffic counters, plus the
+/// router state it was taken under. Serialized into the benchmark rows'
+/// `shard` object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Single-key ops whose key was locally owned (pure-local path).
@@ -127,7 +132,7 @@ where
     mask: u64,
     router: ShardRouter,
     em: R,
-    stats: ShardStats,
+    stats: PerThread,
 }
 
 unsafe impl<K, V, R> Send for ShardedHashMap<K, V, R>
@@ -182,7 +187,7 @@ where
             mask: (n - 1) as u64,
             router: ShardRouter::new(&rt),
             em: R::new_in_runtime(),
-            stats: ShardStats::default(),
+            stats: PerThread::new(SHARD_STATS, 0),
         }
     }
 
@@ -203,13 +208,15 @@ where
 
     /// Snapshot the routing/traffic counters.
     pub fn shard_snapshot(&self) -> ShardSnapshot {
+        let mut c = [0; SHARD_STATS];
+        self.stats.read(0, &mut c);
         ShardSnapshot {
-            local_ops: self.stats.local_ops.load(Ordering::Relaxed),
-            remote_ops: self.stats.remote_ops.load(Ordering::Relaxed),
-            bulk_local_items: self.stats.bulk_local_items.load(Ordering::Relaxed),
-            bulk_remote_items: self.stats.bulk_remote_items.load(Ordering::Relaxed),
-            rebalances: self.stats.rebalances.load(Ordering::Relaxed),
-            moved_keys: self.stats.moved_keys.load(Ordering::Relaxed),
+            local_ops: c[ShardStat::LocalOps as usize],
+            remote_ops: c[ShardStat::RemoteOps as usize],
+            bulk_local_items: c[ShardStat::BulkLocalItems as usize],
+            bulk_remote_items: c[ShardStat::BulkRemoteItems as usize],
+            rebalances: c[ShardStat::Rebalances as usize],
+            moved_keys: c[ShardStat::MovedKeys as usize],
             active_shards: self.router.active(),
             generation: self.router.generation(),
         }
@@ -236,10 +243,10 @@ where
         let owner = self.router.owner(hash);
         let sentinel = self.bucket_in(owner, hash);
         if owner == ctx::here() {
-            self.stats.local_ops.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(ShardStat::LocalOps as usize, 1);
             op(tok, sentinel, Some(span))
         } else {
-            self.stats.remote_ops.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(ShardStat::RemoteOps as usize, 1);
             ctx::current_runtime()
                 .on_combining(owner, move || op(&self.em.register(), sentinel, None))
         }
@@ -289,11 +296,11 @@ where
     fn bulk_dest(&self, hash: u64) -> LocaleId {
         let dest = self.router.owner(hash);
         let items = if dest == ctx::here() {
-            &self.stats.bulk_local_items
+            ShardStat::BulkLocalItems
         } else {
-            &self.stats.bulk_remote_items
+            ShardStat::BulkRemoteItems
         };
-        items.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(items as usize, 1);
         dest
     }
 
@@ -359,7 +366,7 @@ where
         if self.router.active() == prev {
             return 0;
         }
-        self.stats.rebalances.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(ShardStat::Rebalances as usize, 1);
         let tok = self.em.register();
         let mut moved: Vec<(K, V)> = Vec::new();
         for shard in 0..self.shards.len() {
@@ -378,7 +385,7 @@ where
         }
         drop(tok);
         let n = moved.len();
-        self.stats.moved_keys.fetch_add(n as u64, Ordering::Relaxed);
+        self.stats.add(ShardStat::MovedKeys as usize, n as u64);
         if n > 0 {
             self.insert_bulk(moved);
         }
@@ -430,7 +437,7 @@ where
 mod tests {
     use super::*;
     use pgas_sim::{Runtime, RuntimeConfig};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn zrt(n: usize) -> Runtime {
         Runtime::new(RuntimeConfig::zero_latency(n))
