@@ -1401,6 +1401,26 @@ mod tests {
             comm_on.am_sent,
             comm_off.am_sent
         );
+        // Fewer is not enough: four tasks must keep forming real batches.
+        // Every batch full reads 4.0; a combiner whose riders stop boarding
+        // stays near 2 run after run. One run on a loaded two-core host
+        // (this suite runs its tests in parallel) can dip below 2.5 while
+        // batching works, so the median of three is judged.
+        let mut ams = [comm_on.am_sent, 0, 0];
+        for am in &mut ams[1..] {
+            *am = ablate_combining(4, 2048, CombineWorkload::SharedAtL0, true)
+                .1
+                .comm
+                .am_sent;
+        }
+        ams.sort_unstable();
+        let ratio = comm_off.am_sent as f64 / ams[1] as f64;
+        assert!(
+            ratio >= 2.5,
+            "combining must cut AMs by 2.5x or more: {} off vs {:?} on ({ratio:.2}x)",
+            comm_off.am_sent,
+            ams
+        );
         // Occupancy histograms come from the combining layer itself.
         use pgas_nb::sim::telemetry::OpClass;
         assert!(t_on.class(OpClass::CombineOccupancy).count() > 0);

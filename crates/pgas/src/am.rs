@@ -21,7 +21,7 @@
 //!
 //! This module is internal plumbing of the shared-address-space model: all
 //! traffic enters through the [`crate::engine`] functions, and every
-//! message leaves through [`remote_post`].
+//! message leaves through [`post`].
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -263,18 +263,48 @@ pub(crate) fn remote_call(
     }
 }
 
-/// Ship `f` to locale `dest` without waiting — the one place an
-/// [`AmMsg::Call`] is built and sent. The sender's clock does not advance,
-/// and the returned channel pair yields the handler's completion status
-/// once it has run (the sender half is returned so the consumer can hand
-/// the drained pair back to [`recycle_reply_channel`]). Must not be called
-/// when `dest == here()`.
+/// Ship `f` to locale `dest` without waiting, with a reply channel: the
+/// returned pair yields the handler's completion status once it has run
+/// (the sender half is returned so the consumer can hand the drained pair
+/// back to [`recycle_reply_channel`]). The sender's clock does not advance.
+/// Must not be called when `dest == here()`.
 pub(crate) fn remote_post(
     core: &RuntimeCore,
     src: LocaleId,
     dest: LocaleId,
     f: Box<dyn FnOnce() + Send + 'static>,
 ) -> (Sender<Reply>, Receiver<Reply>) {
+    let (tx, rx) = pooled_reply_channel();
+    let reply_tx = tx.clone();
+    post(
+        core,
+        src,
+        dest,
+        Box::new(move || {
+            let out = catch_unwind(AssertUnwindSafe(f));
+            let end = vtime::now();
+            // Nobody may be waiting: a dropped `Completion` or a sending task
+            // that panicked disconnects the channel, and then nobody cares
+            // about the reply.
+            let _ = reply_tx.send((out, end));
+        }),
+    );
+    (tx, rx)
+}
+
+/// Ship `thunk` to locale `dest` without waiting — the one place an
+/// [`AmMsg::Call`] is built and sent: one `am_sent`, the fault plan's
+/// arrival delay and duplicate delivery, and the sender's causal context.
+/// The sender's clock does not advance, and nothing reports back: a caller
+/// that waits puts its own completion signal inside `thunk`, and must be
+/// released from `thunk`'s drop too, since a message can be dropped
+/// unexecuted. Must not be called when `dest == here()`.
+pub(crate) fn post(
+    core: &RuntimeCore,
+    src: LocaleId,
+    dest: LocaleId,
+    thunk: Box<dyn FnOnce() + Send + 'static>,
+) {
     debug_assert_ne!(src, dest, "an active message requires a remote destination");
     // Without a shared address space nobody serves this queue: panic here,
     // before anything is counted, rather than wait forever for a reply.
@@ -299,16 +329,6 @@ pub(crate) fn remote_post(
         duplicate = fs.inject_dup();
     }
 
-    let (tx, rx) = pooled_reply_channel();
-    let reply_tx = tx.clone();
-    let thunk: Box<dyn FnOnce() + Send + 'static> = Box::new(move || {
-        let out = catch_unwind(AssertUnwindSafe(f));
-        let end = vtime::now();
-        // Nobody may be waiting: a dropped `Completion` or a sending task
-        // that panicked disconnects the channel, and then nobody cares
-        // about the reply.
-        let _ = reply_tx.send((out, end));
-    });
     core.send_am(
         dest,
         AmMsg::Call {
@@ -333,5 +353,4 @@ pub(crate) fn remote_post(
             },
         );
     }
-    (tx, rx)
 }

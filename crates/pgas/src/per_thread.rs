@@ -257,12 +257,19 @@ mod tests {
     fn sums_add_and_maxes_max_across_threads_and_exits() {
         let p = PerThread::new(2, 1);
         std::thread::scope(|s| {
-            for t in 1..=4u64 {
-                let p = &p;
-                s.spawn(move || {
-                    p.add(0, t);
-                    p.with(|c| raise(&c[2], 10 * t));
-                });
+            let threads: Vec<_> = (1..=4u64)
+                .map(|t| {
+                    let p = &p;
+                    s.spawn(move || {
+                        p.add(0, t);
+                        p.with(|c| raise(&c[2], 10 * t));
+                    })
+                })
+                .collect();
+            // Joined explicitly: the scope's own wait ends when the closures
+            // return, before the threads' exit folds their shards.
+            for t in threads {
+                t.join().unwrap();
             }
         });
         p.add(1, u64::MAX);

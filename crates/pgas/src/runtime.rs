@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 
-use crossbeam_channel::unbounded;
+use crossbeam_channel::{unbounded, Receiver};
 
 use crate::am::{self, AmMsg};
 use crate::config::RuntimeConfig;
@@ -82,6 +82,10 @@ pub struct RuntimeCore {
 pub struct Runtime {
     core: Arc<RuntimeCore>,
     progress: Vec<JoinHandle<()>>,
+    /// One receiver of each locale's AM queue (empty when no progress
+    /// threads serve them), kept to drop what the progress threads left
+    /// unserved at shutdown — which releases every caller waiting on it.
+    inboxes: Vec<Receiver<AmMsg>>,
 }
 
 /// A cheap, cloneable reference to a running [`Runtime`]. Operations panic
@@ -172,8 +176,10 @@ impl Runtime {
             }
         });
         let mut progress = Vec::new();
+        let mut inboxes = Vec::new();
         if shared_address_space {
             for (id, rx) in receivers.into_iter().enumerate() {
+                inboxes.push(rx.clone());
                 for t in 0..core.config.progress_threads {
                     let core = Arc::clone(&core);
                     let rx = rx.clone();
@@ -187,7 +193,21 @@ impl Runtime {
             }
         }
         core.engine.bind(&core);
-        Runtime { core, progress }
+        Runtime {
+            core,
+            progress,
+            inboxes,
+        }
+    }
+
+    /// Drop every message still queued for locale `l`'s progress threads,
+    /// unexecuted, and return how many there were. Each message's drop
+    /// releases whoever waits on it: a reply channel disconnects, a combined
+    /// chunk fails its riders (see [`crate::engine::combine`]).
+    pub(crate) fn discard_inbox(&self, l: LocaleId) -> usize {
+        self.inboxes
+            .get(l as usize)
+            .map_or(0, |rx| std::iter::from_fn(|| rx.try_recv().ok()).count())
     }
 
     /// Convenience: an `n`-locale cluster with the default network model.
@@ -223,6 +243,12 @@ impl Drop for Runtime {
         }
         for handle in self.progress.drain(..) {
             let _ = handle.join();
+        }
+        // A message sent while the shutdown flag was being raised can land
+        // behind the `Shutdown`s; nobody will serve it, so drop it now
+        // rather than leave its sender waiting on a live `RuntimeHandle`.
+        for l in 0..self.inboxes.len() {
+            self.discard_inbox(l as LocaleId);
         }
     }
 }
