@@ -30,8 +30,8 @@
 //! is a single 64-bit atomic (it cannot tear) and the generation stamp
 //! already rejects any slot recycled between the cell load and the slot
 //! GET — the generation check *is* this path's validation, so the
-//! `vread_*` counters stay untouched here by design (CI's
-//! `validate_results` asserts they are zero outside the A10 rows).
+//! `vread_*` counters stay untouched here by design (the results guard,
+//! `pgas_bench::guard`, asserts they are zero outside the A10 rows).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -16,19 +16,13 @@
 //! meaningful as an implementation-overhead sanity check. Everything
 //! printed is also teed to `target/harness_output.txt`.
 //!
-//! Every measured row is also collected and written to
-//! `BENCH_results.json` as `{name, locales, vtime_ns, ns_per_op, mops,
-//! am_count, retries, gave_up, injected_drops, injected_delays,
-//! injected_dups, comm, latency}` so CI (and plotting scripts) can consume
-//! the run without scraping the text output. `locales` is the row's sweep
+//! Every measured row is also collected into `BENCH_results.json` (the
+//! row format is [`pgas_bench::guard::Record`]) so scripts can consume the
+//! run without scraping the text output. `locales` is the row's sweep
 //! coordinate (the task count for shared-memory panels, the hop count for
-//! A6); `am_count` is null for series that do not report an AM total. The
-//! five fault-injection counters are always zero here (the harness never
-//! installs a fault plan), which CI asserts so a chaos configuration can
-//! never leak into the performance baselines. `comm` is the full counter
-//! snapshot ([`CommSnapshot::to_json`], null for series without one) and
-//! `latency` the per-op-class p50/p99/max/mean summary rendered from the
-//! telemetry registry ([`TelemetrySnapshot::latency_json`]).
+//! A6). The file is written only when the rows pass the results guard
+//! ([`pgas_bench::guard`]); otherwise the harness names the failing rule,
+//! leaves the file as it was and exits nonzero.
 //!
 //! `--trace PATH` installs a [`JsonLinesSink`] on every runtime the
 //! workloads build, dumping one JSON span per remote operation
@@ -37,14 +31,14 @@
 use std::sync::{Arc, Mutex};
 
 use pgas_nb::sim::telemetry::JsonLinesSink;
-use pgas_nb::sim::{CommSnapshot, TelemetrySnapshot};
+use pgas_nb::sim::TelemetrySnapshot;
 
-use pgas_bench::json::{jnum, jstr};
+use pgas_bench::guard::{self, Record};
 use pgas_bench::{
     ablate_combining, ablate_election, ablate_local_manager, ablate_privatization,
     ablate_reclaimer, ablate_reclamation_scheme, ablate_scatter, ablate_vread, ablate_wide,
     comm_breakdown, fig3_dist, fig3_shared, fig7_read_only, fig_deletion, runtime, A8Structure,
-    CombineWorkload, ReclaimAblation, Sample, Variant, LOCALE_SWEEP, TASK_SWEEP,
+    CombineWorkload, Sample, Variant, LOCALE_SWEEP, TASK_SWEEP,
 };
 use pgas_nb::prelude::{EpochManager, HazardReclaimer, LocalEpochManager};
 
@@ -60,31 +54,6 @@ macro_rules! say {
         buf.push_str(&line);
         buf.push('\n');
     }};
-}
-
-/// One row of `BENCH_results.json`.
-struct Record {
-    /// Which backend measured the row; everything this binary produces
-    /// inline is `"sim"` (the `--engine proc` path delegates to
-    /// `procbench` orchestration and bypasses [`RECORDS`]).
-    engine: &'static str,
-    name: String,
-    locales: usize,
-    vtime_ns: u64,
-    ns_per_op: f64,
-    mops: f64,
-    am_count: Option<u64>,
-    /// Full counter snapshot for rows measured with a runtime in hand.
-    comm: Option<CommSnapshot>,
-    /// `TelemetrySnapshot::latency_json()` — `{}` when no registry was
-    /// captured for this row.
-    latency: String,
-    /// Per-backend reclamation counters, pre-rendered as a JSON object —
-    /// only A8 rows carry one (null elsewhere).
-    reclaim: Option<String>,
-    /// Per-structure shard-routing counters, pre-rendered as a JSON
-    /// object — only A11 sharded rows carry one (null elsewhere).
-    shard: Option<String>,
 }
 
 static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
@@ -124,24 +93,22 @@ const QUICK: Scale = Scale {
     a11_ops: 1 << 9,
 };
 
-fn row(label: &str, x_name: &str, x: usize, extra: &str, s: Sample) {
-    row_full(label, x_name, x, extra, s, None);
-}
-
-/// A row whose runtime exposed a [`TelemetrySnapshot`]: records the AM
-/// total, the full counter snapshot, and the per-class latency summary
-/// alongside the timing.
-fn row_comm(label: &str, x_name: &str, x: usize, extra: &str, s: Sample, t: &TelemetrySnapshot) {
-    row_full(label, x_name, x, extra, s, Some(t));
-}
-
-fn row_full(
+/// Print one measured row and record it for `BENCH_results.json`. The
+/// series name is the label plus `extra` when `extra` is a configuration
+/// qualifier; a measured extra (`AMs=123`, `reclaimed=512`, ...) is data,
+/// not identity, and stays out so a series keeps one stable name. `t` is
+/// the runtime's telemetry, for rows measured with one in hand; `reclaim`
+/// (A8) and `shard` (A11 sharded) are pre-rendered JSON objects.
+#[allow(clippy::too_many_arguments)]
+fn row(
     label: &str,
     x_name: &str,
     x: usize,
     extra: &str,
     s: Sample,
-    telemetry: Option<&TelemetrySnapshot>,
+    t: Option<&TelemetrySnapshot>,
+    reclaim: Option<String>,
+    shard: Option<String>,
 ) {
     say!(
         "{label:<34} {x_name}={x:<3} {extra:<18} vtime={:>12.3} ms  \
@@ -151,9 +118,6 @@ fn row_full(
         s.mops(),
         s.wall_ns as f64 / 1e6,
     );
-    // The series name is the label plus any *configuration* qualifier;
-    // measured extras (`AMs=123`, `reclaimed=512`, ...) are data, not
-    // identity, and stay out so a series keeps one stable name.
     let mut name = label.trim().to_string();
     let extra = extra.trim();
     let is_measured = extra
@@ -164,157 +128,51 @@ fn row_full(
         name.push_str(extra);
     }
     RECORDS.lock().unwrap().push(Record {
-        engine: "sim",
         name,
         locales: x,
         vtime_ns: s.vtime_ns,
         ns_per_op: s.ns_per_op(),
         mops: s.mops(),
-        am_count: telemetry.map(|t| t.comm.am_sent),
-        comm: telemetry.map(|t| t.comm),
-        latency: telemetry.map_or_else(|| "{}".to_string(), |t| t.latency_json()),
-        reclaim: None,
-        shard: None,
+        comm: t.map(|t| t.comm),
+        latency: t.map_or_else(|| "{}".to_string(), |t| t.latency_json()),
+        reclaim,
+        shard,
     });
 }
 
-/// An A11 row: like [`row_comm`] but carrying the sharded map's routing
-/// counters as a `shard` JSON object (`validate_results` checks the
-/// schema on every "A11 sharded" row; legacy rows pass `None`).
-fn row_shard(
-    label: &str,
-    locales: usize,
-    extra: &str,
-    s: Sample,
-    t: &TelemetrySnapshot,
-    shard: Option<&pgas_nb::structures::ShardSnapshot>,
-) {
-    say!(
-        "{label:<34} locales={locales:<3} {extra:<18} vtime={:>12.3} ms  \
-         ns/op={:>9.1}  mops={:>8.2}  wall={:>8.1} ms",
-        s.vtime_ns as f64 / 1e6,
-        s.ns_per_op(),
-        s.mops(),
-        s.wall_ns as f64 / 1e6,
-    );
-    if let Some(sh) = shard {
-        say!(
-            "    └─ shard: local={} remote={} active={}",
-            sh.local_ops,
-            sh.remote_ops,
-            sh.active_shards
-        );
+/// Write `doc` to `path` if it passes the results guard for `engine`;
+/// otherwise name the failing rule and leave the file as it is. Returns
+/// whether the file was written.
+fn write_guarded(path: &str, doc: &str, engine: &str) -> bool {
+    let rows = match guard::check_results(doc, engine) {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("harness: results guard failed, {path} left as it is: {e}");
+            return false;
+        }
+    };
+    match std::fs::write(path, doc) {
+        Ok(()) => {
+            say!("results: {path} ({rows} rows)");
+            true
+        }
+        Err(e) => {
+            eprintln!("could not write {path}: {e}");
+            false
+        }
     }
-    RECORDS.lock().unwrap().push(Record {
-        engine: "sim",
-        name: label.trim().to_string(),
-        locales,
-        vtime_ns: s.vtime_ns,
-        ns_per_op: s.ns_per_op(),
-        mops: s.mops(),
-        am_count: Some(t.comm.am_sent),
-        comm: Some(t.comm),
-        latency: t.latency_json(),
-        reclaim: None,
-        shard: shard.map(|sh| sh.to_json()),
-    });
 }
 
-/// An A8 row: timing plus the backend's reclamation counters, attached to
-/// the record as a `reclaim` JSON object (`validate_results` checks the
-/// schema on every "A8 " row).
-fn row_reclaim(structure: A8Structure, locales: usize, r: &ReclaimAblation) {
-    let stall_lbl = if r.stalled { "stalled_task" } else { "" };
-    let label = format!("A8 {} {}", structure.label(), r.backend);
-    say!(
-        "{label:<34} locales={locales:<3} {stall_lbl:<18} vtime={:>12.3} ms  \
-         ns/op={:>9.1}  mops={:>8.2}  wall={:>8.1} ms",
-        r.sample.vtime_ns as f64 / 1e6,
-        r.sample.ns_per_op(),
-        r.sample.mops(),
-        r.sample.wall_ns as f64 / 1e6,
-    );
-    if r.stalled {
-        say!(
-            "    └─ stalled: outstanding={} reclaimed-during-stall={}",
-            r.stalled_outstanding,
-            r.stalled_reclaimed
-        );
-    }
-    let s = &r.reclaim;
-    let reclaim_json = format!(
-        "{{\"backend\": {}, \"retired\": {}, \"reclaimed\": {}, \
-         \"scans\": {}, \"hazard_protects\": {}, \"stalled\": {}, \
-         \"stalled_outstanding\": {}, \"stalled_reclaimed\": {}}}",
-        jstr(r.backend),
-        s.objects_deferred,
-        s.objects_reclaimed,
-        s.advances,
-        s.hazard_protects,
-        r.stalled,
-        r.stalled_outstanding,
-        r.stalled_reclaimed,
-    );
-    let mut name = label.trim().to_string();
-    if !stall_lbl.is_empty() {
-        name.push(' ');
-        name.push_str(stall_lbl);
-    }
-    RECORDS.lock().unwrap().push(Record {
-        engine: "sim",
-        name,
-        locales,
-        vtime_ns: r.sample.vtime_ns,
-        ns_per_op: r.sample.ns_per_op(),
-        mops: r.sample.mops(),
-        am_count: None,
-        comm: None,
-        latency: "{}".to_string(),
-        reclaim: Some(reclaim_json),
-        shard: None,
-    });
-}
-
-fn write_results_json(path: &str) {
+/// Write the recorded rows (see [`write_guarded`]). Returns `false` when
+/// the rows were refused or could not be written.
+fn write_results_json(path: &str) -> bool {
     let recs = RECORDS.lock().unwrap();
     if recs.is_empty() {
         // An empty array would replace the committed rows with nothing.
         say!("results: no rows measured, {path} left as it is");
-        return;
+        return true;
     }
-    let mut out = String::from("[\n");
-    for (i, r) in recs.iter().enumerate() {
-        let chaos = r.comm.unwrap_or_default();
-        out.push_str(&format!(
-            "  {{\"name\": {}, \"engine\": {}, \"locales\": {}, \"vtime_ns\": {}, \
-             \"ns_per_op\": {}, \"mops\": {}, \"am_count\": {}, \
-             \"retries\": {}, \"gave_up\": {}, \"injected_drops\": {}, \
-             \"injected_delays\": {}, \"injected_dups\": {}, \
-             \"comm\": {}, \"latency\": {}, \"reclaim\": {}, \"shard\": {}}}{}\n",
-            jstr(&r.name),
-            jstr(r.engine),
-            r.locales,
-            r.vtime_ns,
-            jnum(r.ns_per_op),
-            jnum(r.mops),
-            r.am_count.map_or("null".to_string(), |a| a.to_string()),
-            chaos.retries,
-            chaos.gave_up,
-            chaos.injected_drops,
-            chaos.injected_delays,
-            chaos.injected_dups,
-            r.comm.map_or("null".to_string(), |c| c.to_json()),
-            r.latency,
-            r.reclaim.as_deref().unwrap_or("null"),
-            r.shard.as_deref().unwrap_or("null"),
-            if i + 1 < recs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("]\n");
-    match std::fs::write(path, out) {
-        Ok(()) => say!("results: {path} ({} rows)", recs.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_guarded(path, &guard::render(&recs), "sim")
 }
 
 fn fig3(sc: &Scale) {
@@ -330,13 +188,16 @@ fn fig3(sc: &Scale) {
             for &tasks in &TASK_SWEEP {
                 let rt = runtime(1, net);
                 let s = fig3_shared(&rt, tasks, sc.fig3_ops, variant);
-                row_comm(
+                let t = rt.total_telemetry();
+                row(
                     variant.label(),
                     "tasks",
                     tasks,
                     net_lbl,
                     s,
-                    &rt.total_telemetry(),
+                    Some(&t),
+                    None,
+                    None,
                 );
             }
         }
@@ -353,7 +214,16 @@ fn fig3(sc: &Scale) {
                 let rt = runtime(locales, net);
                 let s = fig3_dist(&rt, 4, sc.fig3_ops, variant);
                 let t = rt.total_telemetry();
-                row_comm(variant.label(), "locales", locales, net_lbl, s, &t);
+                row(
+                    variant.label(),
+                    "locales",
+                    locales,
+                    net_lbl,
+                    s,
+                    Some(&t),
+                    None,
+                    None,
+                );
                 if locales == *LOCALE_SWEEP.last().unwrap() {
                     say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
                 }
@@ -373,7 +243,7 @@ fn fig_deletion_sweep(name: &str, objects: usize, per_iter: Option<u64>, remote_
             let rt = runtime(locales, net);
             let (s, stats) = fig_deletion(&rt, objects, per_iter, remote_pct);
             let t = rt.total_telemetry();
-            row_comm(name, "locales", locales, net_lbl, s, &t);
+            row(name, "locales", locales, net_lbl, s, Some(&t), None, None);
             if locales == *LOCALE_SWEEP.last().unwrap() {
                 say!("    └─ reclaim stats @{locales} locales: {stats}");
                 say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
@@ -403,13 +273,17 @@ fn fig6(sc: &Scale) {
         for &locales in &LOCALE_SWEEP {
             let rt = runtime(locales, true);
             let (s, _) = fig_deletion(&rt, sc.fig6_objects, None, remote_pct);
-            row_comm(
-                &format!("defer+clear remote={remote_pct}%"),
+            let label = format!("defer+clear remote={remote_pct}%");
+            let t = rt.total_telemetry();
+            row(
+                &label,
                 "locales",
                 locales,
                 "net-atomics=on",
                 s,
-                &rt.total_telemetry(),
+                Some(&t),
+                None,
+                None,
             );
         }
     }
@@ -427,7 +301,8 @@ fn fig7(sc: &Scale) {
             let rt = runtime(locales, net);
             let s = fig7_read_only(&rt, 4, sc.fig7_iters);
             let t = rt.total_telemetry();
-            row_comm("pin/unpin read-only", "locales", locales, net_lbl, s, &t);
+            let label = "pin/unpin read-only";
+            row(label, "locales", locales, net_lbl, s, Some(&t), None, None);
             if locales == *LOCALE_SWEEP.last().unwrap() {
                 say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
             }
@@ -441,18 +316,13 @@ fn ablations(sc: &Scale) {
         for scatter in [true, false] {
             let rt = runtime(locales, true);
             let (s, t) = ablate_scatter(&rt, sc.ablate_objects, scatter);
-            row_comm(
-                if scatter {
-                    "A1 scatter=on "
-                } else {
-                    "A1 scatter=off"
-                },
-                "locales",
-                locales,
-                &format!("AMs={}", t.comm.am_sent),
-                s,
-                &t,
-            );
+            let label = if scatter {
+                "A1 scatter=on "
+            } else {
+                "A1 scatter=off"
+            };
+            let extra = format!("AMs={}", t.comm.am_sent);
+            row(label, "locales", locales, &extra, s, Some(&t), None, None);
             if locales == 8 {
                 say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
             }
@@ -464,17 +334,21 @@ fn ablations(sc: &Scale) {
         for privatized in [true, false] {
             let rt = runtime(locales, false);
             let s = ablate_privatization(&rt, sc.fig7_iters, privatized);
-            row_comm(
-                if privatized {
-                    "privatized "
-                } else {
-                    "shared@L0  "
-                },
+            let label = if privatized {
+                "privatized "
+            } else {
+                "shared@L0  "
+            };
+            let t = rt.total_telemetry();
+            row(
+                label,
                 "locales",
                 locales,
                 "net-atomics=off",
                 s,
-                &rt.total_telemetry(),
+                Some(&t),
+                None,
+                None,
             );
         }
     }
@@ -484,35 +358,38 @@ fn ablations(sc: &Scale) {
         for elected in [true, false] {
             let rt = runtime(locales, true);
             let s = ablate_election(&rt, sc.ablate_objects / 4, elected);
-            row_comm(
-                if elected {
-                    "election=on "
-                } else {
-                    "election=off"
-                },
+            let label = if elected {
+                "election=on "
+            } else {
+                "election=off"
+            };
+            let t = rt.total_telemetry();
+            row(
+                label,
                 "locales",
                 locales,
                 "tryReclaim/iter",
                 s,
-                &rt.total_telemetry(),
+                Some(&t),
+                None,
+                None,
             );
         }
     }
 
     say!("\n=== Ablation A5: LocalEpochManager vs EpochManager (single locale) ===");
-    for local in [true, false] {
-        let (s, advances) = ablate_local_manager(sc.ablate_objects, local);
-        row(
-            if local {
-                "LocalEpochManager"
-            } else {
-                "EpochManager     "
-            },
-            "locales",
-            1,
-            &format!("advances={advances}"),
-            s,
-        );
+    for (name, (s, advances)) in [
+        (
+            "LocalEpochManager",
+            ablate_local_manager::<LocalEpochManager>(sc.ablate_objects),
+        ),
+        (
+            "EpochManager     ",
+            ablate_local_manager::<EpochManager>(sc.ablate_objects),
+        ),
+    ] {
+        let extra = format!("advances={advances}");
+        row(name, "locales", 1, &extra, s, None, None, None);
     }
 
     say!("\n=== Ablation A6: epoch-based reclamation vs hazard pointers ===");
@@ -528,13 +405,8 @@ fn ablations(sc: &Scale) {
                 ablate_reclamation_scheme::<HazardReclaimer>(ops, chain_len, 64),
             ),
         ] {
-            row(
-                name,
-                "hops",
-                chain_len,
-                &format!("reclaimed={reclaimed}"),
-                s,
-            );
+            let extra = format!("reclaimed={reclaimed}");
+            row(name, "hops", chain_len, &extra, s, None, None, None);
         }
     }
 
@@ -545,12 +417,16 @@ fn ablations(sc: &Scale) {
     for &locales in &[2usize, 4, 8] {
         for wide in [false, true] {
             let s = ablate_wide(locales, sc.fig3_ops / 4, wide);
+            let label = if wide { "wide (>2^16)" } else { "compressed " };
             row(
-                if wide { "wide (>2^16)" } else { "compressed " },
+                label,
                 "locales",
                 locales,
                 "net-atomics=on",
                 s,
+                None,
+                None,
+                None,
             );
         }
     }
@@ -563,18 +439,10 @@ fn ablations(sc: &Scale) {
         for &locales in &[2usize, 4, 8] {
             for combining in [false, true] {
                 let (s, t) = ablate_combining(locales, sc.fig3_ops / 4, workload, combining);
-                row_comm(
-                    &format!(
-                        "A7 {} combining={}",
-                        workload.label(),
-                        if combining { "on" } else { "off" }
-                    ),
-                    "locales",
-                    locales,
-                    &format!("AMs={}", t.comm.am_sent),
-                    s,
-                    &t,
-                );
+                let on = if combining { "on" } else { "off" };
+                let label = format!("A7 {} combining={on}", workload.label());
+                let extra = format!("AMs={}", t.comm.am_sent);
+                row(&label, "locales", locales, &extra, s, Some(&t), None, None);
             }
         }
     }
@@ -588,15 +456,11 @@ fn ablations(sc: &Scale) {
 /// 50/50 read/write, 1–8 locales). Network atomics are off and combining
 /// is on, so the legacy map's remote chain hops each cost an AM round
 /// trip while the sharded map pays at most one combined AM per remote op
-/// and nothing for locally-owned keys. The harness asserts the sharded
-/// tier's strict win on both ns/op and AM count at ≥4 locales inline, and
-/// that its remote routing is honest (remote ops ⇒ AMs flowed), so a
-/// routing regression fails the run before CI parses the JSON.
+/// and nothing for locally-owned keys.
 fn a11(sc: &Scale) {
     for &theta in &[0.9f64, 0.99] {
         for &read_pct in &[90u32, 50] {
             for &locales in &[1usize, 2, 4, 8] {
-                let mut legacy: Option<(f64, u64)> = None;
                 for sharded in [false, true] {
                     let cell = pgas_bench::ablate_globalview(
                         locales,
@@ -609,48 +473,26 @@ fn a11(sc: &Scale) {
                     let tier = if sharded { "sharded" } else { "legacy" };
                     let label =
                         format!("A11 {tier} zipf={theta} mix={read_pct}/{}", 100 - read_pct);
-                    row_shard(
+                    let t = &cell.telemetry;
+                    let extra = format!("AMs={}", t.comm.am_sent);
+                    let shard = cell.shard.as_ref().map(|sh| sh.to_json());
+                    row(
                         &label,
+                        "locales",
                         locales,
-                        &format!("AMs={}", cell.telemetry.comm.am_sent),
+                        &extra,
                         cell.sample,
-                        &cell.telemetry,
-                        cell.shard.as_ref(),
+                        Some(t),
+                        None,
+                        shard,
                     );
-                    if sharded {
-                        let sh = cell
-                            .shard
-                            .as_ref()
-                            .expect("sharded rows carry a shard snapshot");
-                        if locales >= 2 {
-                            assert!(
-                                sh.remote_ops > 0 && cell.telemetry.comm.am_sent > 0,
-                                "A11 zipf={theta} {read_pct}% @{locales}: remote-shard ops \
-                                 must pay AMs ({} remote ops, {} AMs)",
-                                sh.remote_ops,
-                                cell.telemetry.comm.am_sent
-                            );
-                        }
-                        if locales >= 4 {
-                            let (l_ns, l_ams) =
-                                legacy.expect("legacy tier measured before sharded");
-                            assert!(
-                                cell.sample.ns_per_op() < l_ns,
-                                "A11 zipf={theta} {read_pct}% @{locales}: sharded must beat \
-                                 legacy on ns/op ({:.1} vs {:.1})",
-                                cell.sample.ns_per_op(),
-                                l_ns
-                            );
-                            assert!(
-                                cell.telemetry.comm.am_sent < l_ams,
-                                "A11 zipf={theta} {read_pct}% @{locales}: sharded must beat \
-                                 legacy on AM count ({} vs {})",
-                                cell.telemetry.comm.am_sent,
-                                l_ams
-                            );
-                        }
-                    } else {
-                        legacy = Some((cell.sample.ns_per_op(), cell.telemetry.comm.am_sent));
+                    if let Some(sh) = &cell.shard {
+                        say!(
+                            "    └─ shard: local={} remote={} active={}",
+                            sh.local_ops,
+                            sh.remote_ops,
+                            sh.active_shards
+                        );
                     }
                 }
             }
@@ -664,37 +506,30 @@ fn a11(sc: &Scale) {
 /// keeps reclaiming.
 fn a8(sc: &Scale) {
     let ops = (sc.ablate_objects as u64 / 4).max(256);
+    // The locale sweep, then the stalled-task variant at 4 locales: one
+    // guard pins before the churn and never unpins until it ends.
+    let cells = [(1, false), (2, false), (4, false), (8, false), (4, true)];
     for structure in A8Structure::ALL {
-        for &locales in &[1usize, 2, 4, 8] {
-            let ebr = ablate_reclaimer::<EpochManager>(locales, structure, ops, false);
-            row_reclaim(structure, locales, &ebr);
-            let hp = ablate_reclaimer::<HazardReclaimer>(locales, structure, ops, false);
-            row_reclaim(structure, locales, &hp);
+        for (locales, stalled) in cells {
+            for r in [
+                ablate_reclaimer::<EpochManager>(locales, structure, ops, stalled),
+                ablate_reclaimer::<HazardReclaimer>(locales, structure, ops, stalled),
+            ] {
+                let label = format!("A8 {} {}", structure.label(), r.backend);
+                let stall_lbl = if stalled { "stalled_task" } else { "" };
+                let reclaim = Some(r.to_json());
+                row(
+                    &label, "locales", locales, stall_lbl, r.sample, None, reclaim, None,
+                );
+                if stalled {
+                    say!(
+                        "    └─ stalled: outstanding={} reclaimed-during-stall={}",
+                        r.stalled_outstanding,
+                        r.stalled_reclaimed
+                    );
+                }
+            }
         }
-        // Stalled-task variant: one guard pins before the churn and never
-        // unpins until it ends.
-        let ebr = ablate_reclaimer::<EpochManager>(4, structure, ops, true);
-        row_reclaim(structure, 4, &ebr);
-        let hp = ablate_reclaimer::<HazardReclaimer>(4, structure, ops, true);
-        row_reclaim(structure, 4, &hp);
-        assert_eq!(
-            ebr.stalled_reclaimed,
-            0,
-            "A8 {}: EBR cannot reclaim behind a stalled pin",
-            structure.label()
-        );
-        assert!(
-            hp.stalled_reclaimed > 0,
-            "A8 {}: HP must keep reclaiming despite the stall",
-            structure.label()
-        );
-        assert!(
-            hp.stalled_outstanding < ebr.stalled_outstanding.max(1),
-            "A8 {}: HP garbage must stay below EBR's limbo ({} vs {})",
-            structure.label(),
-            hp.stalled_outstanding,
-            ebr.stalled_outstanding
-        );
     }
 }
 
@@ -702,66 +537,19 @@ fn a8(sc: &Scale) {
 /// locale sweep with the versioned fast-read path off vs on. With the
 /// fast path on, reads cost one validated one-sided GET instead of a DCAS
 /// AM round trip, so the on rows must win wherever reads are actually
-/// remote (≥2 locales); writes keep the DCAS either way. The harness
-/// asserts the win inline at 4+ locales and that fallbacks stay bounded
-/// by retries, so a regression fails the run before CI even parses
-/// `BENCH_results.json`.
+/// remote (≥2 locales); writes keep the DCAS either way.
 fn a10(sc: &Scale) {
     let ops = (sc.fig3_ops / 4).max(1024);
     for read_pct in [90u32, 99] {
         for &locales in &[1usize, 2, 4, 8] {
-            let mut off_ns = f64::INFINITY;
             for fast in [false, true] {
                 let (s, t) = ablate_vread(locales, ops, read_pct, fast);
                 let label = format!(
                     "A10 {read_pct}% read vread={}",
                     if fast { "on" } else { "off" }
                 );
-                row_comm(
-                    &label,
-                    "locales",
-                    locales,
-                    &format!("AMs={}", t.comm.am_sent),
-                    s,
-                    &t,
-                );
-                if fast {
-                    assert!(
-                        t.comm.vread_fallbacks <= t.comm.vread_retries,
-                        "A10 {read_pct}% @{locales}: every fallback needs a torn \
-                         window first ({} fallbacks vs {} retries)",
-                        t.comm.vread_fallbacks,
-                        t.comm.vread_retries
-                    );
-                    assert!(
-                        t.comm.vread_fast > t.comm.vread_fallbacks,
-                        "A10 {read_pct}% @{locales}: fast path barely validates \
-                         ({} fast vs {} fallbacks)",
-                        t.comm.vread_fast,
-                        t.comm.vread_fallbacks
-                    );
-                    if locales >= 4 {
-                        assert!(
-                            s.ns_per_op() < off_ns,
-                            "A10 {read_pct}% @{locales}: fast path must beat DCAS \
-                             reads ({:.1} vs {:.1} ns/op)",
-                            s.ns_per_op(),
-                            off_ns
-                        );
-                    }
-                } else {
-                    off_ns = s.ns_per_op();
-                    assert_eq!(
-                        (
-                            t.comm.vread_fast,
-                            t.comm.vread_retries,
-                            t.comm.vread_fallbacks
-                        ),
-                        (0, 0, 0),
-                        "A10 {read_pct}% @{locales}: vread counters must stay zero \
-                         with the fast path off"
-                    );
-                }
+                let extra = format!("AMs={}", t.comm.am_sent);
+                row(&label, "locales", locales, &extra, s, Some(&t), None, None);
             }
         }
     }
@@ -803,12 +591,8 @@ fn run_proc_engine(quick: bool) {
         }
     }
     let doc = format!("[\n  {}\n]\n", rows.join(",\n  "));
-    match std::fs::write("BENCH_results.json", doc) {
-        Ok(()) => say!("results: BENCH_results.json ({} rows)", rows.len()),
-        Err(e) => {
-            eprintln!("could not write BENCH_results.json: {e}");
-            std::process::exit(1);
-        }
+    if !write_guarded("BENCH_results.json", &doc, "proc") {
+        std::process::exit(1);
     }
 }
 
@@ -929,7 +713,7 @@ fn main() {
             a11(sc);
         }
     }
-    write_results_json("BENCH_results.json");
+    let written = write_results_json("BENCH_results.json");
     pgas_bench::flush_trace_sink();
     say!("\nharness done in {:.1}s", t0.elapsed().as_secs_f64());
 
@@ -940,5 +724,8 @@ fn main() {
         eprintln!("could not write target/harness_output.txt: {e}");
     } else {
         println!("text output: target/harness_output.txt");
+    }
+    if !written {
+        std::process::exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON support shared by the harness binaries: value
 //! escaping/formatting for the emitters and a small recursive-descent
-//! parser for the `validate_results` schema checker. Serde-free by design
+//! parser for the results guard (`guard`). Serde-free by design
 //! — the vendor set is frozen, and the subset of JSON the harness emits
 //! (objects, arrays, strings, finite numbers, `null`) is small enough to
 //! handle directly.

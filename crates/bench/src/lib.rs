@@ -1,6 +1,5 @@
 //! Workload implementations for the paper's evaluation (Figures 3–7) and
-//! the DESIGN.md ablations, shared by the `harness` binary and the
-//! Criterion benches.
+//! the DESIGN.md ablations, run by the `harness` binary.
 //!
 //! Because the host machine is not a 64-node Cray, scaling curves are
 //! reported in **virtual time** (see `pgas_sim::vtime`): a deterministic
@@ -18,6 +17,7 @@ use pgas_nb::sim::TelemetrySnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+pub mod guard;
 pub mod json;
 pub mod procrun;
 pub mod trace;
@@ -102,6 +102,19 @@ impl Sample {
     /// Virtual nanoseconds per operation.
     pub fn ns_per_op(&self) -> f64 {
         self.vtime_ns as f64 / self.ops.max(1) as f64
+    }
+}
+
+/// Run `body` as the measured region of a workload of `ops` operations,
+/// timed on the wall clock and on the calling task's virtual clock.
+fn timed(ops: u64, body: impl FnOnce()) -> Sample {
+    let wall = Instant::now();
+    let t0 = vtime::now();
+    body();
+    Sample {
+        vtime_ns: vtime::now() - t0,
+        wall_ns: wall.elapsed().as_nanos() as u64,
+        ops,
     }
 }
 
@@ -218,15 +231,11 @@ fn mixed_ops(variant: Variant, ops: u64) {
 /// locale; `total_ops` divided among the tasks.
 pub fn fig3_shared(rt: &Runtime, tasks: usize, total_ops: u64, variant: Variant) -> Sample {
     let per_task = total_ops / tasks as u64;
-    let wall = Instant::now();
-    let ((), vt) = rt.run_measured(|| {
-        rt.coforall_tasks(tasks, |_| mixed_ops(variant, per_task));
-    });
-    Sample {
-        vtime_ns: vt,
-        wall_ns: wall.elapsed().as_nanos() as u64,
-        ops: per_task * tasks as u64,
-    }
+    rt.run(|| {
+        timed(per_task * tasks as u64, || {
+            rt.coforall_tasks(tasks, |_| mixed_ops(variant, per_task));
+        })
+    })
 }
 
 /// Fig. 3, distributed panel: strong scaling over the runtime's locales
@@ -240,17 +249,13 @@ pub fn fig3_dist(
 ) -> Sample {
     let n_tasks = (rt.num_locales() * tasks_per_locale) as u64;
     let per_task = total_ops / n_tasks;
-    let wall = Instant::now();
-    let ((), vt) = rt.run_measured(|| {
-        rt.coforall_locales(|_| {
-            rt.coforall_tasks(tasks_per_locale, |_| mixed_ops(variant, per_task));
-        });
-    });
-    Sample {
-        vtime_ns: vt,
-        wall_ns: wall.elapsed().as_nanos() as u64,
-        ops: per_task * n_tasks,
-    }
+    rt.run(|| {
+        timed(per_task * n_tasks, || {
+            rt.coforall_locales(|_| {
+                rt.coforall_tasks(tasks_per_locale, |_| mixed_ops(variant, per_task));
+            });
+        })
+    })
 }
 
 /// Figs. 4 & 5 (Listing 5): distributed objects, each task pins, defers
@@ -265,7 +270,6 @@ pub fn fig_deletion(
     remote_percent: u32,
 ) -> (Sample, pgas_nb::epoch::ReclaimSnapshot) {
     let locales = rt.num_locales();
-    let mut out = None;
     rt.run(|| {
         let em = EpochManager::new();
         let rt_h = current_runtime();
@@ -289,58 +293,47 @@ pub fn fig_deletion(
             })
             .collect();
 
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        rt.forall_dist(
-            num_objects,
-            |_, _| (em.register(), 0u64),
-            |(tok, m), i| {
-                tok.pin();
-                tok.defer_delete(objs[i]);
-                tok.unpin();
-                *m += 1;
-                if let Some(k) = per_iteration {
-                    if *m % k == 0 {
-                        tok.try_reclaim();
+        let sample = timed(num_objects as u64, || {
+            rt.forall_dist(
+                num_objects,
+                |_, _| (em.register(), 0u64),
+                |(tok, m), i| {
+                    tok.pin();
+                    tok.defer_delete(objs[i]);
+                    tok.unpin();
+                    *m += 1;
+                    if let Some(k) = per_iteration {
+                        if *m % k == 0 {
+                            tok.try_reclaim();
+                        }
                     }
-                }
-            },
-        );
-        em.clear();
-        let sample = Sample {
-            vtime_ns: vtime::now() - t0,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            ops: num_objects as u64,
-        };
+                },
+            );
+            em.clear();
+        });
         assert_eq!(rt.live_objects(), 0, "reclamation must be complete");
-        out = Some((sample, em.stats()));
-    });
-    out.unwrap()
+        (sample, em.stats())
+    })
 }
 
 /// Fig. 7: read-only workload — pin/unpin per iteration, no deletion.
 /// Weak scaling: `iters_per_task` per task on every locale.
 pub fn fig7_read_only(rt: &Runtime, tasks_per_locale: usize, iters_per_task: u64) -> Sample {
-    let wall = Instant::now();
-    let mut ops = 0;
-    let ((), vt) = rt.run_measured(|| {
-        let em = EpochManager::new();
-        rt.coforall_locales(|_| {
-            rt.coforall_tasks(tasks_per_locale, |_| {
-                let tok = em.register();
-                for _ in 0..iters_per_task {
-                    tok.pin();
-                    tok.unpin();
-                }
+    let ops = (rt.num_locales() * tasks_per_locale) as u64 * iters_per_task;
+    rt.run(|| {
+        timed(ops, || {
+            let em = EpochManager::new();
+            rt.coforall_locales(|_| {
+                rt.coforall_tasks(tasks_per_locale, |_| {
+                    let tok = em.register();
+                    for _ in 0..iters_per_task {
+                        tok.pin();
+                        tok.unpin();
+                    }
+                });
             });
-        });
-    });
-    ops += (rt.num_locales() * tasks_per_locale) as u64 * iters_per_task;
-    Sample {
-        vtime_ns: vt,
-        wall_ns: wall.elapsed().as_nanos() as u64,
-        ops,
-    }
+        })
+    })
 }
 
 /// Ablation A1: the Fig. 6 workload at 100% remote objects, with the
@@ -351,7 +344,6 @@ pub fn ablate_scatter(
     scatter: bool,
 ) -> (Sample, TelemetrySnapshot) {
     let locales = rt.num_locales();
-    let mut out = None;
     rt.run(|| {
         let em = EpochManager::new();
         em.set_scatter(scatter);
@@ -372,89 +364,68 @@ pub fn ablate_scatter(
             tok.unpin();
         }
         rt.reset_metrics();
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        em.clear();
-        let sample = Sample {
-            vtime_ns: vtime::now() - t0,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            ops: num_objects as u64,
-        };
+        let sample = timed(num_objects as u64, || em.clear());
         assert_eq!(rt.live_objects(), 0);
-        out = Some((sample, rt.total_telemetry()));
-    });
-    out.unwrap()
+        (sample, rt.total_telemetry())
+    })
 }
 
 /// Ablation A2: privatized (zero-communication) epoch-cache access vs a
 /// single shared instance on locale 0 that every pin consults remotely.
 pub fn ablate_privatization(rt: &Runtime, iters_per_task: u64, privatized: bool) -> Sample {
     let tasks = 2;
-    let mut out = None;
     rt.run(|| {
         // Setup (instance construction) is excluded from the measurement.
         let caches = pgas_nb::sim::Privatized::new(&current_runtime(), |l| AtomicInt::new_on(l, 1));
         let shared = AtomicInt::new_on(0, 1);
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        rt.coforall_locales(|_| {
-            rt.coforall_tasks(tasks, |_| {
-                for _ in 0..iters_per_task {
-                    let _ = if privatized {
-                        // One epoch cache per locale (the EpochManager way).
-                        caches.get().read()
-                    } else {
-                        // A single instance on locale 0 everyone consults.
-                        shared.read()
-                    };
-                }
+        timed((rt.num_locales() * tasks) as u64 * iters_per_task, || {
+            rt.coforall_locales(|_| {
+                rt.coforall_tasks(tasks, |_| {
+                    for _ in 0..iters_per_task {
+                        let _ = if privatized {
+                            // One epoch cache per locale (the EpochManager way).
+                            caches.get().read()
+                        } else {
+                            // A single instance on locale 0 everyone consults.
+                            shared.read()
+                        };
+                    }
+                });
             });
-        });
-        out = Some(Sample {
-            vtime_ns: vtime::now() - t0,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            ops: (rt.num_locales() * tasks) as u64 * iters_per_task,
-        });
-    });
-    out.unwrap()
+        })
+    })
 }
 
 /// Ablation A3: the Fig. 5 regime (tryReclaim every iteration) with the
 /// first-come-first-serve election enabled vs disabled (every caller
 /// scans).
 pub fn ablate_election(rt: &Runtime, num_objects: usize, elected: bool) -> Sample {
-    let mut out = None;
     rt.run(|| {
         let em = EpochManager::new();
         let rt_h = current_runtime();
         let objs: Vec<GlobalPtr<u64>> = (0..num_objects)
             .map(|i| alloc_local(&rt_h, i as u64))
             .collect();
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        rt.forall_dist(
-            num_objects,
-            |_, _| em.register(),
-            |tok, i| {
-                tok.pin();
-                tok.defer_delete(objs[i]);
-                tok.unpin();
-                if elected {
-                    em.try_reclaim();
-                } else {
-                    em.try_reclaim_unelected();
-                }
-            },
-        );
-        em.clear();
-        out = Some(Sample {
-            vtime_ns: vtime::now() - t0,
-            wall_ns: wall.elapsed().as_nanos() as u64,
-            ops: num_objects as u64,
+        let sample = timed(num_objects as u64, || {
+            rt.forall_dist(
+                num_objects,
+                |_, _| em.register(),
+                |tok, i| {
+                    tok.pin();
+                    tok.defer_delete(objs[i]);
+                    tok.unpin();
+                    if elected {
+                        em.try_reclaim();
+                    } else {
+                        em.try_reclaim_unelected();
+                    }
+                },
+            );
+            em.clear();
         });
         assert_eq!(rt.live_objects(), 0);
-    });
-    out.unwrap()
+        sample
+    })
 }
 
 /// A chain node for the reclamation-scheme ablation.
@@ -478,7 +449,6 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
     writes_every: u64,
 ) -> (Sample, u64) {
     let rt = traced(Runtime::new(RuntimeConfig::shared_memory()));
-    let mut out = None;
     rt.run(|| {
         let rt_h = current_runtime();
         // Build the chain back to front.
@@ -495,88 +465,80 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
         }
         let head_cell = AtomicObject::new(head);
 
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        let em = R::new_in_runtime();
-        let tok = em.register();
-        for i in 0..traversals {
-            tok.pin();
-            // Hand-over-hand protection, alternating two slots. Under a pin
-            // these are the plain reads of an EBR traversal; a hazard-pointer
-            // guard publishes and validates every hop. Nobody unlinks
-            // concurrently, so a validation never fails.
-            let mut slot = 0;
-            let mut cur = tok.protect_root(slot, &head_cell);
+        let mut reclaimed = 0;
+        let sample = timed(traversals, || {
+            let em = R::new_in_runtime();
+            let tok = em.register();
+            for i in 0..traversals {
+                tok.pin();
+                // Hand-over-hand protection, alternating two slots. Under a
+                // pin these are the plain reads of an EBR traversal; a
+                // hazard-pointer guard publishes and validates every hop.
+                // Nobody unlinks concurrently, so a validation never fails.
+                let mut slot = 0;
+                let mut cur = tok.protect_root(slot, &head_cell);
+                while !cur.is_null() {
+                    let node = unsafe { cur.deref() };
+                    std::hint::black_box(node.value);
+                    slot ^= 1;
+                    let next = node.next.read();
+                    let valid = tok.protect_ptr(slot, next, || node.next.read() == next);
+                    debug_assert!(valid);
+                    cur = next;
+                }
+                tok.release(0);
+                tok.release(1);
+                if i % writes_every == 0 {
+                    let old_head = head_cell.read();
+                    let next = unsafe { old_head.deref() }.next.read();
+                    let fresh = alloc_local(
+                        &rt_h,
+                        ChainNode {
+                            value: i,
+                            next: AtomicObject::new(next),
+                        },
+                    );
+                    head_cell.write(fresh);
+                    tok.defer_delete(old_head);
+                }
+                tok.unpin();
+                if i % 64 == 0 {
+                    em.try_reclaim();
+                }
+            }
+            drop(tok);
+            em.clear();
+            reclaimed = em.stats().objects_reclaimed;
+            // A hazard-pointer backend keeps its participant records on the
+            // runtime's heap until it is dropped.
+            drop(em);
+            // Quiescent teardown: free the remaining chain.
+            let mut cur = head_cell.read();
             while !cur.is_null() {
-                let node = unsafe { cur.deref() };
-                std::hint::black_box(node.value);
-                slot ^= 1;
-                let next = node.next.read();
-                let valid = tok.protect_ptr(slot, next, || node.next.read() == next);
-                debug_assert!(valid);
+                let next = unsafe { cur.deref() }.next.read();
+                unsafe { pgas_nb::sim::free(&rt_h, cur) };
                 cur = next;
             }
-            tok.release(0);
-            tok.release(1);
-            if i % writes_every == 0 {
-                let old_head = head_cell.read();
-                let next = unsafe { old_head.deref() }.next.read();
-                let fresh = alloc_local(
-                    &rt_h,
-                    ChainNode {
-                        value: i,
-                        next: AtomicObject::new(next),
-                    },
-                );
-                head_cell.write(fresh);
-                tok.defer_delete(old_head);
-            }
-            tok.unpin();
-            if i % 64 == 0 {
-                em.try_reclaim();
-            }
-        }
-        drop(tok);
-        em.clear();
-        let reclaimed = em.stats().objects_reclaimed;
-        // A hazard-pointer backend keeps its participant records on the
-        // runtime's heap until it is dropped.
-        drop(em);
-        // Quiescent teardown: free the remaining chain.
-        let mut cur = head_cell.read();
-        while !cur.is_null() {
-            let next = unsafe { cur.deref() }.next.read();
-            unsafe { pgas_nb::sim::free(&rt_h, cur) };
-            cur = next;
-        }
-        out = Some((
-            Sample {
-                vtime_ns: vtime::now() - t0,
-                wall_ns: wall.elapsed().as_nanos() as u64,
-                ops: traversals,
-            },
-            reclaimed,
-        ));
+        });
         assert_eq!(rt.live_objects(), 0);
-    });
-    out.unwrap()
+        (sample, reclaimed)
+    })
 }
 
-/// Ablation A5: `LocalEpochManager` vs `EpochManager` on a single-locale
-/// workload — what the shared-memory-optimized variant saves (no global
-/// epoch object, no cross-locale scan).
-pub fn ablate_local_manager(num_objects: usize, local: bool) -> (Sample, u64) {
+/// Ablation A5: `LocalEpochManager` vs `EpochManager` (`R`) on a
+/// single-locale workload — what the shared-memory-optimized variant saves
+/// (no global epoch object, no cross-locale scan). Returns the sample and
+/// the backend's epoch advances.
+pub fn ablate_local_manager<R: Reclaimer>(num_objects: usize) -> (Sample, u64) {
     let rt = traced(Runtime::new(RuntimeConfig::cluster(1)));
-    let mut out = None;
     rt.run(|| {
         let rt_h = current_runtime();
         let objs: Vec<GlobalPtr<u64>> = (0..num_objects)
             .map(|i| alloc_local(&rt_h, i as u64))
             .collect();
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        let reclaims = if local {
-            let em = LocalEpochManager::new();
+        let mut advances = 0;
+        let sample = timed(num_objects as u64, || {
+            let em = R::new_in_runtime();
             let tok = em.register();
             for (i, &o) in objs.iter().enumerate() {
                 tok.pin();
@@ -588,33 +550,11 @@ pub fn ablate_local_manager(num_objects: usize, local: bool) -> (Sample, u64) {
             }
             drop(tok);
             em.clear();
-            em.stats().advances
-        } else {
-            let em = EpochManager::new();
-            let tok = em.register();
-            for (i, &o) in objs.iter().enumerate() {
-                tok.pin();
-                tok.defer_delete(o);
-                tok.unpin();
-                if i % 64 == 0 {
-                    em.try_reclaim();
-                }
-            }
-            drop(tok);
-            em.clear();
-            em.stats().advances
-        };
-        out = Some((
-            Sample {
-                vtime_ns: vtime::now() - t0,
-                wall_ns: wall.elapsed().as_nanos() as u64,
-                ops: num_objects as u64,
-            },
-            reclaims,
-        ));
+            advances = em.stats().advances;
+        });
         assert_eq!(rt.live_objects(), 0);
-    });
-    out.unwrap()
+        (sample, advances)
+    })
 }
 
 /// Ablation A4: *remote* `AtomicObject` operations under forced wide
@@ -633,31 +573,27 @@ pub fn ablate_wide(locales: usize, total_ops: u64, wide: bool) -> Sample {
     let tasks = 2usize;
     let n_tasks = (locales * tasks) as u64;
     let per_task = (total_ops / n_tasks).max(1);
-    let wall = Instant::now();
-    let ((), vt) = rt.run_measured(|| {
-        rt.coforall_locales(|l| {
-            let owner = ((l as usize + 1) % rt.num_locales()) as LocaleId;
-            rt.coforall_tasks(tasks, |_| {
-                let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
-                for i in 0..per_task {
-                    match i % 3 {
-                        0 => {
-                            let _ = cell.read();
-                        }
-                        1 => cell.write(GlobalPtr::null()),
-                        _ => {
-                            let _ = cell.exchange(GlobalPtr::null());
+    rt.run(|| {
+        timed(per_task * n_tasks, || {
+            rt.coforall_locales(|l| {
+                let owner = ((l as usize + 1) % rt.num_locales()) as LocaleId;
+                rt.coforall_tasks(tasks, |_| {
+                    let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
+                    for i in 0..per_task {
+                        match i % 3 {
+                            0 => {
+                                let _ = cell.read();
+                            }
+                            1 => cell.write(GlobalPtr::null()),
+                            _ => {
+                                let _ = cell.exchange(GlobalPtr::null());
+                            }
                         }
                     }
-                }
+                });
             });
-        });
-    });
-    Sample {
-        vtime_ns: vt,
-        wall_ns: wall.elapsed().as_nanos() as u64,
-        ops: per_task * n_tasks,
-    }
+        })
+    })
 }
 
 /// Which AM-heavy traffic pattern the combining ablation (A7) drives.
@@ -715,64 +651,55 @@ pub fn ablate_combining(
     let tasks = 4usize;
     let n_tasks = (locales * tasks) as u64;
     let per_task = (total_ops / n_tasks).max(1);
-    let mut out = None;
     rt.run(|| {
         let shared = AtomicInt::new_on(0, 0);
         rt.reset_metrics();
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        rt.coforall_locales(|l| {
-            let owner = ((l as usize + 1) % rt.num_locales()) as LocaleId;
-            rt.coforall_tasks(tasks, |_| match workload {
-                CombineWorkload::Fig3DistAm => {
-                    let cell = AtomicInt::new_on(owner, 0);
-                    for i in 0..per_task {
-                        match i % 4 {
-                            0 => {
-                                let _ = cell.read();
-                            }
-                            1 => cell.write(i),
-                            2 => {
-                                let cur = cell.read();
-                                let _ = cell.compare_and_swap(cur, i);
-                            }
-                            _ => {
-                                let _ = cell.exchange(i);
-                            }
-                        }
-                    }
-                }
-                CombineWorkload::WideDcas => {
-                    let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
-                    for i in 0..per_task {
-                        match i % 3 {
-                            0 => {
-                                let _ = cell.read();
-                            }
-                            1 => cell.write(GlobalPtr::null()),
-                            _ => {
-                                let _ = cell.exchange(GlobalPtr::null());
+        let sample = timed(per_task * n_tasks, || {
+            rt.coforall_locales(|l| {
+                let owner = ((l as usize + 1) % rt.num_locales()) as LocaleId;
+                rt.coforall_tasks(tasks, |_| match workload {
+                    CombineWorkload::Fig3DistAm => {
+                        let cell = AtomicInt::new_on(owner, 0);
+                        for i in 0..per_task {
+                            match i % 4 {
+                                0 => {
+                                    let _ = cell.read();
+                                }
+                                1 => cell.write(i),
+                                2 => {
+                                    let cur = cell.read();
+                                    let _ = cell.compare_and_swap(cur, i);
+                                }
+                                _ => {
+                                    let _ = cell.exchange(i);
+                                }
                             }
                         }
                     }
-                }
-                CombineWorkload::SharedAtL0 => {
-                    for _ in 0..per_task {
-                        let _ = shared.read();
+                    CombineWorkload::WideDcas => {
+                        let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
+                        for i in 0..per_task {
+                            match i % 3 {
+                                0 => {
+                                    let _ = cell.read();
+                                }
+                                1 => cell.write(GlobalPtr::null()),
+                                _ => {
+                                    let _ = cell.exchange(GlobalPtr::null());
+                                }
+                            }
+                        }
                     }
-                }
+                    CombineWorkload::SharedAtL0 => {
+                        for _ in 0..per_task {
+                            let _ = shared.read();
+                        }
+                    }
+                });
             });
         });
-        out = Some((
-            Sample {
-                vtime_ns: vtime::now() - t0,
-                wall_ns: wall.elapsed().as_nanos() as u64,
-                ops: per_task * n_tasks,
-            },
-            rt.total_telemetry(),
-        ));
-    });
-    out.unwrap()
+        (sample, rt.total_telemetry())
+    })
 }
 
 /// Ablation A10: the versioned (seqlock) fast-read path on read-mostly
@@ -801,43 +728,34 @@ pub fn ablate_vread(
     let per_task = (total_ops / n_tasks).max(1);
     // 90% read → every 10th op writes; 99% → every 100th.
     let period = (100 / (100 - read_pct)) as u64;
-    let mut out = None;
     rt.run(|| {
         // One cell per owner locale, shared by every task targeting it.
         let cells: Vec<AtomicAbaObject<u64>> = (0..rt.num_locales())
             .map(|o| AtomicAbaObject::new_on(o as LocaleId, GlobalPtr::null()))
             .collect();
         rt.reset_metrics();
-        let wall = Instant::now();
-        let t0 = vtime::now();
-        rt.coforall_locales(|l| {
-            let owner = (l as usize + 1) % rt.num_locales();
-            let cell = &cells[owner];
-            rt.coforall_tasks(tasks, |_| {
-                for i in 0..per_task {
-                    if i % period == period - 1 {
-                        if (i / period).is_multiple_of(2) {
-                            let snap = cell.read_aba();
-                            let _ = cell.compare_and_swap_aba(snap, GlobalPtr::null());
+        let sample = timed(per_task * n_tasks, || {
+            rt.coforall_locales(|l| {
+                let owner = (l as usize + 1) % rt.num_locales();
+                let cell = &cells[owner];
+                rt.coforall_tasks(tasks, |_| {
+                    for i in 0..per_task {
+                        if i % period == period - 1 {
+                            if (i / period).is_multiple_of(2) {
+                                let snap = cell.read_aba();
+                                let _ = cell.compare_and_swap_aba(snap, GlobalPtr::null());
+                            } else {
+                                cell.write_aba(GlobalPtr::null());
+                            }
                         } else {
-                            cell.write_aba(GlobalPtr::null());
+                            let _ = cell.read_aba();
                         }
-                    } else {
-                        let _ = cell.read_aba();
                     }
-                }
+                });
             });
         });
-        out = Some((
-            Sample {
-                vtime_ns: vtime::now() - t0,
-                wall_ns: wall.elapsed().as_nanos() as u64,
-                ops: per_task * n_tasks,
-            },
-            rt.total_telemetry(),
-        ));
-    });
-    out.unwrap()
+        (sample, rt.total_telemetry())
+    })
 }
 
 /// Which structure an A8 (pluggable-reclamation) measurement churns.
@@ -899,6 +817,27 @@ pub struct ReclaimAblation {
     pub stalled_reclaimed: u64,
 }
 
+impl ReclaimAblation {
+    /// The counters as the JSON object a `BENCH_results.json` A8 row
+    /// carries under `reclaim`.
+    pub fn to_json(&self) -> String {
+        let s = &self.reclaim;
+        format!(
+            "{{\"backend\": {}, \"retired\": {}, \"reclaimed\": {}, \
+             \"scans\": {}, \"hazard_protects\": {}, \"stalled\": {}, \
+             \"stalled_outstanding\": {}, \"stalled_reclaimed\": {}}}",
+            json::jstr(self.backend),
+            s.objects_deferred,
+            s.objects_reclaimed,
+            s.advances,
+            s.hazard_protects,
+            self.stalled,
+            self.stalled_outstanding,
+            self.stalled_reclaimed,
+        )
+    }
+}
+
 /// Churn phase shared by every A8 arm: optionally park a forever-pinned
 /// guard, run `churn` on every task, and snapshot the backend's counters
 /// *while the staller is still pinned*.
@@ -906,9 +845,10 @@ fn a8_drive<R: Reclaimer>(
     rt: &Runtime,
     em: &R,
     tasks: usize,
+    ops: u64,
     stalled: bool,
     churn: impl Fn(usize) + Sync,
-) -> (u64, u64, u64, u64) {
+) -> (Sample, u64, u64) {
     let staller = if stalled {
         let g = em.register();
         g.pin();
@@ -916,13 +856,11 @@ fn a8_drive<R: Reclaimer>(
     } else {
         None
     };
-    let wall = Instant::now();
-    let t0 = vtime::now();
-    rt.coforall_locales(|l| {
-        rt.coforall_tasks(tasks, |t| churn(l as usize * tasks + t));
+    let sample = timed(ops, || {
+        rt.coforall_locales(|l| {
+            rt.coforall_tasks(tasks, |t| churn(l as usize * tasks + t));
+        });
     });
-    let vt = vtime::now() - t0;
-    let wall_ns = wall.elapsed().as_nanos() as u64;
     let (mut outstanding, mut reclaimed_during) = (0, 0);
     if stalled {
         let s = em.stats();
@@ -933,7 +871,7 @@ fn a8_drive<R: Reclaimer>(
         g.unpin();
         drop(g);
     }
-    (vt, wall_ns, outstanding, reclaimed_during)
+    (sample, outstanding, reclaimed_during)
 }
 
 /// Ablation A8: the same churn workload on every structure under EBR vs
@@ -960,14 +898,13 @@ pub fn ablate_reclaimer<R: Reclaimer>(
         *h ^= *h << 17;
         ((*h).wrapping_add(t as u64) % 192) as u16
     };
-    let mut out = None;
-    rt.run(|| {
-        let (vt, wall_ns, outstanding, during, backend, reclaim);
+    let r = rt.run(|| {
+        let (sample, outstanding, during, backend, reclaim);
         match structure {
             A8Structure::Stack => {
                 let s = LockFreeStack::<u64, R>::with_reclaimer();
-                (vt, wall_ns, outstanding, during) =
-                    a8_drive(&rt, s.reclaimer(), tasks, stalled, |t| {
+                (sample, outstanding, during) =
+                    a8_drive(&rt, s.reclaimer(), tasks, total_ops, stalled, |t| {
                         let tok = s.register();
                         for i in 0..ops_per_task {
                             s.push(&tok, t as u64 * ops_per_task + i);
@@ -989,8 +926,8 @@ pub fn ablate_reclaimer<R: Reclaimer>(
             }
             A8Structure::Queue => {
                 let q = MsQueue::<u64, R>::with_reclaimer();
-                (vt, wall_ns, outstanding, during) =
-                    a8_drive(&rt, q.reclaimer(), tasks, stalled, |t| {
+                (sample, outstanding, during) =
+                    a8_drive(&rt, q.reclaimer(), tasks, total_ops, stalled, |t| {
                         let tok = q.register();
                         for i in 0..ops_per_task {
                             q.enqueue(&tok, t as u64 * ops_per_task + i);
@@ -1012,8 +949,8 @@ pub fn ablate_reclaimer<R: Reclaimer>(
             }
             A8Structure::List => {
                 let l = LockFreeList::<u16, R>::with_reclaimer();
-                (vt, wall_ns, outstanding, during) =
-                    a8_drive(&rt, l.reclaimer(), tasks, stalled, |t| {
+                (sample, outstanding, during) =
+                    a8_drive(&rt, l.reclaimer(), tasks, total_ops, stalled, |t| {
                         let tok = l.register();
                         let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                         for i in 0..ops_per_task {
@@ -1034,8 +971,8 @@ pub fn ablate_reclaimer<R: Reclaimer>(
             }
             A8Structure::Map => {
                 let m = DistHashMap::<u16, u64, R>::with_reclaimer(32);
-                (vt, wall_ns, outstanding, during) =
-                    a8_drive(&rt, m.reclaimer(), tasks, stalled, |t| {
+                (sample, outstanding, during) =
+                    a8_drive(&rt, m.reclaimer(), tasks, total_ops, stalled, |t| {
                         let tok = m.register();
                         let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                         for i in 0..ops_per_task {
@@ -1056,8 +993,8 @@ pub fn ablate_reclaimer<R: Reclaimer>(
             }
             A8Structure::SkipList => {
                 let s = LockFreeSkipList::<u16, R>::with_reclaimer();
-                (vt, wall_ns, outstanding, during) =
-                    a8_drive(&rt, s.reclaimer(), tasks, stalled, |t| {
+                (sample, outstanding, during) =
+                    a8_drive(&rt, s.reclaimer(), tasks, total_ops, stalled, |t| {
                         let tok = s.register();
                         let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                         for i in 0..ops_per_task {
@@ -1078,8 +1015,8 @@ pub fn ablate_reclaimer<R: Reclaimer>(
             }
             A8Structure::RcuArray => {
                 let a = RcuArray::<R>::with_reclaimer(16, 256);
-                (vt, wall_ns, outstanding, during) =
-                    a8_drive(&rt, a.reclaimer(), tasks, stalled, |t| {
+                (sample, outstanding, during) =
+                    a8_drive(&rt, a.reclaimer(), tasks, total_ops, stalled, |t| {
                         let tok = a.register();
                         for i in 0..ops_per_task {
                             let idx = (i as usize * 7 + t) % 256;
@@ -1106,20 +1043,15 @@ pub fn ablate_reclaimer<R: Reclaimer>(
             "A8 {} {backend}: conservation after clear",
             structure.label()
         );
-        out = Some(ReclaimAblation {
-            sample: Sample {
-                vtime_ns: vt,
-                wall_ns,
-                ops: total_ops,
-            },
+        ReclaimAblation {
+            sample,
             backend,
             reclaim,
             stalled,
             stalled_outstanding: outstanding,
             stalled_reclaimed: during,
-        });
+        }
     });
-    let r = out.unwrap();
     assert_eq!(rt.live_objects(), 0, "A8 {} leaked", structure.label());
     r
 }
@@ -1187,8 +1119,8 @@ pub fn ablate_globalview(
             }
         }
     };
-    let mut out = None;
-    rt.run(|| {
+    let ops = ops_per_task * (locales * tasks) as u64;
+    let cell = rt.run(|| {
         // Preload in bounded chunks so no tier holds a keys-sized Vec.
         let chunk = 1usize << 16;
         if sharded {
@@ -1201,33 +1133,29 @@ pub fn ablate_globalview(
             }
             let pre = m.shard_snapshot();
             rt.reset_metrics();
-            let wall = Instant::now();
-            let t0 = vtime::now();
-            rt.coforall_locales(|l| {
-                rt.coforall_tasks(tasks, |t| {
-                    let tok = m.register();
-                    drive(
-                        l,
-                        t,
-                        &|k| {
-                            let _ = m.get(&tok, &k);
-                        },
-                        &|k, v| {
-                            let _ = m.insert(&tok, k, v);
-                        },
-                        &|k| {
-                            let _ = m.remove(&tok, &k);
-                        },
-                    );
+            let sample = timed(ops, || {
+                rt.coforall_locales(|l| {
+                    rt.coforall_tasks(tasks, |t| {
+                        let tok = m.register();
+                        drive(
+                            l,
+                            t,
+                            &|k| {
+                                let _ = m.get(&tok, &k);
+                            },
+                            &|k, v| {
+                                let _ = m.insert(&tok, k, v);
+                            },
+                            &|k| {
+                                let _ = m.remove(&tok, &k);
+                            },
+                        );
+                    });
                 });
             });
             let post = m.shard_snapshot();
-            out = Some(GlobalViewCell {
-                sample: Sample {
-                    vtime_ns: vtime::now() - t0,
-                    wall_ns: wall.elapsed().as_nanos() as u64,
-                    ops: ops_per_task * (locales * tasks) as u64,
-                },
+            let cell = GlobalViewCell {
+                sample,
                 telemetry: rt.total_telemetry(),
                 shard: Some(ShardSnapshot {
                     local_ops: post.local_ops - pre.local_ops,
@@ -1239,8 +1167,9 @@ pub fn ablate_globalview(
                     active_shards: post.active_shards,
                     generation: post.generation,
                 }),
-            });
+            };
             m.clear_reclaim();
+            cell
         } else {
             let m: DistHashMap<u64, u64> = DistHashMap::new(buckets_total);
             let mut next = 0u64;
@@ -1250,39 +1179,35 @@ pub fn ablate_globalview(
                 next = hi;
             }
             rt.reset_metrics();
-            let wall = Instant::now();
-            let t0 = vtime::now();
-            rt.coforall_locales(|l| {
-                rt.coforall_tasks(tasks, |t| {
-                    let tok = m.register();
-                    drive(
-                        l,
-                        t,
-                        &|k| {
-                            let _ = m.get(&tok, &k);
-                        },
-                        &|k, v| {
-                            let _ = m.insert(&tok, k, v);
-                        },
-                        &|k| {
-                            let _ = m.remove(&tok, &k);
-                        },
-                    );
+            let sample = timed(ops, || {
+                rt.coforall_locales(|l| {
+                    rt.coforall_tasks(tasks, |t| {
+                        let tok = m.register();
+                        drive(
+                            l,
+                            t,
+                            &|k| {
+                                let _ = m.get(&tok, &k);
+                            },
+                            &|k, v| {
+                                let _ = m.insert(&tok, k, v);
+                            },
+                            &|k| {
+                                let _ = m.remove(&tok, &k);
+                            },
+                        );
+                    });
                 });
             });
-            out = Some(GlobalViewCell {
-                sample: Sample {
-                    vtime_ns: vtime::now() - t0,
-                    wall_ns: wall.elapsed().as_nanos() as u64,
-                    ops: ops_per_task * (locales * tasks) as u64,
-                },
+            let cell = GlobalViewCell {
+                sample,
                 telemetry: rt.total_telemetry(),
                 shard: None,
-            });
+            };
             m.clear_reclaim();
+            cell
         }
     });
-    let cell = out.unwrap();
     assert_eq!(rt.live_objects(), 0, "A11 leaked objects");
     cell
 }

@@ -237,7 +237,7 @@ impl HazardReclaimer {
                     freed += 1;
                 }
             }
-            scatter.flush_all();
+            scatter.flush();
             let stats = &core.locale(here).stats;
             if first_retire != u64::MAX {
                 stats.record(OpClass::Reclaim, vtime::now().saturating_sub(first_retire));

@@ -437,7 +437,7 @@ impl EpochManager {
                 for e in rest {
                     scatter.aggregate(e.owner(), e);
                 }
-                scatter.flush_all();
+                scatter.flush();
             } else {
                 for e in rest {
                     unsafe { pgas_sim::free_erased(core, e) };

@@ -499,17 +499,11 @@ impl std::fmt::Debug for Completion {
 /// capacity and on drop (the epoch/phase boundary); call
 /// [`Batcher::flush`] to force remote effects before relying on them.
 ///
-/// Two *adaptive* controls bound latency and memory beyond the fixed
-/// per-destination capacity:
-///
-/// * A **high watermark** ([`Batcher::with_high_watermark`]) caps the
-///   *total* buffered items across all destinations — when reached, the
-///   fullest buffer is flushed. This bounds memory for skewed or
-///   many-destination workloads where no single buffer fills.
-/// * A **flush-on-idle hook** ([`Batcher::poll_idle`]) for callers with an
-///   idle loop: the first poll with no intervening [`Batcher::aggregate`]
-///   flushes everything, so stragglers never strand waiting for a capacity
-///   trigger.
+/// A **high watermark** ([`Batcher::with_high_watermark`]) bounds memory
+/// beyond the fixed per-destination capacity: it caps the *total* buffered
+/// items across all destinations, and when reached the fullest buffer is
+/// flushed. This covers skewed or many-destination workloads where no
+/// single buffer fills.
 pub struct Batcher<'h, T: Send> {
     buffers: Vec<Vec<T>>,
     /// Causal-trace context captured when each destination's buffer got its
@@ -521,7 +515,6 @@ pub struct Batcher<'h, T: Send> {
     capacity: usize,
     high_watermark: Option<usize>,
     pending_count: usize,
-    appended_since_poll: bool,
     handler: Box<dyn Fn(LocaleId, Vec<T>) + Send + Sync + 'h>,
     flushes: u64,
     items: u64,
@@ -542,7 +535,6 @@ impl<'h, T: Send> Batcher<'h, T> {
             capacity,
             high_watermark: None,
             pending_count: 0,
-            appended_since_poll: false,
             handler: Box::new(handler),
             flushes: 0,
             items: 0,
@@ -570,7 +562,6 @@ impl<'h, T: Send> Batcher<'h, T> {
         buf.push(item);
         self.items += 1;
         self.pending_count += 1;
-        self.appended_since_poll = true;
         if buf.len() >= self.capacity {
             self.flush_one(dest);
         } else if let Some(hw) = self.high_watermark {
@@ -588,24 +579,6 @@ impl<'h, T: Send> Batcher<'h, T> {
             .filter(|&d| !self.buffers[d].is_empty())
         {
             self.flush_one(dest as LocaleId);
-        }
-    }
-
-    /// Idle hook for adaptive flushing: call this from an idle or polling
-    /// loop. The first call with no [`Batcher::aggregate`] since the
-    /// previous call flushes all pending items (returning `true`); a call
-    /// that observed fresh traffic just arms the idle detector and returns
-    /// `false`. Items therefore never strand waiting for a capacity
-    /// trigger, without flushing eagerly while the producer is still hot.
-    pub fn poll_idle(&mut self) -> bool {
-        if self.appended_since_poll {
-            self.appended_since_poll = false;
-            false
-        } else if self.pending_count > 0 {
-            self.flush();
-            true
-        } else {
-            false
         }
     }
 
@@ -654,12 +627,6 @@ impl<'h, T: Send> Batcher<'h, T> {
         for dest in 0..self.buffers.len() as LocaleId {
             self.flush_one(dest);
         }
-    }
-
-    /// Alias for [`Batcher::flush`], matching the original `Aggregator`
-    /// API.
-    pub fn flush_all(&mut self) {
-        self.flush();
     }
 
     /// Items aggregated so far (including flushed ones).
@@ -899,100 +866,6 @@ mod tests {
             assert_eq!(agg.items_aggregated(), 100);
             agg.flush();
             assert_eq!(agg.pending(), 0);
-        });
-    }
-
-    #[test]
-    fn poll_idle_flushes_stragglers() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(2));
-        rt.run(|| {
-            let sink = AtomicU64::new(0);
-            let mut agg = Batcher::new(&rt, 64, |_, b: Vec<u64>| {
-                sink.fetch_add(b.len() as u64, Ordering::Relaxed);
-            });
-            agg.aggregate(1, 7);
-            // First poll observed fresh traffic: arm the detector only.
-            assert!(!agg.poll_idle());
-            assert_eq!(sink.load(Ordering::Relaxed), 0);
-            // Second poll with no traffic in between: flush everything.
-            assert!(agg.poll_idle());
-            assert_eq!(sink.load(Ordering::Relaxed), 1);
-            assert_eq!(agg.pending(), 0);
-            // Nothing pending: no-op.
-            assert!(!agg.poll_idle());
-        });
-    }
-
-    #[test]
-    fn poll_idle_on_an_empty_batcher_is_a_noop_forever() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(2));
-        rt.run(|| {
-            let flushed = AtomicU64::new(0);
-            let mut agg = Batcher::new(&rt, 16, |_, _: Vec<u64>| {
-                flushed.fetch_add(1, Ordering::Relaxed);
-            });
-            // No destination has ever buffered anything: polling must
-            // neither arm, flush, nor count.
-            for _ in 0..5 {
-                assert!(!agg.poll_idle());
-            }
-            assert_eq!(flushed.load(Ordering::Relaxed), 0);
-            assert_eq!(agg.flushes(), 0);
-            assert!(rt.total_comm().is_zero(), "idle polls are free");
-        });
-    }
-
-    #[test]
-    fn single_buffered_item_flushes_after_exactly_one_idle_poll() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(2));
-        rt.run(|| {
-            let got: parking_lot::Mutex<Vec<(LocaleId, u64)>> = parking_lot::Mutex::new(Vec::new());
-            let mut agg = Batcher::new(&rt, 64, |dest, b: Vec<u64>| {
-                let mut g = got.lock();
-                for v in b {
-                    g.push((dest, v));
-                }
-            });
-            agg.aggregate(1, 99);
-            assert!(!agg.poll_idle(), "first poll after traffic only arms");
-            assert!(agg.poll_idle(), "second idle poll flushes the straggler");
-            assert_eq!(*got.lock(), vec![(1, 99)], "right payload, right dest");
-            // The cycle restarts cleanly: new traffic re-arms from scratch.
-            agg.aggregate(0, 5);
-            assert!(!agg.poll_idle());
-            assert!(agg.poll_idle());
-            assert_eq!(got.lock().len(), 2);
-        });
-    }
-
-    #[test]
-    fn poll_idle_sweeps_watermark_leftovers() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(4));
-        rt.run(|| {
-            let sink = AtomicU64::new(0);
-            let mut agg = Batcher::new(&rt, 1024, |_, b: Vec<u64>| {
-                sink.fetch_add(b.len() as u64, Ordering::Relaxed);
-            })
-            .with_high_watermark(6);
-            // 9 items over 3 destinations: the watermark drains only the
-            // fullest buffer when total pending hits 6, leaving stragglers
-            // that nothing but poll_idle would ever flush.
-            for i in 0..9u64 {
-                agg.aggregate((i % 3) as LocaleId, i);
-            }
-            let leftovers = agg.pending();
-            assert!(
-                leftovers > 0 && leftovers < 9,
-                "watermark must have drained some but not all ({leftovers})"
-            );
-            assert!(
-                !agg.poll_idle(),
-                "poll 1: traffic since last poll, arm only"
-            );
-            assert!(agg.poll_idle(), "poll 2: idle, sweep the stragglers");
-            assert_eq!(agg.pending(), 0);
-            assert_eq!(sink.load(Ordering::Relaxed), 9, "no item lost or doubled");
-            assert!(!agg.poll_idle(), "empty again: back to no-op polls");
         });
     }
 

@@ -35,7 +35,7 @@
 //! four plain load/store pairs on the recording thread's own shard — no
 //! lock-prefixed instruction, no lock, no allocation once the thread has
 //! recorded on the registry before. It charges **no virtual time** and
-//! touches **no counters**, so perf-guard quantities (A1 scatter AM counts,
+//! touches **no counters**, so results-guard quantities (A1 scatter AM counts,
 //! A7 combining wins) are bit-for-bit unaffected. A snapshot sums the
 //! shards: exact for everything that happens-before it (a join, an AM
 //! reply, a barrier), approximate while writers run. Span emission is

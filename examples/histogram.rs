@@ -71,7 +71,7 @@ fn main() {
                 let bin = rng.gen_range(0..bins);
                 agg.aggregate(histo.affinity(bin), bin);
             }
-            agg.flush_all();
+            agg.flush();
             barrier.wait();
         });
         let agg_vtime = vtime::now() - t0;
