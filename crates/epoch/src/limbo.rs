@@ -1,4 +1,5 @@
-//! The wait-free limbo list (Listing 2) and its node-recycling pool.
+//! The wait-free limbo list (Listing 2), its node-recycling pool, and the
+//! per-token bags that fill it.
 //!
 //! A limbo list holds objects that were logically removed during one epoch
 //! and await reclamation. Its access pattern is extreme and simple: many
@@ -26,38 +27,173 @@
 //! ABA counter of [`pgas_atomics`] (the pool's `pop` is exactly the ABA
 //! scenario the counter exists for).
 //!
+//! ### Deviation from the paper: a deletion fills a bag
+//! The paper's `deferDelete` pops a node from the pool and exchanges it
+//! onto the list for *every* object: one ABA compare-and-swap and one
+//! exchange per deletion. Here each registered token owns a bag
+//! (`OpenBag`): a private chain of up to [`BAG`] filled nodes, plus a
+//! private stock of empty ones. A deletion takes a node from the stock,
+//! stores the object in it and links it to the chain, all plain stores.
+//! Only the deletion that fills the bag pays, with one exchange that
+//! splices the whole chain onto the list (`LimboList::push_chain`), and
+//! only an empty stock pays one ABA compare-and-swap, which pops up to
+//! [`BAG`] nodes at once (`NodePool::get_chain`). Both stay wait-free and
+//! lock-free as before, the drain is unchanged, and a node still holds one
+//! object: a bag that is published before it fills costs no more memory
+//! than the paper's nodes would.
+//!
+//! A bag goes into the list of the epoch its token was pinned in at the
+//! bag's *latest* deletion. That is never early. The global epoch and every
+//! locale's cached epoch only move forward, so the epochs one token is
+//! pinned in never decrease, and every object in the bag was deferred in a
+//! real epoch `E' ≤ E`, the latest. The bag is published while the global
+//! epoch is at least `E`; the list of `E` (mod 3) is next drained by the
+//! advance to some `n ≡ E + 2`, and the global epoch stays at most `n` until
+//! that drain is done, so `n ≥ E + 2 ≥ E' + 2`. The paper frees an object
+//! deferred in `E'` on the advance to exactly `E' + 2` (its pinned token
+//! holds the global epoch below `E' + 2` until the push is done), so a bag
+//! frees each of its objects on that advance or a later one.
+//!
+//! The holder publishes its bag when it fills. Anybody else may publish it
+//! while its token is *not pinned* (`Limbo::publish_idle`): every epoch
+//! advance does so for each token of the locale before it drains a list,
+//! `clear` does, and a token's drop does. So a token that is unpinned when
+//! an advance reaches its locale holds nothing back from that advance, and
+//! its objects are freed on the same advance as the paper's. A token that
+//! is pinned when an advance passes keeps its open bag, at most `BAG - 1`
+//! objects, until a later advance finds it unpinned or the bag fills.
+//! crossbeam-epoch pays a similar price for its thread-local bags. The
+//! stock stays with the token slot when its token unregisters, for the
+//! slot's next holder, so a locale holds at most `BAG` idle nodes per token
+//! slot on top of its pool.
+//!
+//! ### Who may write an open bag
+//! The holder links deletions into the chain with plain stores, so a task
+//! that publishes somebody else's bag must exclude the holder without
+//! making the holder wait. A Dekker handshake over two words of the token
+//! slot does it. The publisher sets the bag's `taken` flag and then reads
+//! the token's epoch. The holder writes its epoch on `pin` and reads
+//! `taken` before each deletion. All four accesses are sequentially
+//! consistent, so at least one side sees the other's write:
+//!
+//! * the publisher sees the token pinned and backs off, or
+//! * the holder sees `taken` and hands that deletion to the list by itself,
+//!   as the paper does, leaving the chain alone.
+//!
+//! A publisher that sees the token unpinned synchronizes with the holder's
+//! `unpin`, and a holder that later reads `taken` clear synchronizes with
+//! the publisher's release of it. Publishers exclude each other with a
+//! compare-and-swap on the same flag. None of this is charged as
+//! communication: both words belong to the slot, like the bag's stores.
+//!
 //! ### Deviation from the paper: one pool DCAS per drained list
 //! The paper's `recycleNode` pushes every emptied node back onto that stack
 //! by itself, one ABA compare-and-swap per node, while the locale's tasks
 //! are popping the same stack for their next `deferDelete`. A detached limbo
 //! list is already a private chain through its `next` links, so the drain
-//! empties the nodes in place and [`NodePool::put_chain`] splices the whole
+//! empties the nodes in place and `NodePool::put_chain` splices the whole
 //! chain under the stack's top with **one** compare-and-swap, whatever its
-//! length. The stack, its ABA protection and `get` are unchanged; the price
+//! length. The stack and its ABA protection are unchanged; the price
 //! is that a drained node becomes reusable when its drain ends, not as soon
 //! as it is emptied.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::UnsafeCell;
+use std::ptr::null_mut;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use pgas_atomics::LocalAtomicAbaObject;
 use pgas_sim::engine;
-use pgas_sim::{here, Erased, GlobalPtr};
+use pgas_sim::{here, vtime, Erased, GlobalPtr};
+
+use crate::math::{limbo_index, EPOCHS};
+use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
+
+/// Deletions per bag: the most a token holds back, and the most nodes one
+/// pool compare-and-swap hands it.
+pub const BAG: usize = 32;
 
 /// `next` value meaning "the pushing task has not yet published the link".
 const PENDING: usize = usize::MAX;
 
-/// A node in a limbo list (or, between uses, in the recycling pool).
+/// A node in a limbo list, a token's bag, or the recycling pool.
 pub struct LimboNode {
-    obj: Option<Erased>,
+    /// Touched only by the node's one owner of the moment: the token
+    /// filling it, or the drain that detached it. A stale pool pop may
+    /// still load `next`, so nobody takes a `&mut` to the whole node.
+    obj: UnsafeCell<Option<Erased>>,
     next: AtomicUsize,
 }
 
 impl LimboNode {
     fn new() -> Box<LimboNode> {
         Box::new(LimboNode {
-            obj: None,
+            obj: UnsafeCell::new(None),
             next: AtomicUsize::new(PENDING),
         })
+    }
+}
+
+/// A token's bag: the chain of filled nodes it has not published yet, and
+/// its stock of empty nodes. It lives in the token's slot. The stock is the
+/// slot holder's alone; the chain is the holder's while `taken` is clear,
+/// and a publisher's while it holds `taken` and the token is unpinned (see
+/// the module docs).
+#[derive(Default)]
+pub(crate) struct OpenBag {
+    taken: AtomicBool,
+    chain: UnsafeCell<Chain>,
+    stock: UnsafeCell<*mut LimboNode>,
+}
+
+// SAFETY: the bag's raw pointers are nodes owned by the bag alone. The stock
+// has one user, the holder of the token slot the bag lives in (tokens are
+// not `Sync`, and a slot has one holder at a time). The chain has one user
+// at a time by the handshake in the module docs. The registry's drop runs
+// only once no token is left.
+unsafe impl Sync for OpenBag {}
+// SAFETY: as above; the nodes carry `Erased` objects, which are `Send`.
+unsafe impl Send for OpenBag {}
+
+/// The filled part of a bag.
+struct Chain {
+    /// Newest filled node; its chain ends at `tail`, whose `next` is
+    /// `PENDING`. Null when the bag is empty.
+    head: *mut LimboNode,
+    tail: *mut LimboNode,
+    len: usize,
+    /// The epoch the holder was pinned in at the bag's latest deletion.
+    epoch: u64,
+    /// Virtual time of the bag's first deletion.
+    first_vtime: u64,
+}
+
+impl Default for Chain {
+    fn default() -> Chain {
+        Chain {
+            head: null_mut(),
+            tail: null_mut(),
+            len: 0,
+            epoch: 0,
+            first_vtime: u64::MAX,
+        }
+    }
+}
+
+impl Drop for OpenBag {
+    fn drop(&mut self) {
+        // The stock's node shells are this bag's to free (the stock is a
+        // chain ending at 0). A filled chain is left only by a leaked token
+        // (a token's drop publishes it, and so do `clear` and every
+        // advance): free its shells too and leak its objects, as
+        // `LimboList`'s drop does.
+        for mut cur in [self.chain.get_mut().head, *self.stock.get_mut()] {
+            while !cur.is_null() && cur as usize != PENDING {
+                // SAFETY: nodes of this bag are its alone, and `&mut self`
+                // means no holder is using it.
+                let node = unsafe { Box::from_raw(cur) };
+                cur = node.next.load(Ordering::Relaxed) as *mut LimboNode;
+            }
+        }
     }
 }
 
@@ -82,22 +218,26 @@ impl LimboList {
         }
     }
 
-    /// Defer `obj`, using `node` (from the pool) as the link. Wait-free:
-    /// one unconditional exchange.
-    pub(crate) fn push_node(&self, mut node: Box<LimboNode>, obj: Erased) {
-        node.obj = Some(obj);
-        node.next.store(PENDING, Ordering::Relaxed);
-        let raw = Box::into_raw(node);
+    /// Splice the chain `head → … → tail` onto the list. Wait-free: one
+    /// unconditional exchange, whatever the chain's length.
+    ///
+    /// # Safety
+    /// The caller owns the chain's nodes, each holds an object, following
+    /// `next` from `head` reaches `tail`, and `tail.next` is `PENDING`.
+    unsafe fn push_chain(&self, head: *mut LimboNode, tail: *mut LimboNode) {
         engine::charge_atomic_u64(here());
-        let old = self.head.swap(raw as u64, Ordering::AcqRel);
+        let old = self.head.swap(head as u64, Ordering::AcqRel);
         // Publish the link; a concurrent drain spins until this lands.
-        unsafe { &*raw }.next.store(old as usize, Ordering::Release);
+        // SAFETY: nodes are only freed when their pool drops.
+        unsafe { &*tail }
+            .next
+            .store(old as usize, Ordering::Release);
     }
 
     /// Detach the entire list (the deletion-phase `pop`): one exchange.
     /// Returns a drain handle that yields the deferred objects and recycles
     /// the nodes into `pool`.
-    pub(crate) fn take(&self) -> TakenList {
+    fn take(&self) -> TakenList {
         engine::charge_atomic_u64(here());
         let head = self.head.swap(0, Ordering::AcqRel);
         TakenList {
@@ -123,7 +263,7 @@ impl Drop for LimboList {
             let node = unsafe { Box::from_raw(cur as *mut LimboNode) };
             cur = node.next.load(Ordering::Relaxed);
             debug_assert!(
-                node.obj.is_none(),
+                node.obj.into_inner().is_none(),
                 "limbo list dropped while still holding deferred objects; \
                  call EpochManager::clear() before dropping the manager"
             );
@@ -133,7 +273,7 @@ impl Drop for LimboList {
 
 /// Iterator over a detached limbo list. Yields each deferred object and
 /// hands the emptied node to the pool it was created with.
-pub(crate) struct TakenList {
+struct TakenList {
     head: usize,
 }
 
@@ -143,9 +283,9 @@ impl TakenList {
     ///
     /// The detached nodes are already a private chain through their `next`
     /// links, so they are emptied in place and go back to the pool together
-    /// (see [`NodePool::put_chain`]). If `sink` panics, the nodes and the
+    /// (see `NodePool::put_chain`). If `sink` panics, the nodes and the
     /// objects not yet handed over are leaked, never freed early.
-    pub(crate) fn drain_into(self, pool: &NodePool, mut sink: impl FnMut(Erased)) -> usize {
+    fn drain_into(self, pool: &NodePool, mut sink: impl FnMut(Erased)) -> usize {
         let head = self.head as *mut LimboNode;
         let mut tail = head;
         let mut cur = head;
@@ -161,10 +301,8 @@ impl TakenList {
                 std::thread::yield_now();
             };
             // SAFETY: `take` detached the list, so this drain is the only
-            // holder of its nodes; nothing else reads or writes `obj` (a
-            // stale `NodePool::get` may still load `next`, hence no `&mut`
-            // to the whole node).
-            let obj = unsafe { (*cur).obj.take() };
+            // holder of its nodes' objects.
+            let obj = unsafe { (*(*cur).obj.get()).take() };
             sink(obj.expect("limbo node without an object"));
             tail = cur;
             cur = next as *mut LimboNode;
@@ -196,23 +334,44 @@ impl NodePool {
         }
     }
 
-    /// Get a node: recycle from the stack or allocate fresh.
-    pub(crate) fn get(&self) -> Box<LimboNode> {
+    /// Pop up to `max` empty nodes with one ABA compare-and-swap, or
+    /// allocate `max` fresh ones when the stack is empty. Returns the first
+    /// of a chain linked through `next` and ending at 0.
+    ///
+    /// Walking the links below the top may read nodes another task has
+    /// popped meanwhile (nodes are only freed when the pool drops); every
+    /// pop and push bumps the ABA counter, so the swap then fails.
+    fn get_chain(&self, max: usize) -> *mut LimboNode {
         loop {
             let snap = self.head.read_aba();
             let top = snap.get_object();
             if top.is_null() {
-                self.created.fetch_add(1, Ordering::Relaxed);
-                return LimboNode::new();
+                self.created.fetch_add(max as u64, Ordering::Relaxed);
+                return (0..max).fold(null_mut(), |next, _| {
+                    let node = LimboNode::new();
+                    node.next.store(next as usize, Ordering::Relaxed);
+                    Box::into_raw(node)
+                });
             }
-            let next = unsafe { top.deref() }.next.load(Ordering::Acquire);
-            let next_ptr = if next == 0 || next == PENDING {
+            let mut last = top.as_ptr();
+            let mut rest = 0;
+            for n in 1..=max {
+                // SAFETY: as above, `last` is a node of this pool.
+                rest = unsafe { &*last }.next.load(Ordering::Acquire);
+                if n == max || rest == 0 || rest == PENDING {
+                    break;
+                }
+                last = rest as *mut LimboNode;
+            }
+            let rest = if rest == 0 || rest == PENDING {
                 GlobalPtr::null()
             } else {
-                GlobalPtr::new(top.locale(), next)
+                GlobalPtr::new(top.locale(), rest)
             };
-            if self.head.compare_and_swap_aba(snap, next_ptr) {
-                return unsafe { Box::from_raw(top.as_ptr()) };
+            if self.head.compare_and_swap_aba(snap, rest) {
+                // SAFETY: the swap made `top..=last` ours.
+                unsafe { &*last }.next.store(0, Ordering::Relaxed);
+                return top.as_ptr();
             }
         }
     }
@@ -223,13 +382,12 @@ impl NodePool {
     ///
     /// # Safety
     /// The caller owns every node of the chain exclusively, each came from
-    /// [`Self::get`] on the current locale and holds no object, and
-    /// following `next` from `head` reaches `tail`.
-    pub(crate) unsafe fn put_chain(&self, head: *mut LimboNode, tail: *mut LimboNode) {
+    /// this pool and holds no object, and following `next` from `head`
+    /// reaches `tail`.
+    unsafe fn put_chain(&self, head: *mut LimboNode, tail: *mut LimboNode) {
         let ptr = GlobalPtr::from_raw_parts(pgas_sim::here(), head);
         // SAFETY: the chain is the caller's until the CAS below publishes it.
         let tail = unsafe { &*tail };
-        debug_assert!(tail.obj.is_none());
         loop {
             let snap = self.head.read_aba();
             let top = snap.get_object();
@@ -269,6 +427,149 @@ impl Drop for NodePool {
     }
 }
 
+/// One locale's limbo: a list per epoch value, the pool their nodes come
+/// from, and the virtual time of the earliest deletion parked in each list.
+pub(crate) struct Limbo {
+    lists: [LimboList; EPOCHS as usize],
+    /// `u64::MAX` while the list holds no published bag. A drain swaps it
+    /// out to report pin-to-reclaim latency
+    /// ([`pgas_sim::telemetry::OpClass::Reclaim`]).
+    first_defer_vtime: [AtomicU64; EPOCHS as usize],
+    pool: NodePool,
+}
+
+impl Limbo {
+    /// Empty lists and pool, homed on the current locale.
+    pub(crate) fn new() -> Limbo {
+        Limbo {
+            lists: Default::default(),
+            first_defer_vtime: [const { AtomicU64::new(u64::MAX) }; EPOCHS as usize],
+            pool: NodePool::new(),
+        }
+    }
+
+    /// Put `obj`, deferred by a token pinned in `epoch`, into that token's
+    /// bag, publishing the bag once full. Returns the number of objects
+    /// published: [`BAG`], 1 when a publisher holds the bag (the deletion
+    /// then goes to the list by itself), or 0.
+    ///
+    /// # Safety
+    /// The caller holds the token whose slot `bag` lives in (a token slot
+    /// has one holder, and tokens are not `Sync`) and has pinned it in
+    /// `epoch`, and `bag` belongs to a slot of this locale.
+    #[inline]
+    pub(crate) unsafe fn defer(&self, bag: &OpenBag, obj: Erased, epoch: u64) -> u64 {
+        // SAFETY: the stock is the holder's alone.
+        let stock = unsafe { &mut *bag.stock.get() };
+        if stock.is_null() {
+            *stock = self.pool.get_chain(BAG);
+        }
+        let node = *stock;
+        // SAFETY: a stock node is the holder's alone.
+        let node_ref = unsafe { &*node };
+        *stock = node_ref.next.load(Ordering::Relaxed) as *mut LimboNode;
+        // SAFETY: as above.
+        unsafe { *node_ref.obj.get() = Some(obj) };
+        // The holder's half of the handshake in the module docs. An
+        // unpinned caller (a bug `defer_delete` debug-asserts) must not
+        // touch the chain either, since nothing excludes publishers then.
+        if epoch == QUIESCENT || bag.taken.load(Ordering::SeqCst) {
+            node_ref.next.store(PENDING, Ordering::Relaxed);
+            let mut single = Chain {
+                head: node,
+                tail: node,
+                len: 1,
+                epoch,
+                first_vtime: vtime::now(),
+            };
+            return self.publish(&mut single);
+        }
+        // SAFETY: `taken` was clear after the pin, so no publisher touches
+        // the chain until the holder unpins.
+        let chain = unsafe { &mut *bag.chain.get() };
+        if chain.head.is_null() {
+            node_ref.next.store(PENDING, Ordering::Relaxed);
+            chain.tail = node;
+            chain.first_vtime = vtime::now();
+        } else {
+            node_ref.next.store(chain.head as usize, Ordering::Relaxed);
+        }
+        chain.head = node;
+        chain.len += 1;
+        chain.epoch = epoch;
+        if chain.len < BAG {
+            return 0;
+        }
+        self.publish(chain)
+    }
+
+    /// Publish the bag of `slot`'s token if the token is not pinned, from
+    /// any task (the publisher's half of the handshake in the module docs).
+    /// Returns the number of objects published: 0 also when the token is
+    /// pinned or another publisher holds the bag. `slot` must be a token
+    /// slot of this locale.
+    pub(crate) fn publish_idle(&self, slot: &TokenSlot) -> u64 {
+        let bag = &slot.bag;
+        if bag
+            .taken
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
+            .is_err()
+        {
+            return 0;
+        }
+        let n = if slot.epoch_fenced() == QUIESCENT {
+            // SAFETY: the token is unpinned and `taken` is ours, so the
+            // holder leaves the chain alone until we clear it.
+            let chain = unsafe { &mut *bag.chain.get() };
+            if chain.head.is_null() {
+                0
+            } else {
+                self.publish(chain)
+            }
+        } else {
+            0
+        };
+        bag.taken.store(false, Ordering::Release);
+        n
+    }
+
+    /// [`Self::publish_idle`] for every token slot of `tokens`, a registry of
+    /// this locale. Returns the number of objects published.
+    pub(crate) fn publish_idle_bags(&self, tokens: &TokenRegistry) -> u64 {
+        tokens.iter().map(|slot| self.publish_idle(slot)).sum()
+    }
+
+    /// Splice the filled chain onto the list of its latest deletion's epoch
+    /// (see the module docs for why that is never early) and empty it.
+    /// Returns the number of objects published.
+    fn publish(&self, chain: &mut Chain) -> u64 {
+        let i = limbo_index(chain.epoch);
+        // SAFETY: the chain is the caller's, every node holds an object,
+        // and its tail's `next` is `PENDING` (set by `defer`).
+        unsafe { self.lists[i].push_chain(chain.head, chain.tail) };
+        // Only the first bag after a drain can lower the stamp, so look
+        // before writing to the locale-shared cell.
+        let stamp = &self.first_defer_vtime[i];
+        if chain.first_vtime < stamp.load(Ordering::Relaxed) {
+            stamp.fetch_min(chain.first_vtime, Ordering::Relaxed);
+        }
+        let n = std::mem::take(&mut chain.len) as u64;
+        chain.head = null_mut();
+        chain.tail = null_mut();
+        n
+    }
+
+    /// Detach the list of `epoch` and drain it into `sink`, recycling its
+    /// nodes. Returns the number of objects drained and the virtual time of
+    /// the earliest deletion among them (`u64::MAX` if none was stamped).
+    pub(crate) fn drain(&self, epoch: u64, sink: impl FnMut(Erased)) -> (u64, u64) {
+        let i = limbo_index(epoch);
+        let first = self.first_defer_vtime[i].swap(u64::MAX, Ordering::Relaxed);
+        let n = self.lists[i].take().drain_into(&self.pool, sink) as u64;
+        (n, first)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,6 +579,28 @@ mod tests {
         Erased::new(alloc_local(rt, v))
     }
 
+    /// Publish `obj` alone, as a token with one deletion does.
+    fn push_one(list: &LimboList, pool: &NodePool, obj: Erased) {
+        let node = pool.get_chain(1);
+        unsafe {
+            *(*node).obj.get() = Some(obj);
+            (*node).next.store(PENDING, Ordering::Relaxed);
+            list.push_chain(node, node);
+        }
+    }
+
+    /// Pop `expect` nodes and return their addresses. Fails if the pool had
+    /// to allocate, i.e. held fewer than that.
+    fn pop_all(pool: &NodePool, expect: u64) -> Vec<usize> {
+        let created = pool.nodes_created();
+        let nodes: Vec<_> = (0..expect).map(|_| pool.get_chain(1) as usize).collect();
+        assert_eq!(pool.nodes_created(), created, "the pool lost a node");
+        for &n in &nodes {
+            drop(unsafe { Box::from_raw(n as *mut LimboNode) });
+        }
+        nodes
+    }
+
     #[test]
     fn push_take_roundtrip() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
@@ -285,7 +608,7 @@ mod tests {
             let pool = NodePool::new();
             let list = LimboList::new();
             for i in 0..5 {
-                list.push_node(pool.get(), erased(&rt, i));
+                push_one(&list, &pool, erased(&rt, i));
             }
             assert!(!list.is_empty());
             let mut got = Vec::new();
@@ -318,7 +641,7 @@ mod tests {
             let list = LimboList::new();
             for round in 0..4 {
                 for i in 0..8 {
-                    list.push_node(pool.get(), erased(&rt, round * 8 + i));
+                    push_one(&list, &pool, erased(&rt, round * 8 + i));
                 }
                 let n = list
                     .take()
@@ -333,18 +656,6 @@ mod tests {
         });
     }
 
-    /// Pop `expect` nodes and return their addresses. Fails if the pool had
-    /// to allocate, i.e. held fewer than that.
-    fn pop_all(pool: &NodePool, expect: u64) -> Vec<usize> {
-        let created = pool.nodes_created();
-        let nodes: Vec<_> = (0..expect).map(|_| pool.get()).collect();
-        assert_eq!(pool.nodes_created(), created, "the pool lost a node");
-        nodes
-            .iter()
-            .map(|n| &**n as *const LimboNode as usize)
-            .collect()
-    }
-
     #[test]
     fn drains_of_zero_one_and_many_nodes_return_each_node_once() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
@@ -353,7 +664,7 @@ mod tests {
             let list = LimboList::new();
             for (round, n) in [0u64, 1, 9, 0, 9, 1].into_iter().enumerate() {
                 for i in 0..n {
-                    list.push_node(pool.get(), erased(&rt, i));
+                    push_one(&list, &pool, erased(&rt, i));
                 }
                 let before = rt.total_comm().cpu_dcas;
                 let drained = list
@@ -377,6 +688,40 @@ mod tests {
     }
 
     #[test]
+    fn get_chain_pops_up_to_max_nodes_with_one_compare_and_swap() {
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let pool = NodePool::new();
+            let list = LimboList::new();
+            for i in 0..5 {
+                push_one(&list, &pool, erased(&rt, i));
+            }
+            list.take()
+                .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
+            let chain_len = |mut cur: *mut LimboNode| {
+                let mut n = 0;
+                while !cur.is_null() {
+                    let node = unsafe { Box::from_raw(cur) };
+                    cur = node.next.load(Ordering::Relaxed) as *mut LimboNode;
+                    n += 1;
+                }
+                n
+            };
+            let before = rt.total_comm().cpu_dcas;
+            assert_eq!(chain_len(pool.get_chain(3)), 3);
+            assert_eq!(
+                rt.total_comm().cpu_dcas - before,
+                2,
+                "one read and one compare-and-swap for three nodes"
+            );
+            assert_eq!(chain_len(pool.get_chain(3)), 2, "all the pool had left");
+            assert_eq!(pool.nodes_created(), 5);
+            assert_eq!(chain_len(pool.get_chain(3)), 3, "an empty pool allocates");
+            assert_eq!(pool.nodes_created(), 8);
+        });
+    }
+
+    #[test]
     fn put_chain_under_concurrent_get_loses_and_duplicates_no_node() {
         // Two lists, used in turn: while the pushers fill one (popping the
         // pool), the drainer empties the other (splicing into it).
@@ -396,7 +741,7 @@ mod tests {
                         if r < ROUNDS {
                             for i in 0..BATCH {
                                 let v = ((r * PUSHERS + t) * BATCH + i) as u64;
-                                lists[r % 2].push_node(pool.get(), erased(&rt, v));
+                                push_one(&lists[r % 2], &pool, erased(&rt, v));
                             }
                         }
                     } else if r > 0 {
@@ -437,7 +782,7 @@ mod tests {
             let per_task = 200;
             rt.coforall_tasks(tasks, |t| {
                 for i in 0..per_task {
-                    list.push_node(pool.get(), erased(&rt, (t * per_task + i) as u64));
+                    push_one(&list, &pool, erased(&rt, (t * per_task + i) as u64));
                 }
             });
             let mut seen = Vec::new();
@@ -459,8 +804,8 @@ mod tests {
         rt.run(|| {
             let pool = NodePool::new();
             let list = LimboList::new();
-            let total = std::sync::atomic::AtomicU64::new(0);
-            let drained = std::sync::atomic::AtomicU64::new(0);
+            let total = AtomicU64::new(0);
+            let drained = AtomicU64::new(0);
             rt.coforall_tasks(5, |t| {
                 if t == 0 {
                     // the taker: repeatedly detach whatever is there
@@ -473,7 +818,7 @@ mod tests {
                     }
                 } else {
                     for i in 0..100 {
-                        list.push_node(pool.get(), erased(&rt, i));
+                        push_one(&list, &pool, erased(&rt, i));
                         total.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -483,10 +828,7 @@ mod tests {
                 .take()
                 .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
             drained.fetch_add(n as u64, Ordering::Relaxed);
-            assert_eq!(
-                drained.load(Ordering::Relaxed),
-                total.load(Ordering::Relaxed)
-            );
+            assert_eq!(drained.into_inner(), total.into_inner());
             assert_eq!(rt.live_objects(), 0);
         });
     }
@@ -495,20 +837,195 @@ mod tests {
     fn push_charges_exactly_one_atomic() {
         let rt = Runtime::cluster(1); // network atomics on
         rt.run(|| {
-            let pool = NodePool::new();
-            let list = LimboList::new();
-            let node = pool.get();
-            let e = erased(&rt, 1);
+            let limbo = Limbo::new();
+            let bag = OpenBag::default();
+            for i in 0..BAG as u64 - 1 {
+                unsafe { limbo.defer(&bag, erased(&rt, i), 1) };
+            }
             rt.reset_metrics();
-            list.push_node(node, e);
+            unsafe { limbo.defer(&bag, erased(&rt, BAG as u64), 1) };
             let s = rt.total_comm();
             assert_eq!(
                 s.rdma_atomics, 1,
-                "deferring is one atomic exchange (plus the pool op, \
-                 already taken before the measurement)"
+                "publishing a full bag is one atomic exchange (its nodes were \
+                 taken from the pool before the measurement)"
             );
-            list.take()
-                .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
+            limbo.drain(1, |e| unsafe { e.run_drop(&rt) });
+        });
+    }
+
+    /// Defer `n` objects through one bag, pinned in epoch 1.
+    fn defer_n(rt: &Runtime, limbo: &Limbo, bag: &OpenBag, from: u64, n: u64) {
+        for i in from..from + n {
+            unsafe { limbo.defer(bag, erased(rt, i), 1) };
+        }
+    }
+
+    #[test]
+    fn an_open_bag_is_invisible_until_published() {
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let limbo = Limbo::new();
+            let tokens = TokenRegistry::new();
+            let slot = tokens.register();
+            defer_n(&rt, &limbo, &slot.bag, 0, BAG as u64 + 5);
+            let (n, _) = limbo.drain(1, |e| unsafe { e.run_drop(&rt) });
+            assert_eq!(n, BAG as u64, "the full bag was published");
+            assert_eq!(rt.live_objects(), 5, "five wait in the open bag");
+            assert_eq!(limbo.publish_idle(slot), 5);
+            assert_eq!(limbo.publish_idle(slot), 0, "nothing left to publish");
+            let (n, _) = limbo.drain(1, |e| unsafe { e.run_drop(&rt) });
+            assert_eq!(n, 5);
+            assert_eq!(rt.live_objects(), 0);
+            tokens.unregister(slot);
+        });
+    }
+
+    #[test]
+    fn a_pinned_token_keeps_its_bag_and_a_taken_bag_is_bypassed() {
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let limbo = Limbo::new();
+            let tokens = TokenRegistry::new();
+            let slot = tokens.register();
+            slot.set_epoch(1);
+            defer_n(&rt, &limbo, &slot.bag, 0, 3);
+            assert_eq!(limbo.publish_idle(slot), 0, "the holder is pinned");
+            // A publisher holding the bag: the holder's next deletion goes
+            // to the list by itself and the chain stays as it was.
+            slot.bag.taken.store(true, Ordering::SeqCst);
+            assert_eq!(unsafe { limbo.defer(&slot.bag, erased(&rt, 3), 1) }, 1);
+            assert_eq!(limbo.publish_idle(slot), 0, "another publisher holds it");
+            slot.bag.taken.store(false, Ordering::SeqCst);
+            let (n, _) = limbo.drain(1, |e| unsafe { e.run_drop(&rt) });
+            assert_eq!(n, 1, "only the bypassing deletion was published");
+            slot.set_epoch(QUIESCENT);
+            assert_eq!(limbo.publish_idle(slot), 3, "unpinned: anybody publishes");
+            let (n, _) = limbo.drain(1, |e| unsafe { e.run_drop(&rt) });
+            assert_eq!(n, 3);
+            assert_eq!(rt.live_objects(), 0);
+            tokens.unregister(slot);
+        });
+    }
+
+    #[test]
+    fn node_count_is_bounded_by_one_bag_per_slot_plus_what_is_outstanding() {
+        // Many live token slots, each deferring one object per round: every
+        // slot's first refill allocates a bag of nodes it mostly keeps in
+        // stock, and from then on every node comes back through the pool.
+        const SLOTS: usize = 64;
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let limbo = Limbo::new();
+            let tokens = TokenRegistry::new();
+            let slots: Vec<&TokenSlot> = (0..SLOTS).map(|_| tokens.register()).collect();
+            let mut after_first = 0;
+            for round in 0..20u64 {
+                for (i, &slot) in slots.iter().enumerate() {
+                    slot.set_epoch(1);
+                    unsafe { limbo.defer(&slot.bag, erased(&rt, round + i as u64), 1) };
+                    slot.set_epoch(QUIESCENT);
+                }
+                for &slot in &slots {
+                    limbo.publish_idle(slot);
+                }
+                let (n, _) = limbo.drain(1, |e| unsafe { e.run_drop(&rt) });
+                assert_eq!(n, SLOTS as u64);
+                let created = limbo.pool.nodes_created();
+                assert!(
+                    created <= (SLOTS * BAG + SLOTS) as u64,
+                    "round {round}: {created} nodes for {SLOTS} slots"
+                );
+                if round == 0 {
+                    after_first = created;
+                }
+                assert_eq!(created, after_first, "round {round}: the node count grew");
+            }
+            for slot in slots {
+                tokens.unregister(slot);
+            }
+            assert_eq!(rt.live_objects(), 0);
+        });
+    }
+
+    #[test]
+    fn a_bag_goes_to_the_list_of_its_latest_deletion() {
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let limbo = Limbo::new();
+            let tokens = TokenRegistry::new();
+            let slot = tokens.register();
+            unsafe { limbo.defer(&slot.bag, erased(&rt, 0), 1) };
+            unsafe { limbo.defer(&slot.bag, erased(&rt, 1), 2) };
+            limbo.publish_idle(slot);
+            let (n1, _) = limbo.drain(1, |_| panic!("epoch 1's list is empty"));
+            assert_eq!(n1, 0);
+            let (n2, first) = limbo.drain(2, |e| unsafe { e.run_drop(&rt) });
+            assert_eq!(n2, 2, "both objects wait for epoch 2's list");
+            assert_ne!(first, u64::MAX, "the bag's first deletion is stamped");
+            assert_eq!(rt.live_objects(), 0);
+            tokens.unregister(slot);
+        });
+    }
+
+    #[test]
+    fn concurrent_bags_publishers_and_drains_lose_and_duplicate_nothing() {
+        // Four holders pin, defer and unpin in a loop while a publisher
+        // keeps publishing their idle bags and a drainer keeps draining, so
+        // the handshake, chained pool pops and chained splices all race.
+        const HOLDERS: usize = 4;
+        const PER_HOLDER: u64 = 3000;
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let limbo = Limbo::new();
+            let tokens = TokenRegistry::new();
+            let slots: Vec<&TokenSlot> = (0..HOLDERS).map(|_| tokens.register()).collect();
+            let done = AtomicUsize::new(0);
+            let seen = parking_lot::Mutex::new(Vec::new());
+            let drain = |got: &mut Vec<u64>| {
+                limbo.drain(1, |e| {
+                    got.push(unsafe { *(e.addr() as *const u64) });
+                    unsafe { e.run_drop(&rt) };
+                })
+            };
+            let published = AtomicU64::new(0);
+            rt.coforall_tasks(HOLDERS + 2, |t| {
+                let mut got = Vec::new();
+                if t < HOLDERS {
+                    let slot = slots[t];
+                    for i in 0..PER_HOLDER {
+                        slot.set_epoch(1);
+                        let obj = erased(&rt, t as u64 * PER_HOLDER + i);
+                        let n = unsafe { limbo.defer(&slot.bag, obj, 1) };
+                        published.fetch_add(n, Ordering::Relaxed);
+                        slot.set_epoch(QUIESCENT);
+                    }
+                    done.fetch_add(1, Ordering::SeqCst);
+                } else if t == HOLDERS {
+                    while done.load(Ordering::SeqCst) < HOLDERS {
+                        for &slot in &slots {
+                            published.fetch_add(limbo.publish_idle(slot), Ordering::Relaxed);
+                        }
+                    }
+                } else {
+                    while done.load(Ordering::SeqCst) < HOLDERS {
+                        drain(&mut got);
+                        std::thread::yield_now();
+                    }
+                }
+                seen.lock().extend(got);
+            });
+            for &slot in &slots {
+                published.fetch_add(limbo.publish_idle(slot), Ordering::Relaxed);
+                tokens.unregister(slot);
+            }
+            let mut seen = seen.into_inner();
+            drain(&mut seen);
+            seen.sort_unstable();
+            let expect: Vec<u64> = (0..HOLDERS as u64 * PER_HOLDER).collect();
+            assert_eq!(seen, expect, "every object drained exactly once");
+            assert_eq!(published.into_inner(), HOLDERS as u64 * PER_HOLDER);
+            assert_eq!(rt.live_objects(), 0);
         });
     }
 }

@@ -5,6 +5,8 @@
 //! remote objects, which removes every communication from the reclamation
 //! path. Use it for structures that never leave one locale.
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -12,8 +14,8 @@ use pgas_sim::engine;
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::{ctx, here, Erased, GlobalPtr, RuntimeHandle};
 
-use crate::limbo::{LimboList, NodePool};
-use crate::math::{limbo_index, next_epoch, reclaim_epoch, EPOCHS};
+use crate::limbo::Limbo;
+use crate::math::{next_epoch, reclaim_epoch, EPOCHS};
 use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
@@ -22,8 +24,7 @@ pub struct LocalEpochManager {
     rt: RuntimeHandle,
     epoch: AtomicU64,
     is_setting_epoch: AtomicU64,
-    limbo: [LimboList; EPOCHS as usize],
-    pool: NodePool,
+    limbo: Limbo,
     tokens: TokenRegistry,
     stats: ReclaimStats,
     observer: OnceLock<Arc<dyn ReclaimObserver>>,
@@ -31,9 +32,11 @@ pub struct LocalEpochManager {
 }
 
 /// RAII registration handle; unregisters (and unpins, if needed) on drop.
+/// `Send` but not `Sync`: its bag has one writer.
 pub struct LocalToken<'a> {
     mgr: &'a LocalEpochManager,
     slot: &'a TokenSlot,
+    _one_writer: PhantomData<Cell<()>>,
 }
 
 impl LocalEpochManager {
@@ -43,8 +46,7 @@ impl LocalEpochManager {
             rt: ctx::current_runtime(),
             epoch: AtomicU64::new(1),
             is_setting_epoch: AtomicU64::new(0),
-            limbo: [LimboList::new(), LimboList::new(), LimboList::new()],
-            pool: NodePool::new(),
+            limbo: Limbo::new(),
             tokens: TokenRegistry::new(),
             stats: ReclaimStats::default(),
             observer: OnceLock::new(),
@@ -73,6 +75,7 @@ impl LocalEpochManager {
         LocalToken {
             mgr: self,
             slot: self.tokens.register(),
+            _one_writer: PhantomData,
         }
     }
 
@@ -85,6 +88,12 @@ impl LocalEpochManager {
     /// Attempt to advance the epoch and reclaim the two-advances-old limbo
     /// list. Non-blocking: returns `false` immediately if another task is
     /// already reclaiming or if some token is pinned in an older epoch.
+    ///
+    /// An advance first publishes the open bag of every token that is not
+    /// pinned, so a token's deletions made before it unpinned are freed by
+    /// two advances, as in the paper. A token pinned at that moment keeps at
+    /// most [`crate::limbo::BAG`] − 1 deletions back, until a later advance
+    /// finds it unpinned or its bag fills.
     pub fn try_reclaim(&self) -> bool {
         engine::charge_atomic_u64(here());
         if self.is_setting_epoch.swap(1, Ordering::SeqCst) != 0 {
@@ -101,6 +110,8 @@ impl LocalEpochManager {
             engine::charge_atomic_u64(here());
             self.epoch.store(new_epoch, Ordering::SeqCst);
             self.stats.bump(Stat::Advances);
+            self.stats
+                .published(self.limbo.publish_idle_bags(&self.tokens));
             if let Some(obs) = self.observer.get() {
                 obs.on_advance(new_epoch);
             }
@@ -116,9 +127,12 @@ impl LocalEpochManager {
         advanced
     }
 
-    /// Reclaim *everything* across all epochs, unconditionally. Only call
-    /// when no other task is using the manager.
+    /// Reclaim *everything* across all epochs, unconditionally, including
+    /// what live unpinned tokens hold in their bags. Only call when no other
+    /// task is using the manager.
     pub fn clear(&self) {
+        self.stats
+            .published(self.limbo.publish_idle_bags(&self.tokens));
         let current = self.epoch.load(Ordering::SeqCst);
         for e in 1..=EPOCHS {
             let freed = self.drain_list(e, current, true);
@@ -129,22 +143,21 @@ impl LocalEpochManager {
     fn drain_list(&self, epoch: u64, current_epoch: u64, during_clear: bool) -> u64 {
         let observer = self.observer.get();
         ctx::with_core(|core, _| {
-            self.limbo[limbo_index(epoch)]
-                .take()
-                .drain_into(&self.pool, |e| {
-                    debug_assert_eq!(
-                        e.owner(),
-                        self.home,
-                        "LocalEpochManager does not handle remote objects"
-                    );
-                    if let Some(obs) = observer {
-                        obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
-                    }
-                    // SAFETY: EBR guarantees no task still holds a
-                    // reference (two epoch advances since logical removal,
-                    // or the caller guaranteed quiescence for clear()).
-                    unsafe { e.run_drop(core) };
-                }) as u64
+            let (n, _) = self.limbo.drain(epoch, |e| {
+                debug_assert_eq!(
+                    e.owner(),
+                    self.home,
+                    "LocalEpochManager does not handle remote objects"
+                );
+                if let Some(obs) = observer {
+                    obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
+                }
+                // SAFETY: EBR guarantees no task still holds a reference
+                // (two epoch advances since logical removal, or the caller
+                // guaranteed quiescence for clear()).
+                unsafe { e.run_drop(core) };
+            });
+            n
         })
     }
 
@@ -199,18 +212,21 @@ impl<'a> LocalToken<'a> {
     }
 
     /// Defer deletion of a (logically removed) local object until no task
-    /// can still hold a reference. Wait-free.
+    /// can still hold a reference. Wait-free: a few stores into the token's
+    /// bag, published by the next advance that finds the token unpinned
+    /// (see [`crate::limbo`]).
     ///
     /// # Panics
     /// In debug builds, if the token is not pinned or the object is remote.
     pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
         let e = self.slot.epoch_relaxed();
         debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
-        self.mgr.stats.bump(Stat::ObjectsDeferred);
         if let Some(obs) = self.mgr.observer.get() {
             obs.on_defer(ptr.addr(), e);
         }
-        self.mgr.limbo[limbo_index(e)].push_node(self.mgr.pool.get(), Erased::new(ptr));
+        // SAFETY: this token holds the slot and is pinned in `e`.
+        let published = unsafe { self.mgr.limbo.defer(&self.slot.bag, Erased::new(ptr), e) };
+        self.mgr.stats.published(published);
     }
 
     /// Forward to [`LocalEpochManager::try_reclaim`] (the paper lets either
@@ -223,8 +239,12 @@ impl<'a> LocalToken<'a> {
 impl Drop for LocalToken<'_> {
     fn drop(&mut self) {
         // Mirrors the managed-class wrapper in the paper: going out of
-        // scope unpins and unregisters automatically.
+        // scope unpins and unregisters automatically. Its bag is published
+        // then (as in `Token`'s drop).
         self.mgr.tokens.unregister(self.slot);
+        self.mgr
+            .stats
+            .published(self.mgr.limbo.publish_idle(self.slot));
     }
 }
 

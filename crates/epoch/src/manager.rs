@@ -30,10 +30,11 @@
 //! No task is spawned, and **the handlers never block or send**:
 //!
 //! * the step-3 handler reads its locale's tokens and replies one `bool`;
-//! * the step-4 handler writes its locale's cached epoch, drains its limbo
-//!   list, frees the objects *its own* locale owns on the spot, and returns
-//!   the rest in its reply (charged on the wire like a PUT of that many
-//!   `Erased` records);
+//! * the step-4 handler writes its locale's cached epoch, publishes the
+//!   open bag of every token of its locale that is not pinned (see
+//!   [`crate::limbo`]), drains its limbo list, frees the objects *its own*
+//!   locale owns on the spot, and returns the rest in its reply (charged on
+//!   the wire like a PUT of that many `Erased` records);
 //! * the winner — a task, which may communicate — then frees what it owns
 //!   of the returned objects inline and sends one bulk-free message per
 //!   remaining owner, so an advance costs at most L−1 bulk frees however
@@ -49,9 +50,13 @@
 //!
 //! `clear` reclaims every limbo list unconditionally, by the same fan-out,
 //! and must only be called in quiescence (single-owner teardown), as in the
-//! paper.
+//! paper. Each handler first publishes the open bag of every unpinned token
+//! of its locale, as an advance does, so a token that is still alive but
+//! unpinned holds nothing back from `clear`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pgas_atomics::AtomicInt;
@@ -60,8 +65,8 @@ use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
 use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeHandle};
 
-use crate::limbo::{LimboList, NodePool};
-use crate::math::{limbo_index, next_epoch, reclaim_epoch, EPOCHS};
+use crate::limbo::Limbo;
+use crate::math::{next_epoch, reclaim_epoch, EPOCHS};
 use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
@@ -80,13 +85,7 @@ struct LocaleInstance {
     locale_epoch: AtomicInt,
     /// Local first-come-first-serve election flag.
     is_setting_epoch: AtomicInt,
-    limbo: [LimboList; EPOCHS as usize],
-    /// Earliest `defer_delete` virtual time still parked in each limbo
-    /// slot (`u64::MAX` when empty). Drains swap it out and report the
-    /// pin-to-reclaim latency to the locale's telemetry registry
-    /// ([`pgas_sim::telemetry::OpClass::Reclaim`]).
-    first_defer_vtime: [AtomicU64; EPOCHS as usize],
-    pool: NodePool,
+    limbo: Limbo,
     tokens: TokenRegistry,
 }
 
@@ -113,11 +112,18 @@ pub struct EpochManager {
 }
 
 /// RAII registration handle for one task (the paper's token, wrapped in a
-/// managed class so scope exit unregisters it).
+/// managed class so scope exit unregisters it). `Send` but not `Sync`: its
+/// bag has one writer.
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<pgas_epoch::Token<'static>>();
+/// ```
 pub struct Token<'a> {
     mgr: &'a EpochManager,
     slot: &'a TokenSlot,
     locale: LocaleId,
+    _one_writer: PhantomData<Cell<()>>,
 }
 
 impl EpochManager {
@@ -133,13 +139,7 @@ impl EpochManager {
         let instances = Privatized::new(&rt, |l| LocaleInstance {
             locale_epoch: AtomicInt::new_on(l, 1),
             is_setting_epoch: AtomicInt::new_on(l, 0),
-            limbo: [LimboList::new(), LimboList::new(), LimboList::new()],
-            first_defer_vtime: [
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-                AtomicU64::new(u64::MAX),
-            ],
-            pool: NodePool::new(),
+            limbo: Limbo::new(),
             tokens: TokenRegistry::new(),
         });
         EpochManager {
@@ -177,6 +177,7 @@ impl EpochManager {
             mgr: self,
             slot: self.instances.get().tokens.register(),
             locale,
+            _one_writer: PhantomData,
         }
     }
 
@@ -194,6 +195,13 @@ impl EpochManager {
     /// `true` if this call advanced the epoch. Non-blocking: callers that
     /// lose either election return immediately. Call it from a task, not
     /// from inside an `on` body (see the module docs).
+    ///
+    /// An advance publishes the open bag of every token that is not pinned
+    /// when the advance reaches its locale, so a token's deletions made
+    /// before it unpinned are freed by two advances, as in the paper. A
+    /// token pinned at that moment keeps at most [`crate::limbo::BAG`] − 1
+    /// deletions back, until a later advance finds it unpinned or its bag
+    /// fills.
     pub fn try_reclaim(&self) -> bool {
         let inst = self.instances.get();
         // Local election: one candidate per locale.
@@ -230,6 +238,8 @@ impl EpochManager {
             let this = self.instances.get();
             // Update each locale's cached epoch.
             this.locale_epoch.write(new_epoch);
+            self.stats
+                .published(this.limbo.publish_idle_bags(&this.tokens));
             let mut rest = Vec::new();
             let n = self.drain_list(this, reclaim_epoch(new_epoch), new_epoch, false, &mut rest);
             Drained::reply(winner, n, rest)
@@ -276,6 +286,8 @@ impl EpochManager {
         let winner = pgas_sim::here();
         let drained = self.rt.on_each_locale(|_| {
             let this = self.instances.get();
+            self.stats
+                .published(this.limbo.publish_idle_bags(&this.tokens));
             let mut rest = Vec::new();
             let mut n = 0;
             for e in 1..=EPOCHS {
@@ -377,23 +389,19 @@ impl EpochManager {
         during_clear: bool,
         rest: &mut Vec<Erased>,
     ) -> u64 {
-        let first_defer =
-            inst.first_defer_vtime[limbo_index(epoch)].swap(u64::MAX, Ordering::Relaxed);
         let observer = self.observer.get();
         let here = pgas_sim::here();
         let mut mine = Vec::new();
-        let n = inst.limbo[limbo_index(epoch)]
-            .take()
-            .drain_into(&inst.pool, |e| {
-                if let Some(obs) = observer {
-                    obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
-                }
-                if e.owner() == here {
-                    mine.push(e);
-                } else {
-                    rest.push(e);
-                }
-            }) as u64;
+        let (n, first_defer) = inst.limbo.drain(epoch, |e| {
+            if let Some(obs) = observer {
+                obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
+            }
+            if e.owner() == here {
+                mine.push(e);
+            } else {
+                rest.push(e);
+            }
+        });
         ctx::with_core(|core, _| {
             // SAFETY: the epoch protocol guarantees no task still holds a
             // reference to anything in a two-advances-old limbo list (or the
@@ -485,29 +493,24 @@ impl<'a> Token<'a> {
     }
 
     /// Defer deletion of a logically-removed object (which may live on any
-    /// locale) until no task can hold a reference. Wait-free: one atomic
-    /// exchange on the local limbo list.
+    /// locale) until no task can hold a reference. Wait-free: a few stores
+    /// into the token's bag, plus one exchange on the local limbo list for
+    /// the deletion that fills it and one pool compare-and-swap per refill
+    /// of the bag's stock (see [`crate::limbo`]; the bag is published by the
+    /// next advance that finds the token unpinned).
     ///
     /// # Panics
     /// In debug builds, if the token is not pinned.
     pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
         let e = self.slot.epoch_relaxed();
         debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
-        self.mgr.stats.bump(Stat::ObjectsDeferred);
         if let Some(obs) = self.mgr.observer.get() {
             obs.on_defer(ptr.addr(), e);
         }
-        let inst = self.mgr.instances.get_for(self.locale);
-        inst.limbo[limbo_index(e)].push_node(inst.pool.get(), Erased::new(ptr));
-        // Remember when this slot first became non-empty so the eventual
-        // drain can report pin-to-reclaim latency (bookkeeping only —
-        // charges no virtual time). Only the first defer after a drain can
-        // lower the stamp, so look before writing to the locale-shared cell.
-        let first = &inst.first_defer_vtime[limbo_index(e)];
-        let now = vtime::now();
-        if now < first.load(Ordering::Relaxed) {
-            first.fetch_min(now, Ordering::Relaxed);
-        }
+        let limbo = &self.mgr.instances.get_for(self.locale).limbo;
+        // SAFETY: this token holds the slot and is pinned in `e`.
+        let published = unsafe { limbo.defer(&self.slot.bag, Erased::new(ptr), e) };
+        self.mgr.stats.published(published);
     }
 
     /// Forward to [`EpochManager::try_reclaim`].
@@ -540,11 +543,11 @@ impl Drop for PinGuard<'_, '_> {
 
 impl Drop for Token<'_> {
     fn drop(&mut self) {
-        self.mgr
-            .instances
-            .get_for(self.locale)
-            .tokens
-            .unregister(self.slot);
+        let inst = self.mgr.instances.get_for(self.locale);
+        inst.tokens.unregister(self.slot);
+        // The slot is unpinned now (unless a new holder took it already, and
+        // then the handshake decides): nothing waits for the next advance.
+        self.mgr.stats.published(inst.limbo.publish_idle(self.slot));
     }
 }
 
@@ -1047,5 +1050,181 @@ mod tests {
         assert_eq!(rt.live_objects(), 1);
         drop(em); // re-enters the runtime to clear
         assert_eq!(rt.live_objects(), 0);
+    }
+
+    #[test]
+    fn a_bag_of_deletions_costs_one_pool_dcas_and_one_exchange() {
+        use crate::limbo::BAG;
+        let rt = Runtime::cluster(2); // network atomics on: every charge counts
+        rt.run(|| {
+            let em = EpochManager::new();
+            let tok = em.register();
+            let mut objs: Vec<_> = (0..2 * BAG as u64).map(|i| alloc_on(&rt, 1, i)).collect();
+            tok.pin();
+            rt.reset_metrics();
+            let counts = || {
+                let s = rt.total_comm();
+                (s.cpu_dcas, s.rdma_atomics, em.stats().objects_deferred)
+            };
+            for _ in 1..BAG {
+                tok.defer_delete(objs.pop().unwrap());
+            }
+            assert_eq!(
+                counts(),
+                (1, 0, 0),
+                "opening the bag read the (empty) pool once; the rest were stores"
+            );
+            tok.defer_delete(objs.pop().unwrap());
+            assert_eq!(counts(), (1, 1, BAG as u64), "the full bag went out");
+            while let Some(o) = objs.pop() {
+                tok.defer_delete(o);
+            }
+            assert_eq!(counts(), (2, 2, 2 * BAG as u64));
+            tok.unpin();
+            drop(tok);
+            em.clear();
+            assert_eq!(rt.live_objects(), 0);
+        });
+    }
+
+    #[test]
+    fn clear_publishes_the_bags_of_live_tokens() {
+        let rt = zrt(2);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let ready = std::sync::Barrier::new(2);
+            let cleared = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                // A task on locale 1 keeps its token, and the five deletions
+                // in its open bag, alive across the clear. A task, not an `on`
+                // body: clear needs locale 1's progress thread.
+                s.spawn(|| {
+                    rt.run_on(1, || {
+                        let tok = em.register();
+                        tok.pin();
+                        for i in 0..5 {
+                            tok.defer_delete(alloc_on(&rt, 0, i));
+                        }
+                        tok.unpin();
+                        ready.wait();
+                        cleared.wait();
+                    });
+                });
+                let tok = em.register();
+                tok.pin();
+                tok.defer_delete(alloc_on(&rt, 1, 5u64));
+                tok.unpin();
+                ready.wait();
+                assert_eq!(rt.live_objects(), 6);
+                em.clear();
+                assert_eq!(rt.live_objects(), 0, "both tokens' bags were cleared");
+                let s = em.stats();
+                assert_eq!((s.objects_deferred, s.objects_reclaimed), (6, 6));
+                cleared.wait();
+            });
+            assert_eq!(em.stats().objects_deferred, 6, "nothing published twice");
+        });
+    }
+
+    #[test]
+    fn an_open_bag_frees_nothing_before_its_latest_deletion_is_two_advances_old() {
+        use pgas_sim::faults::invariants::InvariantChecker;
+        let rt = zrt(2);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let checker = InvariantChecker::new();
+            em.set_observer(checker.clone());
+            let tok = em.register();
+            tok.pin(); // in epoch 1
+            tok.defer_delete(alloc_on(&rt, 1, 0u64));
+            assert!(em.try_reclaim(), "1 → 2; the pinned token keeps its bag");
+            tok.unpin();
+            tok.pin(); // in epoch 2
+            tok.defer_delete(alloc_on(&rt, 1, 1u64)); // into the same open bag
+            tok.unpin();
+            assert!(
+                em.try_reclaim(),
+                "publishes the idle bag, then advances to 3"
+            );
+            assert_eq!(
+                rt.live_objects(),
+                2,
+                "the bag went to epoch 2's list, not epoch 1's, which the \
+                 advance to 3 drained: the paper frees the first object here"
+            );
+            assert!(em.try_reclaim());
+            assert_eq!(rt.live_objects(), 0, "the advance to 1 drains epoch 2's");
+            assert_eq!((checker.defers(), checker.reclaims()), (2, 2));
+            checker.check().expect("no list drained early");
+        });
+    }
+
+    #[test]
+    fn an_advance_publishes_the_bags_of_live_unpinned_tokens_on_every_locale() {
+        let rt = zrt(3);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let ready = std::sync::Barrier::new(3);
+            let reclaimed = std::sync::Barrier::new(3);
+            std::thread::scope(|s| {
+                // Tasks on locales 1 and 2 keep their tokens, and the
+                // deletions in their open bags, alive across the advances.
+                for l in 1..3 {
+                    let (em, rt, ready, reclaimed) = (&em, &rt, &ready, &reclaimed);
+                    s.spawn(move || {
+                        rt.run_on(l, || {
+                            let tok = em.register();
+                            tok.pin();
+                            for i in 0..5 {
+                                tok.defer_delete(alloc_on(rt, 0, i));
+                            }
+                            tok.unpin();
+                            ready.wait();
+                            reclaimed.wait();
+                        });
+                    });
+                }
+                ready.wait();
+                assert_eq!(rt.live_objects(), 10);
+                assert!(em.try_reclaim());
+                assert_eq!(rt.live_objects(), 10, "one advance is not enough");
+                assert!(em.try_reclaim());
+                assert_eq!(rt.live_objects(), 0, "freed on the advance to e+2");
+                let s = em.stats();
+                assert_eq!((s.objects_deferred, s.objects_reclaimed), (10, 10));
+                reclaimed.wait();
+            });
+        });
+    }
+
+    #[test]
+    fn a_token_pinned_at_every_advance_holds_back_at_most_bag_minus_one() {
+        use crate::limbo::BAG;
+        const PER_PIN: u64 = 3;
+        let rt = zrt(1);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let tok = em.register();
+            for round in 0..4 * BAG as u64 {
+                tok.pin();
+                for i in 0..PER_PIN {
+                    tok.defer_delete(alloc_local(&rt, round * PER_PIN + i));
+                }
+                assert!(em.try_reclaim(), "pinned in the current epoch");
+                tok.unpin();
+                // The paper frees all but this pin's deletions here: the
+                // previous pin's epoch is two advances old now.
+                let held_back = (rt.live_objects() as u64)
+                    .checked_sub(PER_PIN)
+                    .expect("this pin's deletions were freed early");
+                assert!(
+                    held_back < BAG as u64,
+                    "round {round}: {held_back} deletions held back"
+                );
+            }
+            assert!(em.try_reclaim(), "finds the token unpinned");
+            assert!(em.try_reclaim());
+            assert_eq!(rt.live_objects(), 0, "nothing held back once unpinned");
+        });
     }
 }

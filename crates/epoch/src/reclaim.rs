@@ -132,6 +132,13 @@ pub trait Reclaimer: Send + Sync {
 
     /// Attempt an advance (EBR) or a full scan (HP). Returns `true` when
     /// the call advanced/freed something.
+    ///
+    /// With the epoch backends, an advance first publishes the open bag of
+    /// every token that is not pinned, so a deletion made before its task
+    /// unpinned is freed two advances later, as in the paper. A task that
+    /// is pinned whenever an advance reaches its locale holds at most
+    /// [`BAG`](crate::limbo::BAG) − 1 deletions back, until an advance
+    /// finds it unpinned or its bag fills.
     fn try_reclaim(&self) -> bool;
 
     /// Reclaim everything unconditionally; callers guarantee quiescence.

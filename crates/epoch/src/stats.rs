@@ -18,9 +18,8 @@ pub(crate) enum Stat {
 const STATS: usize = Stat::HazardProtects as usize + 1;
 
 /// Counters describing what a manager's reclamation machinery has done.
-/// Sharded per recording thread ([`pgas_sim::per_thread`]): `defer_delete`
-/// on every locale bumps `objects_deferred`, and no two threads share the
-/// line it lands on.
+/// Sharded per recording thread ([`pgas_sim::per_thread`]): reclamation on
+/// every locale bumps them, and no two threads share the line it lands on.
 #[derive(Debug)]
 pub struct ReclaimStats(PerThread);
 
@@ -43,7 +42,9 @@ pub struct ReclaimSnapshot {
     pub unsafe_scans: u64,
     /// User objects actually freed.
     pub objects_reclaimed: u64,
-    /// Objects deferred for deletion.
+    /// Objects deferred for deletion. Epoch backends count a token's
+    /// deletions when its bag is published (see [`crate::limbo`]): exact
+    /// once every token has unregistered or `clear` has run.
     pub objects_deferred: u64,
     /// Validated hazard-pointer protections (0 for epoch backends).
     pub hazard_protects: u64,
@@ -56,6 +57,15 @@ impl ReclaimStats {
 
     pub(crate) fn add(&self, stat: Stat, n: u64) {
         self.0.add(stat as usize, n);
+    }
+
+    /// Count `n` deletions whose bag was just published. Most flushes
+    /// publish nothing (every short-lived token flushes on drop), and those
+    /// skip the shard lookup.
+    pub(crate) fn published(&self, n: u64) {
+        if n > 0 {
+            self.add(Stat::ObjectsDeferred, n);
+        }
     }
 
     /// Capture current values.

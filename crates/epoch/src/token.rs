@@ -23,6 +23,8 @@ use pgas_atomics::LocalAtomicAbaObject;
 use pgas_sim::engine;
 use pgas_sim::{here, GlobalPtr};
 
+use crate::limbo::OpenBag;
+
 /// Epoch value meaning "not in any epoch".
 pub const QUIESCENT: u64 = 0;
 
@@ -34,6 +36,9 @@ pub struct TokenSlot {
     alloc_next: AtomicUsize,
     /// Link in the free stack (meaningful only while free).
     free_next: AtomicUsize,
+    /// The holder's open limbo bag (see [`crate::limbo`]). Published by
+    /// the holder when full, by anybody while the slot is unpinned.
+    pub(crate) bag: OpenBag,
 }
 
 impl TokenSlot {
@@ -42,6 +47,7 @@ impl TokenSlot {
             local_epoch: AtomicU64::new(QUIESCENT),
             alloc_next: AtomicUsize::new(0),
             free_next: AtomicUsize::new(0),
+            bag: OpenBag::default(),
         })
     }
 
@@ -55,6 +61,12 @@ impl TokenSlot {
     /// Uncharged read for assertions/diagnostics.
     pub fn epoch_relaxed(&self) -> u64 {
         self.local_epoch.load(Ordering::Relaxed)
+    }
+
+    /// Uncharged sequentially consistent read, for the bag handshake (see
+    /// [`crate::limbo`]).
+    pub(crate) fn epoch_fenced(&self) -> u64 {
+        self.local_epoch.load(Ordering::SeqCst)
     }
 
     /// Charged atomic write of the token's epoch (pin/unpin).

@@ -195,7 +195,8 @@ impl<T: Send, R: Reclaimer> WorkStealingDeque<T, R> {
         self.tops[ctx::here() as usize].read().is_null()
     }
 
-    /// Attempt an epoch advance / hazard scan + reclamation.
+    /// Attempt an epoch advance / hazard scan + reclamation. What it can
+    /// free is stated at [`Reclaimer::try_reclaim`].
     pub fn try_reclaim(&self) -> bool {
         self.em.try_reclaim()
     }

@@ -96,7 +96,8 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeList<K, R> {
         self.len() == 0
     }
 
-    /// Attempt an epoch advance / hazard scan + reclamation.
+    /// Attempt an epoch advance / hazard scan + reclamation. What it can
+    /// free is stated at [`Reclaimer::try_reclaim`].
     pub fn try_reclaim(&self) -> bool {
         self.em.try_reclaim()
     }

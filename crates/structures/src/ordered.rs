@@ -173,7 +173,8 @@ where
         self.len() == 0
     }
 
-    /// Attempt reclamation in every shard.
+    /// Attempt reclamation in every shard. What each can free is stated
+    /// at [`Reclaimer::try_reclaim`].
     pub fn try_reclaim(&self) -> bool {
         let mut any = false;
         for shard in self.shards.iter() {

@@ -192,7 +192,8 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
         }
     }
 
-    /// Attempt an epoch advance / hazard scan + reclamation.
+    /// Attempt an epoch advance / hazard scan + reclamation. What it can
+    /// free is stated at [`Reclaimer::try_reclaim`].
     pub fn try_reclaim(&self) -> bool {
         self.em.try_reclaim()
     }

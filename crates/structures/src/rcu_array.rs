@@ -222,7 +222,7 @@ impl<R: Reclaimer> RcuArray<R> {
     }
 
     /// Attempt an epoch advance / hazard scan (reclaims superseded
-    /// tables).
+    /// tables). What it can free is stated at [`Reclaimer::try_reclaim`].
     pub fn try_reclaim(&self) -> bool {
         self.em.try_reclaim()
     }

@@ -392,7 +392,8 @@ where
         n
     }
 
-    /// Attempt an epoch advance / hazard scan + reclamation.
+    /// Attempt an epoch advance / hazard scan + reclamation. What it can
+    /// free is stated at [`Reclaimer::try_reclaim`].
     pub fn try_reclaim(&self) -> bool {
         self.em.try_reclaim()
     }
