@@ -22,14 +22,9 @@
 //! is no room left for a counter — matching the paper, whose ABA wrapper
 //! is defined over compressed pointers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use pgas_sim::engine;
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
-use pgas_sim::{ctx, GlobalPtr, LocaleId, PointerMode};
-use portable_atomic::AtomicU128;
-
-use crate::seqlock;
+use pgas_sim::{ctx, GlobalPtr, LocaleId, PointerMode, WideCell};
 
 /// A snapshot of an [`AtomicAbaObject`]: the object reference plus the
 /// counter value observed with it.
@@ -86,6 +81,12 @@ fn pack<T>(ptr: GlobalPtr<T>, count: u64) -> u128 {
     ((count as u128) << 64) | ptr.into_bits() as u128
 }
 
+/// `cur` with its pointer word replaced by `ptr` and its counter bumped.
+#[inline]
+fn bumped(cur: u128, ptr: u64) -> u128 {
+    ((((cur >> 64) as u64).wrapping_add(1) as u128) << 64) | ptr as u128
+}
+
 #[inline]
 fn unpack<T>(bits: u128) -> Aba<T> {
     Aba {
@@ -97,13 +98,10 @@ fn unpack<T>(bits: u128) -> Aba<T> {
 /// An atomic object reference with ABA protection (a 128-bit
 /// `{compressed pointer, counter}` pair).
 pub struct AtomicAbaObject<T> {
-    cell: AtomicU128,
-    /// Seqlock word for the versioned fast-read path (see
-    /// [`crate::seqlock`]): odd while a writer's DCAS is in flight, bumped
-    /// to even on completion. Maintained unconditionally (the stores are
-    /// free), consulted only when
+    /// `{counter, pointer}` as one 128-bit [`WideCell`]. Its sequence word
+    /// also backs the versioned fast read, consulted only when
     /// [`pgas_sim::RuntimeConfig::vread_fastpath`] is enabled.
-    seq: AtomicU64,
+    cell: WideCell,
     owner: LocaleId,
     _marker: std::marker::PhantomData<*mut T>,
 }
@@ -140,8 +138,7 @@ impl<T> AtomicAbaObject<T> {
             );
         });
         AtomicAbaObject {
-            cell: AtomicU128::new(pack(ptr, 0)),
-            seq: AtomicU64::new(0),
+            cell: WideCell::new(pack(ptr, 0)),
             owner,
             _marker: std::marker::PhantomData,
         }
@@ -152,13 +149,9 @@ impl<T> AtomicAbaObject<T> {
         self.owner
     }
 
-    /// Run a 128-bit operation on the owner's cell. The closure receives
-    /// the cell together with its seqlock word so writers can bump the
-    /// sequence on the owner side, around the DCAS.
-    fn route<R: Send>(&self, op: impl FnOnce(&AtomicU128, &AtomicU64) -> R + Send) -> R {
-        ctx::with_core(|core, _| {
-            engine::atomic_u128(core, self.owner, || op(&self.cell, &self.seq))
-        })
+    /// Run a 128-bit operation on the owner's cell.
+    fn route<R: Send>(&self, op: impl FnOnce(&WideCell) -> R + Send) -> R {
+        ctx::with_core(|core, _| engine::atomic_u128(core, self.owner, || op(&self.cell)))
     }
 
     // ---- ABA variants -----------------------------------------------
@@ -169,18 +162,14 @@ impl<T> AtomicAbaObject<T> {
     ///
     /// With [`pgas_sim::RuntimeConfig::vread_fastpath`] enabled this is an
     /// optimistic versioned read (sequence-validated two-load window on
-    /// the one-sided GET cost model, see [`crate::seqlock`]); a torn
-    /// window beyond the retry budget falls back to the DCAS path below.
+    /// the one-sided GET cost model, see [`pgas_sim::engine::vread_u128`]);
+    /// a torn window beyond the retry budget falls back to the DCAS path
+    /// below.
     pub fn read_aba(&self) -> Aba<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
         pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
-            let fast = ctx::with_core(|core, _| {
-                seqlock::fast_read(core, self.owner, &self.seq, &self.cell)
-            });
-            if let Some(bits) = fast {
-                return unpack(bits);
-            }
-            unpack(self.route(|c, _| c.load(Ordering::SeqCst)))
+            let fast = ctx::with_core(|core, _| engine::vread_u128(core, self.owner, &self.cell));
+            unpack(fast.unwrap_or_else(|| self.route(WideCell::load)))
         })
     }
 
@@ -190,12 +179,7 @@ impl<T> AtomicAbaObject<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::CAS, 0);
         let e = pack(expected.ptr, expected.count);
         let n = pack(new, expected.count.wrapping_add(1));
-        self.route(move |c, s| {
-            seqlock::write_locked(s, || {
-                c.compare_exchange(e, n, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            })
-        })
+        self.route(move |c| c.compare_exchange(e, n).is_ok())
     }
 
     /// Atomically swap in `new`, bumping the counter; returns the previous
@@ -203,19 +187,7 @@ impl<T> AtomicAbaObject<T> {
     pub fn exchange_aba(&self, new: GlobalPtr<T>) -> Aba<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::EXCHANGE, 0);
         let bits = new.into_bits();
-        unpack(self.route(move |c, s| {
-            seqlock::write_locked(s, || {
-                let mut cur = c.load(Ordering::SeqCst);
-                loop {
-                    let next =
-                        ((((cur >> 64) as u64).wrapping_add(1) as u128) << 64) | bits as u128;
-                    match c.compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-                        Ok(old) => return old,
-                        Err(now) => cur = now,
-                    }
-                }
-            })
-        }))
+        unpack(self.route(move |c| c.update(|cur| bumped(cur, bits))))
     }
 
     /// Atomically store `new`, bumping the counter.
@@ -231,16 +203,12 @@ impl<T> AtomicAbaObject<T> {
     pub fn read(&self) -> GlobalPtr<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
         pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
-            // SAFETY of the narrow read: the low half of the 128-bit cell
-            // is itself 8-byte aligned, and a racing DCAS replaces the pair
-            // atomically, so a 64-bit load observes a pointer word that was
-            // current at some point — the same guarantee an RDMA GET of the
-            // low word gives on real hardware. We express it as a full
-            // 128-bit load and truncate, which is what portable-atomic can
-            // do losslessly on every target.
-            let bits = ctx::with_core(|core, _| {
-                engine::atomic_u64(core, self.owner, || self.cell.load(Ordering::SeqCst) as u64)
-            });
+            // The low half alone is the pointer word, and an update writes
+            // it once, so this 64-bit load observes a pointer that was
+            // current at some point — the guarantee an RDMA GET of the low
+            // word gives on real hardware.
+            let bits =
+                ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || self.cell.lo()));
             GlobalPtr::from_bits(bits)
         })
     }
@@ -262,7 +230,7 @@ impl<T> AtomicAbaObject<T> {
     /// may run outside any locale context; callers must be sure no other
     /// task is mutating the cell.
     pub fn read_untracked(&self) -> GlobalPtr<T> {
-        GlobalPtr::from_bits(self.cell.load(Ordering::SeqCst) as u64)
+        GlobalPtr::from_bits(self.cell.lo())
     }
 
     /// Pointer-only compare-and-swap: succeeds when the *pointer* matches,
@@ -272,20 +240,9 @@ impl<T> AtomicAbaObject<T> {
     pub fn compare_and_swap(&self, expected: GlobalPtr<T>, new: GlobalPtr<T>) -> bool {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::CAS, 0);
         let (e, n) = (expected.into_bits(), new.into_bits());
-        self.route(move |c, s| {
-            seqlock::write_locked(s, || {
-                let mut cur = c.load(Ordering::SeqCst);
-                loop {
-                    if cur as u64 != e {
-                        return false;
-                    }
-                    let next = ((((cur >> 64) as u64).wrapping_add(1) as u128) << 64) | n as u128;
-                    match c.compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-                        Ok(_) => return true,
-                        Err(now) => cur = now,
-                    }
-                }
-            })
+        self.route(move |c| {
+            let prev = c.update(|cur| if cur as u64 == e { bumped(cur, n) } else { cur });
+            prev as u64 == e
         })
     }
 }
@@ -302,6 +259,7 @@ impl<T> std::fmt::Debug for AtomicAbaObject<T> {
 mod tests {
     use super::*;
     use pgas_sim::{alloc_local, free, Runtime, RuntimeConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn read_aba_starts_at_count_zero() {
@@ -468,11 +426,26 @@ mod tests {
         );
         rt.run(|| {
             let cell = AtomicAbaObject::<u64>::new_on(1, GlobalPtr::null());
-            // Wedge the sequence odd: a writer forever in flight, so every
-            // optimistic attempt sees a torn window.
-            cell.seq.fetch_add(1, Ordering::SeqCst);
-            rt.reset_metrics();
-            let s = cell.read_aba();
+            // Wedge the sequence odd: a writer in flight until the read has
+            // fallen back, so every optimistic attempt sees a torn window.
+            // The DCAS fallback then waits on that writer, like any DCAS.
+            let wedged = AtomicBool::new(false);
+            let s = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    cell.cell.update(|cur| {
+                        wedged.store(true, Ordering::SeqCst);
+                        while rt.total_comm().vread_fallbacks < 1 {
+                            std::thread::yield_now();
+                        }
+                        cur
+                    })
+                });
+                while !wedged.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                rt.reset_metrics();
+                cell.read_aba()
+            });
             assert!(s.is_null(), "fallback still returns the right value");
             let stats = rt.total_comm();
             assert_eq!(stats.vread_fast, 0);

@@ -21,10 +21,11 @@
 //! through the cell adds one GET, in exchange for keeping the hot CAS on
 //! the NIC fast path at any machine scale.
 //!
-//! Relation to the versioned fast-read path ([`crate::seqlock`]): both
-//! attack the same cost — wide reads paying the DCAS active-message round
-//! trip — from opposite ends. The seqlock keeps the 128-bit cell and
-//! validates an optimistic two-load window against a sequence word;
+//! Relation to the versioned fast-read path
+//! ([`pgas_sim::engine::vread_u128`]): both attack the same cost — wide
+//! reads paying the DCAS active-message round trip — from opposite ends.
+//! The seqlock keeps the 128-bit [`pgas_sim::WideCell`] and validates an
+//! optimistic two-load window against its sequence word;
 //! descriptors shrink the cell itself to one RDMA-able word. A descriptor
 //! read therefore needs no sequence validation of its own: the cell load
 //! is a single 64-bit atomic (it cannot tear) and the generation stamp

@@ -21,19 +21,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgas_sim::engine;
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
-use pgas_sim::{ctx, GlobalPtr, LocaleId, PointerMode, WideGlobalPtr};
-use portable_atomic::AtomicU128;
-
-use crate::seqlock;
+use pgas_sim::{ctx, GlobalPtr, LocaleId, PointerMode, WideCell, WideGlobalPtr};
 
 /// Storage for the object word: one compressed word, or the full wide
-/// pair glued into a `u128` (`high = locality`, `low = address`) together
-/// with the seqlock word that backs the versioned fast-read path (see
-/// [`crate::seqlock`]; maintained unconditionally, consulted only when
-/// [`pgas_sim::RuntimeConfig::vread_fastpath`] is on).
+/// pair glued into a `u128` (`high = locality`, `low = address`) in a
+/// [`WideCell`], whose sequence word also backs the versioned fast read
+/// (consulted only when [`pgas_sim::RuntimeConfig::vread_fastpath`] is on).
 enum Repr {
     Compressed(AtomicU64),
-    Wide { cell: AtomicU128, seq: AtomicU64 },
+    Wide(WideCell),
 }
 
 fn wide_to_u128<T>(p: WideGlobalPtr<T>) -> u128 {
@@ -80,10 +76,7 @@ impl<T> AtomicObject<T> {
         let mode = ctx::with_core(|core, _| core.config.pointer_mode);
         let repr = match mode {
             PointerMode::Compressed => Repr::Compressed(AtomicU64::new(ptr.into_bits())),
-            PointerMode::Wide => Repr::Wide {
-                cell: AtomicU128::new(wide_to_u128(ptr.widen())),
-                seq: AtomicU64::new(0),
-            },
+            PointerMode::Wide => Repr::Wide(WideCell::new(wide_to_u128(ptr.widen()))),
         };
         AtomicObject {
             repr,
@@ -103,7 +96,7 @@ impl<T> AtomicObject<T> {
     }
 
     /// Run a wide (128-bit) operation on the owner's cell.
-    fn route128<R: Send>(&self, cell: &AtomicU128, op: impl FnOnce(&AtomicU128) -> R + Send) -> R {
+    fn route128<R: Send>(&self, cell: &WideCell, op: impl FnOnce(&WideCell) -> R + Send) -> R {
         ctx::with_core(|core, _| engine::atomic_u128(core, self.owner, || op(cell)))
     }
 
@@ -114,7 +107,7 @@ impl<T> AtomicObject<T> {
     /// In wide mode with [`pgas_sim::RuntimeConfig::vread_fastpath`]
     /// enabled, the read is an optimistic versioned (seqlock) read on the
     /// one-sided GET cost model, falling back to the DCAS path after the
-    /// retry budget (see [`crate::seqlock`]).
+    /// retry budget (see [`pgas_sim::engine::vread_u128`]).
     pub fn read(&self) -> GlobalPtr<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
         pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
@@ -122,13 +115,9 @@ impl<T> AtomicObject<T> {
                 Repr::Compressed(c) => {
                     GlobalPtr::from_bits(self.route64(c, |c| c.load(Ordering::SeqCst)))
                 }
-                Repr::Wide { cell, seq } => {
-                    let fast =
-                        ctx::with_core(|core, _| seqlock::fast_read(core, self.owner, seq, cell));
-                    let bits = match fast {
-                        Some(bits) => bits,
-                        None => self.route128(cell, |c| c.load(Ordering::SeqCst)),
-                    };
+                Repr::Wide(cell) => {
+                    let fast = ctx::with_core(|core, _| engine::vread_u128(core, self.owner, cell));
+                    let bits = fast.unwrap_or_else(|| self.route128(cell, WideCell::load));
                     wide_ptr_to_global(u128_to_wide::<T>(bits))
                 }
             }
@@ -143,10 +132,10 @@ impl<T> AtomicObject<T> {
                 let bits = ptr.into_bits();
                 self.route64(c, move |c| c.store(bits, Ordering::SeqCst))
             }
-            Repr::Wide { cell, seq } => {
+            Repr::Wide(cell) => {
                 let bits = wide_to_u128(ptr.widen());
                 self.route128(cell, move |c| {
-                    seqlock::write_locked(seq, || c.store(bits, Ordering::SeqCst))
+                    c.update(|_| bits);
                 })
             }
         }
@@ -160,11 +149,9 @@ impl<T> AtomicObject<T> {
                 let bits = ptr.into_bits();
                 GlobalPtr::from_bits(self.route64(c, move |c| c.swap(bits, Ordering::SeqCst)))
             }
-            Repr::Wide { cell, seq } => {
+            Repr::Wide(cell) => {
                 let bits = wide_to_u128(ptr.widen());
-                let old = self.route128(cell, move |c| {
-                    seqlock::write_locked(seq, || c.swap(bits, Ordering::SeqCst))
-                });
+                let old = self.route128(cell, move |c| c.update(|_| bits));
                 wide_ptr_to_global(u128_to_wide::<T>(old))
             }
         }
@@ -187,15 +174,11 @@ impl<T> AtomicObject<T> {
                 .map(GlobalPtr::from_bits)
                 .map_err(GlobalPtr::from_bits)
             }
-            Repr::Wide { cell, seq } => {
+            Repr::Wide(cell) => {
                 let (e, n) = (wide_to_u128(expected.widen()), wide_to_u128(new.widen()));
-                self.route128(cell, move |c| {
-                    seqlock::write_locked(seq, || {
-                        c.compare_exchange(e, n, Ordering::SeqCst, Ordering::SeqCst)
-                    })
-                })
-                .map(|b| wide_ptr_to_global(u128_to_wide::<T>(b)))
-                .map_err(|b| wide_ptr_to_global(u128_to_wide::<T>(b)))
+                self.route128(cell, move |c| c.compare_exchange(e, n))
+                    .map(|b| wide_ptr_to_global(u128_to_wide::<T>(b)))
+                    .map_err(|b| wide_ptr_to_global(u128_to_wide::<T>(b)))
             }
         }
     }
@@ -211,9 +194,7 @@ impl<T> AtomicObject<T> {
     pub fn read_untracked(&self) -> GlobalPtr<T> {
         match &self.repr {
             Repr::Compressed(c) => GlobalPtr::from_bits(c.load(Ordering::SeqCst)),
-            Repr::Wide { cell, .. } => {
-                wide_ptr_to_global(u128_to_wide::<T>(cell.load(Ordering::SeqCst)))
-            }
+            Repr::Wide(cell) => wide_ptr_to_global(u128_to_wide::<T>(cell.load())),
         }
     }
 }
@@ -230,7 +211,7 @@ impl<T> std::fmt::Debug for AtomicObject<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mode = match self.repr {
             Repr::Compressed(_) => "compressed",
-            Repr::Wide { .. } => "wide",
+            Repr::Wide(_) => "wide",
         };
         f.debug_struct("AtomicObject")
             .field("owner", &self.owner)

@@ -52,7 +52,6 @@ pub mod compression;
 pub mod descriptor;
 pub mod global;
 pub mod local;
-pub(crate) mod seqlock;
 
 pub use aba::{Aba, AtomicAbaObject};
 pub use atomic_int::AtomicInt;

@@ -305,10 +305,14 @@ impl EpochManager {
     /// is zero advances old, so pinned tasks may still hold references).
     /// Exists so chaos suites can prove the invariant checker detects real
     /// reclamation bugs rather than vacuously passing; never call it in
-    /// real workloads.
+    /// real workloads. Like an advance, it first publishes the bags of the
+    /// locale's unpinned tokens, so a deletion still in a live token's bag
+    /// is freed early too.
     #[doc(hidden)]
     pub fn debug_reclaim_current_epoch_early(&self) -> u64 {
         let inst = self.instances.get();
+        self.stats
+            .published(inst.limbo.publish_idle_bags(&inst.tokens));
         let e = inst.locale_epoch.read();
         let mut rest = Vec::new();
         let n = self.drain_list(inst, e, e, false, &mut rest);
@@ -689,6 +693,31 @@ mod tests {
             // zero advances. The objects really are freed (no task holds a
             // reference here), but the checker must flag the protocol
             // violation.
+            let freed = em.debug_reclaim_current_epoch_early();
+            assert_eq!(freed, 1);
+            let errs = checker.check().unwrap_err();
+            assert!(
+                errs.iter().any(|e| e.contains("early reclamation")),
+                "checker must catch the planted early free: {errs:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn early_reclamation_is_caught_while_the_token_stays_registered() {
+        // Twin of the test above with the token kept alive: its one
+        // deletion is still in the token's open bag when the planted bug
+        // runs, as in the chaos self-test.
+        use pgas_sim::faults::invariants::InvariantChecker;
+        let rt = zrt(2);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let checker = InvariantChecker::new();
+            em.set_observer(checker.clone());
+            let tok = em.register();
+            tok.pin();
+            tok.defer_delete(alloc_local(&rt, 7u64));
+            tok.unpin();
             let freed = em.debug_reclaim_current_epoch_early();
             assert_eq!(freed, 1);
             let errs = checker.check().unwrap_err();

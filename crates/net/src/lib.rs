@@ -57,14 +57,14 @@
 //! that both observed the same even sequence and the same low half. The
 //! two GETs are pipelined on one connection, so the attempt costs one round
 //! trip, but they remain two reads of the owner's memory: the window
-//! between them is real concurrency against [`SymHeap::wide_dcas`] running
+//! between them is real concurrency against a [`WideCell::update`] running
 //! on another reader thread or on the owner itself, not a model artifact.
 //! The data words are read before the sequence is read again, as in any
 //! seqlock: a GET loads its words once each in ascending address order
 //! ([`SymHeap::read_bytes`]) and a connection is served in request order.
 //!
 //! [`SymHeap`]: pgas_sim::symheap::SymHeap
-//! [`SymHeap::wide_dcas`]: pgas_sim::symheap::SymHeap::wide_dcas
+//! [`WideCell::update`]: pgas_sim::symheap::WideCell::update
 //! [`SymHeap::read_bytes`]: pgas_sim::symheap::SymHeap::read_bytes
 
 pub mod wire;

@@ -29,12 +29,13 @@
 //! a process reaches it with a plain CPU instruction — counted, never
 //! priced, never through the NIC.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::ctx;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
 use crate::stats::Counter;
+use crate::symheap::WideCell;
 use crate::telemetry::{OpClass, Span};
 use crate::vtime;
 
@@ -242,21 +243,21 @@ pub fn debug_vread_skip_validate(on: bool) -> bool {
     VREAD_SKIP_VALIDATE.swap(on, Ordering::SeqCst)
 }
 
-/// Optimistic versioned (seqlock) read of a 128-bit cell owned by `owner`,
-/// paired with sequence word `seq` and read through `load`. Idempotent,
-/// hence drop/retry-eligible under fault injection.
+/// Optimistic versioned (seqlock) read of the [`WideCell`] `cell` owned by
+/// `owner`. Idempotent, hence drop/retry-eligible under fault injection.
 ///
-/// Each attempt loads the sequence word, composes the payload from **two**
-/// separate loads of the cell (low half first, high half second — modeling
-/// that one-sided GETs cannot read 128 bits atomically, which is the whole
-/// reason the protocol validates), then re-loads the sequence. The attempt
-/// succeeds when the sequence was even and unchanged; a torn window bumps
+/// Returns `None` at once when
+/// [`crate::config::RuntimeConfig::vread_fastpath`] is off. Otherwise each
+/// attempt loads the sequence word, then the low half, then the high half
+/// — two separate loads, modeling that one-sided GETs cannot read 128 bits
+/// atomically, which is the whole reason the protocol validates — and then
+/// validates the sequence ([`WideCell::validate`]). The attempt succeeds
+/// when the sequence was even and unchanged; a torn window bumps
 /// `vread_retries` and retries. After `vread_max_tries` failed attempts the
 /// read escalates (`vread_fallbacks`) and returns `None` — the caller must
 /// fall back to the DCAS slow path ([`crate::engine::atomic_u128`]), which
-/// is also the path writers still take (writers bump the sequence to odd
-/// before and even after their DCAS, so they remain the linearization
-/// point).
+/// is also the path writers take ([`WideCell::update`] holds the sequence
+/// odd for the whole write, so writers remain the linearization point).
 ///
 /// Cost model: each attempt is a one-sided GET of `VREAD_BYTES`
 /// (`rma_ns` + bandwidth term) when remote — the same wire class the
@@ -267,12 +268,10 @@ pub fn debug_vread_skip_validate(on: bool) -> bool {
 /// [`OpClass::VersionedRead`] histogram and emits a `versioned_read` span;
 /// fallbacks record nothing here (the DCAS slow path keeps its existing
 /// handler-class accounting).
-pub fn vread_u128(
-    core: &RuntimeCore,
-    owner: LocaleId,
-    seq: &AtomicU64,
-    load: &dyn Fn() -> u128,
-) -> Option<u128> {
+pub fn vread_u128(core: &RuntimeCore, owner: LocaleId, cell: &WideCell) -> Option<u128> {
+    if !core.config.vread_fastpath {
+        return None;
+    }
     let here = ctx::here();
     if core.confined_to_rank(owner) {
         // A process reads its own cell through the DCAS path.
@@ -295,22 +294,18 @@ pub fn vread_u128(
             vtime::charge_sampled(stats, OpClass::Get, rma_cost(core, VREAD_BYTES));
             inject_one_sided_faults(core, owner, rma_cost(core, VREAD_BYTES));
         }
-        let s1 = seq.load(Ordering::SeqCst);
-        let lo = load() as u64;
+        let s1 = cell.seq();
+        let lo = cell.lo();
         if skip_validate {
             // Planted bug: widen the window between the two half-loads so
-            // a concurrent writer's DCAS lands between them and the
+            // a concurrent writer's update lands between them and the
             // composed payload is genuinely mixed.
             std::thread::yield_now();
         }
-        let hi = (load() >> 64) as u64;
+        let hi = cell.hi();
         let payload = ((hi as u128) << 64) | lo as u128;
-        let valid = if skip_validate {
-            true // the bug: accept without re-validating the sequence
-        } else {
-            let s2 = seq.load(Ordering::SeqCst);
-            s1 & 1 == 0 && s1 == s2
-        };
+        // The bug accepts without re-validating the sequence.
+        let valid = skip_validate || cell.validate(s1);
         if valid {
             stats.add(Counter::VreadFast, 1);
             let end = vtime::now();

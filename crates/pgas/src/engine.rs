@@ -85,8 +85,8 @@ pub trait CommEngine: Send + Sync {
     /// [`crate::symheap::SymOp64`]).
     fn sym_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, op: SymOp64) -> u64;
 
-    /// 128-bit compare-and-swap on the wide seqlock cell at `offset` in
-    /// `owner`'s symmetric heap. Returns `(succeeded, previous value)`.
+    /// 128-bit compare-and-swap on the [`crate::symheap::WideCell`] at
+    /// `offset` in `owner`'s symmetric heap. Returns `(succeeded, previous value)`.
     fn sym_dcas_u128(
         &self,
         core: &RuntimeCore,
@@ -96,7 +96,8 @@ pub trait CommEngine: Send + Sync {
         new: u128,
     ) -> (bool, u128);
 
-    /// Read the wide seqlock cell at `offset` in `owner`'s symmetric heap.
+    /// Read the [`crate::symheap::WideCell`] at `offset` in `owner`'s
+    /// symmetric heap.
     /// With [`crate::config::RuntimeConfig::vread_fastpath`] enabled this
     /// attempts an optimistic versioned read first; otherwise — or once the
     /// retry budget is exhausted — it falls back to a value-preserving
@@ -173,14 +174,9 @@ impl CommEngine for SimEngine {
     }
 
     fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128 {
-        if core.config.vread_fastpath {
-            let heap = &core.locale(owner).sym;
-            let load = || heap.wide_halves(offset);
-            if let Some(v) = vread_u128(core, owner, heap.wide_seq(offset), &load) {
-                return v;
-            }
-        }
-        self.sym_dcas_u128(core, owner, offset, 0, 0).1
+        let cell = core.locale(owner).sym.wide(offset);
+        vread_u128(core, owner, cell)
+            .unwrap_or_else(|| self.sym_dcas_u128(core, owner, offset, 0, 0).1)
     }
 
     fn sym_get(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, out: &mut [u8]) {

@@ -90,5 +90,5 @@ pub use reduce::{all_locales, any_locales, max_locales, min_locales, reduce_loca
 pub use runtime::{Runtime, RuntimeCore, RuntimeHandle};
 pub use shard::ShardRouter;
 pub use stats::{CommSnapshot, Counter, HeapStats};
-pub use symheap::{SymHeap, SymOp64};
+pub use symheap::{SymHeap, SymOp64, WideCell};
 pub use telemetry::TelemetrySnapshot;

@@ -14,18 +14,18 @@
 //!
 //! * **64-bit words** — [`SymHeap::word`] exposes an `AtomicU64`;
 //!   [`SymHeap::apply64`] interprets a [`SymOp64`] descriptor against it.
-//! * **Wide (128-bit) cells** — a 24-byte `[seq][lo][hi]` seqlock cell
-//!   (same discipline as `pgas-atomics`' versioned wide atomics):
-//!   [`SymHeap::wide_dcas`] flips the sequence odd while writing and
-//!   [`SymHeap::wide_load`] spins for a stable even sequence.
-//!   [`SymHeap::wide_halves`] reads the two halves *non-atomically* — the
-//!   torn-window primitive versioned fast reads validate against.
+//! * **Wide (128-bit) cells** — a [`WideCell`], the 24-byte
+//!   `[seq][lo][hi]` seqlock cell that is also every wide atomic in the
+//!   tree (`pgas-atomics`' ABA cells and wide object cells hold one
+//!   inline). [`SymHeap::wide`] returns the cell at an offset;
+//!   [`SymHeap::wide_dcas`] and [`SymHeap::wide_load`] are its
+//!   compare-exchange and stable read.
 //! * **Bytes** — [`SymHeap::read_bytes`]/[`SymHeap::write_bytes`] model
 //!   one-sided PUT/GET payloads. They move whole words relaxed with
 //!   masking at the edges, so concurrent byte traffic is racy-but-defined,
 //!   exactly like real RDMA.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 /// A 64-bit atomic operation descriptor against a symmetric-heap word.
 ///
@@ -55,14 +55,161 @@ pub enum SymOp64 {
 }
 
 /// Bytes occupied by a wide (128-bit seqlock) cell: `[seq][lo][hi]`.
-pub const WIDE_CELL_BYTES: usize = 24;
+pub const WIDE_CELL_BYTES: usize = std::mem::size_of::<WideCell>();
+
+/// A 128-bit atomic: a sequence word followed by the low and high halves
+/// of the value, `[seq][lo][hi]`.
+///
+/// The sequence is both the writers' lock and the readers' version, as in
+/// "Big Atomics" (PAPERS.md, arXiv:2501.07503). A writer holds it odd for
+/// the whole of [`WideCell::update`], the one writer section, and
+/// publishes `seq + 2`. A reader loads the sequence, the two halves and
+/// the sequence again, and keeps the halves only when both sequence loads
+/// agree on one even value ([`WideCell::load`] retries until they do;
+/// [`crate::engine::vread_u128`] prices and counts each attempt). Writers
+/// block one another and a stable read waits out a writer in flight: the
+/// cell has the progress of a lock, like any double-word CAS that no
+/// `cmpxchg16b` backs.
+///
+/// All-zero bits are a valid cell holding 0, so a zeroed symmetric heap
+/// needs no initialization. The layout is fixed (`repr(C)`), because the
+/// process backend reads a remote cell as 24 raw bytes.
+#[repr(C)]
+#[derive(Debug, Default)]
+pub struct WideCell {
+    seq: AtomicU64,
+    lo: AtomicU64,
+    hi: AtomicU64,
+}
+
+#[inline]
+fn join(lo: u64, hi: u64) -> u128 {
+    ((hi as u128) << 64) | lo as u128
+}
+
+impl WideCell {
+    /// A cell holding `v`, sequence 0.
+    pub const fn new(v: u128) -> WideCell {
+        WideCell {
+            seq: AtomicU64::new(0),
+            lo: AtomicU64::new(v as u64),
+            hi: AtomicU64::new((v >> 64) as u64),
+        }
+    }
+
+    /// The sequence word: odd while a writer is inside [`Self::update`].
+    #[inline]
+    pub fn seq(&self) -> u64 {
+        // ORDERING: Acquire pairs with the Release store that ends each
+        // update, so the halves read next are at least that writer's.
+        self.seq.load(Ordering::Acquire)
+    }
+
+    /// The low half, read on its own. Not a snapshot of the pair.
+    #[inline]
+    pub fn lo(&self) -> u64 {
+        // ORDERING: Acquire pairs with the writer's Release fence: a reader
+        // that sees a new half also sees what the writer stored before its
+        // update (the node a pointer names) and the odd sequence.
+        self.lo.load(Ordering::Acquire)
+    }
+
+    /// The high half, read on its own. Not a snapshot of the pair.
+    #[inline]
+    pub fn hi(&self) -> u64 {
+        // ORDERING: as for `lo`.
+        self.hi.load(Ordering::Acquire)
+    }
+
+    /// Whether a read that began at sequence `s1` saw no writer: `s1` was
+    /// even and the sequence has not moved since. Call it after loading
+    /// the halves.
+    #[inline]
+    pub fn validate(&self, s1: u64) -> bool {
+        // ORDERING: the read fence of crossbeam's `SeqLock::validate_read`:
+        // the half loads before it happen before the validating load, so a
+        // half some writer stored forces that writer's odd sequence (or a
+        // later one) on the load below.
+        fence(Ordering::Acquire);
+        // ORDERING: Relaxed suffices behind the fence.
+        s1.is_multiple_of(2) && self.seq.load(Ordering::Relaxed) == s1
+    }
+
+    /// A seqlock-stable read: retries until one read of the two halves
+    /// straddles no writer.
+    pub fn load(&self) -> u128 {
+        loop {
+            let s1 = self.seq();
+            if s1.is_multiple_of(2) {
+                let v = join(self.lo(), self.hi());
+                if self.validate(s1) {
+                    return v;
+                }
+            }
+            std::hint::spin_loop();
+        }
+    }
+
+    /// The one writer section. Takes the sequence odd, passes the current
+    /// value to `f`, writes what `f` returns and publishes `seq + 2`, so an
+    /// optimistic reader that overlapped the section retries even when `f`
+    /// returned the value unchanged. Returns the previous value. `f` must
+    /// not panic: the sequence would stay odd and every later reader and
+    /// writer of the cell would spin.
+    pub fn update(&self, f: impl FnOnce(u128) -> u128) -> u128 {
+        let s = loop {
+            // ORDERING: Relaxed probe; the taking CAS below orders.
+            let s = self.seq.load(Ordering::Relaxed);
+            // ORDERING: Acquire pairs with the previous writer's Release
+            // publication, so the halves read below are its.
+            if s.is_multiple_of(2)
+                && self
+                    .seq
+                    .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                break s;
+            }
+            std::hint::spin_loop();
+        };
+        // ORDERING: the write fence of crossbeam's `SeqLock::write`: the odd
+        // sequence happens before either half store below, for any reader
+        // that observes one of them.
+        fence(Ordering::Release);
+        // ORDERING: Relaxed; this writer holds the sequence.
+        let cur = join(
+            self.lo.load(Ordering::Relaxed),
+            self.hi.load(Ordering::Relaxed),
+        );
+        let new = f(cur);
+        // ORDERING: Relaxed; the fence above and the Release store below
+        // order them for readers.
+        self.lo.store(new as u64, Ordering::Relaxed);
+        self.hi.store((new >> 64) as u64, Ordering::Relaxed);
+        // ORDERING: Release publishes the halves with the even sequence.
+        self.seq.store(s + 2, Ordering::Release);
+        cur
+    }
+
+    /// Install `new` iff the cell holds `expected`: `Ok(previous)` on
+    /// success, `Err(current)` otherwise. Either way it runs one
+    /// [`Self::update`] and bumps the sequence.
+    pub fn compare_exchange(&self, expected: u128, new: u128) -> Result<u128, u128> {
+        let prev = self.update(|cur| if cur == expected { new } else { cur });
+        if prev == expected {
+            Ok(prev)
+        } else {
+            Err(prev)
+        }
+    }
+}
 
 /// One locale's symmetric heap (see the module docs).
 ///
 /// Offsets are byte offsets, 8-aligned for word and wide-cell accessors.
-/// The heap is zero-initialized; a zeroed wide cell is a valid (even
-/// sequence, value 0) seqlock cell, so no initialization round trip is
-/// needed before first use.
+/// The heap is zero-initialized; a zeroed [`WideCell`] is valid (even
+/// sequence, value 0), so no initialization round trip is needed before
+/// first use.
 pub struct SymHeap {
     words: Box<[AtomicU64]>,
     cursor: AtomicUsize,
@@ -138,73 +285,33 @@ impl SymHeap {
         }
     }
 
-    // --- wide (128-bit seqlock) cells: [seq][lo][hi] at a 24-byte block ---
+    // --- wide (128-bit seqlock) cells: a `WideCell` at a 24-byte block ---
 
-    /// The sequence word of the wide cell at `off`.
-    pub fn wide_seq(&self, off: u64) -> &AtomicU64 {
-        self.word(off)
+    /// The [`WideCell`] at byte offset `off` (8-aligned, in range).
+    pub fn wide(&self, off: u64) -> &WideCell {
+        assert!(
+            off.is_multiple_of(8),
+            "symmetric-heap wide cell offset {off} not 8-aligned"
+        );
+        let words = &self.words[(off / 8) as usize..][..3];
+        // SAFETY: `WideCell` is `repr(C)` over three `AtomicU64`s, so it
+        // has the layout and alignment of `words`, which lives as long as
+        // `self`; both are shared views of interior-mutable words.
+        unsafe { &*words.as_ptr().cast::<WideCell>() }
     }
 
-    /// Read the two 64-bit halves of the wide cell *without* seqlock
-    /// validation — two independent relaxed loads, so a concurrent
-    /// [`SymHeap::wide_dcas`] can tear the result. This is the raw `load`
-    /// primitive versioned fast reads wrap with sequence validation.
-    pub fn wide_halves(&self, off: u64) -> u128 {
-        let lo = self.word(off + 8).load(Ordering::Acquire) as u128;
-        let hi = self.word(off + 16).load(Ordering::Acquire) as u128;
-        (hi << 64) | lo
-    }
-
-    /// Seqlock-stable read of the wide cell at `off`: spins until a read
-    /// straddles no writer (even, unchanged sequence).
+    /// Seqlock-stable read of the wide cell at `off` ([`WideCell::load`]).
     pub fn wide_load(&self, off: u64) -> u128 {
-        let seq = self.wide_seq(off);
-        loop {
-            let s1 = seq.load(Ordering::Acquire);
-            if !s1.is_multiple_of(2) {
-                std::hint::spin_loop();
-                continue;
-            }
-            let v = self.wide_halves(off);
-            if seq.load(Ordering::Acquire) == s1 {
-                return v;
-            }
-            std::hint::spin_loop();
-        }
+        self.wide(off).load()
     }
 
-    /// 128-bit compare-and-swap on the wide cell at `off`, serialized
-    /// through the cell's sequence word: the winning writer flips the
-    /// sequence odd, compares-and-maybe-writes the halves, and publishes an
-    /// even sequence again (bumped by 2 whether or not the compare
-    /// succeeded, so optimistic readers that overlapped the window always
-    /// retry). Returns `(succeeded, previous value)`.
+    /// 128-bit compare-and-swap on the wide cell at `off`
+    /// ([`WideCell::compare_exchange`]). Returns `(succeeded, previous
+    /// value)`.
     pub fn wide_dcas(&self, off: u64, expected: u128, new: u128) -> (bool, u128) {
-        let seq = self.wide_seq(off);
-        loop {
-            let s = seq.load(Ordering::Acquire);
-            if !s.is_multiple_of(2) {
-                std::hint::spin_loop();
-                continue;
-            }
-            if seq
-                .compare_exchange(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                std::hint::spin_loop();
-                continue;
-            }
-            // Writer section: we hold the odd sequence.
-            let cur = ((self.word(off + 16).load(Ordering::Relaxed) as u128) << 64)
-                | self.word(off + 8).load(Ordering::Relaxed) as u128;
-            let ok = cur == expected;
-            if ok {
-                self.word(off + 8).store(new as u64, Ordering::Relaxed);
-                self.word(off + 16)
-                    .store((new >> 64) as u64, Ordering::Relaxed);
-            }
-            seq.store(s + 2, Ordering::Release);
-            return (ok, cur);
+        match self.wide(off).compare_exchange(expected, new) {
+            Ok(prev) => (true, prev),
+            Err(prev) => (false, prev),
         }
     }
 
@@ -382,10 +489,15 @@ mod tests {
         assert_eq!(h.wide_dcas(off, 0, v), (true, 0));
         assert_eq!(h.wide_load(off), v);
         // failed compare leaves the value but still bumps the sequence
-        let s0 = h.wide_seq(off).load(Ordering::Relaxed);
+        let s0 = h.wide(off).seq();
         assert_eq!(h.wide_dcas(off, 1, 2), (false, v));
         assert_eq!(h.wide_load(off), v);
-        assert_eq!(h.wide_seq(off).load(Ordering::Relaxed), s0 + 2);
+        assert_eq!(h.wide(off).seq(), s0 + 2);
+        // The process backend parses a remote cell as `[seq][lo][hi]`.
+        let mut raw = [0u8; WIDE_CELL_BYTES];
+        h.read_bytes(off, &mut raw);
+        let word = |i: usize| u64::from_le_bytes(raw[8 * i..8 * i + 8].try_into().unwrap());
+        assert_eq!((word(0), word(1), word(2)), (s0 + 2, 9, 7));
     }
 
     #[test]
@@ -455,5 +567,35 @@ mod tests {
             assert_eq!(v as u64, (v >> 64) as u64, "stable read tore: {v:#x}");
         }
         writer.join().unwrap();
+    }
+
+    #[test]
+    fn concurrent_updates_exclude_one_another() {
+        // Each update adds one to both halves; an update that overlapped
+        // another would lose an increment or leave the halves apart.
+        const WRITERS: u64 = 2;
+        const UPDATES: u64 = 200_000;
+        let cell = WideCell::default();
+        let one = (1u128 << 64) | 1;
+        let start = std::sync::Barrier::new(WRITERS as usize + 1);
+        std::thread::scope(|s| {
+            for _ in 0..WRITERS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..UPDATES {
+                        cell.update(|cur| cur + one);
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..UPDATES {
+                    let v = cell.load();
+                    assert_eq!(v as u64, (v >> 64) as u64, "stable read tore: {v:#x}");
+                }
+            });
+        });
+        assert_eq!(cell.load(), u128::from(WRITERS * UPDATES) * one);
+        assert_eq!(cell.seq(), 2 * WRITERS * UPDATES);
     }
 }

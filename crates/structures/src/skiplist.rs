@@ -61,12 +61,15 @@ fn new_tower<K>() -> [AtomicObject<Node<K>>; MAX_HEIGHT] {
     std::array::from_fn(|_| AtomicObject::null())
 }
 
-/// Geometric height from a deterministic hash of the node address.
+/// Geometric height from a deterministic hash of the node address. The
+/// hash is SplitMix64's finalizer, which mixes every address bit into every
+/// output bit, so heights do not follow the allocator's stride (a plain
+/// xorshift's low bits track single address bits).
 fn height_for(addr: usize) -> usize {
-    let mut x = addr as u64 ^ 0x9E37_79B9_7F4A_7C15;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
+    let mut x = (addr as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^= x >> 31;
     // count trailing ones of the hash, capped
     ((x.trailing_ones() as usize) + 1).min(MAX_HEIGHT)
 }

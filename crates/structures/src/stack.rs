@@ -20,7 +20,7 @@
 //! `RuntimeConfig::with_vread_fastpath(true)` they ride the versioned
 //! seqlock read (one validated one-sided GET) instead of the DCAS
 //! active-message round trip — no code change here, the cell routes it
-//! (see `pgas-atomics`' `seqlock` module and ablation A10).
+//! (see `pgas_sim::WideCell` and ablation A10).
 
 use std::mem::ManuallyDrop;
 
