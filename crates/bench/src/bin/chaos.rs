@@ -5,8 +5,13 @@
 //!
 //! ```text
 //! cargo run -p pgas-bench --release --bin chaos -- --seed 42
-//! cargo run -p pgas-bench --release --bin chaos -- --seed 7 --workloads queue,map --quick
+//! cargo run -p pgas-bench --release --bin chaos -- --seed 7 --workloads queue,map,smap --quick
 //! ```
+//!
+//! `map` drives the one-sided `DistHashMap`, whose operations run where
+//! they are called; `smap` drives the same script on a `ShardedHashMap`,
+//! whose remote operations run as handlers on the owner's progress thread
+//! under its standing reclaimer registration.
 //!
 //! Every cell of the plan × workload matrix prints one row with the
 //! injection counters and a verdict; the binary exits nonzero if any cell
@@ -44,16 +49,23 @@ enum Workload {
     Queue,
     Stack,
     Map,
+    ShardedMap,
 }
 
 impl Workload {
-    const ALL: [Workload; 3] = [Workload::Queue, Workload::Stack, Workload::Map];
+    const ALL: [Workload; 4] = [
+        Workload::Queue,
+        Workload::Stack,
+        Workload::Map,
+        Workload::ShardedMap,
+    ];
 
     fn label(self) -> &'static str {
         match self {
             Workload::Queue => "queue",
             Workload::Stack => "stack",
             Workload::Map => "map",
+            Workload::ShardedMap => "smap",
         }
     }
 }
@@ -314,7 +326,62 @@ fn stack_cell<R: Reclaimer>(
     (stalled.0, stalled.1, s.reclaimer().stats())
 }
 
-fn map_cell<R: Reclaimer>(
+/// What the map cell drives: the operations `DistHashMap` and
+/// `ShardedHashMap` share, so both run one script.
+trait CellMap<R: Reclaimer>: Sync {
+    fn build() -> Self;
+    fn reclaimer(&self) -> &R;
+    fn register(&self) -> R::Guard<'_>;
+    fn insert(&self, tok: &R::Guard<'_>, k: u64, v: u64) -> bool;
+    fn get(&self, tok: &R::Guard<'_>, k: &u64) -> Option<u64>;
+    fn remove(&self, tok: &R::Guard<'_>, k: &u64) -> bool;
+    fn try_reclaim(&self) -> bool;
+    fn is_empty(&self) -> bool;
+    fn len(&self) -> usize;
+    fn clear_reclaim(&self);
+}
+
+macro_rules! cell_map {
+    ($map:ident) => {
+        impl<R: Reclaimer> CellMap<R> for $map<u64, u64, R> {
+            fn build() -> Self {
+                $map::with_reclaimer(32)
+            }
+            fn reclaimer(&self) -> &R {
+                $map::reclaimer(self)
+            }
+            fn register(&self) -> R::Guard<'_> {
+                $map::register(self)
+            }
+            fn insert(&self, tok: &R::Guard<'_>, k: u64, v: u64) -> bool {
+                $map::insert(self, tok, k, v)
+            }
+            fn get(&self, tok: &R::Guard<'_>, k: &u64) -> Option<u64> {
+                $map::get(self, tok, k)
+            }
+            fn remove(&self, tok: &R::Guard<'_>, k: &u64) -> bool {
+                $map::remove(self, tok, k)
+            }
+            fn try_reclaim(&self) -> bool {
+                $map::try_reclaim(self)
+            }
+            fn is_empty(&self) -> bool {
+                $map::is_empty(self)
+            }
+            fn len(&self) -> usize {
+                $map::len(self)
+            }
+            fn clear_reclaim(&self) {
+                $map::clear_reclaim(self)
+            }
+        }
+    };
+}
+
+cell_map!(DistHashMap);
+cell_map!(ShardedHashMap);
+
+fn map_cell<R: Reclaimer, M: CellMap<R>>(
     rt: &Runtime,
     plan: &FaultPlan,
     checker: &Arc<InvariantChecker>,
@@ -322,7 +389,7 @@ fn map_cell<R: Reclaimer>(
     ops: &AtomicU64,
     log: &FailLog,
 ) -> (u64, u64, ReclaimSnapshot) {
-    let m = DistHashMap::<u64, u64, R>::with_reclaimer(32);
+    let m = M::build();
     m.reclaimer().set_observer(checker.clone());
     let aba = AtomicAbaObject::<u64>::new_on(0, GlobalPtr::null());
     let stalled = drive(rt, plan, m.reclaimer(), |task| {
@@ -377,7 +444,12 @@ fn run_cell<R: Reclaimer>(plan: &FaultPlan, wl: Workload, sc: &Scale) -> CellOut
     let (live_stalled, reclaimed_stalled, reclaim) = rt.run(|| match wl {
         Workload::Queue => queue_cell::<R>(&rt, plan, &checker, sc, &ops, &log),
         Workload::Stack => stack_cell::<R>(&rt, plan, &checker, sc, &ops, &log),
-        Workload::Map => map_cell::<R>(&rt, plan, &checker, sc, &ops, &log),
+        Workload::Map => {
+            map_cell::<R, DistHashMap<u64, u64, R>>(&rt, plan, &checker, sc, &ops, &log)
+        }
+        Workload::ShardedMap => {
+            map_cell::<R, ShardedHashMap<u64, u64, R>>(&rt, plan, &checker, sc, &ops, &log)
+        }
     });
     let mut failures = log.into_inner().unwrap();
     let telemetry = rt.total_telemetry();
@@ -644,7 +716,8 @@ fn main() -> ExitCode {
                         "queue" => Workload::Queue,
                         "stack" => Workload::Stack,
                         "map" => Workload::Map,
-                        other => panic!("unknown workload {other:?} (queue|stack|map)"),
+                        "smap" => Workload::ShardedMap,
+                        other => panic!("unknown workload {other:?} (queue|stack|map|smap)"),
                     })
                     .collect();
             }

@@ -27,13 +27,20 @@
 //!   fleet's slot count — the property ablation A8 measures against
 //!   EBR's unbounded limbo growth under the `stalled_task` plan.
 //!
+//! - **Standing participants.** A handler on a progress thread registers
+//!   the thread's standing participant, taken on its first registration
+//!   and active until the reclaimer drops (the table's `Standing`, shared
+//!   with the token registry). Its guard's drop clears the hazards and
+//!   leaves the record active, so a remote operation allocates nothing and
+//!   searches nothing.
+//!
 //! Stats mapping onto [`ReclaimSnapshot`]: scans count as `advances`,
 //! retires as `objects_deferred`, frees as `objects_reclaimed`,
 //! hazard-blocked frees as `unsafe_scans`, and validated protections as
 //! `hazard_protects`.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
@@ -44,6 +51,7 @@ use pgas_sim::{ctx, vtime, Erased, GlobalPtr, Privatized, RuntimeHandle};
 
 use crate::reclaim::{ReclaimGuard, Reclaimer};
 use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
+use crate::token::Standing;
 
 /// Retired objects a participant accumulates before scanning.
 pub const SCAN_THRESHOLD: usize = 64;
@@ -88,6 +96,8 @@ struct HpLocaleTable {
     head: AtomicUsize,
     /// Participant records ever allocated on this locale.
     allocated: AtomicU64,
+    /// The standing participants of the locale's progress threads.
+    standing: Standing<HpParticipant>,
 }
 
 impl HpLocaleTable {
@@ -125,6 +135,7 @@ impl HazardReclaimer {
         let tables = Privatized::new(&rt, |_| HpLocaleTable {
             head: AtomicUsize::new(0),
             allocated: AtomicU64::new(0),
+            standing: Standing::new(),
         });
         HazardReclaimer {
             rt,
@@ -146,10 +157,17 @@ impl HazardReclaimer {
         }
     }
 
-    /// Register the calling task with its locale's table.
+    /// Register the calling task with its locale's table. A handler on a
+    /// progress thread gets the thread's standing participant.
     pub fn register(&self) -> HpGuard<'_> {
         let table = self.tables.get();
-        // Reuse an inactive participant if any.
+        let (p, standing) = table.standing.register(|| self.activate(table));
+        HpGuard::new(self, p, standing)
+    }
+
+    /// Activate a participant of `table`: an inactive one if any, else a
+    /// new one.
+    fn activate<'t>(&self, table: &'t HpLocaleTable) -> &'t HpParticipant {
         let mut cur = table.head.load(Ordering::Acquire);
         while cur != 0 {
             let p = unsafe { &*(cur as *const HpParticipant) };
@@ -157,7 +175,7 @@ impl HazardReclaimer {
                 .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
-                return HpGuard::new(self, p);
+                return p;
             }
             cur = p.next.load(Ordering::Acquire);
         }
@@ -179,7 +197,7 @@ impl HazardReclaimer {
                 Err(h) => head = h,
             }
         }
-        HpGuard::new(self, p)
+        p
     }
 
     /// Every address currently published in any slot on any locale. Each
@@ -377,6 +395,9 @@ impl Drop for HazardReclaimer {
 pub struct HpGuard<'a> {
     dom: &'a HazardReclaimer,
     participant: &'a HpParticipant,
+    /// The held flag of a progress thread's standing participant, `None`
+    /// for a participant this guard activated.
+    standing: Option<&'a AtomicBool>,
     /// Addresses whose protection has been *validated* per slot (0 =
     /// none) — the observer-facing shadow of the published slots.
     validated: [Cell<usize>; DIST_HP_SLOTS],
@@ -384,10 +405,15 @@ pub struct HpGuard<'a> {
 }
 
 impl<'a> HpGuard<'a> {
-    fn new(dom: &'a HazardReclaimer, participant: &'a HpParticipant) -> HpGuard<'a> {
+    fn new(
+        dom: &'a HazardReclaimer,
+        participant: &'a HpParticipant,
+        standing: Option<&'a AtomicBool>,
+    ) -> HpGuard<'a> {
         HpGuard {
             dom,
             participant,
+            standing,
             validated: std::array::from_fn(|_| Cell::new(0)),
             _not_sync: std::marker::PhantomData,
         }
@@ -534,7 +560,11 @@ impl Drop for HpGuard<'_> {
             }
             self.participant.hazards[slot].store(0, Ordering::SeqCst);
         }
-        self.participant.active.store(0, Ordering::Release);
+        match self.standing {
+            // The standing participant stays active, for its thread.
+            Some(held) => held.store(false, Ordering::Release),
+            None => self.participant.active.store(0, Ordering::Release),
+        }
     }
 }
 

@@ -57,11 +57,15 @@
 //! The holder publishes its bag when it fills. Anybody else may publish it
 //! while its token is *not pinned* (`Limbo::publish_idle`): every epoch
 //! advance does so for each token of the locale before it drains a list,
-//! `clear` does, and a token's drop does. So a token that is unpinned when
-//! an advance reaches its locale holds nothing back from that advance, and
-//! its objects are freed on the same advance as the paper's. A token that
-//! is pinned when an advance passes keeps its open bag, at most `BAG - 1`
-//! objects, until a later advance finds it unpinned or the bag fills.
+//! `clear` does, and the drop of a token whose slot returns to the free
+//! stack does. A progress thread's standing token (see [`crate::token`])
+//! keeps its slot, and its drop publishes nothing: the slot is unpinned
+//! between handlers, so the next advance publishes it, and a bag fills
+//! across many handlers. So a token that is unpinned when an advance
+//! reaches its locale holds nothing back from that advance, and its objects
+//! are freed on the same advance as the paper's. A token that is pinned
+//! when an advance passes keeps its open bag, at most `BAG - 1` objects,
+//! until a later advance finds it unpinned or the bag fills.
 //! crossbeam-epoch pays a similar price for its thread-local bags. The
 //! stock stays with the token slot when its token unregisters, for the
 //! slot's next holder, so a locale holds at most `BAG` idle nodes per token

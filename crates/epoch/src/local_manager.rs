@@ -7,7 +7,7 @@
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pgas_sim::engine;
@@ -36,6 +36,9 @@ pub struct LocalEpochManager {
 pub struct LocalToken<'a> {
     mgr: &'a LocalEpochManager,
     slot: &'a TokenSlot,
+    /// The held flag of a progress thread's standing slot (see
+    /// [`crate::token`]).
+    standing: Option<&'a AtomicBool>,
     _one_writer: PhantomData<Cell<()>>,
 }
 
@@ -70,11 +73,14 @@ impl LocalEpochManager {
         self.rt.clone()
     }
 
-    /// Register the calling task, returning a token to pin.
+    /// Register the calling task, returning a token to pin. A handler on a
+    /// progress thread of the home locale gets the thread's standing slot.
     pub fn register(&self) -> LocalToken<'_> {
+        let (slot, standing) = self.tokens.acquire();
         LocalToken {
             mgr: self,
-            slot: self.tokens.register(),
+            slot,
+            standing,
             _one_writer: PhantomData,
         }
     }
@@ -240,11 +246,12 @@ impl Drop for LocalToken<'_> {
     fn drop(&mut self) {
         // Mirrors the managed-class wrapper in the paper: going out of
         // scope unpins and unregisters automatically. Its bag is published
-        // then (as in `Token`'s drop).
-        self.mgr.tokens.unregister(self.slot);
-        self.mgr
-            .stats
-            .published(self.mgr.limbo.publish_idle(self.slot));
+        // then (as in `Token`'s drop), unless the slot is a standing one.
+        if self.mgr.tokens.release(self.slot, self.standing) {
+            self.mgr
+                .stats
+                .published(self.mgr.limbo.publish_idle(self.slot));
+        }
     }
 }
 

@@ -122,6 +122,9 @@ pub struct EpochManager {
 pub struct Token<'a> {
     mgr: &'a EpochManager,
     slot: &'a TokenSlot,
+    /// The held flag of a progress thread's standing slot, `None` for a
+    /// slot from the free stack (see [`crate::token`]).
+    standing: Option<&'a AtomicBool>,
     locale: LocaleId,
     _one_writer: PhantomData<Cell<()>>,
 }
@@ -170,12 +173,17 @@ impl EpochManager {
         }
     }
 
-    /// Register the calling task with its locale's privatized instance.
+    /// Register the calling task with its locale's privatized instance. A
+    /// handler on a progress thread gets the thread's standing token slot:
+    /// no registry traffic, and its drop only unpins (see
+    /// [`crate::Reclaimer::register`]).
     pub fn register(&self) -> Token<'_> {
         let locale = pgas_sim::here();
+        let (slot, standing) = self.instances.get().tokens.acquire();
         Token {
             mgr: self,
-            slot: self.instances.get().tokens.register(),
+            slot,
+            standing,
             locale,
             _one_writer: PhantomData,
         }
@@ -548,10 +556,12 @@ impl Drop for PinGuard<'_, '_> {
 impl Drop for Token<'_> {
     fn drop(&mut self) {
         let inst = self.mgr.instances.get_for(self.locale);
-        inst.tokens.unregister(self.slot);
-        // The slot is unpinned now (unless a new holder took it already, and
-        // then the handshake decides): nothing waits for the next advance.
-        self.mgr.stats.published(inst.limbo.publish_idle(self.slot));
+        if inst.tokens.release(self.slot, self.standing) {
+            // The slot is unpinned now (unless a new holder took it already,
+            // and then the handshake decides): nothing waits for the next
+            // advance.
+            self.mgr.stats.published(inst.limbo.publish_idle(self.slot));
+        }
     }
 }
 

@@ -16,12 +16,19 @@
 //! [`crate::local_manager::LocalToken`]) unregister automatically on drop —
 //! the paper wraps tokens in a managed class for exactly this reason, so
 //! they compose with `forall ... with (var tok = manager.register())`.
+//!
+//! A progress thread is a task too, one that runs the handlers the locale
+//! is sent, so it registers once: `TokenRegistry::acquire` hands a
+//! handler its thread's **standing** slot (`Standing`), taken from the
+//! free stack on the thread's first registration and kept until the
+//! registry drops. Dropping a standing token unpins the slot and touches
+//! neither list, so a remote operation pays no registration.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use pgas_atomics::LocalAtomicAbaObject;
-use pgas_sim::engine;
-use pgas_sim::{here, GlobalPtr};
+use pgas_sim::{ctx, engine};
+use pgas_sim::{here, GlobalPtr, LocaleId};
 
 use crate::limbo::OpenBag;
 
@@ -76,11 +83,92 @@ impl TokenSlot {
     }
 }
 
-/// The per-locale token registry: free stack + allocated list.
+/// One registration per progress thread of the locale a table was built
+/// on: entry `t` belongs to progress thread `t` (see
+/// [`ctx::progress_thread`]). It has one user at a time because the thread
+/// runs its handlers one at a time, and a `held` flag sends whoever finds
+/// the entry in use, a registration nested in a handler or any after a
+/// guard left its handler, back to the ordinary path. Shared by the token
+/// registry and the hazard-pointer participant tables.
+pub(crate) struct Standing<T> {
+    /// The runtime (its core's address) and locale whose progress threads
+    /// own the entries.
+    runtime: usize,
+    home: LocaleId,
+    entries: Box<[StandingEntry<T>]>,
+}
+
+struct StandingEntry<T> {
+    /// The registration, made on the thread's first use; null before. Only
+    /// the owning thread touches it.
+    reg: AtomicPtr<T>,
+    /// Set while a guard holds the registration. Only the owning thread
+    /// sets it, and only when clear; the guard's drop clears it with
+    /// `Release`, which the `Acquire` load in `take` pairs with, so the next
+    /// holder sees the last one's writes to the registration.
+    held: AtomicBool,
+}
+
+impl<T> Standing<T> {
+    /// A table for the current locale's progress threads; empty off-runtime.
+    pub(crate) fn new() -> Standing<T> {
+        let (runtime, home, threads) = ctx::try_with_core(|core, l| {
+            (core as *const _ as usize, l, core.config.progress_threads)
+        })
+        .unwrap_or((0, 0, 0));
+        Standing {
+            runtime,
+            home,
+            entries: (0..threads)
+                .map(|_| StandingEntry {
+                    reg: AtomicPtr::default(),
+                    held: AtomicBool::new(false),
+                })
+                .collect(),
+        }
+    }
+
+    /// Register the caller: a handler on one of this table's progress
+    /// threads gets the thread's standing registration, marked held, and the
+    /// flag its guard's drop clears; anybody else, and a handler whose
+    /// standing registration is held, gets a fresh one from `fresh`, which
+    /// also makes each thread's standing registration on first use.
+    pub(crate) fn register<'s>(
+        &'s self,
+        fresh: impl Fn() -> &'s T,
+    ) -> (&'s T, Option<&'s AtomicBool>) {
+        match self.take(&fresh) {
+            Some((reg, held)) => (reg, Some(held)),
+            None => (fresh(), None),
+        }
+    }
+
+    fn take<'s>(&'s self, fresh: impl Fn() -> &'s T) -> Option<(&'s T, &'s AtomicBool)> {
+        let t = ctx::progress_thread()?;
+        let ours =
+            ctx::with_core(|core, l| core as *const _ as usize == self.runtime && l == self.home);
+        let e = self.entries.get(t)?;
+        if !ours || e.held.load(Ordering::Acquire) {
+            return None;
+        }
+        e.held.store(true, Ordering::Relaxed);
+        let mut reg = e.reg.load(Ordering::Relaxed);
+        if reg.is_null() {
+            reg = fresh() as *const T as *mut T;
+            e.reg.store(reg, Ordering::Relaxed);
+        }
+        // SAFETY: `reg` came from `fresh`, which lends it for `'s`.
+        Some((unsafe { &*reg }, &e.held))
+    }
+}
+
+/// The per-locale token registry: free stack + allocated list, and the
+/// standing slots of the locale's progress threads.
 pub struct TokenRegistry {
     free_head: LocalAtomicAbaObject<TokenSlot>,
     alloc_head: AtomicUsize,
     allocated: AtomicU64,
+    standing: Standing<TokenSlot>,
 }
 
 impl TokenRegistry {
@@ -90,6 +178,36 @@ impl TokenRegistry {
             free_head: LocalAtomicAbaObject::null(),
             alloc_head: AtomicUsize::new(0),
             allocated: AtomicU64::new(0),
+            standing: Standing::new(),
+        }
+    }
+
+    /// Register the caller: a handler on one of the home locale's progress
+    /// threads gets the thread's standing slot and the flag its token's
+    /// drop clears, anybody else (or a handler whose standing slot is held)
+    /// a slot of its own from [`Self::register`]. Give it back with
+    /// [`Self::release`].
+    pub(crate) fn acquire(&self) -> (&TokenSlot, Option<&AtomicBool>) {
+        self.standing.register(|| self.register())
+    }
+
+    /// Give back what [`Self::acquire`] returned. A standing slot is
+    /// unpinned and stays with its thread, its bag open for the next advance
+    /// to publish; any other goes to the free stack. Returns `true` in the
+    /// second case, when the caller should publish the slot's bag.
+    pub(crate) fn release(&self, slot: &TokenSlot, standing: Option<&AtomicBool>) -> bool {
+        match standing {
+            Some(held) => {
+                if slot.epoch_relaxed() != QUIESCENT {
+                    slot.set_epoch(QUIESCENT);
+                }
+                held.store(false, Ordering::Release);
+                false
+            }
+            None => {
+                self.unregister(slot);
+                true
+            }
         }
     }
 

@@ -13,16 +13,25 @@
 //!    `objects_deferred == objects_reclaimed` and nothing is left live.
 //! 5. **Root protection validates** — `protect_root` on a cell another
 //!    task keeps swapping returns, every time, a value the cell held.
+//! 6. **A handler registers nothing** — remote operations of a
+//!    `ShardedHashMap` allocate no registration beyond one per registering
+//!    task and one per serving progress thread, and the progress thread's
+//!    standing registration holds nothing back: not between handlers, not
+//!    after a rider panicked under it, and not from a guard that left its
+//!    handler, which keeps its registration to itself.
 //!
 //! The suite is written once against the trait and instantiated per
 //! backend, so a future backend inherits the contract for free.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pgas_atomics::AtomicObject;
 use pgas_epoch::{EpochManager, HazardReclaimer, LocalEpochManager, ReclaimGuard, Reclaimer};
-use pgas_sim::{alloc_local, ctx, Runtime, RuntimeConfig};
+use pgas_sim::telemetry::key_hash64;
+use pgas_sim::{alloc_local, alloc_on, ctx, GlobalPtr, Runtime, RuntimeConfig};
+use pgas_structures::ShardedHashMap;
 
 fn zrt(n: usize) -> Runtime {
     Runtime::new(RuntimeConfig::zero_latency(n))
@@ -222,8 +231,197 @@ fn protect_validates_against_racing_swap<R: Reclaimer>() {
     assert_eq!(rt.live_objects(), 0);
 }
 
+/// `try_reclaim` calls after which a deletion made by an unpinned,
+/// unprotected guard is freed: two advances under EBR, one scan under HP.
+fn reclaims_to_free<R: Reclaimer>() -> usize {
+    if R::NEEDS_PROTECT {
+        1
+    } else {
+        2
+    }
+}
+
+/// A `Probe` homed on locale 0 (where every backend, `LocalEpochManager`
+/// included, may free it) in a cell, and the counter of its drops.
+fn probe_cell_on_0(rt: &Runtime) -> (AtomicObject<Probe>, Arc<AtomicU64>) {
+    let drops = Arc::new(AtomicU64::new(0));
+    let probe = Probe {
+        canary: 0xDEAD_BEEF,
+        drops: drops.clone(),
+    };
+    (AtomicObject::new(alloc_on(rt, 0, probe)), drops)
+}
+
+/// Take the object out of `cell` and retire it through a fresh guard of
+/// the calling task.
+fn retire_cell<R: Reclaimer>(em: &R, cell: &AtomicObject<Probe>) {
+    let w = em.register();
+    w.pin();
+    w.defer_delete(cell.exchange(GlobalPtr::null()));
+    w.unpin();
+}
+
+/// Contract 6, the count: 10⁴ remote map operations, every one run by
+/// locale 0's one progress thread for a task on locale 1, leave exactly two
+/// registrations (the task's, the thread's standing one); reclaiming after
+/// them never finds the idle standing registration in the way; and a
+/// remote remove's deletion is freed on the same schedule as a task's.
+fn handler_registrations_stay_put<R: Reclaimer>(allocated: fn(&R) -> u64) {
+    let rt = zrt(2);
+    assert_eq!(rt.config.progress_threads, 1);
+    rt.run(|| {
+        let m = ShardedHashMap::<u64, u64, R>::with_reclaimer(64);
+        let keys: Vec<u64> = (0..)
+            .filter(|k| m.router().owner(key_hash64(k)) == 0)
+            .take(64)
+            .collect();
+        rt.coforall_locales(|l| {
+            if l != 1 {
+                return;
+            }
+            let em = m.reclaimer();
+            let tok = m.register();
+            for (i, &k) in keys.iter().cycle().take(10_000).enumerate() {
+                match i % 3 {
+                    0 => drop(m.insert(&tok, k, i as u64)),
+                    1 => drop(m.get(&tok, &k)),
+                    _ => drop(m.remove(&tok, &k)),
+                }
+                if i % 1000 == 999 {
+                    assert_eq!(
+                        allocated(em),
+                        2,
+                        "{}: after {} ops",
+                        em.backend_name(),
+                        i + 1
+                    );
+                }
+            }
+            assert_eq!(m.shard_snapshot().local_ops, 0, "every op was remote");
+
+            let unsafe_scans = em.stats().unsafe_scans;
+            for _ in 0..3 {
+                assert!(
+                    em.try_reclaim() || R::NEEDS_PROTECT,
+                    "{}",
+                    em.backend_name()
+                );
+            }
+            assert_eq!(
+                em.stats().unsafe_scans,
+                unsafe_scans,
+                "{}: the idle standing registration held something back",
+                em.backend_name()
+            );
+
+            let k = keys[0];
+            m.insert(&tok, k, 0);
+            let live = rt.live_objects();
+            assert!(m.remove(&tok, &k));
+            for round in 0..reclaims_to_free::<R>() {
+                assert_eq!(
+                    rt.live_objects(),
+                    live,
+                    "{}: freed after {round}",
+                    em.backend_name()
+                );
+                assert!(em.try_reclaim());
+            }
+            assert_eq!(
+                rt.live_objects(),
+                live - 1,
+                "{}: the handler's deletion was held back",
+                em.backend_name()
+            );
+            assert_eq!(allocated(em), 2);
+        });
+    });
+    assert_eq!(rt.live_objects(), 0);
+}
+
+/// Contract 6, unwinding: a rider that panics while pinned and protecting
+/// an object leaves its registration neither pinned nor protecting.
+fn panicking_rider_leaves_nothing_pinned<R: Reclaimer>() {
+    let rt = zrt(2);
+    rt.run(|| {
+        let em = R::new_in_runtime();
+        let (cell, drops) = probe_cell_on_0(&rt);
+        rt.coforall_locales(|l| {
+            if l != 1 {
+                return;
+            }
+            let rider = catch_unwind(AssertUnwindSafe(|| {
+                rt.on_combining(0, || {
+                    let g = em.register();
+                    g.pin();
+                    g.protect_root(0, &cell);
+                    panic!("rider boom");
+                })
+            }));
+            assert!(rider.is_err(), "the rider's panic reached its caller");
+            retire_cell(&em, &cell);
+            for _ in 0..reclaims_to_free::<R>() {
+                em.try_reclaim();
+            }
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                1,
+                "{}: the panicked rider's pin or hazard outlived it",
+                em.backend_name()
+            );
+        });
+    });
+    assert_eq!(rt.live_objects(), 0);
+}
+
+/// Contract 6, escape: a guard registered in an `on` body and returned to
+/// the caller keeps the registration it got there, so the next handler on
+/// that progress thread takes a different one and cannot undo the
+/// escaped guard's pin or protection.
+fn escaped_handler_guard_keeps_its_registration<R: Reclaimer>()
+where
+    for<'a> R::Guard<'a>: Send,
+{
+    let rt = zrt(2);
+    rt.run(|| {
+        let em = R::new_in_runtime();
+        let (cell, drops) = probe_cell_on_0(&rt);
+        rt.coforall_locales(|l| {
+            if l != 1 {
+                return;
+            }
+            let escaped = rt.on(0, || em.register());
+            escaped.pin();
+            escaped.protect_root(0, &cell);
+            rt.on(0, || {
+                let g = em.register();
+                g.pin();
+                g.unpin();
+            });
+            retire_cell(&em, &cell);
+            for _ in 0..4 {
+                em.try_reclaim();
+            }
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                0,
+                "{}: freed under the escaped guard",
+                em.backend_name()
+            );
+            escaped.release(0);
+            escaped.unpin();
+            drop(escaped);
+            for _ in 0..reclaims_to_free::<R>() {
+                em.try_reclaim();
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "{}", em.backend_name());
+        });
+    });
+    assert_eq!(rt.live_objects(), 0);
+}
+
 macro_rules! conformance {
-    ($modname:ident, $backend:ty) => {
+    ($modname:ident, $backend:ty, $allocated:expr) => {
         mod $modname {
             use super::*;
 
@@ -251,10 +449,29 @@ macro_rules! conformance {
             fn protect_validates_against_racing_swap() {
                 super::protect_validates_against_racing_swap::<$backend>();
             }
+
+            #[test]
+            fn handler_registrations_stay_put() {
+                super::handler_registrations_stay_put::<$backend>($allocated);
+            }
+
+            #[test]
+            fn panicking_rider_leaves_nothing_pinned() {
+                super::panicking_rider_leaves_nothing_pinned::<$backend>();
+            }
+
+            #[test]
+            fn escaped_handler_guard_keeps_its_registration() {
+                super::escaped_handler_guard_keeps_its_registration::<$backend>();
+            }
         }
     };
 }
 
-conformance!(ebr, EpochManager);
-conformance!(local_ebr, LocalEpochManager);
-conformance!(hp, HazardReclaimer);
+conformance!(ebr, EpochManager, EpochManager::tokens_allocated);
+conformance!(
+    local_ebr,
+    LocalEpochManager,
+    LocalEpochManager::tokens_allocated
+);
+conformance!(hp, HazardReclaimer, HazardReclaimer::participants_allocated);

@@ -95,14 +95,20 @@ pub(crate) fn recycle_reply_channel(tx: Sender<Reply>, rx: Receiver<Reply>) {
     });
 }
 
-/// The body of a progress thread for locale `locale`.
+/// The body of progress thread `index` of locale `locale`. Its handlers
+/// see `index` as [`crate::ctx::progress_thread`].
 ///
 /// Holds its own `Arc` to the runtime so the context pointer stays valid
 /// for the lifetime of the loop.
-pub(crate) fn progress_loop(core: Arc<RuntimeCore>, locale: LocaleId, rx: Receiver<AmMsg>) {
+pub(crate) fn progress_loop(
+    core: Arc<RuntimeCore>,
+    locale: LocaleId,
+    index: usize,
+    rx: Receiver<AmMsg>,
+) {
     // SAFETY: `core` is kept alive by the Arc above until this function —
     // and therefore the guard — ends.
-    let _guard = unsafe { crate::ctx::enter(Arc::as_ptr(&core), locale) };
+    let _guard = unsafe { crate::ctx::enter_progress(Arc::as_ptr(&core), locale, index) };
     let net = &core.config.network;
     let slots = &core.locale(locale).server;
     // A fault plan may name this locale as the straggler: its handler

@@ -7,6 +7,12 @@
 //! [`crate::RuntimeCore::run`] all carry a context; calling a communication
 //! primitive without one is a programming error and panics.
 //!
+//! A progress thread's context also names which of its locale's progress
+//! threads it is ([`progress_thread`]), so per-thread state a handler keeps
+//! (a reclaimer's standing registration) can be found without a lookup. A
+//! context entered below a handler (`run_on`, an inline `on`) does not
+//! carry it.
+//!
 //! # Safety of the raw pointer
 //! The context stores a raw `*const RuntimeCore` rather than an `Arc` so
 //! that scoped worker threads can borrow the runtime. The pointer is valid
@@ -22,17 +28,23 @@ use crate::runtime::RuntimeCore;
 
 thread_local! {
     static CTX: Cell<Option<(*const RuntimeCore, LocaleId)>> = const { Cell::new(None) };
+    /// The progress-thread index of the context in `CTX`, when a progress
+    /// loop installed it. Kept apart so the hot `here`/`with_core` reads
+    /// stay one pointer and one id wide.
+    static PROGRESS: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Restores the previous context when dropped, so nested `run`/handler
 /// execution unwinds correctly.
 pub(crate) struct CtxGuard {
     prev: Option<(*const RuntimeCore, LocaleId)>,
+    prev_progress: Option<usize>,
 }
 
 impl Drop for CtxGuard {
     fn drop(&mut self) {
         CTX.with(|c| c.set(self.prev));
+        PROGRESS.with(|p| p.set(self.prev_progress));
     }
 }
 
@@ -41,8 +53,44 @@ impl Drop for CtxGuard {
 /// # Safety
 /// `core` must remain valid until the returned guard is dropped.
 pub(crate) unsafe fn enter(core: *const RuntimeCore, locale: LocaleId) -> CtxGuard {
-    let prev = CTX.with(|c| c.replace(Some((core, locale))));
-    CtxGuard { prev }
+    // SAFETY: forwarded to the caller.
+    unsafe { enter_as(core, locale, None) }
+}
+
+/// Install `(core, locale)` as the context of progress thread `index` of
+/// `locale`, for the life of its loop.
+///
+/// # Safety
+/// As [`enter`].
+pub(crate) unsafe fn enter_progress(
+    core: *const RuntimeCore,
+    locale: LocaleId,
+    index: usize,
+) -> CtxGuard {
+    // SAFETY: forwarded to the caller.
+    unsafe { enter_as(core, locale, Some(index)) }
+}
+
+/// # Safety
+/// As [`enter`].
+unsafe fn enter_as(
+    core: *const RuntimeCore,
+    locale: LocaleId,
+    progress: Option<usize>,
+) -> CtxGuard {
+    CtxGuard {
+        prev: CTX.with(|c| c.replace(Some((core, locale)))),
+        prev_progress: PROGRESS.with(|p| p.replace(progress)),
+    }
+}
+
+/// `Some(t)` when the caller runs on progress thread `t` of [`here`] (a
+/// handler of the simulator's progress loop), `None` on every other thread
+/// and inside any context entered below a handler. Handlers on one progress
+/// thread run one at a time, so state indexed by `t` has one user at a time.
+#[inline]
+pub fn progress_thread() -> Option<usize> {
+    PROGRESS.with(|p| p.get())
 }
 
 /// The locale the current task is executing on (Chapel's `here.id`).
@@ -130,5 +178,21 @@ mod tests {
             assert_eq!(try_here(), Some(3));
         }
         assert_eq!(try_here(), None);
+    }
+
+    #[test]
+    fn progress_index_lives_only_in_the_progress_context() {
+        let fake = 0x1000 as *const RuntimeCore;
+        assert_eq!(progress_thread(), None);
+        {
+            let _loop = unsafe { enter_progress(fake, 2, 1) };
+            assert_eq!((try_here(), progress_thread()), (Some(2), Some(1)));
+            {
+                let _inline = unsafe { enter(fake, 2) };
+                assert_eq!(progress_thread(), None, "a nested context is no handler");
+            }
+            assert_eq!(progress_thread(), Some(1));
+        }
+        assert_eq!(progress_thread(), None);
     }
 }

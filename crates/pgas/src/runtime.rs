@@ -186,7 +186,7 @@ impl Runtime {
                     progress.push(
                         std::thread::Builder::new()
                             .name(format!("pgas-progress-{id}.{t}"))
-                            .spawn(move || am::progress_loop(core, id as LocaleId, rx))
+                            .spawn(move || am::progress_loop(core, id as LocaleId, t, rx))
                             .expect("failed to spawn progress thread"),
                     );
                 }

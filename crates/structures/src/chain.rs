@@ -114,14 +114,21 @@ where
 /// A `(predecessor, current)` node pair returned by [`chain_search`].
 type NodePair<K, V> = (GlobalPtr<Node<K, V>>, GlobalPtr<Node<K, V>>);
 
-/// Run `f` pinned; afterwards drop both walking hazards and unpin.
+/// Run `f` pinned; afterwards drop both walking hazards and unpin, also
+/// when `f` unwinds (a user `K::cmp` or `V::clone` may panic under the pin,
+/// and a long-lived token left pinned would block every later advance).
 pub(crate) fn pinned<G: ReclaimGuard, T>(tok: &G, f: impl FnOnce() -> T) -> T {
+    struct Unpin<'g, G: ReclaimGuard>(&'g G);
+    impl<G: ReclaimGuard> Drop for Unpin<'_, G> {
+        fn drop(&mut self) {
+            self.0.release(0);
+            self.0.release(1);
+            self.0.unpin();
+        }
+    }
     tok.pin();
-    let out = f();
-    tok.release(0);
-    tok.release(1);
-    tok.unpin();
-    out
+    let _unpin = Unpin(tok);
+    f()
 }
 
 /// Harris search: find `(pred, curr)` such that `curr` is the first
@@ -458,8 +465,9 @@ where
 
 /// Bin `pairs` by `dest_of(hash)`, ship each destination's batch as bulk
 /// active messages (a batch for the calling locale applies in place), and
-/// run `insert` on every pair at its destination under a guard registered
-/// there. A high watermark (4x the per-destination capacity) bounds total
+/// run `insert` on every pair at its destination under one guard registered
+/// there (a remote batch's handler gets its progress thread's standing
+/// guard). A high watermark (4x the per-destination capacity) bounds total
 /// buffered memory under skewed keys. Returns how many `insert` accepted.
 pub(crate) fn scatter_insert<K, V, R>(
     em: &R,

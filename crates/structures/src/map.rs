@@ -156,11 +156,11 @@ where
     /// Pairs are binned by the owning locale of their bucket and shipped as
     /// bulk active messages (one per destination buffer, see
     /// [`pgas_sim::Batcher`]) instead of paying per-key communication; the
-    /// destination-side handler registers its own epoch token and performs
-    /// ordinary lock-free inserts, so batched and per-key inserts can run
-    /// concurrently. A high watermark (4x the per-destination capacity)
-    /// bounds total buffered memory under skewed key distributions.
-    /// Returns the number of pairs actually inserted
+    /// destination-side handler takes its progress thread's standing epoch
+    /// token and performs ordinary lock-free inserts, so batched and per-key
+    /// inserts can run concurrently. A high watermark (4x the
+    /// per-destination capacity) bounds total buffered memory under skewed
+    /// key distributions. Returns the number of pairs actually inserted
     /// (duplicates of existing keys are dropped, as in [`Self::insert`]).
     pub fn insert_bulk(&self, pairs: Vec<(K, V)>) -> usize {
         let _span = OpSpan::start(OpClass::MapOp, opkind::BULK_INSERT, 0);

@@ -22,7 +22,9 @@
 //!
 //! Each shard owns its own reclaimer instance (registration happens on
 //! the owning locale per operation), so there is no cross-locale guard
-//! to thread through the API — operations here take no token.
+//! to thread through the API — operations here take no token. A remote
+//! operation's registration is the owner's progress-thread standing guard
+//! (see [`Reclaimer::register`]), so it costs no registry traffic.
 
 use std::hash::Hash;
 
@@ -122,7 +124,9 @@ where
     }
 
     /// Run `f` against `key`'s owning shard — in place when the shard is
-    /// local, over the combining layer otherwise.
+    /// local, over the combining layer otherwise. There `f`'s
+    /// `shard.register()` gets the standing guard of the progress thread
+    /// running the handler: no registration, no per-op publication.
     fn route<T, F>(&self, key: K, f: F) -> T
     where
         T: Send,

@@ -15,7 +15,10 @@
 //! * an operation on a **remote** key ships *one* active message to the
 //!   owner over the runtime's combining layer
 //!   ([`pgas_sim::RuntimeCore::on_combining`]) and runs the same local
-//!   protocol there — one AM instead of one remote atomic per hop;
+//!   protocol there — one AM instead of one remote atomic per hop. The
+//!   handler runs under the standing guard of the owner's progress thread
+//!   (see [`Reclaimer::register`]), so the owner registers nothing per
+//!   operation either;
 //! * bulk operations scatter/gather **per destination** over the
 //!   [`pgas_sim::Batcher`], so a million-key preload costs one bulk AM
 //!   per destination buffer.
@@ -229,10 +232,12 @@ where
 
     /// Run `op` on `hash`'s chain where it lives: in place under the
     /// caller's guard (and `span`) when this locale owns the shard, else as
-    /// one combined AM on the owner, under a guard registered there. The
-    /// span can't travel (it's bound to this task's telemetry slot), so the
-    /// remote leg runs span-less; retries on the owner are invisible to the
-    /// caller's histogram, but the caller still times the full round trip.
+    /// one combined AM on the owner, under the standing guard of the
+    /// progress thread that runs it (`register` there costs no registry
+    /// traffic). The span can't travel (it's bound to this task's telemetry
+    /// slot), so the remote leg runs span-less; retries on the owner are
+    /// invisible to the caller's histogram, but the caller still times the
+    /// full round trip.
     fn at_owner<T: Send>(
         &self,
         tok: &R::Guard<'_>,
@@ -254,8 +259,9 @@ where
 
     /// Insert `(key, value)`. Locally-owned keys run the chain protocol
     /// in place under the caller's guard; remote keys ship one combined
-    /// AM to the owner, whose handler registers its own guard. Returns
-    /// `false` (dropping the pair) when the key is already present.
+    /// AM to the owner, whose handler runs under its progress thread's
+    /// standing guard. Returns `false` (dropping the pair) when the key is
+    /// already present.
     pub fn insert(&self, tok: &R::Guard<'_>, key: K, value: V) -> bool {
         let hash = hash_key(&key);
         let span = OpSpan::start(OpClass::ShardedMapOp, opkind::INSERT, hash);
@@ -442,6 +448,41 @@ mod tests {
 
     fn zrt(n: usize) -> Runtime {
         Runtime::new(RuntimeConfig::zero_latency(n))
+    }
+
+    /// Panics in `clone` while armed, once.
+    struct CloneBomb;
+
+    static ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    impl Clone for CloneBomb {
+        fn clone(&self) -> CloneBomb {
+            if ARMED.swap(false, Ordering::SeqCst) {
+                panic!("clone bomb");
+            }
+            CloneBomb
+        }
+    }
+
+    #[test]
+    fn a_value_clone_that_panics_under_a_local_get_leaves_the_caller_unpinned() {
+        let rt = zrt(1);
+        rt.run(|| {
+            let m = ShardedHashMap::<u64, CloneBomb>::new(4);
+            let tok = m.register();
+            assert!(m.insert(&tok, 1, CloneBomb));
+            ARMED.store(true, Ordering::SeqCst);
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.get(&tok, &1)));
+            assert!(got.is_err(), "the clone panicked");
+            assert!(!tok.is_pinned());
+            assert!(m.try_reclaim());
+            assert!(
+                m.try_reclaim(),
+                "a token left pinned in the first epoch would block this advance"
+            );
+            assert!(m.get(&tok, &1).is_some(), "the map still works");
+        });
+        assert_eq!(rt.live_objects(), 0);
     }
 
     #[test]
