@@ -19,8 +19,8 @@
 //!   away.
 //! - **Remote retire lists.** Retired objects may live on any locale. A
 //!   scan partitions the unprotected ones by owner and frees them over
-//!   the same `Batcher`/scatter bulk-free path the `EpochManager` uses
-//!   (one active message per remote destination).
+//!   the same scatter bulk-free code the `EpochManager` uses (one active
+//!   message per remote destination).
 //! - **Stall tolerance.** A guard that never unpins blocks nothing: only
 //!   the ≤ [`DIST_HP_SLOTS`] addresses it has published stay live, so
 //!   per-participant garbage is bounded by `SCAN_THRESHOLD` plus the
@@ -44,11 +44,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
-use pgas_sim::engine::{self, Batcher};
+use pgas_sim::engine;
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
 use pgas_sim::{ctx, vtime, Erased, GlobalPtr, Privatized, RuntimeHandle};
 
+use crate::manager::scatter_free;
 use crate::reclaim::{ReclaimGuard, Reclaimer};
 use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 use crate::token::Standing;
@@ -236,26 +237,21 @@ impl HazardReclaimer {
         let observer = self.observer.get();
         let mut kept = Vec::new();
         let freed = ctx::with_core(|core, here| {
-            let src = here;
-            let mut scatter = Batcher::new(core, usize::MAX, move |dest, batch: Vec<Erased>| {
-                // SAFETY: no hazard covers anything in the batch (or the
-                // caller guaranteed quiescence for clear()); the handler
-                // runs on `dest`, where every object in the batch lives.
-                unsafe { pgas_sim::free_erased_local_batch(core, batch, dest != src) };
-            });
             let mut freed = 0u64;
-            for e in retired.drain(..) {
+            let unprotected = retired.drain(..).filter_map(|e| {
                 if hazards.binary_search(&e.addr()).is_ok() {
                     kept.push(e);
-                } else {
-                    if let Some(obs) = observer {
-                        obs.on_reclaim(e.addr(), 0, 0, during_clear);
-                    }
-                    scatter.aggregate(e.owner(), e);
-                    freed += 1;
+                    return None;
                 }
-            }
-            scatter.flush();
+                if let Some(obs) = observer {
+                    obs.on_reclaim(e.addr(), 0, 0, during_clear);
+                }
+                freed += 1;
+                Some(e)
+            });
+            // SAFETY: no hazard covers anything unprotected (or the caller
+            // guaranteed quiescence for clear()).
+            unsafe { scatter_free(core, here, unprotected) };
             let stats = &core.locale(here).stats;
             if first_retire != u64::MAX {
                 stats.record(OpClass::Reclaim, vtime::now().saturating_sub(first_retire));

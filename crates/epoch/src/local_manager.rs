@@ -1,59 +1,40 @@
 //! `LocalEpochManager` — the shared-memory-optimized variant (§II-C).
 //!
-//! Functionally an `EpochManager` for a single locale: it has no global
-//! epoch object, performs no cross-locale scans, and does not consider
-//! remote objects, which removes every communication from the reclamation
-//! path. Use it for structures that never leave one locale.
+//! Functionally an `EpochManager` for a single locale, and built as one:
+//! it is one of the per-locale instances an [`EpochManager`] privatizes,
+//! used on its own. The instance's epoch word is the epoch, its election
+//! flag the only flag, and `try_reclaim` runs the instance's scan, advance
+//! and drain inline: no global epoch object, no cross-locale fan-out, which
+//! removes every communication from the reclamation path. Its token is the
+//! manager's [`Token`]. Scatter is off, so a drain frees one object at a
+//! time; use it for structures that never leave one locale.
+//!
+//! [`EpochManager`]: crate::EpochManager
 
-use std::cell::Cell;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use pgas_sim::engine;
 use pgas_sim::faults::invariants::ReclaimObserver;
-use pgas_sim::{ctx, here, Erased, GlobalPtr, RuntimeHandle};
+use pgas_sim::{here, RuntimeHandle};
 
-use crate::limbo::Limbo;
-use crate::math::{next_epoch, reclaim_epoch, EPOCHS};
-use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
-use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
+use crate::manager::{Advance, Elected, LocaleInstance, Shared, Token};
+use crate::math::next_epoch;
+use crate::stats::{ReclaimSnapshot, Stat};
 
 /// Epoch-based reclamation for a single locale.
 pub struct LocalEpochManager {
-    rt: RuntimeHandle,
-    epoch: AtomicU64,
-    is_setting_epoch: AtomicU64,
-    limbo: Limbo,
-    tokens: TokenRegistry,
-    stats: ReclaimStats,
-    observer: OnceLock<Arc<dyn ReclaimObserver>>,
-    home: pgas_sim::LocaleId,
+    shared: Shared,
+    inst: LocaleInstance,
 }
 
-/// RAII registration handle; unregisters (and unpins, if needed) on drop.
-/// `Send` but not `Sync`: its bag has one writer.
-pub struct LocalToken<'a> {
-    mgr: &'a LocalEpochManager,
-    slot: &'a TokenSlot,
-    /// The held flag of a progress thread's standing slot (see
-    /// [`crate::token`]).
-    standing: Option<&'a AtomicBool>,
-    _one_writer: PhantomData<Cell<()>>,
-}
+/// The paper's name for a [`LocalEpochManager`]'s registration handle.
+pub type LocalToken<'a> = Token<'a>;
 
 impl LocalEpochManager {
     /// Create a manager homed on the current locale. Epochs start at 1.
     pub fn new() -> LocalEpochManager {
         LocalEpochManager {
-            rt: ctx::current_runtime(),
-            epoch: AtomicU64::new(1),
-            is_setting_epoch: AtomicU64::new(0),
-            limbo: Limbo::new(),
-            tokens: TokenRegistry::new(),
-            stats: ReclaimStats::default(),
-            observer: OnceLock::new(),
-            home: pgas_sim::here(),
+            shared: Shared::new(false),
+            inst: LocaleInstance::new(here()),
         }
     }
 
@@ -63,32 +44,23 @@ impl LocalEpochManager {
     /// # Panics
     /// If an observer is already installed.
     pub fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        if self.observer.set(obs).is_err() {
-            panic!("LocalEpochManager observer already installed");
-        }
+        self.shared.set_observer(obs)
     }
 
     /// The runtime this manager was created under.
     pub fn runtime(&self) -> RuntimeHandle {
-        self.rt.clone()
+        self.shared.rt.clone()
     }
 
     /// Register the calling task, returning a token to pin. A handler on a
     /// progress thread of the home locale gets the thread's standing slot.
     pub fn register(&self) -> LocalToken<'_> {
-        let (slot, standing) = self.tokens.acquire();
-        LocalToken {
-            mgr: self,
-            slot,
-            standing,
-            _one_writer: PhantomData,
-        }
+        self.inst.register(&self.shared, self)
     }
 
     /// The manager's current epoch (1, 2, or 3).
     pub fn current_epoch(&self) -> u64 {
-        engine::charge_atomic_u64(here());
-        self.epoch.load(Ordering::SeqCst)
+        self.inst.epoch.read()
     }
 
     /// Attempt to advance the epoch and reclaim the two-advances-old limbo
@@ -101,80 +73,44 @@ impl LocalEpochManager {
     /// most [`crate::limbo::BAG`] − 1 deletions back, until a later advance
     /// finds it unpinned or its bag fills.
     pub fn try_reclaim(&self) -> bool {
-        engine::charge_atomic_u64(here());
-        if self.is_setting_epoch.swap(1, Ordering::SeqCst) != 0 {
-            self.stats.bump(Stat::LostLocalElection);
+        let Some(_elected) = Elected::win(&self.inst.is_setting_epoch) else {
+            self.shared.stats.bump(Stat::LostLocalElection);
+            return false;
+        };
+        let this_epoch = self.current_epoch();
+        if !self.inst.allows_advance(this_epoch) {
+            self.shared.stats.bump(Stat::UnsafeScans);
             return false;
         }
-        let this_epoch = self.current_epoch();
-        let safe = self.tokens.iter().all(|t| {
-            let e = t.epoch();
-            e == QUIESCENT || e == this_epoch
-        });
-        let advanced = if safe {
-            let new_epoch = next_epoch(this_epoch);
-            engine::charge_atomic_u64(here());
-            self.epoch.store(new_epoch, Ordering::SeqCst);
-            self.stats.bump(Stat::Advances);
-            self.stats
-                .published(self.limbo.publish_idle_bags(&self.tokens));
-            if let Some(obs) = self.observer.get() {
-                obs.on_advance(new_epoch);
-            }
-            let freed = self.drain_list(reclaim_epoch(new_epoch), new_epoch, false);
-            self.stats.add(Stat::ObjectsReclaimed, freed);
-            true
-        } else {
-            self.stats.bump(Stat::UnsafeScans);
-            false
-        };
-        engine::charge_atomic_u64(here());
-        self.is_setting_epoch.store(0, Ordering::SeqCst);
-        advanced
+        let new_epoch = next_epoch(this_epoch);
+        self.shared.advanced(new_epoch);
+        let drained = self.inst.advance(&self.shared, new_epoch, here());
+        self.shared.free_rest([drained]);
+        true
     }
 
     /// Reclaim *everything* across all epochs, unconditionally, including
     /// what live unpinned tokens hold in their bags. Only call when no other
     /// task is using the manager.
     pub fn clear(&self) {
-        self.stats
-            .published(self.limbo.publish_idle_bags(&self.tokens));
-        let current = self.epoch.load(Ordering::SeqCst);
-        for e in 1..=EPOCHS {
-            let freed = self.drain_list(e, current, true);
-            self.stats.add(Stat::ObjectsReclaimed, freed);
-        }
-    }
-
-    fn drain_list(&self, epoch: u64, current_epoch: u64, during_clear: bool) -> u64 {
-        let observer = self.observer.get();
-        ctx::with_core(|core, _| {
-            let (n, _) = self.limbo.drain(epoch, |e| {
-                debug_assert_eq!(
-                    e.owner(),
-                    self.home,
-                    "LocalEpochManager does not handle remote objects"
-                );
-                if let Some(obs) = observer {
-                    obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
-                }
-                // SAFETY: EBR guarantees no task still holds a reference
-                // (two epoch advances since logical removal, or the caller
-                // guaranteed quiescence for clear()).
-                unsafe { e.run_drop(core) };
-            });
-            n
-        })
+        let drained = self.inst.clear(&self.shared, here());
+        self.shared.free_rest([drained]);
     }
 
     /// Reclamation counters.
     pub fn stats(&self) -> ReclaimSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Number of token slots ever created.
     pub fn tokens_allocated(&self) -> u64 {
-        self.tokens.allocated_count()
+        self.inst.tokens.allocated_count()
+    }
+}
+
+impl Advance for LocalEpochManager {
+    fn try_reclaim(&self) -> bool {
+        LocalEpochManager::try_reclaim(self)
     }
 }
 
@@ -186,72 +122,9 @@ impl Default for LocalEpochManager {
 
 impl Drop for LocalEpochManager {
     fn drop(&mut self) {
-        if pgas_sim::try_here().is_some() {
-            self.clear();
-        }
-        // Outside a runtime context the limbo lists debug-assert emptiness
-        // themselves.
-    }
-}
-
-impl<'a> LocalToken<'a> {
-    /// Enter the current epoch. Idempotent re-pinning updates to the
-    /// manager's current epoch.
-    pub fn pin(&self) {
-        let e = self.mgr.current_epoch();
-        self.slot.set_epoch(e);
-    }
-
-    /// Leave the epoch (become quiescent).
-    pub fn unpin(&self) {
-        self.slot.set_epoch(QUIESCENT);
-    }
-
-    /// True while pinned.
-    pub fn is_pinned(&self) -> bool {
-        self.slot.epoch_relaxed() != QUIESCENT
-    }
-
-    /// The epoch this token is pinned in (0 when unpinned).
-    pub fn pinned_epoch(&self) -> u64 {
-        self.slot.epoch_relaxed()
-    }
-
-    /// Defer deletion of a (logically removed) local object until no task
-    /// can still hold a reference. Wait-free: a few stores into the token's
-    /// bag, published by the next advance that finds the token unpinned
-    /// (see [`crate::limbo`]).
-    ///
-    /// # Panics
-    /// In debug builds, if the token is not pinned or the object is remote.
-    pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
-        let e = self.slot.epoch_relaxed();
-        debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
-        if let Some(obs) = self.mgr.observer.get() {
-            obs.on_defer(ptr.addr(), e);
-        }
-        // SAFETY: this token holds the slot and is pinned in `e`.
-        let published = unsafe { self.mgr.limbo.defer(&self.slot.bag, Erased::new(ptr), e) };
-        self.mgr.stats.published(published);
-    }
-
-    /// Forward to [`LocalEpochManager::try_reclaim`] (the paper lets either
-    /// the token or the manager drive reclamation).
-    pub fn try_reclaim(&self) -> bool {
-        self.mgr.try_reclaim()
-    }
-}
-
-impl Drop for LocalToken<'_> {
-    fn drop(&mut self) {
-        // Mirrors the managed-class wrapper in the paper: going out of
-        // scope unpins and unregisters automatically. Its bag is published
-        // then (as in `Token`'s drop), unless the slot is a standing one.
-        if self.mgr.tokens.release(self.slot, self.standing) {
-            self.mgr
-                .stats
-                .published(self.mgr.limbo.publish_idle(self.slot));
-        }
+        // Outside any task (the manager outlived the `run` block) this
+        // re-enters the runtime, so the final reclamation is accounted.
+        self.shared.rt.clone().run_here_or_enter(|| self.clear());
     }
 }
 
@@ -259,7 +132,7 @@ impl Drop for LocalToken<'_> {
 mod tests {
     use super::*;
     use pgas_sim::{alloc_local, Runtime, RuntimeConfig};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     fn zrt() -> Runtime {
         Runtime::new(RuntimeConfig::zero_latency(1))
@@ -441,6 +314,21 @@ mod tests {
             }
             em.clear();
             assert_eq!(rt.live_objects(), 0);
+        });
+    }
+
+    #[test]
+    fn a_lost_election_leaves_the_winners_flag_set() {
+        let rt = zrt();
+        rt.run(|| {
+            let em = LocalEpochManager::new();
+            let flag = &em.inst.is_setting_epoch;
+            assert!(!flag.test_and_set(), "another candidate wins");
+            assert!(!em.try_reclaim());
+            assert_eq!(flag.read(), 1, "the loser left the winner's flag set");
+            flag.clear();
+            assert!(em.try_reclaim());
+            assert_eq!(em.stats().lost_local_election, 1);
         });
     }
 

@@ -7,6 +7,11 @@
 //! across locales. A single `GlobalEpoch` object (homed on locale 0) is
 //! the point of consensus.
 //!
+//! One locale's instance is the whole of epoch-based reclamation on that
+//! locale: [`crate::LocalEpochManager`] is one such instance used on its
+//! own, with the instance's epoch word as *the* epoch, and both managers
+//! hand out the same [`Token`].
+//!
 //! `try_reclaim` follows Listing 4:
 //!
 //! 1. Win the **local** election flag (first-come-first-serve; losers
@@ -63,7 +68,7 @@ use pgas_atomics::AtomicInt;
 use pgas_sim::engine::{self, Batcher};
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
-use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeHandle};
+use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeCore, RuntimeHandle};
 
 use crate::limbo::Limbo;
 use crate::math::{next_epoch, reclaim_epoch, EPOCHS};
@@ -78,15 +83,17 @@ struct GlobalEpoch {
     is_setting_epoch: AtomicInt,
 }
 
-/// One locale's privatized instance.
-struct LocaleInstance {
-    /// Locale-private cache of the current epoch (reduces communication:
-    /// pin/defer consult this, never the global).
-    locale_epoch: AtomicInt,
+/// One locale's instance: privatized per locale by [`EpochManager`], used
+/// alone by [`crate::LocalEpochManager`].
+pub(crate) struct LocaleInstance {
+    /// The epoch pin and defer consult. Under [`EpochManager`] a
+    /// locale-private cache of the global epoch (reduces communication:
+    /// never the global); under [`crate::LocalEpochManager`] the epoch.
+    pub(crate) epoch: AtomicInt,
     /// Local first-come-first-serve election flag.
-    is_setting_epoch: AtomicInt,
+    pub(crate) is_setting_epoch: AtomicInt,
     limbo: Limbo,
-    tokens: TokenRegistry,
+    pub(crate) tokens: TokenRegistry,
 }
 
 // SAFETY: every field is itself thread-safe; instances are shared across
@@ -94,15 +101,14 @@ struct LocaleInstance {
 unsafe impl Send for LocaleInstance {}
 unsafe impl Sync for LocaleInstance {}
 
-/// Distributed epoch-based memory reclamation.
-pub struct EpochManager {
-    rt: RuntimeHandle,
-    global: GlobalEpoch,
-    instances: Privatized<LocaleInstance>,
-    stats: ReclaimStats,
+/// What both managers keep once, beside their instances.
+pub(crate) struct Shared {
+    pub(crate) rt: RuntimeHandle,
+    pub(crate) stats: ReclaimStats,
     /// When false, reclamation frees remote objects one active message per
-    /// object instead of batching by locale — the ablation knob for the
-    /// scatter-list optimization (A1 in DESIGN.md).
+    /// object instead of batching by locale, and a locale's own objects one
+    /// at a time: the ablation knob for the scatter-list optimization (A1
+    /// in DESIGN.md), and how `LocalEpochManager` always frees.
     use_scatter: AtomicBool,
     /// Optional reclamation observer (see
     /// [`pgas_sim::faults::invariants`]): chaos harnesses install an
@@ -111,21 +117,37 @@ pub struct EpochManager {
     observer: OnceLock<Arc<dyn ReclaimObserver>>,
 }
 
+/// A manager as its tokens reach it.
+pub(crate) trait Advance: Sync {
+    /// The manager's `try_reclaim`.
+    fn try_reclaim(&self) -> bool;
+}
+
+/// Distributed epoch-based memory reclamation.
+pub struct EpochManager {
+    shared: Shared,
+    global: GlobalEpoch,
+    instances: Privatized<LocaleInstance>,
+}
+
 /// RAII registration handle for one task (the paper's token, wrapped in a
-/// managed class so scope exit unregisters it). `Send` but not `Sync`: its
-/// bag has one writer.
+/// managed class so scope exit unregisters it), of an [`EpochManager`] or
+/// a [`crate::LocalEpochManager`]. `Send` but not `Sync`: its bag has one
+/// writer.
 ///
 /// ```compile_fail
 /// fn shared<T: Sync>() {}
 /// shared::<pgas_epoch::Token<'static>>();
 /// ```
 pub struct Token<'a> {
-    mgr: &'a EpochManager,
+    shared: &'a Shared,
+    mgr: &'a dyn Advance,
+    /// The instance of the locale the token registered on.
+    inst: &'a LocaleInstance,
     slot: &'a TokenSlot,
     /// The held flag of a progress thread's standing slot, `None` for a
     /// slot from the free stack (see [`crate::token`]).
     standing: Option<&'a AtomicBool>,
-    locale: LocaleId,
     _one_writer: PhantomData<Cell<()>>,
 }
 
@@ -134,31 +156,23 @@ impl EpochManager {
     /// runtime. Must be called inside [`pgas_sim::RuntimeCore::run`] (or
     /// any task).
     pub fn new() -> EpochManager {
-        let rt = ctx::current_runtime();
+        let shared = Shared::new(true);
         let global = GlobalEpoch {
             epoch: AtomicInt::new_on(0, 1),
             is_setting_epoch: AtomicInt::new_on(0, 0),
         };
-        let instances = Privatized::new(&rt, |l| LocaleInstance {
-            locale_epoch: AtomicInt::new_on(l, 1),
-            is_setting_epoch: AtomicInt::new_on(l, 0),
-            limbo: Limbo::new(),
-            tokens: TokenRegistry::new(),
-        });
+        let instances = Privatized::new(&shared.rt, LocaleInstance::new);
         EpochManager {
-            rt,
+            shared,
             global,
             instances,
-            stats: ReclaimStats::default(),
-            use_scatter: AtomicBool::new(true),
-            observer: OnceLock::new(),
         }
     }
 
     /// Disable the scatter-list bulk free (remote objects are then freed
     /// one active message each). For the ablation benchmark.
     pub fn set_scatter(&self, enabled: bool) {
-        self.use_scatter.store(enabled, Ordering::Relaxed);
+        self.shared.use_scatter.store(enabled, Ordering::Relaxed);
     }
 
     /// Install a reclamation observer (at most once per manager); chaos
@@ -168,9 +182,7 @@ impl EpochManager {
     /// # Panics
     /// If an observer is already installed.
     pub fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        if self.observer.set(obs).is_err() {
-            panic!("EpochManager already has a reclamation observer");
-        }
+        self.shared.set_observer(obs)
     }
 
     /// Register the calling task with its locale's privatized instance. A
@@ -178,15 +190,7 @@ impl EpochManager {
     /// no registry traffic, and its drop only unpins (see
     /// [`crate::Reclaimer::register`]).
     pub fn register(&self) -> Token<'_> {
-        let locale = pgas_sim::here();
-        let (slot, standing) = self.instances.get().tokens.acquire();
-        Token {
-            mgr: self,
-            slot,
-            standing,
-            locale,
-            _one_writer: PhantomData,
-        }
+        self.instances.get().register(&self.shared, self)
     }
 
     /// The global epoch (a remote read unless on locale 0).
@@ -196,7 +200,7 @@ impl EpochManager {
 
     /// The calling locale's cached epoch.
     pub fn local_epoch(&self) -> u64 {
-        self.instances.get().locale_epoch.read()
+        self.instances.get().epoch.read()
     }
 
     /// Listing 4: attempt a global epoch advance + reclamation. Returns
@@ -211,48 +215,34 @@ impl EpochManager {
     /// deletions back, until a later advance finds it unpinned or its bag
     /// fills.
     pub fn try_reclaim(&self) -> bool {
-        let inst = self.instances.get();
+        let stats = &self.shared.stats;
         // Local election: one candidate per locale.
-        if inst.is_setting_epoch.test_and_set() {
-            self.stats.bump(Stat::LostLocalElection);
+        let Some(_local) = Elected::win(&self.instances.get().is_setting_epoch) else {
+            stats.bump(Stat::LostLocalElection);
             return false;
-        }
-        // Global election: one candidate across the system.
-        if self.global.is_setting_epoch.test_and_set() {
-            inst.is_setting_epoch.clear();
-            self.stats.bump(Stat::LostGlobalElection);
+        };
+        // Global election: one candidate across the system. Dropped first,
+        // so a loser releases the local flag, and the winner both flags.
+        let Some(_global) = Elected::win(&self.global.is_setting_epoch) else {
+            stats.bump(Stat::LostGlobalElection);
             return false;
-        }
-        // Both flags are released when the winner leaves, also by unwinding:
-        // a flag left set would turn every later call into a lost election.
-        let _elected = Elected {
-            local: &inst.is_setting_epoch,
-            global: &self.global.is_setting_epoch,
         };
 
         let this_epoch = self.global.epoch.read();
         if !self.all_tokens_allow_advance(this_epoch) {
-            self.stats.bump(Stat::UnsafeScans);
+            stats.bump(Stat::UnsafeScans);
             return false;
         }
         let new_epoch = next_epoch(this_epoch);
         self.global.epoch.write(new_epoch);
-        self.stats.bump(Stat::Advances);
-        if let Some(obs) = self.observer.get() {
-            obs.on_advance(new_epoch);
-        }
+        self.shared.advanced(new_epoch);
         let winner = pgas_sim::here();
-        let drained = self.rt.on_each_locale(|_| {
-            let this = self.instances.get();
-            // Update each locale's cached epoch.
-            this.locale_epoch.write(new_epoch);
-            self.stats
-                .published(this.limbo.publish_idle_bags(&this.tokens));
-            let mut rest = Vec::new();
-            let n = self.drain_list(this, reclaim_epoch(new_epoch), new_epoch, false, &mut rest);
-            Drained::reply(winner, n, rest)
+        let drained = self.shared.rt.on_each_locale(|_| {
+            self.instances
+                .get()
+                .advance(&self.shared, new_epoch, winner)
         });
-        self.free_rest(drained);
+        self.shared.free_rest(drained);
         true
     }
 
@@ -260,13 +250,9 @@ impl EpochManager {
     /// the advance is safe only if each is quiescent or pinned in
     /// `this_epoch`. One message per remote locale; the handlers only read.
     fn all_tokens_allow_advance(&self, this_epoch: u64) -> bool {
-        self.rt
-            .on_each_locale(|_| {
-                self.instances.get().tokens.iter().all(|tok| {
-                    let e = tok.epoch();
-                    e == QUIESCENT || e == this_epoch
-                })
-            })
+        self.shared
+            .rt
+            .on_each_locale(|_| self.instances.get().allows_advance(this_epoch))
             .into_iter()
             .all(|ok| ok)
     }
@@ -280,7 +266,7 @@ impl EpochManager {
     /// the wasted scan work is modeled.
     pub fn try_reclaim_unelected(&self) -> bool {
         if !self.all_tokens_allow_advance(self.global.epoch.read()) {
-            self.stats.bump(Stat::UnsafeScans);
+            self.shared.stats.bump(Stat::UnsafeScans);
             return false;
         }
         self.try_reclaim()
@@ -292,20 +278,11 @@ impl EpochManager {
     /// task, not from inside an `on` body (see the module docs).
     pub fn clear(&self) {
         let winner = pgas_sim::here();
-        let drained = self.rt.on_each_locale(|_| {
-            let this = self.instances.get();
-            self.stats
-                .published(this.limbo.publish_idle_bags(&this.tokens));
-            let mut rest = Vec::new();
-            let mut n = 0;
-            for e in 1..=EPOCHS {
-                // `during_clear = true`: the caller guarantees quiescence,
-                // so age rules are suspended for the observer.
-                n += self.drain_list(this, e, e, true, &mut rest);
-            }
-            Drained::reply(winner, n, rest)
-        });
-        self.free_rest(drained);
+        let drained = self
+            .shared
+            .rt
+            .on_each_locale(|_| self.instances.get().clear(&self.shared, winner));
+        self.shared.free_rest(drained);
     }
 
     /// TEST-ONLY: deliberately reclaim the *current* epoch's limbo list on
@@ -319,23 +296,22 @@ impl EpochManager {
     #[doc(hidden)]
     pub fn debug_reclaim_current_epoch_early(&self) -> u64 {
         let inst = self.instances.get();
-        self.stats
-            .published(inst.limbo.publish_idle_bags(&inst.tokens));
-        let e = inst.locale_epoch.read();
+        inst.publish_idle_bags(&self.shared);
+        let e = inst.epoch.read();
         let mut rest = Vec::new();
-        let n = self.drain_list(inst, e, e, false, &mut rest);
-        self.free_rest(vec![Drained { n, rest }]);
+        let n = inst.drain(&self.shared, e, e, false, &mut rest);
+        self.shared.free_rest([Drained { n, rest }]);
         n
     }
 
     /// Aggregate reclamation counters.
     pub fn stats(&self) -> ReclaimSnapshot {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// A handle to the runtime this manager was created on.
     pub fn runtime(&self) -> RuntimeHandle {
-        self.rt.clone()
+        self.shared.rt.clone()
     }
 
     /// Total token slots ever created across all locales.
@@ -347,22 +323,32 @@ impl EpochManager {
     }
 }
 
-/// Holds both election flags for the winner of [`EpochManager::try_reclaim`]
-/// and releases them on drop.
-struct Elected<'a> {
-    local: &'a AtomicInt,
-    global: &'a AtomicInt,
+impl Advance for EpochManager {
+    fn try_reclaim(&self) -> bool {
+        EpochManager::try_reclaim(self)
+    }
+}
+
+/// An election flag its caller won, released on drop: also by unwinding,
+/// since a flag left set would turn every later call into a lost election.
+pub(crate) struct Elected<'a>(&'a AtomicInt);
+
+impl<'a> Elected<'a> {
+    /// Take `flag`, or `None` if another candidate holds it. A loser
+    /// builds no guard: its drop would clear the winner's flag.
+    pub(crate) fn win(flag: &'a AtomicInt) -> Option<Elected<'a>> {
+        (!flag.test_and_set()).then(|| Elected(flag))
+    }
 }
 
 impl Drop for Elected<'_> {
     fn drop(&mut self) {
-        self.global.clear();
-        self.local.clear();
+        self.0.clear();
     }
 }
 
 /// What one locale's drain hands back to the caller of the fan-out.
-struct Drained {
+pub(crate) struct Drained {
     /// Objects taken off the locale's limbo lists.
     n: u64,
     /// Those of them the draining locale does not own, still to be freed.
@@ -385,26 +371,94 @@ impl Drained {
     }
 }
 
-impl EpochManager {
-    /// Detach the current locale's limbo list for `epoch` and drain it: free
-    /// what this locale owns on the spot, append everything else to `rest`.
+impl LocaleInstance {
+    /// A fresh instance for locale `l`: epoch 1, flag clear, nothing
+    /// registered or deferred.
+    pub(crate) fn new(l: LocaleId) -> LocaleInstance {
+        LocaleInstance {
+            epoch: AtomicInt::new_on(l, 1),
+            is_setting_epoch: AtomicInt::new_on(l, 0),
+            limbo: Limbo::new(),
+            tokens: TokenRegistry::new(),
+        }
+    }
+
+    /// Register the calling task here, as a token of `mgr`.
+    pub(crate) fn register<'a>(&'a self, shared: &'a Shared, mgr: &'a dyn Advance) -> Token<'a> {
+        let (slot, standing) = self.tokens.acquire();
+        Token {
+            shared,
+            mgr,
+            inst: self,
+            slot,
+            standing,
+            _one_writer: PhantomData,
+        }
+    }
+
+    /// Step 3 of Listing 4 on this locale: every token is quiescent or
+    /// pinned in `this_epoch`.
+    pub(crate) fn allows_advance(&self, this_epoch: u64) -> bool {
+        self.tokens.iter().all(|tok| {
+            let e = tok.epoch();
+            e == QUIESCENT || e == this_epoch
+        })
+    }
+
+    /// Step 4 of Listing 4 on this locale: write `new_epoch`, publish the
+    /// bags of unpinned tokens, and drain the two-advances-old limbo list.
+    /// What this locale does not own goes back to `winner`.
+    pub(crate) fn advance(&self, shared: &Shared, new_epoch: u64, winner: LocaleId) -> Drained {
+        self.epoch.write(new_epoch);
+        self.publish_idle_bags(shared);
+        let mut rest = Vec::new();
+        let n = self.drain(
+            shared,
+            reclaim_epoch(new_epoch),
+            new_epoch,
+            false,
+            &mut rest,
+        );
+        Drained::reply(winner, n, rest)
+    }
+
+    /// Publish the bags of unpinned tokens and drain every limbo list.
+    pub(crate) fn clear(&self, shared: &Shared, winner: LocaleId) -> Drained {
+        self.publish_idle_bags(shared);
+        let mut rest = Vec::new();
+        // `during_clear = true`: the caller guarantees quiescence, so age
+        // rules are suspended for the observer.
+        let n = (1..=EPOCHS)
+            .map(|e| self.drain(shared, e, e, true, &mut rest))
+            .sum();
+        Drained::reply(winner, n, rest)
+    }
+
+    fn publish_idle_bags(&self, shared: &Shared) {
+        shared
+            .stats
+            .published(self.limbo.publish_idle_bags(&self.tokens));
+    }
+
+    /// Detach this locale's limbo list for `epoch` and drain it: free what
+    /// this locale owns on the spot, append everything else to `rest`.
     /// Returns the number of objects drained. Runs inside the fan-out's
     /// handlers, so it communicates with nobody. Each drained object is
     /// reported to the observer (with the epoch whose list it came from and
     /// the epoch current at reclamation) before it is freed; `during_clear`
     /// marks quiescent teardown, where the observer's age rules do not apply.
-    fn drain_list(
+    fn drain(
         &self,
-        inst: &LocaleInstance,
+        shared: &Shared,
         epoch: u64,
         current_epoch: u64,
         during_clear: bool,
         rest: &mut Vec<Erased>,
     ) -> u64 {
-        let observer = self.observer.get();
+        let observer = shared.observer.get();
         let here = pgas_sim::here();
         let mut mine = Vec::new();
-        let (n, first_defer) = inst.limbo.drain(epoch, |e| {
+        let (n, first_defer) = self.limbo.drain(epoch, |e| {
             if let Some(obs) = observer {
                 obs.on_reclaim(e.addr(), epoch, current_epoch, during_clear);
             }
@@ -419,7 +473,7 @@ impl EpochManager {
             // reference to anything in a two-advances-old limbo list (or the
             // caller guaranteed quiescence for clear()), and everything in
             // `mine` lives on this locale.
-            if self.use_scatter.load(Ordering::Relaxed) {
+            if shared.use_scatter.load(Ordering::Relaxed) {
                 unsafe { pgas_sim::free_erased_local_batch(core, mine, false) };
             } else {
                 for e in mine {
@@ -434,30 +488,48 @@ impl EpochManager {
         });
         n
     }
+}
+
+impl Shared {
+    /// The manager-wide part of a manager created on the current runtime.
+    pub(crate) fn new(use_scatter: bool) -> Shared {
+        Shared {
+            rt: ctx::current_runtime(),
+            stats: ReclaimStats::default(),
+            use_scatter: AtomicBool::new(use_scatter),
+            observer: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
+        if self.observer.set(obs).is_err() {
+            panic!("the epoch manager already has a reclamation observer");
+        }
+    }
+
+    /// Count an advance to `new_epoch` and report it to the observer,
+    /// before any locale's epoch moves.
+    pub(crate) fn advanced(&self, new_epoch: u64) {
+        self.stats.bump(Stat::Advances);
+        if let Some(obs) = self.observer.get() {
+            obs.on_advance(new_epoch);
+        }
+    }
 
     /// The caller's half of the deletion phase, run as a task once the
-    /// fan-out has joined: scatter every object no draining locale could
-    /// free by owning locale — one bulk-free active message per destination
-    /// however many lists it came from, one AM per object when scatter is
-    /// off — and free the caller's own inline.
-    fn free_rest(&self, drained: Vec<Drained>) {
-        let freed: u64 = drained.iter().map(|d| d.n).sum();
-        let rest = drained.into_iter().flat_map(|d| d.rest);
+    /// drains have joined: free every object no draining locale could free,
+    /// by [`scatter_free`], or one active message per object when scatter
+    /// is off.
+    pub(crate) fn free_rest(&self, drained: impl IntoIterator<Item = Drained>) {
+        let mut freed = 0;
         ctx::with_core(|core, here| {
-            // SAFETY (both arms): as in `drain_list`; each object is freed
-            // by a handler running on its owner.
+            let rest = drained.into_iter().flat_map(|d| {
+                freed += d.n;
+                d.rest
+            });
+            // SAFETY (both arms): as in `LocaleInstance::drain`.
             if self.use_scatter.load(Ordering::Relaxed) {
-                // The scatter list is a `Batcher` over erased objects:
-                // unbounded per-destination buffers with one explicit flush
-                // at the end.
-                let mut scatter =
-                    Batcher::new(core, usize::MAX, move |dest, batch: Vec<Erased>| unsafe {
-                        pgas_sim::free_erased_local_batch(core, batch, dest != here)
-                    });
-                for e in rest {
-                    scatter.aggregate(e.owner(), e);
-                }
-                scatter.flush();
+                unsafe { scatter_free(core, here, rest) };
             } else {
                 for e in rest {
                     unsafe { pgas_sim::free_erased(core, e) };
@@ -466,6 +538,29 @@ impl EpochManager {
         });
         self.stats.add(Stat::ObjectsReclaimed, freed);
     }
+}
+
+/// Free `objs` by owning locale: the caller's own inline, every other
+/// owner's in one bulk-free active message however many there are. The
+/// scatter list is a `Batcher` over erased objects: unbounded
+/// per-destination buffers with one explicit flush at the end.
+///
+/// # Safety
+/// No task may still reach any of `objs`.
+pub(crate) unsafe fn scatter_free(
+    core: &RuntimeCore,
+    here: LocaleId,
+    objs: impl IntoIterator<Item = Erased>,
+) {
+    // SAFETY: the handler runs on `dest`, where every object in the batch
+    // lives.
+    let mut scatter = Batcher::new(core, usize::MAX, move |dest, batch: Vec<Erased>| unsafe {
+        pgas_sim::free_erased_local_batch(core, batch, dest != here)
+    });
+    for e in objs {
+        scatter.aggregate(e.owner(), e);
+    }
+    scatter.flush();
 }
 
 impl Default for EpochManager {
@@ -478,15 +573,14 @@ impl Drop for EpochManager {
     fn drop(&mut self) {
         // Outside any task (the manager outlived the `run` block) this
         // re-enters the runtime, so the final reclamation is accounted.
-        self.rt.clone().run_here_or_enter(|| self.clear());
+        self.shared.rt.clone().run_here_or_enter(|| self.clear());
     }
 }
 
 impl<'a> Token<'a> {
     /// Enter the current (locale-cached) epoch.
     pub fn pin(&self) {
-        let e = self.mgr.instances.get_for(self.locale).locale_epoch.read();
-        self.slot.set_epoch(e);
+        self.slot.set_epoch(self.inst.epoch.read());
     }
 
     /// Leave the epoch.
@@ -516,16 +610,16 @@ impl<'a> Token<'a> {
     pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
         let e = self.slot.epoch_relaxed();
         debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
-        if let Some(obs) = self.mgr.observer.get() {
+        if let Some(obs) = self.shared.observer.get() {
             obs.on_defer(ptr.addr(), e);
         }
-        let limbo = &self.mgr.instances.get_for(self.locale).limbo;
         // SAFETY: this token holds the slot and is pinned in `e`.
-        let published = unsafe { limbo.defer(&self.slot.bag, Erased::new(ptr), e) };
-        self.mgr.stats.published(published);
+        let published = unsafe { self.inst.limbo.defer(&self.slot.bag, Erased::new(ptr), e) };
+        self.shared.stats.published(published);
     }
 
-    /// Forward to [`EpochManager::try_reclaim`].
+    /// Forward to the manager's `try_reclaim` (the paper lets either the
+    /// token or the manager drive reclamation).
     pub fn try_reclaim(&self) -> bool {
         self.mgr.try_reclaim()
     }
@@ -555,12 +649,13 @@ impl Drop for PinGuard<'_, '_> {
 
 impl Drop for Token<'_> {
     fn drop(&mut self) {
-        let inst = self.mgr.instances.get_for(self.locale);
-        if inst.tokens.release(self.slot, self.standing) {
-            // The slot is unpinned now (unless a new holder took it already,
-            // and then the handshake decides): nothing waits for the next
-            // advance.
-            self.mgr.stats.published(inst.limbo.publish_idle(self.slot));
+        // Mirrors the managed-class wrapper in the paper: going out of scope
+        // unpins and unregisters. The slot is unpinned now (unless a new
+        // holder took it already, and then the handshake decides): nothing
+        // waits for the next advance. A standing slot keeps its bag.
+        if self.inst.tokens.release(self.slot, self.standing) {
+            let published = self.inst.limbo.publish_idle(self.slot);
+            self.shared.stats.published(published);
         }
     }
 }
@@ -568,6 +663,8 @@ impl Drop for Token<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reclaim::{ReclaimGuard, Reclaimer};
+    use crate::LocalEpochManager;
     use pgas_sim::{alloc_local, alloc_on, Runtime, RuntimeConfig};
     use std::sync::atomic::AtomicUsize;
 
@@ -834,6 +931,30 @@ mod tests {
     }
 
     #[test]
+    fn a_lost_election_leaves_the_winners_flags_set() {
+        let rt = zrt(2);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let local = &em.instances.get().is_setting_epoch;
+            let global = &em.global.is_setting_epoch;
+            // Another candidate holds the global flag: the loser gives back
+            // its local one and leaves the global one alone.
+            assert!(!global.test_and_set());
+            assert!(!em.try_reclaim());
+            assert_eq!((local.read(), global.read()), (0, 1));
+            global.clear();
+            // Another candidate of this locale holds the local flag.
+            assert!(!local.test_and_set());
+            assert!(!em.try_reclaim());
+            assert_eq!((local.read(), global.read()), (1, 0));
+            local.clear();
+            assert!(em.try_reclaim());
+            let s = em.stats();
+            assert_eq!((s.lost_global_election, s.lost_local_election), (1, 1));
+        });
+    }
+
+    #[test]
     fn listing5_microbenchmark_workload() {
         // The paper's Listing 5, miniaturized: distributed objects, each
         // task defers deletion of the objects it visits and periodically
@@ -916,14 +1037,17 @@ mod tests {
             }
         }
 
-        // `Advance` panics on the winner between the two fan-outs;
-        // `Reclaim` panics inside locale 1's drain handler and reaches the
-        // winner through the reply. That drain's first object is lost with
-        // it: leaked, not freed.
-        for (hook, leaked) in [(Hook::Advance, 0), (Hook::Reclaim, 1)] {
+        /// Six `try_reclaim` calls, the observer panicking in one of them.
+        /// Under `EpochManager`, `Advance` panics on the winner between the
+        /// two fan-outs and `Reclaim` inside locale 1's drain handler, and
+        /// reaches the winner through the reply; under `LocalEpochManager`
+        /// both panic inline on the caller. The drain's first object is lost
+        /// with it: leaked, not freed.
+        fn six_calls_one_panic<R: Reclaimer>(hook: Hook, leaked: i64) {
             let rt = zrt(2);
             rt.run(|| {
-                let em = EpochManager::new();
+                let em = R::new_in_runtime();
+                let row = format!("{} {hook:?}", em.backend_name());
                 em.set_observer(Arc::new(PanicOnce {
                     hook,
                     fired: AtomicBool::new(false),
@@ -949,18 +1073,23 @@ mod tests {
                         Err(_) => panics += 1,
                     }
                 }
-                assert_eq!(panics, 1, "{hook:?}: the observer panics once");
+                assert_eq!(panics, 1, "{row}: the observer panics once");
                 assert_eq!(
                     advances, 5,
-                    "{hook:?}: every later call wins both elections again"
+                    "{row}: every later call wins the elections again"
                 );
                 defer_on_locale_1(7);
                 em.clear();
-                assert_eq!(rt.live_objects(), leaked, "{hook:?}");
+                assert_eq!(rt.live_objects(), leaked, "{row}");
                 let s = em.stats();
-                assert_eq!(s.objects_deferred, 8);
-                assert_eq!(s.lost_local_election + s.lost_global_election, 0);
+                assert_eq!(s.objects_deferred, 8, "{row}");
+                assert_eq!(s.lost_local_election + s.lost_global_election, 0, "{row}");
             });
+        }
+
+        for (hook, leaked) in [(Hook::Advance, 0), (Hook::Reclaim, 1)] {
+            six_calls_one_panic::<EpochManager>(hook, leaked);
+            six_calls_one_panic::<LocalEpochManager>(hook, leaked);
         }
     }
 
@@ -1076,19 +1205,23 @@ mod tests {
 
     #[test]
     fn manager_dropped_outside_run_still_reclaims() {
-        let rt = zrt(2);
-        let em = rt.run(|| {
-            let em = EpochManager::new();
-            let tok = em.register();
-            tok.pin();
-            tok.defer_delete(alloc_on(&rt, 1, 5u64));
-            tok.unpin();
-            drop(tok);
-            em
-        });
-        assert_eq!(rt.live_objects(), 1);
-        drop(em); // re-enters the runtime to clear
-        assert_eq!(rt.live_objects(), 0);
+        fn dropped_outside_run<R: Reclaimer>() {
+            let rt = zrt(2);
+            let em = rt.run(|| {
+                let em = R::new_in_runtime();
+                let tok = em.register();
+                tok.pin();
+                tok.defer_delete(alloc_on(&rt, 1, 5u64));
+                tok.unpin();
+                drop(tok);
+                em
+            });
+            assert_eq!(rt.live_objects(), 1);
+            drop(em); // re-enters the runtime to clear
+            assert_eq!(rt.live_objects(), 0, "{}", std::any::type_name::<R>());
+        }
+        dropped_outside_run::<EpochManager>();
+        dropped_outside_run::<LocalEpochManager>();
     }
 
     #[test]

@@ -22,7 +22,7 @@ use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::{GlobalPtr, RuntimeHandle};
 
-use crate::local_manager::{LocalEpochManager, LocalToken};
+use crate::local_manager::LocalEpochManager;
 use crate::manager::{EpochManager, Token};
 use crate::stats::ReclaimSnapshot;
 
@@ -181,7 +181,8 @@ pub trait Reclaimer: Send + Sync {
 }
 
 // ---------------------------------------------------------------------
-// EBR: the distributed EpochManager (the default backend everywhere).
+// EBR: the token of both epoch managers, and the distributed EpochManager
+// (the default backend everywhere).
 // ---------------------------------------------------------------------
 
 impl ReclaimGuard for Token<'_> {
@@ -258,35 +259,8 @@ impl Reclaimer for EpochManager {
 // EBR, locale-local: LocalEpochManager (single-locale structures only).
 // ---------------------------------------------------------------------
 
-impl ReclaimGuard for LocalToken<'_> {
-    #[inline]
-    fn pin(&self) {
-        LocalToken::pin(self)
-    }
-
-    #[inline]
-    fn unpin(&self) {
-        LocalToken::unpin(self)
-    }
-
-    #[inline]
-    fn is_pinned(&self) -> bool {
-        LocalToken::is_pinned(self)
-    }
-
-    #[inline]
-    fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
-        LocalToken::defer_delete(self, ptr)
-    }
-
-    #[inline]
-    fn try_reclaim(&self) -> bool {
-        LocalToken::try_reclaim(self)
-    }
-}
-
 impl Reclaimer for LocalEpochManager {
-    type Guard<'a> = LocalToken<'a>;
+    type Guard<'a> = Token<'a>;
 
     const NEEDS_PROTECT: bool = false;
     const PROTECT_SLOTS: usize = 0;
@@ -295,7 +269,7 @@ impl Reclaimer for LocalEpochManager {
         LocalEpochManager::new()
     }
 
-    fn register(&self) -> LocalToken<'_> {
+    fn register(&self) -> Token<'_> {
         LocalEpochManager::register(self)
     }
 

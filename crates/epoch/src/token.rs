@@ -12,10 +12,11 @@
 //!   it (an unregistered token simply reads as quiescent), which is what
 //!   makes the scan safe to run concurrently with registration.
 //!
-//! The public RAII guards ([`crate::manager::Token`],
-//! [`crate::local_manager::LocalToken`]) unregister automatically on drop —
-//! the paper wraps tokens in a managed class for exactly this reason, so
-//! they compose with `forall ... with (var tok = manager.register())`.
+//! The public RAII guard, [`crate::manager::Token`] (of both epoch
+//! managers; [`crate::local_manager::LocalToken`] names it too),
+//! unregisters automatically on drop — the paper wraps tokens in a managed
+//! class for exactly this reason, so they compose with
+//! `forall ... with (var tok = manager.register())`.
 //!
 //! A progress thread is a task too, one that runs the handlers the locale
 //! is sent, so it registers once: `TokenRegistry::acquire` hands a

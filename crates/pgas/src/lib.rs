@@ -64,7 +64,6 @@ pub mod heap;
 pub mod locale;
 pub mod per_thread;
 pub mod privatized;
-pub mod reduce;
 pub mod runtime;
 pub mod shard;
 pub mod stats;
@@ -86,7 +85,6 @@ pub use heap::{
 pub use locale::Locale;
 pub use per_thread::PerThread;
 pub use privatized::Privatized;
-pub use reduce::{all_locales, any_locales, max_locales, min_locales, reduce_locales, sum_locales};
 pub use runtime::{Runtime, RuntimeCore, RuntimeHandle};
 pub use shard::ShardRouter;
 pub use stats::{CommSnapshot, Counter, HeapStats};

@@ -9,14 +9,14 @@
 //! compared: one remote atomic per update vs aggregating updates per
 //! destination and shipping bulk batches — the same idea as the
 //! `EpochManager`'s scatter list, applied to writes. Also demonstrates
-//! `DistArray`, `Batcher`, reductions, and the `DistBarrier`.
+//! `DistArray`, `Batcher`, the `on_each_locale` fan-out, and the
+//! `DistBarrier`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgas_nonblocking::prelude::*;
 use pgas_nonblocking::sim::array::{Dist, DistArray};
 use pgas_nonblocking::sim::barrier::DistBarrier;
-use pgas_nonblocking::sim::reduce::sum_locales;
 use pgas_nonblocking::sim::vtime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,13 +75,16 @@ fn main() {
             barrier.wait();
         });
         let agg_vtime = vtime::now() - t0;
-        let total = sum_locales(&rt, |l| {
-            histo
-                .local_segment(l)
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .sum()
-        });
+        let total: u64 = rt
+            .on_each_locale(|l| {
+                histo
+                    .local_segment(l)
+                    .iter()
+                    .map(|a| a.load(Ordering::Relaxed))
+                    .sum::<u64>()
+            })
+            .into_iter()
+            .sum();
         assert_eq!(total, (locales * updates_per_locale) as u64);
         let agg_comm = rt.total_comm();
 
