@@ -509,9 +509,6 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
             drop(tok);
             em.clear();
             reclaimed = em.stats().objects_reclaimed;
-            // A hazard-pointer backend keeps its participant records on the
-            // runtime's heap until it is dropped.
-            drop(em);
             // Quiescent teardown: free the remaining chain.
             let mut cur = head_cell.read();
             while !cur.is_null() {

@@ -11,28 +11,30 @@
 //! the shared-memory baseline that makes the choice measurable
 //! (`harness -- ablations`, A6).
 //!
-//! - **Per-locale slot tables.** Each locale keeps an append-only list
-//!   of participant records, allocated through `GlobalPtr` so any locale
-//!   can address them. A scan reads *every* slot on *every* locale; each
-//!   cross-locale slot read is charged as a remote atomic — the honest
-//!   distributed scan cost that EBR's single epoch counter amortizes
-//!   away.
-//! - **Remote retire lists.** Retired objects may live on any locale. A
-//!   scan partitions the unprotected ones by owner and frees them over
-//!   the same scatter bulk-free code the `EpochManager` uses (one active
-//!   message per remote destination).
+//! Each locale keeps the two lock-free parts of an epoch manager's locale
+//! instance, a [`TokenRegistry`] and a limbo ([`crate::limbo`]):
+//!
+//! - **Registry.** A guard registers like a `Token`, in a slot that carries
+//!   the [`DIST_HP_SLOTS`] hazard words; a handler gets its progress
+//!   thread's standing slot. A scan reads *every* slot on *every* locale,
+//!   each cross-locale read charged as a remote atomic — the honest
+//!   distributed scan cost that EBR's single epoch counter amortizes away.
+//! - **Limbo.** A retire goes into the slot's bag, with the slot's epoch
+//!   word set only while it writes it, so a scan may publish the bag of a
+//!   slot that is not mid-retire (the handshake in [`crate::limbo`]). A
+//!   scan on another locale pays for that handshake and for each exchange
+//!   on the locale's lists as remote atomics too.
+//! - **Scans.** `try_reclaim` publishes the idle bags, detaches every
+//!   locale's list, collects the hazards, frees what none covers by the
+//!   `EpochManager`'s scatter bulk free (one active message per remote
+//!   owner), and puts the rest back; a guard does the same for its own
+//!   locale after every [`SCAN_THRESHOLD`] retires of its slot. Nothing
+//!   locks, so a parked scan holds up neither another scan nor a retire.
 //! - **Stall tolerance.** A guard that never unpins blocks nothing: only
 //!   the ≤ [`DIST_HP_SLOTS`] addresses it has published stay live, so
-//!   per-participant garbage is bounded by `SCAN_THRESHOLD` plus the
-//!   fleet's slot count — the property ablation A8 measures against
-//!   EBR's unbounded limbo growth under the `stalled_task` plan.
-//!
-//! - **Standing participants.** A handler on a progress thread registers
-//!   the thread's standing participant, taken on its first registration
-//!   and active until the reclaimer drops (the table's `Standing`, shared
-//!   with the token registry). Its guard's drop clears the hazards and
-//!   leaves the record active, so a remote operation allocates nothing and
-//!   searches nothing.
+//!   garbage is bounded per slot (see [`HazardReclaimer::garbage_bound`]) —
+//!   the property ablation A8 measures against EBR's unbounded limbo growth
+//!   under the `stalled_task` plan.
 //!
 //! Stats mapping onto [`ReclaimSnapshot`]: scans count as `advances`,
 //! retires as `objects_deferred`, frees as `objects_reclaimed`,
@@ -40,7 +42,7 @@
 //! `hazard_protects`.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
@@ -49,12 +51,13 @@ use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::telemetry::OpClass;
 use pgas_sim::{ctx, vtime, Erased, GlobalPtr, Privatized, RuntimeHandle};
 
+use crate::limbo::Limbo;
 use crate::manager::scatter_free;
 use crate::reclaim::{ReclaimGuard, Reclaimer};
 use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
-use crate::token::Standing;
+use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
-/// Retired objects a participant accumulates before scanning.
+/// Retires through one slot between two of its holders' inline scans.
 pub const SCAN_THRESHOLD: usize = 64;
 
 /// Hazard slots per participant. The structures shipped here use at
@@ -63,84 +66,42 @@ pub const SCAN_THRESHOLD: usize = 64;
 /// without a participant-record layout change.
 pub const DIST_HP_SLOTS: usize = 16;
 
-/// One registered task's record: its published hazards and its private
-/// retire list. Lives behind a `GlobalPtr` so remote scans can address
-/// it.
-struct HpParticipant {
-    hazards: [AtomicUsize; DIST_HP_SLOTS],
-    /// Heap address of the next participant on the same locale
-    /// (append-only list).
-    next: AtomicUsize,
-    /// 1 while registered; inactive records are re-used.
-    active: AtomicU64,
-    retired: parking_lot::Mutex<Vec<Erased>>,
-    /// Virtual time of the oldest un-scanned retire (`u64::MAX` when the
-    /// list was just scanned) — feeds the pin-to-reclaim histogram.
-    first_retire_vtime: AtomicU64,
+/// The epoch word of a slot mid-retire, and the one limbo list's epoch.
+const RETIRING: u64 = 1;
+
+/// What a hazard-pointer slot carries besides its epoch word and bag.
+#[derive(Default)]
+struct Hazards {
+    words: [AtomicUsize; DIST_HP_SLOTS],
+    /// Retires through the slot since one of its holders last scanned.
+    retires: AtomicUsize,
 }
 
-impl HpParticipant {
-    fn new() -> HpParticipant {
-        HpParticipant {
-            hazards: std::array::from_fn(|_| AtomicUsize::new(0)),
-            next: AtomicUsize::new(0),
-            active: AtomicU64::new(1),
-            retired: parking_lot::Mutex::new(Vec::new()),
-            first_retire_vtime: AtomicU64::new(u64::MAX),
-        }
-    }
-}
-
-/// One locale's participant registry.
-struct HpLocaleTable {
-    /// Heap address of the first participant (0 = empty).
-    head: AtomicUsize,
-    /// Participant records ever allocated on this locale.
-    allocated: AtomicU64,
-    /// The standing participants of the locale's progress threads.
-    standing: Standing<HpParticipant>,
-}
-
-impl HpLocaleTable {
-    fn iter(&self) -> impl Iterator<Item = &HpParticipant> {
-        let mut cur = self.head.load(Ordering::Acquire);
-        std::iter::from_fn(move || {
-            if cur == 0 {
-                return None;
-            }
-            // SAFETY: participants are append-only and freed only by the
-            // reclaimer's Drop, which requires exclusive access.
-            let p = unsafe { &*(cur as *const HpParticipant) };
-            cur = p.next.load(Ordering::Acquire);
-            Some(p)
-        })
-    }
+/// One locale's registry and limbo.
+struct HpLocale {
+    tokens: TokenRegistry<Hazards>,
+    limbo: Limbo,
 }
 
 /// Distributed hazard-pointer reclamation (see module docs).
 pub struct HazardReclaimer {
     rt: RuntimeHandle,
-    tables: Privatized<HpLocaleTable>,
+    locales: Privatized<HpLocale>,
     stats: ReclaimStats,
     observer: OnceLock<Arc<dyn ReclaimObserver>>,
 }
-
-// SAFETY: all shared state is atomics, locks, and append-only lists.
-unsafe impl Send for HazardReclaimer {}
-unsafe impl Sync for HazardReclaimer {}
 
 impl HazardReclaimer {
     /// Create a reclaimer spanning every locale of the current runtime.
     pub fn new() -> HazardReclaimer {
         let rt = ctx::current_runtime();
-        let tables = Privatized::new(&rt, |_| HpLocaleTable {
-            head: AtomicUsize::new(0),
-            allocated: AtomicU64::new(0),
-            standing: Standing::new(),
+        let locales = Privatized::new(&rt, |_| HpLocale {
+            tokens: TokenRegistry::with_charges(false),
+            limbo: Limbo::new(),
         });
         HazardReclaimer {
             rt,
-            tables,
+            locales,
             stats: ReclaimStats::default(),
             observer: OnceLock::new(),
         }
@@ -158,47 +119,19 @@ impl HazardReclaimer {
         }
     }
 
-    /// Register the calling task with its locale's table. A handler on a
-    /// progress thread gets the thread's standing participant.
+    /// Register the calling task with its locale's registry. A handler on a
+    /// progress thread gets the thread's standing slot.
     pub fn register(&self) -> HpGuard<'_> {
-        let table = self.tables.get();
-        let (p, standing) = table.standing.register(|| self.activate(table));
-        HpGuard::new(self, p, standing)
-    }
-
-    /// Activate a participant of `table`: an inactive one if any, else a
-    /// new one.
-    fn activate<'t>(&self, table: &'t HpLocaleTable) -> &'t HpParticipant {
-        let mut cur = table.head.load(Ordering::Acquire);
-        while cur != 0 {
-            let p = unsafe { &*(cur as *const HpParticipant) };
-            if p.active
-                .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return p;
-            }
-            cur = p.next.load(Ordering::Acquire);
+        let locale = self.locales.get();
+        let (slot, standing) = locale.tokens.acquire();
+        HpGuard {
+            dom: self,
+            locale,
+            slot,
+            standing,
+            validated: std::array::from_fn(|_| Cell::new(0)),
+            _not_sync: std::marker::PhantomData,
         }
-        // Allocate on this locale (through the global heap, so the
-        // record has a `GlobalPtr` identity remote scans can name) and
-        // CAS-push.
-        let ptr = ctx::with_core(|core, _| pgas_sim::alloc_local(core, HpParticipant::new()));
-        table.allocated.fetch_add(1, Ordering::Relaxed);
-        let addr = ptr.addr();
-        let p = unsafe { &*(addr as *const HpParticipant) };
-        let mut head = table.head.load(Ordering::Acquire);
-        loop {
-            p.next.store(head, Ordering::Relaxed);
-            match table
-                .head
-                .compare_exchange_weak(head, addr, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-        p
     }
 
     /// Every address currently published in any slot on any locale. Each
@@ -206,9 +139,9 @@ impl HazardReclaimer {
     /// the distributed scan cost.
     fn collect_hazards(&self) -> Vec<usize> {
         let mut hazards = Vec::new();
-        for (locale, table) in self.tables.iter() {
-            for p in table.iter() {
-                for h in &p.hazards {
+        for (locale, l) in self.locales.iter() {
+            for slot in l.tokens.iter() {
+                for h in &slot.extra.words {
                     engine::charge_atomic_u64(locale);
                     let a = h.load(Ordering::SeqCst);
                     if a != 0 {
@@ -221,101 +154,72 @@ impl HazardReclaimer {
         hazards
     }
 
-    /// Partition `retired` against `hazards`, free the unprotected part
-    /// by owner over the scatter path, and put survivors back. Returns
-    /// the number freed. `hazards` must have been collected *after* the
-    /// retired list was fixed (stolen or locked).
-    fn scan_list(
-        &self,
-        retired: &mut Vec<Erased>,
-        hazards: &[usize],
-        first_retire: u64,
-        during_clear: bool,
-    ) -> u64 {
-        self.stats.bump(Stat::Advances);
-        let n = retired.len() as u64;
-        let observer = self.observer.get();
-        let mut kept = Vec::new();
-        let freed = ctx::with_core(|core, here| {
-            let mut freed = 0u64;
-            let unprotected = retired.drain(..).filter_map(|e| {
-                if hazards.binary_search(&e.addr()).is_ok() {
-                    kept.push(e);
-                    return None;
-                }
-                if let Some(obs) = observer {
-                    obs.on_reclaim(e.addr(), 0, 0, during_clear);
-                }
-                freed += 1;
-                Some(e)
-            });
-            // SAFETY: no hazard covers anything unprotected (or the caller
-            // guaranteed quiescence for clear()).
-            unsafe { scatter_free(core, here, unprotected) };
-            let stats = &core.locale(here).stats;
-            if first_retire != u64::MAX {
-                stats.record(OpClass::Reclaim, vtime::now().saturating_sub(first_retire));
-            }
-            stats.record(OpClass::LimboDepth, n);
-            freed
-        });
-        *retired = kept;
-        self.stats.add(Stat::ObjectsReclaimed, freed);
-        self.stats.add(Stat::UnsafeScans, n - freed);
-        freed
-    }
-
-    /// One full scan pass: steal every participant's retire list (on
-    /// every locale), *then* collect hazards, then free what no hazard
-    /// covers. The steal-before-collect order is what makes helping
-    /// sound: anything stolen was retired — hence unlinked — before the
-    /// collection, so a validated protection of it must already be
-    /// visible.
-    fn scan_pass(&self, respect_hazards: bool, during_clear: bool) -> u64 {
-        let mut stolen: Vec<(&HpParticipant, Vec<Erased>, u64)> = Vec::new();
-        for (_, table) in self.tables.iter() {
-            for p in table.iter() {
-                let mut retired = p.retired.lock();
-                if retired.is_empty() {
-                    continue;
-                }
-                let first = p.first_retire_vtime.swap(u64::MAX, Ordering::Relaxed);
-                stolen.push((p, std::mem::take(&mut *retired), first));
-            }
-        }
-        if stolen.is_empty() {
+    /// Publish the idle bags and detach the lists of the locales `of`, *then*
+    /// collect every locale's hazards (if `respect`), then free what no
+    /// hazard covers and put the rest back; `clear` tells the observer. The
+    /// detach-before-collect order is what makes helping sound: anything
+    /// detached was retired — hence unlinked — before the collection, so a
+    /// validated protection of it must already be visible. Returns the
+    /// number freed.
+    fn scan<'a>(&self, of: impl Iterator<Item = &'a HpLocale>, respect: bool, clear: bool) -> u64 {
+        let detached: Vec<_> = of
+            .filter_map(|l| {
+                l.limbo.publish_idle_bags(&l.tokens);
+                let empty = l.limbo.is_empty(RETIRING);
+                (!empty).then(|| (&l.limbo, l.limbo.detach(RETIRING)))
+            })
+            .collect();
+        if detached.is_empty() {
             return 0;
         }
-        let hazards = if respect_hazards {
+        self.stats.bump(Stat::Advances);
+        let hazards = if respect {
             self.collect_hazards()
         } else {
             Vec::new()
         };
-        let mut freed = 0;
-        for (p, mut list, first) in stolen {
-            freed += self.scan_list(&mut list, &hazards, first, during_clear);
-            if !list.is_empty() {
-                // Survivors go back to their owner's list; refresh the
-                // age stamp so the next scan still reports their wait.
-                p.first_retire_vtime
-                    .fetch_min(vtime::now(), Ordering::Relaxed);
-                p.retired.lock().append(&mut list);
+        let observer = self.observer.get();
+        let recycle = &self.locales.get().limbo;
+        let mut kept = 0;
+        let freed = ctx::with_core(|core, here| {
+            let stats = &core.locale(here).stats;
+            let mut unprotected = Vec::new();
+            for (limbo, (list, first)) in detached {
+                let keep = |e: &Erased| hazards.binary_search(&e.addr()).is_ok();
+                let (n, held) = limbo.drain_detached(list, RETIRING, recycle, keep, |e| {
+                    if let Some(obs) = observer {
+                        obs.on_reclaim(e.addr(), 0, 0, clear);
+                    }
+                    unprotected.push(e);
+                });
+                kept += held;
+                if first != u64::MAX {
+                    stats.record(OpClass::Reclaim, vtime::now().saturating_sub(first));
+                }
+                stats.record(OpClass::LimboDepth, n + held);
             }
-        }
+            let freed = unprotected.len() as u64;
+            // SAFETY: no hazard covers anything unprotected (or the caller
+            // guaranteed quiescence for clear()).
+            unsafe { scatter_free(core, here, unprotected) };
+            freed
+        });
+        self.stats.add(Stat::ObjectsReclaimed, freed);
+        self.stats.add(Stat::UnsafeScans, kept);
         freed
     }
 
     /// Scan all retire lists, freeing everything unprotected. Returns
     /// `true` when anything was freed.
     pub fn try_reclaim(&self) -> bool {
-        self.scan_pass(true, false) > 0
+        self.scan(self.locales.iter().map(|(_, l)| l), true, false) > 0
     }
 
     /// Free *everything* retired, ignoring hazards; callers guarantee
     /// quiescence (all guards dropped or released), as for
     /// `EpochManager::clear`.
     pub fn clear(&self) {
-        self.scan_pass(false, true);
+        self.scan(self.locales.iter().map(|(_, l)| l), false, true);
     }
 
     /// Deliberately run a scan that ignores every published hazard, with
@@ -325,7 +229,7 @@ impl HazardReclaimer {
     /// protection.
     #[doc(hidden)]
     pub fn debug_scan_ignoring_hazards(&self) {
-        self.scan_pass(false, false);
+        self.scan(self.locales.iter().map(|(_, l)| l), false, false);
     }
 
     /// Reclamation counters (see module docs for the HP mapping).
@@ -338,20 +242,22 @@ impl HazardReclaimer {
         self.rt.clone()
     }
 
-    /// Participant records ever allocated, across all locales.
+    /// Registry slots ever allocated, across all locales.
     pub fn participants_allocated(&self) -> u64 {
-        self.tables
+        self.locales
             .iter()
-            .map(|(_, t)| t.allocated.load(Ordering::Relaxed))
+            .map(|(_, l)| l.tokens.allocated_count())
             .sum()
     }
 
-    /// Upper bound on un-reclaimed garbage with `p` participants ever
-    /// registered: each list holds fewer than `SCAN_THRESHOLD` objects
-    /// between scans, plus everything the fleet's slots can pin.
+    /// Upper bound on un-reclaimed garbage while no scan runs, with `p`
+    /// slots ever allocated. A scan frees all that no hazard covers in the
+    /// idle open bags and lists it covers, so they hold at most the
+    /// `SCAN_THRESHOLD − 1` retires each slot made since its last inline
+    /// scan, plus the `DIST_HP_SLOTS` objects each slot's hazards may keep.
     pub fn garbage_bound(&self) -> u64 {
         let p = self.participants_allocated();
-        p * (SCAN_THRESHOLD as u64 + DIST_HP_SLOTS as u64)
+        p * (SCAN_THRESHOLD as u64 - 1) + p * DIST_HP_SLOTS as u64
     }
 }
 
@@ -363,26 +269,7 @@ impl Default for HazardReclaimer {
 
 impl Drop for HazardReclaimer {
     fn drop(&mut self) {
-        let teardown = || {
-            self.clear();
-            ctx::with_core(|core, _| {
-                for (locale, table) in self.tables.iter() {
-                    let mut cur = table.head.load(Ordering::Relaxed);
-                    while cur != 0 {
-                        let p = unsafe { &*(cur as *const HpParticipant) };
-                        debug_assert!(p.retired.lock().is_empty());
-                        let next = p.next.load(Ordering::Relaxed);
-                        let gp: GlobalPtr<HpParticipant> =
-                            GlobalPtr::from_raw_parts(locale, cur as *mut HpParticipant);
-                        // SAFETY: exclusive access (Drop); allocated via
-                        // alloc_local and never freed elsewhere.
-                        unsafe { pgas_sim::free(core, gp) };
-                        cur = next;
-                    }
-                }
-            });
-        };
-        self.rt.clone().run_here_or_enter(teardown);
+        self.rt.clone().run_here_or_enter(|| self.clear());
     }
 }
 
@@ -390,9 +277,11 @@ impl Drop for HazardReclaimer {
 /// protection table belong to one task.
 pub struct HpGuard<'a> {
     dom: &'a HazardReclaimer,
-    participant: &'a HpParticipant,
-    /// The held flag of a progress thread's standing participant, `None`
-    /// for a participant this guard activated.
+    /// The locale the guard registered on, and its slot there.
+    locale: &'a HpLocale,
+    slot: &'a TokenSlot<Hazards>,
+    /// The held flag of a progress thread's standing slot, `None` for a
+    /// slot from the free stack.
     standing: Option<&'a AtomicBool>,
     /// Addresses whose protection has been *validated* per slot (0 =
     /// none) — the observer-facing shadow of the published slots.
@@ -401,33 +290,24 @@ pub struct HpGuard<'a> {
 }
 
 impl<'a> HpGuard<'a> {
-    fn new(
-        dom: &'a HazardReclaimer,
-        participant: &'a HpParticipant,
-        standing: Option<&'a AtomicBool>,
-    ) -> HpGuard<'a> {
-        HpGuard {
-            dom,
-            participant,
-            standing,
-            validated: std::array::from_fn(|_| Cell::new(0)),
-            _not_sync: std::marker::PhantomData,
-        }
-    }
-
     /// Publish `addr` in `slot` (charged SeqCst store). Any previously
     /// *validated* protection in the slot is released first: from this
     /// store on, scans may free the old object.
     fn publish(&self, slot: usize, addr: usize) {
         assert!(slot < DIST_HP_SLOTS);
+        self.end_validated(slot);
+        engine::charge_atomic_u64(pgas_sim::here());
+        self.slot.extra.words[slot].store(addr, Ordering::SeqCst);
+    }
+
+    /// Report the protection validated in `slot`, if any, as released.
+    fn end_validated(&self, slot: usize) {
         let old = self.validated[slot].replace(0);
         if old != 0 {
             if let Some(obs) = self.dom.observer.get() {
                 obs.on_release(old);
             }
         }
-        engine::charge_atomic_u64(pgas_sim::here());
-        self.participant.hazards[slot].store(addr, Ordering::SeqCst);
     }
 
     /// Record that the protection published in `slot` was validated.
@@ -468,24 +348,26 @@ impl ReclaimGuard for HpGuard<'_> {
         if let Some(obs) = self.dom.observer.get() {
             obs.on_defer(ptr.addr(), 0);
         }
-        self.participant
-            .first_retire_vtime
-            .fetch_min(vtime::now(), Ordering::Relaxed);
-        let mut retired = self.participant.retired.lock();
-        retired.push(Erased::new(ptr));
-        if retired.len() >= SCAN_THRESHOLD {
-            // List fixed (lock held) before hazards are collected.
-            let hazards = self.dom.collect_hazards();
-            let first = self
-                .participant
-                .first_retire_vtime
-                .swap(u64::MAX, Ordering::Relaxed);
-            self.dom.scan_list(&mut retired, &hazards, first, false);
-            if !retired.is_empty() {
-                self.participant
-                    .first_retire_vtime
-                    .fetch_min(vtime::now(), Ordering::Relaxed);
-            }
+        self.slot.set_epoch_fenced(RETIRING);
+        // SAFETY: this guard holds the slot, of its own locale, and marked
+        // it retiring.
+        unsafe {
+            self.locale
+                .limbo
+                .defer(&self.slot.bag, Erased::new(ptr), RETIRING)
+        };
+        self.slot.set_epoch_fenced(QUIESCENT);
+        let retires = &self.slot.extra.retires;
+        let n = retires.load(Ordering::Relaxed) + 1;
+        if n < SCAN_THRESHOLD {
+            retires.store(n, Ordering::Relaxed);
+        } else {
+            // Only this locale's lists: a retire may run in a handler, which
+            // must not send other locales' owners blocking bulk frees. This
+            // list sends none while handlers retire only their own locale's
+            // objects, as the structures' handlers do.
+            retires.store(0, Ordering::Relaxed);
+            self.dom.scan(std::iter::once(self.locale), true, false);
         }
     }
 
@@ -548,19 +430,11 @@ impl ReclaimGuard for HpGuard<'_> {
 impl Drop for HpGuard<'_> {
     fn drop(&mut self) {
         for slot in 0..DIST_HP_SLOTS {
-            let old = self.validated[slot].replace(0);
-            if old != 0 {
-                if let Some(obs) = self.dom.observer.get() {
-                    obs.on_release(old);
-                }
-            }
-            self.participant.hazards[slot].store(0, Ordering::SeqCst);
+            self.end_validated(slot);
+            self.slot.extra.words[slot].store(0, Ordering::SeqCst);
         }
-        match self.standing {
-            // The standing participant stays active, for its thread.
-            Some(held) => held.store(false, Ordering::Release),
-            None => self.participant.active.store(0, Ordering::Release),
-        }
+        // The bag stays in the slot, for the next scan to publish.
+        self.locale.tokens.release(self.slot, self.standing);
     }
 }
 
@@ -770,14 +644,115 @@ mod tests {
                 g.defer_delete(p);
             }
             assert_eq!(dom.stats().advances, 0, "below threshold: no scan yet");
-            // +1: the participant record itself is a heap allocation.
-            assert_eq!(rt.live_objects() as usize, SCAN_THRESHOLD);
+            // The slot is not a runtime-heap allocation.
+            assert_eq!(rt.live_objects() as usize, SCAN_THRESHOLD - 1);
             let p = ctx::with_core(|core, _| alloc_local(core, 0u64));
             g.defer_delete(p); // exactly SCAN_THRESHOLD
             assert_eq!(dom.stats().advances, 1, "threshold retire scans inline");
             assert_eq!(dom.stats().objects_reclaimed, SCAN_THRESHOLD as u64);
-            assert_eq!(rt.live_objects(), 1, "only the participant record remains");
+            assert_eq!(rt.live_objects(), 0, "nothing remains");
         });
+    }
+
+    #[test]
+    fn an_inline_scan_sends_nothing_for_other_locales_retires() {
+        // A retire may run in a handler, which must not wait on another
+        // locale's progress thread: its inline scan frees only what its own
+        // locale holds.
+        let rt = Runtime::cluster(2);
+        rt.run(|| {
+            let dom = HazardReclaimer::new();
+            let retire = |g: &HpGuard<'_>, n: u64| {
+                for i in 0..n {
+                    g.defer_delete(ctx::with_core(|core, _| alloc_local(core, i)));
+                }
+            };
+            rt.coforall_locales(|l| {
+                if l == 1 {
+                    retire(&dom.register(), 10);
+                }
+            });
+            let g = dom.register();
+            retire(&g, SCAN_THRESHOLD as u64 - 1);
+            rt.reset_metrics();
+            retire(&g, 1);
+            assert_eq!(dom.stats().objects_reclaimed, SCAN_THRESHOLD as u64);
+            assert_eq!(rt.total_comm().am_sent, 0, "a message to locale 1");
+            drop(g);
+            assert!(
+                dom.try_reclaim(),
+                "locale 1's retires wait for a scan of all"
+            );
+            assert_eq!(dom.stats().objects_reclaimed, SCAN_THRESHOLD as u64 + 10);
+        });
+        assert_eq!(rt.live_objects(), 0);
+    }
+
+    #[test]
+    fn a_parked_scan_holds_up_no_other_scan_or_retire() {
+        // Parks the first scan that reports a free until released.
+        #[derive(Default)]
+        struct Park {
+            parked: AtomicBool,
+            released: AtomicBool,
+        }
+        impl ReclaimObserver for Park {
+            fn on_defer(&self, _: usize, _: u64) {}
+            fn on_advance(&self, _: u64) {}
+            fn on_reclaim(&self, _: usize, _: u64, _: u64, _: bool) {
+                if !self.parked.swap(true, Ordering::SeqCst) {
+                    while !self.released.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                }
+            }
+        }
+        let rt = zrt(1);
+        rt.run(|| {
+            let dom = HazardReclaimer::new();
+            let park = Arc::new(Park::default());
+            dom.set_observer(park.clone());
+            let retire = || {
+                let g = dom.register();
+                for i in 0..SCAN_THRESHOLD as u64 {
+                    g.defer_delete(ctx::with_core(|core, _| alloc_local(core, i)));
+                }
+            };
+            let done = AtomicUsize::new(0);
+            let in_time = AtomicBool::new(false);
+            rt.coforall_tasks(4, |t| {
+                if t == 0 {
+                    // The last retire's inline scan parks.
+                    return retire();
+                }
+                while !park.parked.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                match t {
+                    1 => drop(dom.try_reclaim()),
+                    2 => retire(),
+                    _ => {
+                        let start = std::time::Instant::now();
+                        while done.load(Ordering::SeqCst) < 2
+                            && start.elapsed() < std::time::Duration::from_secs(5)
+                        {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                        }
+                        in_time.store(done.load(Ordering::SeqCst) == 2, Ordering::SeqCst);
+                        park.released.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                }
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+            assert!(
+                in_time.into_inner(),
+                "a scan or a retire waited for the parked scan"
+            );
+            dom.clear();
+            assert_eq!(dom.stats().objects_reclaimed, 2 * SCAN_THRESHOLD as u64);
+        });
+        assert_eq!(rt.live_objects(), 0);
     }
 
     #[test]

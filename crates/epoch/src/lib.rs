@@ -37,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
 
 pub mod hazard_dist;
 pub mod limbo;

@@ -88,7 +88,9 @@
 //! `unpin`, and a holder that later reads `taken` clear synchronizes with
 //! the publisher's release of it. Publishers exclude each other with a
 //! compare-and-swap on the same flag. None of this is charged as
-//! communication: both words belong to the slot, like the bag's stores.
+//! communication: both words belong to the slot, like the bag's stores. A
+//! publisher on another locale (a hazard-pointer scan) pays one atomic
+//! toward the slot's locale for each of its three accesses.
 //!
 //! ### Deviation from the paper: one pool DCAS per drained list
 //! The paper's `recycleNode` pushes every emptied node back onto that stack
@@ -97,9 +99,12 @@
 //! list is already a private chain through its `next` links, so the drain
 //! empties the nodes in place and `NodePool::put_chain` splices the whole
 //! chain under the stack's top with **one** compare-and-swap, whatever its
-//! length. The stack and its ABA protection are unchanged; the price
-//! is that a drained node becomes reusable when its drain ends, not as soon
-//! as it is emptied.
+//! length. The stack and its ABA protection are unchanged; the price is
+//! that a drained node becomes reusable when its drain ends, not as soon as
+//! it is emptied. A hazard-pointer scan also drains other locales' lists,
+//! and splices their emptied nodes into its own locale's pool: a
+//! compare-and-swap on another locale's pool would be an active message.
+//! Every pool of a reclaimer drops with it, so a node may end in any.
 
 use std::cell::UnsafeCell;
 use std::ptr::null_mut;
@@ -107,7 +112,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use pgas_atomics::LocalAtomicAbaObject;
 use pgas_sim::engine;
-use pgas_sim::{here, vtime, Erased, GlobalPtr};
+use pgas_sim::{here, vtime, Erased, GlobalPtr, LocaleId};
 
 use crate::math::{limbo_index, EPOCHS};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
@@ -171,6 +176,22 @@ struct Chain {
     first_vtime: u64,
 }
 
+impl Chain {
+    /// Link `node` in after `tail`: a drain sorting the nodes it walks.
+    fn append(&mut self, node: *mut LimboNode) {
+        if self.head.is_null() {
+            self.head = node;
+        } else {
+            // SAFETY: the chain's nodes are its owner's alone.
+            unsafe { &*self.tail }
+                .next
+                .store(node as usize, Ordering::Relaxed);
+        }
+        self.tail = node;
+        self.len += 1;
+    }
+}
+
 impl Default for Chain {
     fn default() -> Chain {
         Chain {
@@ -222,14 +243,15 @@ impl LimboList {
         }
     }
 
-    /// Splice the chain `head → … → tail` onto the list. Wait-free: one
-    /// unconditional exchange, whatever the chain's length.
+    /// Splice the chain `head → … → tail` onto the list, which lives on
+    /// locale `home`. Wait-free: one unconditional exchange, whatever the
+    /// chain's length.
     ///
     /// # Safety
     /// The caller owns the chain's nodes, each holds an object, following
     /// `next` from `head` reaches `tail`, and `tail.next` is `PENDING`.
-    unsafe fn push_chain(&self, head: *mut LimboNode, tail: *mut LimboNode) {
-        engine::charge_atomic_u64(here());
+    unsafe fn push_chain(&self, home: LocaleId, head: *mut LimboNode, tail: *mut LimboNode) {
+        engine::charge_atomic_u64(home);
         let old = self.head.swap(head as u64, Ordering::AcqRel);
         // Publish the link; a concurrent drain spins until this lands.
         // SAFETY: nodes are only freed when their pool drops.
@@ -238,11 +260,11 @@ impl LimboList {
             .store(old as usize, Ordering::Release);
     }
 
-    /// Detach the entire list (the deletion-phase `pop`): one exchange.
-    /// Returns a drain handle that yields the deferred objects and recycles
-    /// the nodes into `pool`.
-    fn take(&self) -> TakenList {
-        engine::charge_atomic_u64(here());
+    /// Detach the entire list, which lives on locale `home` (the
+    /// deletion-phase `pop`): one exchange. Returns a drain handle that
+    /// yields the deferred objects and recycles the nodes into `pool`.
+    fn take(&self, home: LocaleId) -> TakenList {
+        engine::charge_atomic_u64(home);
         let head = self.head.swap(0, Ordering::AcqRel);
         TakenList {
             head: head as usize,
@@ -264,6 +286,8 @@ impl Drop for LimboList {
         // emptied the list. Free only the node shells.
         let mut cur = *self.head.get_mut() as usize;
         while cur != 0 && cur != PENDING {
+            // SAFETY: the list's nodes came from `Box`es and `&mut self`
+            // means no pusher or drain is left.
             let node = unsafe { Box::from_raw(cur as *mut LimboNode) };
             cur = node.next.load(Ordering::Relaxed);
             debug_assert!(
@@ -277,23 +301,25 @@ impl Drop for LimboList {
 
 /// Iterator over a detached limbo list. Yields each deferred object and
 /// hands the emptied node to the pool it was created with.
-struct TakenList {
+pub(crate) struct TakenList {
     head: usize,
 }
 
 impl TakenList {
-    /// Drain into `sink`, recycling nodes into `pool`. Returns the number
-    /// of objects drained.
-    ///
-    /// The detached nodes are already a private chain through their `next`
-    /// links, so they are emptied in place and go back to the pool together
-    /// (see `NodePool::put_chain`). If `sink` panics, the nodes and the
-    /// objects not yet handed over are leaked, never freed early.
-    fn drain_into(self, pool: &NodePool, mut sink: impl FnMut(Erased)) -> usize {
-        let head = self.head as *mut LimboNode;
-        let mut tail = head;
-        let mut cur = head;
-        let mut n = 0;
+    /// Drain into `sink` every object `keep` rejects. Returns the chain of
+    /// the emptied nodes and the chain of the nodes whose objects `keep`
+    /// accepted, both in list order and ending at a `PENDING` link, as a
+    /// chain to splice must. The detached nodes are already a private chain
+    /// through their `next` links, so they are sorted in place. If `sink`
+    /// panics, the nodes and the objects not yet handed over are leaked,
+    /// never freed early.
+    fn drain_keeping(
+        self,
+        mut keep: impl FnMut(&Erased) -> bool,
+        mut sink: impl FnMut(Erased),
+    ) -> (Chain, Chain) {
+        let (mut emptied, mut kept) = (Chain::default(), Chain::default());
+        let mut cur = self.head as *mut LimboNode;
         while !cur.is_null() {
             // Wait for the pusher to publish the link (see module docs).
             let next = loop {
@@ -306,24 +332,32 @@ impl TakenList {
             };
             // SAFETY: `take` detached the list, so this drain is the only
             // holder of its nodes' objects.
-            let obj = unsafe { (*(*cur).obj.get()).take() };
-            sink(obj.expect("limbo node without an object"));
-            tail = cur;
+            let obj = unsafe { &mut *(*cur).obj.get() };
+            if keep(obj.as_ref().expect("limbo node without an object")) {
+                kept.append(cur);
+            } else {
+                sink(obj.take().expect("limbo node without an object"));
+                emptied.append(cur);
+            }
             cur = next as *mut LimboNode;
-            n += 1;
         }
-        if n > 0 {
-            // SAFETY: `head..=tail` is the emptied chain just walked, linked
-            // through `next` and owned by this drain alone.
-            unsafe { pool.put_chain(head, tail) };
+        for chain in [&emptied, &kept] {
+            if chain.len > 0 {
+                // SAFETY: the chains' nodes are this drain's alone.
+                unsafe { &*chain.tail }
+                    .next
+                    .store(PENDING, Ordering::Relaxed);
+            }
         }
-        n
+        (emptied, kept)
     }
 }
 
 /// A lock-free pool of limbo nodes: the Treiber stack with ABA protection
 /// described in §II-C. One pool per locale instance.
 pub struct NodePool {
+    /// The locale the pool, and the limbo lists it serves, live on.
+    home: LocaleId,
     head: LocalAtomicAbaObject<LimboNode>,
     /// Nodes ever created by this pool (diagnostics).
     created: AtomicU64,
@@ -333,6 +367,7 @@ impl NodePool {
     /// An empty pool homed on the current locale.
     pub fn new() -> NodePool {
         NodePool {
+            home: here(),
             head: LocalAtomicAbaObject::null(),
             created: AtomicU64::new(0),
         }
@@ -386,10 +421,10 @@ impl NodePool {
     ///
     /// # Safety
     /// The caller owns every node of the chain exclusively, each came from
-    /// this pool and holds no object, and following `next` from `head`
-    /// reaches `tail`.
+    /// a pool of this pool's reclaimer and holds no object, and following
+    /// `next` from `head` reaches `tail`.
     unsafe fn put_chain(&self, head: *mut LimboNode, tail: *mut LimboNode) {
-        let ptr = GlobalPtr::from_raw_parts(pgas_sim::here(), head);
+        let ptr = GlobalPtr::from_raw_parts(self.home, head);
         // SAFETY: the chain is the caller's until the CAS below publishes it.
         let tail = unsafe { &*tail };
         loop {
@@ -424,6 +459,8 @@ impl Drop for NodePool {
         // run outside runtime context, and the pool is quiescent by then.
         let mut cur = self.head.read_untracked().addr();
         while cur != 0 {
+            // SAFETY: pooled nodes came from `Box`es and are the pool's
+            // alone, and `&mut self` means nobody pops them any more.
             let node = unsafe { Box::from_raw(cur as *mut LimboNode) };
             let next = node.next.load(Ordering::Relaxed);
             cur = if next == PENDING { 0 } else { next };
@@ -511,9 +548,10 @@ impl Limbo {
     /// any task (the publisher's half of the handshake in the module docs).
     /// Returns the number of objects published: 0 also when the token is
     /// pinned or another publisher holds the bag. `slot` must be a token
-    /// slot of this locale.
-    pub(crate) fn publish_idle(&self, slot: &TokenSlot) -> u64 {
+    /// slot of this limbo's locale.
+    pub(crate) fn publish_idle<X>(&self, slot: &TokenSlot<X>) -> u64 {
         let bag = &slot.bag;
+        self.charge_if_remote();
         if bag
             .taken
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
@@ -521,6 +559,7 @@ impl Limbo {
         {
             return 0;
         }
+        self.charge_if_remote();
         let n = if slot.epoch_fenced() == QUIESCENT {
             // SAFETY: the token is unpinned and `taken` is ours, so the
             // holder leaves the chain alone until we clear it.
@@ -533,13 +572,23 @@ impl Limbo {
         } else {
             0
         };
+        self.charge_if_remote();
         bag.taken.store(false, Ordering::Release);
         n
     }
 
+    /// Charge a task on another locale for reaching a word of this limbo's
+    /// locale that a task there touches for free: the words of the bag
+    /// handshake, and a list head it only reads.
+    fn charge_if_remote(&self) {
+        if self.pool.home != here() {
+            engine::charge_atomic_u64(self.pool.home);
+        }
+    }
+
     /// [`Self::publish_idle`] for every token slot of `tokens`, a registry of
     /// this locale. Returns the number of objects published.
-    pub(crate) fn publish_idle_bags(&self, tokens: &TokenRegistry) -> u64 {
+    pub(crate) fn publish_idle_bags<X>(&self, tokens: &TokenRegistry<X>) -> u64 {
         tokens.iter().map(|slot| self.publish_idle(slot)).sum()
     }
 
@@ -550,7 +599,7 @@ impl Limbo {
         let i = limbo_index(chain.epoch);
         // SAFETY: the chain is the caller's, every node holds an object,
         // and its tail's `next` is `PENDING` (set by `defer`).
-        unsafe { self.lists[i].push_chain(chain.head, chain.tail) };
+        unsafe { self.lists[i].push_chain(self.pool.home, chain.head, chain.tail) };
         // Only the first bag after a drain can lower the stamp, so look
         // before writing to the locale-shared cell.
         let stamp = &self.first_defer_vtime[i];
@@ -567,10 +616,56 @@ impl Limbo {
     /// nodes. Returns the number of objects drained and the virtual time of
     /// the earliest deletion among them (`u64::MAX` if none was stamped).
     pub(crate) fn drain(&self, epoch: u64, sink: impl FnMut(Erased)) -> (u64, u64) {
+        let (list, first) = self.detach(epoch);
+        (
+            self.drain_detached(list, epoch, self, |_| false, sink).0,
+            first,
+        )
+    }
+
+    /// True if the list of `epoch` holds no published bag (racy).
+    pub(crate) fn is_empty(&self, epoch: u64) -> bool {
+        self.charge_if_remote();
+        self.lists[limbo_index(epoch)].is_empty()
+    }
+
+    /// Detach the list of `epoch` with one exchange. Returns it and the
+    /// virtual time of its earliest deletion (`u64::MAX` if none was
+    /// stamped).
+    pub(crate) fn detach(&self, epoch: u64) -> (TakenList, u64) {
         let i = limbo_index(epoch);
         let first = self.first_defer_vtime[i].swap(u64::MAX, Ordering::Relaxed);
-        let n = self.lists[i].take().drain_into(&self.pool, sink) as u64;
-        (n, first)
+        (self.lists[i].take(self.pool.home), first)
+    }
+
+    /// Drain `list`, detached from the list of `epoch`, into `sink`, except
+    /// the objects `keep` accepts: they go back onto that list, stamped now,
+    /// with one exchange charged toward this limbo's locale. The emptied
+    /// nodes go to the pool of `recycle`, the calling task's locale's limbo,
+    /// with one compare-and-swap (see the module docs), so a drain from
+    /// another locale sends no message. Returns the numbers of objects
+    /// drained and kept.
+    pub(crate) fn drain_detached(
+        &self,
+        list: TakenList,
+        epoch: u64,
+        recycle: &Limbo,
+        keep: impl FnMut(&Erased) -> bool,
+        sink: impl FnMut(Erased),
+    ) -> (u64, u64) {
+        let (emptied, mut kept) = list.drain_keeping(keep, sink);
+        let mut held = 0;
+        if kept.len > 0 {
+            kept.epoch = epoch;
+            kept.first_vtime = vtime::now();
+            held = self.publish(&mut kept);
+        }
+        if emptied.len > 0 {
+            // SAFETY: `emptied` links emptied nodes of this reclaimer's
+            // pools, owned by this drain alone.
+            unsafe { recycle.pool.put_chain(emptied.head, emptied.tail) };
+        }
+        (emptied.len as u64, held)
     }
 }
 
@@ -583,13 +678,25 @@ mod tests {
         Erased::new(alloc_local(rt, v))
     }
 
+    impl TakenList {
+        /// Drain everything into `sink`, recycling the nodes into `pool`,
+        /// as `Limbo::drain` does. Returns the number of objects drained.
+        fn drain_into(self, pool: &NodePool, sink: impl FnMut(Erased)) -> usize {
+            let (emptied, _) = self.drain_keeping(|_| false, sink);
+            if emptied.len > 0 {
+                unsafe { pool.put_chain(emptied.head, emptied.tail) };
+            }
+            emptied.len
+        }
+    }
+
     /// Publish `obj` alone, as a token with one deletion does.
     fn push_one(list: &LimboList, pool: &NodePool, obj: Erased) {
         let node = pool.get_chain(1);
         unsafe {
             *(*node).obj.get() = Some(obj);
             (*node).next.store(PENDING, Ordering::Relaxed);
-            list.push_chain(node, node);
+            list.push_chain(here(), node, node);
         }
     }
 
@@ -616,7 +723,7 @@ mod tests {
             }
             assert!(!list.is_empty());
             let mut got = Vec::new();
-            let n = list.take().drain_into(&pool, |e| got.push(e));
+            let n = list.take(here()).drain_into(&pool, |e| got.push(e));
             assert_eq!(n, 5);
             assert!(list.is_empty());
             for e in got {
@@ -632,7 +739,7 @@ mod tests {
         rt.run(|| {
             let pool = NodePool::new();
             let list = LimboList::new();
-            let n = list.take().drain_into(&pool, |_| panic!("empty"));
+            let n = list.take(here()).drain_into(&pool, |_| panic!("empty"));
             assert_eq!(n, 0);
         });
     }
@@ -648,7 +755,7 @@ mod tests {
                     push_one(&list, &pool, erased(&rt, round * 8 + i));
                 }
                 let n = list
-                    .take()
+                    .take(here())
                     .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
                 assert_eq!(n, 8);
             }
@@ -672,7 +779,7 @@ mod tests {
                 }
                 let before = rt.total_comm().cpu_dcas;
                 let drained = list
-                    .take()
+                    .take(here())
                     .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
                 assert_eq!(drained as u64, n, "round {round}");
                 assert_eq!(
@@ -700,7 +807,7 @@ mod tests {
             for i in 0..5 {
                 push_one(&list, &pool, erased(&rt, i));
             }
-            list.take()
+            list.take(here())
                 .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
             let chain_len = |mut cur: *mut LimboNode| {
                 let mut n = 0;
@@ -750,7 +857,7 @@ mod tests {
                         }
                     } else if r > 0 {
                         let mut got = Vec::new();
-                        lists[(r - 1) % 2].take().drain_into(&pool, |e| {
+                        lists[(r - 1) % 2].take(here()).drain_into(&pool, |e| {
                             got.push(unsafe { *(e.addr() as *const u64) });
                             unsafe { e.run_drop(&rt) };
                         });
@@ -790,7 +897,7 @@ mod tests {
                 }
             });
             let mut seen = Vec::new();
-            list.take().drain_into(&pool, |e| {
+            list.take(here()).drain_into(&pool, |e| {
                 seen.push(unsafe { *(e.addr() as *const u64) });
                 unsafe { e.run_drop(&rt) };
             });
@@ -815,7 +922,7 @@ mod tests {
                     // the taker: repeatedly detach whatever is there
                     for _ in 0..50 {
                         let n = list
-                            .take()
+                            .take(here())
                             .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
                         drained.fetch_add(n as u64, Ordering::Relaxed);
                         std::thread::yield_now();
@@ -829,7 +936,7 @@ mod tests {
             });
             // Final sweep for leftovers.
             let n = list
-                .take()
+                .take(here())
                 .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
             drained.fetch_add(n as u64, Ordering::Relaxed);
             assert_eq!(drained.into_inner(), total.into_inner());
@@ -969,6 +1076,40 @@ mod tests {
             assert_ne!(first, u64::MAX, "the bag's first deletion is stamped");
             assert_eq!(rt.live_objects(), 0);
             tokens.unregister(slot);
+        });
+    }
+
+    #[test]
+    fn a_detached_drain_puts_back_what_it_keeps_and_recycles_into_the_given_pool() {
+        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+        rt.run(|| {
+            let (limbo, scanner) = (Limbo::new(), Limbo::new());
+            let tokens = TokenRegistry::new();
+            let (slot, other) = (tokens.register(), tokens.register());
+            defer_n(&rt, &limbo, &slot.bag, 0, BAG as u64);
+            let value = |e: &Erased| unsafe { *(e.addr() as *const u64) };
+            let (list, first) = limbo.detach(1);
+            assert_ne!(first, u64::MAX);
+            let keep = |e: &Erased| value(e) == 7;
+            let drop_it = |e: Erased| unsafe { e.run_drop(&rt) };
+            let n = limbo.drain_detached(list, 1, &scanner, keep, drop_it);
+            assert_eq!(n, (BAG as u64 - 1, 1));
+            let mut kept = Vec::new();
+            let (n, first) = limbo.drain(1, |e| {
+                kept.push(value(&e));
+                unsafe { e.run_drop(&rt) }
+            });
+            assert_eq!((n, kept), (1, vec![7]), "the kept object went back");
+            assert_ne!(first, u64::MAX, "and was stamped");
+            // The emptied nodes went to the scanner's pool: its first
+            // refill takes them and creates none.
+            defer_n(&rt, &scanner, &other.bag, 0, BAG as u64 - 1);
+            assert_eq!(scanner.pool.nodes_created(), 0, "the refill reused them");
+            assert_eq!(scanner.publish_idle(other), BAG as u64 - 1);
+            scanner.drain(1, drop_it);
+            assert_eq!(rt.live_objects(), 0);
+            tokens.unregister(slot);
+            tokens.unregister(other);
         });
     }
 

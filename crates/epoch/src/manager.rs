@@ -96,11 +96,6 @@ pub(crate) struct LocaleInstance {
     pub(crate) tokens: TokenRegistry,
 }
 
-// SAFETY: every field is itself thread-safe; instances are shared across
-// the locale's tasks by design.
-unsafe impl Send for LocaleInstance {}
-unsafe impl Sync for LocaleInstance {}
-
 /// What both managers keep once, beside their instances.
 pub(crate) struct Shared {
     pub(crate) rt: RuntimeHandle,
@@ -473,11 +468,11 @@ impl LocaleInstance {
             // reference to anything in a two-advances-old limbo list (or the
             // caller guaranteed quiescence for clear()), and everything in
             // `mine` lives on this locale.
-            if shared.use_scatter.load(Ordering::Relaxed) {
-                unsafe { pgas_sim::free_erased_local_batch(core, mine, false) };
-            } else {
-                for e in mine {
-                    unsafe { e.run_drop(core) };
+            unsafe {
+                if shared.use_scatter.load(Ordering::Relaxed) {
+                    pgas_sim::free_erased_local_batch(core, mine, false);
+                } else {
+                    mine.into_iter().for_each(|e| e.run_drop(core));
                 }
             }
             let stats = &core.locale(here).stats;
@@ -527,12 +522,12 @@ impl Shared {
                 freed += d.n;
                 d.rest
             });
-            // SAFETY (both arms): as in `LocaleInstance::drain`.
-            if self.use_scatter.load(Ordering::Relaxed) {
-                unsafe { scatter_free(core, here, rest) };
-            } else {
-                for e in rest {
-                    unsafe { pgas_sim::free_erased(core, e) };
+            // SAFETY: as in `LocaleInstance::drain`.
+            unsafe {
+                if self.use_scatter.load(Ordering::Relaxed) {
+                    scatter_free(core, here, rest);
+                } else {
+                    rest.for_each(|e| pgas_sim::free_erased(core, e));
                 }
             }
         });

@@ -49,7 +49,10 @@ pub struct OwnedAtomic<T: Send> {
     cell: AtomicObject<ValueCell<T>>,
 }
 
+// SAFETY: the cell owns one `T` at a time, and moving the cell moves it.
 unsafe impl<T: Send> Send for OwnedAtomic<T> {}
+// SAFETY: a shared cell hands out `&T` to concurrent readers and moves `T`
+// between tasks, which `T: Send + Sync` allows.
 unsafe impl<T: Send + Sync> Sync for OwnedAtomic<T> {}
 
 impl<T: Send> OwnedAtomic<T> {
@@ -159,6 +162,8 @@ impl<T: Send> OwnedAtomic<T> {
             let cell = unsafe { &*old.as_ptr() };
             cell.moved_out
                 .store(true, std::sync::atomic::Ordering::Release);
+            // SAFETY: as above; `moved_out` keeps the deferred drop from
+            // dropping the value read out here a second time.
             let val = unsafe { std::ptr::read(&*cell.value) };
             tok.defer_delete(old);
             Some(val)

@@ -131,13 +131,13 @@ pub trait Reclaimer: Send + Sync {
     ///
     /// A progress thread is a task that runs handlers, one at a time, so a
     /// handler running on one (an `on`/`on_combining` body, a bulk AM) gets
-    /// the thread's **standing** registration: one token slot (EBR) or
-    /// participant (HP) per progress thread per locale instance, taken on
-    /// the thread's first registration and kept until the backend drops.
-    /// Registering it touches no shared list, and the guard's drop only
-    /// unpins it and clears its hazards, also when the handler unwound; its
-    /// deletions stay in its bag or retire list until the next advance or
-    /// scan. A registration nested inside a handler that already holds the
+    /// the thread's **standing** registration: one token slot per progress
+    /// thread per locale instance (both kinds of backend register in a
+    /// token registry), taken on the thread's first registration and kept
+    /// until the backend drops. Registering it touches no shared list, and
+    /// the guard's drop only unpins it and clears its hazards, also when the
+    /// handler unwound; its deletions stay in its bag until the next advance
+    /// or scan. A registration nested inside a handler that already holds the
     /// standing one, or any registration on that thread while a guard that
     /// left its handler (returned to the caller) still holds it, gets an
     /// ordinary registration instead.

@@ -36,8 +36,10 @@ use crate::limbo::OpenBag;
 /// Epoch value meaning "not in any epoch".
 pub const QUIESCENT: u64 = 0;
 
-/// One task's epoch descriptor.
-pub struct TokenSlot {
+/// One task's epoch descriptor. `X` is what the registry's user keeps in a
+/// slot besides the epoch word and the bag: nothing for the epoch managers,
+/// the hazard words for [`crate::HazardReclaimer`].
+pub struct TokenSlot<X = ()> {
     /// The epoch this task is pinned in; [`QUIESCENT`] when unpinned.
     local_epoch: AtomicU64,
     /// Link in the (append-only) allocated list.
@@ -47,18 +49,10 @@ pub struct TokenSlot {
     /// The holder's open limbo bag (see [`crate::limbo`]). Published by
     /// the holder when full, by anybody while the slot is unpinned.
     pub(crate) bag: OpenBag,
+    pub(crate) extra: X,
 }
 
-impl TokenSlot {
-    fn new_boxed() -> Box<TokenSlot> {
-        Box::new(TokenSlot {
-            local_epoch: AtomicU64::new(QUIESCENT),
-            alloc_next: AtomicUsize::new(0),
-            free_next: AtomicUsize::new(0),
-            bag: OpenBag::default(),
-        })
-    }
-
+impl<X> TokenSlot<X> {
     /// Charged atomic read of the token's epoch (used by the reclamation
     /// scan).
     pub fn epoch(&self) -> u64 {
@@ -77,6 +71,13 @@ impl TokenSlot {
         self.local_epoch.load(Ordering::SeqCst)
     }
 
+    /// Uncharged sequentially consistent write, the holder's half of the
+    /// bag handshake when the epoch word only brackets a deletion (hazard
+    /// pointers have no epochs to pin).
+    pub(crate) fn set_epoch_fenced(&self, e: u64) {
+        self.local_epoch.store(e, Ordering::SeqCst);
+    }
+
     /// Charged atomic write of the token's epoch (pin/unpin).
     pub fn set_epoch(&self, e: u64) {
         engine::charge_atomic_u64(here());
@@ -89,9 +90,8 @@ impl TokenSlot {
 /// [`ctx::progress_thread`]). It has one user at a time because the thread
 /// runs its handlers one at a time, and a `held` flag sends whoever finds
 /// the entry in use, a registration nested in a handler or any after a
-/// guard left its handler, back to the ordinary path. Shared by the token
-/// registry and the hazard-pointer participant tables.
-pub(crate) struct Standing<T> {
+/// guard left its handler, back to the ordinary path.
+struct Standing<T> {
     /// The runtime (its core's address) and locale whose progress threads
     /// own the entries.
     runtime: usize,
@@ -112,7 +112,7 @@ struct StandingEntry<T> {
 
 impl<T> Standing<T> {
     /// A table for the current locale's progress threads; empty off-runtime.
-    pub(crate) fn new() -> Standing<T> {
+    fn new() -> Standing<T> {
         let (runtime, home, threads) = ctx::try_with_core(|core, l| {
             (core as *const _ as usize, l, core.config.progress_threads)
         })
@@ -129,21 +129,10 @@ impl<T> Standing<T> {
         }
     }
 
-    /// Register the caller: a handler on one of this table's progress
-    /// threads gets the thread's standing registration, marked held, and the
-    /// flag its guard's drop clears; anybody else, and a handler whose
-    /// standing registration is held, gets a fresh one from `fresh`, which
-    /// also makes each thread's standing registration on first use.
-    pub(crate) fn register<'s>(
-        &'s self,
-        fresh: impl Fn() -> &'s T,
-    ) -> (&'s T, Option<&'s AtomicBool>) {
-        match self.take(&fresh) {
-            Some((reg, held)) => (reg, Some(held)),
-            None => (fresh(), None),
-        }
-    }
-
+    /// The standing registration of the calling handler's progress thread,
+    /// marked held, and the flag its guard's drop clears; made by `fresh` on
+    /// the thread's first use. `None` off this table's progress threads and
+    /// while the registration is held.
     fn take<'s>(&'s self, fresh: impl Fn() -> &'s T) -> Option<(&'s T, &'s AtomicBool)> {
         let t = ctx::progress_thread()?;
         let ours =
@@ -165,21 +154,39 @@ impl<T> Standing<T> {
 
 /// The per-locale token registry: free stack + allocated list, and the
 /// standing slots of the locale's progress threads.
-pub struct TokenRegistry {
-    free_head: LocalAtomicAbaObject<TokenSlot>,
+pub struct TokenRegistry<X = ()> {
+    free_head: LocalAtomicAbaObject<TokenSlot<X>>,
     alloc_head: AtomicUsize,
     allocated: AtomicU64,
-    standing: Standing<TokenSlot>,
+    standing: Standing<TokenSlot<X>>,
+    /// Whether the allocated-list push and the unregistering epoch store
+    /// are charged as atomics: for tokens, not for hazard-pointer guards.
+    charged: bool,
 }
 
 impl TokenRegistry {
     /// An empty registry homed on the current locale.
     pub fn new() -> TokenRegistry {
+        TokenRegistry::with_charges(true)
+    }
+}
+
+impl Default for TokenRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<X: Default> TokenRegistry<X> {
+    /// An empty registry homed on the current locale; `charged` as the
+    /// field of that name.
+    pub(crate) fn with_charges(charged: bool) -> TokenRegistry<X> {
         TokenRegistry {
             free_head: LocalAtomicAbaObject::null(),
             alloc_head: AtomicUsize::new(0),
             allocated: AtomicU64::new(0),
             standing: Standing::new(),
+            charged,
         }
     }
 
@@ -188,15 +195,18 @@ impl TokenRegistry {
     /// drop clears, anybody else (or a handler whose standing slot is held)
     /// a slot of its own from [`Self::register`]. Give it back with
     /// [`Self::release`].
-    pub(crate) fn acquire(&self) -> (&TokenSlot, Option<&AtomicBool>) {
-        self.standing.register(|| self.register())
+    pub(crate) fn acquire(&self) -> (&TokenSlot<X>, Option<&AtomicBool>) {
+        match self.standing.take(|| self.register()) {
+            Some((slot, held)) => (slot, Some(held)),
+            None => (self.register(), None),
+        }
     }
 
     /// Give back what [`Self::acquire`] returned. A standing slot is
     /// unpinned and stays with its thread, its bag open for the next advance
     /// to publish; any other goes to the free stack. Returns `true` in the
     /// second case, when the caller should publish the slot's bag.
-    pub(crate) fn release(&self, slot: &TokenSlot, standing: Option<&AtomicBool>) -> bool {
+    pub(crate) fn release(&self, slot: &TokenSlot<X>, standing: Option<&AtomicBool>) -> bool {
         match standing {
             Some(held) => {
                 if slot.epoch_relaxed() != QUIESCENT {
@@ -216,7 +226,7 @@ impl TokenRegistry {
     ///
     /// The returned reference lives as long as the registry (slots are
     /// only freed when the registry drops).
-    pub fn register(&self) -> &TokenSlot {
+    pub fn register(&self) -> &TokenSlot<X> {
         // Fast path: pop the free stack (ABA-protected).
         loop {
             let snap = self.free_head.read_aba();
@@ -224,6 +234,8 @@ impl TokenRegistry {
             if top.is_null() {
                 break;
             }
+            // SAFETY: slots are freed only when the registry drops; a stale
+            // `next` read here fails the compare-and-swap below.
             let next = unsafe { top.deref() }.free_next.load(Ordering::Acquire);
             let next_ptr = if next == 0 {
                 GlobalPtr::null()
@@ -231,35 +243,44 @@ impl TokenRegistry {
                 GlobalPtr::new(top.locale(), next)
             };
             if self.free_head.compare_and_swap_aba(snap, next_ptr) {
+                // SAFETY: as above; the swap made the slot ours.
                 let slot = unsafe { &*top.as_ptr() };
                 debug_assert_eq!(slot.epoch_relaxed(), QUIESCENT);
                 return slot;
             }
         }
         // Slow path: allocate and append to the allocated list (CAS push).
-        let slot = Box::into_raw(TokenSlot::new_boxed());
+        let raw = Box::into_raw(Box::new(TokenSlot {
+            local_epoch: AtomicU64::new(QUIESCENT),
+            alloc_next: AtomicUsize::new(0),
+            free_next: AtomicUsize::new(0),
+            bag: OpenBag::default(),
+            extra: X::default(),
+        }));
+        // SAFETY: slots are freed only when the registry drops.
+        let slot = unsafe { &*raw };
         self.allocated.fetch_add(1, Ordering::Relaxed);
-        engine::charge_atomic_u64(here());
+        self.charge();
         let mut head = self.alloc_head.load(Ordering::Acquire);
         loop {
-            unsafe { &*slot }.alloc_next.store(head, Ordering::Relaxed);
+            slot.alloc_next.store(head, Ordering::Relaxed);
             match self.alloc_head.compare_exchange_weak(
                 head,
-                slot as usize,
+                raw as usize,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => break,
+                Ok(_) => return slot,
                 Err(h) => head = h,
             }
         }
-        unsafe { &*slot }
     }
 
     /// Unregister: mark quiescent and push onto the free stack. Lock-free.
-    pub fn unregister(&self, slot: &TokenSlot) {
-        slot.set_epoch(QUIESCENT);
-        let raw = slot as *const TokenSlot as *mut TokenSlot;
+    pub fn unregister(&self, slot: &TokenSlot<X>) {
+        self.charge();
+        slot.set_epoch_fenced(QUIESCENT);
+        let raw = slot as *const TokenSlot<X> as *mut TokenSlot<X>;
         let ptr = GlobalPtr::from_raw_parts(pgas_sim::here(), raw);
         loop {
             let snap = self.free_head.read_aba();
@@ -273,11 +294,19 @@ impl TokenRegistry {
             }
         }
     }
+}
+
+impl<X> TokenRegistry<X> {
+    fn charge(&self) {
+        if self.charged {
+            engine::charge_atomic_u64(here());
+        }
+    }
 
     /// Walk every token ever allocated (registered or not); unregistered
     /// ones read as [`QUIESCENT`]. Safe to run concurrently with
     /// register/unregister because the list is append-only.
-    pub fn iter(&self) -> TokenIter<'_> {
+    pub fn iter(&self) -> TokenIter<'_, X> {
         TokenIter {
             cur: self.alloc_head.load(Ordering::Acquire),
             _registry: self,
@@ -290,40 +319,37 @@ impl TokenRegistry {
     }
 }
 
-impl Default for TokenRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for TokenRegistry {
+impl<X> Drop for TokenRegistry<X> {
     fn drop(&mut self) {
         // Free every slot through the allocated list; the free stack only
         // aliases a subset of the same slots.
         let mut cur = *self.alloc_head.get_mut();
         while cur != 0 {
-            let slot = unsafe { Box::from_raw(cur as *mut TokenSlot) };
+            // SAFETY: every slot on the list came from `Box::into_raw` in
+            // `register` and is on it once; `&mut self` means no holder is
+            // left.
+            let slot = unsafe { Box::from_raw(cur as *mut TokenSlot<X>) };
             cur = slot.alloc_next.load(Ordering::Relaxed);
         }
     }
 }
 
 /// Iterator over allocated token slots.
-pub struct TokenIter<'a> {
+pub struct TokenIter<'a, X = ()> {
     cur: usize,
-    _registry: &'a TokenRegistry,
+    _registry: &'a TokenRegistry<X>,
 }
 
-impl<'a> Iterator for TokenIter<'a> {
-    type Item = &'a TokenSlot;
+impl<'a, X> Iterator for TokenIter<'a, X> {
+    type Item = &'a TokenSlot<X>;
 
-    fn next(&mut self) -> Option<&'a TokenSlot> {
+    fn next(&mut self) -> Option<&'a TokenSlot<X>> {
         if self.cur == 0 {
             return None;
         }
         // SAFETY: slots live until the registry drops, which the borrow
         // prevents.
-        let slot = unsafe { &*(self.cur as *const TokenSlot) };
+        let slot = unsafe { &*(self.cur as *const TokenSlot<X>) };
         self.cur = slot.alloc_next.load(Ordering::Acquire);
         Some(slot)
     }
