@@ -7,7 +7,7 @@
 //! installations beyond 2^16 locales must fall back to wide pointers and
 //! double-word CAS.
 
-use pgas_sim::{GlobalPtr, PointerMode, RuntimeCore, WideGlobalPtr};
+use pgas_sim::{GlobalPtr, PointerMode, WideGlobalPtr};
 
 /// Maximum number of locales representable under pointer compression.
 pub const MAX_COMPRESSED_LOCALES: usize = 1 << 16;
@@ -28,13 +28,6 @@ pub fn preferred_mode(num_locales: usize) -> PointerMode {
     } else {
         PointerMode::Compressed
     }
-}
-
-/// The effective pointer mode of a runtime (its configured mode, which
-/// [`pgas_sim::RuntimeConfig::validate`] has already checked for soundness).
-#[inline]
-pub fn effective_mode(core: &RuntimeCore) -> PointerMode {
-    core.config.pointer_mode
 }
 
 /// Compress a wide pointer, or return it unchanged as `Err` when the

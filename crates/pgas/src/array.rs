@@ -13,8 +13,6 @@ use crate::ctx;
 use crate::engine;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
-use crate::stats::Counter;
-use crate::vtime;
 
 /// How indices map to locales.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,73 +144,28 @@ impl<T: Send + Sync> DistArray<T> {
 
     /// `forall x in A`: visit every element with a task on its owning
     /// locale, `tasks` tasks per locale. The body receives
-    /// `(global index, &element)`.
+    /// `(global index, &element)`. Virtual time and `am_sent` are charged
+    /// as for the children of [`RuntimeCore::coforall_locales`].
     pub fn forall<F>(&self, core: &RuntimeCore, tasks: usize, body: F)
     where
         F: Fn(usize, &T) + Send + Sync,
     {
-        let len = self.len;
-        let dist = self.dist;
         let locales = self.segments.len();
-        let parent_vt = vtime::now();
-        let wire = core.config.network.am_wire_ns;
-        let src = ctx::here();
-        let mut max_end = parent_vt;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for l in 0..locales as LocaleId {
-                for t in 0..tasks {
-                    let body = &body;
-                    let this = &*self;
-                    let core_ptr = CorePtrLocal(core as *const RuntimeCore);
-                    handles.push(scope.spawn(move || {
-                        // SAFETY: joined before the scope (and `core`) end.
-                        let _g = unsafe { ctx::enter(core_ptr.get(), l) };
-                        vtime::set(if l == src {
-                            parent_vt
-                        } else {
-                            parent_vt + wire
-                        });
-                        let seg = this.local_segment(l);
-                        let mut j = t;
-                        while j < seg.len() {
-                            let global = match dist {
-                                Dist::Cyclic => l as usize + j * locales,
-                                Dist::Block => l as usize * len.div_ceil(locales) + j,
-                            };
-                            body(global, &seg[j]);
-                            j += tasks;
-                        }
-                        vtime::now() + if l == src { 0 } else { wire }
-                    }));
-                }
-            }
-            let mut panic = None;
-            for h in handles {
-                match h.join() {
-                    Ok(end) => max_end = max_end.max(end),
-                    Err(p) => panic = Some(p),
-                }
-            }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
-            }
-        });
-        let spawns = (locales.saturating_sub(1)) * tasks;
-        core.locale(src).stats.add(Counter::AmSent, spawns as u64);
-        vtime::advance_to(max_end);
-    }
-}
-
-/// `Send` wrapper mirroring the one in `runtime.rs` (see the comment
-/// there about edition-2021 disjoint capture).
-#[derive(Clone, Copy)]
-struct CorePtrLocal(*const RuntimeCore);
-unsafe impl Send for CorePtrLocal {}
-unsafe impl Sync for CorePtrLocal {}
-impl CorePtrLocal {
-    fn get(self) -> *const RuntimeCore {
-        self.0
+        let body = &body;
+        core.spawn_join((0..locales as LocaleId).flat_map(|l| {
+            (0..tasks).map(move |t| {
+                (l, move || {
+                    let seg = self.local_segment(l);
+                    for j in (t..seg.len()).step_by(tasks) {
+                        let global = match self.dist {
+                            Dist::Cyclic => l as usize + j * locales,
+                            Dist::Block => l as usize * self.len.div_ceil(locales) + j,
+                        };
+                        body(global, &seg[j]);
+                    }
+                })
+            })
+        }));
     }
 }
 

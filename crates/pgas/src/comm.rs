@@ -424,6 +424,8 @@ mod tests {
         rt.run(|| {
             let b = Box::into_raw(Box::new(0u64));
             let p = crate::globalptr::GlobalPtr::from_raw_parts(1, b);
+            // SAFETY (this and the blocks below): `b` is a live box this
+            // test alone touches, freed once at the end.
             unsafe { crate::engine::put_val(&rt, p, 55) };
             assert_eq!(unsafe { *b }, 55);
             assert_eq!(rt.total_comm().puts, 1);
@@ -437,6 +439,8 @@ mod tests {
         rt.run(|| {
             let b = Box::into_raw(Box::new(123u64));
             let p = crate::globalptr::GlobalPtr::from_raw_parts(1, b);
+            // SAFETY (this and the block below): `b` is a live box this test
+            // alone touches, freed once at the end.
             let v = unsafe { crate::engine::get_val(&rt, p) };
             assert_eq!(v, 123);
             assert_eq!(rt.total_comm().gets, 1);

@@ -127,9 +127,6 @@ pub struct RuntimeConfig {
     pub num_locales: usize,
     /// Progress threads per locale servicing active messages.
     pub progress_threads: usize,
-    /// Default number of worker tasks per locale used by
-    /// [`crate::RuntimeCore::forall_dist`] when the caller does not override it.
-    pub tasks_per_locale: usize,
     /// Interconnect model.
     pub network: NetworkConfig,
     /// Pointer representation (see [`PointerMode`]).
@@ -175,7 +172,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             num_locales: 1,
             progress_threads: 1,
-            tasks_per_locale: 4,
             network: NetworkConfig::default(),
             pointer_mode: PointerMode::Compressed,
             combining: false,
@@ -234,13 +230,6 @@ impl RuntimeConfig {
     /// fallback described in §II-A).
     pub fn with_wide_pointers(mut self) -> Self {
         self.pointer_mode = PointerMode::Wide;
-        self
-    }
-
-    /// Override the number of worker tasks each locale contributes to
-    /// `forall` loops.
-    pub fn with_tasks_per_locale(mut self, t: usize) -> Self {
-        self.tasks_per_locale = t;
         self
     }
 
@@ -311,10 +300,6 @@ impl RuntimeConfig {
         assert!(
             self.progress_threads >= 1,
             "need at least one progress thread"
-        );
-        assert!(
-            self.tasks_per_locale >= 1,
-            "need at least one task per locale"
         );
         assert!(
             self.combine_max_batch >= 1,

@@ -273,6 +273,7 @@ pub fn charge_atomic_u64(owner: LocaleId) {
 /// The object must be alive; see [`crate::globalptr::GlobalPtr::deref`].
 pub unsafe fn get_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>) -> T {
     get(core, ptr.locale(), std::mem::size_of::<T>());
+    // SAFETY: the caller guarantees the object is alive.
     unsafe { *ptr.as_ptr() }
 }
 
@@ -284,6 +285,8 @@ pub unsafe fn get_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>) -> T {
 /// the real thing).
 pub unsafe fn put_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>, v: T) {
     put(core, ptr.locale(), std::mem::size_of::<T>());
+    // SAFETY: the caller guarantees the object is alive and that nobody
+    // else accesses it concurrently.
     unsafe { *ptr.as_ptr() = v };
 }
 

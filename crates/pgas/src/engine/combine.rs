@@ -395,7 +395,8 @@ fn ship(core: &RuntimeCore, src: LocaleId, dest: LocaleId, batch: &[NodePtr]) {
         // inside it. Each rider's thunk then runs under its *own* ride
         // context, so spans a rider causes join the rider's trace, not the
         // shipping combiner's.
-        // SAFETY (both reads): publishers are blocked until done.
+        // SAFETY: the chunk's riders are live, and their publishers are
+        // blocked until `done`, which has not been set yet.
         let last_ride = unsafe { (*chunk.last().expect("non-empty chunk").0).ride };
         let ship_ctx = (last_ride.1 != 0).then(|| {
             trace::enter(Some(TraceCtx {

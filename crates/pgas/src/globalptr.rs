@@ -165,9 +165,11 @@ impl<T> GlobalPtr<T> {
     }
 }
 
-// A GlobalPtr is just an address; sharing it between threads is safe, and
-// all dereferences are unsafe operations with their own obligations.
+// SAFETY: a GlobalPtr is just an address; sharing it between threads is
+// safe, and all dereferences are unsafe operations with their own
+// obligations.
 unsafe impl<T> Send for GlobalPtr<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T> Sync for GlobalPtr<T> {}
 
 impl<T> Clone for GlobalPtr<T> {
@@ -291,7 +293,10 @@ impl<T> WideGlobalPtr<T> {
     }
 }
 
+// SAFETY: as for `GlobalPtr`: an address and a locale id, dereferenced
+// only through unsafe operations with their own obligations.
 unsafe impl<T> Send for WideGlobalPtr<T> {}
+// SAFETY: as for `Send`.
 unsafe impl<T> Sync for WideGlobalPtr<T> {}
 
 impl<T> Clone for WideGlobalPtr<T> {

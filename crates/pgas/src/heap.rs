@@ -37,9 +37,15 @@ pub struct Erased {
 // only invoked once, by whoever owns the reclamation phase, on objects that
 // were `Send` when erased (enforced by `erase`'s bound).
 unsafe impl Send for Erased {}
+// SAFETY: `&Erased` only reads the triple; the dropper needs `run_drop`,
+// which consumes the value.
 unsafe impl Sync for Erased {}
 
+/// # Safety
+/// `addr` must come from `Box::<T>::into_raw`, be dropped exactly once, and
+/// have no live references.
 unsafe fn drop_box<T>(addr: usize) {
+    // SAFETY: per the contract.
     drop(unsafe { Box::from_raw(addr as *mut T) });
 }
 
@@ -73,6 +79,8 @@ impl Erased {
     /// object — the guarantee epoch-based reclamation establishes.
     pub unsafe fn run_drop(self, core: &RuntimeCore) {
         core.locale(self.owner).heap.on_free();
+        // SAFETY: `dropper` is `drop_box::<T>` for the `T` that `addr` was
+        // erased from, and the caller upholds its once-only contract.
         unsafe { (self.dropper)(self.addr) };
     }
 }
@@ -121,6 +129,7 @@ pub unsafe fn free<T: Send>(core: &RuntimeCore, ptr: GlobalPtr<T>) {
     let owner = ptr.locale();
     if owner == here {
         core.locale(owner).heap.on_free();
+        // SAFETY: the caller guarantees `ptr` is a live box freed only here.
         drop(unsafe { Box::from_raw(ptr.as_ptr()) });
     } else {
         let addr = ptr.addr();
@@ -129,6 +138,7 @@ pub unsafe fn free<T: Send>(core: &RuntimeCore, ptr: GlobalPtr<T>) {
             loc.heap.on_free();
             loc.stats.add(Counter::RemoteFrees, 1);
             vtime::charge(core.config.network.remote_heap_op_ns);
+            // SAFETY: as in the local branch; `addr` is `ptr`'s address.
             drop(unsafe { Box::from_raw(addr as *mut T) });
         });
     }
@@ -146,12 +156,14 @@ pub unsafe fn free_erased(core: &RuntimeCore, e: Erased) {
     let here = ctx::here();
     let owner = e.owner();
     if owner == here {
+        // SAFETY: forwarded to the caller.
         unsafe { e.run_drop(core) };
     } else {
         core.on_combining(owner, move || {
             let loc = core.locale(owner);
             loc.stats.add(Counter::RemoteFrees, 1);
             vtime::charge(core.config.network.remote_heap_op_ns);
+            // SAFETY: forwarded to the caller.
             unsafe { e.run_drop(core) };
         });
     }

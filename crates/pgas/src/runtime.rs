@@ -40,21 +40,8 @@ use crate::stats::{CommSnapshot, Counter};
 use crate::telemetry::{Sink, Span, TelemetrySnapshot};
 use crate::vtime;
 
-/// A `Send`-able wrapper for the runtime pointer handed to scoped worker
-/// threads. Safe because the scope joins before the runtime can move.
-#[derive(Clone, Copy)]
-struct CorePtr(*const RuntimeCore);
-unsafe impl Send for CorePtr {}
-unsafe impl Sync for CorePtr {}
-
-impl CorePtr {
-    // Accessor (rather than field access) so that closures capture the
-    // whole `Send` wrapper, not the raw pointer field (edition-2021
-    // disjoint capture would otherwise grab the non-Send field).
-    fn get(self) -> *const RuntimeCore {
-        self.0
-    }
-}
+/// The number of worker tasks each locale runs in [`RuntimeCore::forall_dist`].
+const FORALL_TASKS_PER_LOCALE: usize = 4;
 
 /// Shared runtime state. Public operations live here so that both the
 /// owning [`Runtime`] and cheap [`RuntimeHandle`] clones expose them.
@@ -347,11 +334,7 @@ impl RuntimeCore {
     /// establish the runtime context before invoking handlers; ordinary
     /// code wants [`RuntimeCore::run`].
     pub fn run_on<R>(&self, locale: LocaleId, f: impl FnOnce() -> R) -> R {
-        assert!(
-            (locale as usize) < self.locales.len(),
-            "locale {locale} out of range (runtime has {} locales)",
-            self.locales.len()
-        );
+        self.check_locale(locale);
         let fresh = ctx::try_here().is_none();
         // SAFETY: `self` is borrowed for the duration of the call and the
         // guard is dropped before it returns.
@@ -380,6 +363,37 @@ impl RuntimeCore {
         &*self.engine
     }
 
+    /// # Panics
+    /// If `l` names no locale of this runtime.
+    #[inline]
+    fn check_locale(&self, l: LocaleId) {
+        assert!(
+            (l as usize) < self.locales.len(),
+            "locale {l} out of range (runtime has {} locales)",
+            self.locales.len()
+        );
+    }
+
+    /// Run `f` on `dest` through `ship`, a blocking engine call that takes a
+    /// unit closure, and return its result. The result travels through a
+    /// stack slot, which the call's blocking contract guarantees is written
+    /// before it returns.
+    fn on_with<R, F>(
+        &self,
+        dest: LocaleId,
+        ship: fn(&RuntimeCore, LocaleId, Box<dyn FnOnce() + Send + '_>),
+        f: F,
+    ) -> R
+    where
+        R: Send,
+        F: FnOnce() -> R + Send,
+    {
+        self.check_locale(dest);
+        let mut slot: Option<R> = None;
+        ship(self, dest, Box::new(|| slot = Some(f())));
+        slot.expect("remote closure did not run")
+    }
+
     /// Chapel's `on Locales[dest] do f()`: execute `f` on locale `dest`,
     /// blocking until it finishes. Runs inline (zero communication) when
     /// the caller is already on `dest`; otherwise ships an active message
@@ -390,26 +404,7 @@ impl RuntimeCore {
         R: Send,
         F: FnOnce() -> R + Send,
     {
-        assert!(
-            (dest as usize) < self.locales.len(),
-            "locale {dest} out of range (runtime has {} locales)",
-            self.locales.len()
-        );
-        // `engine::on` takes a unit closure; the return value travels
-        // through this stack slot, which its blocking contract guarantees
-        // is written before it returns.
-        let mut slot: Option<R> = None;
-        {
-            let slot_ref = &mut slot;
-            engine::on(
-                self,
-                dest,
-                Box::new(move || {
-                    *slot_ref = Some(f());
-                }),
-            );
-        }
-        slot.expect("remote closure did not run")
+        self.on_with(dest, engine::on, f)
     }
 
     /// Like [`Self::on`], but *combinable*: when
@@ -425,25 +420,7 @@ impl RuntimeCore {
         R: Send,
         F: FnOnce() -> R + Send,
     {
-        assert!(
-            (dest as usize) < self.locales.len(),
-            "locale {dest} out of range (runtime has {} locales)",
-            self.locales.len()
-        );
-        // Same stack-slot pattern as `on`: the blocking contract guarantees
-        // the slot is written before `on_combined` returns.
-        let mut slot: Option<R> = None;
-        {
-            let slot_ref = &mut slot;
-            engine::on_combined(
-                self,
-                dest,
-                Box::new(move || {
-                    *slot_ref = Some(f());
-                }),
-            );
-        }
-        slot.expect("combined remote closure did not run")
+        self.on_with(dest, engine::on_combined, f)
     }
 
     /// Fire-and-forget variant of [`Self::on`]: ship `f` to `dest` and
@@ -455,11 +432,7 @@ impl RuntimeCore {
     where
         F: FnOnce() + Send + 'static,
     {
-        assert!(
-            (dest as usize) < self.locales.len(),
-            "locale {dest} out of range (runtime has {} locales)",
-            self.locales.len()
-        );
+        self.check_locale(dest);
         engine::on_async(self, dest, Box::new(f))
     }
 
@@ -536,50 +509,74 @@ impl RuntimeCore {
             .collect()
     }
 
-    /// `coforall loc in Locales do on loc { f(loc) }`: run `f` once per
-    /// locale, concurrently, and join. The caller's virtual clock advances
-    /// to the slowest child (plus wire latency for remote children).
-    pub fn coforall_locales<F>(&self, f: F)
+    /// The one spawn-and-join routine behind every task-spawning construct
+    /// ([`Self::coforall_locales`], [`Self::coforall_tasks`],
+    /// [`Self::forall_dist_tasks`], [`crate::DistArray::forall`]): run each
+    /// `(locale, body)` child as a task on a scoped thread entered on its
+    /// locale, and join them all.
+    ///
+    /// Virtual time follows one rule. A child on the caller's locale starts
+    /// at the caller's clock; a remote one starts one `am_wire_ns` later and
+    /// returns one wire after it ends, and counts one `am_sent` on the
+    /// caller's locale. The caller resumes at the latest child return (never
+    /// earlier than its own clock). If children panic, every child is still
+    /// joined and every remote child still counted before the first panic
+    /// is re-raised.
+    pub(crate) fn spawn_join<F>(&self, children: impl IntoIterator<Item = (LocaleId, F)>)
     where
-        F: Fn(LocaleId) + Send + Sync,
+        F: FnOnce() + Send,
     {
         let src = ctx::here();
         let parent_vt = vtime::now();
         let wire = self.config.network.am_wire_ns;
-        let self_ptr = CorePtr(self as *const RuntimeCore);
+        let mut remote = 0;
         let mut max_end = parent_vt;
+        let mut panic = None;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.locales.len() as LocaleId)
-                .map(|l| {
-                    let f = &f;
+            let handles: Vec<_> = children
+                .into_iter()
+                .map(|(l, body)| {
+                    let hop = if l == src { 0 } else { wire };
+                    remote += u64::from(l != src);
                     scope.spawn(move || {
-                        // SAFETY: the scope joins before `self` can move.
-                        let _g = unsafe { ctx::enter(self_ptr.get(), l) };
-                        vtime::set(if l == src {
-                            parent_vt
-                        } else {
-                            parent_vt + wire
-                        });
-                        f(l);
-                        vtime::now() + if l == src { 0 } else { wire }
+                        // SAFETY: `self` is borrowed for the whole scope,
+                        // which joins this thread (and so drops the guard)
+                        // before it returns.
+                        let _g = unsafe { ctx::enter(self, l) };
+                        vtime::set(parent_vt + hop);
+                        body();
+                        vtime::now() + hop
                     })
                 })
                 .collect();
-            let mut panic = None;
-            for (l, h) in handles.into_iter().enumerate() {
-                if l as LocaleId != src {
-                    self.locales[src as usize].stats.add(Counter::AmSent, 1);
-                }
+            for h in handles {
                 match h.join() {
                     Ok(end) => max_end = max_end.max(end),
-                    Err(p) => panic = Some(p),
+                    Err(p) => {
+                        panic.get_or_insert(p);
+                    }
                 }
             }
-            if let Some(p) = panic {
-                resume_unwind(p);
-            }
         });
+        self.locales[src as usize]
+            .stats
+            .add(Counter::AmSent, remote);
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
         vtime::advance_to(max_end);
+    }
+
+    /// `coforall loc in Locales do on loc { f(loc) }`: run `f` once per
+    /// locale, concurrently, and join. The caller's virtual clock advances
+    /// to the slowest child (plus wire latency for remote children), and
+    /// each remote child counts one `am_sent`.
+    pub fn coforall_locales<F>(&self, f: F)
+    where
+        F: Fn(LocaleId) + Send + Sync,
+    {
+        let f = &f;
+        self.spawn_join((0..self.locales.len() as LocaleId).map(|l| (l, move || f(l))));
     }
 
     /// `coforall t in 0..#tasks`: run `tasks` concurrent tasks on the
@@ -589,39 +586,14 @@ impl RuntimeCore {
         F: Fn(usize) + Send + Sync,
     {
         let here = ctx::here();
-        let parent_vt = vtime::now();
-        let self_ptr = CorePtr(self as *const RuntimeCore);
-        let mut max_end = parent_vt;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..tasks)
-                .map(|t| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        // SAFETY: the scope joins before `self` can move.
-                        let _g = unsafe { ctx::enter(self_ptr.get(), here) };
-                        vtime::set(parent_vt);
-                        f(t);
-                        vtime::now()
-                    })
-                })
-                .collect();
-            let mut panic = None;
-            for h in handles {
-                match h.join() {
-                    Ok(end) => max_end = max_end.max(end),
-                    Err(p) => panic = Some(p),
-                }
-            }
-            if let Some(p) = panic {
-                resume_unwind(p);
-            }
-        });
-        vtime::advance_to(max_end);
+        let f = &f;
+        self.spawn_join((0..tasks).map(|t| (here, move || f(t))));
     }
 
     /// A distributed `forall i in 0..#n` over a cyclically distributed
     /// index space: index `i` has affinity to locale `i % num_locales`, and
-    /// each locale runs `config.tasks_per_locale` worker tasks.
+    /// each locale runs four worker tasks ([`Self::forall_dist_tasks`] sets
+    /// another count).
     ///
     /// `init(locale, task)` produces each task's private state — the
     /// equivalent of Chapel's `with (var tok = manager.register())` — and
@@ -633,7 +605,7 @@ impl RuntimeCore {
         I: Fn(LocaleId, usize) -> T + Send + Sync,
         F: Fn(&mut T, usize) + Send + Sync,
     {
-        self.forall_dist_tasks(n, self.config.tasks_per_locale, init, body)
+        self.forall_dist_tasks(n, FORALL_TASKS_PER_LOCALE, init, body)
     }
 
     /// [`Self::forall_dist`] with an explicit per-locale task count.
@@ -645,59 +617,23 @@ impl RuntimeCore {
     {
         assert!(tasks >= 1, "need at least one task per locale");
         let num_locales = self.locales.len();
-        let src = ctx::here();
-        let parent_vt = vtime::now();
-        let wire = self.config.network.am_wire_ns;
-        let self_ptr = CorePtr(self as *const RuntimeCore);
-        let mut max_end = parent_vt;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(num_locales * tasks);
-            for l in 0..num_locales as LocaleId {
-                for t in 0..tasks {
-                    let init = &init;
-                    let body = &body;
-                    handles.push(scope.spawn(move || {
-                        // SAFETY: the scope joins before `self` can move.
-                        let _g = unsafe { ctx::enter(self_ptr.get(), l) };
-                        vtime::set(if l == src {
-                            parent_vt
-                        } else {
-                            parent_vt + wire
-                        });
-                        let mut state = init(l, t);
-                        // Cyclic distribution: locale l owns indices
-                        // l, l+L, l+2L, ...; its j-th local index is
-                        // i = l + j*L, and task t handles j ≡ t (mod tasks).
-                        let mut j = t;
-                        loop {
-                            let i = l as usize + j * num_locales;
-                            if i >= n {
-                                break;
-                            }
-                            body(&mut state, i);
-                            j += tasks;
-                        }
-                        drop(state);
-                        vtime::now() + if l == src { 0 } else { wire }
-                    }));
-                }
-            }
-            let mut panic = None;
-            for h in handles {
-                match h.join() {
-                    Ok(end) => max_end = max_end.max(end),
-                    Err(p) => panic = Some(p),
-                }
-            }
-            if let Some(p) = panic {
-                resume_unwind(p);
-            }
-        });
-        let remote_spawns = (num_locales.saturating_sub(1)) * tasks;
-        self.locales[src as usize]
-            .stats
-            .add(Counter::AmSent, remote_spawns as u64);
-        vtime::advance_to(max_end);
+        let (init, body) = (&init, &body);
+        self.spawn_join((0..num_locales as LocaleId).flat_map(|l| {
+            (0..tasks).map(move |t| {
+                (l, move || {
+                    // The state drops at the end of this body, inside the
+                    // child, so its cost lands on the child's clock.
+                    let mut state = init(l, t);
+                    // Cyclic distribution: locale l owns indices
+                    // l, l+L, l+2L, ...; its j-th local index is
+                    // i = l + j*L, and task t handles j ≡ t (mod tasks).
+                    let first = l as usize + t * num_locales;
+                    for i in (first..n).step_by(tasks * num_locales) {
+                        body(&mut state, i);
+                    }
+                })
+            })
+        }));
     }
 
     /// Install the telemetry span sink. May be called at most once per

@@ -77,12 +77,6 @@ impl ShardRouter {
         Self::with_active(core, core.num_locales())
     }
 
-    /// A router spanning every locale of the *current* runtime.
-    pub fn for_current_runtime() -> ShardRouter {
-        let rt = ctx::current_runtime();
-        Self::with_active(&rt, rt.num_locales())
-    }
-
     /// A router over `core`'s locales with only the first `active` shards
     /// receiving keys (clamped to `1..=num_locales`).
     pub fn with_active(core: &RuntimeCore, active: usize) -> ShardRouter {

@@ -5,17 +5,22 @@
 //!   single server slot is busy starts at `max(arrival, slot free)`, not at
 //!   its arrival time;
 //! * a `coforall` join advances the parent clock to the **max** of the
-//!   child end times, never their sum.
+//!   child end times, never their sum; a remote child starts one wire after
+//!   the parent, returns one wire after it ends and counts one `am_sent`.
+//!   Every spawning construct (`coforall_locales`, `coforall_tasks`,
+//!   `forall_dist`, `DistArray::forall`) follows that one rule.
 //!
-//! Both are asserted with exact nanosecond expectations derived from the
+//! All are asserted with exact nanosecond expectations derived from the
 //! Aries-class defaults, so any drift in the queueing or join discipline
-//! fails loudly. A third test checks the telemetry span stamped from the
+//! fails loudly. A further test checks the telemetry span stamped from the
 //! same vtime points agrees with the round-trip arithmetic.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pgas_sim::telemetry::{OpClass, RingSink};
-use pgas_sim::{vtime, Runtime, RuntimeConfig};
+use pgas_sim::{here, vtime, Dist, DistArray, Runtime, RuntimeConfig};
 
 /// Wire and handler costs from `NetworkConfig::default()` — asserted here
 /// so the exact expectations below can't silently drift from the model.
@@ -85,6 +90,128 @@ fn coforall_join_advances_parent_to_max_of_children() {
     );
     // A sum-merge would exceed the max by at least the local child's time.
     assert!(span < 1000 + wire + 2000 + wire);
+}
+
+#[test]
+fn coforall_tasks_join_is_max_of_local_children() {
+    // Every child runs on the parent's locale: no wire, no message.
+    let rt = Runtime::new(RuntimeConfig::cluster(2));
+    let ((), span) = rt.run_measured(|| {
+        rt.coforall_tasks(3, |t| {
+            assert_eq!(here(), 0);
+            vtime::charge((t as u64 + 1) * 1000);
+        });
+    });
+    assert_eq!(span, 3000, "max of 1000/2000/3000, no wire");
+    assert_eq!(rt.total_comm().am_sent, 0, "local children send nothing");
+}
+
+/// Charges `ns` to its task's clock when dropped: stands in for task-private
+/// state (an epoch token) whose unregister costs time.
+struct DropCharge(u64);
+impl Drop for DropCharge {
+    fn drop(&mut self) {
+        vtime::charge(self.0);
+    }
+}
+
+#[test]
+fn forall_dist_join_is_max_of_children_with_wire_on_remote_ones() {
+    let rt = Runtime::new(RuntimeConfig::cluster(2));
+    let (wire, _) = costs(&rt);
+    // 8 cyclic indices, 2 locales x 2 tasks; index i costs (i+1)*100:
+    //   locale 0: task 0 visits 0,4 (600), task 1 visits 2,6 (1000);
+    //   locale 1: task 0 visits 1,5 (800), task 1 visits 3,7 (1200).
+    // Each task's state charges 5000 more on drop, on its own clock.
+    let ((), span) = rt.run_measured(|| {
+        rt.forall_dist_tasks(
+            8,
+            2,
+            |_, _| DropCharge(5000),
+            |_, i| vtime::charge((i as u64 + 1) * 100),
+        );
+    });
+    let local = 1000 + 5000;
+    let remote = wire + 1200 + 5000 + wire;
+    assert_eq!(span, local.max(remote), "wire={wire}");
+    assert_eq!(rt.total_comm().am_sent, 2, "one per remote task");
+
+    // The default task count is four per locale.
+    let inits = AtomicUsize::new(0);
+    rt.reset_metrics();
+    rt.run(|| {
+        rt.forall_dist(
+            8,
+            |_, _| {
+                inits.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, _| {},
+        );
+    });
+    assert_eq!(inits.load(Ordering::Relaxed), 2 * 4);
+    assert_eq!(rt.total_comm().am_sent, 4);
+}
+
+#[test]
+fn dist_array_forall_join_is_max_of_children_with_wire_on_remote_ones() {
+    let rt = Runtime::new(RuntimeConfig::cluster(2));
+    let (wire, _) = costs(&rt);
+    rt.run(|| {
+        let a = DistArray::new(&rt, 8, Dist::Cyclic, |i| i as u64);
+        let before = rt.total_comm().am_sent;
+        let start = vtime::now();
+        // Same layout and costs as the `forall_dist` case above.
+        a.forall(&rt, 2, |i, &v| {
+            assert_eq!(i as u64, v);
+            vtime::charge((v + 1) * 100);
+        });
+        let span = vtime::now() - start;
+        assert_eq!(span, 1000u64.max(wire + 1200 + wire), "wire={wire}");
+        assert_eq!(rt.total_comm().am_sent - before, 2, "one per remote task");
+    });
+}
+
+#[test]
+fn coforall_reraises_a_child_panic_only_after_joining_every_child() {
+    let rt = Runtime::new(RuntimeConfig::cluster(4));
+    let panicked = AtomicUsize::new(0);
+    let sibling_done = AtomicBool::new(false);
+    rt.run(|| {
+        let before = rt.total_comm().am_sent;
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            rt.coforall_locales(|l| match l {
+                1 | 2 => {
+                    panicked.fetch_add(1, Ordering::SeqCst);
+                    panic!("child boom");
+                }
+                3 => {
+                    // Still running after both siblings have panicked.
+                    while panicked.load(Ordering::SeqCst) < 2 {
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..100 {
+                        std::thread::yield_now();
+                    }
+                    sibling_done.store(true, Ordering::SeqCst);
+                }
+                _ => {}
+            });
+        }));
+        let msg = *r
+            .unwrap_err()
+            .downcast::<&str>()
+            .expect("a child's payload");
+        assert_eq!(msg, "child boom");
+        assert!(
+            sibling_done.load(Ordering::SeqCst),
+            "the sibling that did not panic was joined first"
+        );
+        assert_eq!(
+            rt.total_comm().am_sent - before,
+            3,
+            "every remote child counts, panicking ones too"
+        );
+    });
 }
 
 #[test]
