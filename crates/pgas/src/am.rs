@@ -22,9 +22,24 @@
 //! This module is internal plumbing of the shared-address-space model: all
 //! traffic enters through the [`crate::engine`] functions, and every
 //! message leaves through [`post`].
+//!
+//! The hand-off. A locale's messages wait in its [`Inbox`], which all of its
+//! progress threads consume. A sender pushes under the queue lock and
+//! signals only when a consumer is parked; the parked count is kept under
+//! that same lock, so either the push sees the consumer counted or the
+//! consumer sees the message before it parks, and no wake-up is lost. An
+//! idle consumer re-checks the queue and yields up to [`WAIT_YIELDS`] times
+//! before it parks, because the thread that serves a locale may share its
+//! sender's core: a message that lands during those yields costs neither
+//! side a futex call. A waiting sender (the combiner's chunk wait) follows
+//! the same policy. A message releases its waiter when it is dropped,
+//! which the progress loop does last — after it has recorded the service
+//! sample, emitted the round-trip span and released the server slot — so a
+//! sender that reads the statistics on its reply sees all of them.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
@@ -37,26 +52,139 @@ use crate::telemetry::{
 };
 use crate::vtime;
 
+/// How many times an idle waiter re-checks and yields before it parks: a
+/// progress thread waiting for its inbox, and a combiner waiting for its
+/// chunk (see the module docs).
+pub(crate) const WAIT_YIELDS: u32 = 3;
+
+/// A many-producer queue whose consumers park when it is empty (see the
+/// module docs for the hand-off protocol).
+pub(crate) struct Inbox<T> {
+    state: Mutex<InboxState<T>>,
+    /// Signalled by a push that finds a consumer parked, and by `close`.
+    ready: Condvar,
+}
+
+struct InboxState<T> {
+    queue: VecDeque<T>,
+    /// Consumers waiting on `ready` (or woken and not yet back under the
+    /// lock).
+    parked: usize,
+    closed: bool,
+}
+
+impl<T> Inbox<T> {
+    pub(crate) fn new() -> Inbox<T> {
+        Inbox {
+            state: Mutex::new(InboxState {
+                queue: VecDeque::new(),
+                parked: 0,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, InboxState<T>> {
+        // Nothing panics under the lock, so the queue cannot be poisoned.
+        self.state.lock().expect("active-message queue poisoned")
+    }
+
+    /// Append `msg`, waking one consumer if any is parked.
+    ///
+    /// # Panics
+    /// If the inbox has been closed.
+    pub(crate) fn push(&self, msg: T) {
+        let mut st = self.lock();
+        if st.closed {
+            drop(st);
+            panic!("active-message queue closed");
+        }
+        st.queue.push_back(msg);
+        let wake = st.parked > 0;
+        drop(st);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Take the oldest message, waiting while the inbox is empty: up to
+    /// [`WAIT_YIELDS`] yields, then a park. `None` once the inbox is closed
+    /// and drained.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut yields = 0;
+        let mut st = self.lock();
+        loop {
+            if let Some(msg) = st.queue.pop_front() {
+                return Some(msg);
+            }
+            if st.closed {
+                return None;
+            }
+            if yields < WAIT_YIELDS {
+                yields += 1;
+                drop(st);
+                std::thread::yield_now();
+                st = self.lock();
+            } else {
+                st.parked += 1;
+                st = self.ready.wait(st).expect("active-message queue poisoned");
+                st.parked -= 1;
+            }
+        }
+    }
+
+    /// Drop every queued message without closing the inbox, and return
+    /// how many there were.
+    pub(crate) fn discard(&self) -> usize {
+        let taken = std::mem::take(&mut self.lock().queue);
+        // Dropped outside the lock: a message's drop releases its waiter.
+        taken.len()
+    }
+
+    /// Refuse further pushes and wake every parked consumer; consumers
+    /// still serve what is queued, then `pop` returns `None`.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Consumers currently parked.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.lock().parked
+    }
+}
+
+/// The work an active message carries. The progress loop calls `run` once
+/// and then drops the handler; dropping it releases whoever waits on the
+/// message, and so does dropping it unexecuted (a discarded inbox).
+pub(crate) trait Handler: Send {
+    /// The body, run on the destination's progress thread.
+    fn run(&mut self);
+}
+
 /// A message bound for a locale's progress threads.
-pub(crate) enum AmMsg {
-    /// Execute the closure. `send_vtime` is the virtual arrival time at the
-    /// target NIC (sender clock + wire latency); `src` is the issuing
-    /// locale (carried for the telemetry span); `ctx` is the sender's
-    /// causal-trace context, installed around the handler so spans emitted
-    /// on the destination nest under the operation that caused them.
-    Call {
-        thunk: Box<dyn FnOnce() + Send + 'static>,
-        send_vtime: u64,
-        src: LocaleId,
-        ctx: Option<TraceCtx>,
-    },
-    /// Terminate one progress thread (sent once per thread at shutdown).
-    Shutdown,
+pub(crate) struct AmMsg {
+    /// The work; dropped last (see [`Handler`]).
+    handler: Box<dyn Handler>,
+    /// The virtual arrival time at the target NIC (sender clock + wire
+    /// latency).
+    send_vtime: u64,
+    /// The issuing locale (carried for the telemetry span).
+    src: LocaleId,
+    /// The sender's causal-trace context, installed around the handler so
+    /// spans emitted on the destination nest under the operation that
+    /// caused them.
+    ctx: Option<TraceCtx>,
 }
 
 /// What a handler reports back: its panic status and the virtual time at
 /// which it finished.
 pub(crate) type Reply = (std::thread::Result<()>, u64);
+
+/// What a waiter panics with when its message was dropped unexecuted.
+pub(crate) const LOST_TEXT: &str = "progress thread terminated while a remote call was pending";
 
 thread_local! {
     /// Reusable one-shot reply channels. A remote call consumes exactly one
@@ -95,101 +223,89 @@ pub(crate) fn recycle_reply_channel(tx: Sender<Reply>, rx: Receiver<Reply>) {
     });
 }
 
-/// The body of progress thread `index` of locale `locale`. Its handlers
-/// see `index` as [`crate::ctx::progress_thread`].
+/// The body of progress thread `index` of locale `locale`: serve the
+/// locale's [`Inbox`] until it is closed and drained. Its handlers see
+/// `index` as [`crate::ctx::progress_thread`].
 ///
 /// Holds its own `Arc` to the runtime so the context pointer stays valid
 /// for the lifetime of the loop.
-pub(crate) fn progress_loop(
-    core: Arc<RuntimeCore>,
-    locale: LocaleId,
-    index: usize,
-    rx: Receiver<AmMsg>,
-) {
+pub(crate) fn progress_loop(core: Arc<RuntimeCore>, locale: LocaleId, index: usize) {
     // SAFETY: `core` is kept alive by the Arc above until this function —
     // and therefore the guard — ends.
     let _guard = unsafe { crate::ctx::enter_progress(Arc::as_ptr(&core), locale, index) };
     let net = &core.config.network;
-    let slots = &core.locale(locale).server;
+    let here = core.locale(locale);
+    let slots = &here.server;
+    let lstats = &here.stats;
     // A fault plan may name this locale as the straggler: its handler
     // dispatch is slowed by a constant multiplier for the whole run (the
     // multiplier is cached on the locale at construction).
-    let handler_ns = net
-        .am_handler_ns
-        .saturating_mul(core.locale(locale).am_slowdown);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            AmMsg::Shutdown => break,
-            AmMsg::Call {
-                thunk,
-                send_vtime,
-                src,
-                ctx,
-            } => {
-                // Min-clock service discipline: run on whichever server slot
-                // frees up first, regardless of which OS thread we are.
-                let (slot, free_at) = slots.acquire();
-                let start = free_at.max(send_vtime);
-                vtime::set(start + handler_ns);
-                let lstats = &core.locale(locale).stats;
-                // Count before the body runs: the thunk's last act is the
-                // reply send, and the unblocked sender may read the stats
-                // immediately — the counter must already be there. It is a
-                // plain store to this thread's shard; the reply channel's
-                // send/recv is the release/acquire pair that publishes it.
-                // The queue-wait sample is also known now (`start - arrival`).
-                lstats.add(Counter::AmHandled, 1);
-                lstats.record(OpClass::AmQueue, start - send_vtime);
-                // Causal tracing: the round-trip span gets its own id on
-                // this locale, parented under the sender's context (or
-                // self-rooted when the sender had none), and the matching
-                // context wraps the handler so spans emitted inside nest
-                // under this AM.
-                let (trace_id, am_span, parent) = if core.tracing() {
-                    let own = core.locale(locale).next_span_id();
-                    match ctx {
-                        Some(c) => (c.trace, own, c.span),
-                        None => (own, own, 0),
-                    }
-                } else {
-                    (0, 0, 0)
-                };
-                let tguard = (am_span != 0).then(|| {
-                    trace::enter(Some(TraceCtx {
-                        trace: trace_id,
-                        span: am_span,
-                    }))
-                });
-                // A panicking handler must not take the progress thread
-                // down with it; the panic is forwarded to the sender via
-                // the reply channel inside the thunk.
-                let _ = catch_unwind(AssertUnwindSafe(thunk));
-                drop(tguard);
-                let end = vtime::now();
-                lstats.record(OpClass::AmService, end - start);
-                // One span per remote operation, stamped from the vtime
-                // points this loop already computes: issue (arrival minus
-                // the wire), arrival, queued start, and the reply landing
-                // back at the sender. The tag is the server-slot index
-                // (one Perfetto track per progress-thread slot).
-                core.emit_span(|| Span {
-                    class: OpClass::AmRoundTrip,
-                    src,
-                    dest: locale,
-                    issue_vtime: send_vtime.saturating_sub(net.am_wire_ns),
-                    arrive_vtime: send_vtime,
-                    start_vtime: start,
-                    end_vtime: end + net.am_wire_ns,
-                    tag: slot as u64,
-                    trace: trace_id,
-                    span: am_span,
-                    parent,
-                });
-                // The slot is busy until the reply has been injected back
-                // onto the wire.
-                slots.release(slot, end + net.am_wire_ns);
+    let handler_ns = net.am_handler_ns.saturating_mul(here.am_slowdown);
+    while let Some(AmMsg {
+        mut handler,
+        send_vtime,
+        src,
+        ctx,
+    }) = here.inbox.pop()
+    {
+        // Min-clock service discipline: run on whichever server slot frees
+        // up first, regardless of which OS thread we are.
+        let (slot, free_at) = slots.acquire();
+        let start = free_at.max(send_vtime);
+        vtime::set(start + handler_ns);
+        // Plain stores to this thread's shard; the waiter's release at the
+        // end of this iteration is the release/acquire pair that publishes
+        // them, with the service sample and the span below.
+        lstats.add(Counter::AmHandled, 1);
+        lstats.record(OpClass::AmQueue, start - send_vtime);
+        // Causal tracing: the round-trip span gets its own id on this
+        // locale, parented under the sender's context (or self-rooted when
+        // the sender had none), and the matching context wraps the handler
+        // so spans emitted inside nest under this AM.
+        let (trace_id, am_span, parent) = if core.tracing() {
+            let own = here.next_span_id();
+            match ctx {
+                Some(c) => (c.trace, own, c.span),
+                None => (own, own, 0),
             }
-        }
+        } else {
+            (0, 0, 0)
+        };
+        let tguard = (am_span != 0).then(|| {
+            trace::enter(Some(TraceCtx {
+                trace: trace_id,
+                span: am_span,
+            }))
+        });
+        // A panicking handler must not take the progress thread down with
+        // it; the handlers forward their own panics to their waiters.
+        let _ = catch_unwind(AssertUnwindSafe(|| handler.run()));
+        drop(tguard);
+        let end = vtime::now();
+        lstats.record(OpClass::AmService, end - start);
+        // One span per remote operation, stamped from the vtime points this
+        // loop already computes: issue (arrival minus the wire), arrival,
+        // queued start, and the reply landing back at the sender. The tag
+        // is the server-slot index (one Perfetto track per progress-thread
+        // slot).
+        core.emit_span(|| Span {
+            class: OpClass::AmRoundTrip,
+            src,
+            dest: locale,
+            issue_vtime: send_vtime.saturating_sub(net.am_wire_ns),
+            arrive_vtime: send_vtime,
+            start_vtime: start,
+            end_vtime: end + net.am_wire_ns,
+            tag: slot as u64,
+            trace: trace_id,
+            span: am_span,
+            parent,
+        });
+        // The slot is busy until the reply has been injected back onto the
+        // wire.
+        slots.release(slot, end + net.am_wire_ns);
+        // Last: release the waiter, so everything above is visible to it.
+        drop(handler);
     }
 }
 
@@ -251,14 +367,12 @@ pub(crate) fn remote_call(
     }
 
     // SAFETY: lifetime erasure. `f` may borrow the caller's stack, but this
-    // function blocks on `rx.recv()` until `f` has finished executing (or
-    // is provably never going to run because the channel disconnected), so
-    // no borrow outlives this frame.
+    // function blocks on `rx.recv()` until the message has been dropped —
+    // after `f` ran, or unexecuted — since `Call` sends its reply from its
+    // drop, so no borrow outlives this frame.
     let f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
     let (tx, rx) = remote_post(core, src, dest, f);
-    let (out, end) = rx
-        .recv()
-        .expect("progress thread terminated while a remote call was pending");
+    let (out, end) = rx.recv().expect("the reply sender is held here");
     // The one message is consumed; the pair is pristine again.
     recycle_reply_channel(tx, rx);
     vtime::advance_to(end + cfg.am_wire_ns);
@@ -267,6 +381,43 @@ pub(crate) fn remote_call(
     if let Err(payload) = out {
         resume_unwind(payload);
     }
+}
+
+/// [`remote_post`]'s message: runs the closure, then sends its reply when
+/// dropped — or, dropped unexecuted, a [`LOST_TEXT`] panic, so the waiter
+/// never blocks forever.
+struct Call {
+    f: Option<Box<dyn FnOnce() + Send + 'static>>,
+    reply: Option<Reply>,
+    tx: Sender<Reply>,
+}
+
+impl Handler for Call {
+    fn run(&mut self) {
+        let f = self.f.take().expect("active message executed twice");
+        let out = catch_unwind(AssertUnwindSafe(f));
+        self.reply = Some((out, vtime::now()));
+    }
+}
+
+impl Drop for Call {
+    fn drop(&mut self) {
+        let reply = self
+            .reply
+            .take()
+            .unwrap_or_else(|| (Err(Box::new(LOST_TEXT)), 0));
+        // Nobody may be waiting: a dropped `Completion` or a sending task
+        // that panicked leaves the reply unread.
+        let _ = self.tx.send(reply);
+    }
+}
+
+/// The second copy of a message duplicated by the fault plan: the
+/// receiver's dedup discards it, so it runs nothing and releases nobody.
+struct Duplicate;
+
+impl Handler for Duplicate {
+    fn run(&mut self) {}
 }
 
 /// Ship `f` to locale `dest` without waiting, with a reply channel: the
@@ -281,36 +432,22 @@ pub(crate) fn remote_post(
     f: Box<dyn FnOnce() + Send + 'static>,
 ) -> (Sender<Reply>, Receiver<Reply>) {
     let (tx, rx) = pooled_reply_channel();
-    let reply_tx = tx.clone();
-    post(
-        core,
-        src,
-        dest,
-        Box::new(move || {
-            let out = catch_unwind(AssertUnwindSafe(f));
-            let end = vtime::now();
-            // Nobody may be waiting: a dropped `Completion` or a sending task
-            // that panicked disconnects the channel, and then nobody cares
-            // about the reply.
-            let _ = reply_tx.send((out, end));
-        }),
-    );
+    let call = Call {
+        f: Some(f),
+        reply: None,
+        tx: tx.clone(),
+    };
+    post(core, src, dest, Box::new(call));
     (tx, rx)
 }
 
-/// Ship `thunk` to locale `dest` without waiting — the one place an
-/// [`AmMsg::Call`] is built and sent: one `am_sent`, the fault plan's
-/// arrival delay and duplicate delivery, and the sender's causal context.
-/// The sender's clock does not advance, and nothing reports back: a caller
-/// that waits puts its own completion signal inside `thunk`, and must be
-/// released from `thunk`'s drop too, since a message can be dropped
-/// unexecuted. Must not be called when `dest == here()`.
-pub(crate) fn post(
-    core: &RuntimeCore,
-    src: LocaleId,
-    dest: LocaleId,
-    thunk: Box<dyn FnOnce() + Send + 'static>,
-) {
+/// Ship `handler` to locale `dest` without waiting — the one place an
+/// [`AmMsg`] is built and sent: one `am_sent`, the fault plan's arrival
+/// delay and duplicate delivery, and the sender's causal context. The
+/// sender's clock does not advance, and nothing reports back: a caller that
+/// waits is released by the handler's drop (see [`Handler`]). Must not be
+/// called when `dest == here()`.
+pub(crate) fn post(core: &RuntimeCore, src: LocaleId, dest: LocaleId, handler: Box<dyn Handler>) {
     debug_assert_ne!(src, dest, "an active message requires a remote destination");
     // Without a shared address space nobody serves this queue: panic here,
     // before anything is counted, rather than wait forever for a reply.
@@ -319,7 +456,7 @@ pub(crate) fn post(
     let stats = &core.locale(src).stats;
     // The sender's causal context rides the message so the destination's
     // round-trip span (and everything it causes) joins this trace.
-    let tctx = trace::current();
+    let ctx = trace::current();
     stats.add(Counter::AmSent, 1);
     let mut send_vtime = vtime::now() + cfg.am_wire_ns;
     let mut duplicate = false;
@@ -337,11 +474,11 @@ pub(crate) fn post(
 
     core.send_am(
         dest,
-        AmMsg::Call {
-            thunk,
+        AmMsg {
+            handler,
             send_vtime,
             src,
-            ctx: tctx,
+            ctx,
         },
     );
     if duplicate {
@@ -351,12 +488,212 @@ pub(crate) fn post(
         stats.add(Counter::InjectedDups, 1);
         core.send_am(
             dest,
-            AmMsg::Call {
-                thunk: Box::new(|| {}),
+            AmMsg {
+                handler: Box::new(Duplicate),
                 send_vtime,
                 src,
-                ctx: tctx,
+                ctx,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::Runtime;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// Run `f` on a thread of its own and fail, rather than hang, if it has
+    /// not finished within two minutes: a lost wake-up hangs.
+    fn watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (finished, wait) = channel();
+        let worker = std::thread::spawn(move || {
+            f();
+            let _ = finished.send(());
+        });
+        match wait.recv_timeout(Duration::from_secs(120)) {
+            Ok(()) => worker.join().unwrap(),
+            Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
+            Err(RecvTimeoutError::Timeout) => panic!("{what}: hung"),
+        }
+    }
+
+    /// Spin until `inbox` has `n` parked consumers.
+    fn await_parked<T>(inbox: &Inbox<T>, n: usize) {
+        while inbox.parked() != n {
+            std::thread::yield_now();
+        }
+    }
+
+    fn exactly_once_in_fifo_order(consumers: usize) {
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 10_000;
+        let inbox = Inbox::new();
+        let logs: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..consumers)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut log = Vec::new();
+                        while let Some(m) = inbox.pop() {
+                            log.push(m);
+                        }
+                        log
+                    })
+                })
+                .collect();
+            let writers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let inbox = &inbox;
+                    s.spawn(move || (0..PER_PRODUCER).for_each(|i| inbox.push((p, i))))
+                })
+                .collect();
+            writers.into_iter().for_each(|w| w.join().unwrap());
+            inbox.close();
+            readers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let mut seen = vec![vec![false; PER_PRODUCER]; PRODUCERS];
+        for log in &logs {
+            let mut last = [None; PRODUCERS];
+            for &(p, i) in log {
+                assert!(!seen[p][i], "message {p}.{i} delivered twice");
+                seen[p][i] = true;
+                assert!(last[p] < Some(i), "producer {p} out of order at {i}");
+                last[p] = Some(i);
+            }
+        }
+        assert!(seen.iter().flatten().all(|&s| s), "a message was lost");
+    }
+
+    #[test]
+    fn every_message_is_delivered_exactly_once_in_producer_order() {
+        watchdog("exactness", || {
+            exactly_once_in_fifo_order(1);
+            exactly_once_in_fifo_order(2);
+        });
+    }
+
+    #[test]
+    fn a_push_to_a_parked_consumer_wakes_it_every_time() {
+        watchdog("lost wake-up", || {
+            const N: usize = 200;
+            let inbox = Inbox::new();
+            let taken = AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                let consumer = s.spawn(|| {
+                    let mut log = Vec::new();
+                    while let Some(m) = inbox.pop() {
+                        log.push(m);
+                        taken.fetch_add(1, Ordering::SeqCst);
+                    }
+                    log
+                });
+                for i in 0..N {
+                    // The consumer has spent its yields and sleeps: only
+                    // this push's signal can wake it, and the next push
+                    // waits until it has.
+                    await_parked(&inbox, 1);
+                    inbox.push(i);
+                    while taken.load(Ordering::SeqCst) <= i {
+                        std::thread::yield_now();
+                    }
+                }
+                inbox.close();
+                assert_eq!(consumer.join().unwrap(), (0..N).collect::<Vec<_>>());
+            });
+        });
+    }
+
+    #[test]
+    fn a_drained_consumer_parks_within_its_yield_budget() {
+        watchdog("idle parking", || {
+            let inbox = Inbox::new();
+            std::thread::scope(|s| {
+                let consumers: Vec<_> = (0..2).map(|_| s.spawn(|| inbox.pop())).collect();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while inbox.parked() < 2 {
+                    assert!(Instant::now() < deadline, "an idle consumer never parked");
+                    std::thread::yield_now();
+                }
+                inbox.push(7);
+                await_parked(&inbox, 1);
+                inbox.close();
+                let mut got: Vec<_> = consumers.into_iter().map(|c| c.join().unwrap()).collect();
+                got.sort();
+                assert_eq!(got, [None, Some(7)]);
+                assert_eq!(inbox.parked(), 0);
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "active-message queue closed")]
+    fn a_push_after_close_panics() {
+        let inbox = Inbox::new();
+        inbox.close();
+        inbox.push(1);
+    }
+
+    #[test]
+    fn discard_drops_the_queue_and_leaves_the_inbox_open() {
+        let inbox = Inbox::new();
+        (0..3).for_each(|i| inbox.push(i));
+        assert_eq!(inbox.discard(), 3);
+        inbox.push(4);
+        assert_eq!(inbox.pop(), Some(4));
+    }
+
+    /// A blocking call's message dropped unexecuted fails its waiter rather
+    /// than leaving it parked on the reply channel.
+    #[test]
+    fn a_call_dropped_unexecuted_fails_its_waiter() {
+        use std::sync::atomic::AtomicBool;
+        watchdog("dropped call", || {
+            let rt = Runtime::cluster(2);
+            let (gate, entered) = (
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            rt.run(|| {
+                // Occupy locale 1's only progress thread, so the call waits
+                // in the inbox.
+                let (g, e) = (gate.clone(), entered.clone());
+                let busy = rt.on_async(1, move || {
+                    e.store(true, Ordering::SeqCst);
+                    while !g.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                });
+                while !entered.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let lost = rt.on_async(1, || panic!("a dropped call ran"));
+                assert_eq!(rt.discard_inbox(1), 1);
+                let payload = catch_unwind(AssertUnwindSafe(|| lost.wait())).expect_err("it fails");
+                assert_eq!(payload.downcast_ref::<&str>(), Some(&LOST_TEXT));
+                gate.store(true, Ordering::SeqCst);
+                busy.wait();
+            });
+        });
+    }
+
+    /// The reply is the progress loop's last act: a sender that reads the
+    /// destination's statistics on return sees the service sample of the
+    /// call it just made. The race it checks is narrow, hence the many
+    /// calls.
+    #[test]
+    fn the_service_sample_lands_before_the_reply() {
+        watchdog("reply order", || {
+            let rt = Runtime::cluster(2);
+            rt.run(|| {
+                for _ in 0..10_000 {
+                    rt.on(1, || {});
+                    let t = rt.locale(1).stats.telemetry_snapshot();
+                    assert_eq!(t.class(OpClass::AmService).count(), t.comm.am_handled);
+                }
+            });
+        });
     }
 }

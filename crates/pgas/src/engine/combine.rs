@@ -45,9 +45,10 @@
 //! 4. **Execute.** The destination handler runs the riders in announce
 //!    order, straight out of the combiner's batch buffer. Each rider
 //!    charges `combine_item_ns` dispatch plus its own body cost, records
-//!    its completion vtime in its node, and sets `done` (Release). The
-//!    handler then writes the chunk's end vtime into the combiner's
-//!    completion word and unparks it. The wire and the fixed
+//!    its completion vtime in its node, and sets `done` (Release). Once
+//!    the progress loop has recorded the chunk's service, the message's
+//!    drop writes the chunk's end vtime into the combiner's completion
+//!    word and unparks it. The wire and the fixed
 //!    `am_handler_ns` are paid once per chunk — that is the entire win.
 //!    The completion word is written by a drop guard the message owns: a
 //!    chunk dropped unexecuted fails its riders and wakes the combiner,
@@ -67,7 +68,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::thread::Thread;
 
-use crate::am;
+use crate::am::{self, LOST_TEXT};
 use crate::comm;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
@@ -128,10 +129,6 @@ impl OpNode {
 /// exits early once a round adds nothing and the batch is as large as the
 /// previous one.
 const LINGER_ROUNDS: u32 = 3;
-
-/// How many times a combiner yields, waiting for its posted chunk, before
-/// it parks (see [`post_and_park`]).
-const WAIT_YIELDS: u32 = 3;
 
 /// A raw pointer to an [`OpNode`], sendable into the handler thunk. Safety
 /// rests on the protocol: the publishing task keeps its node alive until
@@ -417,10 +414,6 @@ fn ship(core: &RuntimeCore, src: LocaleId, dest: LocaleId, batch: &[NodePtr]) {
     }
 }
 
-/// What a waiter panics with when its message was dropped unexecuted — the
-/// text of a blocking `on` whose reply channel disconnected.
-const LOST_TEXT: &str = "progress thread terminated while a remote call was pending";
-
 /// Fail a rider that will never run: its publisher re-raises [`LOST_TEXT`].
 ///
 /// # Safety
@@ -455,11 +448,13 @@ const PENDING: u64 = u64::MAX;
 /// A chunk's completion word once its message was dropped unexecuted.
 const LOST: u64 = u64::MAX - 1;
 
-/// Owned by a chunk's message: the riders it has yet to run, and the
-/// combiner to release. Dropping it — after the handler, or with the
-/// message unexecuted — fails the riders still listed, writes `end` into
-/// the combiner's completion word and unparks the combiner.
+/// A chunk's message: the riders it has yet to run, and the combiner to
+/// release. Running it runs the riders in order; dropping it — after the
+/// progress loop's bookkeeping, or with the message unexecuted — fails the
+/// riders still listed, writes `end` into the combiner's completion word
+/// and unparks the combiner.
 struct Release<'a> {
+    core: &'a RuntimeCore,
     riders: &'a [NodePtr],
     done: &'a AtomicU64,
     end: u64,
@@ -469,8 +464,21 @@ struct Release<'a> {
 // SAFETY: `riders` is the one non-`Send` field: its node pointers are
 // governed by the combining protocol (see `NodePtr`), and the slice and
 // `done` live in the combiner's batch buffer and frame, which it keeps
-// until `done` is written. `end` and `waiter` are `Send`.
+// until `done` is written. `core` is a shared reference to the `Sync`
+// runtime; `end` and `waiter` are `Send`.
 unsafe impl Send for Release<'_> {}
+
+impl am::Handler for Release<'_> {
+    fn run(&mut self) {
+        while let Some((&p, rest)) = self.riders.split_first() {
+            // SAFETY: the publisher blocks in `submit` until `done`, keeping
+            // the node alive; only this handler touches its cells first.
+            unsafe { run_rider(self.core, p) };
+            self.riders = rest;
+        }
+        self.end = vtime::now();
+    }
+}
 
 impl Drop for Release<'_> {
     fn drop(&mut self) {
@@ -490,38 +498,26 @@ impl Drop for Release<'_> {
 /// which it finished.
 fn post_and_park(core: &RuntimeCore, src: LocaleId, dest: LocaleId, chunk: &[NodePtr]) -> u64 {
     let done = AtomicU64::new(PENDING);
-    let release = Release {
+    let release: Box<dyn am::Handler + '_> = Box::new(Release {
+        core,
         riders: chunk,
         done: &done,
         end: LOST,
         waiter: std::thread::current(),
-    };
-    let thunk: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-        // Rebinding moves the whole guard into the message (a closure that
-        // named only its fields would capture copies of them).
-        let mut release = release;
-        while let Some((&p, rest)) = release.riders.split_first() {
-            // SAFETY: the publisher blocks in `submit` until `done`, keeping
-            // the node alive; only this handler touches its cells first.
-            unsafe { run_rider(core, p) };
-            release.riders = rest;
-        }
-        release.end = vtime::now();
     });
-    // SAFETY: lifetime erasure. `thunk` borrows this frame and the batch
-    // buffer, but this function returns only once `done` has left PENDING,
-    // which `Release` writes as its last access — after the thunk ran, or
-    // when it is dropped unexecuted.
-    let thunk: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(thunk) };
-    am::post(core, src, dest, thunk);
-    // Yield before parking: the thread that serves `dest` may share this
-    // core, and a chunk that finishes before the combiner sleeps costs
-    // neither side a futex call (an unpark of a running thread leaves a
-    // token, not a wake).
+    // SAFETY: lifetime erasure. `release` borrows this frame, the runtime
+    // and the batch buffer, but this function returns only once `done` has
+    // left PENDING, which `Release` writes as its last access — when it is
+    // dropped, after running or unexecuted.
+    let release: Box<dyn am::Handler> = unsafe { std::mem::transmute(release) };
+    am::post(core, src, dest, release);
+    // Yield before parking, as an idle progress thread does (see
+    // `am::WAIT_YIELDS`); an unpark of a running thread leaves a token, not
+    // a wake.
     let mut yields = 0;
     loop {
         match done.load(Ordering::Acquire) {
-            PENDING if yields < WAIT_YIELDS => {
+            PENDING if yields < am::WAIT_YIELDS => {
                 yields += 1;
                 std::thread::yield_now();
             }

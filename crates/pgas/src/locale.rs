@@ -1,13 +1,12 @@
-//! Per-locale state: AM queue, statistics, heap accounting, and the
+//! Per-locale state: AM inbox, statistics, heap accounting, and the
 //! progress-service virtual clocks (server slots).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crossbeam_channel::Sender;
 use parking_lot::Mutex;
 
-use crate::am::AmMsg;
+use crate::am::{AmMsg, Inbox};
 use crate::engine::combine::CombineHub;
 use crate::globalptr::LocaleId;
 use crate::stats::HeapStats;
@@ -124,8 +123,8 @@ pub struct Locale {
     /// (see [`crate::engine::combine`]); announce/election state for tasks
     /// *on this locale* issuing combinable remote operations.
     pub(crate) combine: CombineHub,
-    /// Submission side of the AM queue; all progress threads share it.
-    pub(crate) am_tx: Sender<AmMsg>,
+    /// The AM queue; this locale's progress threads consume it.
+    pub(crate) inbox: Inbox<AmMsg>,
     /// AM-handler dispatch-cost multiplier: 1 normally, larger when a
     /// fault plan (see [`crate::faults`]) names this locale as the
     /// straggler. Cached here at construction so progress threads read it
@@ -151,7 +150,6 @@ impl Locale {
         id: LocaleId,
         progress_threads: usize,
         num_locales: usize,
-        am_tx: Sender<AmMsg>,
         am_slowdown: u64,
         sym_heap_bytes: usize,
     ) -> Self {
@@ -162,7 +160,7 @@ impl Locale {
             sym: crate::symheap::SymHeap::new(sym_heap_bytes),
             server: ServerSlots::new(progress_threads),
             combine: CombineHub::new(num_locales),
-            am_tx,
+            inbox: Inbox::new(),
             am_slowdown,
             span_seq: std::sync::atomic::AtomicU64::new(0),
             span_epoch: LOCALE_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed),

@@ -28,8 +28,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{unbounded, Receiver};
-
 use crate::am::{self, AmMsg};
 use crate::config::RuntimeConfig;
 use crate::ctx;
@@ -69,10 +67,6 @@ pub struct RuntimeCore {
 pub struct Runtime {
     core: Arc<RuntimeCore>,
     progress: Vec<JoinHandle<()>>,
-    /// One receiver of each locale's AM queue (empty when no progress
-    /// threads serve them), kept to drop what the progress threads left
-    /// unserved at shutdown — which releases every caller waiting on it.
-    inboxes: Vec<Receiver<AmMsg>>,
 }
 
 /// A cheap, cloneable reference to a running [`Runtime`]. Operations panic
@@ -130,12 +124,9 @@ impl Runtime {
         shared_address_space: bool,
     ) -> Runtime {
         config.validate();
-        let mut receivers = Vec::with_capacity(config.num_locales);
         let core = Arc::new_cyclic(|self_weak| {
             let locales = (0..config.num_locales)
                 .map(|id| {
-                    let (tx, rx) = unbounded();
-                    receivers.push(rx);
                     let am_slowdown = config
                         .faults
                         .as_ref()
@@ -144,7 +135,6 @@ impl Runtime {
                         id as LocaleId,
                         config.progress_threads,
                         config.num_locales,
-                        tx,
                         am_slowdown,
                         config.sym_heap_bytes,
                     )
@@ -163,38 +153,30 @@ impl Runtime {
             }
         });
         let mut progress = Vec::new();
-        let mut inboxes = Vec::new();
         if shared_address_space {
-            for (id, rx) in receivers.into_iter().enumerate() {
-                inboxes.push(rx.clone());
+            for id in 0..core.num_locales() {
                 for t in 0..core.config.progress_threads {
                     let core = Arc::clone(&core);
-                    let rx = rx.clone();
                     progress.push(
                         std::thread::Builder::new()
                             .name(format!("pgas-progress-{id}.{t}"))
-                            .spawn(move || am::progress_loop(core, id as LocaleId, t, rx))
+                            .spawn(move || am::progress_loop(core, id as LocaleId, t))
                             .expect("failed to spawn progress thread"),
                     );
                 }
             }
         }
         core.engine.bind(&core);
-        Runtime {
-            core,
-            progress,
-            inboxes,
-        }
+        Runtime { core, progress }
     }
 
     /// Drop every message still queued for locale `l`'s progress threads,
     /// unexecuted, and return how many there were. Each message's drop
-    /// releases whoever waits on it: a reply channel disconnects, a combined
-    /// chunk fails its riders (see [`crate::engine::combine`]).
+    /// releases whoever waits on it: a blocking call or a `Completion`
+    /// panics, a combined chunk fails its riders (see
+    /// [`crate::engine::combine`]).
     pub(crate) fn discard_inbox(&self, l: LocaleId) -> usize {
-        self.inboxes
-            .get(l as usize)
-            .map_or(0, |rx| std::iter::from_fn(|| rx.try_recv().ok()).count())
+        self.core.locale(l).inbox.discard()
     }
 
     /// Convenience: an `n`-locale cluster with the default network model.
@@ -218,23 +200,21 @@ impl Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         // External engines first: their progress threads hold a Weak to the
-        // core and must be joined before the AM channels close.
+        // core and must be joined before the AM queues close.
         self.core.engine.shutdown();
         self.core.shutdown.store(true, Ordering::SeqCst);
+        // Progress threads serve what is queued, then exit; a later send
+        // panics.
         for locale in self.core.locales.iter() {
-            for _ in 0..self.core.config.progress_threads {
-                // Progress threads exit on Shutdown; if one already died the
-                // channel may be disconnected, which is fine.
-                let _ = locale.am_tx.send(AmMsg::Shutdown);
-            }
+            locale.inbox.close();
         }
         for handle in self.progress.drain(..) {
             let _ = handle.join();
         }
-        // A message sent while the shutdown flag was being raised can land
-        // behind the `Shutdown`s; nobody will serve it, so drop it now
-        // rather than leave its sender waiting on a live `RuntimeHandle`.
-        for l in 0..self.inboxes.len() {
+        // A locale whose progress threads all died leaves its queue
+        // unserved: drop it now rather than leave its senders waiting on a
+        // live `RuntimeHandle`.
+        for l in 0..self.core.num_locales() {
             self.discard_inbox(l as LocaleId);
         }
     }
@@ -302,10 +282,7 @@ impl RuntimeCore {
             !self.shutdown.load(Ordering::Relaxed),
             "runtime has shut down"
         );
-        self.locales[dest as usize]
-            .am_tx
-            .send(msg)
-            .expect("active-message queue closed");
+        self.locales[dest as usize].inbox.push(msg);
     }
 
     /// Enter the runtime on the engine's entry locale (locale 0 for the

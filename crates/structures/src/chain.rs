@@ -447,11 +447,16 @@ where
     K: Send,
     V: Send,
 {
-    let mut curr = unsafe { sentinel.deref() }.next.read().without_mark();
+    // Quiescent, so the links are read untracked: no atomic is charged or
+    // counted, and a remote chain's walk sends nothing.
+    let mut curr = unsafe { sentinel.deref() }
+        .next
+        .read_untracked()
+        .without_mark();
     // SAFETY: quiescent.
     unsafe { pgas_sim::free(core, sentinel) };
     while !curr.is_null() {
-        let next = unsafe { curr.deref() }.next.read().without_mark();
+        let next = unsafe { curr.deref() }.next.read_untracked().without_mark();
         // SAFETY: quiescent; everything past the sentinel is an entry.
         unsafe { Node::free_entry(core, curr) };
         curr = next;
@@ -709,6 +714,46 @@ mod tests {
             unsafe { chain_teardown(&rt, sentinel) };
         });
         assert_eq!(rt.live_objects(), 0);
+    }
+
+    /// Teardown is quiescent and reads links untracked: it charges no
+    /// atomic and records no `AtomicObjectOp` sample, so tearing down a
+    /// remote chain sends exactly one free per node, sentinel included.
+    #[test]
+    fn teardown_reads_no_link_through_the_network() {
+        use pgas_sim::telemetry::OpClass;
+        for cfg in [
+            RuntimeConfig::cluster(2),
+            RuntimeConfig::cluster(2).without_network_atomics(),
+        ] {
+            let rt = Runtime::new(cfg);
+            rt.run(|| {
+                let em = EpochManager::new_in_runtime();
+                let sentinel = alloc_sentinel::<u64, u64>(&rt, 1);
+                // Built on locale 1, so every node and link is remote here.
+                rt.on(1, || {
+                    let tok = em.register();
+                    for k in 1..=4 {
+                        assert!(chain_insert::<_, _, EpochManager>(
+                            &tok, sentinel, 0, k, k, None
+                        ));
+                    }
+                });
+                let before = rt.total_telemetry();
+                unsafe { chain_teardown(&rt, sentinel) };
+                let after = rt.total_telemetry();
+                let (b, a) = (&before.comm, &after.comm);
+                assert_eq!(a.rdma_atomics, b.rdma_atomics);
+                assert_eq!(a.cpu_atomics, b.cpu_atomics);
+                assert_eq!(a.remote_frees - b.remote_frees, 5);
+                assert_eq!(a.am_sent - b.am_sent, 5, "one free per node");
+                assert_eq!(
+                    after.class(OpClass::AtomicObjectOp).count(),
+                    before.class(OpClass::AtomicObjectOp).count()
+                );
+            });
+            assert_eq!(rt.live_objects(), 0);
+        }
     }
 
     /// A lookup that ends at a larger entry does not read that entry's
