@@ -59,6 +59,11 @@ pub(crate) const WAIT_YIELDS: u32 = 3;
 
 /// A many-producer queue whose consumers park when it is empty (see the
 /// module docs for the hand-off protocol).
+///
+/// Not the vendored `crossbeam-channel`, which the reply channels still
+/// use: that shim disconnects only when every sender has dropped, while
+/// every task of a runtime may hold a locale's inbox until the runtime
+/// drops it. An inbox closes by a flag instead, and drains without closing.
 pub(crate) struct Inbox<T> {
     state: Mutex<InboxState<T>>,
     /// Signalled by a push that finds a consumer parked, and by `close`.
@@ -158,7 +163,8 @@ impl<T> Inbox<T> {
 
 /// The work an active message carries. The progress loop calls `run` once
 /// and then drops the handler; dropping it releases whoever waits on the
-/// message, and so does dropping it unexecuted (a discarded inbox).
+/// message, and so does dropping it unexecuted (a discarded inbox). The
+/// release is the drop's last access to anything the waiter lends it.
 pub(crate) trait Handler: Send {
     /// The body, run on the destination's progress thread.
     fn run(&mut self);
@@ -367,9 +373,10 @@ pub(crate) fn remote_call(
     }
 
     // SAFETY: lifetime erasure. `f` may borrow the caller's stack, but this
-    // function blocks on `rx.recv()` until the message has been dropped —
-    // after `f` ran, or unexecuted — since `Call` sends its reply from its
-    // drop, so no borrow outlives this frame.
+    // function blocks on `rx.recv()` until `Call`'s drop sends the reply,
+    // and that drop first consumes `f`: `f` has run, or is dropped there
+    // when the message is dropped unexecuted. So no borrow outlives this
+    // frame.
     let f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
     let (tx, rx) = remote_post(core, src, dest, f);
     let (out, end) = rx.recv().expect("the reply sender is held here");
@@ -384,8 +391,9 @@ pub(crate) fn remote_call(
 }
 
 /// [`remote_post`]'s message: runs the closure, then sends its reply when
-/// dropped — or, dropped unexecuted, a [`LOST_TEXT`] panic, so the waiter
-/// never blocks forever.
+/// dropped — or, dropped unexecuted, drops the closure and sends a
+/// [`LOST_TEXT`] panic, so the waiter never blocks forever. The reply is its
+/// last access to anything the closure borrowed.
 struct Call {
     f: Option<Box<dyn FnOnce() + Send + 'static>>,
     reply: Option<Reply>,
@@ -402,6 +410,10 @@ impl Handler for Call {
 
 impl Drop for Call {
     fn drop(&mut self) {
+        // An unexecuted closure may own values that borrow the waiter's
+        // frame (see `remote_call`): drop it before the reply releases the
+        // waiter, and do not let a panic in its drop skip the reply.
+        let _ = catch_unwind(AssertUnwindSafe(|| drop(self.f.take())));
         let reply = self
             .reply
             .take()
@@ -645,19 +657,31 @@ mod tests {
         assert_eq!(inbox.pop(), Some(4));
     }
 
-    /// A blocking call's message dropped unexecuted fails its waiter rather
-    /// than leaving it parked on the reply channel.
+    /// A call dropped unexecuted fails its waiter rather than leaving it
+    /// parked on the reply channel, and drops its closure first: a blocking
+    /// `on`'s closure may own values that borrow the waiter's frame, so
+    /// nothing of it may outlive the reply.
     #[test]
     fn a_call_dropped_unexecuted_fails_its_waiter() {
         use std::sync::atomic::AtomicBool;
+        /// Records its drop, late enough that a waiter released first sees
+        /// it unrecorded.
+        struct SlowDrop(Arc<AtomicBool>);
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(50));
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
         watchdog("dropped call", || {
             let rt = Runtime::cluster(2);
-            let (gate, entered) = (
+            let (gate, entered, dropped) = (
+                Arc::new(AtomicBool::new(false)),
                 Arc::new(AtomicBool::new(false)),
                 Arc::new(AtomicBool::new(false)),
             );
             rt.run(|| {
-                // Occupy locale 1's only progress thread, so the call waits
+                // Occupy locale 1's only progress thread, so the calls wait
                 // in the inbox.
                 let (g, e) = (gate.clone(), entered.clone());
                 let busy = rt.on_async(1, move || {
@@ -670,11 +694,35 @@ mod tests {
                     std::thread::yield_now();
                 }
                 let lost = rt.on_async(1, || panic!("a dropped call ran"));
-                assert_eq!(rt.discard_inbox(1), 1);
-                let payload = catch_unwind(AssertUnwindSafe(|| lost.wait())).expect_err("it fails");
-                assert_eq!(payload.downcast_ref::<&str>(), Some(&LOST_TEXT));
+                let (blocking, dropped_first) = std::thread::scope(|s| {
+                    let caller = s.spawn(|| {
+                        rt.run_on(0, || {
+                            let probe = SlowDrop(dropped.clone());
+                            let out = catch_unwind(AssertUnwindSafe(|| {
+                                rt.on(1, move || drop(probe));
+                            }));
+                            (out, dropped.load(Ordering::SeqCst))
+                        })
+                    });
+                    // Discarded from this thread while the caller waits.
+                    let mut discarded = 0;
+                    while discarded < 2 {
+                        discarded += rt.discard_inbox(1);
+                        std::thread::yield_now();
+                    }
+                    caller.join().unwrap()
+                });
+                let posted = catch_unwind(AssertUnwindSafe(|| lost.wait()));
                 gate.store(true, Ordering::SeqCst);
                 busy.wait();
+                for out in [posted, blocking] {
+                    let payload = out.expect_err("a dropped call fails its waiter");
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&LOST_TEXT));
+                }
+                assert!(
+                    dropped_first,
+                    "the waiter returned before its closure dropped"
+                );
             });
         });
     }
