@@ -108,6 +108,7 @@ pub struct AtomicAbaObject<T> {
 
 // SAFETY: as for `AtomicObject` — the cell stores plain words.
 unsafe impl<T> Send for AtomicAbaObject<T> {}
+// SAFETY: every access to the shared cell is an atomic `WideCell` operation.
 unsafe impl<T> Sync for AtomicAbaObject<T> {}
 
 impl<T> AtomicAbaObject<T> {

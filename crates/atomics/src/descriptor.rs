@@ -267,6 +267,8 @@ pub struct DescriptorAtomicObject<T> {
 
 // SAFETY: cell is a word, table is internally synchronized.
 unsafe impl<T> Send for DescriptorAtomicObject<T> {}
+// SAFETY: shared access is an atomic op on the word or a call into the
+// internally synchronized table.
 unsafe impl<T> Sync for DescriptorAtomicObject<T> {}
 
 impl<T> DescriptorAtomicObject<T> {

@@ -57,6 +57,8 @@ pub struct AtomicObject<T> {
 // SAFETY: the cell holds a pointer-sized word; every dereference of the
 // pointers it yields is a separately-unsafe operation.
 unsafe impl<T> Send for AtomicObject<T> {}
+// SAFETY: every shared access to the cell, a word or a `WideCell`, is atomic;
+// dereferencing what it yields is separately unsafe.
 unsafe impl<T> Sync for AtomicObject<T> {}
 
 impl<T> AtomicObject<T> {

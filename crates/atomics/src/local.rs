@@ -28,6 +28,7 @@ pub struct LocalAtomicObject<T> {
 
 // SAFETY: stores a plain address word; dereferences are separately unsafe.
 unsafe impl<T> Send for LocalAtomicObject<T> {}
+// SAFETY: every shared access to the word is an `AtomicU64` operation.
 unsafe impl<T> Sync for LocalAtomicObject<T> {}
 
 impl<T> LocalAtomicObject<T> {

@@ -11,7 +11,7 @@
 //! | contribution 1 | [`atomics`] | `AtomicObject`, `LocalAtomicObject`, ABA protection via 128-bit DCAS, pointer compression |
 //! | contribution 2 | [`epoch`] | `EpochManager`, `LocalEpochManager`, wait-free limbo lists, scatter-list reclamation |
 //! | applications | [`structures`] | Treiber stack, Michael–Scott queue, Harris list, distributed hash map |
-//! | global-view tier | [`structures`] + [`sim`]'s `ShardRouter` | privatized per-locale-sharded map, work-stealing deque, ordered sharded skiplist |
+//! | global-view tier | [`structures`] + [`sim`]'s `ShardRouter` | privatized per-locale-sharded map |
 //!
 //! ## Quickstart
 //!
@@ -59,8 +59,8 @@ pub mod prelude {
         ShardRouter,
     };
     pub use pgas_structures::{
-        DistHashMap, GlobalOrderedSet, LockFreeList, LockFreeSkipList, LockFreeStack, MsQueue,
-        RcuArray, ShardSnapshot, ShardedHashMap, WorkStealingDeque,
+        DistHashMap, LockFreeList, LockFreeSkipList, LockFreeStack, MsQueue, RcuArray,
+        ShardSnapshot, ShardedHashMap,
     };
 }
 

@@ -67,6 +67,8 @@
 //! [`WideCell::update`]: pgas_sim::symheap::WideCell::update
 //! [`SymHeap::read_bytes`]: pgas_sim::symheap::SymHeap::read_bytes
 
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+
 pub mod wire;
 
 #[cfg(test)]

@@ -10,10 +10,10 @@
 //! machine.
 //!
 //! [`ShardRouter`] is that routing decision, factored out of any one
-//! structure so the map, the ordered set and application code agree on
-//! ownership. It is engine-portable by construction: the mapping is a pure
-//! function of `(key hash, active shard count)` — no global pointers, no
-//! simulator state — so the same router drives the in-process simulator
+//! structure so the map and application code agree on ownership. It is
+//! engine-portable by construction: the mapping is a pure function of
+//! `(key hash, active shard count)` — no global pointers, no simulator
+//! state — so the same router drives the in-process simulator
 //! and the multi-process [`crate::config::EngineKind::Proc`] backend,
 //! where the hash routes symmetric-heap offsets instead of chain heads
 //! (see [`owner_of`]).

@@ -135,18 +135,11 @@ pub enum OpClass {
     /// class; the latency split shows up in the percentiles (local ops are
     /// CPU-priced, remote ops carry an AM round trip).
     ShardedMapOp,
-    /// Root span of a public `WorkStealingDeque` operation (tag as
-    /// [`OpClass::StackOp`]); steals carry `opkind::STEAL`.
-    DequeOp,
-    /// Root span of a public `GlobalOrderedSet` operation — the sharded
-    /// skiplist wrapper of the global-view tier (tag as
-    /// [`OpClass::StackOp`]); cross-shard scans carry `opkind::RANGE`.
-    OrderedSetOp,
 }
 
 impl OpClass {
     /// Number of classes (length of [`OpClass::ALL`]).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 23;
 
     /// Every class, in declaration order (the histogram index order).
     pub const ALL: [OpClass; OpClass::COUNT] = [
@@ -173,8 +166,6 @@ impl OpClass {
         OpClass::CombineRide,
         OpClass::VersionedRead,
         OpClass::ShardedMapOp,
-        OpClass::DequeOp,
-        OpClass::OrderedSetOp,
     ];
 
     /// Stable snake_case name used as the JSON key for this class.
@@ -203,8 +194,6 @@ impl OpClass {
             OpClass::CombineRide => "combine_ride",
             OpClass::VersionedRead => "versioned_read",
             OpClass::ShardedMapOp => "sharded_map_op",
-            OpClass::DequeOp => "deque_op",
-            OpClass::OrderedSetOp => "ordered_set_op",
         }
     }
 
@@ -294,7 +283,6 @@ pub mod opkind {
     pub const LEN: u64 = 15;
     pub const BULK_INSERT: u64 = 16;
     pub const BULK_GET: u64 = 17;
-    pub const STEAL: u64 = 18;
     pub const REBALANCE: u64 = 19;
 
     /// Human-readable name for a packed op kind (for the analyzer).
@@ -317,7 +305,6 @@ pub mod opkind {
             LEN => "len",
             BULK_INSERT => "bulk_insert",
             BULK_GET => "bulk_get",
-            STEAL => "steal",
             REBALANCE => "rebalance",
             _ => "op",
         }

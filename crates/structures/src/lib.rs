@@ -20,10 +20,7 @@
 //! On top of the flat structures sits the **global-view tier** (the
 //! follow-up paper's privatization step): [`ShardedHashMap`] homes each
 //! key's chain on its owning locale so locally-owned ops are
-//! communication-free, [`WorkStealingDeque`] gives every locale a local
-//! LIFO end with remote thieves stealing via DCAS on the victim's top
-//! pointer, and [`GlobalOrderedSet`] shards the skiplist per locale with
-//! cross-shard range scans.
+//! communication-free.
 //!
 //! The Harris chain protocol itself (search, insert, remove, the protected
 //! read-only walk, teardown) is written once, in the private `chain`
@@ -45,20 +42,16 @@
 #![warn(missing_docs)]
 
 mod chain;
-pub mod deque;
 pub mod list;
 pub mod map;
-pub mod ordered;
 pub mod queue;
 pub mod rcu_array;
 pub mod sharded_map;
 pub mod skiplist;
 pub mod stack;
 
-pub use deque::WorkStealingDeque;
 pub use list::LockFreeList;
 pub use map::DistHashMap;
-pub use ordered::GlobalOrderedSet;
 pub use queue::MsQueue;
 pub use rcu_array::RcuArray;
 pub use sharded_map::{ShardSnapshot, ShardedHashMap};
