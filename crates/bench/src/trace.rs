@@ -30,6 +30,8 @@
 
 use std::collections::BTreeMap;
 
+use pgas_nb::sim::telemetry::{opkind, unpack_op_tag, OpClass};
+
 use crate::json;
 
 /// One parsed trace span (a line of the `--trace` JSON-lines file).
@@ -167,16 +169,7 @@ impl Components {
 
 /// Span classes whose exclusive time is the op's own (local) work.
 fn is_op_class(class: &str) -> bool {
-    matches!(
-        class,
-        "stack_op"
-            | "queue_op"
-            | "list_op"
-            | "map_op"
-            | "skiplist_op"
-            | "rcu_array_op"
-            | "atomic_object_op"
-    )
+    OpClass::from_name(class).is_some_and(OpClass::is_op_root)
 }
 
 /// Analysis of one root span's tree.
@@ -348,29 +341,8 @@ fn us_i(ns: i128) -> String {
 /// decoded op kind and retry count packed in the tag.
 pub fn root_label(s: &TraceSpan) -> String {
     if is_op_class(&s.class) {
-        // pack_op_tag: bits 0–7 kind, 8–23 retries, 24+ key-hash low bits.
-        let kind = s.tag & 0xff;
-        let retries = (s.tag >> 8) & 0xffff;
-        let name = match kind {
-            1 => "push",
-            2 => "pop",
-            3 => "enqueue",
-            4 => "dequeue",
-            5 => "insert",
-            6 => "remove",
-            7 => "contains",
-            8 => "get",
-            9 => "read",
-            10 => "write",
-            11 => "grow",
-            12 => "exchange",
-            13 => "cas",
-            14 => "range",
-            15 => "len",
-            16 => "bulk_insert",
-            17 => "bulk_get",
-            _ => "op",
-        };
+        let (kind, retries, _) = unpack_op_tag(s.tag);
+        let name = opkind::name(kind);
         if retries > 0 {
             format!("{}:{name} (retries {retries})", s.class)
         } else {
@@ -536,6 +508,7 @@ pub fn chrome_trace(a: &Analysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgas_nb::sim::telemetry::pack_op_tag;
 
     fn span(
         class: &str,
@@ -638,6 +611,21 @@ mod tests {
         assert_eq!(r.comps.retry, 10);
         assert_eq!(r.comps.combine, 50);
         assert_eq!(r.comps.local, 40);
+        assert_eq!(r.comps.total(), 100);
+    }
+
+    #[test]
+    fn every_op_root_class_is_labelled_and_its_time_is_local() {
+        // A sharded-map rebalance root: the last root class and the
+        // highest op kind.
+        let mut root = span("sharded_map_op", 0, 0, 0, 100, 1, 0);
+        root.tag = pack_op_tag(opkind::REBALANCE, 0, 0);
+        let spans = vec![root, span("am_round_trip", 10, 20, 25, 90, 2, 1)];
+        let a = analyze(spans);
+        assert_eq!(root_label(&a.spans[a.roots[0]]), "sharded_map_op:rebalance");
+        let r = &a.per_root[0];
+        assert_eq!(r.comps.local, 20);
+        assert_eq!(r.comps.other, 0);
         assert_eq!(r.comps.total(), 100);
     }
 

@@ -163,7 +163,11 @@ pub struct RuntimeConfig {
     /// Size in bytes of each locale's *symmetric heap* (see
     /// [`crate::symheap::SymHeap`]): a registered, offset-addressed memory
     /// region every engine backend can target without exchanging pointers.
-    /// The same offset names the same logical cell on every locale.
+    /// The same offset names the same logical cell on every locale. Each
+    /// heap is reserved at construction and committed page by page on
+    /// first touch, so untouched bytes cost address space, not memory; a
+    /// `ProcEngine` rank never touches the heaps of locales it cannot
+    /// reach.
     pub sym_heap_bytes: usize,
 }
 

@@ -25,6 +25,7 @@
 //!   masking at the edges, so concurrent byte traffic is racy-but-defined,
 //!   exactly like real RDMA.
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 /// A 64-bit atomic operation descriptor against a symmetric-heap word.
@@ -209,7 +210,8 @@ impl WideCell {
 /// Offsets are byte offsets, 8-aligned for word and wide-cell accessors.
 /// The heap is zero-initialized; a zeroed [`WideCell`] is valid (even
 /// sequence, value 0), so no initialization round trip is needed before
-/// first use.
+/// first use. Its pages are committed on first touch (see
+/// [`SymHeap::new`]).
 pub struct SymHeap {
     words: Box<[AtomicU64]>,
     cursor: AtomicUsize,
@@ -226,10 +228,32 @@ impl std::fmt::Debug for SymHeap {
 
 impl SymHeap {
     /// Allocate a zeroed heap of `bytes` (rounded up to whole words).
+    ///
+    /// The words come from one zeroed allocation and are never written
+    /// here: the system allocator's `calloc` writes no zeros over pages
+    /// fresh from the OS, so the heap is reserved now and each page is
+    /// committed on first touch. A heap nobody touches costs address
+    /// space, not memory.
     pub fn new(bytes: usize) -> SymHeap {
         let words = bytes.div_ceil(8);
+        let words: Box<[AtomicU64]> = if words == 0 {
+            Box::new([])
+        } else {
+            let layout = Layout::array::<AtomicU64>(words).expect("symmetric heap too large");
+            // SAFETY: `layout` has a non-zero size. An all-zero `AtomicU64`
+            // is a valid 0, so the zeroed block is `words` initialized
+            // atoms, allocated by the global allocator with the layout
+            // `Box<[AtomicU64]>` frees it with.
+            unsafe {
+                let ptr = alloc_zeroed(layout).cast::<AtomicU64>();
+                if ptr.is_null() {
+                    handle_alloc_error(layout);
+                }
+                Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, words))
+            }
+        };
         SymHeap {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+            words,
             cursor: AtomicUsize::new(0),
         }
     }
@@ -437,6 +461,14 @@ mod tests {
         assert_eq!(h.alloc(3), 8, "3 bytes rounds up to one word");
         assert_eq!(h.alloc(24), 16);
         assert_eq!(h.len_bytes(), 256);
+    }
+
+    #[test]
+    fn zero_and_odd_sizes_round_to_whole_words() {
+        assert_eq!(SymHeap::new(0).len_bytes(), 0);
+        let h = SymHeap::new(13);
+        assert_eq!(h.len_bytes(), 16);
+        assert!(h.words.iter().all(|w| w.load(Ordering::Relaxed) == 0));
     }
 
     #[test]

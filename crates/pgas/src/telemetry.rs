@@ -197,6 +197,24 @@ impl OpClass {
         }
     }
 
+    /// Whether spans of this class are the root spans of public structure
+    /// and atomic-object operations: their tag packs an [`opkind`] (see
+    /// [`pack_op_tag`]), and their exclusive time is the operation's own
+    /// local work.
+    pub fn is_op_root(self) -> bool {
+        matches!(
+            self,
+            OpClass::StackOp
+                | OpClass::QueueOp
+                | OpClass::ListOp
+                | OpClass::MapOp
+                | OpClass::SkipListOp
+                | OpClass::RcuArrayOp
+                | OpClass::AtomicObjectOp
+                | OpClass::ShardedMapOp
+        )
+    }
+
     /// Parse a class from its stable [`OpClass::name`].
     pub fn from_name(name: &str) -> Option<OpClass> {
         OpClass::ALL.iter().copied().find(|c| c.name() == name)
@@ -1245,6 +1263,15 @@ mod tests {
         assert_eq!(names.len(), OpClass::COUNT);
         for (i, c) in OpClass::ALL.iter().enumerate() {
             assert_eq!(*c as usize, i);
+        }
+    }
+
+    #[test]
+    fn op_roots_are_exactly_the_op_named_classes() {
+        // A new root class named `*_op` that the predicate misses would be
+        // analysed as `other` time with no kind label.
+        for c in OpClass::ALL {
+            assert_eq!(c.is_op_root(), c.name().ends_with("_op"), "{c}");
         }
     }
 }
