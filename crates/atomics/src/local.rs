@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pgas_sim::engine;
 use pgas_sim::{ctx, GlobalPtr, LocaleId};
 
-use crate::aba::{Aba, AtomicAbaObject};
+use crate::aba::AtomicAbaObject;
 
 /// An atomic object reference that stores *only the address*, valid for
 /// objects co-located with the cell.
@@ -121,62 +121,7 @@ impl<T> std::fmt::Debug for LocalAtomicObject<T> {
 /// The ABA-protected local variant: identical machinery to
 /// [`AtomicAbaObject`], retained as a distinct name to mirror the paper's
 /// API (and to document intent: all stored pointers are local).
-pub struct LocalAtomicAbaObject<T> {
-    inner: AtomicAbaObject<T>,
-}
-
-impl<T> LocalAtomicAbaObject<T> {
-    /// A null cell homed on the current locale.
-    pub fn null() -> Self {
-        LocalAtomicAbaObject {
-            inner: AtomicAbaObject::null(),
-        }
-    }
-
-    /// A cell holding `ptr`, homed on the current locale.
-    pub fn new(ptr: GlobalPtr<T>) -> Self {
-        LocalAtomicAbaObject {
-            inner: AtomicAbaObject::new(ptr),
-        }
-    }
-
-    /// Read the `{pointer, counter}` snapshot.
-    pub fn read_aba(&self) -> Aba<T> {
-        self.inner.read_aba()
-    }
-
-    /// ABA-immune compare-and-swap (see [`AtomicAbaObject`]).
-    pub fn compare_and_swap_aba(&self, expected: Aba<T>, new: GlobalPtr<T>) -> bool {
-        self.inner.compare_and_swap_aba(expected, new)
-    }
-
-    /// Swap, returning the previous snapshot.
-    pub fn exchange_aba(&self, new: GlobalPtr<T>) -> Aba<T> {
-        self.inner.exchange_aba(new)
-    }
-
-    /// Read only the pointer word.
-    pub fn read(&self) -> GlobalPtr<T> {
-        self.inner.read()
-    }
-
-    /// Swap, returning only the previous pointer.
-    pub fn exchange(&self, new: GlobalPtr<T>) -> GlobalPtr<T> {
-        self.inner.exchange(new)
-    }
-
-    /// Uncharged, context-free read for teardown paths; see
-    /// [`AtomicAbaObject::read_untracked`].
-    pub fn read_untracked(&self) -> GlobalPtr<T> {
-        self.inner.read_untracked()
-    }
-}
-
-impl<T> std::fmt::Debug for LocalAtomicAbaObject<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LocalAtomicAbaObject").finish()
-    }
-}
+pub type LocalAtomicAbaObject<T> = AtomicAbaObject<T>;
 
 #[cfg(test)]
 mod tests {

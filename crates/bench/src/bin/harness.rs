@@ -488,10 +488,9 @@ fn a11(sc: &Scale) {
                     );
                     if let Some(sh) = &cell.shard {
                         say!(
-                            "    └─ shard: local={} remote={} active={}",
+                            "    └─ shard: local={} remote={}",
                             sh.local_ops,
-                            sh.remote_ops,
-                            sh.active_shards
+                            sh.remote_ops
                         );
                     }
                 }

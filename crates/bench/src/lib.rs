@@ -1159,10 +1159,6 @@ pub fn ablate_globalview(
                     remote_ops: post.remote_ops - pre.remote_ops,
                     bulk_local_items: post.bulk_local_items - pre.bulk_local_items,
                     bulk_remote_items: post.bulk_remote_items - pre.bulk_remote_items,
-                    rebalances: post.rebalances - pre.rebalances,
-                    moved_keys: post.moved_keys - pre.moved_keys,
-                    active_shards: post.active_shards,
-                    generation: post.generation,
                 }),
             };
             m.clear_reclaim();

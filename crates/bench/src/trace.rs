@@ -616,13 +616,13 @@ mod tests {
 
     #[test]
     fn every_op_root_class_is_labelled_and_its_time_is_local() {
-        // A sharded-map rebalance root: the last root class and the
+        // A sharded-map bulk-get root: the last root class and the
         // highest op kind.
         let mut root = span("sharded_map_op", 0, 0, 0, 100, 1, 0);
-        root.tag = pack_op_tag(opkind::REBALANCE, 0, 0);
+        root.tag = pack_op_tag(opkind::BULK_GET, 0, 0);
         let spans = vec![root, span("am_round_trip", 10, 20, 25, 90, 2, 1)];
         let a = analyze(spans);
-        assert_eq!(root_label(&a.spans[a.roots[0]]), "sharded_map_op:rebalance");
+        assert_eq!(root_label(&a.spans[a.roots[0]]), "sharded_map_op:bulk_get");
         let r = &a.per_root[0];
         assert_eq!(r.comps.local, 20);
         assert_eq!(r.comps.other, 0);

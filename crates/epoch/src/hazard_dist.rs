@@ -475,10 +475,6 @@ impl Reclaimer for HazardReclaimer {
     fn backend_name(&self) -> &'static str {
         "hp"
     }
-
-    fn tolerates_stalled_readers(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

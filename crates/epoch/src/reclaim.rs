@@ -115,7 +115,10 @@ pub trait Reclaimer: Send + Sync {
     /// `true` when readers must publish per-pointer protections before
     /// dereferencing (hazard pointers); `false` for deferral-only
     /// backends where a pin covers every reachable object. Lets
-    /// structures compile out HP-only code on EBR instantiations.
+    /// structures compile out HP-only code on EBR instantiations. It is
+    /// also the property A8 measures: only a backend whose readers
+    /// protect individual pointers lets a stalled (forever-pinned) reader
+    /// leave unrelated garbage reclaimable.
     const NEEDS_PROTECT: bool;
 
     /// Number of protection slots each guard owns (0 for EBR backends).
@@ -174,10 +177,6 @@ pub trait Reclaimer: Send + Sync {
     /// Short lowercase backend name for benchmark rows ("ebr",
     /// "local-ebr", "hp").
     fn backend_name(&self) -> &'static str;
-
-    /// `true` when a stalled (forever-pinned) reader cannot block
-    /// reclamation of unrelated objects — the property A8 measures.
-    fn tolerates_stalled_readers(&self) -> bool;
 }
 
 // ---------------------------------------------------------------------
@@ -249,10 +248,6 @@ impl Reclaimer for EpochManager {
     fn backend_name(&self) -> &'static str {
         "ebr"
     }
-
-    fn tolerates_stalled_readers(&self) -> bool {
-        false
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -295,9 +290,5 @@ impl Reclaimer for LocalEpochManager {
 
     fn backend_name(&self) -> &'static str {
         "local-ebr"
-    }
-
-    fn tolerates_stalled_readers(&self) -> bool {
-        false
     }
 }

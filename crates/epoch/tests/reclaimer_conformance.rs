@@ -172,7 +172,7 @@ fn stalled_reader_semantics<R: Reclaimer>() {
             em.try_reclaim();
         }
         let s = em.stats();
-        if em.tolerates_stalled_readers() {
+        if R::NEEDS_PROTECT {
             assert_eq!(
                 s.objects_reclaimed,
                 50,

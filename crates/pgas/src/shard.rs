@@ -12,23 +12,12 @@
 //! [`ShardRouter`] is that routing decision, factored out of any one
 //! structure so the map and application code agree on ownership. It is
 //! engine-portable by construction: the mapping is a pure function of
-//! `(key hash, active shard count)` — no global pointers, no simulator
-//! state — so the same router drives the in-process simulator
-//! and the multi-process [`crate::config::EngineKind::Proc`] backend,
-//! where the hash routes symmetric-heap offsets instead of chain heads
-//! (see [`owner_of`]).
-//!
-//! The *active* shard count can be retargeted at runtime (modeling a
-//! locale-count change: nodes joining an allocation, or a structure being
-//! compacted onto fewer locales). Retargeting only changes the mapping —
-//! migrating the keys that changed owner is the structure's job (a bulk
-//! scatter; see `ShardedHashMap::rebalance` in `pgas-structures`). Each
-//! retarget bumps a generation counter so cached routing decisions can be
-//! revalidated cheaply.
+//! `(key hash, locale count)` — no global pointers, no simulator state,
+//! nothing that changes at run time — so the same router drives the
+//! in-process simulator and the multi-process
+//! [`crate::config::EngineKind::Proc`] backend, where the hash routes
+//! symmetric-heap offsets instead of chain heads (see [`owner_of`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-use crate::ctx;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
 
@@ -43,93 +32,47 @@ pub fn mix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// The pure routing function: which of `active` shards owns `hash`.
+/// The pure routing function: which of `locales` shards owns `hash`.
 ///
-/// This is the whole protocol — a mixed hash reduced onto the active
-/// shard set — exposed as a free function so engine-portable code (the
-/// proc backend routes symmetric-heap offsets with it) needs no
+/// This is the whole protocol — a mixed hash reduced onto the locale
+/// count — exposed as a free function so engine-portable code (the proc
+/// backend routes symmetric-heap offsets with it) needs no
 /// [`ShardRouter`] instance.
 #[inline]
-pub fn owner_of(hash: u64, active: usize) -> LocaleId {
-    debug_assert!(active > 0, "router needs at least one active shard");
-    (mix64(hash) % active.max(1) as u64) as LocaleId
+pub fn owner_of(hash: u64, locales: usize) -> LocaleId {
+    debug_assert!(locales > 0, "router needs at least one locale");
+    (mix64(hash) % locales.max(1) as u64) as LocaleId
 }
 
-/// Maps key hashes onto owning locales, with a retargetable active set.
+/// Maps key hashes onto owning locales, one shard per locale.
 ///
-/// Shards are identified with locales `0..active()`; a structure built on
-/// the router homes shard `s`'s memory on locale `s`, so `owner(h) ==
+/// Shards are identified with locales `0..num_locales()`; a structure built
+/// on the router homes shard `s`'s memory on locale `s`, so `owner(h) ==
 /// here()` means "this key's shard is local — no communication needed".
 #[derive(Debug)]
 pub struct ShardRouter {
-    /// Locales the owning runtime has (upper bound for `active`).
+    /// Locales the owning runtime has, one shard each.
     locales: usize,
-    /// Number of shards currently receiving keys (`1..=locales`).
-    active: AtomicUsize,
-    /// Bumped on every [`Self::retarget`]; lets callers detect that a
-    /// previously computed owner may be stale.
-    generation: AtomicU64,
 }
 
 impl ShardRouter {
     /// A router spanning every locale of `core`'s runtime.
     pub fn new(core: &RuntimeCore) -> ShardRouter {
-        Self::with_active(core, core.num_locales())
-    }
-
-    /// A router over `core`'s locales with only the first `active` shards
-    /// receiving keys (clamped to `1..=num_locales`).
-    pub fn with_active(core: &RuntimeCore, active: usize) -> ShardRouter {
-        let locales = core.num_locales();
         ShardRouter {
-            locales,
-            active: AtomicUsize::new(active.clamp(1, locales)),
-            generation: AtomicU64::new(0),
+            locales: core.num_locales(),
         }
     }
 
-    /// The locale owning `hash` under the current active set.
+    /// The locale owning `hash`.
     #[inline]
     pub fn owner(&self, hash: u64) -> LocaleId {
-        owner_of(hash, self.active())
+        owner_of(hash, self.locales)
     }
 
-    /// True when the current locale owns `hash` — the pure-local fast
-    /// path predicate.
-    #[inline]
-    pub fn is_local(&self, hash: u64) -> bool {
-        self.owner(hash) == ctx::here()
-    }
-
-    /// Number of shards currently receiving keys.
-    #[inline]
-    pub fn active(&self) -> usize {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Total locales the router spans (the maximum active count).
+    /// Total locales the router spans (one shard each).
     #[inline]
     pub fn num_locales(&self) -> usize {
         self.locales
-    }
-
-    /// Current mapping generation (bumped by every [`Self::retarget`]).
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Change the active shard count (clamped to `1..=num_locales`),
-    /// returning the previous count. The caller owns migrating keys whose
-    /// owner changed; until it does, lookups routed under the new mapping
-    /// will not see entries still sitting in their old shard.
-    pub fn retarget(&self, active: usize) -> usize {
-        let new = active.clamp(1, self.locales);
-        let prev = self.active.swap(new, Ordering::AcqRel);
-        if prev != new {
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
-        prev
     }
 }
 
@@ -140,11 +83,11 @@ mod tests {
     use crate::runtime::Runtime;
 
     #[test]
-    fn owners_stay_in_active_range_and_cover_it() {
+    fn owners_stay_in_locale_range_and_cover_it() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(4));
         rt.run(|| {
             let r = ShardRouter::new(&rt);
-            assert_eq!(r.active(), 4);
+            assert_eq!(r.num_locales(), 4);
             let mut seen = [false; 4];
             for h in 0..4096u64 {
                 let o = r.owner(h) as usize;
@@ -171,40 +114,6 @@ mod tests {
                 (1..64u64).any(|h| r.owner(h) != first),
                 "mixer must spread consecutive hashes"
             );
-        });
-    }
-
-    #[test]
-    fn retarget_bumps_generation_and_clamps() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(4));
-        rt.run(|| {
-            let r = ShardRouter::with_active(&rt, 2);
-            assert_eq!(r.active(), 2);
-            let g0 = r.generation();
-            assert_eq!(r.retarget(4), 2);
-            assert_eq!(r.active(), 4);
-            assert_eq!(r.generation(), g0 + 1);
-            // No-op retarget: generation unchanged.
-            assert_eq!(r.retarget(4), 4);
-            assert_eq!(r.generation(), g0 + 1);
-            // Clamped to the locale count.
-            assert_eq!(r.retarget(64), 4);
-            assert_eq!(r.active(), 4);
-            assert_eq!(r.retarget(0), 4);
-            assert_eq!(r.active(), 1);
-        });
-    }
-
-    #[test]
-    fn is_local_matches_owner_on_every_locale() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(4));
-        rt.run(|| {
-            let r = ShardRouter::new(&rt);
-            rt.coforall_locales(|l| {
-                for h in 0..256u64 {
-                    assert_eq!(r.is_local(h), r.owner(h) == l);
-                }
-            });
         });
     }
 }

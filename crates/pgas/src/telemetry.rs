@@ -301,7 +301,6 @@ pub mod opkind {
     pub const LEN: u64 = 15;
     pub const BULK_INSERT: u64 = 16;
     pub const BULK_GET: u64 = 17;
-    pub const REBALANCE: u64 = 19;
 
     /// Human-readable name for a packed op kind (for the analyzer).
     pub fn name(kind: u64) -> &'static str {
@@ -323,7 +322,6 @@ pub mod opkind {
             LEN => "len",
             BULK_INSERT => "bulk_insert",
             BULK_GET => "bulk_get",
-            REBALANCE => "rebalance",
             _ => "op",
         }
     }

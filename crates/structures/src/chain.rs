@@ -81,8 +81,7 @@ impl<K, V> Node<K, V> {
 
 /// The key hash of both maps: [`key_hash64`] (std `DefaultHasher` with its
 /// fixed keys — the same in every run, no HashDoS resistance), so a root
-/// span's tag and a key's route are one number, and a rebalance re-routes
-/// entries by the hash stored in their node without rehashing.
+/// span's tag and a key's route are one number.
 pub(crate) fn hash_key<K: Hash>(key: &K) -> u64 {
     key_hash64(key)
 }
@@ -408,33 +407,6 @@ where
     R: Reclaimer,
 {
     chain_walk::<K, V, R, usize>(g, sentinel, None, |n, _| *n += 1)
-}
-
-/// Collect every live entry of one chain as `(hash, key, value)` clones.
-///
-/// # Safety
-/// Quiescent only: no concurrent writers (used by the sharded map's bulk
-/// rebalance, which owns the structure for the duration).
-pub(crate) unsafe fn chain_collect<K, V>(sentinel: GlobalPtr<Node<K, V>>) -> Vec<(u64, K, V)>
-where
-    K: Clone,
-    V: Clone,
-{
-    let mut out = Vec::new();
-    let mut curr = unsafe { sentinel.deref() }.next.read().without_mark();
-    while !curr.is_null() {
-        let node = unsafe { curr.deref() };
-        let succ = node.next.read();
-        if !succ.is_marked() {
-            out.push((
-                node.hash,
-                unsafe { node.key_ref() }.clone(),
-                unsafe { node.value_ref() }.clone(),
-            ));
-        }
-        curr = succ.without_mark();
-    }
-    out
 }
 
 /// Quiescent teardown of one chain: free every entry node (running K/V

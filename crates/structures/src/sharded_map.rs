@@ -29,18 +29,6 @@
 //! (one private helper, `at_owner`) — which is exactly what ablation A11
 //! measures, and why the two stay separate types: a routing flag on one
 //! type would make every operation branch on how its map was built.
-//!
-//! ## Rebalance
-//!
-//! The router's *active* shard set can be retargeted at runtime (locales
-//! joining or the structure compacting onto fewer nodes). A retarget only
-//! changes the mapping; [`ShardedHashMap::rebalance`] migrates the keys
-//! whose owner changed with a quiescent sweep: collect each shard's
-//! entries, unlink the ones that now route elsewhere *from their old
-//! chain directly* (routing through the map would consult the new mapping
-//! and miss them), and scatter them to their new owners through the bulk
-//! path. Callers must guarantee quiescence for the duration — the sweep
-//! walks chains unprotected, like teardown.
 
 use std::hash::Hash;
 
@@ -49,8 +37,8 @@ use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr, LocaleId, PerThread, ShardRouter};
 
 use crate::chain::{
-    alloc_sentinel, chain_collect, chain_count, chain_get, chain_insert, chain_remove,
-    chain_teardown, gather_get, hash_key, pinned, scatter_insert, Node,
+    alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, gather_get,
+    hash_key, pinned, scatter_insert, Node,
 };
 
 /// Routing/traffic counters a sharded map accumulates over its lifetime:
@@ -66,15 +54,12 @@ enum ShardStat {
     RemoteOps,
     BulkLocalItems,
     BulkRemoteItems,
-    Rebalances,
-    MovedKeys,
 }
 
-const SHARD_STATS: usize = ShardStat::MovedKeys as usize + 1;
+const SHARD_STATS: usize = ShardStat::BulkRemoteItems as usize + 1;
 
-/// A point-in-time copy of a map's routing/traffic counters, plus the
-/// router state it was taken under. Serialized into the benchmark rows'
-/// `shard` object.
+/// A point-in-time copy of a map's routing/traffic counters. Serialized
+/// into the benchmark rows' `shard` object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// Single-key ops whose key was locally owned (pure-local path).
@@ -85,15 +70,6 @@ pub struct ShardSnapshot {
     pub bulk_local_items: u64,
     /// Bulk items scattered to remote destinations.
     pub bulk_remote_items: u64,
-    /// Completed [`ShardedHashMap::rebalance`] sweeps that changed the
-    /// active set.
-    pub rebalances: u64,
-    /// Keys migrated across shards by rebalances.
-    pub moved_keys: u64,
-    /// Shards currently receiving keys.
-    pub active_shards: usize,
-    /// Router mapping generation (bumps on every retarget).
-    pub generation: u64,
 }
 
 impl ShardSnapshot {
@@ -101,16 +77,8 @@ impl ShardSnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"local_ops\": {}, \"remote_ops\": {}, \"bulk_local_items\": {}, \
-             \"bulk_remote_items\": {}, \"rebalances\": {}, \"moved_keys\": {}, \
-             \"active_shards\": {}, \"generation\": {}}}",
-            self.local_ops,
-            self.remote_ops,
-            self.bulk_local_items,
-            self.bulk_remote_items,
-            self.rebalances,
-            self.moved_keys,
-            self.active_shards,
-            self.generation
+             \"bulk_remote_items\": {}}}",
+            self.local_ops, self.remote_ops, self.bulk_local_items, self.bulk_remote_items
         )
     }
 }
@@ -218,10 +186,6 @@ where
             remote_ops: c[ShardStat::RemoteOps as usize],
             bulk_local_items: c[ShardStat::BulkLocalItems as usize],
             bulk_remote_items: c[ShardStat::BulkRemoteItems as usize],
-            rebalances: c[ShardStat::Rebalances as usize],
-            moved_keys: c[ShardStat::MovedKeys as usize],
-            active_shards: self.router.active(),
-            generation: self.router.generation(),
         }
     }
 
@@ -331,8 +295,6 @@ where
 
     /// Entry count (racy; exact in quiescence). Each shard is counted by
     /// a task running *on* its locale, so the walk itself is local.
-    /// Sweeps every shard, not just active ones, so entries awaiting a
-    /// [`Self::rebalance`] are still counted.
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::ShardedMapOp, opkind::LEN, 0);
         let rt = ctx::current_runtime();
@@ -352,50 +314,6 @@ where
     /// True when no entries are present (racy; exact in quiescence).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Retarget the active shard set to `new_active` locales and migrate
-    /// every key whose owner changed, returning how many moved. The
-    /// migration unlinks moved entries from their *old* chain directly
-    /// and scatters them to their new owners over the bulk path.
-    ///
-    /// Quiescent only: no concurrent map operations may run during the
-    /// sweep (the collection walk is unprotected, like teardown). This
-    /// mirrors how a real allocation change is sequenced — stop-the-world
-    /// at the structure level, then resume.
-    pub fn rebalance(&self, new_active: usize) -> usize
-    where
-        K: Clone,
-    {
-        let span = OpSpan::start(OpClass::ShardedMapOp, opkind::REBALANCE, 0);
-        let prev = self.router.retarget(new_active);
-        if self.router.active() == prev {
-            return 0;
-        }
-        self.stats.add(ShardStat::Rebalances as usize, 1);
-        let tok = self.em.register();
-        let mut moved: Vec<(K, V)> = Vec::new();
-        for shard in 0..self.shards.len() {
-            for &sentinel in self.shards[shard].iter() {
-                // SAFETY: caller guarantees quiescence.
-                for (hash, k, v) in unsafe { chain_collect(sentinel) } {
-                    if self.router.owner(hash) as usize != shard {
-                        // Unlink from the old chain directly: routing
-                        // through `remove` would consult the *new*
-                        // mapping and look in the wrong shard.
-                        chain_remove::<K, V, R>(&tok, sentinel, hash, &k, Some(&span));
-                        moved.push((k, v));
-                    }
-                }
-            }
-        }
-        drop(tok);
-        let n = moved.len();
-        self.stats.add(ShardStat::MovedKeys as usize, n as u64);
-        if n > 0 {
-            self.insert_bulk(moved);
-        }
-        n
     }
 
     /// Attempt an epoch advance / hazard scan + reclamation. What it can
@@ -620,59 +538,6 @@ mod tests {
                 "bulk insert must not pay per-key AMs: {} AMs for {n} keys",
                 d.am_sent
             );
-            m.clear_reclaim();
-        });
-        assert_eq!(rt.live_objects(), 0);
-    }
-
-    #[test]
-    fn rebalance_migrates_and_preserves_entries() {
-        let rt = zrt(4);
-        rt.run(|| {
-            let m: ShardedHashMap<u64, u64> = ShardedHashMap::new(16);
-            let n = 400u64;
-            assert_eq!(
-                m.insert_bulk((0..n).map(|k| (k, k + 1)).collect()),
-                n as usize
-            );
-            // Compact onto 2 shards: keys owned by shards 2/3 must move.
-            let moved_down = m.rebalance(2);
-            assert!(moved_down > 0, "compaction must migrate keys");
-            assert_eq!(m.router().active(), 2);
-            assert_eq!(m.len(), n as usize, "rebalance conserves entries");
-            let tok = m.register();
-            for k in 0..n {
-                assert_eq!(m.get(&tok, &k), Some(k + 1), "key {k} after compaction");
-                // Every key now routes to an active shard.
-                assert!(m.router().owner(hash_key(&k)) < 2);
-            }
-            drop(tok);
-            // Grow back to 4: a different subset moves again.
-            let moved_up = m.rebalance(4);
-            assert!(moved_up > 0);
-            assert_eq!(m.len(), n as usize);
-            let tok = m.register();
-            for k in (0..n).step_by(3) {
-                assert_eq!(m.get(&tok, &k), Some(k + 1), "key {k} after growth");
-            }
-            let snap = m.shard_snapshot();
-            assert_eq!(snap.rebalances, 2);
-            assert_eq!(snap.moved_keys, (moved_down + moved_up) as u64);
-            assert!(snap.generation >= 2);
-            drop(tok);
-            m.clear_reclaim();
-        });
-        assert_eq!(rt.live_objects(), 0);
-    }
-
-    #[test]
-    fn no_op_rebalance_moves_nothing() {
-        let rt = zrt(4);
-        rt.run(|| {
-            let m: ShardedHashMap<u64, u64> = ShardedHashMap::new(8);
-            m.insert_bulk((0..50u64).map(|k| (k, k)).collect());
-            assert_eq!(m.rebalance(4), 0, "same active count: no migration");
-            assert_eq!(m.shard_snapshot().rebalances, 0);
             m.clear_reclaim();
         });
         assert_eq!(rt.live_objects(), 0);
