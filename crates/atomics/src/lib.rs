@@ -50,13 +50,11 @@
 pub mod aba;
 pub mod atomic_int;
 pub mod compression;
-pub mod descriptor;
 pub mod global;
 pub mod local;
 
 pub use aba::{Aba, AtomicAbaObject};
 pub use atomic_int::AtomicInt;
 pub use compression::{preferred_mode, requires_wide, MAX_COMPRESSED_LOCALES};
-pub use descriptor::{DescRef, DescriptorAtomicObject, DescriptorTable};
 pub use global::AtomicObject;
 pub use local::{LocalAtomicAbaObject, LocalAtomicObject};

@@ -43,11 +43,6 @@ impl ZipfSampler {
         ZipfSampler { cdf, n }
     }
 
-    /// Number of keys in the sampled space.
-    pub fn num_keys(&self) -> u64 {
-        self.n
-    }
-
     /// Draw one key id in `0..n`.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen_range(0.0f64..1.0f64);

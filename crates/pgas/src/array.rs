@@ -113,18 +113,6 @@ impl<T: Send + Sync> DistArray<T> {
         (owner, offset)
     }
 
-    /// Borrow element `i` without communication accounting. Only correct
-    /// for elements local to the calling task; asserted in debug builds.
-    pub fn local_ref(&self, i: usize) -> &T {
-        let (owner, offset) = self.locate(i);
-        debug_assert_eq!(
-            owner,
-            ctx::here(),
-            "local_ref used on a remote element; use get()"
-        );
-        &self.segments[owner as usize][offset]
-    }
-
     /// Read element `i`, charging a GET when it is remote.
     pub fn get(&self, i: usize) -> T
     where

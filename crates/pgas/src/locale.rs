@@ -28,8 +28,9 @@ pub(crate) struct ServerSlots {
 }
 
 struct SlotState {
-    /// Last release time of each slot; the authoritative clock value (kept
-    /// for `max_clock` and for validating heap entries in debug builds).
+    /// Last release time of each slot; the authoritative clock value
+    /// (`release` never rewinds it, and debug builds validate heap entries
+    /// against it).
     clocks: Vec<u64>,
     busy: Vec<bool>,
     /// Min-heap of the *free* slots keyed by `(clock, index)`, so `acquire`
@@ -79,10 +80,6 @@ impl ServerSlots {
         }
         let key = st.clocks[slot];
         st.free.push(Reverse((key, slot)));
-    }
-
-    fn max_clock(&self) -> u64 {
-        self.state.lock().clocks.iter().copied().max().unwrap_or(0)
     }
 
     fn reset(&self) {
@@ -182,12 +179,6 @@ impl Locale {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
             + 1;
         ((self.id as u64 + 1) << 48) | ((self.span_epoch & 0xf_ffff) << 28) | (seq & 0x0fff_ffff)
-    }
-
-    /// The furthest-ahead progress-service clock — i.e. when this locale's
-    /// AM service would next be free in the busiest lane.
-    pub fn progress_vtime(&self) -> u64 {
-        self.server.max_clock()
     }
 
     /// Reset this locale's virtual clocks, counters, and latency
@@ -302,6 +293,7 @@ mod tests {
         let (a, t) = s.acquire();
         assert_eq!(t, 100);
         s.release(a, 50); // stale completion must not rewind
-        assert_eq!(s.max_clock(), 100);
+        let (_, t) = s.acquire();
+        assert_eq!(t, 100);
     }
 }

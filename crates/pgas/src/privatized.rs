@@ -42,13 +42,6 @@ impl<T: Send + Sync> Privatized<T> {
         &self.instances[ctx::here() as usize]
     }
 
-    /// The instance for an explicit locale (used by global scans such as
-    /// `tryReclaim`, which run inside `on` blocks on that locale anyway).
-    #[inline]
-    pub fn get_for(&self, locale: LocaleId) -> &T {
-        &self.instances[locale as usize]
-    }
-
     /// Number of replicas (== number of locales at construction).
     #[inline]
     pub fn len(&self) -> usize {
@@ -116,17 +109,6 @@ mod tests {
             for (l, v) in p.iter() {
                 assert_eq!(v.load(Ordering::Relaxed), l as u64 + 100);
             }
-        });
-    }
-
-    #[test]
-    fn get_for_reaches_any_replica() {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(3));
-        rt.run(|| {
-            let p = Privatized::new(&rt, |l| l as usize);
-            assert_eq!(*p.get_for(2), 2);
-            assert_eq!(*p.get(), 0, "main runs on locale 0");
-            assert!(!p.is_empty());
         });
     }
 }

@@ -101,17 +101,17 @@ pub enum OpClass {
     Reclaim,
     /// Depth of a limbo list at the moment it was drained (object count).
     LimboDepth,
-    /// Root span of a public `DistStack` operation. Sample = whole-op
+    /// Root span of a public `LockFreeStack` operation. Sample = whole-op
     /// virtual duration; the span `tag` packs op kind, CAS-retry count and
     /// key hash (see [`pack_op_tag`]).
     StackOp,
-    /// Root span of a public `DistQueue` operation (tag as [`OpClass::StackOp`]).
+    /// Root span of a public `MsQueue` operation (tag as [`OpClass::StackOp`]).
     QueueOp,
-    /// Root span of a public `DistList` operation (tag as [`OpClass::StackOp`]).
+    /// Root span of a public `LockFreeList` operation (tag as [`OpClass::StackOp`]).
     ListOp,
     /// Root span of a public `DistHashMap` operation (tag as [`OpClass::StackOp`]).
     MapOp,
-    /// Root span of a public `DistSkipList` operation (tag as [`OpClass::StackOp`]).
+    /// Root span of a public `LockFreeSkipList` operation (tag as [`OpClass::StackOp`]).
     SkipListOp,
     /// Root span of a public `RcuArray` operation (tag as [`OpClass::StackOp`]).
     RcuArrayOp,

@@ -20,7 +20,6 @@
 //! the figure harness reports virtual makespans.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static VTIME: Cell<u64> = const { Cell::new(0) };
@@ -70,70 +69,6 @@ pub fn advance_to(t: u64) {
     });
 }
 
-/// A shareable monotonic virtual clock, used for progress threads and for
-/// collecting the makespan of a task group.
-#[derive(Debug, Default)]
-pub struct VClock(AtomicU64);
-
-impl VClock {
-    /// A clock starting at zero.
-    pub const fn new() -> Self {
-        VClock(AtomicU64::new(0))
-    }
-
-    /// Current reading.
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    /// Monotonically advance the clock to at least `t`; returns the clock
-    /// value after the update.
-    #[inline]
-    pub fn advance_to(&self, t: u64) -> u64 {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            if cur >= t {
-                return cur;
-            }
-            match self
-                .0
-                .compare_exchange_weak(cur, t, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return t,
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Atomically claim an execution slot of duration `dur` that cannot
-    /// start before `earliest`: the clock jumps from `max(now, earliest)` to
-    /// `max(now, earliest) + dur`. Returns `(start, end)`.
-    ///
-    /// This is the single-server queueing discipline used for progress
-    /// threads: back-to-back messages serialize, idle gaps are skipped.
-    pub fn claim(&self, earliest: u64, dur: u64) -> (u64, u64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let start = cur.max(earliest);
-            let end = start + dur;
-            match self
-                .0
-                .compare_exchange_weak(cur, end, Ordering::AcqRel, Ordering::Relaxed)
-            {
-                Ok(_) => return (start, end),
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Reset to zero (between benchmark phases; callers must ensure
-    /// quiescence).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Release);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,48 +96,6 @@ mod tests {
         assert_eq!(now(), 42);
         set(0);
         assert_eq!(now(), 0);
-    }
-
-    #[test]
-    fn vclock_advance() {
-        let c = VClock::new();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.advance_to(10), 10);
-        assert_eq!(c.advance_to(5), 10);
-        assert_eq!(c.now(), 10);
-    }
-
-    #[test]
-    fn vclock_claim_serializes() {
-        let c = VClock::new();
-        let (s1, e1) = c.claim(0, 10);
-        assert_eq!((s1, e1), (0, 10));
-        // Arrives "in the past": starts when the server frees up.
-        let (s2, e2) = c.claim(3, 10);
-        assert_eq!((s2, e2), (10, 20));
-        // Arrives after an idle gap: starts at its arrival time.
-        let (s3, e3) = c.claim(100, 5);
-        assert_eq!((s3, e3), (100, 105));
-    }
-
-    #[test]
-    fn vclock_claim_concurrent_total_duration() {
-        use std::sync::Arc;
-        let c = Arc::new(VClock::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.claim(0, 3);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // Single-server discipline: all 4000 * 3ns slots serialize.
-        assert_eq!(c.now(), 12_000);
     }
 
     #[test]
