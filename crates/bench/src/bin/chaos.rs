@@ -19,7 +19,7 @@
 //! failing cell reproduces with its printed seed (see DESIGN.md, "Fault
 //! model & invariants"). A failing cell additionally dumps its buffered
 //! span trace to `target/chaos_trace_<plan>_<workload>_seed<N>.jsonl`
-//! (most recent [`TRACE_RING_CAPACITY`] spans), ready for
+//! (most recent `TRACE_RING_CAPACITY` spans), ready for
 //! `trace_analyze`.
 //!
 //! `--reclaimer ebr|hp` swaps the memory-reclamation backend under every
@@ -729,25 +729,6 @@ fn main() -> ExitCode {
                 };
             }
             "--quick" => {}
-            "--engine" => {
-                match it.next().expect("--engine takes sim|proc").as_str() {
-                    "sim" => {}
-                    // Fail fast and loud rather than hang: fault injection
-                    // lives in the simulator's virtual NIC (drop/delay/dup
-                    // hooks on the modeled network), which the process
-                    // backend's real TCP transport has no equivalent of.
-                    "proc" => {
-                        eprintln!(
-                            "chaos: --engine proc is not supported — fault injection \
-                             (drops/delays/dups) hooks the simulator's virtual NIC, \
-                             which the process backend's real TCP transport does not \
-                             have; run chaos with --engine sim"
-                        );
-                        std::process::exit(2);
-                    }
-                    other => panic!("unknown engine {other:?} (expected sim|proc)"),
-                }
-            }
             other => panic!("unknown argument {other:?}"),
         }
     }

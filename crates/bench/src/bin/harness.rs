@@ -6,9 +6,14 @@
 //! cargo run -p pgas-bench --release --bin harness -- fig3
 //! cargo run -p pgas-bench --release --bin harness -- fig4 fig5 fig6 fig7
 //! cargo run -p pgas-bench --release --bin harness -- ablations
-//! cargo run -p pgas-bench --release --bin harness -- --quick all
+//! cargo run -p pgas-bench --release --bin harness -- --quick a8 a11
 //! cargo run -p pgas-bench --release --bin harness -- --quick --trace target/trace.jsonl ablations
 //! ```
+//!
+//! Every section is one entry of `SCENARIOS`, in the order the harness
+//! runs them, and its selector is the entry's name (`fig3` … `fig7`,
+//! `a1` … `a11`). `ablations` (or any word starting with `ablate`) selects
+//! every ablation; `all`, or no selector, runs everything.
 //!
 //! Each figure prints one row per measured point. `vtime` is the virtual
 //! makespan from the simulator's Aries-class cost model (the number whose
@@ -30,17 +35,16 @@
 
 use std::sync::{Arc, Mutex};
 
+use pgas_nb::prelude::{EpochManager, HazardReclaimer, LocalEpochManager};
 use pgas_nb::sim::telemetry::JsonLinesSink;
-use pgas_nb::sim::TelemetrySnapshot;
 
 use pgas_bench::guard::{self, Record};
 use pgas_bench::{
-    ablate_combining, ablate_election, ablate_local_manager, ablate_privatization,
-    ablate_reclaimer, ablate_reclamation_scheme, ablate_scatter, ablate_vread, ablate_wide,
-    comm_breakdown, fig3_dist, fig3_shared, fig7_read_only, fig_deletion, runtime, A8Structure,
-    CombineWorkload, Sample, Variant, LOCALE_SWEEP, TASK_SWEEP,
+    ablate_combining, ablate_election, ablate_globalview, ablate_local_manager,
+    ablate_privatization, ablate_reclaimer, ablate_reclamation_scheme, ablate_scatter,
+    ablate_vread, ablate_wide, comm_breakdown, fig3_dist, fig3_shared, fig7_read_only,
+    fig_deletion, A8Structure, Cell, CombineWorkload, Variant, LOCALE_SWEEP, TASK_SWEEP,
 };
-use pgas_nb::prelude::{EpochManager, HazardReclaimer, LocalEpochManager};
 
 /// Everything printed this run, teed to `target/harness_output.txt` so a
 /// full-scale run's text output survives without polluting the repo root.
@@ -55,8 +59,6 @@ macro_rules! say {
         buf.push('\n');
     }};
 }
-
-static RECORDS: Mutex<Vec<Record>> = Mutex::new(Vec::new());
 
 struct Scale {
     fig3_ops: u64,
@@ -93,67 +95,347 @@ const QUICK: Scale = Scale {
     a11_ops: 1 << 9,
 };
 
-/// Print one measured row and record it for `BENCH_results.json`. The
-/// series name is the label plus `extra` when `extra` is a configuration
-/// qualifier; a measured extra (`AMs=123`, `reclaimed=512`, ...) is data,
-/// not identity, and stays out so a series keeps one stable name. `t` is
-/// the runtime's telemetry, for rows measured with one in hand; `reclaim`
-/// (A8) and `shard` (A11 sharded) are pre-rendered JSON objects.
-#[allow(clippy::too_many_arguments)]
-fn row(
-    label: &str,
-    x_name: &str,
-    x: usize,
-    extra: &str,
-    s: Sample,
-    t: Option<&TelemetrySnapshot>,
-    reclaim: Option<String>,
-    shard: Option<String>,
-) {
-    say!(
-        "{label:<34} {x_name}={x:<3} {extra:<18} vtime={:>12.3} ms  \
-         ns/op={:>9.1}  mops={:>8.2}  wall={:>8.1} ms",
-        s.vtime_ns as f64 / 1e6,
-        s.ns_per_op(),
-        s.mops(),
-        s.wall_ns as f64 / 1e6,
-    );
-    let mut name = label.trim().to_string();
-    let extra = extra.trim();
-    let is_measured = extra
-        .split_once('=')
-        .is_some_and(|(_, v)| !v.is_empty() && v.chars().all(|c| c.is_ascii_digit()));
-    if !extra.is_empty() && !is_measured {
-        name.push(' ');
-        name.push_str(extra);
-    }
-    RECORDS.lock().unwrap().push(Record {
-        name,
-        locales: x,
-        vtime_ns: s.vtime_ns,
-        ns_per_op: s.ns_per_op(),
-        mops: s.mops(),
-        comm: t.map(|t| t.comm),
-        latency: t.map_or_else(|| "{}".to_string(), |t| t.latency_json()),
-        reclaim,
-        shard,
-    });
+/// Where a scenario hands over each measured row: its series label, the
+/// configuration qualifier that joins the label in the series name
+/// (`net-atomics=on`, `stalled_task`, or empty), its sweep coordinate
+/// (tasks, locales or hops) and the measurement.
+type Row<'a> = dyn FnMut(&str, &str, usize, Cell) + 'a;
+
+/// One section of the evaluation: its header and the rows it sweeps.
+struct Scenario {
+    /// The command-line selector that runs it (shared by Fig. 3's panels).
+    selector: &'static str,
+    /// Printed before the first row.
+    title: &'static str,
+    /// What the sweep coordinate counts.
+    x_name: &'static str,
+    /// The coordinate whose rows get the comm breakdown printed beneath.
+    comm_at: Option<usize>,
+    /// Measure the rows, in order, handing each to the `Row` callback.
+    rows: fn(&Scale, &mut Row),
 }
 
-/// Write `doc` to `path` if it passes the results guard for `engine`;
-/// otherwise name the failing rule and leave the file as it is. Returns
-/// whether the file was written.
-fn write_guarded(path: &str, doc: &str, engine: &str) -> bool {
-    let rows = match guard::check_results(doc, engine) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("harness: results guard failed, {path} left as it is: {e}");
-            return false;
+/// Network atomics on and off, with the qualifier that names each.
+const NETS: [(bool, &str); 2] = [(true, "net-atomics=on"), (false, "net-atomics=off")];
+/// The locale counts most ablations sweep.
+const ABLATION_LOCALES: [usize; 3] = [2, 4, 8];
+
+/// Figs. 4 and 5: the deletion loop over both network modes.
+fn deletion_rows(row: &mut Row, label: &str, objects: usize, per_iter: u64) {
+    for (net, q) in NETS {
+        for l in LOCALE_SWEEP {
+            let cell = fig_deletion(l, net, objects, Some(per_iter), 50);
+            row(label, q, l, cell);
         }
-    };
-    match std::fs::write(path, doc) {
+    }
+}
+
+/// Every section, in the order `harness all` runs and records them:
+/// Figures 3–7, then A1, A2, A3, A5, A6, A8, A4, A10, A7, A11.
+const SCENARIOS: [Scenario; 16] = [
+    Scenario {
+        selector: "fig3",
+        title:
+            "\n=== Figure 3: AtomicObject vs atomic int (25/25/25/25 read/write/CAS/exchange) ===\n\
+             --- shared memory: strong scaling over tasks, 1 locale ---",
+        x_name: "tasks",
+        comm_at: None,
+        rows: |sc, row| {
+            for (net, q) in NETS {
+                for v in Variant::ALL {
+                    for t in TASK_SWEEP {
+                        row(v.label(), q, t, fig3_shared(t, sc.fig3_ops, v, net));
+                    }
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "fig3",
+        title: "--- distributed: strong scaling over locales, 4 tasks/locale ---",
+        x_name: "locales",
+        comm_at: Some(16),
+        rows: |sc, row| {
+            for (net, q) in NETS {
+                for v in Variant::ALL {
+                    for l in LOCALE_SWEEP {
+                        row(v.label(), q, l, fig3_dist(l, 4, sc.fig3_ops, v, net));
+                    }
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "fig4",
+        title: "\n=== Figure 4: deletion, tryReclaim every 1024 iterations ===",
+        x_name: "locales",
+        comm_at: Some(16),
+        rows: |sc, row| deletion_rows(row, "deferDelete+tryReclaim/1024", sc.fig4_objects, 1024),
+    },
+    Scenario {
+        selector: "fig5",
+        title: "\n=== Figure 5: deletion, tryReclaim every iteration ===",
+        x_name: "locales",
+        comm_at: Some(16),
+        rows: |sc, row| deletion_rows(row, "deferDelete+tryReclaim/1", sc.fig5_objects, 1),
+    },
+    Scenario {
+        selector: "fig6",
+        title: "\n=== Figure 6: deletion, reclamation only at end; remote ratio 0/50/100% ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            for pct in [0u32, 50, 100] {
+                for l in LOCALE_SWEEP {
+                    let label = format!("defer+clear remote={pct}%");
+                    let cell = fig_deletion(l, true, sc.fig6_objects, None, pct);
+                    row(&label, "net-atomics=on", l, cell);
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "fig7",
+        title: "\n=== Figure 7: read-only workload (pin/unpin), no deletion ===",
+        x_name: "locales",
+        comm_at: Some(16),
+        rows: |sc, row| {
+            for (net, q) in NETS {
+                for l in LOCALE_SWEEP {
+                    let cell = fig7_read_only(l, net, 4, sc.fig7_iters);
+                    row("pin/unpin read-only", q, l, cell);
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a1",
+        title: "\n=== Ablation A1: scatter-list bulk free vs per-object remote frees ===",
+        x_name: "locales",
+        comm_at: Some(8),
+        rows: |sc, row| {
+            for l in ABLATION_LOCALES {
+                for (label, on) in [("A1 scatter=on", true), ("A1 scatter=off", false)] {
+                    row(label, "", l, ablate_scatter(l, sc.ablate_objects, on));
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a2",
+        title: "\n=== Ablation A2: privatized instance vs single shared instance ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            for l in ABLATION_LOCALES {
+                for (label, privatized) in [("privatized", true), ("shared@L0", false)] {
+                    let cell = ablate_privatization(l, sc.fig7_iters, privatized);
+                    row(label, "net-atomics=off", l, cell);
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a3",
+        title: "\n=== Ablation A3: reclamation election vs every-caller scans ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            for l in ABLATION_LOCALES {
+                for (label, on) in [("election=on", true), ("election=off", false)] {
+                    let cell = ablate_election(l, sc.ablate_objects / 4, on);
+                    row(label, "tryReclaim/iter", l, cell);
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a5",
+        title: "\n=== Ablation A5: LocalEpochManager vs EpochManager (single locale) ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            let local = ablate_local_manager::<LocalEpochManager>(sc.ablate_objects);
+            row("LocalEpochManager", "", 1, local);
+            let global = ablate_local_manager::<EpochManager>(sc.ablate_objects);
+            row("EpochManager", "", 1, global);
+        },
+    },
+    Scenario {
+        selector: "a6",
+        title: "\n=== Ablation A6: epoch-based reclamation vs hazard pointers ===",
+        x_name: "hops",
+        comm_at: None,
+        rows: |sc, row| {
+            let ops = sc.fig3_ops / 16;
+            for hops in [1usize, 8, 32] {
+                let ebr = ablate_reclamation_scheme::<LocalEpochManager>(ops, hops, 64);
+                row("EBR (pin/unpin)", "", hops, ebr);
+                let hp = ablate_reclamation_scheme::<HazardReclaimer>(ops, hops, 64);
+                row("hazard pointers", "", hops, hp);
+            }
+        },
+    },
+    Scenario {
+        selector: "a8",
+        title:
+            "\n=== Ablation A8: pluggable reclamation — EBR vs hazard pointers per structure ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            let ops = (sc.ablate_objects as u64 / 4).max(256);
+            for s in A8Structure::ALL {
+                // The locale sweep, then the stalled-task variant at 4
+                // locales: one guard pins before the churn and never
+                // unpins until it ends.
+                for (l, stalled) in [(1, false), (2, false), (4, false), (8, false), (4, true)] {
+                    let q = if stalled { "stalled_task" } else { "" };
+                    let ebr = ablate_reclaimer::<EpochManager>(l, s, ops, stalled);
+                    row(&format!("A8 {} ebr", s.label()), q, l, ebr);
+                    let hp = ablate_reclaimer::<HazardReclaimer>(l, s, ops, stalled);
+                    row(&format!("A8 {} hp", s.label()), q, l, hp);
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a4",
+        title: "\n=== Ablation A4: compressed pointers (RDMA) vs wide fallback (DCAS/AM) ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            for l in ABLATION_LOCALES {
+                for (label, wide) in [("compressed", false), ("wide (>2^16)", true)] {
+                    let cell = ablate_wide(l, sc.fig3_ops / 4, wide);
+                    row(label, "net-atomics=on", l, cell);
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a10",
+        title: "\n=== Ablation A10: versioned fast reads vs DCAS reads (read-mostly ABA mixes) ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            let ops = (sc.fig3_ops / 4).max(1024);
+            for pct in [90u32, 99] {
+                for l in [1usize, 2, 4, 8] {
+                    for (fast, on) in [(false, "off"), (true, "on")] {
+                        let label = format!("A10 {pct}% read vread={on}");
+                        row(&label, "", l, ablate_vread(l, ops, pct, fast));
+                    }
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a7",
+        title: "\n=== Ablation A7: remote-op combining ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            for w in CombineWorkload::ALL {
+                for l in ABLATION_LOCALES {
+                    for (on, o) in [(false, "off"), (true, "on")] {
+                        let label = format!("A7 {} combining={o}", w.label());
+                        row(&label, "", l, ablate_combining(l, sc.fig3_ops / 4, w, on));
+                    }
+                }
+            }
+        },
+    },
+    Scenario {
+        selector: "a11",
+        title:
+            "\n=== Ablation A11: global-view sharded map vs legacy flat map (Zipfian point ops) ===",
+        x_name: "locales",
+        comm_at: None,
+        rows: |sc, row| {
+            for theta in [0.9f64, 0.99] {
+                for pct in [90u32, 50] {
+                    for l in [1usize, 2, 4, 8] {
+                        for (tier, sharded) in [("legacy", false), ("sharded", true)] {
+                            let label = format!("A11 {tier} zipf={theta} mix={pct}/{}", 100 - pct);
+                            let cell =
+                                ablate_globalview(l, sc.a11_keys, theta, pct, sc.a11_ops, sharded);
+                            row(&label, "", l, cell);
+                        }
+                    }
+                }
+            }
+        },
+    },
+];
+
+/// Measure every row of the `selected` scenarios in table order, printing
+/// each with its detail lines as it lands, and return the rows for
+/// `BENCH_results.json`.
+fn run(sc: &Scale, selected: impl Fn(&Scenario) -> bool) -> Vec<Record> {
+    let mut records = Vec::new();
+    for scenario in SCENARIOS.iter().filter(|s| selected(s)) {
+        say!("{}", scenario.title);
+        (scenario.rows)(sc, &mut |label, qualifier, x, cell| {
+            let s = cell.sample;
+            // A measured note is data, not identity: it is printed but
+            // stays out of the series name, so a series keeps one name.
+            let extra = format!("{qualifier} {}", cell.note);
+            say!(
+                "{label:<34} {}={x:<3} {:<18} vtime={:>12.3} ms  \
+                 ns/op={:>9.1}  mops={:>8.2}  wall={:>8.1} ms",
+                scenario.x_name,
+                extra.trim(),
+                s.vtime_ns as f64 / 1e6,
+                s.ns_per_op(),
+                s.mops(),
+                s.wall_ns as f64 / 1e6,
+            );
+            let t = cell.telemetry.as_ref();
+            if let Some(t) = t.filter(|_| scenario.comm_at == Some(x)) {
+                say!("    └─ comm @{x} locales: {}", comm_breakdown(t));
+            }
+            if let Some(r) = cell.reclaim.as_ref().filter(|r| r.stalled) {
+                say!(
+                    "    └─ stalled: outstanding={} reclaimed-during-stall={}",
+                    r.stalled_outstanding,
+                    r.stalled_reclaimed
+                );
+            }
+            if let Some(sh) = &cell.shard {
+                say!(
+                    "    └─ shard: local={} remote={}",
+                    sh.local_ops,
+                    sh.remote_ops
+                );
+            }
+            records.push(Record {
+                name: format!("{label} {qualifier}").trim_end().to_string(),
+                locales: x,
+                vtime_ns: s.vtime_ns,
+                ns_per_op: s.ns_per_op(),
+                mops: s.mops(),
+                comm: t.map(|t| t.comm),
+                latency: t.map_or_else(|| "{}".to_string(), |t| t.latency_json()),
+                reclaim: cell.reclaim.as_ref().map(|r| r.to_json()),
+                shard: cell.shard.as_ref().map(|sh| sh.to_json()),
+            });
+        });
+    }
+    records
+}
+
+/// Write `records` to `path` if they pass the results guard; otherwise
+/// name the failing rule and leave the file as it is. Returns `false` when
+/// the rows were refused or could not be written.
+fn write_results(path: &str, records: &[Record]) -> bool {
+    let doc = guard::render(records);
+    if let Err(e) = guard::check_results(&doc) {
+        eprintln!("harness: results guard failed, {path} left as it is: {e}");
+        return false;
+    }
+    match std::fs::write(path, &doc) {
         Ok(()) => {
-            say!("results: {path} ({rows} rows)");
+            say!("results: {path} ({} rows)", records.len());
             true
         }
         Err(e) => {
@@ -163,503 +445,42 @@ fn write_guarded(path: &str, doc: &str, engine: &str) -> bool {
     }
 }
 
-/// Write the recorded rows (see [`write_guarded`]). Returns `false` when
-/// the rows were refused or could not be written.
-fn write_results_json(path: &str) -> bool {
-    let recs = RECORDS.lock().unwrap();
-    if recs.is_empty() {
-        // An empty array would replace the committed rows with nothing.
-        say!("results: no rows measured, {path} left as it is");
-        return true;
-    }
-    write_guarded(path, &guard::render(&recs), "sim")
+/// Whether selector `a` runs `s`: its own name, `all`, or — for every
+/// section but the figures — `ablations` or any word starting `ablate`.
+fn selects(a: &str, s: &Scenario) -> bool {
+    a == "all"
+        || a == s.selector
+        || (!s.selector.starts_with("fig") && (a == "ablations" || a.starts_with("ablate")))
 }
-
-fn fig3(sc: &Scale) {
-    say!("\n=== Figure 3: AtomicObject vs atomic int (25/25/25/25 read/write/CAS/exchange) ===");
-    say!("--- shared memory: strong scaling over tasks, 1 locale ---");
-    for net in [true, false] {
-        let net_lbl = if net {
-            "net-atomics=on"
-        } else {
-            "net-atomics=off"
-        };
-        for variant in Variant::ALL {
-            for &tasks in &TASK_SWEEP {
-                let rt = runtime(1, net);
-                let s = fig3_shared(&rt, tasks, sc.fig3_ops, variant);
-                let t = rt.total_telemetry();
-                row(
-                    variant.label(),
-                    "tasks",
-                    tasks,
-                    net_lbl,
-                    s,
-                    Some(&t),
-                    None,
-                    None,
-                );
-            }
-        }
-    }
-    say!("--- distributed: strong scaling over locales, 4 tasks/locale ---");
-    for net in [true, false] {
-        let net_lbl = if net {
-            "net-atomics=on"
-        } else {
-            "net-atomics=off"
-        };
-        for variant in Variant::ALL {
-            for &locales in &LOCALE_SWEEP {
-                let rt = runtime(locales, net);
-                let s = fig3_dist(&rt, 4, sc.fig3_ops, variant);
-                let t = rt.total_telemetry();
-                row(
-                    variant.label(),
-                    "locales",
-                    locales,
-                    net_lbl,
-                    s,
-                    Some(&t),
-                    None,
-                    None,
-                );
-                if locales == *LOCALE_SWEEP.last().unwrap() {
-                    say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
-                }
-            }
-        }
-    }
-}
-
-fn fig_deletion_sweep(name: &str, objects: usize, per_iter: Option<u64>, remote_pct: u32) {
-    for net in [true, false] {
-        let net_lbl = if net {
-            "net-atomics=on"
-        } else {
-            "net-atomics=off"
-        };
-        for &locales in &LOCALE_SWEEP {
-            let rt = runtime(locales, net);
-            let (s, stats) = fig_deletion(&rt, objects, per_iter, remote_pct);
-            let t = rt.total_telemetry();
-            row(name, "locales", locales, net_lbl, s, Some(&t), None, None);
-            if locales == *LOCALE_SWEEP.last().unwrap() {
-                say!("    └─ reclaim stats @{locales} locales: {stats}");
-                say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
-            }
-        }
-    }
-}
-
-fn fig4(sc: &Scale) {
-    say!("\n=== Figure 4: deletion, tryReclaim every 1024 iterations ===");
-    fig_deletion_sweep(
-        "deferDelete+tryReclaim/1024",
-        sc.fig4_objects,
-        Some(1024),
-        50,
-    );
-}
-
-fn fig5(sc: &Scale) {
-    say!("\n=== Figure 5: deletion, tryReclaim every iteration ===");
-    fig_deletion_sweep("deferDelete+tryReclaim/1", sc.fig5_objects, Some(1), 50);
-}
-
-fn fig6(sc: &Scale) {
-    say!("\n=== Figure 6: deletion, reclamation only at end; remote ratio 0/50/100% ===");
-    for remote_pct in [0u32, 50, 100] {
-        for &locales in &LOCALE_SWEEP {
-            let rt = runtime(locales, true);
-            let (s, _) = fig_deletion(&rt, sc.fig6_objects, None, remote_pct);
-            let label = format!("defer+clear remote={remote_pct}%");
-            let t = rt.total_telemetry();
-            row(
-                &label,
-                "locales",
-                locales,
-                "net-atomics=on",
-                s,
-                Some(&t),
-                None,
-                None,
-            );
-        }
-    }
-}
-
-fn fig7(sc: &Scale) {
-    say!("\n=== Figure 7: read-only workload (pin/unpin), no deletion ===");
-    for net in [true, false] {
-        let net_lbl = if net {
-            "net-atomics=on"
-        } else {
-            "net-atomics=off"
-        };
-        for &locales in &LOCALE_SWEEP {
-            let rt = runtime(locales, net);
-            let s = fig7_read_only(&rt, 4, sc.fig7_iters);
-            let t = rt.total_telemetry();
-            let label = "pin/unpin read-only";
-            row(label, "locales", locales, net_lbl, s, Some(&t), None, None);
-            if locales == *LOCALE_SWEEP.last().unwrap() {
-                say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
-            }
-        }
-    }
-}
-
-fn ablations(sc: &Scale) {
-    say!("\n=== Ablation A1: scatter-list bulk free vs per-object remote frees ===");
-    for &locales in &[2usize, 4, 8] {
-        for scatter in [true, false] {
-            let rt = runtime(locales, true);
-            let (s, t) = ablate_scatter(&rt, sc.ablate_objects, scatter);
-            let label = if scatter {
-                "A1 scatter=on "
-            } else {
-                "A1 scatter=off"
-            };
-            let extra = format!("AMs={}", t.comm.am_sent);
-            row(label, "locales", locales, &extra, s, Some(&t), None, None);
-            if locales == 8 {
-                say!("    └─ comm @{locales} locales: {}", comm_breakdown(&t));
-            }
-        }
-    }
-
-    say!("\n=== Ablation A2: privatized instance vs single shared instance ===");
-    for &locales in &[2usize, 4, 8] {
-        for privatized in [true, false] {
-            let rt = runtime(locales, false);
-            let s = ablate_privatization(&rt, sc.fig7_iters, privatized);
-            let label = if privatized {
-                "privatized "
-            } else {
-                "shared@L0  "
-            };
-            let t = rt.total_telemetry();
-            row(
-                label,
-                "locales",
-                locales,
-                "net-atomics=off",
-                s,
-                Some(&t),
-                None,
-                None,
-            );
-        }
-    }
-
-    say!("\n=== Ablation A3: reclamation election vs every-caller scans ===");
-    for &locales in &[2usize, 4, 8] {
-        for elected in [true, false] {
-            let rt = runtime(locales, true);
-            let s = ablate_election(&rt, sc.ablate_objects / 4, elected);
-            let label = if elected {
-                "election=on "
-            } else {
-                "election=off"
-            };
-            let t = rt.total_telemetry();
-            row(
-                label,
-                "locales",
-                locales,
-                "tryReclaim/iter",
-                s,
-                Some(&t),
-                None,
-                None,
-            );
-        }
-    }
-
-    say!("\n=== Ablation A5: LocalEpochManager vs EpochManager (single locale) ===");
-    for (name, (s, advances)) in [
-        (
-            "LocalEpochManager",
-            ablate_local_manager::<LocalEpochManager>(sc.ablate_objects),
-        ),
-        (
-            "EpochManager     ",
-            ablate_local_manager::<EpochManager>(sc.ablate_objects),
-        ),
-    ] {
-        let extra = format!("advances={advances}");
-        row(name, "locales", 1, &extra, s, None, None, None);
-    }
-
-    say!("\n=== Ablation A6: epoch-based reclamation vs hazard pointers ===");
-    for chain_len in [1usize, 8, 32] {
-        let ops = sc.fig3_ops / 16;
-        for (name, (s, reclaimed)) in [
-            (
-                "EBR (pin/unpin)",
-                ablate_reclamation_scheme::<LocalEpochManager>(ops, chain_len, 64),
-            ),
-            (
-                "hazard pointers",
-                ablate_reclamation_scheme::<HazardReclaimer>(ops, chain_len, 64),
-            ),
-        ] {
-            let extra = format!("reclaimed={reclaimed}");
-            row(name, "hops", chain_len, &extra, s, None, None, None);
-        }
-    }
-
-    say!("\n=== Ablation A8: pluggable reclamation — EBR vs hazard pointers per structure ===");
-    a8(sc);
-
-    say!("\n=== Ablation A4: compressed pointers (RDMA) vs wide fallback (DCAS/AM) ===");
-    for &locales in &[2usize, 4, 8] {
-        for wide in [false, true] {
-            let s = ablate_wide(locales, sc.fig3_ops / 4, wide);
-            let label = if wide { "wide (>2^16)" } else { "compressed " };
-            row(
-                label,
-                "locales",
-                locales,
-                "net-atomics=on",
-                s,
-                None,
-                None,
-                None,
-            );
-        }
-    }
-
-    say!("\n=== Ablation A10: versioned fast reads vs DCAS reads (read-mostly ABA mixes) ===");
-    a10(sc);
-
-    say!("\n=== Ablation A7: remote-op combining ===");
-    for workload in CombineWorkload::ALL {
-        for &locales in &[2usize, 4, 8] {
-            for combining in [false, true] {
-                let (s, t) = ablate_combining(locales, sc.fig3_ops / 4, workload, combining);
-                let on = if combining { "on" } else { "off" };
-                let label = format!("A7 {} combining={on}", workload.label());
-                let extra = format!("AMs={}", t.comm.am_sent);
-                row(&label, "locales", locales, &extra, s, Some(&t), None, None);
-            }
-        }
-    }
-
-    say!("\n=== Ablation A11: global-view sharded map vs legacy flat map (Zipfian point ops) ===");
-    a11(sc);
-}
-
-/// Ablation A11: the privatized per-locale-sharded map against the legacy
-/// flat map under Zipfian point workloads (θ ∈ {0.9, 0.99}, 90/10 and
-/// 50/50 read/write, 1–8 locales). Network atomics are off and combining
-/// is on, so the legacy map's remote chain hops each cost an AM round
-/// trip while the sharded map pays at most one combined AM per remote op
-/// and nothing for locally-owned keys.
-fn a11(sc: &Scale) {
-    for &theta in &[0.9f64, 0.99] {
-        for &read_pct in &[90u32, 50] {
-            for &locales in &[1usize, 2, 4, 8] {
-                for sharded in [false, true] {
-                    let cell = pgas_bench::ablate_globalview(
-                        locales,
-                        sc.a11_keys,
-                        theta,
-                        read_pct,
-                        sc.a11_ops,
-                        sharded,
-                    );
-                    let tier = if sharded { "sharded" } else { "legacy" };
-                    let label =
-                        format!("A11 {tier} zipf={theta} mix={read_pct}/{}", 100 - read_pct);
-                    let t = &cell.telemetry;
-                    let extra = format!("AMs={}", t.comm.am_sent);
-                    let shard = cell.shard.as_ref().map(|sh| sh.to_json());
-                    row(
-                        &label,
-                        "locales",
-                        locales,
-                        &extra,
-                        cell.sample,
-                        Some(t),
-                        None,
-                        shard,
-                    );
-                    if let Some(sh) = &cell.shard {
-                        say!(
-                            "    └─ shard: local={} remote={}",
-                            sh.local_ops,
-                            sh.remote_ops
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Ablation A8: every structure churned under EBR vs distributed hazard
-/// pointers across the locale sweep, plus a `stalled_task` variant at 4
-/// locales where a forever-pinned guard shows EBR limbo growing while HP
-/// keeps reclaiming.
-fn a8(sc: &Scale) {
-    let ops = (sc.ablate_objects as u64 / 4).max(256);
-    // The locale sweep, then the stalled-task variant at 4 locales: one
-    // guard pins before the churn and never unpins until it ends.
-    let cells = [(1, false), (2, false), (4, false), (8, false), (4, true)];
-    for structure in A8Structure::ALL {
-        for (locales, stalled) in cells {
-            for r in [
-                ablate_reclaimer::<EpochManager>(locales, structure, ops, stalled),
-                ablate_reclaimer::<HazardReclaimer>(locales, structure, ops, stalled),
-            ] {
-                let label = format!("A8 {} {}", structure.label(), r.backend);
-                let stall_lbl = if stalled { "stalled_task" } else { "" };
-                let reclaim = Some(r.to_json());
-                row(
-                    &label, "locales", locales, stall_lbl, r.sample, None, reclaim, None,
-                );
-                if stalled {
-                    say!(
-                        "    └─ stalled: outstanding={} reclaimed-during-stall={}",
-                        r.stalled_outstanding,
-                        r.stalled_reclaimed
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Ablation A10: read-mostly ABA mixes (90% and 99% read) across the
-/// locale sweep with the versioned fast-read path off vs on. With the
-/// fast path on, reads cost one validated one-sided GET instead of a DCAS
-/// AM round trip, so the on rows must win wherever reads are actually
-/// remote (≥2 locales); writes keep the DCAS either way.
-fn a10(sc: &Scale) {
-    let ops = (sc.fig3_ops / 4).max(1024);
-    for read_pct in [90u32, 99] {
-        for &locales in &[1usize, 2, 4, 8] {
-            for fast in [false, true] {
-                let (s, t) = ablate_vread(locales, ops, read_pct, fast);
-                let label = format!(
-                    "A10 {read_pct}% read vread={}",
-                    if fast { "on" } else { "off" }
-                );
-                let extra = format!("AMs={}", t.comm.am_sent);
-                row(&label, "locales", locales, &extra, s, Some(&t), None, None);
-            }
-        }
-    }
-}
-
-/// The `--engine proc` path: instead of simulating, orchestrate real
-/// agent processes (via `pgas_bench::procrun`, same protocol as the
-/// `procbench` binary) over a small locale sweep and write their merged
-/// rows — tagged `engine: "proc"` — as the results file. The sim figures
-/// are not regenerated; validate with `validate_results --engine proc`.
-fn run_proc_engine(quick: bool) {
-    use pgas_bench::procrun::{self, ProcSpec};
-    let ops: u64 = if quick { 512 } else { 4096 };
-    let mut rows = Vec::new();
-    for locales in [2usize, 4] {
-        let spec = ProcSpec {
-            locales,
-            ops,
-            tasks: 2,
-            timeout: std::time::Duration::from_secs(120),
-        };
-        match procrun::orchestrate_self(&spec) {
-            Ok(row) => {
-                say!(
-                    "{:<34} locales={:<3} wall={:>8.1} ms  ns/op={:>9.1}  mops={:>8.2}  AMs={}",
-                    row.name,
-                    row.locales,
-                    row.wall_ns as f64 / 1e6,
-                    row.ns_per_op(),
-                    row.mops(),
-                    row.comm.get("am_sent").copied().unwrap_or(0),
-                );
-                rows.push(row.to_json());
-            }
-            Err(e) => {
-                eprintln!("harness --engine proc: {locales}-locale cell failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let doc = format!("[\n  {}\n]\n", rows.join(",\n  "));
-    if !write_guarded("BENCH_results.json", &doc, "proc") {
-        std::process::exit(1);
-    }
-}
-
-/// What `main` accepts as a figure selector, besides anything that starts
-/// with `ablate` (another spelling of `ablations`). No selector means `all`.
-const SELECTORS: [&str; 10] = [
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "ablations",
-    "a8",
-    "a10",
-    "a11",
-    "all",
-];
 
 fn main() {
-    // Re-exec'd as a procbench agent? Run it and exit before touching
-    // argv (the orchestrator spawns `current_exe`, which is us when
-    // `harness --engine proc` orchestrates).
-    pgas_bench::procrun::maybe_run_agent();
-
-    let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut trace_path: Option<String> = None;
-    let mut engine = "sim".to_string();
     let mut selectors: Vec<String> = Vec::new();
-    let mut it = raw.iter();
-    while let Some(a) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--trace" => {
-                trace_path = Some(it.next().expect("--trace takes a path").clone());
-            }
-            "--engine" => {
-                engine = it.next().expect("--engine takes sim|proc").clone();
-                assert!(
-                    matches!(engine.as_str(), "sim" | "proc"),
-                    "unknown engine {engine:?} (expected sim|proc)"
-                );
-            }
-            other => selectors.push(other.to_string()),
+            "--trace" => trace_path = Some(args.next().expect("--trace takes a path")),
+            _ => selectors.push(a),
         }
     }
     // A selector that matches nothing would run nothing and still rewrite
     // the results file: refuse it before any work.
     if let Some(bad) = selectors
         .iter()
-        .find(|s| !SELECTORS.contains(&s.as_str()) && !s.starts_with("ablate"))
+        .find(|a| !SCENARIOS.iter().any(|s| selects(a, s)))
     {
+        let mut names: Vec<&str> = SCENARIOS.iter().map(|s| s.selector).collect();
+        names.dedup();
         eprintln!(
-            "harness: unknown selector {bad:?}; expected any of {} or ablate* (none runs all)",
-            SELECTORS.join(", ")
+            "harness: unknown selector {bad:?}; expected any of {}, ablations (or ablate*) \
+             or all (none runs all)",
+            names.join(", ")
         );
         std::process::exit(2);
     }
-    if engine == "proc" {
-        run_proc_engine(quick);
-        return;
-    }
-    let sc = if quick { &QUICK } else { &FULL };
-    let wants = |name: &str| {
-        selectors.iter().any(|a| a == name)
-            || selectors.iter().any(|a| a == "all")
-            || selectors.is_empty()
-    };
+    let selected = |s: &Scenario| selectors.is_empty() || selectors.iter().any(|a| selects(a, s));
 
     say!(
         "pgas-nonblocking figure harness (scale: {})",
@@ -677,42 +498,8 @@ fn main() {
     }
 
     let t0 = std::time::Instant::now();
-    if wants("fig3") {
-        fig3(sc);
-    }
-    if wants("fig4") {
-        fig4(sc);
-    }
-    if wants("fig5") {
-        fig5(sc);
-    }
-    if wants("fig6") {
-        fig6(sc);
-    }
-    if wants("fig7") {
-        fig7(sc);
-    }
-    if wants("ablations") || selectors.iter().any(|a| a.starts_with("ablate")) {
-        ablations(sc);
-    } else {
-        if selectors.iter().any(|a| a == "a8") {
-            // Standalone A8 selector for the reclaim smoke job (the full
-            // `ablations` run already includes it).
-            say!("\n=== Ablation A8: pluggable reclamation — EBR vs hazard pointers per structure ===");
-            a8(sc);
-        }
-        if selectors.iter().any(|a| a == "a10") {
-            // Standalone A10 selector for the vread smoke job.
-            say!("\n=== Ablation A10: versioned fast reads vs DCAS reads (read-mostly ABA mixes) ===");
-            a10(sc);
-        }
-        if selectors.iter().any(|a| a == "a11") {
-            // Standalone A11 selector for the global-view smoke job.
-            say!("\n=== Ablation A11: global-view sharded map vs legacy flat map (Zipfian point ops) ===");
-            a11(sc);
-        }
-    }
-    let written = write_results_json("BENCH_results.json");
+    let records = run(if quick { &QUICK } else { &FULL }, selected);
+    let written = write_results("BENCH_results.json", &records);
     pgas_bench::flush_trace_sink();
     say!("\nharness done in {:.1}s", t0.elapsed().as_secs_f64());
 
@@ -726,5 +513,56 @@ fn main() {
     }
     if !written {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pgas_bench::json::{parse, Value};
+
+    /// Every scenario, small enough for a debug build.
+    const TINY: Scale = Scale {
+        fig3_ops: 1 << 8,
+        fig4_objects: 1 << 7,
+        fig5_objects: 1 << 6,
+        fig6_objects: 1 << 7,
+        fig7_iters: 1 << 5,
+        ablate_objects: 1 << 6,
+        a11_keys: 1 << 8,
+        a11_ops: 1 << 4,
+    };
+
+    /// No guard rule pins a Fig. 3–7 or A2–A6 series name, so a renamed,
+    /// dropped or reordered series would pass every other check.
+    #[test]
+    fn every_scenario_emits_the_committed_series_in_order() {
+        let got: Vec<(String, usize)> = run(&TINY, |_| true)
+            .into_iter()
+            .map(|r| (r.name, r.locales))
+            .collect();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_results.json");
+        let text = std::fs::read_to_string(path).expect("reading the committed BENCH_results.json");
+        let doc = parse(&text).expect("the committed file parses");
+        let field = |r: &Value, k: &str| r.get(k).cloned().expect("name and locales on every row");
+        let want: Vec<(String, usize)> = doc
+            .as_arr()
+            .expect("an array of rows")
+            .iter()
+            .map(|r| {
+                let name = field(r, "name")
+                    .as_str()
+                    .expect("a string name")
+                    .to_string();
+                (
+                    name,
+                    field(r, "locales").as_num().expect("numeric locales") as usize,
+                )
+            })
+            .collect();
+        assert_eq!(got.len(), want.len(), "row count");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "row {i}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! retry / combining spans), decomposes every root's virtual-time
 //! duration into wire / queueing / handler / retry / combine / local
 //! components with exact accounting, and optionally renders a Chrome
-//! trace-event JSON loadable in Perfetto (https://ui.perfetto.dev).
+//! trace-event JSON loadable in Perfetto (<https://ui.perfetto.dev>).
 //!
 //! ```text
 //! trace_analyze <trace.jsonl> [--top N] [--chrome OUT.json] [--strict]

@@ -3,14 +3,14 @@
 //! ```text
 //! cargo run -p pgas-bench --release --bin validate_results -- BENCH_results.json
 //! cargo run -p pgas-bench --release --bin validate_results -- BENCH_results.json --trace target/trace.jsonl
-//! cargo run -p pgas-bench --release --bin validate_results -- target/BENCH_proc.json --engine proc
+//! cargo run -p pgas-bench --release --bin validate_results -- target/BENCH_proc.json
 //! ```
 //!
 //! `PATH` defaults to `BENCH_results.json`. `--trace` also checks a span
-//! trace; `--engine proc` validates process-backend rows (from `procbench`
-//! or `harness --engine proc`), every one of which must carry
-//! `engine: "proc"`, and skips the sim series rules. Exits nonzero with the
-//! failing rule on the first violation.
+//! trace. The rows' own `engine` tags say which rules apply: a file of
+//! `procbench` rows (every one tagged `engine: "proc"`) skips the sim
+//! series rules. Exits nonzero with the failing rule on the first
+//! violation.
 
 use std::process::ExitCode;
 
@@ -32,22 +32,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut results_path = "BENCH_results.json".to_string();
     let mut trace_path = None;
-    let mut engine = "sim".to_string();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--trace" => trace_path = Some(it.next().expect("--trace takes a path").clone()),
-            "--engine" => {
-                engine = it.next().expect("--engine takes sim|proc").clone();
-                assert!(
-                    matches!(engine.as_str(), "sim" | "proc"),
-                    "unknown engine {engine:?} (expected sim|proc)"
-                );
-            }
             other => results_path = other.to_string(),
         }
     }
-    let mut ok = validate(&results_path, "rows", |t| check_results(t, &engine));
+    let mut ok = validate(&results_path, "rows", check_results);
     if let (true, Some(tp)) = (ok, trace_path) {
         ok = validate(&tp, "spans", check_trace);
     }

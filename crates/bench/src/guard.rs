@@ -13,8 +13,8 @@
 //!   `ns_per_op`, `mops`, `am_count`, five chaos counters) with the right
 //!   types; `comm` is the full counter object or null, consistent with
 //!   `am_count`; `latency` maps op class → `{count, p50, p99, p999, max,
-//!   mean}` with `p50 ≤ p99 ≤ p999 ≤ max`; an `engine` tag, when present,
-//!   names the engine under validation (a proc run must tag every row);
+//!   mean}` with `p50 ≤ p99 ≤ p999 ≤ max`; the `engine` tags agree (see
+//!   [`check_results`]);
 //! * **chaos** — the five fault-injection counters are zero: nothing that
 //!   writes results installs a fault plan, and one leaking into a baseline
 //!   would skew every number;
@@ -184,14 +184,22 @@ fn name_of(row: &Value) -> &str {
     row.get("name").and_then(Value::as_str).unwrap_or("?")
 }
 
-/// Check a results document for `engine` (`"sim"` or `"proc"`); returns
-/// the row count.
-pub fn check_results(text: &str, engine: &str) -> Result<usize, String> {
+/// Check a results document; returns the row count.
+///
+/// The rows name their engine themselves. A file with any row tagged
+/// `"proc"` is a process-backend file: every row must carry that tag, and
+/// the sim series rules are skipped. Any other file is a sim file, whose
+/// rows are tagged `"sim"` or (older files) not at all.
+pub fn check_results(text: &str) -> Result<usize, String> {
     let doc = parse(text)?;
     let rows = doc.as_arr().ok_or("top level is not an array")?;
     if rows.is_empty() {
         return Err("results array is empty".into());
     }
+    let proc = rows
+        .iter()
+        .any(|r| r.get("engine").and_then(Value::as_str) == Some("proc"));
+    let engine = if proc { "proc" } else { "sim" };
     for row in rows {
         row.as_obj().ok_or("row is not an object")?;
         let name = row
@@ -213,11 +221,11 @@ fn check_row(row: &Value, name: &str, locales: f64, engine: &str) -> Result<(), 
     match row.get("engine") {
         // Older sim files predate the tag.
         None if engine == "sim" => {}
-        None => return Err(format!("missing engine tag (expected {engine:?})")),
+        None => return Err("missing engine tag beside \"proc\" rows".into()),
         Some(v) => {
             let tag = v.as_str().ok_or("engine tag is not a string")?;
             if tag != engine {
-                return Err(format!("engine {tag:?} in a file validated as {engine:?}"));
+                return Err(format!("engine {tag:?} in a file of {engine:?} rows"));
             }
         }
     }
@@ -608,22 +616,22 @@ mod tests {
             .find(|r| r.name == name && r.locales == locales)
             .expect("fixture row");
         doctor(r);
-        let err = check_results(&render(&rows), "sim").expect_err("a doctored row must fail");
+        let err = check_results(&render(&rows)).expect_err("a doctored row must fail");
         assert!(err.contains(rule), "expected {rule:?}, got {err:?}");
     }
 
     #[test]
     fn fixture_passes_and_a_file_without_families_needs_no_pinned_series() {
         let rows = fixture();
-        assert_eq!(check_results(&render(&rows), "sim"), Ok(rows.len()));
-        assert_eq!(check_results(&render(&rows[..1]), "sim"), Ok(1));
+        assert_eq!(check_results(&render(&rows)), Ok(rows.len()));
+        assert_eq!(check_results(&render(&rows[..1])), Ok(1));
     }
 
     #[test]
     fn pinned_series_is_required_once_its_family_appears() {
         let mut rows = fixture();
         rows.retain(|r| r.name != "A10 99% read vread=on");
-        let err = check_results(&render(&rows), "sim").unwrap_err();
+        let err = check_results(&render(&rows)).unwrap_err();
         assert!(
             err.contains("pinned series \"A10 99% read vread=on\""),
             "{err}"
@@ -774,6 +782,56 @@ mod tests {
             doctor,
             "A11: sharded must beat legacy",
         );
+    }
+
+    /// A process-backend file: `procbench` rows at 2 and 4 locales.
+    fn proc_doc(name: &str, am_sent: u64) -> String {
+        let rows: Vec<String> = [2, 4]
+            .into_iter()
+            .map(|locales| {
+                let mut comm: BTreeMap<String, u64> =
+                    COMM_KEYS.iter().map(|k| (k.to_string(), 0)).collect();
+                comm.insert("am_sent".into(), am_sent);
+                crate::procrun::ProcRow {
+                    name: name.into(),
+                    locales,
+                    wall_ns: 1000,
+                    ops: 64,
+                    comm,
+                    latency: LAT.into(),
+                }
+                .to_json()
+            })
+            .collect();
+        format!("[\n  {}\n]\n", rows.join(",\n  "))
+    }
+
+    #[test]
+    fn a_proc_file_is_validated_under_the_proc_rules() {
+        assert_eq!(check_results(&proc_doc("fig3 proc mixed", 12)), Ok(2));
+        // The sim series rules do not apply: these A1 rows have neither
+        // their pinned AM counts nor their `scatter=off` twins, which the
+        // same rows tagged `sim` are refused for.
+        assert_eq!(check_results(&proc_doc("A1 scatter=on", 7)), Ok(2));
+        let as_sim = [2, 4].map(|l| row("A1 scatter=on", l, 50.0, 7));
+        assert!(check_results(&render(&as_sim)).is_err());
+    }
+
+    #[test]
+    fn a_sim_file_with_one_proc_row_is_refused() {
+        let doc = render(&fixture()).replacen("\"engine\": \"sim\"", "\"engine\": \"proc\"", 1);
+        let err = check_results(&doc).expect_err("a mixed file must fail");
+        assert!(
+            err.contains("engine \"sim\" in a file of \"proc\" rows"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_proc_file_with_one_untagged_row_is_refused() {
+        let doc = proc_doc("fig3 proc mixed", 12).replacen("\"engine\": \"proc\", ", "", 1);
+        let err = check_results(&doc).expect_err("an untagged row must fail");
+        assert!(err.contains("missing engine tag"), "{err}");
     }
 
     #[test]

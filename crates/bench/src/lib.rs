@@ -6,6 +6,10 @@
 //! discrete-event cost model with Aries-class constants, driven by the
 //! real concurrent execution of the algorithms. Wall-clock time is also
 //! reported as a secondary column.
+//!
+//! Every workload returns one [`Cell`], measured by one private runner: it
+//! builds the traced runtime, runs the workload's setup, times its body,
+//! checks that every object was reclaimed and takes the telemetry snapshot.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -42,14 +46,6 @@ pub fn flush_trace_sink() {
     if let Some(s) = TRACE_SINK.get() {
         s.flush();
     }
-}
-
-/// Wire the process-wide trace sink (if any) into a freshly built runtime.
-fn traced(rt: Runtime) -> Runtime {
-    if let Some(s) = TRACE_SINK.get() {
-        rt.set_telemetry_sink(Arc::clone(s));
-    }
-    rt
 }
 
 /// Which atomic implementation a Fig. 3 measurement exercises.
@@ -105,16 +101,117 @@ impl Sample {
     }
 }
 
-/// Run `body` as the measured region of a workload of `ops` operations,
-/// timed on the wall clock and on the calling task's virtual clock.
-fn timed(ops: u64, body: impl FnOnce()) -> Sample {
-    let wall = Instant::now();
-    let t0 = vtime::now();
-    body();
-    Sample {
-        vtime_ns: vtime::now() - t0,
-        wall_ns: wall.elapsed().as_nanos() as u64,
-        ops,
+/// One measured row of the evaluation: what every workload returns.
+pub struct Cell {
+    /// Timing of the measured body.
+    pub sample: Sample,
+    /// Comm counters and per-class latency registry, over the whole run
+    /// (Figs 3–7, A2, A3) or over the measured body alone (A1, A7, A10,
+    /// A11); `None` for rows that record timing only (A4–A6, A8).
+    pub telemetry: Option<TelemetrySnapshot>,
+    /// A8: the backend's reclamation counters.
+    pub reclaim: Option<ReclaimAblation>,
+    /// A11 sharded rows: the map's routing counters over the measured body
+    /// (preload traffic excluded).
+    pub shard: Option<ShardSnapshot>,
+    /// What the row measured beside its timing, printed next to it:
+    /// `AMs=…`, `advances=…`, `reclaimed=…`, or the Figs 4–6 manager's
+    /// counters. Data, not part of the series name.
+    pub note: String,
+}
+
+impl From<Sample> for Cell {
+    fn from(sample: Sample) -> Cell {
+        Cell {
+            sample,
+            telemetry: None,
+            reclaim: None,
+            shard: None,
+            note: String::new(),
+        }
+    }
+}
+
+/// Which of the runtime's traffic a cell's telemetry covers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Counted {
+    /// None: the row records timing only.
+    Nothing,
+    /// Everything the run did, setup and teardown included.
+    Run,
+    /// The measured body alone: metrics are reset after setup and
+    /// snapshotted before teardown. The row's note is its AM count.
+    Body,
+}
+
+/// Hands a workload its measured region (see [`measure`]).
+struct Meter<'a> {
+    rt: &'a Runtime,
+    counted: Counted,
+    telemetry: Option<TelemetrySnapshot>,
+}
+
+impl Meter<'_> {
+    /// Run `body` as the measured region of `ops` operations, timed on the
+    /// wall clock and on the calling task's virtual clock.
+    fn time(&mut self, ops: u64, body: impl FnOnce()) -> Sample {
+        if self.counted == Counted::Body {
+            self.rt.reset_metrics();
+        }
+        let wall = Instant::now();
+        let t0 = vtime::now();
+        body();
+        let sample = Sample {
+            vtime_ns: vtime::now() - t0,
+            wall_ns: wall.elapsed().as_nanos() as u64,
+            ops,
+        };
+        if self.counted == Counted::Body {
+            self.telemetry = Some(self.rt.total_telemetry());
+        }
+        sample
+    }
+}
+
+/// The one runner: build a runtime from `cfg` with the process-wide trace
+/// sink (if any) installed, run `workload` inside it (its setup, one
+/// [`Meter::time`] call, its teardown), check that every object it
+/// allocated was reclaimed, and attach the telemetry `counted` selects.
+fn measure(
+    cfg: RuntimeConfig,
+    counted: Counted,
+    workload: impl FnOnce(&Runtime, &mut Meter) -> Cell,
+) -> Cell {
+    let rt = Runtime::new(cfg);
+    if let Some(s) = TRACE_SINK.get() {
+        rt.set_telemetry_sink(Arc::clone(s));
+    }
+    let mut meter = Meter {
+        rt: &rt,
+        counted,
+        telemetry: None,
+    };
+    let mut cell = rt.run(|| workload(&rt, &mut meter));
+    assert_eq!(rt.live_objects(), 0, "reclamation must be complete");
+    cell.telemetry = match counted {
+        Counted::Nothing => None,
+        Counted::Run => Some(rt.total_telemetry()),
+        Counted::Body => {
+            let t = meter.telemetry.expect("the workload timed its body");
+            cell.note = format!("AMs={}", t.comm.am_sent);
+            Some(t)
+        }
+    };
+    cell
+}
+
+/// The cluster configuration of the Figs 3–7 and A1–A3 measurements.
+fn cluster(locales: usize, network_atomics: bool) -> RuntimeConfig {
+    let cfg = RuntimeConfig::cluster(locales);
+    if network_atomics {
+        cfg
+    } else {
+        cfg.without_network_atomics()
     }
 }
 
@@ -149,161 +246,186 @@ pub fn comm_breakdown(t: &TelemetrySnapshot) -> String {
     out
 }
 
-/// The 25/25/25/25 read/write/CAS/exchange mix from §III-A, one task,
-/// operating on task-private local cells (the paper's overhead
-/// microbenchmark: independent cells isolate abstraction overhead from
-/// contention).
-fn mixed_ops(variant: Variant, ops: u64) {
+/// The 25/25/25/25 read/write/CAS/exchange mix from §III-A, one task, on a
+/// task-private cell owned by `owner`. Fig. 3 keeps it on the task's own
+/// locale (the paper's overhead microbenchmark: independent cells isolate
+/// abstraction overhead from contention); A7 puts it on the next locale.
+fn mixed_ops(variant: Variant, ops: u64, owner: LocaleId) {
+    // The loop, the same for every variant but for the cell type and its
+    // method names: op `i` reads, writes `$value(i)`, reads then CASes to
+    // it, or exchanges it.
+    macro_rules! mix {
+        ($cell:expr, $value:expr, $read:ident, $write:ident, $cas:ident, $xchg:ident) => {{
+            let cell = $cell;
+            for i in 0..ops {
+                let v = $value(i);
+                match i % 4 {
+                    0 => {
+                        let _ = cell.$read();
+                    }
+                    1 => cell.$write(v),
+                    2 => {
+                        let cur = cell.$read();
+                        let _ = cell.$cas(cur, v);
+                    }
+                    _ => {
+                        let _ = cell.$xchg(v);
+                    }
+                }
+            }
+        }};
+    }
     let rt = current_runtime();
-    match variant {
-        Variant::AtomicInt => {
-            let cell = AtomicInt::new(0);
-            for i in 0..ops {
-                match i % 4 {
-                    0 => {
-                        let _ = cell.read();
-                    }
-                    1 => cell.write(i),
-                    2 => {
-                        let cur = cell.read();
-                        let _ = cell.compare_and_swap(cur, i);
-                    }
-                    _ => {
-                        let _ = cell.exchange(i);
-                    }
-                }
+    if variant == Variant::AtomicInt {
+        let cell = AtomicInt::new_on(owner, 0);
+        return mix!(cell, |i| i, read, write, compare_and_swap, exchange);
+    }
+    let (a, b) = (alloc_local(&rt, 0u64), alloc_local(&rt, 1u64));
+    let target = |i: u64| if i.is_multiple_of(2) { a } else { b };
+    if variant == Variant::AtomicObject {
+        let cell = AtomicObject::new_on(owner, a);
+        mix!(cell, target, read, write, compare_and_swap, exchange);
+    } else {
+        let cell = AtomicAbaObject::new_on(owner, a);
+        mix!(
+            cell,
+            target,
+            read_aba,
+            write_aba,
+            compare_and_swap_aba,
+            exchange_aba
+        );
+    }
+    // SAFETY: `a` and `b` were allocated above and are freed once; the
+    // cell that held them is no longer used.
+    unsafe {
+        free(&rt, a);
+        free(&rt, b);
+    }
+}
+
+/// A4's loop, also A7's `wide dcas` traffic: `AtomicObject`
+/// read/write/exchange on a fresh cell owned by `owner`.
+fn read_write_exchange(owner: LocaleId, ops: u64) {
+    let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
+    for i in 0..ops {
+        match i % 3 {
+            0 => {
+                let _ = cell.read();
             }
-        }
-        Variant::AtomicObject => {
-            let a = alloc_local(&rt, 0u64);
-            let b = alloc_local(&rt, 1u64);
-            let cell = AtomicObject::new(a);
-            for i in 0..ops {
-                let target = if i % 2 == 0 { a } else { b };
-                match i % 4 {
-                    0 => {
-                        let _ = cell.read();
-                    }
-                    1 => cell.write(target),
-                    2 => {
-                        let cur = cell.read();
-                        let _ = cell.compare_and_swap(cur, target);
-                    }
-                    _ => {
-                        let _ = cell.exchange(target);
-                    }
-                }
-            }
-            unsafe {
-                free(&rt, a);
-                free(&rt, b);
-            }
-        }
-        Variant::AtomicObjectAba => {
-            let a = alloc_local(&rt, 0u64);
-            let b = alloc_local(&rt, 1u64);
-            let cell = AtomicAbaObject::new(a);
-            for i in 0..ops {
-                let target = if i % 2 == 0 { a } else { b };
-                match i % 4 {
-                    0 => {
-                        let _ = cell.read_aba();
-                    }
-                    1 => cell.write_aba(target),
-                    2 => {
-                        let cur = cell.read_aba();
-                        let _ = cell.compare_and_swap_aba(cur, target);
-                    }
-                    _ => {
-                        let _ = cell.exchange_aba(target);
-                    }
-                }
-            }
-            unsafe {
-                free(&rt, a);
-                free(&rt, b);
+            1 => cell.write(GlobalPtr::null()),
+            _ => {
+                let _ = cell.exchange(GlobalPtr::null());
             }
         }
     }
 }
 
-/// Fig. 3, shared-memory panel: strong scaling over `tasks` on one
-/// locale; `total_ops` divided among the tasks.
-pub fn fig3_shared(rt: &Runtime, tasks: usize, total_ops: u64, variant: Variant) -> Sample {
-    let per_task = total_ops / tasks as u64;
-    rt.run(|| {
-        timed(per_task * tasks as u64, || {
-            rt.coforall_tasks(tasks, |_| mixed_ops(variant, per_task));
-        })
+/// The locale after `l`, wrapping: where the ablations put remote cells.
+fn next_locale(rt: &Runtime, l: LocaleId) -> LocaleId {
+    ((l as usize + 1) % rt.num_locales()) as LocaleId
+}
+
+/// The measured region of the AM-heavy ablations (A4, A7, A10): `tasks`
+/// tasks on every locale each run `op(owner, per_task)`, `owner` being the
+/// next locale and `per_task` an even share (at least one) of `total_ops`.
+fn on_next_locale(
+    m: &mut Meter,
+    tasks: usize,
+    total_ops: u64,
+    op: impl Fn(LocaleId, u64) + Sync,
+) -> Sample {
+    let rt = m.rt;
+    let n_tasks = (rt.num_locales() * tasks) as u64;
+    let per_task = (total_ops / n_tasks).max(1);
+    m.time(per_task * n_tasks, || {
+        rt.coforall_locales(|l| {
+            let owner = next_locale(rt, l);
+            rt.coforall_tasks(tasks, |_| op(owner, per_task));
+        });
     })
 }
 
-/// Fig. 3, distributed panel: strong scaling over the runtime's locales
-/// with `tasks_per_locale` tasks each; `total_ops` divided among all
-/// tasks.
+/// `n` objects for a deletion workload, object `i` allocated on `on(i)`.
+fn objects(rt: &Runtime, n: usize, mut on: impl FnMut(usize) -> LocaleId) -> Vec<GlobalPtr<u64>> {
+    (0..n).map(|i| alloc_on(rt, on(i), i as u64)).collect()
+}
+
+/// Fig. 3, shared-memory panel: strong scaling over `tasks` on one
+/// locale; `total_ops` divided among the tasks.
+pub fn fig3_shared(tasks: usize, total_ops: u64, variant: Variant, network_atomics: bool) -> Cell {
+    let per_task = total_ops / tasks as u64;
+    measure(cluster(1, network_atomics), Counted::Run, |rt, m| {
+        m.time(per_task * tasks as u64, || {
+            rt.coforall_tasks(tasks, |_| mixed_ops(variant, per_task, here()));
+        })
+        .into()
+    })
+}
+
+/// Fig. 3, distributed panel: strong scaling over `locales` with
+/// `tasks_per_locale` tasks each; `total_ops` divided among all tasks.
 pub fn fig3_dist(
-    rt: &Runtime,
+    locales: usize,
     tasks_per_locale: usize,
     total_ops: u64,
     variant: Variant,
-) -> Sample {
-    let n_tasks = (rt.num_locales() * tasks_per_locale) as u64;
+    network_atomics: bool,
+) -> Cell {
+    let n_tasks = (locales * tasks_per_locale) as u64;
     let per_task = total_ops / n_tasks;
-    rt.run(|| {
-        timed(per_task * n_tasks, || {
+    measure(cluster(locales, network_atomics), Counted::Run, |rt, m| {
+        m.time(per_task * n_tasks, || {
             rt.coforall_locales(|_| {
-                rt.coforall_tasks(tasks_per_locale, |_| mixed_ops(variant, per_task));
+                rt.coforall_tasks(tasks_per_locale, |_| mixed_ops(variant, per_task, here()));
             });
         })
+        .into()
     })
 }
 
 /// Figs. 4 & 5 (Listing 5): distributed objects, each task pins, defers
 /// the visited object, unpins, and calls `tryReclaim` every
 /// `per_iteration` operations (`None` = never during the loop — Fig. 6's
-/// regime). Returns the sample over the deletion loop plus the final
-/// `clear`, excluding allocation.
+/// regime). The sample covers the deletion loop plus the final `clear`,
+/// excluding allocation; the note is the manager's counters.
 pub fn fig_deletion(
-    rt: &Runtime,
+    locales: usize,
+    network_atomics: bool,
     num_objects: usize,
     per_iteration: Option<u64>,
     remote_percent: u32,
-) -> (Sample, pgas_nb::epoch::ReclaimSnapshot) {
-    let locales = rt.num_locales();
-    rt.run(|| {
+) -> Cell {
+    measure(cluster(locales, network_atomics), Counted::Run, |rt, m| {
         let em = EpochManager::new();
-        let rt_h = current_runtime();
         // Pre-allocate objects. Index i is visited by a task on locale
         // i % L (cyclic); with probability remote_percent/100 the object
         // lives on a random *other* locale, else on the visiting locale.
         let mut rng = StdRng::seed_from_u64(0xF16);
-        let objs: Vec<GlobalPtr<u64>> = (0..num_objects)
-            .map(|i| {
-                let visiting = (i % locales) as LocaleId;
-                let owner = if locales > 1 && rng.gen_range(0u32..100) < remote_percent {
-                    let mut o = rng.gen_range(0..locales) as LocaleId;
-                    while o == visiting {
-                        o = rng.gen_range(0..locales) as LocaleId;
-                    }
-                    o
-                } else {
-                    visiting
-                };
-                alloc_on(&rt_h, owner, i as u64)
-            })
-            .collect();
+        let objs = objects(rt, num_objects, |i| {
+            let visiting = (i % locales) as LocaleId;
+            if locales > 1 && rng.gen_range(0u32..100) < remote_percent {
+                let mut o = rng.gen_range(0..locales) as LocaleId;
+                while o == visiting {
+                    o = rng.gen_range(0..locales) as LocaleId;
+                }
+                o
+            } else {
+                visiting
+            }
+        });
 
-        let sample = timed(num_objects as u64, || {
+        let sample = m.time(num_objects as u64, || {
             rt.forall_dist(
                 num_objects,
                 |_, _| (em.register(), 0u64),
-                |(tok, m), i| {
+                |(tok, done), i| {
                     tok.pin();
                     tok.defer_delete(objs[i]);
                     tok.unpin();
-                    *m += 1;
+                    *done += 1;
                     if let Some(k) = per_iteration {
-                        if *m % k == 0 {
+                        if *done % k == 0 {
                             tok.try_reclaim();
                         }
                     }
@@ -311,17 +433,24 @@ pub fn fig_deletion(
             );
             em.clear();
         });
-        assert_eq!(rt.live_objects(), 0, "reclamation must be complete");
-        (sample, em.stats())
+        Cell {
+            note: em.stats().to_string(),
+            ..sample.into()
+        }
     })
 }
 
 /// Fig. 7: read-only workload — pin/unpin per iteration, no deletion.
 /// Weak scaling: `iters_per_task` per task on every locale.
-pub fn fig7_read_only(rt: &Runtime, tasks_per_locale: usize, iters_per_task: u64) -> Sample {
-    let ops = (rt.num_locales() * tasks_per_locale) as u64 * iters_per_task;
-    rt.run(|| {
-        timed(ops, || {
+pub fn fig7_read_only(
+    locales: usize,
+    network_atomics: bool,
+    tasks_per_locale: usize,
+    iters_per_task: u64,
+) -> Cell {
+    let ops = (locales * tasks_per_locale) as u64 * iters_per_task;
+    measure(cluster(locales, network_atomics), Counted::Run, |rt, m| {
+        m.time(ops, || {
             let em = EpochManager::new();
             rt.coforall_locales(|_| {
                 rt.coforall_tasks(tasks_per_locale, |_| {
@@ -333,28 +462,20 @@ pub fn fig7_read_only(rt: &Runtime, tasks_per_locale: usize, iters_per_task: u64
                 });
             });
         })
+        .into()
     })
 }
 
 /// Ablation A1: the Fig. 6 workload at 100% remote objects, with the
 /// scatter-list bulk free disabled (one active message per object).
-pub fn ablate_scatter(
-    rt: &Runtime,
-    num_objects: usize,
-    scatter: bool,
-) -> (Sample, TelemetrySnapshot) {
-    let locales = rt.num_locales();
-    rt.run(|| {
+pub fn ablate_scatter(locales: usize, num_objects: usize, scatter: bool) -> Cell {
+    measure(cluster(locales, true), Counted::Body, |rt, m| {
         let em = EpochManager::new();
         em.set_scatter(scatter);
-        let rt_h = current_runtime();
-        let objs: Vec<GlobalPtr<u64>> = (0..num_objects)
-            .map(|i| {
-                let visiting = (i % locales) as LocaleId;
-                let owner = ((visiting as usize + 1) % locales) as LocaleId; // always remote
-                alloc_on(&rt_h, owner, i as u64)
-            })
-            .collect();
+        // Object i is visited from locale i % L and lives on the next one.
+        let objs = objects(rt, num_objects, |i| {
+            next_locale(rt, (i % locales) as LocaleId)
+        });
         {
             let tok = em.register();
             tok.pin();
@@ -363,22 +484,19 @@ pub fn ablate_scatter(
             }
             tok.unpin();
         }
-        rt.reset_metrics();
-        let sample = timed(num_objects as u64, || em.clear());
-        assert_eq!(rt.live_objects(), 0);
-        (sample, rt.total_telemetry())
+        m.time(num_objects as u64, || em.clear()).into()
     })
 }
 
 /// Ablation A2: privatized (zero-communication) epoch-cache access vs a
 /// single shared instance on locale 0 that every pin consults remotely.
-pub fn ablate_privatization(rt: &Runtime, iters_per_task: u64, privatized: bool) -> Sample {
+pub fn ablate_privatization(locales: usize, iters_per_task: u64, privatized: bool) -> Cell {
     let tasks = 2;
-    rt.run(|| {
+    measure(cluster(locales, false), Counted::Run, |rt, m| {
         // Setup (instance construction) is excluded from the measurement.
         let caches = pgas_nb::sim::Privatized::new(&current_runtime(), |l| AtomicInt::new_on(l, 1));
         let shared = AtomicInt::new_on(0, 1);
-        timed((rt.num_locales() * tasks) as u64 * iters_per_task, || {
+        m.time((locales * tasks) as u64 * iters_per_task, || {
             rt.coforall_locales(|_| {
                 rt.coforall_tasks(tasks, |_| {
                     for _ in 0..iters_per_task {
@@ -393,20 +511,18 @@ pub fn ablate_privatization(rt: &Runtime, iters_per_task: u64, privatized: bool)
                 });
             });
         })
+        .into()
     })
 }
 
 /// Ablation A3: the Fig. 5 regime (tryReclaim every iteration) with the
 /// first-come-first-serve election enabled vs disabled (every caller
 /// scans).
-pub fn ablate_election(rt: &Runtime, num_objects: usize, elected: bool) -> Sample {
-    rt.run(|| {
+pub fn ablate_election(locales: usize, num_objects: usize, elected: bool) -> Cell {
+    measure(cluster(locales, true), Counted::Run, |rt, m| {
         let em = EpochManager::new();
-        let rt_h = current_runtime();
-        let objs: Vec<GlobalPtr<u64>> = (0..num_objects)
-            .map(|i| alloc_local(&rt_h, i as u64))
-            .collect();
-        let sample = timed(num_objects as u64, || {
+        let objs = objects(rt, num_objects, |_| here());
+        m.time(num_objects as u64, || {
             rt.forall_dist(
                 num_objects,
                 |_, _| em.register(),
@@ -422,9 +538,8 @@ pub fn ablate_election(rt: &Runtime, num_objects: usize, elected: bool) -> Sampl
                 },
             );
             em.clear();
-        });
-        assert_eq!(rt.live_objects(), 0);
-        sample
+        })
+        .into()
     })
 }
 
@@ -442,14 +557,13 @@ pub struct ChainNode {
 /// pin/unpin per traversal, hazard pointers (`R = HazardReclaimer`, on the
 /// same one-locale runtime) pay a fenced publication + validation per
 /// *hop*. Every `writes_every` traversals the head node is replaced and the
-/// old one retired.
+/// old one retired. The note is the objects reclaimed.
 pub fn ablate_reclamation_scheme<R: Reclaimer>(
     traversals: u64,
     chain_len: usize,
     writes_every: u64,
-) -> (Sample, u64) {
-    let rt = traced(Runtime::new(RuntimeConfig::shared_memory()));
-    rt.run(|| {
+) -> Cell {
+    measure(RuntimeConfig::shared_memory(), Counted::Nothing, |_, m| {
         let rt_h = current_runtime();
         // Build the chain back to front.
         let mut head = GlobalPtr::null();
@@ -466,7 +580,7 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
         let head_cell = AtomicObject::new(head);
 
         let mut reclaimed = 0;
-        let sample = timed(traversals, || {
+        let sample = m.time(traversals, || {
             let em = R::new_in_runtime();
             let tok = em.register();
             for i in 0..traversals {
@@ -517,24 +631,22 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
                 cur = next;
             }
         });
-        assert_eq!(rt.live_objects(), 0);
-        (sample, reclaimed)
+        Cell {
+            note: format!("reclaimed={reclaimed}"),
+            ..sample.into()
+        }
     })
 }
 
 /// Ablation A5: `LocalEpochManager` vs `EpochManager` (`R`) on a
 /// single-locale workload — what the shared-memory-optimized variant saves
-/// (no global epoch object, no cross-locale scan). Returns the sample and
-/// the backend's epoch advances.
-pub fn ablate_local_manager<R: Reclaimer>(num_objects: usize) -> (Sample, u64) {
-    let rt = traced(Runtime::new(RuntimeConfig::cluster(1)));
-    rt.run(|| {
-        let rt_h = current_runtime();
-        let objs: Vec<GlobalPtr<u64>> = (0..num_objects)
-            .map(|i| alloc_local(&rt_h, i as u64))
-            .collect();
+/// (no global epoch object, no cross-locale scan). The note is the
+/// backend's epoch advances.
+pub fn ablate_local_manager<R: Reclaimer>(num_objects: usize) -> Cell {
+    measure(RuntimeConfig::cluster(1), Counted::Nothing, |rt, m| {
+        let objs = objects(rt, num_objects, |_| here());
         let mut advances = 0;
-        let sample = timed(num_objects as u64, || {
+        let sample = m.time(num_objects as u64, || {
             let em = R::new_in_runtime();
             let tok = em.register();
             for (i, &o) in objs.iter().enumerate() {
@@ -549,8 +661,10 @@ pub fn ablate_local_manager<R: Reclaimer>(num_objects: usize) -> (Sample, u64) {
             em.clear();
             advances = em.stats().advances;
         });
-        assert_eq!(rt.live_objects(), 0);
-        (sample, advances)
+        Cell {
+            note: format!("advances={advances}"),
+            ..sample.into()
+        }
     })
 }
 
@@ -560,36 +674,14 @@ pub fn ablate_local_manager<R: Reclaimer>(num_objects: usize) -> (Sample, u64) {
 /// tasks hammer cells owned by the *next* locale, so the wide variant
 /// funnels through progress threads while the compressed one rides the
 /// NIC one-sidedly.
-pub fn ablate_wide(locales: usize, total_ops: u64, wide: bool) -> Sample {
+pub fn ablate_wide(locales: usize, total_ops: u64, wide: bool) -> Cell {
     let cfg = if wide {
         RuntimeConfig::cluster(locales).with_wide_pointers()
     } else {
         RuntimeConfig::cluster(locales)
     };
-    let rt = traced(Runtime::new(cfg));
-    let tasks = 2usize;
-    let n_tasks = (locales * tasks) as u64;
-    let per_task = (total_ops / n_tasks).max(1);
-    rt.run(|| {
-        timed(per_task * n_tasks, || {
-            rt.coforall_locales(|l| {
-                let owner = ((l as usize + 1) % rt.num_locales()) as LocaleId;
-                rt.coforall_tasks(tasks, |_| {
-                    let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
-                    for i in 0..per_task {
-                        match i % 3 {
-                            0 => {
-                                let _ = cell.read();
-                            }
-                            1 => cell.write(GlobalPtr::null()),
-                            _ => {
-                                let _ = cell.exchange(GlobalPtr::null());
-                            }
-                        }
-                    }
-                });
-            });
-        })
+    measure(cfg, Counted::Nothing, |_, m| {
+        on_next_locale(m, 2, total_ops, read_write_exchange).into()
     })
 }
 
@@ -636,7 +728,7 @@ pub fn ablate_combining(
     total_ops: u64,
     workload: CombineWorkload,
     combining: bool,
-) -> (Sample, TelemetrySnapshot) {
+) -> Cell {
     let cfg = match workload {
         CombineWorkload::Fig3DistAm | CombineWorkload::SharedAtL0 => {
             RuntimeConfig::cluster(locales).without_network_atomics()
@@ -644,58 +736,18 @@ pub fn ablate_combining(
         CombineWorkload::WideDcas => RuntimeConfig::cluster(locales).with_wide_pointers(),
     }
     .with_combining(combining);
-    let rt = traced(Runtime::new(cfg));
-    let tasks = 4usize;
-    let n_tasks = (locales * tasks) as u64;
-    let per_task = (total_ops / n_tasks).max(1);
-    rt.run(|| {
+    measure(cfg, Counted::Body, |_, m| {
         let shared = AtomicInt::new_on(0, 0);
-        rt.reset_metrics();
-        let sample = timed(per_task * n_tasks, || {
-            rt.coforall_locales(|l| {
-                let owner = ((l as usize + 1) % rt.num_locales()) as LocaleId;
-                rt.coforall_tasks(tasks, |_| match workload {
-                    CombineWorkload::Fig3DistAm => {
-                        let cell = AtomicInt::new_on(owner, 0);
-                        for i in 0..per_task {
-                            match i % 4 {
-                                0 => {
-                                    let _ = cell.read();
-                                }
-                                1 => cell.write(i),
-                                2 => {
-                                    let cur = cell.read();
-                                    let _ = cell.compare_and_swap(cur, i);
-                                }
-                                _ => {
-                                    let _ = cell.exchange(i);
-                                }
-                            }
-                        }
-                    }
-                    CombineWorkload::WideDcas => {
-                        let cell = AtomicObject::<u64>::new_on(owner, GlobalPtr::null());
-                        for i in 0..per_task {
-                            match i % 3 {
-                                0 => {
-                                    let _ = cell.read();
-                                }
-                                1 => cell.write(GlobalPtr::null()),
-                                _ => {
-                                    let _ = cell.exchange(GlobalPtr::null());
-                                }
-                            }
-                        }
-                    }
-                    CombineWorkload::SharedAtL0 => {
-                        for _ in 0..per_task {
-                            let _ = shared.read();
-                        }
-                    }
-                });
-            });
-        });
-        (sample, rt.total_telemetry())
+        let op = |owner, ops| match workload {
+            CombineWorkload::Fig3DistAm => mixed_ops(Variant::AtomicInt, ops, owner),
+            CombineWorkload::WideDcas => read_write_exchange(owner, ops),
+            CombineWorkload::SharedAtL0 => {
+                for _ in 0..ops {
+                    let _ = shared.read();
+                }
+            }
+        };
+        on_next_locale(m, 4, total_ops, op).into()
     })
 }
 
@@ -710,48 +762,33 @@ pub fn ablate_combining(
 /// trip (remote: an AM through the owner's progress service); with it on,
 /// validated reads ride the one-sided GET cost model and only the writes
 /// keep the DCAS — the `vread_fast`/`vread_retries`/`vread_fallbacks`
-/// counters in the returned snapshot tell the story.
-pub fn ablate_vread(
-    locales: usize,
-    total_ops: u64,
-    read_pct: u32,
-    fast: bool,
-) -> (Sample, TelemetrySnapshot) {
+/// counters in the telemetry tell the story.
+pub fn ablate_vread(locales: usize, total_ops: u64, read_pct: u32, fast: bool) -> Cell {
     assert!((1..100).contains(&read_pct), "read_pct must be 1..=99");
     let cfg = RuntimeConfig::cluster(locales).with_vread_fastpath(fast);
-    let rt = traced(Runtime::new(cfg));
-    let tasks = 4usize;
-    let n_tasks = (locales * tasks) as u64;
-    let per_task = (total_ops / n_tasks).max(1);
     // 90% read → every 10th op writes; 99% → every 100th.
     let period = (100 / (100 - read_pct)) as u64;
-    rt.run(|| {
+    measure(cfg, Counted::Body, |rt, m| {
         // One cell per owner locale, shared by every task targeting it.
         let cells: Vec<AtomicAbaObject<u64>> = (0..rt.num_locales())
             .map(|o| AtomicAbaObject::new_on(o as LocaleId, GlobalPtr::null()))
             .collect();
-        rt.reset_metrics();
-        let sample = timed(per_task * n_tasks, || {
-            rt.coforall_locales(|l| {
-                let owner = (l as usize + 1) % rt.num_locales();
-                let cell = &cells[owner];
-                rt.coforall_tasks(tasks, |_| {
-                    for i in 0..per_task {
-                        if i % period == period - 1 {
-                            if (i / period).is_multiple_of(2) {
-                                let snap = cell.read_aba();
-                                let _ = cell.compare_and_swap_aba(snap, GlobalPtr::null());
-                            } else {
-                                cell.write_aba(GlobalPtr::null());
-                            }
-                        } else {
-                            let _ = cell.read_aba();
-                        }
+        let op = |owner: LocaleId, ops| {
+            let cell = &cells[owner as usize];
+            for i in 0..ops {
+                if i % period == period - 1 {
+                    if (i / period).is_multiple_of(2) {
+                        let snap = cell.read_aba();
+                        let _ = cell.compare_and_swap_aba(snap, GlobalPtr::null());
+                    } else {
+                        cell.write_aba(GlobalPtr::null());
                     }
-                });
-            });
-        });
-        (sample, rt.total_telemetry())
+                } else {
+                    let _ = cell.read_aba();
+                }
+            }
+        };
+        on_next_locale(m, 4, total_ops, op).into()
     })
 }
 
@@ -794,12 +831,10 @@ impl A8Structure {
     }
 }
 
-/// Result of one A8 measurement: timing plus the backend's reclamation
-/// counters, and — for `stalled` runs — how much garbage was outstanding
-/// while a task sat forever-pinned (the number that separates HP from
-/// EBR).
+/// The reclamation counters of one A8 measurement, and — for `stalled`
+/// runs — how much garbage was outstanding while a task sat
+/// forever-pinned (the number that separates HP from EBR).
 pub struct ReclaimAblation {
-    pub sample: Sample,
     /// `Reclaimer::backend_name()` ("ebr" / "hp").
     pub backend: &'static str,
     /// Final counters after the quiescent `clear`.
@@ -835,40 +870,71 @@ impl ReclaimAblation {
     }
 }
 
-/// Churn phase shared by every A8 arm: optionally park a forever-pinned
-/// guard, run `churn` on every task, and snapshot the backend's counters
-/// *while the staller is still pinned*.
-fn a8_drive<R: Reclaimer>(
-    rt: &Runtime,
+/// The churn every A8 arm runs on a structure whose reclaimer is `em`.
+/// With `stalled`, one guard pins before the churn and stays pinned until
+/// the counters are read after it. Two tasks per locale each run
+/// `op(guard, task, i, key)` for `i` in `0..ops_per_task` (`key` from a
+/// deterministic per-task xorshift stream), with a `try_reclaim` every 32
+/// ops. Afterwards `drain` empties the structure and `em` is cleared.
+fn a8_churn<R: Reclaimer>(
+    m: &mut Meter,
     em: &R,
-    tasks: usize,
-    ops: u64,
+    ops_per_task: u64,
     stalled: bool,
-    churn: impl Fn(usize) + Sync,
-) -> (Sample, u64, u64) {
-    let staller = if stalled {
+    drain: Option<&dyn Fn()>,
+    op: impl Fn(&R::Guard<'_>, usize, u64, u16) + Sync,
+) -> Cell {
+    let (rt, tasks) = (m.rt, 2usize);
+    let staller = stalled.then(|| {
         let g = em.register();
         g.pin();
-        Some(g)
-    } else {
-        None
-    };
-    let sample = timed(ops, || {
+        g
+    });
+    let sample = m.time(ops_per_task * (rt.num_locales() * tasks) as u64, || {
         rt.coforall_locales(|l| {
-            rt.coforall_tasks(tasks, |t| churn(l as usize * tasks + t));
+            rt.coforall_tasks(tasks, |t| {
+                let t = l as usize * tasks + t;
+                let tok = em.register();
+                let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for i in 0..ops_per_task {
+                    h ^= h << 13;
+                    h ^= h >> 7;
+                    h ^= h << 17;
+                    op(&tok, t, i, (h.wrapping_add(t as u64) % 192) as u16);
+                    if i % 32 == 0 {
+                        em.try_reclaim();
+                    }
+                }
+            });
         });
     });
-    let (mut outstanding, mut reclaimed_during) = (0, 0);
-    if stalled {
-        let s = em.stats();
-        outstanding = s.objects_deferred - s.objects_reclaimed;
-        reclaimed_during = s.objects_reclaimed;
-    }
+    let (mut stalled_outstanding, mut stalled_reclaimed) = (0, 0);
     if let Some(g) = staller {
+        let s = em.stats();
+        stalled_outstanding = s.objects_deferred - s.objects_reclaimed;
+        stalled_reclaimed = s.objects_reclaimed;
         g.unpin();
-        drop(g);
     }
-    (sample, outstanding, reclaimed_during)
+    if let Some(drain) = drain {
+        drain();
+    }
+    em.clear();
+    let reclaim = em.stats();
+    let backend = em.backend_name();
+    assert_eq!(
+        reclaim.objects_deferred, reclaim.objects_reclaimed,
+        "A8 {backend}: conservation after clear"
+    );
+    Cell {
+        reclaim: Some(ReclaimAblation {
+            backend,
+            reclaim,
+            stalled,
+            stalled_outstanding,
+            stalled_reclaimed,
+        }),
+        ..sample.into()
+    }
 }
 
 /// Ablation A8: the same churn workload on every structure under EBR vs
@@ -884,200 +950,189 @@ pub fn ablate_reclaimer<R: Reclaimer>(
     structure: A8Structure,
     ops_per_task: u64,
     stalled: bool,
-) -> ReclaimAblation {
-    let rt = traced(Runtime::new(RuntimeConfig::cluster(locales)));
-    let tasks = 2usize;
-    let total_ops = ops_per_task * (locales * tasks) as u64;
-    // Deterministic per-task key stream (xorshift on the task index).
-    let key = |t: usize, h: &mut u64| -> u16 {
-        *h ^= *h << 13;
-        *h ^= *h >> 7;
-        *h ^= *h << 17;
-        ((*h).wrapping_add(t as u64) % 192) as u16
-    };
-    let r = rt.run(|| {
-        let (sample, outstanding, during, backend, reclaim);
-        match structure {
+) -> Cell {
+    let n = ops_per_task;
+    measure(
+        RuntimeConfig::cluster(locales),
+        Counted::Nothing,
+        |_, m| match structure {
             A8Structure::Stack => {
                 let s = LockFreeStack::<u64, R>::with_reclaimer();
-                (sample, outstanding, during) =
-                    a8_drive(&rt, s.reclaimer(), tasks, total_ops, stalled, |t| {
-                        let tok = s.register();
-                        for i in 0..ops_per_task {
-                            s.push(&tok, t as u64 * ops_per_task + i);
-                            if i % 2 == 0 {
-                                let _ = s.pop(&tok);
-                            }
-                            if i % 32 == 0 {
-                                s.try_reclaim();
-                            }
-                        }
-                    });
-                {
+                let drain = || {
                     let tok = s.register();
                     while s.pop(&tok).is_some() {}
-                }
-                s.clear_reclaim();
-                backend = s.reclaimer().backend_name();
-                reclaim = s.reclaimer().stats();
+                };
+                a8_churn(
+                    m,
+                    s.reclaimer(),
+                    n,
+                    stalled,
+                    Some(&drain),
+                    |tok, t, i, _| {
+                        s.push(tok, t as u64 * n + i);
+                        if i % 2 == 0 {
+                            let _ = s.pop(tok);
+                        }
+                    },
+                )
             }
             A8Structure::Queue => {
                 let q = MsQueue::<u64, R>::with_reclaimer();
-                (sample, outstanding, during) =
-                    a8_drive(&rt, q.reclaimer(), tasks, total_ops, stalled, |t| {
-                        let tok = q.register();
-                        for i in 0..ops_per_task {
-                            q.enqueue(&tok, t as u64 * ops_per_task + i);
-                            if i % 2 == 0 {
-                                let _ = q.dequeue(&tok);
-                            }
-                            if i % 32 == 0 {
-                                q.try_reclaim();
-                            }
-                        }
-                    });
-                {
+                let drain = || {
                     let tok = q.register();
                     while q.dequeue(&tok).is_some() {}
-                }
-                q.clear_reclaim();
-                backend = q.reclaimer().backend_name();
-                reclaim = q.reclaimer().stats();
+                };
+                a8_churn(
+                    m,
+                    q.reclaimer(),
+                    n,
+                    stalled,
+                    Some(&drain),
+                    |tok, t, i, _| {
+                        q.enqueue(tok, t as u64 * n + i);
+                        if i % 2 == 0 {
+                            let _ = q.dequeue(tok);
+                        }
+                    },
+                )
             }
             A8Structure::List => {
                 let l = LockFreeList::<u16, R>::with_reclaimer();
-                (sample, outstanding, during) =
-                    a8_drive(&rt, l.reclaimer(), tasks, total_ops, stalled, |t| {
-                        let tok = l.register();
-                        let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        for i in 0..ops_per_task {
-                            let k = key(t, &mut h);
-                            if i % 2 == 0 {
-                                l.insert(&tok, k);
-                            } else {
-                                l.remove(&tok, k);
-                            }
-                            if i % 32 == 0 {
-                                l.try_reclaim();
-                            }
-                        }
-                    });
-                l.clear_reclaim();
-                backend = l.reclaimer().backend_name();
-                reclaim = l.reclaimer().stats();
+                a8_churn(m, l.reclaimer(), n, stalled, None, |tok, _, i, k| {
+                    if i % 2 == 0 {
+                        l.insert(tok, k);
+                    } else {
+                        l.remove(tok, k);
+                    }
+                })
             }
             A8Structure::Map => {
-                let m = DistHashMap::<u16, u64, R>::with_reclaimer(32);
-                (sample, outstanding, during) =
-                    a8_drive(&rt, m.reclaimer(), tasks, total_ops, stalled, |t| {
-                        let tok = m.register();
-                        let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        for i in 0..ops_per_task {
-                            let k = key(t, &mut h);
-                            if i % 2 == 0 {
-                                m.insert(&tok, k, i);
-                            } else {
-                                m.remove(&tok, &k);
-                            }
-                            if i % 32 == 0 {
-                                m.try_reclaim();
-                            }
-                        }
-                    });
-                m.clear_reclaim();
-                backend = m.reclaimer().backend_name();
-                reclaim = m.reclaimer().stats();
+                let map = DistHashMap::<u16, u64, R>::with_reclaimer(32);
+                a8_churn(m, map.reclaimer(), n, stalled, None, |tok, _, i, k| {
+                    if i % 2 == 0 {
+                        map.insert(tok, k, i);
+                    } else {
+                        map.remove(tok, &k);
+                    }
+                })
             }
             A8Structure::SkipList => {
                 let s = LockFreeSkipList::<u16, R>::with_reclaimer();
-                (sample, outstanding, during) =
-                    a8_drive(&rt, s.reclaimer(), tasks, total_ops, stalled, |t| {
-                        let tok = s.register();
-                        let mut h = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        for i in 0..ops_per_task {
-                            let k = key(t, &mut h);
-                            if i % 2 == 0 {
-                                s.insert(&tok, k);
-                            } else {
-                                s.remove(&tok, k);
-                            }
-                            if i % 32 == 0 {
-                                s.try_reclaim();
-                            }
-                        }
-                    });
-                s.clear_reclaim();
-                backend = s.reclaimer().backend_name();
-                reclaim = s.reclaimer().stats();
+                a8_churn(m, s.reclaimer(), n, stalled, None, |tok, _, i, k| {
+                    if i % 2 == 0 {
+                        s.insert(tok, k);
+                    } else {
+                        s.remove(tok, k);
+                    }
+                })
             }
             A8Structure::RcuArray => {
                 let a = RcuArray::<R>::with_reclaimer(16, 256);
-                (sample, outstanding, during) =
-                    a8_drive(&rt, a.reclaimer(), tasks, total_ops, stalled, |t| {
-                        let tok = a.register();
-                        for i in 0..ops_per_task {
-                            let idx = (i as usize * 7 + t) % 256;
-                            if i % 16 == 0 {
-                                a.grow(&tok, a.len() + 8);
-                            } else if i % 4 == 0 {
-                                a.write(&tok, idx, i);
-                            } else {
-                                let _ = a.read(&tok, idx);
-                            }
-                            if i % 32 == 0 {
-                                a.try_reclaim();
-                            }
-                        }
-                    });
-                a.clear_reclaim();
-                backend = a.reclaimer().backend_name();
-                reclaim = a.reclaimer().stats();
+                a8_churn(m, a.reclaimer(), n, stalled, None, |tok, t, i, _| {
+                    let idx = (i as usize * 7 + t) % 256;
+                    if i % 16 == 0 {
+                        a.grow(tok, a.len() + 8);
+                    } else if i % 4 == 0 {
+                        a.write(tok, idx, i);
+                    } else {
+                        let _ = a.read(tok, idx);
+                    }
+                })
             }
-        }
-        assert_eq!(
-            reclaim.objects_deferred,
-            reclaim.objects_reclaimed,
-            "A8 {} {backend}: conservation after clear",
-            structure.label()
-        );
-        ReclaimAblation {
-            sample,
-            backend,
-            reclaim,
-            stalled,
-            stalled_outstanding: outstanding,
-            stalled_reclaimed: during,
-        }
-    });
-    assert_eq!(rt.live_objects(), 0, "A8 {} leaked", structure.label());
-    r
+        },
+    )
 }
 
-/// One measured A11 cell: timing, full telemetry, and (for the sharded
-/// tier) the map's routing counters over the measured phase only.
-pub struct GlobalViewCell {
-    /// Virtual/wall timing of the measured mixed phase.
-    pub sample: Sample,
-    /// Comm counters + per-class latency registry for the measured phase.
-    pub telemetry: TelemetrySnapshot,
-    /// Sharded rows: the [`ShardSnapshot`] delta across the measured
-    /// phase (preload traffic excluded). `None` for the legacy tier.
-    pub shard: Option<ShardSnapshot>,
+/// The point operations A11 preloads and drives, the same on both tiers.
+trait PointMap: Sync {
+    fn register(&self) -> Token<'_>;
+    fn insert_bulk(&self, pairs: Vec<(u64, u64)>) -> usize;
+    fn get(&self, tok: &Token<'_>, key: &u64) -> Option<u64>;
+    fn insert(&self, tok: &Token<'_>, key: u64, value: u64) -> bool;
+    fn remove(&self, tok: &Token<'_>, key: &u64) -> bool;
+}
+
+macro_rules! point_map {
+    ($($map:ty),*) => {$(
+        impl PointMap for $map {
+            fn register(&self) -> Token<'_> {
+                <$map>::register(self)
+            }
+            fn insert_bulk(&self, pairs: Vec<(u64, u64)>) -> usize {
+                <$map>::insert_bulk(self, pairs)
+            }
+            fn get(&self, tok: &Token<'_>, key: &u64) -> Option<u64> {
+                <$map>::get(self, tok, key)
+            }
+            fn insert(&self, tok: &Token<'_>, key: u64, value: u64) -> bool {
+                <$map>::insert(self, tok, key, value)
+            }
+            fn remove(&self, tok: &Token<'_>, key: &u64) -> bool {
+                <$map>::remove(self, tok, key)
+            }
+        }
+    )*};
+}
+
+point_map!(ShardedHashMap<u64, u64>, DistHashMap<u64, u64>);
+
+/// A11's preload: `keys` entries through the bulk path, in bounded
+/// chunks so no tier holds a keys-sized `Vec`.
+fn a11_preload(map: &impl PointMap, keys: u64) {
+    const CHUNK: u64 = 1 << 16;
+    for lo in (0..keys).step_by(CHUNK as usize) {
+        map.insert_bulk((lo..(lo + CHUNK).min(keys)).map(|k| (k, k)).collect());
+    }
+}
+
+/// A11's measured phase: two tasks per locale each issue `ops_per_task`
+/// operations on `zipf`-sampled keys, `read_pct`% `get`, the rest
+/// alternating `insert`/`remove` so the population stays put.
+fn a11_drive(
+    m: &mut Meter,
+    map: &impl PointMap,
+    zipf: &zipf::ZipfSampler,
+    read_pct: u32,
+    ops_per_task: u64,
+) -> Sample {
+    let (rt, tasks) = (m.rt, 2usize);
+    m.time(ops_per_task * (rt.num_locales() * tasks) as u64, || {
+        rt.coforall_locales(|l| {
+            rt.coforall_tasks(tasks, |t| {
+                let tok = map.register();
+                let mut rng = StdRng::seed_from_u64(0xA11_0000 + ((l as u64) << 8) + t as u64);
+                let mut toggle = false;
+                for i in 0..ops_per_task {
+                    let k = zipf.sample(&mut rng);
+                    if rng.gen_range(0u32..100) < read_pct {
+                        let _ = map.get(&tok, &k);
+                    } else if toggle {
+                        let _ = map.remove(&tok, &k);
+                        toggle = false;
+                    } else {
+                        let _ = map.insert(&tok, k, i);
+                        toggle = true;
+                    }
+                }
+            });
+        });
+    })
 }
 
 /// Ablation A11: the global-view map tier vs the legacy flat map under
 /// Zipfian point workloads.
 ///
 /// Both tiers preload `keys` entries through their bulk path, then run a
-/// mixed phase: `tasks_per_locale` tasks on every locale each issue
-/// `ops_per_task` operations on Zipf(θ)-sampled keys — `read_pct`% `get`,
-/// the rest alternating `remove`/`insert` so the population stays put.
-/// Network atomics are off and combining is on, which is the contrast the
+/// mixed phase: two tasks on every locale each issue `ops_per_task`
+/// operations on Zipf(θ)-sampled keys — `read_pct`% `get`, the rest
+/// alternating `remove`/`insert` so the population stays put. Network
+/// atomics are off and combining is on, which is the contrast the
 /// follow-up paper draws: the legacy map's remote chain hops each pay an
 /// AM round trip, while the sharded map runs locally-owned keys on CPU
 /// atomics and ships exactly one combined AM per remote op. The bucket
 /// budget is equal (legacy's table == sum of the sharded per-locale
-/// tables), so the only variable is placement + routing.
+/// tables), so the only variable is placement + routing. Sharded rows
+/// carry the map's routing counters over the measured phase.
 pub fn ablate_globalview(
     locales: usize,
     keys: u64,
@@ -1085,134 +1140,34 @@ pub fn ablate_globalview(
     read_pct: u32,
     ops_per_task: u64,
     sharded: bool,
-) -> GlobalViewCell {
-    let rt = traced(Runtime::new(
-        RuntimeConfig::cluster(locales)
-            .without_network_atomics()
-            .with_combining(true),
-    ));
-    let tasks = 2usize;
+) -> Cell {
+    let cfg = RuntimeConfig::cluster(locales)
+        .without_network_atomics()
+        .with_combining(true);
     let buckets_total = ((keys / 8).max(16) as usize).next_power_of_two();
-    let zipf = Arc::new(zipf::ZipfSampler::new(keys, theta));
-    // The measured per-task loop, identical for both tiers: only the
-    // get/insert/remove closures differ.
-    let drive = |l: LocaleId,
-                 t: usize,
-                 get: &dyn Fn(u64),
-                 insert: &dyn Fn(u64, u64),
-                 remove: &dyn Fn(u64)| {
-        let mut rng = StdRng::seed_from_u64(0xA11_0000 + ((l as u64) << 8) + t as u64);
-        let mut toggle = false;
-        for i in 0..ops_per_task {
-            let k = zipf.sample(&mut rng);
-            if rng.gen_range(0u32..100) < read_pct {
-                get(k);
-            } else if toggle {
-                remove(k);
-                toggle = false;
-            } else {
-                insert(k, i);
-                toggle = true;
-            }
-        }
-    };
-    let ops = ops_per_task * (locales * tasks) as u64;
-    let cell = rt.run(|| {
-        // Preload in bounded chunks so no tier holds a keys-sized Vec.
-        let chunk = 1usize << 16;
+    let zipf = zipf::ZipfSampler::new(keys, theta);
+    measure(cfg, Counted::Body, |_, m| {
         if sharded {
-            let m: ShardedHashMap<u64, u64> = ShardedHashMap::new((buckets_total / locales).max(1));
-            let mut next = 0u64;
-            while next < keys {
-                let hi = (next + chunk as u64).min(keys);
-                m.insert_bulk((next..hi).map(|k| (k, k)).collect());
-                next = hi;
-            }
-            let pre = m.shard_snapshot();
-            rt.reset_metrics();
-            let sample = timed(ops, || {
-                rt.coforall_locales(|l| {
-                    rt.coforall_tasks(tasks, |t| {
-                        let tok = m.register();
-                        drive(
-                            l,
-                            t,
-                            &|k| {
-                                let _ = m.get(&tok, &k);
-                            },
-                            &|k, v| {
-                                let _ = m.insert(&tok, k, v);
-                            },
-                            &|k| {
-                                let _ = m.remove(&tok, &k);
-                            },
-                        );
-                    });
-                });
-            });
-            let post = m.shard_snapshot();
-            let cell = GlobalViewCell {
-                sample,
-                telemetry: rt.total_telemetry(),
+            let map = ShardedHashMap::new((buckets_total / locales).max(1));
+            a11_preload(&map, keys);
+            let pre = map.shard_snapshot();
+            let sample = a11_drive(m, &map, &zipf, read_pct, ops_per_task);
+            let post = map.shard_snapshot();
+            Cell {
                 shard: Some(ShardSnapshot {
                     local_ops: post.local_ops - pre.local_ops,
                     remote_ops: post.remote_ops - pre.remote_ops,
                     bulk_local_items: post.bulk_local_items - pre.bulk_local_items,
                     bulk_remote_items: post.bulk_remote_items - pre.bulk_remote_items,
                 }),
-            };
-            m.clear_reclaim();
-            cell
-        } else {
-            let m: DistHashMap<u64, u64> = DistHashMap::new(buckets_total);
-            let mut next = 0u64;
-            while next < keys {
-                let hi = (next + chunk as u64).min(keys);
-                m.insert_bulk((next..hi).map(|k| (k, k)).collect());
-                next = hi;
+                ..sample.into()
             }
-            rt.reset_metrics();
-            let sample = timed(ops, || {
-                rt.coforall_locales(|l| {
-                    rt.coforall_tasks(tasks, |t| {
-                        let tok = m.register();
-                        drive(
-                            l,
-                            t,
-                            &|k| {
-                                let _ = m.get(&tok, &k);
-                            },
-                            &|k, v| {
-                                let _ = m.insert(&tok, k, v);
-                            },
-                            &|k| {
-                                let _ = m.remove(&tok, &k);
-                            },
-                        );
-                    });
-                });
-            });
-            let cell = GlobalViewCell {
-                sample,
-                telemetry: rt.total_telemetry(),
-                shard: None,
-            };
-            m.clear_reclaim();
-            cell
+        } else {
+            let map = DistHashMap::new(buckets_total);
+            a11_preload(&map, keys);
+            a11_drive(m, &map, &zipf, read_pct, ops_per_task).into()
         }
-    });
-    assert_eq!(rt.live_objects(), 0, "A11 leaked objects");
-    cell
-}
-
-/// Build a runtime for a figure measurement.
-pub fn runtime(locales: usize, network_atomics: bool) -> Runtime {
-    let cfg = if network_atomics {
-        RuntimeConfig::cluster(locales)
-    } else {
-        RuntimeConfig::cluster(locales).without_network_atomics()
-    };
-    traced(Runtime::new(cfg))
+    })
 }
 
 /// The locale counts swept by the distributed figures.
@@ -1229,12 +1184,15 @@ mod tests {
         let keys = 1u64 << 12;
         let sharded = ablate_globalview(4, keys, 0.99, 90, 256, true);
         let legacy = ablate_globalview(4, keys, 0.99, 90, 256, false);
-        assert!(
-            sharded.telemetry.comm.am_sent < legacy.telemetry.comm.am_sent,
-            "sharded must send fewer AMs: {} vs {}",
-            sharded.telemetry.comm.am_sent,
-            legacy.telemetry.comm.am_sent
+        let (s_ams, l_ams) = (
+            sharded.telemetry.as_ref().expect("telemetry").comm.am_sent,
+            legacy.telemetry.as_ref().expect("telemetry").comm.am_sent,
         );
+        assert!(
+            s_ams < l_ams,
+            "sharded must send fewer AMs: {s_ams} vs {l_ams}"
+        );
+        assert_eq!(sharded.note, format!("AMs={s_ams}"));
         assert!(
             sharded.sample.vtime_ns < legacy.sample.vtime_ns,
             "sharded must be faster: {} vs {} vns",
@@ -1251,19 +1209,18 @@ mod tests {
 
     #[test]
     fn fig3_samples_have_expected_costs() {
-        let rt = runtime(1, true);
-        let s = fig3_shared(&rt, 2, 1024, Variant::AtomicInt);
+        let s = fig3_shared(2, 1024, Variant::AtomicInt, true).sample;
         assert_eq!(s.ops, 1024);
         // 512 ops/task in parallel: makespan ≈ ops-per-task × (nic + extra
         // read for CAS ops).
-        assert!(s.vtime_ns >= 512 * rt.config.network.nic_atomic_ns);
+        let nic = RuntimeConfig::cluster(1).network.nic_atomic_ns;
+        assert!(s.vtime_ns >= 512 * nic);
     }
 
     #[test]
     fn fig3_aba_is_cpu_bound_locally() {
-        let rt = runtime(1, true);
-        let aba = fig3_shared(&rt, 1, 512, Variant::AtomicObjectAba);
-        let int = fig3_shared(&rt, 1, 512, Variant::AtomicInt);
+        let aba = fig3_shared(1, 512, Variant::AtomicObjectAba, true).sample;
+        let int = fig3_shared(1, 512, Variant::AtomicInt, true).sample;
         assert!(
             aba.vtime_ns < int.vtime_ns,
             "ABA opts out of the NIC: {} vs {}",
@@ -1274,16 +1231,15 @@ mod tests {
 
     #[test]
     fn fig_deletion_reclaims_everything() {
-        let rt = runtime(2, true);
-        let (s, stats) = fig_deletion(&rt, 256, Some(64), 50);
-        assert_eq!(s.ops, 256);
-        assert_eq!(stats.objects_reclaimed, 256);
+        let c = fig_deletion(2, true, 256, Some(64), 50);
+        assert_eq!(c.sample.ops, 256);
+        assert!(c.note.contains("reclaimed=256"), "{}", c.note);
     }
 
     #[test]
     fn fig7_is_flat_across_locales() {
-        let s1 = fig7_read_only(&runtime(1, true), 2, 512);
-        let s4 = fig7_read_only(&runtime(4, true), 2, 512);
+        let s1 = fig7_read_only(1, true, 2, 512).sample;
+        let s4 = fig7_read_only(4, true, 2, 512).sample;
         let ratio = s4.ns_per_op() / s1.ns_per_op();
         assert!(
             ratio < 1.5,
@@ -1295,12 +1251,11 @@ mod tests {
 
     #[test]
     fn scatter_beats_per_object_frees() {
-        let rt = runtime(4, true);
-        let (with, t_with) = ablate_scatter(&rt, 512, true);
-        let rt = runtime(4, true);
-        let (without, t_without) = ablate_scatter(&rt, 512, false);
+        let with = ablate_scatter(4, 512, true);
+        let without = ablate_scatter(4, 512, false);
+        let (t_with, t_without) = (with.telemetry.unwrap(), without.telemetry.unwrap());
         assert!(t_with.comm.am_sent < t_without.comm.am_sent / 10);
-        assert!(with.vtime_ns < without.vtime_ns);
+        assert!(with.sample.vtime_ns < without.sample.vtime_ns);
         // The registry's latency half must have seen the drained lists.
         use pgas_nb::sim::telemetry::OpClass;
         assert!(t_with.class(OpClass::LimboDepth).count() > 0);
@@ -1309,8 +1264,12 @@ mod tests {
 
     #[test]
     fn combining_coalesces_am_traffic() {
-        let (on, t_on) = ablate_combining(4, 2048, CombineWorkload::SharedAtL0, true);
-        let (off, t_off) = ablate_combining(4, 2048, CombineWorkload::SharedAtL0, false);
+        let combine = |on| {
+            let c = ablate_combining(4, 2048, CombineWorkload::SharedAtL0, on);
+            (c.sample, c.telemetry.expect("A7 rows carry telemetry"))
+        };
+        let (on, t_on) = combine(true);
+        let (off, t_off) = combine(false);
         let (comm_on, comm_off) = (&t_on.comm, &t_off.comm);
         assert!(comm_on.combined_ops > 0, "combining layer must engage");
         assert!(
@@ -1326,10 +1285,7 @@ mod tests {
         // batching works, so the median of three is judged.
         let mut ams = [comm_on.am_sent, 0, 0];
         for am in &mut ams[1..] {
-            *am = ablate_combining(4, 2048, CombineWorkload::SharedAtL0, true)
-                .1
-                .comm
-                .am_sent;
+            *am = combine(true).1.comm.am_sent;
         }
         ams.sort_unstable();
         let ratio = comm_off.am_sent as f64 / ams[1] as f64;
@@ -1354,8 +1310,12 @@ mod tests {
     #[test]
     fn a8_hp_reclaims_under_stall_while_ebr_limbo_grows() {
         use pgas_nb::epoch::HazardReclaimer;
-        let ebr = ablate_reclaimer::<EpochManager>(2, A8Structure::Stack, 256, true);
-        let hp = ablate_reclaimer::<HazardReclaimer>(2, A8Structure::Stack, 256, true);
+        let ebr = ablate_reclaimer::<EpochManager>(2, A8Structure::Stack, 256, true)
+            .reclaim
+            .expect("A8 rows carry reclaim counters");
+        let hp = ablate_reclaimer::<HazardReclaimer>(2, A8Structure::Stack, 256, true)
+            .reclaim
+            .expect("A8 rows carry reclaim counters");
         assert_eq!(ebr.backend, "ebr");
         assert_eq!(hp.backend, "hp");
         assert_eq!(
@@ -1384,21 +1344,25 @@ mod tests {
     #[test]
     fn a8_every_structure_runs_on_both_backends() {
         use pgas_nb::epoch::HazardReclaimer;
+        let retired = |c: Cell| {
+            c.reclaim
+                .expect("reclaim counters")
+                .reclaim
+                .objects_deferred
+        };
         for s in A8Structure::ALL {
-            let e = ablate_reclaimer::<EpochManager>(1, s, 64, false);
-            let h = ablate_reclaimer::<HazardReclaimer>(1, s, 64, false);
-            assert!(e.reclaim.objects_deferred > 0, "{} ebr retires", s.label());
-            assert!(h.reclaim.objects_deferred > 0, "{} hp retires", s.label());
+            let e = retired(ablate_reclaimer::<EpochManager>(1, s, 64, false));
+            let h = retired(ablate_reclaimer::<HazardReclaimer>(1, s, 64, false));
+            assert!(e > 0, "{} ebr retires", s.label());
+            assert!(h > 0, "{} hp retires", s.label());
         }
     }
 
     #[test]
     fn privatized_access_is_cheaper_distributed() {
         // Without network atomics the gap is local CPU read vs remote AM.
-        let rt = runtime(4, false);
-        let p = ablate_privatization(&rt, 256, true);
-        let rt = runtime(4, false);
-        let s = ablate_privatization(&rt, 256, false);
+        let p = ablate_privatization(4, 256, true).sample;
+        let s = ablate_privatization(4, 256, false).sample;
         assert!(
             p.vtime_ns * 10 <= s.vtime_ns,
             "privatized access should be far cheaper: {} vs {}",

@@ -652,8 +652,8 @@ fn merge_results(spec: &ProcSpec, lines: &[String]) -> Result<ProcRow, String> {
 }
 
 /// Run one cell against this very binary (the common case: `procbench`
-/// and `harness` both call [`maybe_run_agent`] first, so re-executing
-/// `current_exe` lands in the agent path).
+/// calls [`maybe_run_agent`] first, so re-executing `current_exe` lands in
+/// the agent path).
 pub fn orchestrate_self(spec: &ProcSpec) -> Result<ProcRow, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     orchestrate(&exe, spec)

@@ -85,7 +85,7 @@ fn u64_field(line: &str, key: &str) -> Result<u64, String> {
 
 /// Parse one JSON-lines span record. The line is first validated as JSON
 /// via [`crate::json::parse`]; 64-bit fields are then re-extracted from
-/// the raw text for exactness (see [`u64_field`]).
+/// the raw text for exactness (see `u64_field`).
 pub fn parse_line(line: &str) -> Result<TraceSpan, String> {
     let v = json::parse(line)?;
     let obj = v.as_obj().ok_or("span line is not a JSON object")?;

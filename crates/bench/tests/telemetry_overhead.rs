@@ -5,23 +5,28 @@
 
 use std::sync::Arc;
 
-use pgas_bench::{ablate_scatter, runtime, set_trace_sink};
+use pgas_bench::{ablate_scatter, set_trace_sink};
 use pgas_nb::sim::telemetry::{NullSink, OpClass};
+use pgas_nb::sim::TelemetrySnapshot;
 
 const OBJECTS: usize = 512;
 /// The A1 `scatter=on` AM counts CI's perf guard pins: one bulk free per
 /// (locale, remote destination) pair that received garbage.
 const PINNED: [(usize, u64); 3] = [(2, 2), (4, 6), (8, 14)];
 
+/// The A1 `scatter=on` row's telemetry at `locales`.
+fn telemetry(locales: usize) -> TelemetrySnapshot {
+    ablate_scatter(locales, OBJECTS, true)
+        .telemetry
+        .expect("A1 rows carry telemetry")
+}
+
 #[test]
 fn null_sink_adds_zero_counter_drift() {
     // Baseline: no sink installed (the default fast path).
     let base: Vec<_> = PINNED
         .iter()
-        .map(|&(locales, _)| {
-            let rt = runtime(locales, true);
-            ablate_scatter(&rt, OBJECTS, true).1
-        })
+        .map(|&(locales, _)| telemetry(locales))
         .collect();
 
     // Install the zero-cost sink process-wide; every runtime the workloads
@@ -29,8 +34,7 @@ fn null_sink_adds_zero_counter_drift() {
     assert!(set_trace_sink(Arc::new(NullSink)));
 
     for (i, &(locales, pinned_ams)) in PINNED.iter().enumerate() {
-        let rt = runtime(locales, true);
-        let (_, t) = ablate_scatter(&rt, OBJECTS, true);
+        let t = telemetry(locales);
         assert_eq!(
             t.comm, base[i].comm,
             "NullSink must not drift any counter at {locales} locales"

@@ -42,7 +42,7 @@ impl<T> Drop for ValueCell<T> {
 /// An atomic, epoch-owned value: a non-blocking `RwLock<T>` replacement
 /// where writers never block readers and readers never block anyone.
 ///
-/// Values are heap-wrapped in a [`ValueCell`] so that [`Self::take`] can
+/// Values are heap-wrapped in a `ValueCell` so that [`Self::take`] can
 /// move `T` out by value while concurrent pinned readers still hold the
 /// (deferred, not yet freed) allocation.
 pub struct OwnedAtomic<T: Send> {

@@ -14,7 +14,7 @@
 //! Protocol (flat combining, Hendler et al., adapted to a blocking PGAS
 //! `on`):
 //!
-//! 1. **Announce.** The caller stack-allocates an [`OpNode`] holding its
+//! 1. **Announce.** The caller stack-allocates an `OpNode` holding its
 //!    closure and publication vtime and CAS-pushes it onto the destination
 //!    queue's announce list.
 //! 2. **Elect.** While its node is not `done`, the caller tries to CAS the
