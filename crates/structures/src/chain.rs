@@ -37,6 +37,8 @@ use pgas_sim::runtime::RuntimeCore;
 use pgas_sim::telemetry::{key_hash64, OpSpan};
 use pgas_sim::{alloc_local, alloc_on, ctx, Batcher, GlobalPtr, LocaleId};
 
+use crate::pinned;
+
 /// One chain cell. `next` carries the Harris mark bit. Key and value are
 /// `MaybeUninit` only because a sentinel has neither; every entry node's
 /// pair is initialized at allocation.
@@ -112,23 +114,6 @@ where
 
 /// A `(predecessor, current)` node pair returned by [`chain_search`].
 type NodePair<K, V> = (GlobalPtr<Node<K, V>>, GlobalPtr<Node<K, V>>);
-
-/// Run `f` pinned; afterwards drop both walking hazards and unpin, also
-/// when `f` unwinds (a user `K::cmp` or `V::clone` may panic under the pin,
-/// and a long-lived token left pinned would block every later advance).
-pub(crate) fn pinned<G: ReclaimGuard, T>(tok: &G, f: impl FnOnce() -> T) -> T {
-    struct Unpin<'g, G: ReclaimGuard>(&'g G);
-    impl<G: ReclaimGuard> Drop for Unpin<'_, G> {
-        fn drop(&mut self) {
-            self.0.release(0);
-            self.0.release(1);
-            self.0.unpin();
-        }
-    }
-    tok.pin();
-    let _unpin = Unpin(tok);
-    f()
-}
 
 /// Harris search: find `(pred, curr)` such that `curr` is the first
 /// unmarked node not preceding `(hash, key)` and `pred` is its unmarked
@@ -279,7 +264,7 @@ where
     // `kv` owns the pair until it moves into a node exactly once.
     let mut kv = Some((key, value));
     let mut node: Option<GlobalPtr<Node<K, V>>> = None;
-    pinned(tok, || loop {
+    pinned(tok, 2, || loop {
         // The key lives either in `kv` or inside the (unpublished) node.
         // SAFETY: an unpublished node's key was initialized when built.
         let key_ref: &K = match (&kv, node) {
@@ -340,7 +325,7 @@ where
     V: Clone,
     R: Reclaimer,
 {
-    pinned(tok, || {
+    pinned(tok, 2, || {
         chain_walk::<K, V, R, _>(tok, sentinel, Some((hash, key)), |hit, node| {
             // SAFETY: the walk visits entry nodes only.
             *hit = Some(unsafe { node.value_ref() }.clone());
@@ -367,7 +352,7 @@ where
             s.retry();
         }
     };
-    pinned(tok, || loop {
+    pinned(tok, 2, || loop {
         let (pred, curr) = chain_search::<K, V, R>(tok, sentinel, hash, key);
         if !chain_matches(curr, hash, key) {
             break false;
@@ -598,7 +583,7 @@ mod tests {
     /// unlink race would run it.
     fn snip_2<R: Reclaimer>(em: &R, sentinel: GlobalPtr<Node<Probe, u64>>) {
         let tok = em.register();
-        pinned(&tok, || {
+        pinned(&tok, 2, || {
             let _ = chain_search::<_, _, R>(&tok, sentinel, 0, &Probe(2));
         });
     }
@@ -618,7 +603,9 @@ mod tests {
                 None
             );
             assert_eq!(
-                pinned(&tok, || chain_count::<_, _, EpochManager>(&tok, sentinel)),
+                pinned(&tok, 2, || chain_count::<_, _, EpochManager>(
+                    &tok, sentinel
+                )),
                 2
             );
             drop(tok);
@@ -644,7 +631,7 @@ mod tests {
             assert_eq!(CMPS.get(), 4, "1, 2 | 1, 3: it did not step from 2 to 3");
             assert!(AT_CMP.with(|h| h.borrow().is_none()), "the snip ran");
             assert_eq!(
-                pinned(&tok, || chain_count::<_, _, HazardReclaimer>(
+                pinned(&tok, 2, || chain_count::<_, _, HazardReclaimer>(
                     &tok, sentinel
                 )),
                 2
@@ -671,7 +658,7 @@ mod tests {
             rt.coforall_tasks(2, |task| {
                 if task == 0 {
                     let tok = em.register();
-                    let n = pinned(&tok, || {
+                    let n = pinned(&tok, 2, || {
                         chain_count::<_, _, HazardReclaimer>(&tok, sentinel)
                     });
                     assert!(snipping.load(Ordering::SeqCst), "counted across the link");

@@ -28,8 +28,15 @@
 //! two maps are that module plus a policy for where chains live and who
 //! runs an operation on them — the shared-memory algorithm and the
 //! distribution policy kept apart, as the follow-up paper builds its
-//! global-view structures. (`skiplist`'s towers and `queue` are different
-//! algorithms and own theirs.)
+//! global-view structures. The skiplist keeps that shape for its towers:
+//! one snipping search and one protected read-only walk.
+//!
+//! Every structure operation pins through one private lifecycle, which
+//! clears the hazard slots the operation walked with and unpins on every
+//! exit, unwinding included, so a panicking `K::cmp`, `V::clone` or bounds
+//! assert never leaves a token pinned. The read-only accessors (`len`,
+//! `is_empty`) are racy — exact only in quiescence — but pinned: each
+//! registers a guard and reads under it, under either backend.
 //!
 //! All of them are usable from any locale; nodes carry the affinity of the
 //! task that allocated them. Every structure is generic over its
@@ -57,3 +64,23 @@ pub use rcu_array::RcuArray;
 pub use sharded_map::{ShardSnapshot, ShardedHashMap};
 pub use skiplist::LockFreeSkipList;
 pub use stack::LockFreeStack;
+
+use pgas_epoch::ReclaimGuard;
+
+/// Run `f` pinned; afterwards clear hazard slots `0..slots` (the ones the
+/// operation walks with) and unpin, also when `f` unwinds: a user `K::cmp`,
+/// a `V::clone` or a bounds assert may panic under the pin, and a token
+/// left pinned would block every later advance. The one way a structure
+/// operation pins.
+pub(crate) fn pinned<G: ReclaimGuard, T>(tok: &G, slots: usize, f: impl FnOnce() -> T) -> T {
+    struct Unpin<'g, G: ReclaimGuard>(&'g G, usize);
+    impl<G: ReclaimGuard> Drop for Unpin<'_, G> {
+        fn drop(&mut self) {
+            (0..self.1).for_each(|slot| self.0.release(slot));
+            self.0.unpin();
+        }
+    }
+    tok.pin();
+    let _unpin = Unpin(tok, slots);
+    f()
+}

@@ -22,9 +22,9 @@ use pgas_sim::telemetry::{key_hash64, opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr};
 
 use crate::chain::{
-    alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, pinned,
-    Node,
+    alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, Node,
 };
+use crate::pinned;
 
 /// A lock-free sorted set keyed by `K`, generic over its reclamation
 /// backend.
@@ -88,7 +88,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeList<K, R> {
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::ListOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, || chain_count::<K, (), R>(&g, self.head))
+        pinned(&g, 2, || chain_count::<K, (), R>(&g, self.head))
     }
 
     /// True when no unmarked nodes remain (racy; exact in quiescence).

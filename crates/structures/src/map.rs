@@ -38,8 +38,9 @@ use pgas_sim::{ctx, GlobalPtr, LocaleId};
 
 use crate::chain::{
     alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, gather_get,
-    hash_key, pinned, scatter_insert, Node,
+    hash_key, scatter_insert, Node,
 };
+use crate::pinned;
 
 /// A lock-free hash map with buckets distributed across locales, generic
 /// over its reclamation backend.
@@ -184,7 +185,7 @@ where
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::MapOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, || {
+        pinned(&g, 2, || {
             let count = |&sentinel| chain_count::<K, V, R>(&g, sentinel);
             self.buckets.iter().map(count).sum()
         })

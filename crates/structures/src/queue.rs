@@ -29,6 +29,8 @@ use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
+use crate::pinned;
+
 /// One queue cell. The node at `head` is always a dummy whose value has
 /// already been consumed (or never existed, for the initial sentinel).
 pub struct Node<T> {
@@ -87,45 +89,43 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
     /// Append `value` at the tail.
     pub fn enqueue(&self, tok: &R::Guard<'_>, value: T) {
         let span = OpSpan::start(OpClass::QueueOp, opkind::ENQUEUE, 0);
-        tok.pin();
-        let node = alloc_local(
-            &ctx::current_runtime(),
-            Node {
-                value: Some(ManuallyDrop::new(value)),
-                next: AtomicObject::null(),
-            },
-        );
-        loop {
-            // HP: publish+validate the tail node before dereferencing it.
-            let tail_snap = tok.protect_root_aba(0, &self.tail);
-            let tail = tail_snap.get_object();
-            // SAFETY: protected (pin or validated hazard).
-            let next = unsafe { tail.deref() }.next.read();
-            if next.is_null() {
-                if unsafe { tail.deref() }
-                    .next
-                    .compare_and_swap(GlobalPtr::null(), node)
-                {
-                    // Swing the tail; failure means someone helped us.
-                    let _ = self.tail.compare_and_swap_aba(tail_snap, node);
-                    break;
+        pinned(tok, 1, || {
+            let node = alloc_local(
+                &ctx::current_runtime(),
+                Node {
+                    value: Some(ManuallyDrop::new(value)),
+                    next: AtomicObject::null(),
+                },
+            );
+            loop {
+                // HP: publish+validate the tail node before dereferencing it.
+                let tail_snap = tok.protect_root_aba(0, &self.tail);
+                let tail = tail_snap.get_object();
+                // SAFETY: protected (pin or validated hazard).
+                let next = unsafe { tail.deref() }.next.read();
+                if next.is_null() {
+                    if unsafe { tail.deref() }
+                        .next
+                        .compare_and_swap(GlobalPtr::null(), node)
+                    {
+                        // Swing the tail; failure means someone helped us.
+                        let _ = self.tail.compare_and_swap_aba(tail_snap, node);
+                        break;
+                    }
+                } else {
+                    // Tail is lagging: help it forward.
+                    let _ = self.tail.compare_and_swap_aba(tail_snap, next);
                 }
-            } else {
-                // Tail is lagging: help it forward.
-                let _ = self.tail.compare_and_swap_aba(tail_snap, next);
+                // Reached only when the link CAS failed or the tail lagged.
+                span.retry();
             }
-            // Reached only when the link CAS failed or the tail lagged.
-            span.retry();
-        }
-        tok.release(0);
-        tok.unpin();
+        })
     }
 
     /// Remove and return the oldest value, or `None` when empty.
     pub fn dequeue(&self, tok: &R::Guard<'_>) -> Option<T> {
         let span = OpSpan::start(OpClass::QueueOp, opkind::DEQUEUE, 0);
-        tok.pin();
-        let result = loop {
+        pinned(tok, 2, || loop {
             let head_snap = tok.protect_root_aba(0, &self.head);
             let head = head_snap.get_object();
             let tail = self.tail.read();
@@ -165,31 +165,18 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
                 }
                 span.retry();
             }
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        result
+        })
     }
 
     /// Racy emptiness check (exact only in quiescence).
     pub fn is_empty(&self) -> bool {
         let _span = OpSpan::start(OpClass::QueueOp, opkind::LEN, 0);
-        if R::NEEDS_PROTECT {
-            let g = self.em.register();
-            g.pin();
-            let head_snap = g.protect_root_aba(0, &self.head);
-            let empty = unsafe { head_snap.get_object().deref() }
-                .next
-                .read()
-                .is_null();
-            g.release(0);
-            g.unpin();
-            empty
-        } else {
-            let head = self.head.read();
+        let g = self.em.register();
+        pinned(&g, 1, || {
+            let head = g.protect_root_aba(0, &self.head).get_object();
+            // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
             unsafe { head.deref() }.next.read().is_null()
-        }
+        })
     }
 
     /// Attempt an epoch advance / hazard scan + reclamation. What it can
@@ -221,9 +208,7 @@ impl<T: Send, R: Reclaimer> Drop for MsQueue<T, R> {
             let tok = self.em.register();
             while self.dequeue(&tok).is_some() {}
             // Retire the final dummy as well.
-            tok.pin();
-            tok.defer_delete(self.head.read());
-            tok.unpin();
+            pinned(&tok, 0, || tok.defer_delete(self.head.read()));
         };
         self.em.runtime().run_here_or_enter(teardown);
     }

@@ -21,12 +21,16 @@
 //! payloads); element reads/writes are atomic and charged as PGAS
 //! GET/PUT when the block is remote.
 
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pgas_atomics::AtomicObject;
 use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, alloc_on, ctx, engine, GlobalPtr, LocaleId};
+
+use crate::pinned;
 
 /// One fixed-size block of cells, owned by a single locale.
 pub struct Block {
@@ -48,6 +52,7 @@ pub struct RcuArray<R: Reclaimer = EpochManager> {
 
 // SAFETY: all shared state is atomics plus reclaimer-managed snapshots.
 unsafe impl<R: Reclaimer> Send for RcuArray<R> {}
+// SAFETY: as for `Send`.
 unsafe impl<R: Reclaimer> Sync for RcuArray<R> {}
 
 impl RcuArray {
@@ -108,20 +113,11 @@ impl<R: Reclaimer> RcuArray<R> {
     /// Logical length of the current snapshot.
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::RcuArrayOp, opkind::LEN, 0);
-        if R::NEEDS_PROTECT {
-            let g = self.em.register();
-            g.pin();
-            // SAFETY: hazard-validated root protection.
-            let n = unsafe { g.protect_root(0, &self.table).deref() }.len;
-            g.release(0);
-            g.unpin();
-            n
-        } else {
-            // SAFETY: the table pointer is always valid (grow defers,
-            // never frees in place); under EBR a racing grow can only
-            // make `len` stale, not dangling.
-            unsafe { self.table.read().deref() }.len
-        }
+        let g = self.em.register();
+        pinned(&g, 1, || {
+            // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
+            unsafe { g.protect_root(0, &self.table).deref() }.len
+        })
     }
 
     /// True when the array has zero length.
@@ -134,41 +130,43 @@ impl<R: Reclaimer> RcuArray<R> {
         ctx::with_core(|core, _| ((i / self.block_size) % core.num_locales()) as LocaleId)
     }
 
+    /// The block holding element `i`, looked up in the current snapshot
+    /// under `tok`'s protection. Blocks outlive every snapshot, so the
+    /// pointer stays valid after the unpin.
+    ///
+    /// # Panics
+    /// If `i` is out of bounds of the current snapshot.
+    fn block_of(&self, tok: &R::Guard<'_>, i: usize) -> GlobalPtr<Block> {
+        pinned(tok, 1, || {
+            // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
+            let t = unsafe { tok.protect_root(0, &self.table).deref() };
+            assert!(i < t.len, "index {i} out of bounds (len {})", t.len);
+            t.blocks[i / self.block_size]
+        })
+    }
+
     /// Read element `i` under the token's protection.
     ///
     /// # Panics
     /// If `i` is out of bounds of the current snapshot.
     pub fn read(&self, tok: &R::Guard<'_>, i: usize) -> u64 {
         let _span = OpSpan::start(OpClass::RcuArrayOp, opkind::READ, i as u64);
-        tok.pin();
-        let v = ctx::with_core(|core, _| {
-            // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
-            let t = unsafe { tok.protect_root(0, &self.table).deref() };
-            assert!(i < t.len, "index {i} out of bounds (len {})", t.len);
-            let block = t.blocks[i / self.block_size];
-            engine::get(core, block.locale(), 8);
-            // SAFETY: blocks live until the array drops.
-            unsafe { block.deref() }.cells[i % self.block_size].load(Ordering::SeqCst)
-        });
-        tok.release(0);
-        tok.unpin();
-        v
+        let block = self.block_of(tok, i);
+        ctx::with_core(|core, _| engine::get(core, block.locale(), 8));
+        // SAFETY: blocks live until the array drops.
+        unsafe { block.deref() }.cells[i % self.block_size].load(Ordering::SeqCst)
     }
 
     /// Write element `i` under the token's protection.
+    ///
+    /// # Panics
+    /// If `i` is out of bounds of the current snapshot.
     pub fn write(&self, tok: &R::Guard<'_>, i: usize, v: u64) {
         let _span = OpSpan::start(OpClass::RcuArrayOp, opkind::WRITE, i as u64);
-        tok.pin();
-        ctx::with_core(|core, _| {
-            // SAFETY: as in `read`.
-            let t = unsafe { tok.protect_root(0, &self.table).deref() };
-            assert!(i < t.len, "index {i} out of bounds (len {})", t.len);
-            let block = t.blocks[i / self.block_size];
-            engine::put(core, block.locale(), 8);
-            unsafe { block.deref() }.cells[i % self.block_size].store(v, Ordering::SeqCst);
-        });
-        tok.release(0);
-        tok.unpin();
+        let block = self.block_of(tok, i);
+        ctx::with_core(|core, _| engine::put(core, block.locale(), 8));
+        // SAFETY: blocks live until the array drops.
+        unsafe { block.deref() }.cells[i % self.block_size].store(v, Ordering::SeqCst);
     }
 
     /// Grow the array to at least `new_len` cells. Lock-free: builds a
@@ -178,10 +176,9 @@ impl<R: Reclaimer> RcuArray<R> {
     /// length.
     pub fn grow(&self, tok: &R::Guard<'_>, new_len: usize) -> usize {
         let span = OpSpan::start(OpClass::RcuArrayOp, opkind::GROW, new_len as u64);
-        tok.pin();
-        let result = loop {
+        pinned(tok, 1, || loop {
             let cur_ptr = tok.protect_root(0, &self.table);
-            // SAFETY: protected.
+            // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
             let cur = unsafe { cur_ptr.deref() };
             if cur.len >= new_len {
                 break cur.len;
@@ -206,7 +203,7 @@ impl<R: Reclaimer> RcuArray<R> {
             }
             // Lost the race: free our unpublished table and its *fresh*
             // blocks (shared older blocks belong to the winner's table).
-            // SAFETY: never published.
+            // SAFETY: never published, so nobody else can reach it.
             unsafe {
                 let t = &*new_table.as_ptr();
                 for &b in &t.blocks[fresh_from..] {
@@ -215,10 +212,7 @@ impl<R: Reclaimer> RcuArray<R> {
                 pgas_sim::free(&rt, new_table);
             }
             span.retry();
-        };
-        tok.release(0);
-        tok.unpin();
-        result
+        })
     }
 
     /// Attempt an epoch advance / hazard scan (reclaims superseded
@@ -398,6 +392,25 @@ mod tests {
             let tok = a.register();
             let _ = a.read(&tok, 4);
         });
+    }
+
+    #[test]
+    fn an_out_of_bounds_read_leaves_the_caller_unpinned() {
+        let rt = zrt(1);
+        rt.run(|| {
+            let a = RcuArray::new(4, 4);
+            let tok = a.register();
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.read(&tok, 4)));
+            assert!(got.is_err(), "the bounds assert fired");
+            assert!(!tok.is_pinned());
+            assert!(a.try_reclaim());
+            assert!(
+                a.try_reclaim(),
+                "a token left pinned in the first epoch would block this advance"
+            );
+            assert_eq!(a.read(&tok, 3), 0, "the array still works");
+        });
+        assert_eq!(rt.live_objects(), 0);
     }
 
     #[test]

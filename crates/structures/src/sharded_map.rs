@@ -38,8 +38,9 @@ use pgas_sim::{ctx, GlobalPtr, LocaleId, PerThread, ShardRouter};
 
 use crate::chain::{
     alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, gather_get,
-    hash_key, pinned, scatter_insert, Node,
+    hash_key, scatter_insert, Node,
 };
+use crate::pinned;
 
 /// Routing/traffic counters a sharded map accumulates over its lifetime:
 /// the cells of its [`PerThread`] block, one per [`ShardSnapshot`] counter.
@@ -302,7 +303,7 @@ where
         for l in 0..self.shards.len() {
             total += rt.on(l as LocaleId, || {
                 let g = self.em.register();
-                pinned(&g, || {
+                pinned(&g, 2, || {
                     let count = |&sentinel| chain_count::<K, V, R>(&g, sentinel);
                     self.shards[l].iter().map(count).sum::<usize>()
                 })

@@ -10,11 +10,25 @@
 //!   list that defines membership, upper levels are index shortcuts;
 //! * removal marks the tower top-down, and the level-0 mark is the
 //!   linearization point of a successful `remove`;
-//! * traversals snip marked nodes per level; the task whose CAS unlinks
-//!   a node at **level 0** hands it to the [`Reclaimer`] (exactly-once
-//!   retirement, as in [`crate::list`]);
-//! * node heights come from a deterministic xorshift on the node address
+//! * node heights come from a deterministic hash of the node address
 //!   (geometric, p = 1/2), so no RNG state is shared.
+//!
+//! ## One search, one walk
+//!
+//! The towers follow the Harris chain's split (the private `chain`
+//! module, which serves [`crate::LockFreeList`] and both maps):
+//!
+//! * `find` is the one snipping search. `insert` and `remove` use it; it
+//!   unlinks marked nodes per level, and the task whose CAS unlinks a node
+//!   at **level 0** hands it to the [`Reclaimer`] (exactly-once
+//!   retirement).
+//! * `walk` is the one protected read-only walk. `contains`,
+//!   `collect_range` and `len` fold over it. It descends the index levels
+//!   to the first node not before a start key, then folds level 0, and
+//!   never writes. EBR steps over marked links; HP cannot (the marked
+//!   node's successor may already be retired), so it starts over, and
+//!   relies on `remove`'s trailing `find` for the link to be gone
+//!   eventually.
 //!
 //! ## Hazard pointers and the index levels
 //!
@@ -31,19 +45,24 @@
 //! relinks); A8 quantifies what the cap costs HP in exchange for stall
 //! tolerance.
 
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+
 use std::hash::Hash;
+use std::mem::MaybeUninit;
 
 use pgas_atomics::AtomicObject;
 use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{key_hash64, opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
+use crate::pinned;
+
 /// Maximum tower height (supports ~2^16 elements at p = 1/2 comfortably).
 pub const MAX_HEIGHT: usize = 12;
 
 /// One skiplist node: key + full-height tower (levels ≥ `height` unused).
 pub struct Node<K> {
-    key: std::mem::MaybeUninit<K>,
+    key: MaybeUninit<K>,
     height: usize,
     next: [AtomicObject<Node<K>>; MAX_HEIGHT],
 }
@@ -53,12 +72,9 @@ impl<K: Copy> Node<K> {
     /// Must not be called on the head sentinel.
     #[inline]
     unsafe fn key(&self) -> K {
+        // SAFETY: every node but the head is built with its key.
         unsafe { self.key.assume_init() }
     }
-}
-
-fn new_tower<K>() -> [AtomicObject<Node<K>>; MAX_HEIGHT] {
-    std::array::from_fn(|_| AtomicObject::null())
 }
 
 /// Geometric height from a deterministic hash of the node address. The
@@ -83,6 +99,7 @@ pub struct LockFreeSkipList<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer 
 
 // SAFETY: shared state is atomic towers plus the reclaimer.
 unsafe impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> Send for LockFreeSkipList<K, R> {}
+// SAFETY: as for `Send`.
 unsafe impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> Sync for LockFreeSkipList<K, R> {}
 
 type FindResult<K> = (
@@ -110,9 +127,9 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
         let head = alloc_local(
             &ctx::current_runtime(),
             Node {
-                key: std::mem::MaybeUninit::uninit(),
+                key: MaybeUninit::uninit(),
                 height: MAX_HEIGHT,
-                next: new_tower(),
+                next: std::array::from_fn(|_| AtomicObject::null()),
             },
         );
         LockFreeSkipList {
@@ -136,30 +153,24 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
             let mut preds = [GlobalPtr::null(); MAX_HEIGHT];
             let mut succs = [GlobalPtr::null(); MAX_HEIGHT];
             let mut pred = self.head;
-            let mut pred_slot = 1usize;
-            let mut curr_slot = 0usize;
+            // SAFETY: the head is never reclaimed while the set lives.
+            let mut pred_ref = unsafe { pred.deref() };
+            // `curr` is protected in `slot`, `pred` in the other one.
+            let mut slot = 0usize;
             for level in (0..MAX_HEIGHT).rev() {
-                // SAFETY: pred is head (never reclaimed) or a protected
-                // unmarked node seen this pass.
-                let pred_ref = unsafe { pred.deref() };
                 let mut curr = pred_ref.next[level].read().without_mark();
                 if !curr.is_null()
-                    && !tok.protect_ptr(curr_slot, curr, || pred_ref.next[level].read() == curr)
+                    && !tok.protect_ptr(slot, curr, || pred_ref.next[level].read() == curr)
                 {
                     continue 'retry;
                 }
-                loop {
-                    if curr.is_null() {
-                        break;
-                    }
+                while !curr.is_null() {
                     // SAFETY: protected — pinned (EBR) or validated (HP).
                     let curr_ref = unsafe { curr.deref() };
                     let succ = curr_ref.next[level].read();
                     if succ.is_marked() {
                         // Physically unlink at this level.
-                        if !unsafe { pred.deref() }.next[level]
-                            .compare_and_swap(curr, succ.without_mark())
-                        {
+                        if !pred_ref.next[level].compare_and_swap(curr, succ.without_mark()) {
                             continue 'retry;
                         }
                         if level == 0 {
@@ -168,97 +179,142 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
                             tok.defer_delete(curr);
                         }
                         curr = succ.without_mark();
-                        let pred_ref = unsafe { pred.deref() };
                         if !curr.is_null()
-                            && !tok.protect_ptr(curr_slot, curr, || {
-                                pred_ref.next[level].read() == curr
-                            })
+                            && !tok.protect_ptr(slot, curr, || pred_ref.next[level].read() == curr)
                         {
                             continue 'retry;
                         }
-                    } else if unsafe { curr_ref.key() } < *key {
-                        pred = curr;
-                        std::mem::swap(&mut pred_slot, &mut curr_slot);
-                        curr = succ;
-                        if !tok.protect_ptr(curr_slot, curr, || curr_ref.next[level].read() == succ)
-                        {
-                            continue 'retry;
-                        }
-                    } else {
+                        continue;
+                    }
+                    // SAFETY: `curr` is an entry node, never the head.
+                    if unsafe { curr_ref.key() } >= *key {
                         break;
+                    }
+                    pred = curr;
+                    pred_ref = curr_ref;
+                    slot ^= 1;
+                    curr = succ;
+                    if !tok.protect_ptr(slot, curr, || pred_ref.next[level].read() == succ) {
+                        continue 'retry;
                     }
                 }
                 preds[level] = pred;
                 succs[level] = curr;
             }
+            // SAFETY: a non-null `succs[0]` is a protected entry node.
             let found = !succs[0].is_null() && unsafe { succs[0].deref().key() } == *key;
             return (preds, succs, found);
         }
     }
 
-    /// Tower height for a new node: full geometric towers under EBR, 1
-    /// under hazard pointers (see the module docs).
-    fn node_height(addr: usize) -> usize {
-        if R::NEEDS_PROTECT {
-            1
-        } else {
-            height_for(addr)
+    /// The one protected read-only walk (module docs): folds `visit` over
+    /// the live level-0 keys not before `from`, in order, until it returns
+    /// `false`. Caller must be pinned; HP protects in slots 0/1.
+    fn walk<T: Default>(
+        &self,
+        tok: &R::Guard<'_>,
+        from: Option<K>,
+        mut visit: impl FnMut(&mut T, K) -> bool,
+    ) -> T {
+        'retry: loop {
+            let mut acc = T::default();
+            // SAFETY: the head is never reclaimed while the set lives.
+            let mut pred_ref = unsafe { self.head.deref() };
+            let mut slot = 0usize;
+            let top = if from.is_some() { MAX_HEIGHT } else { 1 };
+            for level in (0..top).rev() {
+                let mut curr = pred_ref.next[level].read().without_mark();
+                if !curr.is_null()
+                    && !tok.protect_ptr(slot, curr, || pred_ref.next[level].read() == curr)
+                {
+                    continue 'retry;
+                }
+                while !curr.is_null() {
+                    // SAFETY: protected — pinned (EBR) or validated (HP).
+                    let curr_ref = unsafe { curr.deref() };
+                    let succ = curr_ref.next[level].read();
+                    if succ.is_marked() {
+                        if R::NEEDS_PROTECT {
+                            continue 'retry;
+                        }
+                        curr = succ.without_mark();
+                        continue;
+                    }
+                    // SAFETY: `curr` is an entry node, never the head.
+                    let k = unsafe { curr_ref.key() };
+                    if from.is_some_and(|from| k < from) {
+                        pred_ref = curr_ref;
+                    } else if level > 0 || !visit(&mut acc, k) {
+                        break;
+                    }
+                    slot ^= 1;
+                    curr = succ;
+                    if !curr.is_null()
+                        && !tok.protect_ptr(slot, curr, || curr_ref.next[level].read() == succ)
+                    {
+                        continue 'retry;
+                    }
+                }
+            }
+            return acc;
         }
     }
 
     /// Insert `key`; `false` if already present.
     pub fn insert(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let span = OpSpan::start(OpClass::SkipListOp, opkind::INSERT, key_hash64(&key));
-        tok.pin();
-        let result = 'outer: loop {
+        pinned(tok, 2, || 'outer: loop {
             let (mut preds, mut succs, found) = self.find(tok, &key);
             if found {
                 break false;
             }
-            // Build the node with its bottom link pre-set.
             let node = alloc_local(
                 &ctx::current_runtime(),
                 Node {
-                    key: std::mem::MaybeUninit::new(key),
+                    key: MaybeUninit::new(key),
                     height: 0, // patched below (needs the address)
-                    next: new_tower(),
+                    next: std::array::from_fn(|_| AtomicObject::null()),
                 },
             );
-            let height = Self::node_height(node.addr());
-            // SAFETY: unpublished.
+            // Full geometric towers under EBR, 1 under HP (module docs).
+            let height = if R::NEEDS_PROTECT {
+                1
+            } else {
+                height_for(node.addr())
+            };
+            // SAFETY: unpublished, so this task owns it outright.
             unsafe { &mut *node.as_ptr() }.height = height;
+            // SAFETY: live while pinned (EBR); under HP (height 1) it is
+            // not read once the level-0 CAS has published it.
+            let node_ref = unsafe { node.deref() };
             for (level, &succ) in succs.iter().enumerate().take(height) {
-                unsafe { node.deref() }.next[level].write(succ);
+                node_ref.next[level].write(succ);
             }
-            // Linearization: link level 0. preds[0] is protected by
-            // find's walking slots.
+            // Linearization: link level 0.
+            // SAFETY: `preds[0]` is protected by find's walking slots.
             if !unsafe { preds[0].deref() }.next[0].compare_and_swap(succs[0], node) {
-                // Lost the race; node unpublished — free and retry.
-                unsafe {
-                    (*node.as_ptr()).key.assume_init_drop();
-                    pgas_sim::free(&ctx::current_runtime(), node);
-                }
+                // Lost the race; the node is unpublished — free and retry.
+                // SAFETY: never published; `K: Copy` needs no drop.
+                unsafe { pgas_sim::free(&ctx::current_runtime(), node) };
                 span.retry();
-                continue 'outer;
+                continue;
             }
             // Link the index levels (best effort; removal may intervene).
-            // Unreachable under HP (height is 1): `node` may not be
-            // dereferenced once published without its own protection.
             for level in 1..height {
                 loop {
-                    let node_next = unsafe { node.deref() }.next[level].read();
+                    let node_next = node_ref.next[level].read();
                     if node_next.is_marked() {
                         // Node is being removed; stop indexing it.
                         break 'outer true;
                     }
                     // Point the node at the current successor first…
                     if node_next != succs[level]
-                        && !unsafe { node.deref() }.next[level]
-                            .compare_and_swap(node_next, succs[level])
+                        && !node_ref.next[level].compare_and_swap(node_next, succs[level])
                     {
                         continue; // re-read (marked or raced)
                     }
                     // …then splice it in.
+                    // SAFETY: pinned; index levels exist only under EBR.
                     if unsafe { preds[level].deref() }.next[level]
                         .compare_and_swap(succs[level], node)
                     {
@@ -275,121 +331,57 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
                 }
             }
             break true;
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        result
+        })
     }
 
     /// Remove `key`; `false` if absent.
     pub fn remove(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::REMOVE, key_hash64(&key));
-        tok.pin();
-        let result = self.remove_pinned(tok, key);
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        result
-    }
-
-    fn remove_pinned(&self, tok: &R::Guard<'_>, key: K) -> bool {
-        let (_, succs, found) = self.find(tok, &key);
-        if !found {
-            return false;
-        }
-        let node = succs[0];
-        // SAFETY: protected by find's walking slots (held until the next
-        // find call, by which point `node_ref` is no longer used).
-        let node_ref = unsafe { node.deref() };
-        // Mark the index levels top-down (idempotent).
-        for level in (1..node_ref.height).rev() {
+        pinned(tok, 2, || {
+            let (_, succs, found) = self.find(tok, &key);
+            if !found {
+                return false;
+            }
+            // SAFETY: protected by find's walking slots (held until the
+            // next find call, by which point `node` is no longer used).
+            let node = unsafe { succs[0].deref() };
+            // Mark the index levels top-down (idempotent).
+            for level in (1..node.height).rev() {
+                loop {
+                    let succ = node.next[level].read();
+                    if succ.is_marked() || node.next[level].compare_and_swap(succ, succ.with_mark())
+                    {
+                        break;
+                    }
+                }
+            }
+            // Level 0 mark: the linearization point. Exactly one remover
+            // wins it; a CAS that fails because the successor moved retries,
+            // one that fails because the mark landed concedes.
             loop {
-                let succ = node_ref.next[level].read();
+                let succ = node.next[0].read();
                 if succ.is_marked() {
-                    break;
+                    return false; // somebody else removed it first
                 }
-                if node_ref.next[level].compare_and_swap(succ, succ.with_mark()) {
-                    break;
+                if node.next[0].compare_and_swap(succ, succ.with_mark()) {
+                    // Trigger physical unlink (and the retirement, inside
+                    // find's level-0 snip).
+                    let _ = self.find(tok, &key);
+                    return true;
                 }
             }
-        }
-        // Level 0 mark: the linearization point. Exactly one remover
-        // wins it; a CAS that fails because the successor moved retries,
-        // one that fails because the mark landed concedes.
-        loop {
-            let succ = node_ref.next[0].read();
-            if succ.is_marked() {
-                return false; // somebody else removed it first
-            }
-            if node_ref.next[0].compare_and_swap(succ, succ.with_mark()) {
-                // Trigger physical unlink (and the retirement, inside
-                // find's level-0 snip).
-                let _ = self.find(tok, &key);
-                return true;
-            }
-        }
+        })
     }
 
     /// Membership test (read-only: no snipping).
     pub fn contains(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::CONTAINS, key_hash64(&key));
-        tok.pin();
-        let found = 'retry: loop {
-            let mut pred = self.head;
-            let mut pred_slot = 1usize;
-            let mut curr_slot = 0usize;
-            let mut found = false;
-            for level in (0..MAX_HEIGHT).rev() {
-                // SAFETY: head, or a protected unmarked node.
-                let pred_ref = unsafe { pred.deref() };
-                let mut curr = pred_ref.next[level].read().without_mark();
-                if !curr.is_null()
-                    && !tok.protect_ptr(curr_slot, curr, || pred_ref.next[level].read() == curr)
-                {
-                    continue 'retry;
-                }
-                loop {
-                    if curr.is_null() {
-                        break;
-                    }
-                    let curr_ref = unsafe { curr.deref() };
-                    let succ = curr_ref.next[level].read();
-                    if succ.is_marked() {
-                        // HP cannot step across a marked link; EBR walks
-                        // straight through, as before.
-                        if R::NEEDS_PROTECT {
-                            continue 'retry;
-                        }
-                        curr = succ.without_mark();
-                        continue;
-                    }
-                    let k = unsafe { curr_ref.key() };
-                    if k < key {
-                        pred = curr;
-                        std::mem::swap(&mut pred_slot, &mut curr_slot);
-                        curr = succ;
-                        if !curr.is_null()
-                            && !tok.protect_ptr(curr_slot, curr, || {
-                                curr_ref.next[level].read() == succ
-                            })
-                        {
-                            continue 'retry;
-                        }
-                    } else {
-                        if level == 0 {
-                            found = k == key;
-                        }
-                        break;
-                    }
-                }
-            }
-            break found;
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        found
+        pinned(tok, 2, || {
+            self.walk(tok, Some(key), |found, k| {
+                *found = k == key;
+                false
+            })
+        })
     }
 
     /// Collect every present key in `[lo, hi)` under the token's pin —
@@ -398,144 +390,26 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
     /// range scan).
     pub fn collect_range(&self, tok: &R::Guard<'_>, lo: K, hi: K) -> Vec<K> {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::RANGE, key_hash64(&lo));
-        tok.pin();
-        let out = 'retry: loop {
-            let mut out = Vec::new();
-            // Descend to the first node >= lo using the index levels…
-            let mut pred = self.head;
-            let mut pred_slot = 1usize;
-            let mut curr_slot = 0usize;
-            for level in (0..MAX_HEIGHT).rev() {
-                // SAFETY: head, or a protected unmarked node.
-                let pred_ref = unsafe { pred.deref() };
-                let mut curr = pred_ref.next[level].read().without_mark();
-                if !curr.is_null()
-                    && !tok.protect_ptr(curr_slot, curr, || pred_ref.next[level].read() == curr)
-                {
-                    continue 'retry;
-                }
-                while !curr.is_null() {
-                    let curr_ref = unsafe { curr.deref() };
-                    let succ = curr_ref.next[level].read();
-                    if succ.is_marked() {
-                        if R::NEEDS_PROTECT {
-                            continue 'retry;
-                        }
-                        curr = succ.without_mark();
-                        continue;
-                    }
-                    if unsafe { curr_ref.key() } < lo {
-                        pred = curr;
-                        std::mem::swap(&mut pred_slot, &mut curr_slot);
-                        curr = succ;
-                        if !curr.is_null()
-                            && !tok.protect_ptr(curr_slot, curr, || {
-                                curr_ref.next[level].read() == succ
-                            })
-                        {
-                            continue 'retry;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-            }
-            // …then walk level 0 through the range.
-            let pred_ref = unsafe { pred.deref() };
-            let mut curr = pred_ref.next[0].read().without_mark();
-            if !curr.is_null()
-                && !tok.protect_ptr(curr_slot, curr, || pred_ref.next[0].read() == curr)
-            {
-                continue 'retry;
-            }
-            let mut restart = false;
-            while !curr.is_null() {
-                let curr_ref = unsafe { curr.deref() };
-                let succ = curr_ref.next[0].read();
-                let k = unsafe { curr_ref.key() };
-                if k >= hi {
-                    break;
-                }
-                if R::NEEDS_PROTECT && succ.is_marked() {
-                    restart = true;
-                    break;
-                }
-                if !succ.is_marked() && k >= lo {
+        pinned(tok, 2, || {
+            self.walk(tok, Some(lo), |out: &mut Vec<K>, k| {
+                if k < hi {
                     out.push(k);
                 }
-                let prev_ref = curr_ref;
-                std::mem::swap(&mut pred_slot, &mut curr_slot);
-                curr = succ.without_mark();
-                if !curr.is_null()
-                    && !tok.protect_ptr(curr_slot, curr, || prev_ref.next[0].read() == succ)
-                {
-                    restart = true;
-                    break;
-                }
-            }
-            if restart {
-                continue 'retry;
-            }
-            break out;
-        };
-        tok.release(0);
-        tok.release(1);
-        tok.unpin();
-        out
+                k < hi
+            })
+        })
     }
 
     /// Number of present keys (racy; exact in quiescence).
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::LEN, 0);
-        if R::NEEDS_PROTECT {
-            let g = self.em.register();
-            g.pin();
-            let n = 'retry: loop {
-                // SAFETY: head sentinel, never reclaimed.
-                let mut prev_ref = unsafe { self.head.deref() };
-                let mut prev_slot = 1usize;
-                let mut curr_slot = 0usize;
-                let mut curr = prev_ref.next[0].read().without_mark();
-                if !curr.is_null()
-                    && !g.protect_ptr(curr_slot, curr, || prev_ref.next[0].read() == curr)
-                {
-                    continue 'retry;
-                }
-                let mut n = 0usize;
-                while !curr.is_null() {
-                    let curr_ref = unsafe { curr.deref() };
-                    let succ = curr_ref.next[0].read();
-                    if succ.is_marked() {
-                        continue 'retry;
-                    }
-                    n += 1;
-                    prev_ref = curr_ref;
-                    std::mem::swap(&mut prev_slot, &mut curr_slot);
-                    curr = succ;
-                    if !curr.is_null()
-                        && !g.protect_ptr(curr_slot, curr, || prev_ref.next[0].read() == succ)
-                    {
-                        continue 'retry;
-                    }
-                }
-                break n;
-            };
-            g.release(0);
-            g.release(1);
-            g.unpin();
-            n
-        } else {
-            let mut n = 0;
-            let mut curr = unsafe { self.head.deref() }.next[0].read().without_mark();
-            while !curr.is_null() {
-                let succ = unsafe { curr.deref() }.next[0].read();
-                if !succ.is_marked() {
-                    n += 1;
-                }
-                curr = succ.without_mark();
-            }
-            n
-        }
+        let g = self.em.register();
+        pinned(&g, 2, || {
+            self.walk(&g, None, |n: &mut usize, _| {
+                *n += 1;
+                true
+            })
+        })
     }
 
     /// True when empty (racy; exact in quiescence).
@@ -573,7 +447,9 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> Drop for LockFreeSkipL
             // Quiescent teardown: walk level 0 and free everything.
             let mut curr = self.head;
             while !curr.is_null() {
+                // SAFETY: quiescent; each node is read, then freed, once.
                 let next = unsafe { curr.deref() }.next[0].read().without_mark();
+                // SAFETY: as above.
                 unsafe { pgas_sim::free(&rt, curr) };
                 curr = next;
             }
@@ -823,6 +699,54 @@ mod tests {
             });
             assert_eq!(s.len(), 4 * 25);
             s.clear_reclaim();
+        });
+        assert_eq!(rt.live_objects(), 0);
+    }
+
+    static ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    /// A key whose next comparison panics once `ARMED` is set.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
+    struct CmpBomb(u8);
+
+    impl PartialOrd for CmpBomb {
+        fn partial_cmp(&self, other: &CmpBomb) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for CmpBomb {
+        fn cmp(&self, other: &CmpBomb) -> std::cmp::Ordering {
+            if ARMED.swap(false, Ordering::SeqCst) {
+                panic!("cmp bomb");
+            }
+            self.0.cmp(&other.0)
+        }
+    }
+
+    #[test]
+    fn a_key_cmp_that_panics_leaves_the_caller_unpinned() {
+        let rt = zrt(1);
+        rt.run(|| {
+            let s = LockFreeSkipList::<CmpBomb>::new();
+            let tok = s.register();
+            assert!(s.insert(&tok, CmpBomb(1)));
+            for op in ["insert", "contains"] {
+                ARMED.store(true, Ordering::SeqCst);
+                let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match op {
+                    "insert" => s.insert(&tok, CmpBomb(2)),
+                    _ => s.contains(&tok, CmpBomb(1)),
+                }));
+                assert!(got.is_err(), "{op}: the comparison panicked");
+                assert!(!tok.is_pinned(), "{op}");
+                assert!(s.try_reclaim(), "{op}");
+                assert!(
+                    s.try_reclaim(),
+                    "{op}: a token left pinned in the first epoch would block this advance"
+                );
+            }
+            assert!(s.contains(&tok, CmpBomb(1)), "the set still works");
+            assert_eq!(s.len(), 1);
         });
         assert_eq!(rt.live_objects(), 0);
     }

@@ -29,6 +29,8 @@ use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
+use crate::pinned;
+
 /// One stack cell.
 pub struct Node<T> {
     value: ManuallyDrop<T>,
@@ -80,32 +82,31 @@ impl<T: Send, R: Reclaimer> LockFreeStack<T, R> {
     /// dereferenced.
     pub fn push(&self, tok: &R::Guard<'_>, value: T) {
         let span = OpSpan::start(OpClass::StackOp, opkind::PUSH, 0);
-        tok.pin();
-        let node = alloc_local(
-            &ctx::current_runtime(),
-            Node {
-                value: ManuallyDrop::new(value),
-                next: GlobalPtr::null(),
-            },
-        );
-        loop {
-            let old_head = self.head.read_aba();
-            // The node is unpublished: writing next is race-free.
-            unsafe { &mut *node.as_ptr() }.next = old_head.get_object();
-            if self.head.compare_and_swap_aba(old_head, node) {
-                break;
+        pinned(tok, 0, || {
+            let node = alloc_local(
+                &ctx::current_runtime(),
+                Node {
+                    value: ManuallyDrop::new(value),
+                    next: GlobalPtr::null(),
+                },
+            );
+            loop {
+                let old_head = self.head.read_aba();
+                // The node is unpublished: writing next is race-free.
+                unsafe { &mut *node.as_ptr() }.next = old_head.get_object();
+                if self.head.compare_and_swap_aba(old_head, node) {
+                    break;
+                }
+                span.retry();
             }
-            span.retry();
-        }
-        tok.unpin();
+        })
     }
 
     /// Pop the top value, or `None` when empty. The removed node is
     /// deferred to the reclaimer.
     pub fn pop(&self, tok: &R::Guard<'_>) -> Option<T> {
         let span = OpSpan::start(OpClass::StackOp, opkind::POP, 0);
-        tok.pin();
-        let result = loop {
+        pinned(tok, 1, || loop {
             // Under HP this publishes+validates the head in slot 0; under
             // EBR it is a plain `read_aba`.
             let old_head = tok.protect_root_aba(0, &self.head);
@@ -124,10 +125,7 @@ impl<T: Send, R: Reclaimer> LockFreeStack<T, R> {
                 break Some(value);
             }
             span.retry();
-        };
-        tok.release(0);
-        tok.unpin();
-        result
+        })
     }
 
     /// Racy emptiness check (exact only in quiescence).

@@ -149,33 +149,15 @@ proptest! {
     }
 
     /// The skiplist matches a BTreeSet for any insert/remove/contains
-    /// sequence, and its range scans match the model's ranges.
+    /// sequence, and its range scans match the model's ranges, under both
+    /// reclaimers (HP caps the towers at one level, and its read-only walk
+    /// restarts at a marked link instead of stepping over it).
     #[test]
     fn skiplist_matches_btreeset_model(
         ops in proptest::collection::vec((0u8..4, 0u8..48, 0u8..48), 1..100)
     ) {
-        let rt = Runtime::new(RuntimeConfig::zero_latency(1));
-        rt.run(|| {
-            let s = LockFreeSkipList::new();
-            let tok = s.register();
-            let mut model = std::collections::BTreeSet::new();
-            for (op, a, b) in &ops {
-                match op {
-                    0 => prop_assert_eq!(s.insert(&tok, *a), model.insert(*a)),
-                    1 => prop_assert_eq!(s.remove(&tok, *a), model.remove(a)),
-                    2 => prop_assert_eq!(s.contains(&tok, *a), model.contains(a)),
-                    _ => {
-                        let (lo, hi) = (*a.min(b), *a.max(b));
-                        let got = s.collect_range(&tok, lo, hi);
-                        let expect: Vec<u8> = model.range(lo..hi).copied().collect();
-                        prop_assert_eq!(got, expect);
-                    }
-                }
-            }
-            prop_assert_eq!(s.len(), model.len());
-            Ok(())
-        })?;
-        assert_eq!(rt.live_objects(), 0);
+        skiplist_against_model::<EpochManager>(&ops)?;
+        skiplist_against_model::<HazardReclaimer>(&ops)?;
     }
 
     /// The Harris list matches a BTreeSet for any insert/remove/contains
@@ -237,4 +219,31 @@ proptest! {
             Ok(())
         })?;
     }
+}
+
+/// One `skiplist_matches_btreeset_model` case under reclaimer `R`.
+fn skiplist_against_model<R: Reclaimer>(ops: &[(u8, u8, u8)]) -> Result<(), TestCaseError> {
+    let rt = Runtime::new(RuntimeConfig::zero_latency(1));
+    rt.run(|| {
+        let s = LockFreeSkipList::<u8, R>::with_reclaimer();
+        let tok = s.register();
+        let mut model = std::collections::BTreeSet::new();
+        for (op, a, b) in ops {
+            match op {
+                0 => prop_assert_eq!(s.insert(&tok, *a), model.insert(*a)),
+                1 => prop_assert_eq!(s.remove(&tok, *a), model.remove(a)),
+                2 => prop_assert_eq!(s.contains(&tok, *a), model.contains(a)),
+                _ => {
+                    let (lo, hi) = (*a.min(b), *a.max(b));
+                    let got = s.collect_range(&tok, lo, hi);
+                    let expect: Vec<u8> = model.range(lo..hi).copied().collect();
+                    prop_assert_eq!(got, expect);
+                }
+            }
+        }
+        prop_assert_eq!(s.len(), model.len());
+        Ok(())
+    })?;
+    assert_eq!(rt.live_objects(), 0);
+    Ok(())
 }

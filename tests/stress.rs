@@ -4,7 +4,7 @@
 //! bug (premature reclamation) or a lost-update bug in the atomics.
 
 use pgas_nonblocking::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// A value whose destructor poisons it, so any post-free read is caught.
 struct Canary {
@@ -295,4 +295,119 @@ fn unelected_reclaim_is_safe_under_contention() {
         em.clear();
     });
     assert_eq!(rt.live_objects(), 0);
+}
+
+/// Each churning task's operation count in
+/// `read_only_accessors_survive_concurrent_reclamation`.
+const CHURN_OPS: u64 = 512;
+
+/// Two tasks per locale: task 0 loops `read` until every other task has
+/// run `CHURN_OPS` rounds of `churn`, each calling `try_reclaim` every 32.
+fn churn_against_reader<R: Reclaimer>(
+    rt: &Runtime,
+    em: &R,
+    churn: impl Fn(&R::Guard<'_>, usize, u64) + Sync,
+    read: impl Fn() + Sync,
+) {
+    let churning = AtomicUsize::new(rt.num_locales() * 2 - 1);
+    rt.coforall_locales(|l| {
+        rt.coforall_tasks(2, |t| {
+            let t = l as usize * 2 + t;
+            if t == 0 {
+                while churning.load(Ordering::SeqCst) > 0 {
+                    read();
+                }
+                return;
+            }
+            let tok = em.register();
+            for i in 0..CHURN_OPS {
+                churn(&tok, t, i);
+                if i % 32 == 0 {
+                    em.try_reclaim();
+                }
+            }
+            churning.fetch_sub(1, Ordering::SeqCst);
+        });
+    });
+    em.clear();
+    let s = em.stats();
+    assert_eq!(
+        s.objects_deferred,
+        s.objects_reclaimed,
+        "{}: conservation after clear",
+        em.backend_name()
+    );
+}
+
+fn readers_against_reclamation<R: Reclaimer>() {
+    let rt = Runtime::new(RuntimeConfig::zero_latency(4));
+    rt.run(|| {
+        let s = LockFreeSkipList::<u16, R>::with_reclaimer();
+        let net = AtomicI64::new(0);
+        let churn = |tok: &R::Guard<'_>, t: usize, i: u64| {
+            let k = ((t as u64 * 37 + i) % 64) as u16;
+            if i.is_multiple_of(2) {
+                if s.insert(tok, k) {
+                    net.fetch_add(1, Ordering::SeqCst);
+                }
+            } else if s.remove(tok, k) {
+                net.fetch_sub(1, Ordering::SeqCst);
+            }
+        };
+        churn_against_reader(&rt, s.reclaimer(), churn, || assert!(s.len() <= 64));
+        assert_eq!(s.len() as i64, net.load(Ordering::SeqCst));
+
+        // A8's RCU mix: grow by 8 past `len` every 16 ops.
+        let a = RcuArray::<R>::with_reclaimer(16, 256);
+        let churn = |tok: &R::Guard<'_>, t: usize, i: u64| {
+            let idx = (i as usize * 7 + t) % 256;
+            if i.is_multiple_of(16) {
+                a.grow(tok, a.len() + 8);
+            } else if i.is_multiple_of(4) {
+                a.write(tok, idx, idx as u64 * 2);
+            } else {
+                let v = a.read(tok, idx);
+                assert!(v == 0 || v == idx as u64 * 2, "cell {idx} read {v}");
+            }
+        };
+        churn_against_reader(&rt, a.reclaimer(), churn, || {
+            let n = a.len();
+            assert!(n >= 256 && n.is_multiple_of(8), "len {n}");
+        });
+
+        let q = MsQueue::<u64, R>::with_reclaimer();
+        let (sent, got) = (AtomicU64::new(0), AtomicU64::new(0));
+        let churn = |tok: &R::Guard<'_>, t: usize, i: u64| {
+            let v = t as u64 * CHURN_OPS + i;
+            q.enqueue(tok, v);
+            sent.fetch_add(v, Ordering::SeqCst);
+            if i.is_multiple_of(2) {
+                if let Some(v) = q.dequeue(tok) {
+                    got.fetch_add(v, Ordering::SeqCst);
+                }
+            }
+        };
+        churn_against_reader(&rt, q.reclaimer(), churn, || {
+            let _ = q.is_empty();
+        });
+        let tok = q.register();
+        while let Some(v) = q.dequeue(&tok) {
+            got.fetch_add(v, Ordering::SeqCst);
+        }
+        assert!(q.is_empty());
+        assert_eq!(got.load(Ordering::SeqCst), sent.load(Ordering::SeqCst));
+    });
+    assert_eq!(rt.live_objects(), 0);
+}
+
+/// `len`/`is_empty` against reclamation, for the skiplist, the RCU array
+/// and the queue under both reclaimers: churning tasks on every locale
+/// retire nodes (or tables) and call `try_reclaim` while one task loops
+/// the read-only accessor. An accessor that dereferences a shared node
+/// without a pin or a hazard reads freed memory here. A walk over freed
+/// memory can loop instead of failing, so run this under `timeout`.
+#[test]
+fn read_only_accessors_survive_concurrent_reclamation() {
+    readers_against_reclamation::<EpochManager>();
+    readers_against_reclamation::<HazardReclaimer>();
 }
