@@ -152,7 +152,7 @@ impl<T> AtomicAbaObject<T> {
 
     /// Run a 128-bit operation on the owner's cell.
     fn route<R: Send>(&self, op: impl FnOnce(&WideCell) -> R + Send) -> R {
-        ctx::with_core(|core, _| engine::atomic_u128(core, self.owner, || op(&self.cell)))
+        ctx::with_core(|core, here| engine::atomic_u128(core, here, self.owner, || op(&self.cell)))
     }
 
     // ---- ABA variants -----------------------------------------------
@@ -169,8 +169,11 @@ impl<T> AtomicAbaObject<T> {
     pub fn read_aba(&self) -> Aba<T> {
         let _span = OpSpan::start(OpClass::AtomicObjectOp, opkind::READ, 0);
         pgas_sim::faults::with_class(pgas_sim::faults::RetryClass::Idempotent, || {
-            let fast = ctx::with_core(|core, _| engine::vread_u128(core, self.owner, &self.cell));
-            unpack(fast.unwrap_or_else(|| self.route(WideCell::load)))
+            unpack(ctx::with_core(|core, here| {
+                engine::vread_u128(core, here, self.owner, &self.cell).unwrap_or_else(|| {
+                    engine::atomic_u128(core, here, self.owner, || self.cell.load())
+                })
+            }))
         })
     }
 
@@ -208,8 +211,9 @@ impl<T> AtomicAbaObject<T> {
             // it once, so this 64-bit load observes a pointer that was
             // current at some point — the guarantee an RDMA GET of the low
             // word gives on real hardware.
-            let bits =
-                ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || self.cell.lo()));
+            let bits = ctx::with_core(|core, here| {
+                engine::atomic_u64(core, here, self.owner, || self.cell.lo())
+            });
             GlobalPtr::from_bits(bits)
         })
     }

@@ -46,7 +46,7 @@ impl AtomicInt {
     }
 
     fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(&self.cell)))
+        ctx::with_core(|core, here| engine::atomic_u64(core, here, self.owner, || op(&self.cell)))
     }
 
     /// Atomic load (SeqCst, like Chapel's default). A pure read, so under

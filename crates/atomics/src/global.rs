@@ -94,12 +94,12 @@ impl<T> AtomicObject<T> {
 
     /// Run a compressed-word operation on the owner's cell.
     fn route64<R: Send>(&self, cell: &AtomicU64, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(cell)))
+        ctx::with_core(|core, here| engine::atomic_u64(core, here, self.owner, || op(cell)))
     }
 
     /// Run a wide (128-bit) operation on the owner's cell.
     fn route128<R: Send>(&self, cell: &WideCell, op: impl FnOnce(&WideCell) -> R + Send) -> R {
-        ctx::with_core(|core, _| engine::atomic_u128(core, self.owner, || op(cell)))
+        ctx::with_core(|core, here| engine::atomic_u128(core, here, self.owner, || op(cell)))
     }
 
     /// Atomically read the current reference. A pure read — idempotent
@@ -118,8 +118,11 @@ impl<T> AtomicObject<T> {
                     GlobalPtr::from_bits(self.route64(c, |c| c.load(Ordering::SeqCst)))
                 }
                 Repr::Wide(cell) => {
-                    let fast = ctx::with_core(|core, _| engine::vread_u128(core, self.owner, cell));
-                    let bits = fast.unwrap_or_else(|| self.route128(cell, WideCell::load));
+                    let bits = ctx::with_core(|core, here| {
+                        engine::vread_u128(core, here, self.owner, cell).unwrap_or_else(|| {
+                            engine::atomic_u128(core, here, self.owner, || cell.load())
+                        })
+                    });
                     wide_ptr_to_global(u128_to_wide::<T>(bits))
                 }
             }

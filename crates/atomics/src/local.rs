@@ -76,7 +76,7 @@ impl<T> LocalAtomicObject<T> {
     }
 
     fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-        ctx::with_core(|core, _| engine::atomic_u64(core, self.home, || op(&self.cell)))
+        ctx::with_core(|core, here| engine::atomic_u64(core, here, self.home, || op(&self.cell)))
     }
 
     /// Atomically read the reference.

@@ -1,10 +1,14 @@
 //! Exhaustive operation matrix for the atomic types: every operation ×
 //! {local, remote} × {network atomics on, off} × {compressed, wide},
-//! asserting both the result semantics and the exact communication path
-//! taken.
+//! asserting the result semantics, the exact communication path taken,
+//! and what each operation is charged: its charge-class sample, its
+//! `atomic_object_op` root sample and the task's virtual-time delta.
 
 use pgas_atomics::{AtomicAbaObject, AtomicInt, AtomicObject, LocalAtomicObject};
-use pgas_sim::{alloc_local, alloc_on, free, GlobalPtr, Runtime, RuntimeConfig};
+use pgas_sim::telemetry::OpClass;
+use pgas_sim::{
+    alloc_local, alloc_on, free, vtime, GlobalPtr, LocaleId, NetworkConfig, Runtime, RuntimeConfig,
+};
 
 /// Communication expectation for one op.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -203,4 +207,207 @@ fn exchange_sequences_are_linearizable_per_cell() {
             unsafe { free(&rt, p) };
         }
     });
+}
+
+// ---- the latency half and virtual time, per operation ---------------------
+
+/// What one operation is charged: the class of its one charge sample, that
+/// sample (a `NetworkConfig` constant), and the issuing task's clock delta.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Charge {
+    class: OpClass,
+    unit: u64,
+    vtime: u64,
+}
+
+/// The charge of a 64-bit (`wide == false`) or 128-bit operation on a cell
+/// of the other locale (`remote`) or this one: the routing table of
+/// `pgas_sim::comm`, priced. A remote operation that is not a NIC atomic
+/// is an active message: a wire each way, the handler dispatch and the
+/// CPU instruction on the owner.
+fn charge(net: &NetworkConfig, wide: bool, remote: bool) -> Charge {
+    let (class, unit) = if wide {
+        (OpClass::CpuDcas, net.cpu_dcas_ns)
+    } else if net.network_atomics {
+        (OpClass::RdmaAtomic, net.nic_atomic_ns)
+    } else {
+        (OpClass::CpuAtomic, net.cpu_atomic_ns)
+    };
+    let am_ns = if remote && class != OpClass::RdmaAtomic {
+        2 * net.am_wire_ns + net.am_handler_ns
+    } else {
+        0
+    };
+    Charge {
+        class,
+        unit,
+        vtime: unit + am_ns,
+    }
+}
+
+/// Repetitions of each operation, so the histogram sums are `N × unit`.
+const N: u64 = 3;
+
+/// Run `op` `N` times on a freshly reset runtime and check, per run, the
+/// task's clock delta, and after the runs the charge class's count, sum
+/// and max and the `atomic_object_op` root sample (`rooted`) — or its
+/// absence (`AtomicInt` opens no root span).
+fn check_op(rt: &Runtime, what: &str, expect: Charge, rooted: bool, op: &dyn Fn()) {
+    rt.reset_metrics();
+    for i in 0..N {
+        let t0 = vtime::now();
+        op();
+        assert_eq!(vtime::now() - t0, expect.vtime, "{what}: vtime of run {i}");
+    }
+    let t = rt.total_telemetry();
+    let h = t.class(expect.class);
+    assert_eq!(
+        (h.count(), h.sum(), h.max()),
+        (N, N * expect.unit, expect.unit),
+        "{what}: {} histogram",
+        expect.class
+    );
+    let root = t.class(OpClass::AtomicObjectOp);
+    let want = if rooted {
+        (N, N * expect.vtime, expect.vtime)
+    } else {
+        (0, 0, 0)
+    };
+    assert_eq!(
+        (root.count(), root.sum(), root.max()),
+        want,
+        "{what}: atomic_object_op sample"
+    );
+}
+
+#[test]
+fn every_op_samples_its_charge_class_root_span_and_vtime() {
+    for wide in [false, true] {
+        for net_atomics in [true, false] {
+            for remote in [false, true] {
+                let mut cfg = RuntimeConfig::cluster(2);
+                if !net_atomics {
+                    cfg = cfg.without_network_atomics();
+                }
+                if wide {
+                    cfg = cfg.with_wide_pointers();
+                }
+                let net = cfg.network.clone();
+                let rt = Runtime::new(cfg);
+                let owner = LocaleId::from(remote);
+                let priced = |wide: bool| charge(&net, wide, remote);
+                let case = format!("wide={wide} net_atomics={net_atomics} remote={remote}");
+                rt.run(|| {
+                    let x = alloc_local(&rt, 1u64);
+                    let obj = AtomicObject::new_on(owner, x);
+                    let object_ops: [(&str, &dyn Fn()); 4] = [
+                        ("AtomicObject::read", &|| {
+                            let _ = obj.read();
+                        }),
+                        ("AtomicObject::write", &|| obj.write(x)),
+                        ("AtomicObject::exchange", &|| {
+                            let _ = obj.exchange(x);
+                        }),
+                        ("AtomicObject::compare_exchange", &|| {
+                            let _ = obj.compare_exchange(x, x);
+                        }),
+                    ];
+                    for (name, op) in object_ops {
+                        check_op(&rt, &format!("{name} {case}"), priced(wide), true, op);
+                    }
+                    let int = AtomicInt::new_on(owner, 5);
+                    let int_ops: [(&str, &dyn Fn()); 4] = [
+                        ("AtomicInt::read", &|| {
+                            let _ = int.read();
+                        }),
+                        ("AtomicInt::write", &|| int.write(7)),
+                        ("AtomicInt::exchange", &|| {
+                            let _ = int.exchange(7);
+                        }),
+                        ("AtomicInt::compare_and_swap", &|| {
+                            let _ = int.compare_and_swap(7, 7);
+                        }),
+                    ];
+                    for (name, op) in int_ops {
+                        check_op(&rt, &format!("{name} {case}"), priced(false), false, op);
+                    }
+                    if !wide {
+                        // ABA cells need the compressed word beside their counter.
+                        let aba = AtomicAbaObject::new_on(owner, x);
+                        let snap = aba.read_aba();
+                        let aba_ops: [(&str, bool, &dyn Fn()); 6] = [
+                            ("AtomicAbaObject::read_aba", true, &|| {
+                                let _ = aba.read_aba();
+                            }),
+                            ("AtomicAbaObject::compare_and_swap_aba", true, &|| {
+                                let _ = aba.compare_and_swap_aba(snap, x);
+                            }),
+                            ("AtomicAbaObject::exchange_aba", true, &|| {
+                                let _ = aba.exchange_aba(x);
+                            }),
+                            ("AtomicAbaObject::write_aba", true, &|| aba.write_aba(x)),
+                            ("AtomicAbaObject::read", false, &|| {
+                                let _ = aba.read();
+                            }),
+                            ("AtomicAbaObject::compare_and_swap", true, &|| {
+                                let _ = aba.compare_and_swap(x, x);
+                            }),
+                        ];
+                        for (name, dcas, op) in aba_ops {
+                            check_op(&rt, &format!("{name} {case}"), priced(dcas), true, op);
+                        }
+                    }
+                    unsafe { free(&rt, x) };
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn versioned_reads_sample_their_get_and_root_span() {
+    // With the fast path on, a 128-bit read is one cache-line load when
+    // local (sampled only as the `versioned_read` span) and one 24-byte
+    // one-sided GET when remote.
+    for remote in [false, true] {
+        let cfg = RuntimeConfig::cluster(2)
+            .with_wide_pointers()
+            .with_vread_fastpath(true);
+        let net = cfg.network.clone();
+        let get = net.rma_ns + 24 * net.rma_ns_per_kib / 1024;
+        let expect = if remote {
+            Charge {
+                class: OpClass::Get,
+                unit: get,
+                vtime: get,
+            }
+        } else {
+            Charge {
+                class: OpClass::VersionedRead,
+                unit: net.cpu_atomic_ns,
+                vtime: net.cpu_atomic_ns,
+            }
+        };
+        let rt = Runtime::new(cfg);
+        rt.run(|| {
+            let x = alloc_local(&rt, 1u64);
+            let obj = AtomicObject::new_on(LocaleId::from(remote), x);
+            check_op(
+                &rt,
+                &format!("AtomicObject::read vread remote={remote}"),
+                expect,
+                true,
+                &|| assert_eq!(obj.read(), x),
+            );
+            let t = rt.total_telemetry();
+            let v = t.class(OpClass::VersionedRead);
+            assert_eq!(
+                (v.count(), v.sum()),
+                (N, N * expect.vtime),
+                "versioned_read"
+            );
+            assert_eq!(t.comm.vread_fast, N);
+            unsafe { free(&rt, x) };
+        });
+    }
 }

@@ -44,7 +44,9 @@ fn null_sink_adds_zero_counter_drift() {
             "A1 scatter=on AM count changed at {locales} locales"
         );
         // The latency half keeps recording regardless of the sink — that
-        // is the always-on part whose cost is four relaxed RMWs.
+        // is the always-on part: a sample is a plain load and store of its
+        // bucket and its class's sum, and a raised max, on the recording
+        // thread's own shard.
         assert!(t.class(OpClass::LimboDepth).count() > 0);
     }
 }

@@ -262,8 +262,7 @@ pub(crate) fn progress_loop(core: Arc<RuntimeCore>, locale: LocaleId, index: usi
         // Plain stores to this thread's shard; the waiter's release at the
         // end of this iteration is the release/acquire pair that publishes
         // them, with the service sample and the span below.
-        lstats.add(Counter::AmHandled, 1);
-        lstats.record(OpClass::AmQueue, start - send_vtime);
+        lstats.add_record(Counter::AmHandled, OpClass::AmQueue, start - send_vtime);
         // Causal tracing: the round-trip span gets its own id on this
         // locale, parented under the sender's context (or self-rooted when
         // the sender had none), and the matching context wraps the handler
@@ -346,8 +345,7 @@ pub(crate) fn remote_call(
                 let before = vtime::now();
                 let penalty = fs.retry_penalty_ns(attempt);
                 vtime::charge(cfg.am_wire_ns + penalty);
-                stats.add(Counter::Retries, 1);
-                stats.record(OpClass::Retry, penalty);
+                stats.add_record(Counter::Retries, OpClass::Retry, penalty);
                 // A retry span per dropped attempt, tagged with the global
                 // fault decision index that dropped it.
                 let (trace_id, span_id, parent) = core.span_ids(src);

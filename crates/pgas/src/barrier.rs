@@ -37,7 +37,9 @@ mod pgas_atomics_shim {
         }
 
         fn route<R: Send>(&self, op: impl FnOnce(&AtomicU64) -> R + Send) -> R {
-            ctx::with_core(|core, _| engine::atomic_u64(core, self.owner, || op(&self.cell)))
+            ctx::with_core(|core, here| {
+                engine::atomic_u64(core, here, self.owner, || op(&self.cell))
+            })
         }
 
         pub fn read(&self) -> u64 {

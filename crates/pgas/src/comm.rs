@@ -53,20 +53,19 @@ pub enum AtomicPath {
     ActiveMessage,
 }
 
-/// Route and charge a 64-bit atomic operation targeting memory owned by
-/// `owner`. Returns the path the caller must take.
-pub fn route_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-    let here = ctx::here();
+/// Route and charge a 64-bit atomic operation issued on locale `here`
+/// (the caller's context) targeting memory owned by `owner`. Returns the
+/// path the caller must take.
+#[inline]
+pub fn route_atomic_u64(core: &RuntimeCore, here: LocaleId, owner: LocaleId) -> AtomicPath {
     let net = &core.config.network;
+    let stats = &core.locale(here).stats;
     if core.confined_to_rank(owner) {
-        let stats = &core.locale(here).stats;
         stats.add(Counter::CpuAtomics, 1);
         AtomicPath::CpuLocal
     } else if net.network_atomics {
         // All 64-bit atomics go through the NIC, local or not.
-        let stats = &core.locale(here).stats;
         let t_issue = vtime::now();
-        stats.add(Counter::RdmaAtomics, 1);
         vtime::charge(net.nic_atomic_ns);
         // Fault injection on the one-sided path (remote targets only:
         // delay and drop model wire faults). A dropped RDMA request is
@@ -74,15 +73,14 @@ pub fn route_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
         // sequence numbers make the retry exactly-once, so — unlike the
         // AM path — this is safe for *any* operation class. The memory
         // effect is applied by the caller exactly once, after routing.
-        inject_one_sided_faults(core, owner, net.nic_atomic_ns);
+        inject_one_sided_faults(core, here, owner, net.nic_atomic_ns);
         // The full span charged to this op: the NIC atomic itself plus
         // any injected delays and retransmit penalties.
-        stats.record(OpClass::RdmaAtomic, vtime::now() - t_issue);
+        let span = vtime::now() - t_issue;
+        stats.add_record(Counter::RdmaAtomics, OpClass::RdmaAtomic, span);
         AtomicPath::Nic
     } else if owner == here {
-        let locale = core.locale(here);
-        locale.stats.add(Counter::CpuAtomics, 1);
-        vtime::charge_sampled(&locale.stats, OpClass::CpuAtomic, net.cpu_atomic_ns);
+        charge_handler_atomic(core, here);
         AtomicPath::CpuLocal
     } else {
         AtomicPath::ActiveMessage
@@ -90,13 +88,12 @@ pub fn route_atomic_u64(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
 }
 
 /// Inject one-sided wire faults (delay + drop/retransmit) against a request
-/// toward `owner`, where each retransmit re-pays `reissue_ns` on top of the
-/// backoff penalty. Used by the NIC atomic path and the versioned-read GET
-/// path; transport sequence numbers make retransmits exactly-once, so this
-/// is safe for any operation class. No-op when `owner` is local or no fault
-/// plan is installed.
-fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64) {
-    let here = ctx::here();
+/// from `here` toward `owner`, where each retransmit re-pays `reissue_ns`
+/// on top of the backoff penalty. Used by the NIC atomic path and the
+/// versioned-read GET path; transport sequence numbers make retransmits
+/// exactly-once, so this is safe for any operation class. No-op when
+/// `owner` is local or no fault plan is installed.
+fn inject_one_sided_faults(core: &RuntimeCore, here: LocaleId, owner: LocaleId, reissue_ns: u64) {
     let Some(fs) = core.faults() else {
         return;
     };
@@ -117,8 +114,7 @@ fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64)
         let before = vtime::now();
         let penalty = fs.retry_penalty_ns(attempt);
         vtime::charge(penalty + reissue_ns);
-        stats.add(Counter::Retries, 1);
-        stats.record(OpClass::Retry, penalty);
+        stats.add_record(Counter::Retries, OpClass::Retry, penalty);
         // One retry span per dropped request, tagged with the fault
         // decision index that dropped it.
         let (trace_id, span_id, parent) = core.span_ids(here);
@@ -142,44 +138,44 @@ fn inject_one_sided_faults(core: &RuntimeCore, owner: LocaleId, reissue_ns: u64)
     }
 }
 
-/// Route and charge a 128-bit (double-word CAS) atomic operation targeting
-/// memory owned by `owner`. RDMA atomics max out at 64 bits, so the remote
-/// case is always an active message (paper §II-A).
-pub fn route_atomic_u128(core: &RuntimeCore, owner: LocaleId) -> AtomicPath {
-    let here = ctx::here();
+/// Route and charge a 128-bit (double-word CAS) atomic operation issued on
+/// locale `here` targeting memory owned by `owner`. RDMA atomics max out
+/// at 64 bits, so the remote case is always an active message (paper
+/// §II-A).
+#[inline]
+pub fn route_atomic_u128(core: &RuntimeCore, here: LocaleId, owner: LocaleId) -> AtomicPath {
     if core.confined_to_rank(owner) {
-        let stats = &core.locale(here).stats;
-        stats.add(Counter::CpuDcas, 1);
+        core.locale(here).stats.add(Counter::CpuDcas, 1);
         AtomicPath::CpuLocal
     } else if owner == here {
-        charge_handler_dcas(core);
+        charge_handler_dcas(core, here);
         AtomicPath::CpuLocal
     } else {
         AtomicPath::ActiveMessage
     }
 }
 
-/// Charge the CPU cost of a 64-bit atomic performed *inside* an AM handler
-/// (the remote-execution fallback's actual memory operation).
-pub fn charge_handler_atomic(core: &RuntimeCore) {
-    let locale = core.locale(ctx::here());
-    locale.stats.add(Counter::CpuAtomics, 1);
-    vtime::charge_sampled(
-        &locale.stats,
-        OpClass::CpuAtomic,
-        core.config.network.cpu_atomic_ns,
-    );
+/// Charge the CPU cost of a 64-bit atomic on locale `here` (locally or
+/// inside an AM handler: the remote-execution fallback's actual memory
+/// operation).
+#[inline]
+pub fn charge_handler_atomic(core: &RuntimeCore, here: LocaleId) {
+    let ns = core.config.network.cpu_atomic_ns;
+    core.locale(here)
+        .stats
+        .add_record(Counter::CpuAtomics, OpClass::CpuAtomic, ns);
+    vtime::charge(ns);
 }
 
-/// Charge the CPU cost of a 128-bit DCAS (locally or inside an AM handler).
-pub fn charge_handler_dcas(core: &RuntimeCore) {
-    let locale = core.locale(ctx::here());
-    locale.stats.add(Counter::CpuDcas, 1);
-    vtime::charge_sampled(
-        &locale.stats,
-        OpClass::CpuDcas,
-        core.config.network.cpu_dcas_ns,
-    );
+/// Charge the CPU cost of a 128-bit DCAS on locale `here` (locally or
+/// inside an AM handler).
+#[inline]
+pub fn charge_handler_dcas(core: &RuntimeCore, here: LocaleId) {
+    let ns = core.config.network.cpu_dcas_ns;
+    core.locale(here)
+        .stats
+        .add_record(Counter::CpuDcas, OpClass::CpuDcas, ns);
+    vtime::charge(ns);
 }
 
 /// Charge the per-item dispatch cost of one operation executing inside a
@@ -188,6 +184,7 @@ pub fn charge_handler_dcas(core: &RuntimeCore) {
 /// batch by the AM layer; this is the marginal cost of each extra rider. The
 /// operation's own body (e.g. [`charge_handler_atomic`]) is charged
 /// separately by the rider itself.
+#[inline]
 pub fn charge_combine_item(core: &RuntimeCore) {
     vtime::charge(core.config.network.combine_item_ns);
 }
@@ -197,30 +194,40 @@ fn rma_cost(core: &RuntimeCore, bytes: usize) -> u64 {
     net.rma_ns + (bytes as u64 * net.rma_ns_per_kib) / 1024
 }
 
+/// A one-sided transfer's operation counter, byte counter and class.
+type Rma = (Counter, Counter, OpClass);
+const GET: Rma = (Counter::Gets, Counter::BytesGot, OpClass::Get);
+const PUT: Rma = (Counter::Puts, Counter::BytesPut, OpClass::Put);
+
+/// Count, sample and charge one one-sided transfer of `bytes` issued on
+/// locale `here`.
+#[inline]
+fn charge_rma(core: &RuntimeCore, here: LocaleId, (count, moved, class): Rma, bytes: usize) {
+    let ns = rma_cost(core, bytes);
+    let stats = &core.locale(here).stats;
+    stats.add(moved, bytes as u64);
+    stats.add_record(count, class, ns);
+    vtime::charge(ns);
+}
+
 /// Charge a one-sided GET of `bytes` from `owner`'s memory. No cost or
 /// count when the data is local.
+#[inline]
 pub fn charge_get(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
     let here = ctx::here();
-    if core.confined_to_rank(owner) || owner == here {
-        return;
+    if !core.confined_to_rank(owner) && owner != here {
+        charge_rma(core, here, GET, bytes);
     }
-    let stats = &core.locale(here).stats;
-    stats.add(Counter::Gets, 1);
-    stats.add(Counter::BytesGot, bytes as u64);
-    vtime::charge_sampled(stats, OpClass::Get, rma_cost(core, bytes));
 }
 
 /// Charge a one-sided PUT of `bytes` into `owner`'s memory. No cost or
 /// count when the target is local.
+#[inline]
 pub fn charge_put(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
     let here = ctx::here();
-    if core.confined_to_rank(owner) || owner == here {
-        return;
+    if !core.confined_to_rank(owner) && owner != here {
+        charge_rma(core, here, PUT, bytes);
     }
-    let stats = &core.locale(here).stats;
-    stats.add(Counter::Puts, 1);
-    stats.add(Counter::BytesPut, bytes as u64);
-    vtime::charge_sampled(stats, OpClass::Put, rma_cost(core, bytes));
 }
 
 /// Bytes moved by one optimistic versioned-read attempt: the 16-byte
@@ -268,12 +275,14 @@ pub fn debug_vread_skip_validate(on: bool) -> bool {
 /// [`OpClass::VersionedRead`] histogram and emits a `versioned_read` span;
 /// fallbacks record nothing here (the DCAS slow path keeps its existing
 /// handler-class accounting).
-pub fn vread_u128(core: &RuntimeCore, owner: LocaleId, cell: &WideCell) -> Option<u128> {
-    if !core.config.vread_fastpath {
-        return None;
-    }
-    let here = ctx::here();
-    if core.confined_to_rank(owner) {
+#[inline]
+pub fn vread_u128(
+    core: &RuntimeCore,
+    here: LocaleId,
+    owner: LocaleId,
+    cell: &WideCell,
+) -> Option<u128> {
+    if !core.config.vread_fastpath || core.confined_to_rank(owner) {
         // A process reads its own cell through the DCAS path.
         return None;
     }
@@ -289,10 +298,8 @@ pub fn vread_u128(core: &RuntimeCore, owner: LocaleId, cell: &WideCell) -> Optio
         if owner == here {
             vtime::charge(net.cpu_atomic_ns);
         } else {
-            stats.add(Counter::Gets, 1);
-            stats.add(Counter::BytesGot, VREAD_BYTES as u64);
-            vtime::charge_sampled(stats, OpClass::Get, rma_cost(core, VREAD_BYTES));
-            inject_one_sided_faults(core, owner, rma_cost(core, VREAD_BYTES));
+            charge_rma(core, here, GET, VREAD_BYTES);
+            inject_one_sided_faults(core, here, owner, rma_cost(core, VREAD_BYTES));
         }
         let s1 = cell.seq();
         let lo = cell.lo();
@@ -307,9 +314,8 @@ pub fn vread_u128(core: &RuntimeCore, owner: LocaleId, cell: &WideCell) -> Optio
         // The bug accepts without re-validating the sequence.
         let valid = skip_validate || cell.validate(s1);
         if valid {
-            stats.add(Counter::VreadFast, 1);
             let end = vtime::now();
-            stats.record(OpClass::VersionedRead, end - t_issue);
+            stats.add_record(Counter::VreadFast, OpClass::VersionedRead, end - t_issue);
             let (trace_id, span_id, parent) = core.span_ids(here);
             core.emit_span(|| Span {
                 class: OpClass::VersionedRead,
@@ -342,8 +348,8 @@ mod tests {
     fn network_atomics_route_everything_to_nic() {
         let rt = Runtime::cluster(2); // network_atomics = true
         rt.run(|| {
-            assert_eq!(route_atomic_u64(&rt, 0), AtomicPath::Nic, "local → NIC");
-            assert_eq!(route_atomic_u64(&rt, 1), AtomicPath::Nic, "remote → NIC");
+            assert_eq!(route_atomic_u64(&rt, 0, 0), AtomicPath::Nic, "local → NIC");
+            assert_eq!(route_atomic_u64(&rt, 0, 1), AtomicPath::Nic, "remote → NIC");
             let s = rt.total_comm();
             assert_eq!(s.rdma_atomics, 2);
             assert_eq!(s.cpu_atomics, 0);
@@ -354,8 +360,8 @@ mod tests {
     fn no_network_atomics_splits_local_and_remote() {
         let rt = Runtime::new(RuntimeConfig::cluster(2).without_network_atomics());
         rt.run(|| {
-            assert_eq!(route_atomic_u64(&rt, 0), AtomicPath::CpuLocal);
-            assert_eq!(route_atomic_u64(&rt, 1), AtomicPath::ActiveMessage);
+            assert_eq!(route_atomic_u64(&rt, 0, 0), AtomicPath::CpuLocal);
+            assert_eq!(route_atomic_u64(&rt, 0, 1), AtomicPath::ActiveMessage);
             let s = rt.total_comm();
             assert_eq!(s.cpu_atomics, 1);
             assert_eq!(s.rdma_atomics, 0);
@@ -366,8 +372,8 @@ mod tests {
     fn dcas_never_uses_nic() {
         let rt = Runtime::cluster(2); // network atomics on
         rt.run(|| {
-            assert_eq!(route_atomic_u128(&rt, 0), AtomicPath::CpuLocal);
-            assert_eq!(route_atomic_u128(&rt, 1), AtomicPath::ActiveMessage);
+            assert_eq!(route_atomic_u128(&rt, 0, 0), AtomicPath::CpuLocal);
+            assert_eq!(route_atomic_u128(&rt, 0, 1), AtomicPath::ActiveMessage);
             let s = rt.total_comm();
             assert_eq!(s.rdma_atomics, 0);
             assert_eq!(s.cpu_dcas, 1);
@@ -378,7 +384,7 @@ mod tests {
     fn nic_atomic_charges_latency() {
         let rt = Runtime::cluster(1);
         let ((), span) = rt.run_measured(|| {
-            route_atomic_u64(&rt, 0);
+            route_atomic_u64(&rt, 0, 0);
         });
         assert_eq!(span, rt.config.network.nic_atomic_ns);
     }

@@ -139,6 +139,14 @@ pub fn try_with_core<R>(f: impl FnOnce(&RuntimeCore, LocaleId) -> R) -> Option<R
     Some(f(unsafe { &*core }, locale))
 }
 
+/// Whether `core` is the current context's runtime core: a check for a
+/// guard that kept the core it was opened with (`telemetry::OpSpan`).
+#[inline]
+pub(crate) fn is_current(core: *const RuntimeCore) -> bool {
+    CTX.with(|c| c.get())
+        .is_some_and(|(c, _)| std::ptr::eq(c, core))
+}
+
 /// A cloneable handle to the current runtime, usable to construct objects
 /// that must outlive the current task.
 ///

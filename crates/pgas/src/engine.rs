@@ -66,6 +66,7 @@ use crate::handlers::{self, HandlerId};
 use crate::runtime::RuntimeCore;
 use crate::stats::Counter;
 use crate::symheap::SymOp64;
+use crate::telemetry::OpClass;
 use crate::vtime;
 
 /// Default per-destination batch capacity (items) for [`Batcher`].
@@ -157,7 +158,9 @@ pub struct SimEngine;
 
 impl CommEngine for SimEngine {
     fn sym_atomic_u64(&self, core: &RuntimeCore, owner: LocaleId, offset: u64, op: SymOp64) -> u64 {
-        atomic_u64(core, owner, || core.locale(owner).sym.apply64(offset, op))
+        atomic_u64(core, ctx::here(), owner, || {
+            core.locale(owner).sym.apply64(offset, op)
+        })
     }
 
     fn sym_dcas_u128(
@@ -168,14 +171,14 @@ impl CommEngine for SimEngine {
         expected: u128,
         new: u128,
     ) -> (bool, u128) {
-        atomic_u128(core, owner, || {
+        atomic_u128(core, ctx::here(), owner, || {
             core.locale(owner).sym.wide_dcas(offset, expected, new)
         })
     }
 
     fn sym_read_u128(&self, core: &RuntimeCore, owner: LocaleId, offset: u64) -> u128 {
         let cell = core.locale(owner).sym.wide(offset);
-        vread_u128(core, owner, cell)
+        vread_u128(core, ctx::here(), owner, cell)
             .unwrap_or_else(|| self.sym_dcas_u128(core, owner, offset, 0, 0).1)
     }
 
@@ -217,39 +220,45 @@ impl CommEngine for SimEngine {
 // memory, one-sided transfers of raw memory, closures on another locale.
 // ---------------------------------------------------------------------------
 
-/// Run `op` on a 64-bit cell owned by `owner` and return its result. With
+/// Run `op` on a 64-bit cell owned by `owner` and return its result, for a
+/// task on locale `here` (the locale [`ctx::with_core`] passes). With
 /// network atomics enabled the operation runs here and pays the NIC cost
 /// even for a local cell (the `CHPL_NETWORK_ATOMICS` quirk); without them a
 /// local cell costs a CPU atomic, and a remote one ships `op` to `owner` as
 /// a combinable active message ([`on_combined`]) whose handler pays the CPU
 /// atomic there.
+#[inline]
 pub fn atomic_u64<R: Send>(
     core: &RuntimeCore,
+    here: LocaleId,
     owner: LocaleId,
     op: impl FnOnce() -> R + Send,
 ) -> R {
-    match comm::route_atomic_u64(core, owner) {
+    match comm::route_atomic_u64(core, here, owner) {
         AtomicPath::Nic | AtomicPath::CpuLocal => op(),
         AtomicPath::ActiveMessage => core.on_combining(owner, move || {
-            comm::charge_handler_atomic(core);
+            comm::charge_handler_atomic(core, owner);
             op()
         }),
     }
 }
 
 /// Run `op` on a 128-bit (double-word CAS) cell owned by `owner` and return
-/// its result. RDMA atomics max out at 64 bits, so a local cell costs a CPU
-/// DCAS and a remote one always ships `op` to `owner` as a combinable
-/// active message whose handler pays the DCAS there.
+/// its result, for a task on locale `here`. RDMA atomics max out at 64
+/// bits, so a local cell costs a CPU DCAS and a remote one always ships
+/// `op` to `owner` as a combinable active message whose handler pays the
+/// DCAS there.
+#[inline]
 pub fn atomic_u128<R: Send>(
     core: &RuntimeCore,
+    here: LocaleId,
     owner: LocaleId,
     op: impl FnOnce() -> R + Send,
 ) -> R {
-    match comm::route_atomic_u128(core, owner) {
+    match comm::route_atomic_u128(core, here, owner) {
         AtomicPath::CpuLocal => op(),
         AtomicPath::ActiveMessage => core.on_combining(owner, move || {
-            comm::charge_handler_dcas(core);
+            comm::charge_handler_dcas(core, owner);
             op()
         }),
         AtomicPath::Nic => unreachable!("128-bit atomics never take the NIC path"),
@@ -261,9 +270,10 @@ pub fn atomic_u128<R: Send>(
 /// are enabled), for a task that performs the memory operation itself on
 /// shared memory (the reclaimers' bookkeeping words). A target that
 /// [`atomic_u64`] would reach by active message is not charged.
+#[inline]
 pub fn charge_atomic_u64(owner: LocaleId) {
-    ctx::with_core(|core, _| {
-        let _ = comm::route_atomic_u64(core, owner);
+    ctx::with_core(|core, here| {
+        let _ = comm::route_atomic_u64(core, here, owner);
     });
 }
 
@@ -361,10 +371,9 @@ pub fn bulk_on<'a>(
         return;
     }
     let stats = &core.locale(src).stats;
-    stats.add(Counter::AmBatches, 1);
     stats.add(Counter::AmBatchItems, items);
     // Batch occupancy histogram: how full bulk AMs actually are.
-    stats.record(crate::telemetry::OpClass::BatchOccupancy, items);
+    stats.add_record(Counter::AmBatches, OpClass::BatchOccupancy, items);
     am::remote_call(core, src, dest, f);
 }
 

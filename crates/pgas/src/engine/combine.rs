@@ -381,11 +381,10 @@ fn ship(core: &RuntimeCore, src: LocaleId, dest: LocaleId, batch: &[NodePtr]) {
         let n = chunk.len() as u64;
         stats.add(Counter::Combines, 1);
         stats.add(Counter::CombinedOps, n);
-        stats.add(Counter::AmBatches, 1);
         stats.add(Counter::AmBatchItems, n);
         // Combine occupancy histogram: how many riders each combined
         // message actually carried (the whole point of the layer).
-        stats.record(crate::telemetry::OpClass::CombineOccupancy, n);
+        stats.add_record(Counter::AmBatches, OpClass::CombineOccupancy, n);
         // Causal tracing: the bulk AM is parented under the *last* rider's
         // CombineRide span — the AM's end (last rider's finish + reply
         // wire) is exactly that ride's end, so the AM interval nests

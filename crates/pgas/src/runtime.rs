@@ -263,6 +263,7 @@ impl RuntimeCore {
     /// or touch an address that means nothing here; there this returns
     /// `true` when `target` is the calling rank — the caller runs the work
     /// inline — and panics otherwise.
+    #[inline]
     pub(crate) fn confined_to_rank(&self, target: LocaleId) -> bool {
         if self.shared_address_space {
             return false;

@@ -32,9 +32,9 @@
 //! ## Overhead budget
 //!
 //! Histogram recording is always on and costs one thread-local lookup plus
-//! four plain load/store pairs on the recording thread's own shard — no
-//! lock-prefixed instruction, no lock, no allocation once the thread has
-//! recorded on the registry before. It charges **no virtual time** and
+//! plain loads and stores of three cells (bucket, sum, max) on the recording
+//! thread's own shard — no lock-prefixed instruction, no lock, no allocation
+//! once the thread has recorded on the registry before. It charges **no virtual time** and
 //! touches **no counters**, so results-guard quantities (A1 scatter AM counts,
 //! A7 combining wins) are bit-for-bit unaffected. A snapshot sums the
 //! shards: exact for everything that happens-before it (a join, an AM
@@ -47,6 +47,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::AtomicU64;
 use std::sync::Mutex;
 
 use crate::globalptr::LocaleId;
@@ -353,58 +354,61 @@ pub fn key_hash64<K: std::hash::Hash + ?Sized>(key: &K) -> u64 {
 
 /// RAII root span for a public structure/atomic operation.
 ///
-/// `start` stamps the issue vtime and — when a telemetry sink is installed —
-/// allocates a span id on the current locale, installs the matching
-/// [`trace::TraceCtx`] so every remote-op span emitted inside the operation
-/// nests under it, and on drop emits the root [`Span`] (src == dest ==
-/// issuing locale; `issue == arrive == start`) with its tag packing op
-/// kind, CAS-retry count, and key hash.
+/// `start` reads the context once: it keeps the core and locale (the drop
+/// records without a second lookup), stamps the issue vtime and — when a
+/// telemetry sink is installed — allocates a span id on the current
+/// locale, installs the matching [`trace::TraceCtx`] so every remote-op
+/// span emitted inside the operation nests under it, and on drop emits the
+/// root [`Span`] (src == dest == issuing locale; `issue == arrive ==
+/// start`) with its tag packing op kind, CAS-retry count, and key hash.
 ///
 /// The per-class duration histogram is recorded unconditionally (histogram
 /// recording is always on, charges no vtime, touches no counters), so the
 /// zero-drift guarantee of the default [`NullSink`] path holds.
 ///
-/// Off-runtime (no ambient PGAS context) the guard is inert.
+/// Off-runtime (no ambient PGAS context) the guard is inert; so is a guard
+/// dropped outside the runtime it was opened in.
 pub struct OpSpan {
     class: OpClass,
     kind: u64,
     key_hash: u64,
     retries: std::cell::Cell<u64>,
+    /// The context read at `start`; `None` off-runtime.
+    site: Option<Site>,
+}
+
+/// An [`OpSpan`]'s context and issue vtime; its ids and trace guard when traced.
+struct Site {
+    core: *const crate::runtime::RuntimeCore,
+    locale: LocaleId,
     begin: u64,
-    ids: Option<(u64, u64, u64)>, // (trace, span, parent)
-    _guard: Option<trace::TraceGuard>,
-    active: bool,
+    traced: Option<((u64, u64, u64), trace::TraceGuard)>,
 }
 
 impl OpSpan {
     /// Open a root span for one `class` operation of kind `kind` (an
     /// [`opkind`] constant) on key hash `key_hash` (0 when keyless).
+    #[inline]
     pub fn start(class: OpClass, kind: u64, key_hash: u64) -> OpSpan {
-        let mut begin = 0;
-        let mut ids = None;
-        let mut guard = None;
-        let active = crate::ctx::try_with_core(|core, locale| {
-            begin = crate::vtime::now();
-            if core.tracing() {
-                let triple = core.span_ids(locale);
-                let (trace_id, own, _) = triple;
-                guard = Some(trace::enter(Some(trace::TraceCtx {
-                    trace: trace_id,
-                    span: own,
-                })));
-                ids = Some(triple);
-            }
-        })
-        .is_some();
+        let site = crate::ctx::try_with_core(|core, locale| Site {
+            core,
+            locale,
+            begin: crate::vtime::now(),
+            traced: core.tracing().then(|| {
+                let ids = core.span_ids(locale);
+                let ctx = trace::TraceCtx {
+                    trace: ids.0,
+                    span: ids.1,
+                };
+                (ids, trace::enter(Some(ctx)))
+            }),
+        });
         OpSpan {
             class,
             kind,
             key_hash,
             retries: std::cell::Cell::new(0),
-            begin,
-            ids,
-            _guard: guard,
-            active,
+            site,
         }
     }
 
@@ -416,32 +420,39 @@ impl OpSpan {
 }
 
 impl Drop for OpSpan {
+    #[inline]
     fn drop(&mut self) {
-        if !self.active {
+        // A span carried out of the runtime it was opened in stays inert.
+        let Some(site) = self
+            .site
+            .as_ref()
+            .filter(|s| crate::ctx::is_current(s.core))
+        else {
             return;
+        };
+        // SAFETY: `site.core` is the current context's core, which its
+        // installer keeps alive until the context guard drops.
+        let core = unsafe { &*site.core };
+        let end = crate::vtime::now();
+        core.locale(site.locale)
+            .stats
+            .record(self.class, end.saturating_sub(site.begin));
+        if let Some(((trace_id, own, parent), _)) = site.traced {
+            let tag = pack_op_tag(self.kind, self.retries.get(), self.key_hash);
+            core.emit_span(|| Span {
+                class: self.class,
+                src: site.locale,
+                dest: site.locale,
+                issue_vtime: site.begin,
+                arrive_vtime: site.begin,
+                start_vtime: site.begin,
+                end_vtime: end,
+                tag,
+                trace: trace_id,
+                span: own,
+                parent,
+            });
         }
-        let _ = crate::ctx::try_with_core(|core, locale| {
-            let end = crate::vtime::now();
-            core.locale(locale)
-                .stats
-                .record(self.class, end.saturating_sub(self.begin));
-            if let Some((trace_id, own, parent)) = self.ids {
-                let tag = pack_op_tag(self.kind, self.retries.get(), self.key_hash);
-                core.emit_span(|| Span {
-                    class: self.class,
-                    src: locale,
-                    dest: locale,
-                    issue_vtime: self.begin,
-                    arrive_vtime: self.begin,
-                    start_vtime: self.begin,
-                    end_vtime: end,
-                    tag,
-                    trace: trace_id,
-                    span: own,
-                    parent,
-                });
-            }
-        });
     }
 }
 
@@ -472,11 +483,11 @@ fn bucket_upper(i: usize) -> u64 {
 }
 
 /// A fixed-bucket log2 histogram as plain old data: what a [`Registry`]
-/// snapshot holds per [`OpClass`], mergeable with `+`.
+/// snapshot holds per [`OpClass`], mergeable with `+`. Its sample count is
+/// the total of its buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     buckets: [u64; BUCKETS],
-    count: u64,
     sum: u64,
     max: u64,
 }
@@ -485,7 +496,6 @@ impl Default for HistSnapshot {
     fn default() -> Self {
         HistSnapshot {
             buckets: [0; BUCKETS],
-            count: 0,
             sum: 0,
             max: 0,
         }
@@ -496,14 +506,13 @@ impl HistSnapshot {
     /// Record one sample — the sequential form of [`Registry::record`].
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_of(value)] += 1;
-        self.count += 1;
         self.sum = self.sum.wrapping_add(value);
         self.max = self.max.max(value);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().fold(0, |n, &b| n.wrapping_add(b))
     }
 
     /// Sum of all recorded samples.
@@ -518,22 +527,23 @@ impl HistSnapshot {
 
     /// Mean of recorded samples (0 when empty).
     pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
+        self.sum.checked_div(self.count()).unwrap_or(0)
     }
 
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.count() == 0
     }
 
     /// The value at or below which `p` percent of samples fall, estimated
     /// as the inclusive upper bound of the log2 bucket containing that
     /// rank, clamped by the exact maximum (so `percentile(100.0) == max`).
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0;
         }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+        let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
@@ -552,7 +562,6 @@ impl std::ops::Add for HistSnapshot {
         // overflows long before anything else is wrong.
         HistSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i].wrapping_add(rhs.buckets[i])),
-            count: self.count.wrapping_add(rhs.count),
             sum: self.sum.wrapping_add(rhs.sum),
             max: self.max.max(rhs.max),
         }
@@ -561,8 +570,9 @@ impl std::ops::Add for HistSnapshot {
 
 /// Number of [`Counter`] cells at the front of a registry's block.
 const COUNTERS: usize = Counter::ALL.len();
-/// Summed cells per class histogram: the buckets, then `count`, then `sum`.
-const HIST_SUMS: usize = BUCKETS + 2;
+/// Summed cells per class histogram: the buckets, then `sum`. A class's
+/// sample count is the total of its buckets, so no cell holds it.
+const HIST_SUMS: usize = BUCKETS + 1;
 /// Every summed cell; one `max` cell per class follows.
 const SUMS: usize = COUNTERS + OpClass::COUNT * HIST_SUMS;
 
@@ -570,10 +580,12 @@ const SUMS: usize = COUNTERS + OpClass::COUNT * HIST_SUMS;
 /// — [`CommSnapshot`]'s names and semantics) and one log2 histogram per
 /// [`OpClass`] (the latency half), laid out in one [`PerThread`] block.
 ///
-/// Recording threads each write a private shard, so neither [`Registry::add`]
-/// nor [`Registry::record`] issues an atomic read-modify-write; see
-/// [`crate::per_thread`] for the single-writer argument and the visibility
-/// rule of snapshots.
+/// Recording threads each write a private shard, so no method issues an
+/// atomic read-modify-write; see [`crate::per_thread`] for the
+/// single-writer argument and the visibility rule of snapshots. A sample
+/// writes its bucket and the class's `sum` and raises its `max`;
+/// [`Registry::add_record`] counts an event and samples it in one visit to
+/// the shard.
 #[derive(Debug)]
 pub struct Registry {
     cells: PerThread,
@@ -587,6 +599,15 @@ impl Default for Registry {
     }
 }
 
+/// Record `value` for `class` in one shard's cells.
+#[inline]
+fn sample(c: &[AtomicU64], class: OpClass, value: u64) {
+    let hist = COUNTERS + class as usize * HIST_SUMS;
+    bump(&c[hist + bucket_of(value)], 1);
+    bump(&c[hist + BUCKETS], value);
+    raise(&c[SUMS + class as usize], value);
+}
+
 impl Registry {
     /// Add `n` to `counter`.
     #[inline]
@@ -598,12 +619,16 @@ impl Registry {
     /// touches no counters.
     #[inline]
     pub fn record(&self, class: OpClass, value: u64) {
-        let hist = COUNTERS + class as usize * HIST_SUMS;
+        self.cells.with(|c| sample(c, class, value));
+    }
+
+    /// Add one to `counter` and record `value` for `class`: what
+    /// [`Registry::add`] then [`Registry::record`] do, in one shard visit.
+    #[inline]
+    pub fn add_record(&self, counter: Counter, class: OpClass, value: u64) {
         self.cells.with(|c| {
-            bump(&c[hist + bucket_of(value)], 1);
-            bump(&c[hist + BUCKETS], 1);
-            bump(&c[hist + BUCKETS + 1], value);
-            raise(&c[SUMS + class as usize], value);
+            bump(&c[counter as usize], 1);
+            sample(c, class, value);
         });
     }
 
@@ -629,8 +654,7 @@ impl Registry {
                 let hist = &cells[COUNTERS + class * HIST_SUMS..][..HIST_SUMS];
                 HistSnapshot {
                     buckets: std::array::from_fn(|i| hist[i]),
-                    count: hist[BUCKETS],
-                    sum: hist[BUCKETS + 1],
+                    sum: hist[BUCKETS],
                     max: cells[SUMS + class],
                 }
             }),
@@ -647,20 +671,11 @@ impl Registry {
 /// A plain-old-data snapshot of a [`Registry`]: the communication counters
 /// plus one histogram snapshot per op class. Mergeable with `+` to fold
 /// per-locale registries into cluster totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// The counter half (see [`CommSnapshot`]).
     pub comm: CommSnapshot,
     latency: [HistSnapshot; OpClass::COUNT],
-}
-
-impl Default for TelemetrySnapshot {
-    fn default() -> Self {
-        TelemetrySnapshot {
-            comm: CommSnapshot::default(),
-            latency: [HistSnapshot::default(); OpClass::COUNT],
-        }
-    }
 }
 
 impl TelemetrySnapshot {
@@ -682,29 +697,20 @@ impl TelemetrySnapshot {
     /// `{"am_round_trip": {"count": …, "p50": …, "p99": …, "p999": …,
     /// "max": …, "mean": …}, …}`. Serde-free by design.
     pub fn latency_json(&self) -> String {
-        let mut out = String::from("{");
-        for (c, h) in self.nonempty() {
-            if out.len() > 1 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(c.name());
-            out.push_str("\": {\"count\": ");
-            out.push_str(&h.count().to_string());
-            out.push_str(", \"p50\": ");
-            out.push_str(&h.percentile(50.0).to_string());
-            out.push_str(", \"p99\": ");
-            out.push_str(&h.percentile(99.0).to_string());
-            out.push_str(", \"p999\": ");
-            out.push_str(&h.percentile(99.9).to_string());
-            out.push_str(", \"max\": ");
-            out.push_str(&h.max().to_string());
-            out.push_str(", \"mean\": ");
-            out.push_str(&h.mean().to_string());
-            out.push('}');
-        }
-        out.push('}');
-        out
+        let rows: Vec<String> = self
+            .nonempty()
+            .map(|(c, h)| {
+                let (p50, p99, p999) = (h.percentile(50.0), h.percentile(99.0), h.percentile(99.9));
+                format!(
+                    "\"{c}\": {{\"count\": {}, \"p50\": {p50}, \"p99\": {p99}, \"p999\": {p999}, \
+                     \"max\": {}, \"mean\": {}}}",
+                    h.count(),
+                    h.max(),
+                    h.mean()
+                )
+            })
+            .collect();
+        format!("{{{}}}", rows.join(", "))
     }
 }
 
@@ -1028,6 +1034,19 @@ mod tests {
         let t = r.telemetry_snapshot();
         assert!(t.comm.is_zero());
         assert!(t.class(OpClass::AmRoundTrip).is_empty());
+    }
+
+    #[test]
+    fn add_record_is_add_then_record() {
+        let (fused, apart) = (Registry::default(), Registry::default());
+        fused.add_record(Counter::Gets, OpClass::Get, 850);
+        apart.add(Counter::Gets, 1);
+        apart.record(OpClass::Get, 850);
+        let t = fused.telemetry_snapshot();
+        assert_eq!(t, apart.telemetry_snapshot());
+        assert_eq!(t.comm.gets, 1);
+        let h = t.class(OpClass::Get);
+        assert_eq!((h.count(), h.sum(), h.max()), (1, 850, 850));
     }
 
     #[test]

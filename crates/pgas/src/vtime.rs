@@ -44,21 +44,6 @@ pub fn charge(ns: u64) {
     VTIME.with(|c| c.set(c.get().saturating_add(ns)));
 }
 
-/// Instrumented charge point: charge `ns` to the task clock *and* record
-/// the same quantity as a latency sample for `class` on `registry` (see
-/// [`crate::telemetry`]). The sample is bookkeeping only — it never feeds
-/// back into the clock, so virtual-time results are bit-identical with or
-/// without anyone reading the histograms.
-#[inline]
-pub fn charge_sampled(
-    registry: &crate::telemetry::Registry,
-    class: crate::telemetry::OpClass,
-    ns: u64,
-) {
-    charge(ns);
-    registry.record(class, ns);
-}
-
 /// Advance the task clock to at least `t` (no-op if already past).
 #[inline]
 pub fn advance_to(t: u64) {
@@ -96,20 +81,6 @@ mod tests {
         assert_eq!(now(), 42);
         set(0);
         assert_eq!(now(), 0);
-    }
-
-    #[test]
-    fn charge_sampled_charges_clock_and_records_sample() {
-        use crate::telemetry::{OpClass, Registry};
-        let r = Registry::default();
-        set(0);
-        charge_sampled(&r, OpClass::Put, 850);
-        assert_eq!(now(), 850, "clock advances exactly as plain charge()");
-        let t = r.telemetry_snapshot();
-        assert_eq!(t.class(OpClass::Put).count(), 1);
-        assert_eq!(t.class(OpClass::Put).max(), 850);
-        assert!(t.comm.is_zero(), "sampling must not touch counters");
-        set(0);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! `Registry` recording is a plain load + store on a shard only the
 //! recording thread writes (`pgas_sim::per_thread`), and a snapshot merges
 //! the shards. These tests pin that no interleaving of `add` / `record` /
-//! `snapshot` / `reset` / thread exit loses or invents a count: every
-//! counter and every histogram bucket, count, sum and max equals what a
-//! sequential model of the same script holds — at every snapshot that a
-//! hand-off orders after the writes, and after the final join.
+//! `add_record` / `snapshot` / `reset` / thread exit loses or invents a
+//! count: every counter and every histogram bucket, count, sum and max
+//! equals what a sequential model of the same script holds — at every
+//! snapshot that a hand-off orders after the writes, and after the final
+//! join. A histogram's count has no cell of its own (the snapshot totals
+//! the buckets), so the model's count checks that derivation.
 //!
 //! The last test pins the one place the runtime itself depends on that
 //! ordering: an active message's `am_handled` count must be visible to the
@@ -25,6 +27,8 @@ use pgas_sim::Runtime;
 struct Model {
     counters: Vec<u64>,
     hists: Vec<HistSnapshot>,
+    /// Samples per class, counted apart from the buckets.
+    samples: Vec<u64>,
 }
 
 impl Model {
@@ -32,6 +36,7 @@ impl Model {
         Model {
             counters: vec![0; Counter::ALL.len()],
             hists: vec![HistSnapshot::default(); OpClass::COUNT],
+            samples: vec![0; OpClass::COUNT],
         }
     }
 
@@ -40,7 +45,14 @@ impl Model {
             Op::Add(c, n) => {
                 self.counters[c as usize] = self.counters[c as usize].wrapping_add(n);
             }
-            Op::Record(class, v) => self.hists[class as usize].record(v),
+            Op::Record(class, v) => {
+                self.hists[class as usize].record(v);
+                self.samples[class as usize] += 1;
+            }
+            Op::AddRecord(c, class, v) => {
+                self.apply(Op::Add(c, 1));
+                self.apply(Op::Record(class, v));
+            }
         }
     }
 
@@ -55,6 +67,13 @@ impl Model {
             );
         }
         for class in OpClass::ALL {
+            prop_assert_eq!(
+                got.class(class).count(),
+                self.samples[class as usize],
+                "{} count {}",
+                class,
+                when
+            );
             prop_assert_eq!(
                 got.class(class),
                 &self.hists[class as usize],
@@ -71,6 +90,7 @@ impl Model {
 enum Op {
     Add(Counter, u64),
     Record(OpClass, u64),
+    AddRecord(Counter, OpClass, u64),
 }
 
 impl Op {
@@ -78,6 +98,7 @@ impl Op {
         match self {
             Op::Add(c, n) => r.add(c, n),
             Op::Record(class, v) => r.record(class, v),
+            Op::AddRecord(c, class, v) => r.add_record(c, class, v),
         }
     }
 }
@@ -93,10 +114,12 @@ fn decode(sel: u64, idx: usize, value: u64) -> Op {
         1 => value % 1000,
         _ => value,
     };
-    if sel & 1 == 0 {
-        Op::Add(Counter::ALL[idx % Counter::ALL.len()], value)
-    } else {
-        Op::Record(OpClass::ALL[idx % OpClass::COUNT], value)
+    let counter = Counter::ALL[idx % Counter::ALL.len()];
+    let class = OpClass::ALL[idx % OpClass::COUNT];
+    match sel % 3 {
+        0 => Op::Add(counter, value),
+        1 => Op::Record(class, value),
+        _ => Op::AddRecord(counter, class, value),
     }
 }
 
@@ -205,7 +228,7 @@ proptest! {
                     // Histogram counts only grow while nobody resets.
                     let t = r.telemetry_snapshot();
                     for class in OpClass::ALL {
-                        assert!(t.class(class).count() <= model.hists[class as usize].count());
+                        assert!(t.class(class).count() <= model.samples[class as usize]);
                     }
                 }
             });
