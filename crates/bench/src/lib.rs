@@ -11,6 +11,8 @@
 //! builds the traced runtime, runs the workload's setup, times its body,
 //! checks that every object was reclaimed and takes the telemetry snapshot.
 
+#![cfg_attr(not(test), deny(clippy::undocumented_unsafe_blocks))]
+
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -592,6 +594,9 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
                 let mut slot = 0;
                 let mut cur = tok.protect_root(slot, &head_cell);
                 while !cur.is_null() {
+                    // SAFETY: `cur` is protected by `tok` (pinned, or
+                    // published and validated in `slot`), and this task,
+                    // the chain's only writer, defers what it unlinks.
                     let node = unsafe { cur.deref() };
                     std::hint::black_box(node.value);
                     slot ^= 1;
@@ -604,6 +609,8 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
                 tok.release(1);
                 if i % writes_every == 0 {
                     let old_head = head_cell.read();
+                    // SAFETY: this task is the only writer and is pinned;
+                    // the head it read is deferred, never freed, below.
                     let next = unsafe { old_head.deref() }.next.read();
                     let fresh = alloc_local(
                         &rt_h,
@@ -626,7 +633,12 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
             // Quiescent teardown: free the remaining chain.
             let mut cur = head_cell.read();
             while !cur.is_null() {
+                // SAFETY: quiescent teardown — the manager is cleared and
+                // no task holds a reference; each node is read, then freed
+                // once.
                 let next = unsafe { cur.deref() }.next.read();
+                // SAFETY: as above; `cur` is freed here and never touched
+                // again.
                 unsafe { pgas_nb::sim::free(&rt_h, cur) };
                 cur = next;
             }

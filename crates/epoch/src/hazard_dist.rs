@@ -296,7 +296,7 @@ impl<'a> HpGuard<'a> {
     fn publish(&self, slot: usize, addr: usize) {
         assert!(slot < DIST_HP_SLOTS);
         self.end_validated(slot);
-        engine::charge_atomic_u64(pgas_sim::here());
+        engine::charge_local_atomic_u64();
         self.slot.extra.words[slot].store(addr, Ordering::SeqCst);
     }
 

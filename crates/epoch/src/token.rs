@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering}
 
 use pgas_atomics::LocalAtomicAbaObject;
 use pgas_sim::{ctx, engine};
-use pgas_sim::{here, GlobalPtr, LocaleId};
+use pgas_sim::{GlobalPtr, LocaleId};
 
 use crate::limbo::OpenBag;
 
@@ -56,7 +56,7 @@ impl<X> TokenSlot<X> {
     /// Charged atomic read of the token's epoch (used by the reclamation
     /// scan).
     pub fn epoch(&self) -> u64 {
-        engine::charge_atomic_u64(here());
+        engine::charge_local_atomic_u64();
         self.local_epoch.load(Ordering::SeqCst)
     }
 
@@ -80,7 +80,7 @@ impl<X> TokenSlot<X> {
 
     /// Charged atomic write of the token's epoch (pin/unpin).
     pub fn set_epoch(&self, e: u64) {
-        engine::charge_atomic_u64(here());
+        engine::charge_local_atomic_u64();
         self.local_epoch.store(e, Ordering::SeqCst);
     }
 }
@@ -299,7 +299,7 @@ impl<X: Default> TokenRegistry<X> {
 impl<X> TokenRegistry<X> {
     fn charge(&self) {
         if self.charged {
-            engine::charge_atomic_u64(here());
+            engine::charge_local_atomic_u64();
         }
     }
 

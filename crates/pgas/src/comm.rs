@@ -31,7 +31,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use crate::ctx;
+use crate::ctx::{self, Record};
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
 use crate::stats::Counter;
@@ -58,29 +58,31 @@ pub enum AtomicPath {
 /// path the caller must take.
 #[inline]
 pub fn route_atomic_u64(core: &RuntimeCore, here: LocaleId, owner: LocaleId) -> AtomicPath {
+    let r = ctx::record();
     let net = &core.config.network;
-    let stats = &core.locale(here).stats;
     if core.confined_to_rank(owner) {
-        stats.add(Counter::CpuAtomics, 1);
+        r.stats(core, here, |s| s.add(Counter::CpuAtomics, 1));
         AtomicPath::CpuLocal
     } else if net.network_atomics {
         // All 64-bit atomics go through the NIC, local or not.
-        let t_issue = vtime::now();
-        vtime::charge(net.nic_atomic_ns);
+        let t_issue = r.vtime.get();
+        r.charge(net.nic_atomic_ns);
         // Fault injection on the one-sided path (remote targets only:
         // delay and drop model wire faults). A dropped RDMA request is
         // retransmitted by the NIC transport after a timeout; transport
         // sequence numbers make the retry exactly-once, so — unlike the
         // AM path — this is safe for *any* operation class. The memory
         // effect is applied by the caller exactly once, after routing.
-        inject_one_sided_faults(core, here, owner, net.nic_atomic_ns);
+        inject_one_sided_faults(r, core, here, owner, net.nic_atomic_ns);
         // The full span charged to this op: the NIC atomic itself plus
         // any injected delays and retransmit penalties.
-        let span = vtime::now() - t_issue;
-        stats.add_record(Counter::RdmaAtomics, OpClass::RdmaAtomic, span);
+        let span = r.vtime.get() - t_issue;
+        r.stats(core, here, |s| {
+            s.add_record(Counter::RdmaAtomics, OpClass::RdmaAtomic, span)
+        });
         AtomicPath::Nic
     } else if owner == here {
-        charge_handler_atomic(core, here);
+        charge_cpu(r, core, here, CPU_ATOMIC, net.cpu_atomic_ns);
         AtomicPath::CpuLocal
     } else {
         AtomicPath::ActiveMessage
@@ -93,28 +95,36 @@ pub fn route_atomic_u64(core: &RuntimeCore, here: LocaleId, owner: LocaleId) -> 
 /// versioned-read GET path; transport sequence numbers make retransmits
 /// exactly-once, so this is safe for any operation class. No-op when
 /// `owner` is local or no fault plan is installed.
-fn inject_one_sided_faults(core: &RuntimeCore, here: LocaleId, owner: LocaleId, reissue_ns: u64) {
+fn inject_one_sided_faults(
+    r: &Record,
+    core: &RuntimeCore,
+    here: LocaleId,
+    owner: LocaleId,
+    reissue_ns: u64,
+) {
     let Some(fs) = core.faults() else {
         return;
     };
     if owner == here {
         return;
     }
-    let stats = &core.locale(here).stats;
+    let count = |counter| r.stats(core, here, |s| s.add(counter, 1));
     if let Some(extra) = fs.inject_delay() {
-        stats.add(Counter::InjectedDelays, 1);
-        vtime::charge(extra);
+        count(Counter::InjectedDelays);
+        r.charge(extra);
     }
     let mut attempt = 0;
     while attempt < fs.max_attempts() {
         let Some(decision) = fs.inject_drop_indexed() else {
             break;
         };
-        stats.add(Counter::InjectedDrops, 1);
-        let before = vtime::now();
+        count(Counter::InjectedDrops);
+        let before = r.vtime.get();
         let penalty = fs.retry_penalty_ns(attempt);
-        vtime::charge(penalty + reissue_ns);
-        stats.add_record(Counter::Retries, OpClass::Retry, penalty);
+        r.charge(penalty + reissue_ns);
+        r.stats(core, here, |s| {
+            s.add_record(Counter::Retries, OpClass::Retry, penalty)
+        });
         // One retry span per dropped request, tagged with the fault
         // decision index that dropped it.
         let (trace_id, span_id, parent) = core.span_ids(here);
@@ -134,7 +144,7 @@ fn inject_one_sided_faults(core: &RuntimeCore, here: LocaleId, owner: LocaleId, 
         attempt += 1;
     }
     if attempt >= fs.max_attempts() {
-        stats.add(Counter::GaveUp, 1);
+        count(Counter::GaveUp);
     }
 }
 
@@ -144,15 +154,28 @@ fn inject_one_sided_faults(core: &RuntimeCore, here: LocaleId, owner: LocaleId, 
 /// §II-A).
 #[inline]
 pub fn route_atomic_u128(core: &RuntimeCore, here: LocaleId, owner: LocaleId) -> AtomicPath {
+    let r = ctx::record();
     if core.confined_to_rank(owner) {
-        core.locale(here).stats.add(Counter::CpuDcas, 1);
+        r.stats(core, here, |s| s.add(Counter::CpuDcas, 1));
         AtomicPath::CpuLocal
     } else if owner == here {
-        charge_handler_dcas(core, here);
+        charge_cpu(r, core, here, CPU_DCAS, core.config.network.cpu_dcas_ns);
         AtomicPath::CpuLocal
     } else {
         AtomicPath::ActiveMessage
     }
+}
+
+/// A CPU operation's counter and class.
+type Cpu = (Counter, OpClass);
+const CPU_ATOMIC: Cpu = (Counter::CpuAtomics, OpClass::CpuAtomic);
+const CPU_DCAS: Cpu = (Counter::CpuDcas, OpClass::CpuDcas);
+
+/// Count, sample and charge one CPU operation of `ns` on locale `here`.
+#[inline]
+fn charge_cpu(r: &Record, core: &RuntimeCore, here: LocaleId, (count, class): Cpu, ns: u64) {
+    r.stats(core, here, |s| s.add_record(count, class, ns));
+    r.charge(ns);
 }
 
 /// Charge the CPU cost of a 64-bit atomic on locale `here` (locally or
@@ -161,10 +184,7 @@ pub fn route_atomic_u128(core: &RuntimeCore, here: LocaleId, owner: LocaleId) ->
 #[inline]
 pub fn charge_handler_atomic(core: &RuntimeCore, here: LocaleId) {
     let ns = core.config.network.cpu_atomic_ns;
-    core.locale(here)
-        .stats
-        .add_record(Counter::CpuAtomics, OpClass::CpuAtomic, ns);
-    vtime::charge(ns);
+    charge_cpu(ctx::record(), core, here, CPU_ATOMIC, ns);
 }
 
 /// Charge the CPU cost of a 128-bit DCAS on locale `here` (locally or
@@ -172,10 +192,7 @@ pub fn charge_handler_atomic(core: &RuntimeCore, here: LocaleId) {
 #[inline]
 pub fn charge_handler_dcas(core: &RuntimeCore, here: LocaleId) {
     let ns = core.config.network.cpu_dcas_ns;
-    core.locale(here)
-        .stats
-        .add_record(Counter::CpuDcas, OpClass::CpuDcas, ns);
-    vtime::charge(ns);
+    charge_cpu(ctx::record(), core, here, CPU_DCAS, ns);
 }
 
 /// Charge the per-item dispatch cost of one operation executing inside a
@@ -202,32 +219,43 @@ const PUT: Rma = (Counter::Puts, Counter::BytesPut, OpClass::Put);
 /// Count, sample and charge one one-sided transfer of `bytes` issued on
 /// locale `here`.
 #[inline]
-fn charge_rma(core: &RuntimeCore, here: LocaleId, (count, moved, class): Rma, bytes: usize) {
+fn charge_rma(
+    r: &Record,
+    core: &RuntimeCore,
+    here: LocaleId,
+    (count, moved, class): Rma,
+    bytes: usize,
+) {
     let ns = rma_cost(core, bytes);
-    let stats = &core.locale(here).stats;
-    stats.add(moved, bytes as u64);
-    stats.add_record(count, class, ns);
-    vtime::charge(ns);
+    r.stats(core, here, |s| {
+        s.add(moved, bytes as u64);
+        s.add_record(count, class, ns);
+    });
+    r.charge(ns);
+}
+
+/// Charge a one-sided `rma` transfer of `bytes` toward `owner`'s memory,
+/// from the caller's context. No cost or count when `owner` is local.
+#[inline]
+fn charge_transfer(core: &RuntimeCore, owner: LocaleId, rma: Rma, bytes: usize) {
+    let here = ctx::here();
+    if !core.confined_to_rank(owner) && owner != here {
+        charge_rma(ctx::record(), core, here, rma, bytes);
+    }
 }
 
 /// Charge a one-sided GET of `bytes` from `owner`'s memory. No cost or
 /// count when the data is local.
 #[inline]
 pub fn charge_get(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
-    let here = ctx::here();
-    if !core.confined_to_rank(owner) && owner != here {
-        charge_rma(core, here, GET, bytes);
-    }
+    charge_transfer(core, owner, GET, bytes);
 }
 
 /// Charge a one-sided PUT of `bytes` into `owner`'s memory. No cost or
 /// count when the target is local.
 #[inline]
 pub fn charge_put(core: &RuntimeCore, owner: LocaleId, bytes: usize) {
-    let here = ctx::here();
-    if !core.confined_to_rank(owner) && owner != here {
-        charge_rma(core, here, PUT, bytes);
-    }
+    charge_transfer(core, owner, PUT, bytes);
 }
 
 /// Bytes moved by one optimistic versioned-read attempt: the 16-byte
@@ -286,9 +314,9 @@ pub fn vread_u128(
         // A process reads its own cell through the DCAS path.
         return None;
     }
+    let r = ctx::record();
     let net = &core.config.network;
-    let stats = &core.locale(here).stats;
-    let t_issue = vtime::now();
+    let t_issue = r.vtime.get();
     let max_tries = core.config.vread_max_tries.max(1);
     let skip_validate = VREAD_SKIP_VALIDATE.load(Ordering::Relaxed);
     for attempt in 0..max_tries {
@@ -296,10 +324,10 @@ pub fn vread_u128(
         // load locally. Retried (torn) attempts pay again — the optimistic
         // read is only a win while contention is low.
         if owner == here {
-            vtime::charge(net.cpu_atomic_ns);
+            r.charge(net.cpu_atomic_ns);
         } else {
-            charge_rma(core, here, GET, VREAD_BYTES);
-            inject_one_sided_faults(core, here, owner, rma_cost(core, VREAD_BYTES));
+            charge_rma(r, core, here, GET, VREAD_BYTES);
+            inject_one_sided_faults(r, core, here, owner, rma_cost(core, VREAD_BYTES));
         }
         let s1 = cell.seq();
         let lo = cell.lo();
@@ -314,8 +342,10 @@ pub fn vread_u128(
         // The bug accepts without re-validating the sequence.
         let valid = skip_validate || cell.validate(s1);
         if valid {
-            let end = vtime::now();
-            stats.add_record(Counter::VreadFast, OpClass::VersionedRead, end - t_issue);
+            let end = r.vtime.get();
+            r.stats(core, here, |s| {
+                s.add_record(Counter::VreadFast, OpClass::VersionedRead, end - t_issue)
+            });
             let (trace_id, span_id, parent) = core.span_ids(here);
             core.emit_span(|| Span {
                 class: OpClass::VersionedRead,
@@ -332,9 +362,9 @@ pub fn vread_u128(
             });
             return Some(payload);
         }
-        stats.add(Counter::VreadRetries, 1);
+        r.stats(core, here, |s| s.add(Counter::VreadRetries, 1));
     }
-    stats.add(Counter::VreadFallbacks, 1);
+    r.stats(core, here, |s| s.add(Counter::VreadFallbacks, 1));
     None
 }
 

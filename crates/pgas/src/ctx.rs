@@ -1,4 +1,4 @@
-//! Ambient locale context.
+//! Ambient locale context: the calling thread's one record.
 //!
 //! Chapel code always executes "somewhere": the `here` locale. The
 //! simulator reproduces that with a thread-local context naming the runtime
@@ -13,6 +13,27 @@
 //! context entered below a handler (`run_on`, an inline `on`) does not
 //! carry it.
 //!
+//! # The record
+//! Everything the charge path reads per operation lives in one
+//! `const`-initialised thread-local without a destructor, the `Record`:
+//! the context (core, locale, progress index), this thread's shard of the
+//! context locale's [`crate::telemetry::Registry`], the task's virtual
+//! clock ([`crate::vtime`]) and its retry class ([`crate::faults`]). A
+//! charged atomic reads the record and writes the cached shard directly,
+//! without searching the thread's shard list ([`crate::per_thread`]).
+//! `record()` hands it out as a `&'static` reference: the record is valid
+//! for the thread's whole life, thread-local destructors included, and
+//! cannot leave the thread.
+//!
+//! The shard is resolved lazily, on the first charge after a context is
+//! entered (entering never touches the core, so tests may enter fake
+//! ones), and the context guard restores it together with the locale and
+//! the progress index. The clock and the retry class are per thread, as
+//! they always were: no guard restores the clock, and
+//! [`crate::faults::with_class`] restores the class through its own scope.
+//! Why the cached shard pointer stays valid is argued in
+//! [`crate::per_thread`]'s module docs.
+//!
 //! # Safety of the raw pointer
 //! The context stores a raw `*const RuntimeCore` rather than an `Arc` so
 //! that scoped worker threads can borrow the runtime. The pointer is valid
@@ -22,29 +43,142 @@
 //! threads).
 
 use std::cell::Cell;
+use std::ptr;
 
+use crate::faults::RetryClass;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
+use crate::telemetry::{Shard, ShardCells};
 
-thread_local! {
-    static CTX: Cell<Option<(*const RuntimeCore, LocaleId)>> = const { Cell::new(None) };
-    /// The progress-thread index of the context in `CTX`, when a progress
-    /// loop installed it. Kept apart so the hot `here`/`with_core` reads
-    /// stay one pointer and one id wide.
-    static PROGRESS: Cell<Option<usize>> = const { Cell::new(None) };
+const NO_CTX: &str = "no PGAS context on this thread; wrap the code in Runtime::run, a \
+                      coforall/forall body, or an `on` statement";
+
+/// One context: what [`enter`] installs and its [`CtxGuard`] puts back.
+#[derive(Clone, Copy)]
+struct Context {
+    /// The runtime core; null outside any context.
+    core: *const RuntimeCore,
+    /// The locale; meaningless while `core` is null.
+    locale: LocaleId,
+    /// The progress-thread index, when a progress loop installed the
+    /// context.
+    progress: Option<usize>,
+    /// This thread's shard of `core.locale(locale).stats`; null until the
+    /// context's first charge resolves it.
+    shard: *const ShardCells,
 }
 
-/// Restores the previous context when dropped, so nested `run`/handler
-/// execution unwinds correctly.
+/// The calling thread's context, clock and retry class (see the module
+/// docs).
+pub(crate) struct Record {
+    ctx: Cell<Context>,
+    /// The task's virtual clock, in nanoseconds ([`crate::vtime`]).
+    pub(crate) vtime: Cell<u64>,
+    /// The retry class in scope ([`crate::faults::with_class`]).
+    pub(crate) class: Cell<RetryClass>,
+}
+
+thread_local! {
+    static RECORD: Record = const {
+        Record {
+            ctx: Cell::new(Context {
+                core: ptr::null(),
+                locale: 0,
+                progress: None,
+                shard: ptr::null(),
+            }),
+            vtime: Cell::new(0),
+            class: Cell::new(RetryClass::NonIdempotent),
+        }
+    };
+}
+
+/// The calling thread's record.
+#[inline]
+pub(crate) fn record() -> &'static Record {
+    // SAFETY: `RECORD` is `const`-initialised and has no destructor, so its
+    // storage is never initialised lazily nor torn down before the thread
+    // ends; and `Record` is `!Sync`, so the reference cannot leave the
+    // thread.
+    RECORD.with(|r| unsafe { &*ptr::from_ref(r) })
+}
+
+impl Record {
+    /// The current context's locale, `None` off-runtime.
+    #[inline]
+    pub(crate) fn here(&self) -> Option<LocaleId> {
+        let c = self.ctx.get();
+        (!c.core.is_null()).then_some(c.locale)
+    }
+
+    /// Whether `core` is the current context's runtime core.
+    #[inline]
+    pub(crate) fn is_current(&self, core: *const RuntimeCore) -> bool {
+        ptr::eq(self.ctx.get().core, core)
+    }
+
+    /// Charge `ns` nanoseconds of virtual time to the task.
+    #[inline]
+    pub(crate) fn charge(&self, ns: u64) {
+        self.vtime.set(self.vtime.get().saturating_add(ns));
+    }
+
+    /// Run `f` on this thread's shard of `core.locale(locale).stats`.
+    /// When `(core, locale)` is the current context, the charge path's
+    /// case, that is the shard cached in the record; otherwise the
+    /// registry's own lookup finds it.
+    #[inline]
+    pub(crate) fn stats<R>(
+        &self,
+        core: &RuntimeCore,
+        locale: LocaleId,
+        f: impl FnOnce(Shard<'_>) -> R,
+    ) -> R {
+        let c = self.ctx.get();
+        if ptr::eq(c.core, core) && c.locale == locale && !c.shard.is_null() {
+            // SAFETY: `c.shard` is this thread's shard of the current
+            // context's registry, which its `SHARDS` entry keeps alive
+            // while the context is current (`per_thread`'s module docs).
+            f(unsafe { Shard::from_ptr(c.shard) })
+        } else {
+            self.stats_uncached(core, locale, f)
+        }
+    }
+
+    /// [`Record::stats`] without a cached shard: the context's first
+    /// charge resolves and caches it; a registry other than the context's,
+    /// or any after the thread's shard list is destroyed, goes through the
+    /// registry's own lookup.
+    #[cold]
+    #[inline(never)]
+    fn stats_uncached<R>(
+        &self,
+        core: &RuntimeCore,
+        locale: LocaleId,
+        f: impl FnOnce(Shard<'_>) -> R,
+    ) -> R {
+        let registry = &core.locale(locale).stats;
+        let c = self.ctx.get();
+        if ptr::eq(c.core, core) && c.locale == locale {
+            if let Some(shard) = registry.shard_ptr() {
+                self.ctx.set(Context { shard, ..c });
+                // SAFETY: as in `stats`; it is cached from now on.
+                return f(unsafe { Shard::from_ptr(shard) });
+            }
+        }
+        registry.with_shard(f)
+    }
+}
+
+/// Restores the previous context, its progress index and its cached shard
+/// when dropped, so nested `run`/handler execution unwinds correctly.
 pub(crate) struct CtxGuard {
-    prev: Option<(*const RuntimeCore, LocaleId)>,
-    prev_progress: Option<usize>,
+    prev: Context,
 }
 
 impl Drop for CtxGuard {
     fn drop(&mut self) {
-        CTX.with(|c| c.set(self.prev));
-        PROGRESS.with(|p| p.set(self.prev_progress));
+        record().ctx.set(self.prev);
     }
 }
 
@@ -78,9 +212,14 @@ unsafe fn enter_as(
     locale: LocaleId,
     progress: Option<usize>,
 ) -> CtxGuard {
+    let entered = Context {
+        core,
+        locale,
+        progress,
+        shard: ptr::null(),
+    };
     CtxGuard {
-        prev: CTX.with(|c| c.replace(Some((core, locale)))),
-        prev_progress: PROGRESS.with(|p| p.replace(progress)),
+        prev: record().ctx.replace(entered),
     }
 }
 
@@ -90,7 +229,7 @@ unsafe fn enter_as(
 /// thread run one at a time, so state indexed by `t` has one user at a time.
 #[inline]
 pub fn progress_thread() -> Option<usize> {
-    PROGRESS.with(|p| p.get())
+    record().ctx.get().progress
 }
 
 /// The locale the current task is executing on (Chapel's `here.id`).
@@ -99,16 +238,13 @@ pub fn progress_thread() -> Option<usize> {
 /// If the current thread is not executing inside a runtime task.
 #[inline]
 pub fn here() -> LocaleId {
-    try_here().expect(
-        "no PGAS context on this thread; wrap the code in Runtime::run, a \
-         coforall/forall body, or an `on` statement",
-    )
+    try_here().expect(NO_CTX)
 }
 
 /// Like [`here`], but returns `None` off-runtime instead of panicking.
 #[inline]
 pub fn try_here() -> Option<LocaleId> {
-    CTX.with(|c| c.get().map(|(_, l)| l))
+    record().here()
 }
 
 /// Run `f` with a reference to the current runtime core and the current
@@ -119,13 +255,7 @@ pub fn try_here() -> Option<LocaleId> {
 /// If the current thread has no PGAS context.
 #[inline]
 pub fn with_core<R>(f: impl FnOnce(&RuntimeCore, LocaleId) -> R) -> R {
-    let (core, locale) = CTX.with(|c| c.get()).expect(
-        "no PGAS context on this thread; wrap the code in Runtime::run, a \
-         coforall/forall body, or an `on` statement",
-    );
-    // SAFETY: documented invariant — whoever installed the context keeps
-    // the core alive until the guard drops, and we are inside that window.
-    f(unsafe { &*core }, locale)
+    try_with_core(f).expect(NO_CTX)
 }
 
 /// Like [`with_core`], but returns `None` off-runtime instead of
@@ -133,18 +263,10 @@ pub fn with_core<R>(f: impl FnOnce(&RuntimeCore, LocaleId) -> R) -> R {
 /// must be inert outside a task context.
 #[inline]
 pub fn try_with_core<R>(f: impl FnOnce(&RuntimeCore, LocaleId) -> R) -> Option<R> {
-    let (core, locale) = CTX.with(|c| c.get())?;
-    // SAFETY: same invariant as `with_core` — the context installer keeps
+    let c = record().ctx.get();
+    // SAFETY: documented invariant — whoever installed the context keeps
     // the core alive until the guard drops, and we are inside that window.
-    Some(f(unsafe { &*core }, locale))
-}
-
-/// Whether `core` is the current context's runtime core: a check for a
-/// guard that kept the core it was opened with (`telemetry::OpSpan`).
-#[inline]
-pub(crate) fn is_current(core: *const RuntimeCore) -> bool {
-    CTX.with(|c| c.get())
-        .is_some_and(|(c, _)| std::ptr::eq(c, core))
+    (!c.core.is_null()).then(|| f(unsafe { &*c.core }, c.locale))
 }
 
 /// A cloneable handle to the current runtime, usable to construct objects
@@ -202,5 +324,29 @@ mod tests {
             assert_eq!(progress_thread(), Some(1));
         }
         assert_eq!(progress_thread(), None);
+    }
+
+    #[test]
+    fn the_shard_is_cached_on_the_first_charge_and_restored_by_the_guard() {
+        let rt = crate::Runtime::new(crate::RuntimeConfig::cluster(2).without_network_atomics());
+        let cached = || record().ctx.get().shard;
+        assert!(cached().is_null());
+        rt.run(|| {
+            assert!(cached().is_null(), "entering resolves nothing");
+            crate::engine::charge_local_atomic_u64();
+            let outer = cached();
+            assert!(!outer.is_null(), "the first charge resolves the shard");
+            crate::engine::charge_local_atomic_u64();
+            assert_eq!(cached(), outer, "later charges reuse it");
+            rt.run_on(1, || {
+                assert!(cached().is_null(), "a nested context resolves its own");
+                crate::engine::charge_local_atomic_u64();
+                assert!(!cached().is_null() && cached() != outer);
+            });
+            assert_eq!(cached(), outer, "the guard put the outer shard back");
+        });
+        assert!(cached().is_null());
+        let t = |l| rt.locale(l).stats.snapshot().cpu_atomics;
+        assert_eq!((t(0), t(1)), (2, 1));
     }
 }

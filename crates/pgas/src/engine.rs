@@ -277,6 +277,15 @@ pub fn charge_atomic_u64(owner: LocaleId) {
     });
 }
 
+/// [`charge_atomic_u64`] for a cell on the task's own locale (an epoch
+/// token's word, say), without a separate read of the locale.
+#[inline]
+pub fn charge_local_atomic_u64() {
+    ctx::with_core(|core, here| {
+        let _ = comm::route_atomic_u64(core, here, here);
+    });
+}
+
 /// GET a `Copy` value through a global pointer, charging RMA costs.
 ///
 /// # Safety

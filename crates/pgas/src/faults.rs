@@ -46,15 +46,16 @@
 
 pub mod invariants;
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::ctx;
 use crate::globalptr::LocaleId;
 
 /// Classification of a remote operation for drop/retry eligibility.
 ///
 /// The sender tags the *current task* via [`with_class`] before issuing the
-/// operation; the engine reads the tag at send time. The default — chosen
+/// operation; the engine reads the tag at send time. The tag is a field of
+/// the thread's context record ([`crate::ctx`]). The default — chosen
 /// whenever no scope is active — is conservative: [`RetryClass::NonIdempotent`],
 /// which is never dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,18 +69,17 @@ pub enum RetryClass {
     NonIdempotent,
 }
 
-thread_local! {
-    static CURRENT_CLASS: Cell<RetryClass> = const { Cell::new(RetryClass::NonIdempotent) };
-}
-
 /// Run `f` with the calling task's operation class set to `class`,
-/// restoring the previous class afterwards (scopes nest).
+/// restoring the previous class afterwards (scopes nest). The class is a
+/// field of the thread's context record ([`crate::ctx`]); entering or
+/// leaving a context does not touch it.
 pub fn with_class<R>(class: RetryClass, f: impl FnOnce() -> R) -> R {
-    let prev = CURRENT_CLASS.with(|c| c.replace(class));
+    let prev = ctx::record().class.replace(class);
     struct Restore(RetryClass);
     impl Drop for Restore {
+        #[inline]
         fn drop(&mut self) {
-            CURRENT_CLASS.with(|c| c.set(self.0));
+            ctx::record().class.set(self.0);
         }
     }
     let _restore = Restore(prev);
@@ -87,8 +87,9 @@ pub fn with_class<R>(class: RetryClass, f: impl FnOnce() -> R) -> R {
 }
 
 /// The operation class currently in scope on this thread.
+#[inline]
 pub fn current_class() -> RetryClass {
-    CURRENT_CLASS.with(|c| c.get())
+    ctx::record().class.get()
 }
 
 /// Timeout-and-retry behaviour for dropped idempotent operations.

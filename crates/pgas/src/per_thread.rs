@@ -31,6 +31,27 @@
 //! thread drops its shards of dead blocks the next time it registers
 //! anywhere, and at exit.
 //!
+//! **The cached shard.** Finding a shard searches the thread's shard
+//! list. The charge path skips the search: the thread's context record
+//! ([`crate::ctx`]) caches a pointer to its shard of the context locale's
+//! [`crate::telemetry::Registry`], resolved on the context's first charge
+//! and dropped or restored with the context. The pointer is valid for as
+//! long as the context is current:
+//!
+//! * it points into an `Arc` that this thread's `SHARDS` entry holds;
+//! * the entry goes only at thread exit, or when the thread's own
+//!   registration prunes a dead block — and the block cannot be dead while
+//!   its core's context is current, because the context keeps the core
+//!   (and so its registries) alive;
+//! * no context is current across the destruction of `SHARDS` (contexts are
+//!   guards on the stack; a thread-local destructor that enters one
+//!   resolves afresh), and once `SHARDS` is destroyed a resolution finds no
+//!   shard, so every charge takes [`PerThread::with`]'s scratch shard, as
+//!   other recording does.
+//!
+//! A pointer cached for one runtime is never reused for another, also one
+//! built where a dropped one lived: entering a context clears the cache.
+//!
 //! [`read`]: PerThread::read
 //! [`reset`]: PerThread::reset
 
@@ -148,22 +169,32 @@ impl PerThread {
     /// should update cells with [`bump`] / [`raise`].
     #[inline]
     pub fn with<R>(&self, f: impl FnOnce(&[AtomicU64]) -> R) -> R {
-        let found = SHARDS.try_with(|s| {
-            let hit =
-                s.0.borrow()
-                    .iter()
-                    .find(|e| e.id == self.id)
-                    .map(|e| e.cells.as_ptr());
-            hit.unwrap_or_else(|| self.register(&mut s.0.borrow_mut()))
-        });
-        match found {
+        match self.shard_ptr() {
             // SAFETY: the pointer is to the `len` cells of an `Arc` held by
             // this thread's entry, which is removed only by the thread's
             // own `register` (for dead blocks; `self` keeps ours alive) or
             // its exit — neither can run during `f`.
-            Ok(p) => f(unsafe { std::slice::from_raw_parts(p, self.len) }),
-            Err(_) => self.with_scratch(f),
+            Some(p) => f(unsafe { std::slice::from_raw_parts(p, self.len) }),
+            None => self.with_scratch(f),
         }
+    }
+
+    /// The calling thread's shard (`len` cells), registered on first use;
+    /// `None` once the thread's shard list is destroyed. The pointer stays
+    /// valid as long as the block lives and the thread has not begun to
+    /// exit (see the module docs).
+    #[inline]
+    pub(crate) fn shard_ptr(&self) -> Option<*const AtomicU64> {
+        SHARDS
+            .try_with(|s| {
+                let hit =
+                    s.0.borrow()
+                        .iter()
+                        .find(|e| e.id == self.id)
+                        .map(|e| e.cells.as_ptr());
+                hit.unwrap_or_else(|| self.register(&mut s.0.borrow_mut()))
+            })
+            .ok()
     }
 
     /// The thread is past its thread-local destructors: record into a

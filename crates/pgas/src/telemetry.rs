@@ -354,17 +354,18 @@ pub fn key_hash64<K: std::hash::Hash + ?Sized>(key: &K) -> u64 {
 
 /// RAII root span for a public structure/atomic operation.
 ///
-/// `start` reads the context once: it keeps the core and locale (the drop
-/// records without a second lookup), stamps the issue vtime and — when a
-/// telemetry sink is installed — allocates a span id on the current
-/// locale, installs the matching [`trace::TraceCtx`] so every remote-op
-/// span emitted inside the operation nests under it, and on drop emits the
+/// `start` reads the context record ([`crate::ctx`]): it keeps the core
+/// and locale, stamps the issue vtime and — when a telemetry sink is
+/// installed — allocates a span id on the current locale, installs the
+/// matching [`trace::TraceCtx`] so every remote-op span emitted inside the
+/// operation nests under it, and on drop emits the
 /// root [`Span`] (src == dest == issuing locale; `issue == arrive ==
 /// start`) with its tag packing op kind, CAS-retry count, and key hash.
 ///
 /// The per-class duration histogram is recorded unconditionally (histogram
-/// recording is always on, charges no vtime, touches no counters), so the
-/// zero-drift guarantee of the default [`NullSink`] path holds.
+/// recording is always on, charges no vtime, touches no counters), into
+/// the shard the record caches for the context, so the zero-drift
+/// guarantee of the default [`NullSink`] path holds.
 ///
 /// Off-runtime (no ambient PGAS context) the guard is inert; so is a guard
 /// dropped outside the runtime it was opened in.
@@ -422,21 +423,21 @@ impl OpSpan {
 impl Drop for OpSpan {
     #[inline]
     fn drop(&mut self) {
-        // A span carried out of the runtime it was opened in stays inert.
-        let Some(site) = self
-            .site
-            .as_ref()
-            .filter(|s| crate::ctx::is_current(s.core))
-        else {
+        let Some(site) = &self.site else {
             return;
         };
+        let r = crate::ctx::record();
+        // A span carried out of the runtime it was opened in stays inert.
+        if !r.is_current(site.core) {
+            return;
+        }
         // SAFETY: `site.core` is the current context's core, which its
         // installer keeps alive until the context guard drops.
         let core = unsafe { &*site.core };
-        let end = crate::vtime::now();
-        core.locale(site.locale)
-            .stats
-            .record(self.class, end.saturating_sub(site.begin));
+        let end = r.vtime.get();
+        r.stats(core, site.locale, |s| {
+            s.record(self.class, end.saturating_sub(site.begin))
+        });
         if let Some(((trace_id, own, parent), _)) = site.traced {
             let tag = pack_op_tag(self.kind, self.retries.get(), self.key_hash);
             core.emit_span(|| Span {
@@ -599,37 +600,89 @@ impl Default for Registry {
     }
 }
 
-/// Record `value` for `class` in one shard's cells.
-#[inline]
-fn sample(c: &[AtomicU64], class: OpClass, value: u64) {
-    let hist = COUNTERS + class as usize * HIST_SUMS;
-    bump(&c[hist + bucket_of(value)], 1);
-    bump(&c[hist + BUCKETS], value);
-    raise(&c[SUMS + class as usize], value);
+/// Every cell of a registry: the summed ones, then one `max` per class.
+const CELLS: usize = SUMS + OpClass::COUNT;
+
+/// The cells of one thread's shard of a [`Registry`].
+pub(crate) type ShardCells = [AtomicU64; CELLS];
+
+/// One thread's shard of a [`Registry`], which only that thread writes:
+/// what [`Registry::add`] and friends record into, and what the context
+/// record caches for the charge path (see [`crate::ctx`]).
+#[derive(Clone, Copy)]
+pub(crate) struct Shard<'a>(&'a ShardCells);
+
+impl<'a> Shard<'a> {
+    /// # Safety
+    /// `p` must point to the calling thread's shard of a registry that
+    /// outlives `'a`.
+    #[inline]
+    pub(crate) unsafe fn from_ptr(p: *const ShardCells) -> Shard<'a> {
+        // SAFETY: forwarded to the caller.
+        Shard(unsafe { &*p })
+    }
+
+    /// Add `n` to `counter`.
+    #[inline]
+    pub(crate) fn add(self, counter: Counter, n: u64) {
+        bump(&self.0[counter as usize], n);
+    }
+
+    /// Record `value` for `class`: its bucket and `sum`, and raise its
+    /// `max`.
+    #[inline]
+    pub(crate) fn record(self, class: OpClass, value: u64) {
+        let hist = COUNTERS + class as usize * HIST_SUMS;
+        bump(&self.0[hist + bucket_of(value)], 1);
+        bump(&self.0[hist + BUCKETS], value);
+        raise(&self.0[SUMS + class as usize], value);
+    }
+
+    /// Add one to `counter` and record `value` for `class`.
+    #[inline]
+    pub(crate) fn add_record(self, counter: Counter, class: OpClass, value: u64) {
+        self.add(counter, 1);
+        self.record(class, value);
+    }
 }
 
 impl Registry {
+    /// Run `f` on the calling thread's shard, found by the block's own
+    /// lookup ([`PerThread::with`]).
+    #[inline]
+    pub(crate) fn with_shard<R>(&self, f: impl FnOnce(Shard<'_>) -> R) -> R {
+        self.cells.with(|c| {
+            f(Shard(
+                c.try_into().expect("a registry block holds CELLS cells"),
+            ))
+        })
+    }
+
+    /// The calling thread's shard, registered on first use, for the
+    /// context record to cache; `None` once the thread's shard list is
+    /// destroyed (see [`PerThread::shard_ptr`]).
+    pub(crate) fn shard_ptr(&self) -> Option<*const ShardCells> {
+        self.cells.shard_ptr().map(|p| p.cast())
+    }
+
     /// Add `n` to `counter`.
     #[inline]
     pub fn add(&self, counter: Counter, n: u64) {
-        self.cells.add(counter as usize, n);
+        self.with_shard(|s| s.add(counter, n));
     }
 
     /// Record one latency/occupancy sample. Charges no virtual time and
     /// touches no counters.
     #[inline]
     pub fn record(&self, class: OpClass, value: u64) {
-        self.cells.with(|c| sample(c, class, value));
+        self.with_shard(|s| s.record(class, value));
     }
 
     /// Add one to `counter` and record `value` for `class`: what
     /// [`Registry::add`] then [`Registry::record`] do, in one shard visit.
     #[inline]
     pub fn add_record(&self, counter: Counter, class: OpClass, value: u64) {
-        self.cells.with(|c| {
-            bump(&c[counter as usize], 1);
-            sample(c, class, value);
-        });
+        self.with_shard(|s| s.add_record(counter, class, value));
     }
 
     /// Zero both halves. Callers must ensure quiescence.
@@ -646,7 +699,7 @@ impl Registry {
 
     /// Capture both halves as one [`TelemetrySnapshot`].
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let mut cells = [0; SUMS + OpClass::COUNT];
+        let mut cells = [0; CELLS];
         self.cells.read(0, &mut cells);
         TelemetrySnapshot {
             comm: CommSnapshot::from_cells(&cells[..COUNTERS]),

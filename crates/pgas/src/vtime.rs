@@ -18,40 +18,41 @@
 //!
 //! Wall-clock measurements remain available for micro-overhead comparisons;
 //! the figure harness reports virtual makespans.
+//!
+//! The clock is a field of the thread's context record ([`crate::ctx`]),
+//! so a charge path that already holds the record charges it without a
+//! second thread-local access. It is per thread: entering or leaving a
+//! context neither resets nor restores it (a task entering from outside
+//! any context starts at zero through [`set`]).
 
-use std::cell::Cell;
-
-thread_local! {
-    static VTIME: Cell<u64> = const { Cell::new(0) };
-}
+use crate::ctx;
 
 /// Current task-local virtual time in nanoseconds.
 #[inline]
 pub fn now() -> u64 {
-    VTIME.with(|t| t.get())
+    ctx::record().vtime.get()
 }
 
 /// Set the task-local virtual clock (used when a task is born or when a
 /// handler begins executing at its queued start time).
 #[inline]
 pub fn set(t: u64) {
-    VTIME.with(|c| c.set(t));
+    ctx::record().vtime.set(t);
 }
 
 /// Charge `ns` nanoseconds of virtual time to the current task.
 #[inline]
 pub fn charge(ns: u64) {
-    VTIME.with(|c| c.set(c.get().saturating_add(ns)));
+    ctx::record().charge(ns);
 }
 
 /// Advance the task clock to at least `t` (no-op if already past).
 #[inline]
 pub fn advance_to(t: u64) {
-    VTIME.with(|c| {
-        if c.get() < t {
-            c.set(t);
-        }
-    });
+    let clock = &ctx::record().vtime;
+    if clock.get() < t {
+        clock.set(t);
+    }
 }
 
 #[cfg(test)]

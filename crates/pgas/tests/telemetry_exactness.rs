@@ -10,17 +10,22 @@
 //! join. A histogram's count has no cell of its own (the snapshot totals
 //! the buckets), so the model's count checks that derivation.
 //!
+//! A third property drives a runtime's registries through the charge path
+//! (`engine::atomic_u64`, which records into the shard the thread's context
+//! record caches) between context entries, nested ones included, and
+//! across thread exits, mixed with direct registry calls.
+//!
 //! The last test pins the one place the runtime itself depends on that
 //! ordering: an active message's `am_handled` count must be visible to the
 //! sender the moment its blocking call returns.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 
 use pgas_sim::stats::Counter;
 use pgas_sim::telemetry::{HistSnapshot, OpClass, Registry, TelemetrySnapshot};
-use pgas_sim::Runtime;
+use pgas_sim::{ctx, engine, LocaleId, Runtime, RuntimeConfig};
 
 /// The sequential reference: what the registry must report.
 #[derive(Clone)]
@@ -123,35 +128,38 @@ fn decode(sel: u64, idx: usize, value: u64) -> Op {
     }
 }
 
-/// A recording thread driven one op at a time: the channel hand-off forces
-/// the interleaving the script names, and orders each op before the
-/// driver's next snapshot.
+/// One step of a recording thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// A recording thread driven one step at a time: the channel hand-off
+/// forces the interleaving the script names, and orders each step before
+/// the driver's next snapshot.
 struct Worker {
-    ops: mpsc::Sender<Op>,
+    jobs: mpsc::Sender<Job>,
     done: mpsc::Receiver<()>,
     thread: std::thread::JoinHandle<()>,
 }
 
 impl Worker {
-    fn spawn(r: &'static Registry) -> Worker {
-        let (ops, rx) = mpsc::channel::<Op>();
+    fn spawn() -> Worker {
+        let (jobs, rx) = mpsc::channel::<Job>();
         let (ack, done) = mpsc::channel();
         let thread = std::thread::spawn(move || {
-            for op in rx {
-                op.run(r);
+            for job in rx {
+                job();
                 ack.send(()).unwrap();
             }
         });
-        Worker { ops, done, thread }
+        Worker { jobs, done, thread }
     }
 
-    fn run(&self, op: Op) {
-        self.ops.send(op).unwrap();
+    fn run(&self, job: impl FnOnce() + Send + 'static) {
+        self.jobs.send(Box::new(job)).unwrap();
         self.done.recv().unwrap();
     }
 
     fn exit(self) {
-        drop(self.ops);
+        drop(self.jobs);
         self.thread.join().unwrap();
     }
 }
@@ -186,7 +194,7 @@ proptest! {
                 }
                 _ => {
                     let op = decode(kind, idx, value);
-                    workers[slot].get_or_insert_with(|| Worker::spawn(r)).run(op);
+                    workers[slot].get_or_insert_with(Worker::spawn).run(move || op.run(r));
                     model.apply(op);
                 }
             }
@@ -244,6 +252,95 @@ proptest! {
         });
         prop_assert_eq!(r.live_shards(), 0);
         model.check(&r.telemetry_snapshot(), "after join")?;
+    }
+}
+
+/// Charge `n` 64-bit atomics on a cell of the current locale through the
+/// routing path: without network atomics, `n` CPU atomics.
+fn charge_here(n: u64) {
+    for _ in 0..n {
+        ctx::with_core(|core, here| engine::atomic_u64(core, here, here, || ()));
+    }
+}
+
+/// What a charge-path step does, for the model.
+fn charges(model: &mut Model, n: u64, ns: u64) {
+    for _ in 0..n {
+        model.apply(Op::AddRecord(Counter::CpuAtomics, OpClass::CpuAtomic, ns));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Forced interleavings on a runtime's two registries: a step records
+    /// directly on a locale's registry, or charges through a fresh
+    /// `run_on` context (whose first charge resolves the shard its record
+    /// caches), or charges, enters the other locale and charges there, and
+    /// charges again after the nested guard restored the outer context.
+    /// Snapshots, resets and thread exits as above.
+    #[test]
+    fn charge_path_steps_between_context_entries_match_the_model(
+        steps in proptest::collection::vec((0usize..3, 0u64..12, 0usize..64, 0u64..=u64::MAX), 1..80),
+    ) {
+        let rt = Arc::new(Runtime::new(RuntimeConfig::cluster(2).without_network_atomics()));
+        let ns = rt.config.network.cpu_atomic_ns;
+        let mut models = [Model::new(), Model::new()];
+        let mut workers: Vec<Option<Worker>> = (0..3).map(|_| None).collect();
+        for (i, &(slot, kind, idx, value)) in steps.iter().enumerate() {
+            let l = (idx % 2) as LocaleId;
+            let other = 1 - l;
+            let (n, m) = (1 + value % 5, 1 + (value >> 8) % 3);
+            let rt2 = rt.clone();
+            let job: Job = match kind {
+                0 => {
+                    for l in 0..2 {
+                        let got = rt.locale(l).stats.telemetry_snapshot();
+                        models[l as usize].check(&got, &format!("locale {l} at step {i}"))?;
+                    }
+                    continue;
+                }
+                1 => {
+                    rt.locales().for_each(|loc| loc.stats.reset());
+                    models = [Model::new(), Model::new()];
+                    continue;
+                }
+                2 => {
+                    if let Some(w) = workers[slot].take() {
+                        w.exit();
+                    }
+                    continue;
+                }
+                3..=5 => {
+                    let op = decode(kind, idx, value);
+                    models[l as usize].apply(op);
+                    Box::new(move || op.run(&rt2.locale(l).stats))
+                }
+                6..=8 => {
+                    charges(&mut models[l as usize], n, ns);
+                    Box::new(move || rt2.run_on(l, || charge_here(n)))
+                }
+                _ => {
+                    charges(&mut models[l as usize], 2 * n, ns);
+                    charges(&mut models[other as usize], m, ns);
+                    Box::new(move || {
+                        rt2.run_on(l, || {
+                            charge_here(n);
+                            rt2.run_on(other, || charge_here(m));
+                            charge_here(n);
+                        })
+                    })
+                }
+            };
+            workers[slot].get_or_insert_with(Worker::spawn).run(job);
+        }
+        for w in workers.into_iter().flatten() {
+            w.exit();
+        }
+        for l in 0..2 {
+            let got = rt.locale(l).stats.telemetry_snapshot();
+            models[l as usize].check(&got, &format!("locale {l} after the final join"))?;
+        }
     }
 }
 
