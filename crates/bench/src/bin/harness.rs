@@ -29,6 +29,31 @@
 //! ([`pgas_bench::guard`]); otherwise the harness names the failing rule,
 //! leaves the file as it was and exits nonzero.
 //!
+//! Which rows repeat between two runs of one binary, by cause (a
+//! byte-identity check between commits compares by these rules, not by how
+//! often a row happened to repeat):
+//!
+//! - **Exactly:** Fig. 3, A1, A2 `privatized`, A4, A6, A9 `compressed`.
+//! - **Up to the registration race:** Fig. 4 `deferDelete+tryReclaim/1024`,
+//!   Fig. 6 `defer+clear`, Fig. 7 `pin/unpin read-only` (every locale count,
+//!   both network-atomics settings). Their tasks register tokens while
+//!   other tasks of the locale unregister. A registration that pops the
+//!   free stack costs two DCASes (`read_aba`, `compare_and_swap_aba`); one
+//!   that finds it empty costs one DCAS plus the allocated-list push's
+//!   charged 64-bit atomic (`rdma_atomics` with network atomics on,
+//!   `cpu_atomics` off); a pop or push that loses its CAS pays two more
+//!   DCASes and their virtual time. So a run moves k operations from
+//!   `comm.cpu_dcas` to the atomic counter and adds 2j DCASes, with the
+//!   same moves in the `latency` counts of `cpu_dcas`, `atomic_object_op`
+//!   and `rdma_atomic`/`cpu_atomic`. Such a row matches the reference
+//!   (the most frequent rendering over a few reference runs) when it is
+//!   equal with those fields masked, atomics + DCASes is equal or larger
+//!   by an even number, and, only when it is larger, `vtime_ns`,
+//!   `ns_per_op`, `mops` and `latency.reclaim` are masked too.
+//! - **Not at all:** every multi-task row (Fig. 4 `/1`, Fig. 5
+//!   `shared@L0`, A3, A7, A8, A9 `wide`, A11) and A10, whose
+//!   `vread_retries` and DCAS fallbacks race against a writer.
+//!
 //! `--trace PATH` installs a [`JsonLinesSink`] on every runtime the
 //! workloads build, dumping one JSON span per remote operation
 //! (issue/arrive/start/end virtual times) — see DESIGN.md "Telemetry".

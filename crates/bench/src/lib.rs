@@ -583,7 +583,7 @@ pub fn ablate_reclamation_scheme<R: Reclaimer>(
 
         let mut reclaimed = 0;
         let sample = m.time(traversals, || {
-            let em = R::new_in_runtime();
+            let em = R::default();
             let tok = em.register();
             for i in 0..traversals {
                 tok.pin();
@@ -659,7 +659,7 @@ pub fn ablate_local_manager<R: Reclaimer>(num_objects: usize) -> Cell {
         let objs = objects(rt, num_objects, |_| here());
         let mut advances = 0;
         let sample = m.time(num_objects as u64, || {
-            let em = R::new_in_runtime();
+            let em = R::default();
             let tok = em.register();
             for (i, &o) in objs.iter().enumerate() {
                 tok.pin();

@@ -43,7 +43,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
 use pgas_sim::engine;
@@ -52,9 +52,9 @@ use pgas_sim::telemetry::OpClass;
 use pgas_sim::{ctx, vtime, Erased, GlobalPtr, Privatized, RuntimeHandle};
 
 use crate::limbo::Limbo;
-use crate::manager::scatter_free;
+use crate::manager::{scatter_free, Shared};
 use crate::reclaim::{ReclaimGuard, Reclaimer};
-use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
+use crate::stats::{ReclaimSnapshot, Stat};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
 /// Retires through one slot between two of its holders' inline scans.
@@ -85,53 +85,21 @@ struct HpLocale {
 
 /// Distributed hazard-pointer reclamation (see module docs).
 pub struct HazardReclaimer {
-    rt: RuntimeHandle,
+    /// The runtime, counters and observer, kept as the epoch managers keep
+    /// them.
+    shared: Shared,
     locales: Privatized<HpLocale>,
-    stats: ReclaimStats,
-    observer: OnceLock<Arc<dyn ReclaimObserver>>,
 }
 
 impl HazardReclaimer {
     /// Create a reclaimer spanning every locale of the current runtime.
     pub fn new() -> HazardReclaimer {
-        let rt = ctx::current_runtime();
-        let locales = Privatized::new(&rt, |_| HpLocale {
+        let shared = Shared::new(true);
+        let locales = Privatized::new(&shared.rt, |_| HpLocale {
             tokens: TokenRegistry::with_charges(false),
             limbo: Limbo::new(),
         });
-        HazardReclaimer {
-            rt,
-            locales,
-            stats: ReclaimStats::default(),
-            observer: OnceLock::new(),
-        }
-    }
-
-    /// Install a [`ReclaimObserver`]; it sees retires (`on_defer` with
-    /// epoch 0), scans' frees (`on_reclaim` with epochs 0), and validated
-    /// protections (`on_protect`/`on_release`).
-    ///
-    /// # Panics
-    /// If an observer is already installed.
-    pub fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        if self.observer.set(obs).is_err() {
-            panic!("HazardReclaimer observer already installed");
-        }
-    }
-
-    /// Register the calling task with its locale's registry. A handler on a
-    /// progress thread gets the thread's standing slot.
-    pub fn register(&self) -> HpGuard<'_> {
-        let locale = self.locales.get();
-        let (slot, standing) = locale.tokens.acquire();
-        HpGuard {
-            dom: self,
-            locale,
-            slot,
-            standing,
-            validated: std::array::from_fn(|_| Cell::new(0)),
-            _not_sync: std::marker::PhantomData,
-        }
+        HazardReclaimer { shared, locales }
     }
 
     /// Every address currently published in any slot on any locale. Each
@@ -172,13 +140,13 @@ impl HazardReclaimer {
         if detached.is_empty() {
             return 0;
         }
-        self.stats.bump(Stat::Advances);
+        self.shared.stats.bump(Stat::Advances);
         let hazards = if respect {
             self.collect_hazards()
         } else {
             Vec::new()
         };
-        let observer = self.observer.get();
+        let observer = self.shared.observer.get();
         let recycle = &self.locales.get().limbo;
         let mut kept = 0;
         let freed = ctx::with_core(|core, here| {
@@ -204,22 +172,9 @@ impl HazardReclaimer {
             unsafe { scatter_free(core, here, unprotected) };
             freed
         });
-        self.stats.add(Stat::ObjectsReclaimed, freed);
-        self.stats.add(Stat::UnsafeScans, kept);
+        self.shared.stats.add(Stat::ObjectsReclaimed, freed);
+        self.shared.stats.add(Stat::UnsafeScans, kept);
         freed
-    }
-
-    /// Scan all retire lists, freeing everything unprotected. Returns
-    /// `true` when anything was freed.
-    pub fn try_reclaim(&self) -> bool {
-        self.scan(self.locales.iter().map(|(_, l)| l), true, false) > 0
-    }
-
-    /// Free *everything* retired, ignoring hazards; callers guarantee
-    /// quiescence (all guards dropped or released), as for
-    /// `EpochManager::clear`.
-    pub fn clear(&self) {
-        self.scan(self.locales.iter().map(|(_, l)| l), false, true);
     }
 
     /// Deliberately run a scan that ignores every published hazard, with
@@ -230,16 +185,6 @@ impl HazardReclaimer {
     #[doc(hidden)]
     pub fn debug_scan_ignoring_hazards(&self) {
         self.scan(self.locales.iter().map(|(_, l)| l), false, false);
-    }
-
-    /// Reclamation counters (see module docs for the HP mapping).
-    pub fn stats(&self) -> ReclaimSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// The runtime this reclaimer was created under.
-    pub fn runtime(&self) -> RuntimeHandle {
-        self.rt.clone()
     }
 
     /// Registry slots ever allocated, across all locales.
@@ -269,7 +214,7 @@ impl Default for HazardReclaimer {
 
 impl Drop for HazardReclaimer {
     fn drop(&mut self) {
-        self.rt.clone().run_here_or_enter(|| self.clear());
+        self.shared.rt.clone().run_here_or_enter(|| self.clear());
     }
 }
 
@@ -304,7 +249,7 @@ impl<'a> HpGuard<'a> {
     fn end_validated(&self, slot: usize) {
         let old = self.validated[slot].replace(0);
         if old != 0 {
-            if let Some(obs) = self.dom.observer.get() {
+            if let Some(obs) = self.dom.shared.observer.get() {
                 obs.on_release(old);
             }
         }
@@ -313,9 +258,9 @@ impl<'a> HpGuard<'a> {
     /// Record that the protection published in `slot` was validated.
     fn validated_protect(&self, slot: usize, addr: usize) {
         if addr != 0 {
-            self.dom.stats.bump(Stat::HazardProtects);
+            self.dom.shared.stats.bump(Stat::HazardProtects);
             self.validated[slot].set(addr);
-            if let Some(obs) = self.dom.observer.get() {
+            if let Some(obs) = self.dom.shared.observer.get() {
                 obs.on_protect(addr);
             }
         }
@@ -344,8 +289,8 @@ impl ReclaimGuard for HpGuard<'_> {
     /// Retire a logically-removed object (any locale); freed by a later
     /// scan once no slot protects it.
     fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
-        self.dom.stats.bump(Stat::ObjectsDeferred);
-        if let Some(obs) = self.dom.observer.get() {
+        self.dom.shared.stats.bump(Stat::ObjectsDeferred);
+        if let Some(obs) = self.dom.shared.observer.get() {
             obs.on_defer(ptr.addr(), 0);
         }
         self.slot.set_epoch_fenced(RETIRING);
@@ -444,32 +389,42 @@ impl Reclaimer for HazardReclaimer {
     const NEEDS_PROTECT: bool = true;
     const PROTECT_SLOTS: usize = DIST_HP_SLOTS;
 
-    fn new_in_runtime() -> Self {
-        HazardReclaimer::new()
-    }
-
+    /// A handler on a progress thread gets the thread's standing slot.
     fn register(&self) -> HpGuard<'_> {
-        HazardReclaimer::register(self)
+        let locale = self.locales.get();
+        let (slot, standing) = locale.tokens.acquire();
+        HpGuard {
+            dom: self,
+            locale,
+            slot,
+            standing,
+            validated: std::array::from_fn(|_| Cell::new(0)),
+            _not_sync: std::marker::PhantomData,
+        }
     }
 
+    /// Scan all retire lists, freeing everything unprotected. Returns
+    /// `true` when anything was freed.
     fn try_reclaim(&self) -> bool {
-        HazardReclaimer::try_reclaim(self)
+        self.scan(self.locales.iter().map(|(_, l)| l), true, false) > 0
     }
 
+    /// Free *everything* retired, ignoring hazards; callers guarantee
+    /// quiescence (all guards dropped or released).
     fn clear(&self) {
-        HazardReclaimer::clear(self)
+        self.scan(self.locales.iter().map(|(_, l)| l), false, true);
     }
 
     fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        HazardReclaimer::set_observer(self, obs)
+        self.shared.set_observer(obs)
     }
 
     fn stats(&self) -> ReclaimSnapshot {
-        HazardReclaimer::stats(self)
+        self.shared.stats.snapshot()
     }
 
     fn runtime(&self) -> RuntimeHandle {
-        HazardReclaimer::runtime(self)
+        self.shared.rt.clone()
     }
 
     fn backend_name(&self) -> &'static str {

@@ -16,8 +16,9 @@ use std::sync::Arc;
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::{here, RuntimeHandle};
 
-use crate::manager::{Advance, Elected, LocaleInstance, Shared, Token};
+use crate::manager::{Elected, LocaleInstance, Shared, Token};
 use crate::math::next_epoch;
+use crate::reclaim::Reclaimer;
 use crate::stats::{ReclaimSnapshot, Stat};
 
 /// Epoch-based reclamation for a single locale.
@@ -38,41 +39,32 @@ impl LocalEpochManager {
         }
     }
 
-    /// Install a [`ReclaimObserver`] that sees every defer, advance, and
-    /// reclaim. Used by the chaos harness's `InvariantChecker`.
-    ///
-    /// # Panics
-    /// If an observer is already installed.
-    pub fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        self.shared.set_observer(obs)
-    }
-
-    /// The runtime this manager was created under.
-    pub fn runtime(&self) -> RuntimeHandle {
-        self.shared.rt.clone()
-    }
-
-    /// Register the calling task, returning a token to pin. A handler on a
-    /// progress thread of the home locale gets the thread's standing slot.
-    pub fn register(&self) -> LocalToken<'_> {
-        self.inst.register(&self.shared, self)
-    }
-
     /// The manager's current epoch (1, 2, or 3).
     pub fn current_epoch(&self) -> u64 {
         self.inst.epoch.read()
     }
 
-    /// Attempt to advance the epoch and reclaim the two-advances-old limbo
-    /// list. Non-blocking: returns `false` immediately if another task is
-    /// already reclaiming or if some token is pinned in an older epoch.
-    ///
-    /// An advance first publishes the open bag of every token that is not
-    /// pinned, so a token's deletions made before it unpinned are freed by
-    /// two advances, as in the paper. A token pinned at that moment keeps at
-    /// most [`crate::limbo::BAG`] − 1 deletions back, until a later advance
-    /// finds it unpinned or its bag fills.
-    pub fn try_reclaim(&self) -> bool {
+    /// Number of token slots ever created.
+    pub fn tokens_allocated(&self) -> u64 {
+        self.inst.tokens.allocated_count()
+    }
+}
+
+impl Reclaimer for LocalEpochManager {
+    type Guard<'a> = Token<'a>;
+
+    const NEEDS_PROTECT: bool = false;
+    const PROTECT_SLOTS: usize = 0;
+
+    /// A handler on a progress thread of the home locale gets the thread's
+    /// standing slot.
+    fn register(&self) -> LocalToken<'_> {
+        self.inst.register(&self.shared, self)
+    }
+
+    /// Returns `false` immediately if another task is already reclaiming or
+    /// if some token is pinned in an older epoch.
+    fn try_reclaim(&self) -> bool {
         let Some(_elected) = Elected::win(&self.inst.is_setting_epoch) else {
             self.shared.stats.bump(Stat::LostLocalElection);
             return false;
@@ -89,28 +81,25 @@ impl LocalEpochManager {
         true
     }
 
-    /// Reclaim *everything* across all epochs, unconditionally, including
-    /// what live unpinned tokens hold in their bags. Only call when no other
-    /// task is using the manager.
-    pub fn clear(&self) {
+    fn clear(&self) {
         let drained = self.inst.clear(&self.shared, here());
         self.shared.free_rest([drained]);
     }
 
-    /// Reclamation counters.
-    pub fn stats(&self) -> ReclaimSnapshot {
+    fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
+        self.shared.set_observer(obs)
+    }
+
+    fn stats(&self) -> ReclaimSnapshot {
         self.shared.stats.snapshot()
     }
 
-    /// Number of token slots ever created.
-    pub fn tokens_allocated(&self) -> u64 {
-        self.inst.tokens.allocated_count()
+    fn runtime(&self) -> RuntimeHandle {
+        self.shared.rt.clone()
     }
-}
 
-impl Advance for LocalEpochManager {
-    fn try_reclaim(&self) -> bool {
-        LocalEpochManager::try_reclaim(self)
+    fn backend_name(&self) -> &'static str {
+        "local-ebr"
     }
 }
 
@@ -131,6 +120,7 @@ impl Drop for LocalEpochManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reclaim::ReclaimGuard;
     use pgas_sim::{alloc_local, Runtime, RuntimeConfig};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

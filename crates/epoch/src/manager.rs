@@ -72,6 +72,7 @@ use pgas_sim::{ctx, vtime, Erased, GlobalPtr, LocaleId, Privatized, RuntimeCore,
 
 use crate::limbo::Limbo;
 use crate::math::{next_epoch, reclaim_epoch, EPOCHS};
+use crate::reclaim::{ReclaimGuard, Reclaimer};
 use crate::stats::{ReclaimSnapshot, ReclaimStats, Stat};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
@@ -96,26 +97,35 @@ pub(crate) struct LocaleInstance {
     pub(crate) tokens: TokenRegistry,
 }
 
-/// What both managers keep once, beside their instances.
+/// What every backend keeps once, beside its per-locale instances: both
+/// epoch managers and [`crate::HazardReclaimer`].
 pub(crate) struct Shared {
     pub(crate) rt: RuntimeHandle,
     pub(crate) stats: ReclaimStats,
     /// When false, reclamation frees remote objects one active message per
     /// object instead of batching by locale, and a locale's own objects one
     /// at a time: the ablation knob for the scatter-list optimization (A1
-    /// in DESIGN.md), and how `LocalEpochManager` always frees.
+    /// in DESIGN.md), and how `LocalEpochManager` always frees. Hazard
+    /// pointers always scatter.
     use_scatter: AtomicBool,
     /// Optional reclamation observer (see
     /// [`pgas_sim::faults::invariants`]): chaos harnesses install an
     /// invariant checker here to audit defer/advance/reclaim ordering.
     /// `OnceLock` keeps the no-observer fast path to one atomic load.
-    observer: OnceLock<Arc<dyn ReclaimObserver>>,
+    pub(crate) observer: OnceLock<Arc<dyn ReclaimObserver>>,
 }
 
-/// A manager as its tokens reach it.
+/// A manager as its tokens reach it: the one [`Reclaimer`] method a token
+/// calls, behind a pointer both managers' tokens can share.
 pub(crate) trait Advance: Sync {
     /// The manager's `try_reclaim`.
-    fn try_reclaim(&self) -> bool;
+    fn advance(&self) -> bool;
+}
+
+impl<R: Reclaimer> Advance for R {
+    fn advance(&self) -> bool {
+        self.try_reclaim()
+    }
 }
 
 /// Distributed epoch-based memory reclamation.
@@ -170,24 +180,6 @@ impl EpochManager {
         self.shared.use_scatter.store(enabled, Ordering::Relaxed);
     }
 
-    /// Install a reclamation observer (at most once per manager); chaos
-    /// harnesses use this to audit defer/advance/reclaim ordering with an
-    /// [`pgas_sim::faults::invariants::InvariantChecker`].
-    ///
-    /// # Panics
-    /// If an observer is already installed.
-    pub fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        self.shared.set_observer(obs)
-    }
-
-    /// Register the calling task with its locale's privatized instance. A
-    /// handler on a progress thread gets the thread's standing token slot:
-    /// no registry traffic, and its drop only unpins (see
-    /// [`crate::Reclaimer::register`]).
-    pub fn register(&self) -> Token<'_> {
-        self.instances.get().register(&self.shared, self)
-    }
-
     /// The global epoch (a remote read unless on locale 0).
     pub fn global_epoch(&self) -> u64 {
         self.global.epoch.read()
@@ -198,18 +190,73 @@ impl EpochManager {
         self.instances.get().epoch.read()
     }
 
-    /// Listing 4: attempt a global epoch advance + reclamation. Returns
-    /// `true` if this call advanced the epoch. Non-blocking: callers that
-    /// lose either election return immediately. Call it from a task, not
-    /// from inside an `on` body (see the module docs).
-    ///
-    /// An advance publishes the open bag of every token that is not pinned
-    /// when the advance reaches its locale, so a token's deletions made
-    /// before it unpinned are freed by two advances, as in the paper. A
-    /// token pinned at that moment keeps at most [`crate::limbo::BAG`] − 1
-    /// deletions back, until a later advance finds it unpinned or its bag
-    /// fills.
-    pub fn try_reclaim(&self) -> bool {
+    /// Step 3 of Listing 4, the `&&` reduction over every locale's tokens:
+    /// the advance is safe only if each is quiescent or pinned in
+    /// `this_epoch`. One message per remote locale; the handlers only read.
+    fn all_tokens_allow_advance(&self, this_epoch: u64) -> bool {
+        self.shared
+            .rt
+            .on_each_locale(|_| self.instances.get().allows_advance(this_epoch))
+            .into_iter()
+            .all(|ok| ok)
+    }
+
+    /// Ablation variant of [`Reclaimer::try_reclaim`] (A3 in DESIGN.md): what
+    /// reclamation costs *without* the first-come-first-serve election.
+    /// Every caller performs the full cross-locale token scan before
+    /// checking whether anyone else is already advancing — the redundant
+    /// communication the election flags exist to stem. Memory safety is
+    /// preserved (the actual advance still goes through the flags); only
+    /// the wasted scan work is modeled.
+    pub fn try_reclaim_unelected(&self) -> bool {
+        if !self.all_tokens_allow_advance(self.global.epoch.read()) {
+            self.shared.stats.bump(Stat::UnsafeScans);
+            return false;
+        }
+        self.try_reclaim()
+    }
+
+    /// TEST-ONLY: deliberately reclaim the *current* epoch's limbo list on
+    /// the calling locale — a use-after-free bug by construction (the list
+    /// is zero advances old, so pinned tasks may still hold references).
+    /// Exists so chaos suites can prove the invariant checker detects real
+    /// reclamation bugs rather than vacuously passing; never call it in
+    /// real workloads. Like an advance, it first publishes the bags of the
+    /// locale's unpinned tokens, so a deletion still in a live token's bag
+    /// is freed early too.
+    #[doc(hidden)]
+    pub fn debug_reclaim_current_epoch_early(&self) -> u64 {
+        let inst = self.instances.get();
+        inst.publish_idle_bags(&self.shared);
+        let e = inst.epoch.read();
+        let mut rest = Vec::new();
+        let n = inst.drain(&self.shared, e, e, false, &mut rest);
+        self.shared.free_rest([Drained { n, rest }]);
+        n
+    }
+
+    /// Total token slots ever created across all locales.
+    pub fn tokens_allocated(&self) -> u64 {
+        self.instances
+            .iter()
+            .map(|(_, i)| i.tokens.allocated_count())
+            .sum()
+    }
+}
+
+impl Reclaimer for EpochManager {
+    type Guard<'a> = Token<'a>;
+
+    const NEEDS_PROTECT: bool = false;
+    const PROTECT_SLOTS: usize = 0;
+
+    fn register(&self) -> Token<'_> {
+        self.instances.get().register(&self.shared, self)
+    }
+
+    /// Listing 4 (see the module docs): `true` if this call advanced the
+    /// epoch. Callers that lose either election return immediately.
+    fn try_reclaim(&self) -> bool {
         let stats = &self.shared.stats;
         // Local election: one candidate per locale.
         let Some(_local) = Elected::win(&self.instances.get().is_setting_epoch) else {
@@ -241,37 +288,7 @@ impl EpochManager {
         true
     }
 
-    /// Step 3 of Listing 4, the `&&` reduction over every locale's tokens:
-    /// the advance is safe only if each is quiescent or pinned in
-    /// `this_epoch`. One message per remote locale; the handlers only read.
-    fn all_tokens_allow_advance(&self, this_epoch: u64) -> bool {
-        self.shared
-            .rt
-            .on_each_locale(|_| self.instances.get().allows_advance(this_epoch))
-            .into_iter()
-            .all(|ok| ok)
-    }
-
-    /// Ablation variant of [`Self::try_reclaim`] (A3 in DESIGN.md): what
-    /// reclamation costs *without* the first-come-first-serve election.
-    /// Every caller performs the full cross-locale token scan before
-    /// checking whether anyone else is already advancing — the redundant
-    /// communication the election flags exist to stem. Memory safety is
-    /// preserved (the actual advance still goes through the flags); only
-    /// the wasted scan work is modeled.
-    pub fn try_reclaim_unelected(&self) -> bool {
-        if !self.all_tokens_allow_advance(self.global.epoch.read()) {
-            self.shared.stats.bump(Stat::UnsafeScans);
-            return false;
-        }
-        self.try_reclaim()
-    }
-
-    /// Reclaim all objects across all epochs on all locales,
-    /// unconditionally. Only call when no other task is interacting with
-    /// the manager (e.g. teardown after a `forall` has joined), and from a
-    /// task, not from inside an `on` body (see the module docs).
-    pub fn clear(&self) {
+    fn clear(&self) {
         let winner = pgas_sim::here();
         let drained = self
             .shared
@@ -280,47 +297,20 @@ impl EpochManager {
         self.shared.free_rest(drained);
     }
 
-    /// TEST-ONLY: deliberately reclaim the *current* epoch's limbo list on
-    /// the calling locale — a use-after-free bug by construction (the list
-    /// is zero advances old, so pinned tasks may still hold references).
-    /// Exists so chaos suites can prove the invariant checker detects real
-    /// reclamation bugs rather than vacuously passing; never call it in
-    /// real workloads. Like an advance, it first publishes the bags of the
-    /// locale's unpinned tokens, so a deletion still in a live token's bag
-    /// is freed early too.
-    #[doc(hidden)]
-    pub fn debug_reclaim_current_epoch_early(&self) -> u64 {
-        let inst = self.instances.get();
-        inst.publish_idle_bags(&self.shared);
-        let e = inst.epoch.read();
-        let mut rest = Vec::new();
-        let n = inst.drain(&self.shared, e, e, false, &mut rest);
-        self.shared.free_rest([Drained { n, rest }]);
-        n
+    fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
+        self.shared.set_observer(obs)
     }
 
-    /// Aggregate reclamation counters.
-    pub fn stats(&self) -> ReclaimSnapshot {
+    fn stats(&self) -> ReclaimSnapshot {
         self.shared.stats.snapshot()
     }
 
-    /// A handle to the runtime this manager was created on.
-    pub fn runtime(&self) -> RuntimeHandle {
+    fn runtime(&self) -> RuntimeHandle {
         self.shared.rt.clone()
     }
 
-    /// Total token slots ever created across all locales.
-    pub fn tokens_allocated(&self) -> u64 {
-        self.instances
-            .iter()
-            .map(|(_, i)| i.tokens.allocated_count())
-            .sum()
-    }
-}
-
-impl Advance for EpochManager {
-    fn try_reclaim(&self) -> bool {
-        EpochManager::try_reclaim(self)
+    fn backend_name(&self) -> &'static str {
+        "ebr"
     }
 }
 
@@ -498,7 +488,7 @@ impl Shared {
 
     pub(crate) fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
         if self.observer.set(obs).is_err() {
-            panic!("the epoch manager already has a reclamation observer");
+            panic!("the reclaimer already has a reclamation observer");
         }
     }
 
@@ -572,37 +562,36 @@ impl Drop for EpochManager {
     }
 }
 
-impl<'a> Token<'a> {
-    /// Enter the current (locale-cached) epoch.
-    pub fn pin(&self) {
-        self.slot.set_epoch(self.inst.epoch.read());
-    }
-
-    /// Leave the epoch.
-    pub fn unpin(&self) {
-        self.slot.set_epoch(QUIESCENT);
-    }
-
-    /// True while pinned.
-    pub fn is_pinned(&self) -> bool {
-        self.slot.epoch_relaxed() != QUIESCENT
-    }
-
+impl Token<'_> {
     /// The epoch this token is pinned in (0 when unpinned).
     pub fn pinned_epoch(&self) -> u64 {
         self.slot.epoch_relaxed()
     }
+}
 
-    /// Defer deletion of a logically-removed object (which may live on any
-    /// locale) until no task can hold a reference. Wait-free: a few stores
-    /// into the token's bag, plus one exchange on the local limbo list for
-    /// the deletion that fills it and one pool compare-and-swap per refill
-    /// of the bag's stock (see [`crate::limbo`]; the bag is published by the
-    /// next advance that finds the token unpinned).
+impl ReclaimGuard for Token<'_> {
+    /// Enter the current (locale-cached) epoch.
+    fn pin(&self) {
+        self.slot.set_epoch(self.inst.epoch.read());
+    }
+
+    fn unpin(&self) {
+        self.slot.set_epoch(QUIESCENT);
+    }
+
+    fn is_pinned(&self) -> bool {
+        self.slot.epoch_relaxed() != QUIESCENT
+    }
+
+    /// Wait-free: a few stores into the token's bag, plus one exchange on
+    /// the local limbo list for the deletion that fills it and one pool
+    /// compare-and-swap per refill of the bag's stock (see [`crate::limbo`];
+    /// the bag is published by the next advance that finds the token
+    /// unpinned).
     ///
     /// # Panics
     /// In debug builds, if the token is not pinned.
-    pub fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
+    fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
         let e = self.slot.epoch_relaxed();
         debug_assert_ne!(e, QUIESCENT, "defer_delete requires a pinned token");
         if let Some(obs) = self.shared.observer.get() {
@@ -613,32 +602,8 @@ impl<'a> Token<'a> {
         self.shared.stats.published(published);
     }
 
-    /// Forward to the manager's `try_reclaim` (the paper lets either the
-    /// token or the manager drive reclamation).
-    pub fn try_reclaim(&self) -> bool {
-        self.mgr.try_reclaim()
-    }
-}
-
-/// RAII pin: created by [`Token::pin_guard`], unpins on drop. References
-/// obtained from epoch-protected cells (e.g.
-/// [`crate::owned::OwnedAtomic::load`]) borrow the guard, so the type
-/// system enforces that no reference outlives the pin.
-pub struct PinGuard<'g, 'a> {
-    tok: &'g Token<'a>,
-}
-
-impl<'a> Token<'a> {
-    /// Pin and return a guard that unpins when dropped.
-    pub fn pin_guard(&self) -> PinGuard<'_, 'a> {
-        self.pin();
-        PinGuard { tok: self }
-    }
-}
-
-impl Drop for PinGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.tok.unpin();
+    fn try_reclaim(&self) -> bool {
+        self.mgr.advance()
     }
 }
 
@@ -658,7 +623,6 @@ impl Drop for Token<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reclaim::{ReclaimGuard, Reclaimer};
     use crate::LocalEpochManager;
     use pgas_sim::{alloc_local, alloc_on, Runtime, RuntimeConfig};
     use std::sync::atomic::AtomicUsize;
@@ -874,6 +838,40 @@ mod tests {
     }
 
     #[test]
+    fn scatter_free_is_one_am_per_remote_owner_and_none_for_local_or_empty() {
+        let rt = Runtime::cluster(3);
+        rt.run(|| {
+            let remote: Vec<_> = (0..10u64)
+                .map(|i| Erased::new(alloc_on(&rt, 2, i)))
+                .collect();
+            rt.reset_metrics(); // ignore allocation traffic
+            unsafe { scatter_free(&rt, 0, remote) };
+            let s = rt.total_comm();
+            assert_eq!(s.am_sent, 1, "one AM for ten objects");
+            assert_eq!(s.bulk_frees, 1);
+            assert_eq!(s.bulk_freed_objects, 10);
+
+            let local: Vec<_> = (0..5u64)
+                .map(|i| Erased::new(alloc_local(&rt, i)))
+                .collect();
+            rt.reset_metrics();
+            unsafe { scatter_free(&rt, 0, local) };
+            let s = rt.total_comm();
+            assert_eq!(s.am_sent, 0);
+            assert_eq!(s.bulk_frees, 0, "local batch: no AM counted");
+            assert_eq!(s.bulk_freed_objects, 5);
+
+            rt.reset_metrics();
+            unsafe { scatter_free(&rt, 0, Vec::new()) };
+            assert!(
+                rt.total_comm().is_zero(),
+                "an empty scatter list is a no-op"
+            );
+            assert_eq!(rt.live_objects(), 0);
+        });
+    }
+
+    #[test]
     fn scatter_disabled_pays_per_object_ams() {
         let rt = zrt(4);
         rt.run(|| {
@@ -1041,7 +1039,7 @@ mod tests {
         fn six_calls_one_panic<R: Reclaimer>(hook: Hook, leaked: i64) {
             let rt = zrt(2);
             rt.run(|| {
-                let em = R::new_in_runtime();
+                let em = R::default();
                 let row = format!("{} {hook:?}", em.backend_name());
                 em.set_observer(Arc::new(PanicOnce {
                     hook,
@@ -1203,7 +1201,7 @@ mod tests {
         fn dropped_outside_run<R: Reclaimer>() {
             let rt = zrt(2);
             let em = rt.run(|| {
-                let em = R::new_in_runtime();
+                let em = R::default();
                 let tok = em.register();
                 tok.pin();
                 tok.defer_delete(alloc_on(&rt, 1, 5u64));

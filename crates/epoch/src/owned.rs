@@ -16,11 +16,16 @@
 //!   would need (the `borrowed` analog). While the guard lives, the
 //!   epoch cannot advance past the referent's retirement, so the
 //!   reference stays valid even if a concurrent `store` replaces it.
+//!
+//! The writers pin through the same [`PinGuard`] as every structure
+//! operation, so a panicking `T::clone` in [`OwnedAtomic::swap`] leaves the
+//! token unpinned.
 
 use pgas_atomics::AtomicObject;
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
-use crate::manager::{PinGuard, Token};
+use crate::manager::Token;
+use crate::reclaim::{PinGuard, ReclaimGuard};
 
 /// What actually lives on the heap: the value, plus a flag recording
 /// whether ownership was moved out (in which case the deferred drop must
@@ -82,7 +87,7 @@ impl<T: Send> OwnedAtomic<T> {
 
     /// Borrow the current value under a pin guard (the `borrowed`
     /// analog). `None` when empty.
-    pub fn load<'g>(&self, guard: &'g PinGuard<'_, '_>) -> Option<&'g T> {
+    pub fn load<'g>(&self, guard: &'g PinGuard<'_, Token<'_>>) -> Option<&'g T> {
         let _ = guard;
         let ptr = self.cell.read();
         if ptr.is_null() {
@@ -98,12 +103,12 @@ impl<T: Send> OwnedAtomic<T> {
     /// manager and dropped when safe (the `owned` analog).
     pub fn store(&self, tok: &Token<'_>, value: T) {
         let fresh = Self::alloc(value);
-        tok.pin();
-        let old = self.cell.exchange(fresh);
-        if !old.is_null() {
-            tok.defer_delete(old);
-        }
-        tok.unpin();
+        tok.pinned(0, || {
+            let old = self.cell.exchange(fresh);
+            if !old.is_null() {
+                tok.defer_delete(old);
+            }
+        })
     }
 
     /// Swap values, returning the old one *by value*. Readers that loaded
@@ -119,44 +124,42 @@ impl<T: Send> OwnedAtomic<T> {
         T: Clone,
     {
         let fresh = Self::alloc(value);
-        tok.pin();
-        let old = self.cell.exchange(fresh);
-        let out = if old.is_null() {
-            None
-        } else {
-            // SAFETY: pinned; the allocation is live until deferred +
-            // reclaimed.
-            let val = unsafe { (*(*old.as_ptr()).value).clone() };
+        tok.pinned(0, || {
+            let old = self.cell.exchange(fresh);
+            if old.is_null() {
+                return None;
+            }
+            // Retired before the clone, so a panicking clone leaks nothing.
             tok.defer_delete(old);
-            Some(val)
-        };
-        tok.unpin();
-        out
+            // SAFETY: pinned; a deferred allocation is live until the epoch
+            // advances past the pin.
+            Some(unsafe { (*(*old.as_ptr()).value).clone() })
+        })
     }
 
     /// Empty the cell. If the cell held a value, it is retired through
     /// the manager (dropped when safe); returns whether a value was
     /// present.
     pub fn clear(&self, tok: &Token<'_>) -> bool {
-        tok.pin();
-        let old = self.cell.exchange(GlobalPtr::null());
-        let had = !old.is_null();
-        if had {
-            tok.defer_delete(old);
-        }
-        tok.unpin();
-        had
+        tok.pinned(0, || {
+            let old = self.cell.exchange(GlobalPtr::null());
+            let had = !old.is_null();
+            if had {
+                tok.defer_delete(old);
+            }
+            had
+        })
     }
 
     /// Take the value out by move. The allocation is still deferred (for
     /// concurrent readers), but its eventual drop will skip `T`'s
     /// destructor — ownership has moved to the caller.
     pub fn take(&self, tok: &Token<'_>) -> Option<T> {
-        tok.pin();
-        let old = self.cell.exchange(GlobalPtr::null());
-        let out = if old.is_null() {
-            None
-        } else {
+        tok.pinned(0, || {
+            let old = self.cell.exchange(GlobalPtr::null());
+            if old.is_null() {
+                return None;
+            }
             // SAFETY: we won the exchange, so we are the unique mover;
             // mark the cell before reading so the deferred drop skips T.
             let cell = unsafe { &*old.as_ptr() };
@@ -167,9 +170,7 @@ impl<T: Send> OwnedAtomic<T> {
             let val = unsafe { std::ptr::read(&*cell.value) };
             tok.defer_delete(old);
             Some(val)
-        };
-        tok.unpin();
-        out
+        })
     }
 }
 
@@ -194,8 +195,10 @@ impl<T: Send> Drop for OwnedAtomic<T> {
 mod tests {
     use super::*;
     use crate::manager::EpochManager;
+    use crate::reclaim::Reclaimer;
     use pgas_sim::{Runtime, RuntimeConfig};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn zrt(n: usize) -> Runtime {
         Runtime::new(RuntimeConfig::zero_latency(n))
@@ -209,17 +212,17 @@ mod tests {
             let tok = em.register();
             let cell: OwnedAtomic<String> = OwnedAtomic::empty();
             {
-                let guard = tok.pin_guard();
+                let guard = tok.pin_guard(0);
                 assert!(cell.load(&guard).is_none());
             }
             cell.store(&tok, "hello".to_string());
             {
-                let guard = tok.pin_guard();
+                let guard = tok.pin_guard(0);
                 assert_eq!(cell.load(&guard).map(|s| s.as_str()), Some("hello"));
             }
             cell.store(&tok, "world".to_string());
             {
-                let guard = tok.pin_guard();
+                let guard = tok.pin_guard(0);
                 assert_eq!(cell.load(&guard).map(|s| s.as_str()), Some("world"));
             }
             drop(tok);
@@ -261,13 +264,46 @@ mod tests {
             let cell = OwnedAtomic::new(1u64);
             assert_eq!(cell.swap(&tok, 2), Some(1));
             assert_eq!(cell.swap(&tok, 3), Some(2));
-            let guard = tok.pin_guard();
+            let guard = tok.pin_guard(0);
             assert_eq!(cell.load(&guard).copied(), Some(3));
             drop(guard);
             drop(tok);
             em.clear();
         });
         assert_eq!(rt.live_objects(), 0);
+    }
+
+    #[test]
+    fn a_clone_that_panics_under_swap_leaves_the_token_unpinned() {
+        static ARMED: AtomicBool = AtomicBool::new(false);
+        struct CloneBomb(u64);
+        impl Clone for CloneBomb {
+            fn clone(&self) -> CloneBomb {
+                if ARMED.swap(false, Ordering::SeqCst) {
+                    panic!("clone boom");
+                }
+                CloneBomb(self.0)
+            }
+        }
+        let rt = zrt(1);
+        rt.run(|| {
+            let em = EpochManager::new();
+            let tok = em.register();
+            let cell = OwnedAtomic::new(CloneBomb(1));
+            ARMED.store(true, Ordering::SeqCst);
+            let swapped = catch_unwind(AssertUnwindSafe(|| cell.swap(&tok, CloneBomb(2))));
+            assert!(swapped.is_err(), "the clone panicked");
+            assert!(!tok.is_pinned());
+            assert!(tok.try_reclaim());
+            assert!(
+                tok.try_reclaim(),
+                "a token left pinned in the first epoch would block this advance"
+            );
+            assert_eq!(cell.swap(&tok, CloneBomb(3)).map(|v| v.0), Some(2));
+            drop(tok);
+            em.clear();
+        });
+        assert_eq!(rt.live_objects(), 0, "the panicked swap retired its value");
     }
 
     #[test]
@@ -302,7 +338,7 @@ mod tests {
             let reader_tok = em.register();
             let cell = OwnedAtomic::new(vec![1u64, 2, 3]);
 
-            let guard = reader_tok.pin_guard();
+            let guard = reader_tok.pin_guard(0);
             let borrowed = cell.load(&guard).expect("present");
             // A writer replaces the value and tries hard to reclaim it.
             cell.store(&writer_tok, vec![9]);
@@ -341,7 +377,7 @@ mod tests {
                 } else {
                     let mut last = 0;
                     for _ in 0..400 {
-                        let guard = tok.pin_guard();
+                        let guard = tok.pin_guard(0);
                         let v = *cell.load(&guard).unwrap();
                         assert!(v >= last, "values move forward: {v} < {last}");
                         last = v;

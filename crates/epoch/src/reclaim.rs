@@ -1,13 +1,15 @@
-//! The pluggable reclamation seam: [`Reclaimer`] and [`ReclaimGuard`].
+//! The reclamation contract: [`Reclaimer`], [`ReclaimGuard`] and the one
+//! pin lifecycle, [`PinGuard`].
 //!
-//! The paper (§I) picks epoch-based reclamation over Michael's hazard
-//! pointers for amortization, but treats the choice as policy: the
-//! structure layer only needs *register → guard*, *pin/unpin*,
-//! *defer_delete*, and an advance/flush hook. This module extracts that
-//! contract so every structure in `pgas-structures` can be generic over
-//! the backend, with [`crate::EpochManager`] as the default and the
-//! distributed hazard-pointer backend ([`crate::HazardReclaimer`]) as the
-//! stall-tolerant alternative.
+//! The paper (§II-B/C) puts reclamation behind *register → pin/unpin →
+//! deferDelete → tryReclaim*, and (§I) picks epoch-based reclamation over
+//! Michael's hazard pointers for amortization while treating the choice as
+//! policy. These two traits are that contract and the whole API of every
+//! backend: [`crate::EpochManager`] (the default), the locale-local
+//! [`crate::LocalEpochManager`], and the distributed hazard-pointer backend
+//! [`crate::HazardReclaimer`] (the stall-tolerant alternative) implement
+//! them directly, each operation once. What a backend offers beyond the
+//! contract is ablation knobs and diagnostics.
 //!
 //! The guard-side `protect*` methods are the price of admission for
 //! hazard pointers: EBR backends keep their provided no-op/plain-read
@@ -22,8 +24,6 @@ use pgas_atomics::{Aba, AtomicAbaObject, AtomicObject};
 use pgas_sim::faults::invariants::ReclaimObserver;
 use pgas_sim::{GlobalPtr, RuntimeHandle};
 
-use crate::local_manager::LocalEpochManager;
-use crate::manager::{EpochManager, Token};
 use crate::stats::ReclaimSnapshot;
 
 /// A per-task registration handle for a [`Reclaimer`]: the thing that
@@ -38,6 +38,8 @@ use crate::stats::ReclaimSnapshot;
 pub trait ReclaimGuard {
     /// Enter a critical section. For EBR this publishes the current
     /// epoch; for hazard pointers it is free (protection is per-pointer).
+    /// Prefer [`Self::pin_guard`] or [`Self::pinned`], which also unpin
+    /// when the critical section unwinds.
     fn pin(&self);
 
     /// Leave the critical section.
@@ -47,11 +49,12 @@ pub trait ReclaimGuard {
     /// always "pinned" in this sense.
     fn is_pinned(&self) -> bool;
 
-    /// Hand a logically-removed object to the backend for eventual
-    /// (safe) deletion.
+    /// Hand a logically-removed object (which may live on any locale) to
+    /// the backend for eventual (safe) deletion.
     fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>);
 
-    /// Drive the backend's advance/scan machinery from this task.
+    /// Drive the backend's advance/scan machinery from this task: the
+    /// paper lets either the token or the manager drive reclamation.
     fn try_reclaim(&self) -> bool;
 
     /// Read `cell` and protect the result in `slot`, retrying internally
@@ -101,12 +104,54 @@ pub trait ReclaimGuard {
     fn release(&self, slot: usize) {
         let _ = slot;
     }
+
+    /// Pin, and return the [`PinGuard`] that clears hazard slots
+    /// `0..slots` and unpins when dropped.
+    fn pin_guard(&self, slots: usize) -> PinGuard<'_, Self>
+    where
+        Self: Sized,
+    {
+        self.pin();
+        PinGuard { guard: self, slots }
+    }
+
+    /// Run `f` under a [`PinGuard`] that clears hazard slots `0..slots` (the
+    /// ones `f` walks with) and unpins afterwards, also when `f` unwinds.
+    fn pinned<T>(&self, slots: usize, f: impl FnOnce() -> T) -> T
+    where
+        Self: Sized,
+    {
+        let _pin = self.pin_guard(slots);
+        f()
+    }
+}
+
+/// The one pin lifecycle: pinned from [`ReclaimGuard::pin_guard`] (or
+/// [`ReclaimGuard::pinned`]) until dropped, when it clears the hazard slots
+/// the critical section walked with and unpins, on every exit, unwinding
+/// included. A user `K::cmp`, a `T::clone` or a bounds assert may panic
+/// under the pin, and a token left pinned would block every later advance.
+/// References obtained from epoch-protected cells (e.g.
+/// [`crate::owned::OwnedAtomic::load`]) borrow the guard, so the type
+/// system enforces that no reference outlives the pin.
+pub struct PinGuard<'g, G: ReclaimGuard> {
+    guard: &'g G,
+    slots: usize,
+}
+
+impl<G: ReclaimGuard> Drop for PinGuard<'_, G> {
+    fn drop(&mut self) {
+        (0..self.slots).for_each(|slot| self.guard.release(slot));
+        self.guard.unpin();
+    }
 }
 
 /// A reclamation backend: epoch-based (default), locale-local epochs, or
 /// distributed hazard pointers. Structures hold one `R: Reclaimer` and
-/// thread `R::Guard` through their operations.
-pub trait Reclaimer: Send + Sync {
+/// thread `R::Guard` through their operations. `R::default()` builds a
+/// backend homed on the current locale; it must run inside a runtime
+/// context (`Runtime::run`).
+pub trait Reclaimer: Default + Send + Sync {
     /// The per-task handle type, borrowed from the backend.
     type Guard<'a>: ReclaimGuard
     where
@@ -124,13 +169,7 @@ pub trait Reclaimer: Send + Sync {
     /// Number of protection slots each guard owns (0 for EBR backends).
     const PROTECT_SLOTS: usize;
 
-    /// Construct a backend homed on the current locale. Must run inside
-    /// a runtime context (`Runtime::run`).
-    fn new_in_runtime() -> Self
-    where
-        Self: Sized;
-
-    /// Register the calling task.
+    /// Register the calling task with its locale's instance.
     ///
     /// A progress thread is a task that runs handlers, one at a time, so a
     /// handler running on one (an `on`/`on_combining` body, a bulk AM) gets
@@ -147,7 +186,8 @@ pub trait Reclaimer: Send + Sync {
     fn register(&self) -> Self::Guard<'_>;
 
     /// Attempt an advance (EBR) or a full scan (HP). Returns `true` when
-    /// the call advanced/freed something.
+    /// the call advanced/freed something. Non-blocking; call it from a
+    /// task, not from inside an `on` body: it waits for other locales.
     ///
     /// With the epoch backends, an advance first publishes the open bag of
     /// every token that is not pinned, so a deletion made before its task
@@ -157,10 +197,15 @@ pub trait Reclaimer: Send + Sync {
     /// finds it unpinned or its bag fills.
     fn try_reclaim(&self) -> bool;
 
-    /// Reclaim everything unconditionally; callers guarantee quiescence.
+    /// Reclaim everything unconditionally, including what live unpinned
+    /// tokens hold in their bags. Only call when no other task is using the
+    /// backend (e.g. teardown after a `forall` has joined), and from a task.
     fn clear(&self);
 
-    /// Attach a [`ReclaimObserver`] (e.g. the chaos `InvariantChecker`).
+    /// Attach a [`ReclaimObserver`] (e.g. the chaos `InvariantChecker`) that
+    /// sees every defer, advance and reclaim (hazard pointers: retires as
+    /// `on_defer` with epoch 0, scans' frees as `on_reclaim` with epochs 0,
+    /// and validated protections as `on_protect`/`on_release`).
     ///
     /// # Panics
     /// If an observer is already installed.
@@ -177,118 +222,4 @@ pub trait Reclaimer: Send + Sync {
     /// Short lowercase backend name for benchmark rows ("ebr",
     /// "local-ebr", "hp").
     fn backend_name(&self) -> &'static str;
-}
-
-// ---------------------------------------------------------------------
-// EBR: the token of both epoch managers, and the distributed EpochManager
-// (the default backend everywhere).
-// ---------------------------------------------------------------------
-
-impl ReclaimGuard for Token<'_> {
-    #[inline]
-    fn pin(&self) {
-        Token::pin(self)
-    }
-
-    #[inline]
-    fn unpin(&self) {
-        Token::unpin(self)
-    }
-
-    #[inline]
-    fn is_pinned(&self) -> bool {
-        Token::is_pinned(self)
-    }
-
-    #[inline]
-    fn defer_delete<T: Send>(&self, ptr: GlobalPtr<T>) {
-        Token::defer_delete(self, ptr)
-    }
-
-    #[inline]
-    fn try_reclaim(&self) -> bool {
-        Token::try_reclaim(self)
-    }
-}
-
-impl Reclaimer for EpochManager {
-    type Guard<'a> = Token<'a>;
-
-    const NEEDS_PROTECT: bool = false;
-    const PROTECT_SLOTS: usize = 0;
-
-    fn new_in_runtime() -> Self {
-        EpochManager::new()
-    }
-
-    fn register(&self) -> Token<'_> {
-        EpochManager::register(self)
-    }
-
-    fn try_reclaim(&self) -> bool {
-        EpochManager::try_reclaim(self)
-    }
-
-    fn clear(&self) {
-        EpochManager::clear(self)
-    }
-
-    fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        EpochManager::set_observer(self, obs)
-    }
-
-    fn stats(&self) -> ReclaimSnapshot {
-        EpochManager::stats(self)
-    }
-
-    fn runtime(&self) -> RuntimeHandle {
-        EpochManager::runtime(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "ebr"
-    }
-}
-
-// ---------------------------------------------------------------------
-// EBR, locale-local: LocalEpochManager (single-locale structures only).
-// ---------------------------------------------------------------------
-
-impl Reclaimer for LocalEpochManager {
-    type Guard<'a> = Token<'a>;
-
-    const NEEDS_PROTECT: bool = false;
-    const PROTECT_SLOTS: usize = 0;
-
-    fn new_in_runtime() -> Self {
-        LocalEpochManager::new()
-    }
-
-    fn register(&self) -> Token<'_> {
-        LocalEpochManager::register(self)
-    }
-
-    fn try_reclaim(&self) -> bool {
-        LocalEpochManager::try_reclaim(self)
-    }
-
-    fn clear(&self) {
-        LocalEpochManager::clear(self)
-    }
-
-    fn set_observer(&self, obs: Arc<dyn ReclaimObserver>) {
-        LocalEpochManager::set_observer(self, obs)
-    }
-
-    fn stats(&self) -> ReclaimSnapshot {
-        LocalEpochManager::stats(self)
-    }
-
-    fn runtime(&self) -> RuntimeHandle {
-        LocalEpochManager::runtime(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "local-ebr"
-    }
 }

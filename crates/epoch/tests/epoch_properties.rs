@@ -1,6 +1,8 @@
 //! Property-based and protocol-level tests for the epoch managers.
 
-use pgas_epoch::{next_epoch, reclaim_epoch, EpochManager, LocalEpochManager, EPOCHS};
+use pgas_epoch::{
+    next_epoch, reclaim_epoch, EpochManager, LocalEpochManager, ReclaimGuard, Reclaimer, EPOCHS,
+};
 use pgas_sim::{alloc_local, alloc_on, LocaleId, Runtime, RuntimeConfig};
 use proptest::prelude::*;
 

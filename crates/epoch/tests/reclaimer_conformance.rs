@@ -19,6 +19,10 @@
 //!    standing registration holds nothing back: not between handlers, not
 //!    after a rider panicked under it, and not from a guard that left its
 //!    handler, which keeps its registration to itself.
+//! 7. **A panic under the pin unpins** — a `PinGuard` whose critical
+//!    section panics leaves its task unpinned (EBR: the epoch advances past
+//!    it) and clears the hazard slots it walked with (HP: a scan frees what
+//!    they protected before the panic).
 //!
 //! The suite is written once against the trait and instantiated per
 //! backend, so a future backend inherits the contract for free.
@@ -54,7 +58,7 @@ impl Drop for Probe {
 fn deferred_drops_all_run<R: Reclaimer>() {
     let rt = zrt(2);
     rt.run(|| {
-        let em = R::new_in_runtime();
+        let em = R::default();
         let drops = Arc::new(AtomicU64::new(0));
         let g = em.register();
         g.pin();
@@ -88,7 +92,7 @@ fn deferred_drops_all_run<R: Reclaimer>() {
 fn no_early_free<R: Reclaimer>() {
     let rt = zrt(1);
     rt.run(|| {
-        let em = R::new_in_runtime();
+        let em = R::default();
         let cell: AtomicObject<u64> =
             AtomicObject::new(alloc_local(&ctx::current_runtime(), 0x5EED_CAFE_u64));
 
@@ -131,7 +135,7 @@ fn no_early_free<R: Reclaimer>() {
 fn no_double_free<R: Reclaimer>() {
     let rt = zrt(1);
     rt.run(|| {
-        let em = R::new_in_runtime();
+        let em = R::default();
         let g = em.register();
         g.pin();
         for i in 0..10u64 {
@@ -158,7 +162,7 @@ fn no_double_free<R: Reclaimer>() {
 fn stalled_reader_semantics<R: Reclaimer>() {
     let rt = zrt(1);
     rt.run(|| {
-        let em = R::new_in_runtime();
+        let em = R::default();
         let stalled = em.register();
         stalled.pin(); // never unpinned while we retire below
 
@@ -201,7 +205,7 @@ fn protect_validates_against_racing_swap<R: Reclaimer>() {
     let rt = zrt(1);
     rt.run(|| {
         let rt_h = ctx::current_runtime();
-        let em = R::new_in_runtime();
+        let em = R::default();
         let objs: Vec<_> = (0..4).map(|i| alloc_local(&rt_h, i as u64)).collect();
         let cell = AtomicObject::new(objs[0]);
         rt.coforall_tasks(3, |t| {
@@ -344,7 +348,7 @@ fn handler_registrations_stay_put<R: Reclaimer>(allocated: fn(&R) -> u64) {
 fn panicking_rider_leaves_nothing_pinned<R: Reclaimer>() {
     let rt = zrt(2);
     rt.run(|| {
-        let em = R::new_in_runtime();
+        let em = R::default();
         let (cell, drops) = probe_cell_on_0(&rt);
         rt.coforall_locales(|l| {
             if l != 1 {
@@ -384,7 +388,7 @@ where
 {
     let rt = zrt(2);
     rt.run(|| {
-        let em = R::new_in_runtime();
+        let em = R::default();
         let (cell, drops) = probe_cell_on_0(&rt);
         rt.coforall_locales(|l| {
             if l != 1 {
@@ -416,6 +420,43 @@ where
             }
             assert_eq!(drops.load(Ordering::SeqCst), 1, "{}", em.backend_name());
         });
+    });
+    assert_eq!(rt.live_objects(), 0);
+}
+
+/// Contract 7: a walk that panics inside its `PinGuard`, pinned and
+/// protecting an object, leaves its still-registered guard neither pinned
+/// nor protecting: the object, retired after the panic, is freed on the
+/// schedule of an unprotected one.
+fn a_panic_under_the_pin_guard_leaves_the_task_unpinned<R: Reclaimer>() {
+    let rt = zrt(1);
+    rt.run(|| {
+        let em = R::default();
+        let (cell, drops) = probe_cell_on_0(&rt);
+        let g = em.register();
+        let walk = catch_unwind(AssertUnwindSafe(|| {
+            g.pinned(1, || {
+                g.protect_root(0, &cell);
+                panic!("walker boom");
+            })
+        }));
+        assert!(walk.is_err(), "the walk panicked");
+        assert!(R::NEEDS_PROTECT || !g.is_pinned(), "{}", em.backend_name());
+        retire_cell(&em, &cell);
+        for round in 0..reclaims_to_free::<R>() {
+            assert!(
+                em.try_reclaim(),
+                "{}: blocked after {round} by the panicked walk",
+                em.backend_name()
+            );
+        }
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            1,
+            "{}: the panicked walk's pin or hazard outlived it",
+            em.backend_name()
+        );
+        drop(g);
     });
     assert_eq!(rt.live_objects(), 0);
 }
@@ -458,6 +499,11 @@ macro_rules! conformance {
             #[test]
             fn panicking_rider_leaves_nothing_pinned() {
                 super::panicking_rider_leaves_nothing_pinned::<$backend>();
+            }
+
+            #[test]
+            fn a_panic_under_the_pin_guard_leaves_the_task_unpinned() {
+                super::a_panic_under_the_pin_guard_leaves_the_task_unpinned::<$backend>();
             }
 
             #[test]

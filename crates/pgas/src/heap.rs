@@ -9,9 +9,10 @@
 //! it, again routing remotely when needed.
 //!
 //! Deallocating a *batch* of remote objects one by one costs one active
-//! message each; [`free_erased_batch`] is the bulk path the paper's scatter
-//! list uses — one active message per destination locale, regardless of how
-//! many objects it carries.
+//! message each ([`free_erased`]); the paper's scatter list instead ships
+//! each destination locale its objects in one message, as a
+//! [`crate::engine::Batcher`] over [`Erased`] items whose destination
+//! handler is [`free_erased_local_batch`].
 //!
 //! Every allocation is tracked in the owner's [`crate::stats::HeapStats`],
 //! so tests can prove reclamation completeness (`live_objects() == 0`).
@@ -201,38 +202,6 @@ pub unsafe fn free_erased_local_batch(
     }
 }
 
-/// Free a batch of erased objects that all live on `owner` with a *single*
-/// active message (the scatter-list bulk-transfer-and-delete of Listing 4).
-/// An empty batch is a no-op. When `owner` is the current locale the batch
-/// is freed inline with no communication.
-///
-/// # Safety
-/// Every entry must satisfy the conditions of [`Erased::run_drop`] and
-/// actually live on `owner`.
-pub unsafe fn free_erased_batch(core: &RuntimeCore, owner: LocaleId, batch: Vec<Erased>) {
-    if batch.is_empty() {
-        return;
-    }
-    debug_assert!(batch.iter().all(|e| e.owner() == owner));
-    let here = ctx::here();
-    let items = batch.len() as u64;
-    if owner == here {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { free_erased_local_batch(core, batch, false) };
-    } else {
-        crate::engine::bulk_on(
-            core,
-            owner,
-            items,
-            Box::new(move || {
-                // SAFETY: forwarded from the caller's contract; we now run
-                // on `owner`.
-                unsafe { free_erased_local_batch(core, batch, true) };
-            }),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,49 +259,6 @@ mod tests {
         });
         assert!(DROPPED.load(Ordering::SeqCst));
         assert_eq!(rt.live_objects(), 0);
-    }
-
-    #[test]
-    fn bulk_free_is_one_am_per_locale() {
-        let rt = Runtime::cluster(3);
-        rt.run(|| {
-            let mut batch = Vec::new();
-            for i in 0..10 {
-                let p = alloc_on(&rt, 2, i as u64);
-                batch.push(Erased::new(p));
-            }
-            rt.reset_metrics(); // ignore allocation traffic
-            unsafe { free_erased_batch(&rt, 2, batch) };
-            let s = rt.total_comm();
-            assert_eq!(s.am_sent, 1, "one AM for ten objects");
-            assert_eq!(s.bulk_frees, 1);
-            assert_eq!(s.bulk_freed_objects, 10);
-            assert_eq!(rt.live_objects(), 0);
-        });
-    }
-
-    #[test]
-    fn bulk_free_local_needs_no_am() {
-        let rt = Runtime::cluster(2);
-        rt.run(|| {
-            let batch: Vec<_> = (0..5).map(|i| Erased::new(alloc_local(&rt, i))).collect();
-            rt.reset_metrics();
-            unsafe { free_erased_batch(&rt, 0, batch) };
-            let s = rt.total_comm();
-            assert_eq!(s.am_sent, 0);
-            assert_eq!(s.bulk_frees, 0, "local batch: no AM counted");
-            assert_eq!(s.bulk_freed_objects, 5);
-            assert_eq!(rt.live_objects(), 0);
-        });
-    }
-
-    #[test]
-    fn empty_bulk_free_is_noop() {
-        let rt = Runtime::cluster(2);
-        rt.run(|| {
-            unsafe { free_erased_batch(&rt, 1, Vec::new()) };
-            assert!(rt.total_comm().is_zero());
-        });
     }
 
     #[test]

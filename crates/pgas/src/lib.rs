@@ -80,9 +80,7 @@ pub use engine::{Batcher, CommEngine, Completion, CompletionWaiter};
 pub use faults::{FaultPlan, RetryClass, RetryPolicy};
 pub use globalptr::{GlobalPtr, LocaleId, WideGlobalPtr};
 pub use handlers::HandlerId;
-pub use heap::{
-    alloc_local, alloc_on, free, free_erased, free_erased_batch, free_erased_local_batch, Erased,
-};
+pub use heap::{alloc_local, alloc_on, free, free_erased, free_erased_local_batch, Erased};
 pub use locale::Locale;
 pub use per_thread::PerThread;
 pub use privatized::Privatized;

@@ -24,7 +24,7 @@ use std::cell::Cell;
 use std::sync::{mpsc, Arc};
 
 use pgas_atomics::{AtomicInt, AtomicObject};
-use pgas_epoch::EpochManager;
+use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::faults::{self, RetryClass};
 use pgas_sim::per_thread::shards_held_by_thread;
 use pgas_sim::stats::{CommSnapshot, Counter};

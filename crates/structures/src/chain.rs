@@ -37,8 +37,6 @@ use pgas_sim::runtime::RuntimeCore;
 use pgas_sim::telemetry::{key_hash64, OpSpan};
 use pgas_sim::{alloc_local, alloc_on, ctx, Batcher, GlobalPtr, LocaleId};
 
-use crate::pinned;
-
 /// One chain cell. `next` carries the Harris mark bit. Key and value are
 /// `MaybeUninit` only because a sentinel has neither; every entry node's
 /// pair is initialized at allocation.
@@ -264,7 +262,7 @@ where
     // `kv` owns the pair until it moves into a node exactly once.
     let mut kv = Some((key, value));
     let mut node: Option<GlobalPtr<Node<K, V>>> = None;
-    pinned(tok, 2, || loop {
+    tok.pinned(2, || loop {
         // The key lives either in `kv` or inside the (unpublished) node.
         // SAFETY: an unpublished node's key was initialized when built.
         let key_ref: &K = match (&kv, node) {
@@ -325,7 +323,7 @@ where
     V: Clone,
     R: Reclaimer,
 {
-    pinned(tok, 2, || {
+    tok.pinned(2, || {
         chain_walk::<K, V, R, _>(tok, sentinel, Some((hash, key)), |hit, node| {
             // SAFETY: the walk visits entry nodes only.
             *hit = Some(unsafe { node.value_ref() }.clone());
@@ -352,7 +350,7 @@ where
             s.retry();
         }
     };
-    pinned(tok, 2, || loop {
+    tok.pinned(2, || loop {
         let (pred, curr) = chain_search::<K, V, R>(tok, sentinel, hash, key);
         if !chain_matches(curr, hash, key) {
             break false;
@@ -583,7 +581,7 @@ mod tests {
     /// unlink race would run it.
     fn snip_2<R: Reclaimer>(em: &R, sentinel: GlobalPtr<Node<Probe, u64>>) {
         let tok = em.register();
-        pinned(&tok, 2, || {
+        tok.pinned(2, || {
             let _ = chain_search::<_, _, R>(&tok, sentinel, 0, &Probe(2));
         });
     }
@@ -592,7 +590,7 @@ mod tests {
     fn ebr_walk_steps_across_a_marked_link() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
         rt.run(|| {
-            let em = EpochManager::new_in_runtime();
+            let em = EpochManager::new();
             let sentinel = chain_with_marked_middle(&em);
             let tok = em.register();
             let hit = chain_get::<_, _, EpochManager>(&tok, sentinel, 0, &Probe(3));
@@ -603,9 +601,7 @@ mod tests {
                 None
             );
             assert_eq!(
-                pinned(&tok, 2, || chain_count::<_, _, EpochManager>(
-                    &tok, sentinel
-                )),
+                tok.pinned(2, || chain_count::<_, _, EpochManager>(&tok, sentinel)),
                 2
             );
             drop(tok);
@@ -618,7 +614,7 @@ mod tests {
     fn hp_walk_restarts_at_a_marked_link() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
         rt.run(|| {
-            let em = Arc::new(HazardReclaimer::new_in_runtime());
+            let em = Arc::new(HazardReclaimer::new());
             let sentinel = chain_with_marked_middle(&*em);
             // The walk for 3 compares with 1 and 2, finds 2's link marked
             // and starts over; node 2 is snipped during the first
@@ -631,9 +627,7 @@ mod tests {
             assert_eq!(CMPS.get(), 4, "1, 2 | 1, 3: it did not step from 2 to 3");
             assert!(AT_CMP.with(|h| h.borrow().is_none()), "the snip ran");
             assert_eq!(
-                pinned(&tok, 2, || chain_count::<_, _, HazardReclaimer>(
-                    &tok, sentinel
-                )),
+                tok.pinned(2, || chain_count::<_, _, HazardReclaimer>(&tok, sentinel)),
                 2
             );
             drop(tok);
@@ -652,15 +646,13 @@ mod tests {
     fn hp_count_waits_out_a_marked_link() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
         rt.run(|| {
-            let em = HazardReclaimer::new_in_runtime();
+            let em = HazardReclaimer::new();
             let sentinel = chain_with_marked_middle(&em);
             let snipping = AtomicBool::new(false);
             rt.coforall_tasks(2, |task| {
                 if task == 0 {
                     let tok = em.register();
-                    let n = pinned(&tok, 2, || {
-                        chain_count::<_, _, HazardReclaimer>(&tok, sentinel)
-                    });
+                    let n = tok.pinned(2, || chain_count::<_, _, HazardReclaimer>(&tok, sentinel));
                     assert!(snipping.load(Ordering::SeqCst), "counted across the link");
                     assert_eq!(n, 2);
                 } else {
@@ -687,7 +679,7 @@ mod tests {
         ] {
             let rt = Runtime::new(cfg);
             rt.run(|| {
-                let em = EpochManager::new_in_runtime();
+                let em = EpochManager::new();
                 let sentinel = alloc_sentinel::<u64, u64>(&rt, 1);
                 // Built on locale 1, so every node and link is remote here.
                 rt.on(1, || {
@@ -722,7 +714,7 @@ mod tests {
         fn run<R: Reclaimer>() {
             let rt = Runtime::cluster(2);
             rt.run(|| {
-                let em = R::new_in_runtime();
+                let em = R::default();
                 let sentinel = alloc_sentinel::<u64, u64>(&rt, ctx::here());
                 let tok = em.register();
                 for k in [1, 5] {

@@ -17,14 +17,13 @@
 
 use std::hash::Hash;
 
-use pgas_epoch::{EpochManager, Reclaimer};
+use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{key_hash64, opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr};
 
 use crate::chain::{
     alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, Node,
 };
-use crate::pinned;
 
 /// A lock-free sorted set keyed by `K`, generic over its reclamation
 /// backend.
@@ -56,7 +55,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeList<K, R> {
     pub fn with_reclaimer() -> LockFreeList<K, R> {
         LockFreeList {
             head: alloc_sentinel(&ctx::current_runtime(), ctx::here()),
-            em: R::new_in_runtime(),
+            em: R::default(),
         }
     }
 
@@ -88,7 +87,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeList<K, R> {
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::ListOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, 2, || chain_count::<K, (), R>(&g, self.head))
+        g.pinned(2, || chain_count::<K, (), R>(&g, self.head))
     }
 
     /// True when no unmarked nodes remain (racy; exact in quiescence).

@@ -32,7 +32,7 @@
 
 use std::hash::Hash;
 
-use pgas_epoch::{EpochManager, Reclaimer};
+use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr, LocaleId};
 
@@ -40,7 +40,6 @@ use crate::chain::{
     alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, gather_get,
     hash_key, scatter_insert, Node,
 };
-use crate::pinned;
 
 /// A lock-free hash map with buckets distributed across locales, generic
 /// over its reclamation backend.
@@ -102,7 +101,7 @@ where
         DistHashMap {
             buckets,
             mask: (n - 1) as u64,
-            em: R::new_in_runtime(),
+            em: R::default(),
         }
     }
 
@@ -185,7 +184,7 @@ where
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::MapOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, 2, || {
+        g.pinned(2, || {
             let count = |&sentinel| chain_count::<K, V, R>(&g, sentinel);
             self.buckets.iter().map(count).sum()
         })

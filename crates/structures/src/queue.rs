@@ -29,8 +29,6 @@ use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
-use crate::pinned;
-
 /// One queue cell. The node at `head` is always a dummy whose value has
 /// already been consumed (or never existed, for the initial sentinel).
 pub struct Node<T> {
@@ -77,7 +75,7 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
         MsQueue {
             head: AtomicAbaObject::new(dummy),
             tail: AtomicAbaObject::new(dummy),
-            em: R::new_in_runtime(),
+            em: R::default(),
         }
     }
 
@@ -89,7 +87,7 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
     /// Append `value` at the tail.
     pub fn enqueue(&self, tok: &R::Guard<'_>, value: T) {
         let span = OpSpan::start(OpClass::QueueOp, opkind::ENQUEUE, 0);
-        pinned(tok, 1, || {
+        tok.pinned(1, || {
             let node = alloc_local(
                 &ctx::current_runtime(),
                 Node {
@@ -125,7 +123,7 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
     /// Remove and return the oldest value, or `None` when empty.
     pub fn dequeue(&self, tok: &R::Guard<'_>) -> Option<T> {
         let span = OpSpan::start(OpClass::QueueOp, opkind::DEQUEUE, 0);
-        pinned(tok, 2, || loop {
+        tok.pinned(2, || loop {
             let head_snap = tok.protect_root_aba(0, &self.head);
             let head = head_snap.get_object();
             let tail = self.tail.read();
@@ -172,7 +170,7 @@ impl<T: Send, R: Reclaimer> MsQueue<T, R> {
     pub fn is_empty(&self) -> bool {
         let _span = OpSpan::start(OpClass::QueueOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, 1, || {
+        g.pinned(1, || {
             let head = g.protect_root_aba(0, &self.head).get_object();
             // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
             unsafe { head.deref() }.next.read().is_null()
@@ -208,7 +206,7 @@ impl<T: Send, R: Reclaimer> Drop for MsQueue<T, R> {
             let tok = self.em.register();
             while self.dequeue(&tok).is_some() {}
             // Retire the final dummy as well.
-            pinned(&tok, 0, || tok.defer_delete(self.head.read()));
+            tok.pinned(0, || tok.defer_delete(self.head.read()));
         };
         self.em.runtime().run_here_or_enter(teardown);
     }

@@ -30,8 +30,6 @@ use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, alloc_on, ctx, engine, GlobalPtr, LocaleId};
 
-use crate::pinned;
-
 /// One fixed-size block of cells, owned by a single locale.
 pub struct Block {
     cells: Box<[AtomicU64]>,
@@ -88,7 +86,7 @@ impl<R: Reclaimer> RcuArray<R> {
         );
         RcuArray {
             table: AtomicObject::new(table),
-            em: R::new_in_runtime(),
+            em: R::default(),
             block_size,
         }
     }
@@ -114,7 +112,7 @@ impl<R: Reclaimer> RcuArray<R> {
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::RcuArrayOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, 1, || {
+        g.pinned(1, || {
             // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
             unsafe { g.protect_root(0, &self.table).deref() }.len
         })
@@ -137,7 +135,7 @@ impl<R: Reclaimer> RcuArray<R> {
     /// # Panics
     /// If `i` is out of bounds of the current snapshot.
     fn block_of(&self, tok: &R::Guard<'_>, i: usize) -> GlobalPtr<Block> {
-        pinned(tok, 1, || {
+        tok.pinned(1, || {
             // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
             let t = unsafe { tok.protect_root(0, &self.table).deref() };
             assert!(i < t.len, "index {i} out of bounds (len {})", t.len);
@@ -176,7 +174,7 @@ impl<R: Reclaimer> RcuArray<R> {
     /// length.
     pub fn grow(&self, tok: &R::Guard<'_>, new_len: usize) -> usize {
         let span = OpSpan::start(OpClass::RcuArrayOp, opkind::GROW, new_len as u64);
-        pinned(tok, 1, || loop {
+        tok.pinned(1, || loop {
             let cur_ptr = tok.protect_root(0, &self.table);
             // SAFETY: protected — pinned (EBR) or hazard-validated (HP).
             let cur = unsafe { cur_ptr.deref() };

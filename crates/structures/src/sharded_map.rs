@@ -32,7 +32,7 @@
 
 use std::hash::Hash;
 
-use pgas_epoch::{EpochManager, Reclaimer};
+use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{ctx, GlobalPtr, LocaleId, PerThread, ShardRouter};
 
@@ -40,7 +40,6 @@ use crate::chain::{
     alloc_sentinel, chain_count, chain_get, chain_insert, chain_remove, chain_teardown, gather_get,
     hash_key, scatter_insert, Node,
 };
-use crate::pinned;
 
 /// Routing/traffic counters a sharded map accumulates over its lifetime:
 /// the cells of its [`PerThread`] block, one per [`ShardSnapshot`] counter.
@@ -158,7 +157,7 @@ where
             shards,
             mask: (n - 1) as u64,
             router: ShardRouter::new(&rt),
-            em: R::new_in_runtime(),
+            em: R::default(),
             stats: PerThread::new(SHARD_STATS, 0),
         }
     }
@@ -303,7 +302,7 @@ where
         for l in 0..self.shards.len() {
             total += rt.on(l as LocaleId, || {
                 let g = self.em.register();
-                pinned(&g, 2, || {
+                g.pinned(2, || {
                     let count = |&sentinel| chain_count::<K, V, R>(&g, sentinel);
                     self.shards[l].iter().map(count).sum::<usize>()
                 })

@@ -55,8 +55,6 @@ use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{key_hash64, opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
-use crate::pinned;
-
 /// Maximum tower height (supports ~2^16 elements at p = 1/2 comfortably).
 pub const MAX_HEIGHT: usize = 12;
 
@@ -134,7 +132,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
         );
         LockFreeSkipList {
             head,
-            em: R::new_in_runtime(),
+            em: R::default(),
         }
     }
 
@@ -263,7 +261,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
     /// Insert `key`; `false` if already present.
     pub fn insert(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let span = OpSpan::start(OpClass::SkipListOp, opkind::INSERT, key_hash64(&key));
-        pinned(tok, 2, || 'outer: loop {
+        tok.pinned(2, || 'outer: loop {
             let (mut preds, mut succs, found) = self.find(tok, &key);
             if found {
                 break false;
@@ -337,7 +335,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
     /// Remove `key`; `false` if absent.
     pub fn remove(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::REMOVE, key_hash64(&key));
-        pinned(tok, 2, || {
+        tok.pinned(2, || {
             let (_, succs, found) = self.find(tok, &key);
             if !found {
                 return false;
@@ -376,7 +374,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
     /// Membership test (read-only: no snipping).
     pub fn contains(&self, tok: &R::Guard<'_>, key: K) -> bool {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::CONTAINS, key_hash64(&key));
-        pinned(tok, 2, || {
+        tok.pinned(2, || {
             self.walk(tok, Some(key), |found, k| {
                 *found = k == key;
                 false
@@ -390,7 +388,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
     /// range scan).
     pub fn collect_range(&self, tok: &R::Guard<'_>, lo: K, hi: K) -> Vec<K> {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::RANGE, key_hash64(&lo));
-        pinned(tok, 2, || {
+        tok.pinned(2, || {
             self.walk(tok, Some(lo), |out: &mut Vec<K>, k| {
                 if k < hi {
                     out.push(k);
@@ -404,7 +402,7 @@ impl<K: Ord + Copy + Hash + Send + 'static, R: Reclaimer> LockFreeSkipList<K, R>
     pub fn len(&self) -> usize {
         let _span = OpSpan::start(OpClass::SkipListOp, opkind::LEN, 0);
         let g = self.em.register();
-        pinned(&g, 2, || {
+        g.pinned(2, || {
             self.walk(&g, None, |n: &mut usize, _| {
                 *n += 1;
                 true

@@ -29,8 +29,6 @@ use pgas_epoch::{EpochManager, ReclaimGuard, Reclaimer};
 use pgas_sim::telemetry::{opkind, OpClass, OpSpan};
 use pgas_sim::{alloc_local, ctx, GlobalPtr};
 
-use crate::pinned;
-
 /// One stack cell.
 pub struct Node<T> {
     value: ManuallyDrop<T>,
@@ -68,7 +66,7 @@ impl<T: Send, R: Reclaimer> LockFreeStack<T, R> {
     pub fn with_reclaimer() -> LockFreeStack<T, R> {
         LockFreeStack {
             head: AtomicAbaObject::null(),
-            em: R::new_in_runtime(),
+            em: R::default(),
         }
     }
 
@@ -82,7 +80,7 @@ impl<T: Send, R: Reclaimer> LockFreeStack<T, R> {
     /// dereferenced.
     pub fn push(&self, tok: &R::Guard<'_>, value: T) {
         let span = OpSpan::start(OpClass::StackOp, opkind::PUSH, 0);
-        pinned(tok, 0, || {
+        tok.pinned(0, || {
             let node = alloc_local(
                 &ctx::current_runtime(),
                 Node {
@@ -106,7 +104,7 @@ impl<T: Send, R: Reclaimer> LockFreeStack<T, R> {
     /// deferred to the reclaimer.
     pub fn pop(&self, tok: &R::Guard<'_>) -> Option<T> {
         let span = OpSpan::start(OpClass::StackOp, opkind::POP, 0);
-        pinned(tok, 1, || loop {
+        tok.pinned(1, || loop {
             // Under HP this publishes+validates the head in slot 0; under
             // EBR it is a plain `read_aba`.
             let old_head = tok.protect_root_aba(0, &self.head);

@@ -5,6 +5,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pgas_epoch::{ReclaimGuard, Reclaimer};
 use pgas_sim::faults::invariants::InvariantChecker;
 use pgas_sim::{FaultPlan, Runtime, RuntimeConfig};
 use pgas_structures::{DistHashMap, LockFreeStack, MsQueue};

@@ -5,10 +5,12 @@
 //!
 //! A configuration object is read continuously by worker tasks on every
 //! locale while an updater task replaces it. Readers borrow the config
-//! through a `PinGuard` (never blocking, never cloning); superseded
-//! configs are retired through the `EpochManager` and dropped only when
-//! no reader can still hold them — a non-blocking, distributed
-//! `RwLock<Config>` replacement.
+//! through a `PinGuard` from `tok.pin_guard(0)` (never blocking, never
+//! cloning), the same guard every structure operation and every
+//! `OwnedAtomic` write pins through, so a reader that panics is unpinned
+//! on the way out; superseded configs are retired through the
+//! `EpochManager` and dropped only when no reader can still hold them — a
+//! non-blocking, distributed `RwLock<Config>` replacement.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,7 +60,7 @@ fn main() {
                 // Readers: borrow without cloning; versions move forward.
                 let mut last_seen = 0;
                 for _ in 0..500 {
-                    let guard = tok.pin_guard();
+                    let guard = tok.pin_guard(0);
                     let cfg = config.load(&guard).expect("config always present");
                     assert!(
                         cfg.version >= last_seen,
@@ -75,7 +77,7 @@ fn main() {
 
         {
             let tok = em.register();
-            let final_cfg = tok.pin_guard();
+            let final_cfg = tok.pin_guard(0);
             println!(
                 "final config: {:?}",
                 config.load(&final_cfg).expect("present")
