@@ -7,7 +7,7 @@
 //! installations beyond 2^16 locales must fall back to wide pointers and
 //! double-word CAS.
 
-use pgas_sim::{GlobalPtr, PointerMode, WideGlobalPtr};
+use pgas_sim::PointerMode;
 
 /// Maximum number of locales representable under pointer compression.
 pub const MAX_COMPRESSED_LOCALES: usize = 1 << 16;
@@ -30,19 +30,20 @@ pub fn preferred_mode(num_locales: usize) -> PointerMode {
     }
 }
 
-/// Compress a wide pointer, or return it unchanged as `Err` when the
-/// locale id exceeds 16 bits (the caller must stay on the wide path).
-pub fn try_compress<T>(wide: WideGlobalPtr<T>) -> Result<GlobalPtr<T>, WideGlobalPtr<T>> {
-    if wide.locale() < MAX_COMPRESSED_LOCALES as u64 {
-        Ok(wide.compress())
-    } else {
-        Err(wide)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgas_sim::{GlobalPtr, WideGlobalPtr};
+
+    /// Compress a wide pointer, or return it unchanged as `Err` when the
+    /// locale id exceeds 16 bits (the caller must stay on the wide path).
+    fn try_compress<T>(wide: WideGlobalPtr<T>) -> Result<GlobalPtr<T>, WideGlobalPtr<T>> {
+        if wide.locale() < MAX_COMPRESSED_LOCALES as u64 {
+            Ok(wide.compress())
+        } else {
+            Err(wide)
+        }
+    }
 
     #[test]
     fn boundary_locale_counts() {

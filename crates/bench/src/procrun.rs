@@ -397,7 +397,7 @@ impl Drop for Reaper {
 /// scenario, and merge their RESULT lines. Any agent crashing, emitting
 /// garbage, or exceeding `spec.timeout` kills and reaps the whole fleet
 /// and returns `Err`.
-pub fn orchestrate(exe: &Path, spec: &ProcSpec) -> Result<ProcRow, String> {
+fn orchestrate(exe: &Path, spec: &ProcSpec) -> Result<ProcRow, String> {
     let deadline = Instant::now() + spec.timeout;
     let n = spec.locales;
     assert!(n >= 1, "need at least one locale");

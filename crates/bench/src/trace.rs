@@ -86,7 +86,7 @@ fn u64_field(line: &str, key: &str) -> Result<u64, String> {
 /// Parse one JSON-lines span record. The line is first validated as JSON
 /// via [`crate::json::parse`]; 64-bit fields are then re-extracted from
 /// the raw text for exactness (see `u64_field`).
-pub fn parse_line(line: &str) -> Result<TraceSpan, String> {
+fn parse_line(line: &str) -> Result<TraceSpan, String> {
     let v = json::parse(line)?;
     let obj = v.as_obj().ok_or("span line is not a JSON object")?;
     let class = obj
@@ -212,7 +212,7 @@ impl Analysis {
     }
 
     /// Total nesting violations across all trees.
-    pub fn nesting_violations(&self) -> usize {
+    fn nesting_violations(&self) -> usize {
         self.per_root.iter().map(|r| r.nesting_violations).sum()
     }
 
@@ -339,7 +339,7 @@ fn us_i(ns: i128) -> String {
 
 /// Human-readable label for a root span: class plus (for op spans) the
 /// decoded op kind and retry count packed in the tag.
-pub fn root_label(s: &TraceSpan) -> String {
+fn root_label(s: &TraceSpan) -> String {
     if is_op_class(&s.class) {
         let (kind, retries, _) = unpack_op_tag(s.tag);
         let name = opkind::name(kind);

@@ -54,7 +54,7 @@ impl ZipfSampler {
     /// shuffle spreads hot ranks across the whole key space; it is a
     /// bijection on `0..n` only when `n` is a power of two, so for other
     /// sizes we fall back to the identity.
-    pub fn key_of_rank(&self, rank: u64) -> u64 {
+    fn key_of_rank(&self, rank: u64) -> u64 {
         if self.n.is_power_of_two() {
             rank.wrapping_mul(0x9e37_79b9_7f4a_7c15) & (self.n - 1)
         } else {

@@ -32,9 +32,10 @@
 //!   locks, so a parked scan holds up neither another scan nor a retire.
 //! - **Stall tolerance.** A guard that never unpins blocks nothing: only
 //!   the ≤ [`DIST_HP_SLOTS`] addresses it has published stay live, so
-//!   garbage is bounded per slot (see [`HazardReclaimer::garbage_bound`]) —
-//!   the property ablation A8 measures against EBR's unbounded limbo growth
-//!   under the `stalled_task` plan.
+//!   garbage is bounded per slot — by `SCAN_THRESHOLD − 1` open retires
+//!   plus `DIST_HP_SLOTS` protected objects, times the slots ever
+//!   allocated — the property ablation A8 measures against EBR's unbounded
+//!   limbo growth under the `stalled_task` plan.
 //!
 //! Stats mapping onto [`ReclaimSnapshot`]: scans count as `advances`,
 //! retires as `objects_deferred`, frees as `objects_reclaimed`,
@@ -193,16 +194,6 @@ impl HazardReclaimer {
             .iter()
             .map(|(_, l)| l.tokens.allocated_count())
             .sum()
-    }
-
-    /// Upper bound on un-reclaimed garbage while no scan runs, with `p`
-    /// slots ever allocated. A scan frees all that no hazard covers in the
-    /// idle open bags and lists it covers, so they hold at most the
-    /// `SCAN_THRESHOLD − 1` retires each slot made since its last inline
-    /// scan, plus the `DIST_HP_SLOTS` objects each slot's hazards may keep.
-    pub fn garbage_bound(&self) -> u64 {
-        let p = self.participants_allocated();
-        p * (SCAN_THRESHOLD as u64 - 1) + p * DIST_HP_SLOTS as u64
     }
 }
 
@@ -439,6 +430,19 @@ mod tests {
 
     fn zrt(n: usize) -> Runtime {
         Runtime::new(RuntimeConfig::zero_latency(n))
+    }
+
+    impl HazardReclaimer {
+        /// Upper bound on un-reclaimed garbage while no scan runs, with `p`
+        /// slots ever allocated. A scan frees all that no hazard covers in
+        /// the idle open bags and lists it covers, so they hold at most the
+        /// `SCAN_THRESHOLD − 1` retires each slot made since its last
+        /// inline scan, plus the `DIST_HP_SLOTS` objects each slot's
+        /// hazards may keep.
+        fn garbage_bound(&self) -> u64 {
+            let p = self.participants_allocated();
+            p * (SCAN_THRESHOLD as u64 - 1) + p * DIST_HP_SLOTS as u64
+        }
     }
 
     #[test]

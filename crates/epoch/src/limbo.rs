@@ -439,11 +439,6 @@ impl NodePool {
             }
         }
     }
-
-    /// Total nodes this pool has ever allocated.
-    pub fn nodes_created(&self) -> u64 {
-        self.created.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for NodePool {
@@ -676,6 +671,13 @@ mod tests {
 
     fn erased(rt: &Runtime, v: u64) -> Erased {
         Erased::new(alloc_local(rt, v))
+    }
+
+    impl NodePool {
+        /// Total nodes this pool has ever allocated.
+        fn nodes_created(&self) -> u64 {
+            self.created.load(Ordering::Relaxed)
+        }
     }
 
     impl TakenList {

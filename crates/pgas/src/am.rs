@@ -31,17 +31,26 @@
 //! idle consumer re-checks the queue and yields up to [`WAIT_YIELDS`] times
 //! before it parks, because the thread that serves a locale may share its
 //! sender's core: a message that lands during those yields costs neither
-//! side a futex call. A waiting sender (the combiner's chunk wait) follows
-//! the same policy. A message releases its waiter when it is dropped,
-//! which the progress loop does last — after it has recorded the service
-//! sample, emitted the round-trip span and released the server slot — so a
-//! sender that reads the statistics on its reply sees all of them.
+//! side a futex call.
+//!
+//! The reply. Every sender that waits — a blocking call, a posted call's
+//! handle, the combiner's chunk — waits on one [`Done`] cell, which the
+//! message's drop writes once: the result, or a lost-call failure when the
+//! message is dropped unexecuted. A blocking call keeps its cell on its
+//! stack and parks at once; a posted call shares an `Arc` of it with its
+//! handle; the combiner polls its cell through [`WAIT_YIELDS`] yields
+//! before it parks. The progress loop drops a message last — after it has
+//! recorded the service sample, emitted the round-trip span and released
+//! the server slot — so a sender that reads the statistics on its reply
+//! sees all of them.
 
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-use crossbeam_channel::{bounded, Receiver, Sender};
+use std::thread::Thread;
 
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
@@ -54,16 +63,16 @@ use crate::vtime;
 
 /// How many times an idle waiter re-checks and yields before it parks: a
 /// progress thread waiting for its inbox, and a combiner waiting for its
-/// chunk (see the module docs).
+/// chunk's [`Done`] (see the module docs).
 pub(crate) const WAIT_YIELDS: u32 = 3;
 
 /// A many-producer queue whose consumers park when it is empty (see the
 /// module docs for the hand-off protocol).
 ///
-/// Not the vendored `crossbeam-channel`, which the reply channels still
-/// use: that shim disconnects only when every sender has dropped, while
-/// every task of a runtime may hold a locale's inbox until the runtime
-/// drops it. An inbox closes by a flag instead, and drains without closing.
+/// Not the vendored `crossbeam-channel`: that shim disconnects only when
+/// every sender has dropped, while every task of a runtime may hold a
+/// locale's inbox until the runtime drops it. An inbox closes by a flag
+/// instead, and drains without closing.
 pub(crate) struct Inbox<T> {
     state: Mutex<InboxState<T>>,
     /// Signalled by a push that finds a consumer parked, and by `close`.
@@ -162,9 +171,10 @@ impl<T> Inbox<T> {
 }
 
 /// The work an active message carries. The progress loop calls `run` once
-/// and then drops the handler; dropping it releases whoever waits on the
-/// message, and so does dropping it unexecuted (a discarded inbox). The
-/// release is the drop's last access to anything the waiter lends it.
+/// and then drops the handler; dropping it writes the [`Done`] of whoever
+/// waits on the message, and so does dropping it unexecuted (a discarded
+/// inbox). The write is the drop's last access to anything the waiter
+/// lends it.
 pub(crate) trait Handler: Send {
     /// The body, run on the destination's progress thread.
     fn run(&mut self);
@@ -185,48 +195,94 @@ pub(crate) struct AmMsg {
     ctx: Option<TraceCtx>,
 }
 
-/// What a handler reports back: its panic status and the virtual time at
-/// which it finished.
+/// What a call's handler reports back: its panic status and the virtual
+/// time at which it finished.
 pub(crate) type Reply = (std::thread::Result<()>, u64);
 
 /// What a waiter panics with when its message was dropped unexecuted.
 pub(crate) const LOST_TEXT: &str = "progress thread terminated while a remote call was pending";
 
-thread_local! {
-    /// Reusable one-shot reply channels. A remote call consumes exactly one
-    /// message per pair, so a drained pair is as good as new — recycling
-    /// avoids a channel allocation on every blocking remote operation (the
-    /// hottest allocation in the AM fallback path).
-    static REPLY_POOL: std::cell::RefCell<Vec<(Sender<Reply>, Receiver<Reply>)>> =
-        std::cell::RefCell::new(Vec::new());
+// `Done`'s state word: nothing written yet; the waiter has stored its
+// `Thread` and parks; the value is written.
+const PENDING: u8 = 0;
+const ARMED: u8 = 1;
+const SET: u8 = 2;
+
+/// A one-shot completion cell: every remote wait in the simulator ends in
+/// [`Done::wait`]. A message's drop guard writes it exactly once, with the
+/// result, or with `None` when the message was dropped unexecuted (the
+/// waiter then fails with [`LOST_TEXT`]).
+///
+/// The write is the writer's last access: it clones the waiter's `Thread`
+/// before the Release store that publishes the result, and unparks the
+/// clone, so a waiter that returns at once may free the cell (a blocking
+/// call keeps it on its stack). One waiter, which waits once.
+pub(crate) struct Done<T> {
+    state: AtomicU8,
+    /// Written by the writer before `SET`, taken by the waiter after.
+    value: UnsafeCell<Option<T>>,
+    /// Written by the waiter before `ARMED`, read by the writer after.
+    waiter: UnsafeCell<Option<Thread>>,
 }
 
-/// A task rarely has more than a couple of calls in flight; keep the pool
-/// tiny so abandoned bursts don't pin memory.
-const REPLY_POOL_CAP: usize = 4;
+// SAFETY: the state word hands each slot from one side to the other with a
+// Release/Acquire pair (see the field docs), so only a `T: Send` crosses.
+unsafe impl<T: Send> Sync for Done<T> {}
 
-/// Take a reply channel from the calling thread's pool, or allocate one.
-fn pooled_reply_channel() -> (Sender<Reply>, Receiver<Reply>) {
-    REPLY_POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_else(|| bounded(1))
-}
-
-/// Return a reply channel to the pool once its single message has been
-/// consumed. Pairs that might still carry (or later receive) a message —
-/// e.g. from an abandoned `Completion` — must simply be dropped instead.
-pub(crate) fn recycle_reply_channel(tx: Sender<Reply>, rx: Receiver<Reply>) {
-    // Only a provably-drained pair is reusable; the channel has no
-    // emptiness query, so probe with `try_recv`.
-    if rx.try_recv().is_ok() {
-        return;
-    }
-    REPLY_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < REPLY_POOL_CAP {
-            p.push((tx, rx));
+impl<T> Done<T> {
+    pub(crate) fn new() -> Done<T> {
+        Done {
+            state: AtomicU8::new(PENDING),
+            value: UnsafeCell::new(None),
+            waiter: UnsafeCell::new(None),
         }
-    });
+    }
+
+    /// True once the cell has been written (a poll; never blocks).
+    pub(crate) fn is_set(&self) -> bool {
+        self.state.load(Ordering::Acquire) == SET
+    }
+
+    /// Write the cell: `None` when the message was dropped unexecuted.
+    ///
+    /// # Safety
+    /// At most one call per cell: the slot is the writer's until `SET`.
+    pub(crate) unsafe fn set(&self, value: Option<T>) {
+        // SAFETY: the one writer; the waiter reads the slot only after SET.
+        unsafe { *self.value.get() = value };
+        let armed = self
+            .state
+            .compare_exchange(PENDING, SET, Ordering::Release, Ordering::Acquire);
+        if armed.is_err() {
+            // SAFETY: ARMED (Acquire) published the waiter's slot, and the
+            // waiter writes it no more.
+            let waiter = unsafe { (*self.waiter.get()).clone() }.expect("an armed cell's waiter");
+            self.state.store(SET, Ordering::Release);
+            waiter.unpark();
+        }
+    }
+
+    /// Park until the cell is written, re-checking after every unpark (an
+    /// unpark may be stale), and take its value: `None` when the message
+    /// was dropped unexecuted.
+    ///
+    /// # Safety
+    /// At most one call per cell: the waiter's slot is the caller's.
+    pub(crate) unsafe fn wait(&self) -> Option<T> {
+        if !self.is_set() {
+            // SAFETY: the writer reads the slot only once ARMED is stored.
+            unsafe { *self.waiter.get() = Some(std::thread::current()) };
+            let armed =
+                self.state
+                    .compare_exchange(PENDING, ARMED, Ordering::Release, Ordering::Acquire);
+            while armed.is_ok() && !self.is_set() {
+                std::thread::park();
+            }
+        }
+        // SAFETY: SET (Acquire) ordered the writer's store before this read,
+        // and the writer touches the cell no more.
+        unsafe { (*self.value.get()).take() }
+    }
 }
 
 /// The body of progress thread `index` of locale `locale`: serve the
@@ -331,7 +387,7 @@ pub(crate) fn remote_call(
     // are droppable; a dropped message is lost *before* execution, so the
     // sender pays the wire cost plus the detection timeout and backoff,
     // then re-sends. After `max_attempts` consecutive drops the send is
-    // escalated to a reliable channel (`remote_post` cannot drop it), so
+    // escalated to a reliable channel (`post` cannot drop it), so
     // the operation never hangs.
     if let Some(fs) = core.faults() {
         if crate::faults::current_class() == crate::faults::RetryClass::Idempotent {
@@ -370,17 +426,21 @@ pub(crate) fn remote_call(
         }
     }
 
-    // SAFETY: lifetime erasure. `f` may borrow the caller's stack, but this
-    // function blocks on `rx.recv()` until `Call`'s drop sends the reply,
-    // and that drop first consumes `f`: `f` has run, or is dropped there
-    // when the message is dropped unexecuted. So no borrow outlives this
-    // frame.
-    let f: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(f) };
-    let (tx, rx) = remote_post(core, src, dest, f);
-    let (out, end) = rx.recv().expect("the reply sender is held here");
-    // The one message is consumed; the pair is pristine again.
-    recycle_reply_channel(tx, rx);
-    vtime::advance_to(end + cfg.am_wire_ns);
+    let done = Done::new();
+    let call: Box<dyn Handler + '_> = Box::new(Call {
+        f: Some(f),
+        reply: None,
+        done: &done,
+    });
+    // SAFETY: lifetime erasure. The message borrows `done`, and `f` may
+    // borrow the caller's stack, but this function returns only after
+    // `done.wait()`, and `Call`'s drop writes `done` as its last access,
+    // after it has consumed `f`: `f` has run, or is dropped there when the
+    // message is dropped unexecuted. So no borrow outlives this frame.
+    let call: Box<dyn Handler> = unsafe { std::mem::transmute(call) };
+    post(core, src, dest, call);
+    // SAFETY: `done` is this frame's, and this is its one wait.
+    let out = unsafe { join(&done, cfg.am_wire_ns) };
     // The sender-observed round trip, retries and queueing included.
     stats.record(OpClass::AmRoundTrip, vtime::now().saturating_sub(t_issue));
     if let Err(payload) = out {
@@ -388,17 +448,33 @@ pub(crate) fn remote_call(
     }
 }
 
-/// [`remote_post`]'s message: runs the closure, then sends its reply when
-/// dropped — or, dropped unexecuted, drops the closure and sends a
-/// [`LOST_TEXT`] panic, so the waiter never blocks forever. The reply is its
-/// last access to anything the closure borrowed.
-struct Call {
-    f: Option<Box<dyn FnOnce() + Send + 'static>>,
-    reply: Option<Reply>,
-    tx: Sender<Reply>,
+/// Wait on a call's cell, merge its finish time plus the reply wire
+/// `wire_ns` into the caller's clock, and return the body's outcome: its
+/// panic, or a [`LOST_TEXT`] failure when the message was dropped
+/// unexecuted.
+///
+/// # Safety
+/// As [`Done::wait`]: the caller is the cell's one waiter.
+pub(crate) unsafe fn join(done: &Done<Reply>, wire_ns: u64) -> std::thread::Result<()> {
+    // SAFETY: per the contract.
+    let (out, end) = unsafe { done.wait() }.unwrap_or_else(|| (Err(Box::new(LOST_TEXT)), 0));
+    vtime::advance_to(end + wire_ns);
+    out
 }
 
-impl Handler for Call {
+/// A call's message: runs the closure, and writes its reply into the
+/// caller's [`Done`] when dropped — or, dropped unexecuted, drops the
+/// closure and writes the lost-call failure, so the waiter never blocks
+/// forever. The write is its last access to anything the closure borrowed.
+/// `D` is a `&Done` on a blocking caller's stack ([`remote_call`]) or an
+/// `Arc<Done>` shared with a posted call's handle ([`remote_post`]).
+struct Call<'a, D: Deref<Target = Done<Reply>>> {
+    f: Option<Box<dyn FnOnce() + Send + 'a>>,
+    reply: Option<Reply>,
+    done: D,
+}
+
+impl<D: Deref<Target = Done<Reply>> + Send> Handler for Call<'_, D> {
     fn run(&mut self) {
         let f = self.f.take().expect("active message executed twice");
         let out = catch_unwind(AssertUnwindSafe(f));
@@ -406,19 +482,16 @@ impl Handler for Call {
     }
 }
 
-impl Drop for Call {
+impl<D: Deref<Target = Done<Reply>>> Drop for Call<'_, D> {
     fn drop(&mut self) {
         // An unexecuted closure may own values that borrow the waiter's
-        // frame (see `remote_call`): drop it before the reply releases the
-        // waiter, and do not let a panic in its drop skip the reply.
+        // frame (see `remote_call`): drop it before the write releases the
+        // waiter, and do not let a panic in its drop skip the write.
         let _ = catch_unwind(AssertUnwindSafe(|| drop(self.f.take())));
-        let reply = self
-            .reply
-            .take()
-            .unwrap_or_else(|| (Err(Box::new(LOST_TEXT)), 0));
-        // Nobody may be waiting: a dropped `Completion` or a sending task
-        // that panicked leaves the reply unread.
-        let _ = self.tx.send(reply);
+        // Nobody may be waiting: a dropped `Completion` leaves the cell
+        // unread.
+        // SAFETY: a cell has one message, and a message drops once.
+        unsafe { self.done.set(self.reply.take()) };
     }
 }
 
@@ -430,25 +503,23 @@ impl Handler for Duplicate {
     fn run(&mut self) {}
 }
 
-/// Ship `f` to locale `dest` without waiting, with a reply channel: the
-/// returned pair yields the handler's completion status once it has run
-/// (the sender half is returned so the consumer can hand the drained pair
-/// back to [`recycle_reply_channel`]). The sender's clock does not advance.
-/// Must not be called when `dest == here()`.
+/// Ship `f` to locale `dest` without waiting, and return the cell its
+/// message writes once the handler has run (see [`join`]). The sender's
+/// clock does not advance. Must not be called when `dest == here()`.
 pub(crate) fn remote_post(
     core: &RuntimeCore,
     src: LocaleId,
     dest: LocaleId,
     f: Box<dyn FnOnce() + Send + 'static>,
-) -> (Sender<Reply>, Receiver<Reply>) {
-    let (tx, rx) = pooled_reply_channel();
+) -> Arc<Done<Reply>> {
+    let done = Arc::new(Done::new());
     let call = Call {
         f: Some(f),
         reply: None,
-        tx: tx.clone(),
+        done: Arc::clone(&done),
     };
     post(core, src, dest, Box::new(call));
-    (tx, rx)
+    done
 }
 
 /// Ship `handler` to locale `dest` without waiting — the one place an
@@ -656,7 +727,7 @@ mod tests {
     }
 
     /// A call dropped unexecuted fails its waiter rather than leaving it
-    /// parked on the reply channel, and drops its closure first: a blocking
+    /// parked on its cell, and drops its closure first: a blocking
     /// `on`'s closure may own values that borrow the waiter's frame, so
     /// nothing of it may outlive the reply.
     #[test]
@@ -722,6 +793,86 @@ mod tests {
                     "the waiter returned before its closure dropped"
                 );
             });
+        });
+    }
+
+    /// A dropped `Completion` abandons its result, not its cell: the
+    /// message keeps the cell it shares with the handle, runs its body once
+    /// and writes the result into live memory, which the message's drop then
+    /// frees. The body panics with a probe, so the result is observable: it
+    /// must be dropped exactly once, and a write into a cell already freed
+    /// would leak it instead.
+    #[test]
+    fn an_abandoned_completion_runs_once_and_frees_its_cell_after_the_write() {
+        use std::sync::atomic::AtomicBool;
+        struct Probe(Arc<AtomicUsize>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        watchdog("abandoned completion", || {
+            let rt = Runtime::cluster(2);
+            let (gate, entered) = (
+                Arc::new(AtomicBool::new(false)),
+                Arc::new(AtomicBool::new(false)),
+            );
+            let (ran, freed) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+            rt.run(|| {
+                // Occupy locale 1's only progress thread, so the handler
+                // waits in the inbox while its handle is dropped.
+                let (g, e) = (gate.clone(), entered.clone());
+                let busy = rt.on_async(1, move || {
+                    e.store(true, Ordering::SeqCst);
+                    while !g.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                });
+                while !entered.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let (r, f) = (ran.clone(), freed.clone());
+                drop(rt.on_async(1, move || {
+                    r.fetch_add(1, Ordering::SeqCst);
+                    std::panic::panic_any(Probe(f));
+                }));
+                assert_eq!(ran.load(Ordering::SeqCst), 0, "the handler waits");
+                gate.store(true, Ordering::SeqCst);
+                busy.wait();
+                // One progress thread serves in order and drops each message
+                // before it takes the next: once this call returns, the
+                // abandoned message has run and been dropped.
+                rt.on(1, || ());
+                assert_eq!(ran.load(Ordering::SeqCst), 1, "the handler runs once");
+                assert_eq!(
+                    freed.load(Ordering::SeqCst),
+                    1,
+                    "the result is dropped once, with its cell"
+                );
+            });
+        });
+    }
+
+    /// Many blocking calls park on their own stack cells at once: every
+    /// writer's unpark must reach its waiter, whether it lands before the
+    /// park (a token) or after. A lost wake-up hangs the watchdog.
+    #[test]
+    fn concurrent_blocking_calls_lose_no_wake_up() {
+        watchdog("concurrent blocking calls", || {
+            const TASKS: usize = 4;
+            const CALLS: usize = 2000;
+            let rt = Runtime::cluster(2);
+            let counter = AtomicUsize::new(0);
+            rt.run(|| {
+                rt.coforall_tasks(TASKS, |_| {
+                    for _ in 0..CALLS {
+                        rt.on(1, || {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            });
+            assert_eq!(counter.load(Ordering::Relaxed), TASKS * CALLS);
         });
     }
 

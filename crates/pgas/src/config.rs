@@ -87,7 +87,7 @@ impl Default for NetworkConfig {
 impl NetworkConfig {
     /// A model where every operation costs zero virtual time. Useful in
     /// unit tests that only care about semantics and communication counts.
-    pub fn zero_cost() -> Self {
+    fn zero_cost() -> Self {
         NetworkConfig {
             network_atomics: true,
             cpu_atomic_ns: 0,

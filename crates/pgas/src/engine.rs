@@ -61,7 +61,7 @@ pub use crate::comm::{
     charge_get as get, charge_put as put, debug_vread_skip_validate, vread_u128,
 };
 use crate::ctx;
-use crate::globalptr::{GlobalPtr, LocaleId};
+use crate::globalptr::LocaleId;
 use crate::handlers::{self, HandlerId};
 use crate::runtime::RuntimeCore;
 use crate::stats::Counter;
@@ -286,29 +286,6 @@ pub fn charge_local_atomic_u64() {
     });
 }
 
-/// GET a `Copy` value through a global pointer, charging RMA costs.
-///
-/// # Safety
-/// The object must be alive; see [`crate::globalptr::GlobalPtr::deref`].
-pub unsafe fn get_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>) -> T {
-    get(core, ptr.locale(), std::mem::size_of::<T>());
-    // SAFETY: the caller guarantees the object is alive.
-    unsafe { *ptr.as_ptr() }
-}
-
-/// PUT a `Copy` value through a global pointer, charging RMA costs.
-///
-/// # Safety
-/// The object must be alive and no other task may be reading or writing
-/// it concurrently (one-sided PUTs have no synchronization, exactly like
-/// the real thing).
-pub unsafe fn put_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>, v: T) {
-    put(core, ptr.locale(), std::mem::size_of::<T>());
-    // SAFETY: the caller guarantees the object is alive and that nobody
-    // else accesses it concurrently.
-    unsafe { *ptr.as_ptr() = v };
-}
-
 /// Chapel's `on Locales[dest] do f()`: execute `f` on locale `dest`,
 /// blocking until it finishes. Runs inline (zero communication) when
 /// the caller is already on `dest`; otherwise ships an active message
@@ -338,12 +315,8 @@ pub fn on_async(
         f();
         return Completion::done();
     }
-    let (tx, rx) = am::remote_post(core, src, dest, f);
-    Completion {
-        rx: Some((tx, rx, core.config.network.am_wire_ns)),
-        ready: None,
-        waiter: None,
-    }
+    let done = am::remote_post(core, src, dest, f);
+    Completion(Some(Pending::Cell(done, core.config.network.am_wire_ns)))
 }
 
 /// Like [`on`], but *combinable*: when the runtime's `combining` toggle is
@@ -387,9 +360,9 @@ pub fn bulk_on<'a>(
 }
 
 /// Backend-supplied completion source for [`Completion::from_waiter`]: a
-/// transport engine that cannot use the simulator's in-process reply
-/// channels (a socket awaiting a reply frame, say) implements this pair of
-/// poll/block primitives instead.
+/// transport engine whose replies do not arrive in this process's memory
+/// (a socket awaiting a reply frame, say) implements this pair of
+/// poll/block primitives.
 pub trait CompletionWaiter: Send {
     /// Non-blocking: has the remote handler finished?
     fn poll(&mut self) -> bool;
@@ -402,91 +375,59 @@ pub trait CompletionWaiter: Send {
 /// Handle to a fire-and-forget [`on_async`] (or
 /// [`CommEngine::on_handler_async`]) call.
 ///
-/// Dropping the handle abandons the result (the handler still runs);
+/// Dropping the handle abandons the result (the handler still runs, and
+/// its message writes a cell that nobody reads);
 /// [`Completion::wait`] blocks for the handler, merges its virtual finish
 /// time (plus the reply wire latency) into the caller's clock, and
 /// propagates a handler panic.
 #[must_use = "dropping a Completion abandons the result; call wait() to join"]
-pub struct Completion {
-    /// `(pooled reply sender, reply channel, am_wire_ns)`; `None` once
-    /// consumed or when the call ran inline. The sender half is only kept
-    /// so a drained pair can go back to the reply-channel pool on
-    /// [`Completion::wait`].
-    rx: Option<(
-        crossbeam_channel::Sender<am::Reply>,
-        crossbeam_channel::Receiver<am::Reply>,
-        u64,
-    )>,
-    /// A reply already taken off the channel by [`Completion::completed`].
-    ready: Option<am::Reply>,
-    /// Backend-supplied completion source (see [`CompletionWaiter`]);
-    /// exclusive with `rx`.
-    waiter: Option<Box<dyn CompletionWaiter>>,
+pub struct Completion(Option<Pending>);
+
+/// What a pending [`Completion`] waits on.
+enum Pending {
+    /// An in-process call: the cell its message shares with this handle,
+    /// and the reply wire latency.
+    Cell(std::sync::Arc<am::Done<am::Reply>>, u64),
+    /// A backend-supplied completion source (see [`CompletionWaiter`]).
+    Waiter(Box<dyn CompletionWaiter>),
 }
 
 impl Completion {
     /// An already-complete handle, for calls that ran inline.
     pub fn done() -> Completion {
-        Completion {
-            rx: None,
-            ready: None,
-            waiter: None,
-        }
+        Completion(None)
     }
 
     /// A handle driven by a backend-supplied [`CompletionWaiter`] (used by
-    /// transport engines whose replies arrive over a wire rather than the
-    /// simulator's in-process channels).
+    /// transport engines whose replies arrive over a wire).
     pub fn from_waiter(w: Box<dyn CompletionWaiter>) -> Completion {
-        Completion {
-            rx: None,
-            ready: None,
-            waiter: Some(w),
-        }
+        Completion(Some(Pending::Waiter(w)))
     }
 
     /// True once the remote handler has finished (non-blocking poll). Does
     /// not advance the caller's clock — only [`Completion::wait`] does.
     pub fn completed(&mut self) -> bool {
-        if let Some(w) = &mut self.waiter {
-            return w.poll();
-        }
-        if self.ready.is_some() {
-            return true;
-        }
-        match &self.rx {
+        match &mut self.0 {
             None => true,
-            Some((_, rx, _)) => match rx.try_recv() {
-                Ok(reply) => {
-                    self.ready = Some(reply);
-                    true
-                }
-                Err(_) => false,
-            },
+            Some(Pending::Cell(done, _)) => done.is_set(),
+            Some(Pending::Waiter(w)) => w.poll(),
         }
     }
 
     /// Block until the handler has run, advance the caller's virtual clock
     /// to the completion time plus the reply wire latency, and propagate
     /// any handler panic.
-    pub fn wait(mut self) {
-        if let Some(w) = self.waiter.take() {
-            return w.wait();
-        }
-        let Some((tx, rx, wire_ns)) = self.rx.take() else {
-            return;
-        };
-        let (out, end) = match self.ready.take() {
-            Some(reply) => reply,
-            None => rx
-                .recv()
-                .expect("progress thread terminated while an async call was pending"),
-        };
-        // The single reply is consumed either way; the pair is pristine.
-        am::recycle_reply_channel(tx, rx);
-        vtime::advance_to(end + wire_ns);
-        if let Err(payload) = out {
-            resume_unwind(payload);
+    pub fn wait(self) {
+        match self.0 {
+            None => {}
+            Some(Pending::Cell(done, wire_ns)) => {
+                // SAFETY: the handle is the cell's one waiter, and `wait`
+                // consumes it.
+                if let Err(payload) = unsafe { am::join(&done, wire_ns) } {
+                    resume_unwind(payload);
+                }
+            }
+            Some(Pending::Waiter(w)) => w.wait(),
         }
     }
 }
@@ -494,7 +435,7 @@ impl Completion {
 impl std::fmt::Debug for Completion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Completion")
-            .field("pending", &(self.rx.is_some() || self.waiter.is_some()))
+            .field("pending", &self.0.is_some())
             .finish()
     }
 }
@@ -533,8 +474,6 @@ pub struct Batcher<'h, T: Send> {
     high_watermark: Option<usize>,
     pending_count: usize,
     handler: Box<dyn Fn(LocaleId, Vec<T>) + Send + Sync + 'h>,
-    flushes: u64,
-    items: u64,
 }
 
 impl<'h, T: Send> Batcher<'h, T> {
@@ -553,8 +492,6 @@ impl<'h, T: Send> Batcher<'h, T> {
             high_watermark: None,
             pending_count: 0,
             handler: Box::new(handler),
-            flushes: 0,
-            items: 0,
         }
     }
 
@@ -577,7 +514,6 @@ impl<'h, T: Send> Batcher<'h, T> {
             self.trace_ctxs[dest as usize] = crate::telemetry::trace::current();
         }
         buf.push(item);
-        self.items += 1;
         self.pending_count += 1;
         if buf.len() >= self.capacity {
             self.flush_one(dest);
@@ -607,7 +543,6 @@ impl<'h, T: Send> Batcher<'h, T> {
         if batch.is_empty() {
             return;
         }
-        self.flushes += 1;
         self.pending_count -= batch.len();
         // Ship under the first appender's trace context (see `trace_ctxs`),
         // so the bulk AM's span nests under the operation that opened the
@@ -644,16 +579,6 @@ impl<'h, T: Send> Batcher<'h, T> {
         for dest in 0..self.buffers.len() as LocaleId {
             self.flush_one(dest);
         }
-    }
-
-    /// Items aggregated so far (including flushed ones).
-    pub fn items_aggregated(&self) -> u64 {
-        self.items
-    }
-
-    /// Batches flushed so far.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
     }
 
     /// Items currently buffered (not yet flushed).
@@ -858,16 +783,21 @@ mod tests {
     fn stats_track_items_and_flushes() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(2));
         rt.run(|| {
-            let mut agg = Batcher::new(&rt, 4, |_, _: Vec<u8>| {});
+            let (flushes, delivered) = (AtomicU64::new(0), AtomicU64::new(0));
+            let mut agg = Batcher::new(&rt, 4, |_, b: Vec<u8>| {
+                flushes.fetch_add(1, Ordering::Relaxed);
+                delivered.fetch_add(b.len() as u64, Ordering::Relaxed);
+            });
             for i in 0..10 {
                 agg.aggregate((i % 2) as LocaleId, i as u8);
             }
-            assert_eq!(agg.items_aggregated(), 10);
-            assert_eq!(agg.flushes(), 2, "two buffers hit capacity 4+4");
+            let flushed = || flushes.load(Ordering::Relaxed);
+            assert_eq!(flushed(), 2, "two buffers hit capacity 4+4");
             assert_eq!(agg.pending(), 2);
             agg.flush();
             assert_eq!(agg.pending(), 0);
-            assert_eq!(agg.flushes(), 4);
+            assert_eq!(flushed(), 4);
+            assert_eq!(delivered.load(Ordering::Relaxed), 10);
         });
     }
 
@@ -875,14 +805,18 @@ mod tests {
     fn high_watermark_bounds_total_pending() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(4));
         rt.run(|| {
-            let mut agg = Batcher::new(&rt, 1024, |_, _: Vec<u64>| {}).with_high_watermark(8);
+            let delivered = AtomicU64::new(0);
+            let mut agg = Batcher::new(&rt, 1024, |_, b: Vec<u64>| {
+                delivered.fetch_add(b.len() as u64, Ordering::Relaxed);
+            })
+            .with_high_watermark(8);
             for i in 0..100u64 {
                 agg.aggregate((i % 4) as LocaleId, i);
                 assert!(agg.pending() <= 8, "watermark must bound buffered items");
             }
-            assert_eq!(agg.items_aggregated(), 100);
             agg.flush();
             assert_eq!(agg.pending(), 0);
+            assert_eq!(delivered.load(Ordering::Relaxed), 100);
         });
     }
 

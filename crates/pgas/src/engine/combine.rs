@@ -36,10 +36,10 @@
 //!    vtime in the batch (causality: the message cannot depart before the
 //!    operations it carries exist), then, per
 //!    [`crate::config::RuntimeConfig::combine_max_batch`]-sized chunk,
-//!    posts one AM (`am::post`) and waits on a completion word in its own
-//!    stack frame until the chunk has executed: a few yields (the thread
-//!    serving `dest` may share its core), then a park. It keeps the role
-//!    meanwhile. Its clock, `AmRoundTrip` sample and span are those of a
+//!    posts one AM (`am::post`) and waits on an `am::Done` cell in its
+//!    own stack frame until the chunk has executed: a few polls and yields
+//!    (the thread serving `dest` may share its core), then a park. It keeps
+//!    the role meanwhile. Its clock, `AmRoundTrip` sample and span are those of a
 //!    blocking `on` of the chunk: the chunk's end vtime plus the reply
 //!    wire.
 //! 4. **Execute.** The destination handler runs the riders in announce
@@ -47,12 +47,12 @@
 //!    charges `combine_item_ns` dispatch plus its own body cost, records
 //!    its completion vtime in its node, and sets `done` (Release). Once
 //!    the progress loop has recorded the chunk's service, the message's
-//!    drop writes the chunk's end vtime into the combiner's completion
-//!    word and unparks it. The wire and the fixed
-//!    `am_handler_ns` are paid once per chunk — that is the entire win.
-//!    The completion word is written by a drop guard the message owns: a
-//!    chunk dropped unexecuted fails its riders and wakes the combiner,
-//!    which panics as a blocking `on` would, so nobody waits forever.
+//!    drop writes the chunk's end vtime into the combiner's cell, which
+//!    unparks it. The wire and the fixed `am_handler_ns` are paid once per
+//!    chunk — that is the entire win. The cell is written by a drop guard
+//!    the message owns: a chunk dropped unexecuted fails its riders and
+//!    writes the cell lost, and the combiner panics as a blocking `on`
+//!    would, so nobody waits forever.
 //! 5. **Distribute.** Each waiting task observes `done` (Acquire), advances
 //!    its own clock to its rider's completion time plus the reply wire, and
 //!    re-raises its rider's panic, exactly as a private blocking `on` would
@@ -66,9 +66,8 @@
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::thread::Thread;
 
-use crate::am::{self, LOST_TEXT};
+use crate::am::{self, Done, LOST_TEXT};
 use crate::comm;
 use crate::globalptr::LocaleId;
 use crate::runtime::RuntimeCore;
@@ -441,30 +440,23 @@ impl Drop for Unposted<'_> {
     }
 }
 
-/// A chunk's completion word before its handler has finished. Any other
-/// value but [`LOST`] is the virtual time at which it finished.
-const PENDING: u64 = u64::MAX;
-/// A chunk's completion word once its message was dropped unexecuted.
-const LOST: u64 = u64::MAX - 1;
-
-/// A chunk's message: the riders it has yet to run, and the combiner to
-/// release. Running it runs the riders in order; dropping it — after the
+/// A chunk's message: the riders it has yet to run, and the combiner's
+/// cell. Running it runs the riders in order; dropping it — after the
 /// progress loop's bookkeeping, or with the message unexecuted — fails the
-/// riders still listed, writes `end` into the combiner's completion word
-/// and unparks the combiner.
+/// riders still listed and writes the chunk's end vtime (`None`: lost) into
+/// the cell, which releases the combiner.
 struct Release<'a> {
     core: &'a RuntimeCore,
     riders: &'a [NodePtr],
-    done: &'a AtomicU64,
-    end: u64,
-    waiter: Thread,
+    done: &'a Done<u64>,
+    end: Option<u64>,
 }
 
 // SAFETY: `riders` is the one non-`Send` field: its node pointers are
 // governed by the combining protocol (see `NodePtr`), and the slice and
 // `done` live in the combiner's batch buffer and frame, which it keeps
 // until `done` is written. `core` is a shared reference to the `Sync`
-// runtime; `end` and `waiter` are `Send`.
+// runtime, and `done` one to a `Sync` cell.
 unsafe impl Send for Release<'_> {}
 
 impl am::Handler for Release<'_> {
@@ -475,7 +467,7 @@ impl am::Handler for Release<'_> {
             unsafe { run_rider(self.core, p) };
             self.riders = rest;
         }
-        self.end = vtime::now();
+        self.end = Some(vtime::now());
     }
 }
 
@@ -487,8 +479,8 @@ impl Drop for Release<'_> {
             unsafe { abandon(p) };
         }
         // The last touch of the combiner's frame: it may return at once.
-        self.done.store(self.end, Ordering::Release);
-        self.waiter.unpark();
+        // SAFETY: a chunk has one message, and a message drops once.
+        unsafe { self.done.set(self.end) };
     }
 }
 
@@ -496,35 +488,29 @@ impl Drop for Release<'_> {
 /// then a park — until its handler has run; returns the virtual time at
 /// which it finished.
 fn post_and_park(core: &RuntimeCore, src: LocaleId, dest: LocaleId, chunk: &[NodePtr]) -> u64 {
-    let done = AtomicU64::new(PENDING);
+    let done = Done::new();
     let release: Box<dyn am::Handler + '_> = Box::new(Release {
         core,
         riders: chunk,
         done: &done,
-        end: LOST,
-        waiter: std::thread::current(),
+        end: None,
     });
     // SAFETY: lifetime erasure. `release` borrows this frame, the runtime
     // and the batch buffer, but this function returns only once `done` has
-    // left PENDING, which `Release` writes as its last access — when it is
+    // been written, which `Release` does as its last access — when it is
     // dropped, after running or unexecuted.
     let release: Box<dyn am::Handler> = unsafe { std::mem::transmute(release) };
     am::post(core, src, dest, release);
     // Yield before parking, as an idle progress thread does (see
-    // `am::WAIT_YIELDS`); an unpark of a running thread leaves a token, not
-    // a wake.
-    let mut yields = 0;
-    loop {
-        match done.load(Ordering::Acquire) {
-            PENDING if yields < am::WAIT_YIELDS => {
-                yields += 1;
-                std::thread::yield_now();
-            }
-            PENDING => std::thread::park(),
-            LOST => panic!("{LOST_TEXT}"),
-            end => return end,
+    // `am::WAIT_YIELDS`).
+    for _ in 0..am::WAIT_YIELDS {
+        if done.is_set() {
+            break;
         }
+        std::thread::yield_now();
     }
+    // SAFETY: `done` is this frame's, and this is its one wait.
+    unsafe { done.wait() }.unwrap_or_else(|| panic!("{LOST_TEXT}"))
 }
 
 /// Run one rider on the destination: charge its dispatch, run its thunk
@@ -775,8 +761,7 @@ mod tests {
             let item_ns = cfg.network.combine_item_ns;
             let rt = Runtime::new(cfg.without_network_atomics().with_combining(true));
             rt.run(|| {
-                // Warm both paths: shards, the pooled reply channel, the
-                // queue's batch buffer.
+                // Warm both paths: shards, the queue's batch buffer.
                 rt.on(1, || ());
                 rt.on_combining(1, || ());
                 let trip = |op: &dyn Fn()| {

@@ -171,7 +171,7 @@ impl InvariantChecker {
     }
 
     /// Total violations recorded (including any beyond the storage cap).
-    pub fn violation_count(&self) -> u64 {
+    fn violation_count(&self) -> u64 {
         self.total_violations.load(Ordering::Relaxed)
     }
 

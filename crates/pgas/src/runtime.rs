@@ -622,11 +622,6 @@ impl RuntimeCore {
         self.telemetry_sink.set(sink).is_ok()
     }
 
-    /// The installed telemetry sink, if any.
-    pub fn telemetry_sink(&self) -> Option<&Arc<dyn Sink>> {
-        self.telemetry_sink.get()
-    }
-
     /// True when a telemetry sink is installed. Causal-trace id allocation
     /// and context propagation are gated on this, so the default
     /// (no-sink) path stays one `OnceLock::get`.

@@ -3,7 +3,7 @@
 //! allocator this binary installs:
 //!
 //! * a lone publisher allocates its closure box and the one posted message,
-//!   nothing else — no batch buffer, no reply channel;
+//!   nothing else — no batch buffer, and its completion cell is on its stack;
 //! * a chunk of four riders costs their four closure boxes plus one posted
 //!   message: nothing per rider or per chunk beyond that.
 //!
