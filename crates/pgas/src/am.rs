@@ -202,21 +202,21 @@ pub(crate) type Reply = (std::thread::Result<()>, u64);
 /// What a waiter panics with when its message was dropped unexecuted.
 pub(crate) const LOST_TEXT: &str = "progress thread terminated while a remote call was pending";
 
+/// The reply a call's waiter reads when its message was dropped unexecuted.
+pub(crate) fn lost() -> Reply {
+    (Err(Box::new(LOST_TEXT)), 0)
+}
+
 // `Done`'s state word: nothing written yet; the waiter has stored its
 // `Thread` and parks; the value is written.
 const PENDING: u8 = 0;
 const ARMED: u8 = 1;
 const SET: u8 = 2;
 
-/// A one-shot completion cell: every remote wait in the simulator ends in
-/// [`Done::wait`]. A message's drop guard writes it exactly once, with the
-/// result, or with `None` when the message was dropped unexecuted (the
-/// waiter then fails with [`LOST_TEXT`]).
-///
-/// The write is the writer's last access: it clones the waiter's `Thread`
-/// before the Release store that publishes the result, and unparks the
-/// clone, so a waiter that returns at once may free the cell (a blocking
-/// call keeps it on its stack). One waiter, which waits once.
+/// A one-shot completion cell (see the module docs): one writer `set`s it
+/// once, with `None` for a message dropped unexecuted, and one waiter waits
+/// once. The writer clones the waiter's `Thread` before the Release store
+/// that publishes the value, so a waiter that returns at once may free it.
 pub(crate) struct Done<T> {
     state: AtomicU8,
     /// Written by the writer before `SET`, taken by the waiter after.
@@ -440,7 +440,8 @@ pub(crate) fn remote_call(
     let call: Box<dyn Handler> = unsafe { std::mem::transmute(call) };
     post(core, src, dest, call);
     // SAFETY: `done` is this frame's, and this is its one wait.
-    let out = unsafe { join(&done, cfg.am_wire_ns) };
+    let (out, end) = unsafe { done.wait() }.unwrap_or_else(lost);
+    vtime::advance_to(end + cfg.am_wire_ns);
     // The sender-observed round trip, retries and queueing included.
     stats.record(OpClass::AmRoundTrip, vtime::now().saturating_sub(t_issue));
     if let Err(payload) = out {
@@ -448,26 +449,10 @@ pub(crate) fn remote_call(
     }
 }
 
-/// Wait on a call's cell, merge its finish time plus the reply wire
-/// `wire_ns` into the caller's clock, and return the body's outcome: its
-/// panic, or a [`LOST_TEXT`] failure when the message was dropped
-/// unexecuted.
-///
-/// # Safety
-/// As [`Done::wait`]: the caller is the cell's one waiter.
-pub(crate) unsafe fn join(done: &Done<Reply>, wire_ns: u64) -> std::thread::Result<()> {
-    // SAFETY: per the contract.
-    let (out, end) = unsafe { done.wait() }.unwrap_or_else(|| (Err(Box::new(LOST_TEXT)), 0));
-    vtime::advance_to(end + wire_ns);
-    out
-}
-
-/// A call's message: runs the closure, and writes its reply into the
-/// caller's [`Done`] when dropped — or, dropped unexecuted, drops the
-/// closure and writes the lost-call failure, so the waiter never blocks
-/// forever. The write is its last access to anything the closure borrowed.
-/// `D` is a `&Done` on a blocking caller's stack ([`remote_call`]) or an
-/// `Arc<Done>` shared with a posted call's handle ([`remote_post`]).
+/// A call's message: runs the closure, and its drop writes the reply (or,
+/// unexecuted, `None`) into the waiter's [`Done`]. `D` is a `&Done` on a
+/// blocking caller's stack ([`remote_call`]) or an `Arc<Done>` shared with
+/// a posted call's handle ([`remote_post`]).
 struct Call<'a, D: Deref<Target = Done<Reply>>> {
     f: Option<Box<dyn FnOnce() + Send + 'a>>,
     reply: Option<Reply>,
@@ -488,8 +473,6 @@ impl<D: Deref<Target = Done<Reply>>> Drop for Call<'_, D> {
         // frame (see `remote_call`): drop it before the write releases the
         // waiter, and do not let a panic in its drop skip the write.
         let _ = catch_unwind(AssertUnwindSafe(|| drop(self.f.take())));
-        // Nobody may be waiting: a dropped `Completion` leaves the cell
-        // unread.
         // SAFETY: a cell has one message, and a message drops once.
         unsafe { self.done.set(self.reply.take()) };
     }
@@ -504,7 +487,7 @@ impl Handler for Duplicate {
 }
 
 /// Ship `f` to locale `dest` without waiting, and return the cell its
-/// message writes once the handler has run (see [`join`]). The sender's
+/// message writes once the handler has run. The sender's
 /// clock does not advance. Must not be called when `dest == here()`.
 pub(crate) fn remote_post(
     core: &RuntimeCore,

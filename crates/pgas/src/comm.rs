@@ -453,4 +453,34 @@ mod tests {
         });
         assert_eq!(span, net.rma_ns + 4096 * net.rma_ns_per_kib / 1024);
     }
+
+    #[test]
+    fn put_val_writes_through_pointer() {
+        let rt = Runtime::cluster(2);
+        rt.run(|| {
+            let b = Box::into_raw(Box::new(0u64));
+            let p = crate::globalptr::GlobalPtr::from_raw_parts(1, b);
+            // SAFETY (this and the blocks below): `b` is a live box this
+            // test alone touches, freed once at the end.
+            unsafe { crate::engine::put_val(&rt, p, 55) };
+            assert_eq!(unsafe { *b }, 55);
+            assert_eq!(rt.total_comm().puts, 1);
+            unsafe { drop(Box::from_raw(b)) };
+        });
+    }
+
+    #[test]
+    fn get_val_reads_through_pointer() {
+        let rt = Runtime::cluster(2);
+        rt.run(|| {
+            let b = Box::into_raw(Box::new(123u64));
+            let p = crate::globalptr::GlobalPtr::from_raw_parts(1, b);
+            // SAFETY (this and the block below): `b` is a live box this test
+            // alone touches, freed once at the end.
+            let v = unsafe { crate::engine::get_val(&rt, p) };
+            assert_eq!(v, 123);
+            assert_eq!(rt.total_comm().gets, 1);
+            unsafe { drop(Box::from_raw(b)) };
+        });
+    }
 }

@@ -61,7 +61,7 @@ pub use crate::comm::{
     charge_get as get, charge_put as put, debug_vread_skip_validate, vread_u128,
 };
 use crate::ctx;
-use crate::globalptr::LocaleId;
+use crate::globalptr::{GlobalPtr, LocaleId};
 use crate::handlers::{self, HandlerId};
 use crate::runtime::RuntimeCore;
 use crate::stats::Counter;
@@ -286,6 +286,29 @@ pub fn charge_local_atomic_u64() {
     });
 }
 
+/// GET a `Copy` value through a global pointer, charging RMA costs.
+///
+/// # Safety
+/// The object must be alive; see [`crate::globalptr::GlobalPtr::deref`].
+pub unsafe fn get_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>) -> T {
+    get(core, ptr.locale(), std::mem::size_of::<T>());
+    // SAFETY: the caller guarantees the object is alive.
+    unsafe { *ptr.as_ptr() }
+}
+
+/// PUT a `Copy` value through a global pointer, charging RMA costs.
+///
+/// # Safety
+/// The object must be alive and no other task may be reading or writing
+/// it concurrently (one-sided PUTs have no synchronization, exactly like
+/// the real thing).
+pub unsafe fn put_val<T: Copy>(core: &RuntimeCore, ptr: GlobalPtr<T>, v: T) {
+    put(core, ptr.locale(), std::mem::size_of::<T>());
+    // SAFETY: the caller guarantees the object is alive and that nobody
+    // else accesses it concurrently.
+    unsafe { *ptr.as_ptr() = v };
+}
+
 /// Chapel's `on Locales[dest] do f()`: execute `f` on locale `dest`,
 /// blocking until it finishes. Runs inline (zero communication) when
 /// the caller is already on `dest`; otherwise ships an active message
@@ -423,7 +446,9 @@ impl Completion {
             Some(Pending::Cell(done, wire_ns)) => {
                 // SAFETY: the handle is the cell's one waiter, and `wait`
                 // consumes it.
-                if let Err(payload) = unsafe { am::join(&done, wire_ns) } {
+                let (out, end) = unsafe { done.wait() }.unwrap_or_else(am::lost);
+                vtime::advance_to(end + wire_ns);
+                if let Err(payload) = out {
                     resume_unwind(payload);
                 }
             }
@@ -474,6 +499,7 @@ pub struct Batcher<'h, T: Send> {
     high_watermark: Option<usize>,
     pending_count: usize,
     handler: Box<dyn Fn(LocaleId, Vec<T>) + Send + Sync + 'h>,
+    flushes: u64,
 }
 
 impl<'h, T: Send> Batcher<'h, T> {
@@ -492,6 +518,7 @@ impl<'h, T: Send> Batcher<'h, T> {
             high_watermark: None,
             pending_count: 0,
             handler: Box::new(handler),
+            flushes: 0,
         }
     }
 
@@ -543,6 +570,7 @@ impl<'h, T: Send> Batcher<'h, T> {
         if batch.is_empty() {
             return;
         }
+        self.flushes += 1;
         self.pending_count -= batch.len();
         // Ship under the first appender's trace context (see `trace_ctxs`),
         // so the bulk AM's span nests under the operation that opened the
@@ -579,6 +607,11 @@ impl<'h, T: Send> Batcher<'h, T> {
         for dest in 0..self.buffers.len() as LocaleId {
             self.flush_one(dest);
         }
+    }
+
+    /// Batches flushed so far.
+    pub fn flushes(&self) -> u64 {
+        self.flushes
     }
 
     /// Items currently buffered (not yet flushed).
@@ -783,20 +816,18 @@ mod tests {
     fn stats_track_items_and_flushes() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(2));
         rt.run(|| {
-            let (flushes, delivered) = (AtomicU64::new(0), AtomicU64::new(0));
+            let delivered = AtomicU64::new(0);
             let mut agg = Batcher::new(&rt, 4, |_, b: Vec<u8>| {
-                flushes.fetch_add(1, Ordering::Relaxed);
                 delivered.fetch_add(b.len() as u64, Ordering::Relaxed);
             });
             for i in 0..10 {
                 agg.aggregate((i % 2) as LocaleId, i as u8);
             }
-            let flushed = || flushes.load(Ordering::Relaxed);
-            assert_eq!(flushed(), 2, "two buffers hit capacity 4+4");
+            assert_eq!(agg.flushes(), 2, "two buffers hit capacity 4+4");
             assert_eq!(agg.pending(), 2);
             agg.flush();
             assert_eq!(agg.pending(), 0);
-            assert_eq!(flushed(), 4);
+            assert_eq!(agg.flushes(), 4);
             assert_eq!(delivered.load(Ordering::Relaxed), 10);
         });
     }
