@@ -202,11 +202,6 @@ pub(crate) type Reply = (std::thread::Result<()>, u64);
 /// What a waiter panics with when its message was dropped unexecuted.
 pub(crate) const LOST_TEXT: &str = "progress thread terminated while a remote call was pending";
 
-/// The reply a call's waiter reads when its message was dropped unexecuted.
-pub(crate) fn lost() -> Reply {
-    (Err(Box::new(LOST_TEXT)), 0)
-}
-
 // `Done`'s state word: nothing written yet; the waiter has stored its
 // `Thread` and parks; the value is written.
 const PENDING: u8 = 0;
@@ -214,9 +209,9 @@ const ARMED: u8 = 1;
 const SET: u8 = 2;
 
 /// A one-shot completion cell (see the module docs): one writer `set`s it
-/// once, with `None` for a message dropped unexecuted, and one waiter waits
-/// once. The writer clones the waiter's `Thread` before the Release store
-/// that publishes the value, so a waiter that returns at once may free it.
+/// once, and one waiter waits once. The writer clones the waiter's
+/// `Thread` before the Release store that publishes the value, so a waiter
+/// that returns at once may free it.
 pub(crate) struct Done<T> {
     state: AtomicU8,
     /// Written by the writer before `SET`, taken by the waiter after.
@@ -243,13 +238,13 @@ impl<T> Done<T> {
         self.state.load(Ordering::Acquire) == SET
     }
 
-    /// Write the cell: `None` when the message was dropped unexecuted.
+    /// Write the cell.
     ///
     /// # Safety
     /// At most one call per cell: the slot is the writer's until `SET`.
-    pub(crate) unsafe fn set(&self, value: Option<T>) {
+    pub(crate) unsafe fn set(&self, value: T) {
         // SAFETY: the one writer; the waiter reads the slot only after SET.
-        unsafe { *self.value.get() = value };
+        unsafe { *self.value.get() = Some(value) };
         let armed = self
             .state
             .compare_exchange(PENDING, SET, Ordering::Release, Ordering::Acquire);
@@ -263,12 +258,11 @@ impl<T> Done<T> {
     }
 
     /// Park until the cell is written, re-checking after every unpark (an
-    /// unpark may be stale), and take its value: `None` when the message
-    /// was dropped unexecuted.
+    /// unpark may be stale), and take its value.
     ///
     /// # Safety
     /// At most one call per cell: the waiter's slot is the caller's.
-    pub(crate) unsafe fn wait(&self) -> Option<T> {
+    pub(crate) unsafe fn wait(&self) -> T {
         if !self.is_set() {
             // SAFETY: the writer reads the slot only once ARMED is stored.
             unsafe { *self.waiter.get() = Some(std::thread::current()) };
@@ -281,7 +275,7 @@ impl<T> Done<T> {
         }
         // SAFETY: SET (Acquire) ordered the writer's store before this read,
         // and the writer touches the cell no more.
-        unsafe { (*self.value.get()).take() }
+        unsafe { (*self.value.get()).take() }.expect("a written cell holds its value")
     }
 }
 
@@ -440,7 +434,7 @@ pub(crate) fn remote_call(
     let call: Box<dyn Handler> = unsafe { std::mem::transmute(call) };
     post(core, src, dest, call);
     // SAFETY: `done` is this frame's, and this is its one wait.
-    let (out, end) = unsafe { done.wait() }.unwrap_or_else(lost);
+    let (out, end) = unsafe { done.wait() };
     vtime::advance_to(end + cfg.am_wire_ns);
     // The sender-observed round trip, retries and queueing included.
     stats.record(OpClass::AmRoundTrip, vtime::now().saturating_sub(t_issue));
@@ -450,9 +444,9 @@ pub(crate) fn remote_call(
 }
 
 /// A call's message: runs the closure, and its drop writes the reply (or,
-/// unexecuted, `None`) into the waiter's [`Done`]. `D` is a `&Done` on a
-/// blocking caller's stack ([`remote_call`]) or an `Arc<Done>` shared with
-/// a posted call's handle ([`remote_post`]).
+/// unexecuted, a [`LOST_TEXT`] failure) into the waiter's [`Done`]. `D` is
+/// a `&Done` on a blocking caller's stack ([`remote_call`]) or an
+/// `Arc<Done>` shared with a posted call's handle ([`remote_post`]).
 struct Call<'a, D: Deref<Target = Done<Reply>>> {
     f: Option<Box<dyn FnOnce() + Send + 'a>>,
     reply: Option<Reply>,
@@ -473,8 +467,12 @@ impl<D: Deref<Target = Done<Reply>>> Drop for Call<'_, D> {
         // frame (see `remote_call`): drop it before the write releases the
         // waiter, and do not let a panic in its drop skip the write.
         let _ = catch_unwind(AssertUnwindSafe(|| drop(self.f.take())));
+        let reply = self
+            .reply
+            .take()
+            .unwrap_or_else(|| (Err(Box::new(LOST_TEXT)), 0));
         // SAFETY: a cell has one message, and a message drops once.
-        unsafe { self.done.set(self.reply.take()) };
+        unsafe { self.done.set(reply) };
     }
 }
 
@@ -487,8 +485,8 @@ impl Handler for Duplicate {
 }
 
 /// Ship `f` to locale `dest` without waiting, and return the cell its
-/// message writes once the handler has run. The sender's
-/// clock does not advance. Must not be called when `dest == here()`.
+/// message writes once the handler has run. The sender's clock does not
+/// advance. Must not be called when `dest == here()`.
 pub(crate) fn remote_post(
     core: &RuntimeCore,
     src: LocaleId,

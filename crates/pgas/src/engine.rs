@@ -446,7 +446,7 @@ impl Completion {
             Some(Pending::Cell(done, wire_ns)) => {
                 // SAFETY: the handle is the cell's one waiter, and `wait`
                 // consumes it.
-                let (out, end) = unsafe { done.wait() }.unwrap_or_else(am::lost);
+                let (out, end) = unsafe { done.wait() };
                 vtime::advance_to(end + wire_ns);
                 if let Err(payload) = out {
                     resume_unwind(payload);

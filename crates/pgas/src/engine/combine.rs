@@ -448,7 +448,7 @@ impl Drop for Unposted<'_> {
 struct Release<'a> {
     core: &'a RuntimeCore,
     riders: &'a [NodePtr],
-    done: &'a Done<u64>,
+    done: &'a Done<Option<u64>>,
     end: Option<u64>,
 }
 
