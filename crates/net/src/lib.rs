@@ -33,12 +33,15 @@
 //!   race anyway. The connection's reader thread executes them itself and
 //!   writes the reply — the way a NIC serves RDMA, with the owner's
 //!   handler loop a bystander.
-//! * **`Handler` requests** are active messages. Every reader forwards
-//!   them to the single handler thread per process, which runs them one at
-//!   a time — serialized exactly like the simulator's `ServerSlots`
-//!   discipline with one progress thread — and writes the reply. The
-//!   forwarding reader waits for that write before it serves its next
-//!   frame, which is what keeps a connection's replies in request order.
+//! * **`Handler` requests** are active messages. The reader that read one
+//!   takes the process's single handler turn, runs the handler under it —
+//!   one at a time, serialized exactly like the simulator's `ServerSlots`
+//!   discipline with one progress thread — and writes the reply itself.
+//!   A reader serves its next frame only after that write, which is what
+//!   keeps a connection's replies in request order.
+//!
+//! A request that finds the owner's runtime gone, of either class, is
+//! answered with a [`Msg::ReplyErr`].
 //!
 //! ## Counters and latency
 //!
@@ -81,7 +84,6 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use pgas_sim::engine::{CommEngine, Completion, CompletionWaiter};
@@ -111,31 +113,17 @@ type Conn = BufReader<TcpStream>;
 /// it.
 type Pools = Vec<Mutex<Vec<Conn>>>;
 
-/// The server's side of one accepted connection, shared by its reader
-/// thread and — while a `Handler` request of it is being served — the
-/// handler thread.
-struct ServerConn {
-    stream: TcpStream,
-    /// The handler thread signals here once it has written a reply.
-    reply_written: Sender<()>,
-}
-
-/// A `Handler` request travelling from a reader thread to the per-process
-/// handler thread, with the connection to write the reply on.
-struct HandlerCall {
-    seq: u64,
-    msg: Msg,
-    conn: Arc<ServerConn>,
-}
-
 /// Server-side shared state (owned by the engine, referenced by threads).
 struct ServerState {
     rank: LocaleId,
     shutdown: AtomicBool,
     core: OnceLock<Weak<RuntimeCore>>,
+    /// Held by the reader that runs a `Handler` request: handlers run one
+    /// at a time per process.
+    handler_turn: Mutex<()>,
     /// Every accepted connection, so [`ProcEngine::shutdown`] can unblock
     /// their reader threads.
-    conns: Mutex<Vec<Arc<ServerConn>>>,
+    conns: Mutex<Vec<Arc<TcpStream>>>,
     /// Reader-thread handles (spawned by the acceptor, joined at
     /// shutdown).
     readers: Mutex<Vec<JoinHandle<()>>>,
@@ -160,11 +148,7 @@ pub struct ProcEngine {
     local_addr: SocketAddr,
     seq: AtomicU64,
     state: Arc<ServerState>,
-    /// Submission side of the handler funnel; dropped at shutdown so the
-    /// handler thread drains and exits.
-    handler_tx: Mutex<Option<Sender<HandlerCall>>>,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    handler: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ProcEngine {
@@ -202,12 +186,11 @@ impl ProcEngine {
                 rank,
                 shutdown: AtomicBool::new(false),
                 core: OnceLock::new(),
+                handler_turn: Mutex::new(()),
                 conns: Mutex::new(Vec::new()),
                 readers: Mutex::new(Vec::new()),
             }),
-            handler_tx: Mutex::new(None),
             acceptor: Mutex::new(None),
-            handler: Mutex::new(None),
         }
     }
 
@@ -299,9 +282,8 @@ impl ProcEngine {
 
 /// Execute one server-side request against `core`'s local symmetric heap,
 /// bumping the owner-side counters the simulator's handler path would.
-/// One-sided and atomic requests run on the connection's reader thread;
-/// `Handler` requests on the single handler thread, inside
-/// [`RuntimeCore::run_on`].
+/// Every request runs on the connection's reader thread; a `Handler`
+/// request under the handler turn, inside [`RuntimeCore::run_on`].
 fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
     let locale = core.locale(rank);
     let stats = &locale.stats;
@@ -342,7 +324,7 @@ fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
                 handlers::invoke(HandlerId(id), core, &args)
             })) {
                 Ok(out) => Msg::ReplyBytes(out),
-                Err(p) => Msg::ReplyErr(panic_message(&p)),
+                Err(p) => Msg::ReplyErr(panic_message(&*p)),
             }
         }
         other => Msg::ReplyErr(format!("protocol error: unexpected request {other:?}")),
@@ -355,7 +337,7 @@ fn serve(core: &RuntimeCore, rank: LocaleId, msg: Msg) -> Msg {
 /// [`Msg::ReplyErr`] the requester re-panics with.
 fn serve_caught(f: impl FnOnce() -> Msg) -> Msg {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-        .unwrap_or_else(|p| Msg::ReplyErr(panic_message(&p)))
+        .unwrap_or_else(|p| Msg::ReplyErr(panic_message(&*p)))
 }
 
 fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
@@ -368,69 +350,40 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A connection's reader thread: serve one-sided and atomic requests on the
-/// spot, forward `Handler` requests and wait until their reply is written,
-/// so that replies leave in request order.
-fn read_loop(
-    state: &ServerState,
-    conn: Arc<ServerConn>,
-    reply_written: Receiver<()>,
-    handler_tx: Sender<HandlerCall>,
-) {
-    let mut frames = BufReader::with_capacity(wire::READ_BUF, &conn.stream);
+/// A connection's reader thread: serve each request and write its reply
+/// before reading the next, so that replies leave in request order. A
+/// `Handler` request waits for the handler turn; the others run at once.
+fn read_loop(state: &ServerState, stream: &TcpStream) {
+    let mut frames = BufReader::with_capacity(wire::READ_BUF, stream);
     while let Ok(Some((seq, msg))) = wire::read_msg_opt(&mut frames) {
-        let replied = if matches!(msg, Msg::Handler { .. }) {
-            let call = HandlerCall {
-                seq,
-                msg,
-                conn: Arc::clone(&conn),
-            };
-            handler_tx.send(call).is_ok() && reply_written.recv().is_ok()
-        } else if let Some(core) = state.core() {
-            let reply = serve_caught(|| serve(&core, state.rank, msg));
-            wire::write_msg(&mut &conn.stream, seq, &reply).is_ok()
-        } else {
-            false
+        let reply = match state.core() {
+            None => Msg::ReplyErr("the owner's runtime is gone".to_string()),
+            Some(core) if matches!(msg, Msg::Handler { .. }) => {
+                let _turn = state.handler_turn.lock();
+                serve_caught(|| core.run_on(state.rank, || serve(&core, state.rank, msg)))
+            }
+            Some(core) => serve_caught(|| serve(&core, state.rank, msg)),
         };
-        if !replied {
+        // A failed write means the requester hung up.
+        if wire::write_msg(&mut &*stream, seq, &reply).is_err() {
             break;
         }
     }
 }
 
-/// The single handler thread: serialized AM handling, like the sim's
-/// progress service with one slot.
-fn handler_loop(state: &ServerState, calls: Receiver<HandlerCall>) {
-    while let Ok(call) = calls.recv() {
-        let reply = match state.core() {
-            Some(core) => {
-                serve_caught(|| core.run_on(state.rank, || serve(&core, state.rank, call.msg)))
-            }
-            None => Msg::ReplyErr("the owner's runtime is gone".to_string()),
-        };
-        // A failed write means the requester hung up; its reader finds out.
-        let _ = wire::write_msg(&mut &call.conn.stream, call.seq, &reply);
-        let _ = call.conn.reply_written.send(());
-    }
-}
-
 /// The acceptor: one reader thread per inbound connection.
-fn accept_loop(state: &Arc<ServerState>, listener: TcpListener, handler_tx: Sender<HandlerCall>) {
+fn accept_loop(state: &Arc<ServerState>, listener: TcpListener) {
     while let Ok((stream, _)) = listener.accept() {
         if state.shutdown.load(Ordering::SeqCst) {
             break;
         }
         stream.set_nodelay(true).ok();
-        let (reply_written, written_rx) = crossbeam_channel::bounded(1);
-        let conn = Arc::new(ServerConn {
-            stream,
-            reply_written,
-        });
-        state.conns.lock().push(Arc::clone(&conn));
-        let (state_r, handler_tx) = (Arc::clone(state), handler_tx.clone());
+        let stream = Arc::new(stream);
+        state.conns.lock().push(Arc::clone(&stream));
+        let state_r = Arc::clone(state);
         let reader = std::thread::Builder::new()
             .name(format!("pgas-proc-read-{}", state.rank))
-            .spawn(move || read_loop(&state_r, conn, written_rx, handler_tx));
+            .spawn(move || read_loop(&state_r, &stream));
         if let Ok(h) = reader {
             state.readers.lock().push(h);
         }
@@ -600,6 +553,7 @@ impl CommEngine for ProcEngine {
         // pools it once the reply frame has been read.
         Completion::from_waiter(Box::new(ProcWaiter {
             conn: Some(conn),
+            outcome: Ok(()),
             pools: Arc::clone(&self.pools),
             rank: self.rank,
             dest,
@@ -625,17 +579,6 @@ impl CommEngine for ProcEngine {
             .core
             .set(Arc::downgrade(core))
             .expect("ProcEngine bound twice");
-        let (tx, rx) = crossbeam_channel::unbounded::<HandlerCall>();
-        *self.handler_tx.lock() = Some(tx.clone());
-
-        let state = Arc::clone(&self.state);
-        *self.handler.lock() = Some(
-            std::thread::Builder::new()
-                .name(format!("pgas-proc-handler-{}", self.rank))
-                .spawn(move || handler_loop(&state, rx))
-                .expect("failed to spawn proc handler thread"),
-        );
-
         let listener = self
             .listener
             .lock()
@@ -645,7 +588,7 @@ impl CommEngine for ProcEngine {
         *self.acceptor.lock() = Some(
             std::thread::Builder::new()
                 .name(format!("pgas-proc-accept-{}", self.rank))
-                .spawn(move || accept_loop(&state, listener, tx))
+                .spawn(move || accept_loop(&state, listener))
                 .expect("failed to spawn proc accept thread"),
         );
     }
@@ -662,7 +605,7 @@ impl CommEngine for ProcEngine {
         }
         // Unblock every reader (and any peer blocked on us replying).
         for conn in self.state.conns.lock().drain(..) {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            let _ = conn.shutdown(Shutdown::Both);
         }
         // Close idle outbound connections so peers' readers exit too.
         for pool in self.pools.iter() {
@@ -671,11 +614,6 @@ impl CommEngine for ProcEngine {
             }
         }
         for h in self.state.readers.lock().drain(..) {
-            let _ = h.join();
-        }
-        // Ours was the last sender: the handler thread drains and exits.
-        *self.handler_tx.lock() = None;
-        if let Some(h) = self.handler.lock().take() {
             let _ = h.join();
         }
     }
@@ -715,11 +653,16 @@ impl Drop for ProcEngine {
 }
 
 /// [`CompletionWaiter`] over a connection with one reply frame in flight.
-/// Dropped unfinished, it closes the connection: only a connection that
-/// owes no reply goes back to the pool.
+/// [`poll`](CompletionWaiter::poll) reads the reply once it has begun to
+/// arrive and never panics; [`wait`](CompletionWaiter::wait) reads it if
+/// `poll` has not and raises whatever failed: a remote panic, a lost or
+/// garbled reply, a timeout. Dropped unfinished, it closes the connection:
+/// only a connection that owes no reply goes back to the pool.
 struct ProcWaiter {
     /// `None` once the reply has been read (or given up on).
     conn: Option<Conn>,
+    /// What reading the reply found; `wait` panics with an `Err`'s text.
+    outcome: Result<(), String>,
     pools: Arc<Pools>,
     rank: LocaleId,
     dest: LocaleId,
@@ -727,53 +670,52 @@ struct ProcWaiter {
 }
 
 impl ProcWaiter {
+    /// Read the reply, pool the connection after a well-formed reply
+    /// frame, and keep any failure for `wait`.
     fn finish(&mut self) {
         let Some(mut conn) = self.conn.take() else {
             return;
         };
-        match wire::read_msg(&mut conn) {
-            Ok((seq, reply)) => {
-                assert_eq!(seq, self.seq, "proc transport: reply out of sequence");
-                self.pools[self.dest as usize].lock().push(conn);
-                if let Msg::ReplyErr(e) = reply {
-                    panic!("remote handler on locale {} panicked: {e}", self.dest);
+        let (rank, dest, seq) = (self.rank, self.dest, self.seq);
+        self.outcome = match wire::read_msg(&mut conn) {
+            Ok((rseq, reply)) if rseq == seq => {
+                self.pools[dest as usize].lock().push(conn);
+                match reply {
+                    Msg::ReplyBytes(_) => Ok(()),
+                    Msg::ReplyErr(e) => Err(format!("remote handler on locale {dest} panicked: {e}")),
+                    other => Err(format!("protocol error: Handler answered with {other:?}")),
                 }
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => panic!(
-                "locale {}: no reply from locale {} to async request seq {}: {e}",
-                self.rank, self.dest, self.seq
-            ),
-            // Connection torn down (engine shutdown): the result is
-            // abandoned, matching Completion's drop semantics.
-            Err(_) => {}
-        }
+            Ok((rseq, _)) => Err(format!(
+                "locale {rank}: reply seq {rseq} from locale {dest} out of sequence for async request seq {seq}"
+            )),
+            Err(e) => Err(format!(
+                "locale {rank}: no reply from locale {dest} to async request seq {seq}: {e}"
+            )),
+        };
     }
 }
 
 impl CompletionWaiter for ProcWaiter {
     fn poll(&mut self) -> bool {
-        let Some(conn) = &self.conn else {
-            return true;
-        };
-        let s = conn.get_ref();
-        s.set_nonblocking(true).ok();
-        let mut probe = [0u8; 1];
-        let r = s.peek(&mut probe);
-        s.set_nonblocking(false).ok();
-        match r {
-            Ok(_) => {
-                self.finish();
-                true
+        if let Some(conn) = &self.conn {
+            let s = conn.get_ref();
+            s.set_nonblocking(true).ok();
+            let r = s.peek(&mut [0u8; 1]);
+            s.set_nonblocking(false).ok();
+            if matches!(&r, Err(e) if e.kind() == ErrorKind::WouldBlock) {
+                return false;
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => false,
-            Err(_) => {
-                self.conn = None;
-                true
-            }
+            // A byte, an EOF or an error: `finish` reads which.
+            self.finish();
         }
+        true
     }
 
     fn wait(mut self: Box<Self>) {
         self.finish();
+        if let Err(e) = &self.outcome {
+            panic!("{e}");
+        }
     }
 }

@@ -138,7 +138,7 @@ fn handlers_stay_serialized_under_concurrent_callers_and_one_sided_traffic() {
     assert_eq!(HANDLER_RUNS.load(Ordering::SeqCst), CALLERS * CALLS);
 }
 
-/// Where `parked` stands: idle, occupying the handler thread, or let go.
+/// Where `parked` stands: idle, holding the handler turn, or let go.
 #[derive(PartialEq)]
 enum Park {
     Idle,
@@ -157,7 +157,7 @@ fn park_move(from: Park, to: Park) {
     PARK.1.notify_all();
 }
 
-/// Occupies the handler thread until the test lets go.
+/// Holds the handler turn until the test lets go.
 fn parked(_core: &RuntimeCore, _args: &[u8]) -> Vec<u8> {
     park_move(Park::Idle, Park::Parked);
     park_move(Park::Released, Park::Idle);
@@ -170,8 +170,8 @@ fn one_sided_requests_do_not_queue_behind_a_running_handler() {
     let [r0, _r1] = pair();
     std::thread::scope(|s| {
         let call = s.spawn(|| r0.rt.run(|| handlers::call(1, parked, &[])));
-        // Returns once the owner's handler thread is inside `parked`, where
-        // it stays; its readers serve all four one-sided kinds regardless.
+        // Returns once a reader of the owner is inside `parked`, where it
+        // stays; the other readers serve all four one-sided kinds regardless.
         park_move(Park::Parked, Park::Parked);
         r0.rt.run(|| {
             assert_eq!(symheap::fetch_add(1, OFF_COUNTER, 5), 0);
@@ -229,6 +229,54 @@ fn pipelined_replies_come_back_in_request_order() {
             Msg::ReplyBytes(2u64.to_le_bytes().to_vec()),
         ]
     );
+}
+
+static AFTER_PANIC_IN: AtomicBool = AtomicBool::new(false);
+
+/// [`exclusive`]'s check, with flags of its own so the two tests that use
+/// them can run at once.
+fn alone_after_panic(_core: &RuntimeCore, _args: &[u8]) -> Vec<u8> {
+    assert!(
+        !AFTER_PANIC_IN.swap(true, Ordering::SeqCst),
+        "two registered handlers ran at once"
+    );
+    std::thread::yield_now();
+    AFTER_PANIC_IN.store(false, Ordering::SeqCst);
+    vec![1]
+}
+
+fn gives_up(_core: &RuntimeCore, _args: &[u8]) -> Vec<u8> {
+    panic!("the handler gave up")
+}
+
+#[test]
+fn a_panicking_handler_hands_the_turn_on() {
+    const CALLS: usize = 100;
+    let gives_up = handlers::register("net.tests.gives_up", gives_up);
+    let alone = handlers::register("net.tests.alone_after_panic", alone_after_panic);
+    let [r0, r1] = pair();
+    let text = panic_text(|| {
+        r0.rt.run(|| handlers::call(1, gives_up, &[]));
+    });
+    assert!(text.contains("the handler gave up"), "{text}");
+    // Both callers hold a connection of their own before either calls on:
+    // a turn the panic left held would time both of them out.
+    let holding = Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                r0.rt.run(|| {
+                    let first = handlers::call_async(1, alone, Vec::new());
+                    holding.wait();
+                    first.wait();
+                    for _ in 0..CALLS {
+                        assert_eq!(handlers::call(1, alone, &[]), vec![1]);
+                    }
+                })
+            });
+        }
+    });
+    assert!(r1.server.conns.lock().len() >= 2);
 }
 
 // --- shared-address-space work on a process runtime -------------------------
@@ -411,6 +459,67 @@ fn async_handler_calls_reuse_one_connection() {
 }
 
 // --- failing peers ----------------------------------------------------------
+
+/// A bare peer on `peer` that reads one request and hands its sequence
+/// number to `answer` with the connection. Its reads time out, so a request
+/// that never comes fails the test instead of hanging it.
+fn serve_one(peer: &TcpListener, answer: impl FnOnce(&TcpStream, u64)) {
+    let (conn, _) = peer.accept().expect("accept the requester");
+    conn.set_read_timeout(Some(REQUEST_TIMEOUT))
+        .expect("a nonzero timeout is accepted");
+    let (seq, _) = wire::read_msg(&mut BufReader::new(&conn)).expect("a request arrives");
+    answer(&conn, seq);
+}
+
+#[test]
+fn an_async_call_whose_peer_hangs_up_fails_its_wait_naming_both_ranks() {
+    let nop = handlers::register("net.tests.nop", nop);
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let r0 = rank0_against(&peer);
+    std::thread::scope(|s| {
+        // Reads the whole request, then hangs up without a reply.
+        s.spawn(|| serve_one(&peer, |_, _| ()));
+        let text = panic_text(|| {
+            r0.rt
+                .run(|| handlers::call_async(1, nop, Vec::new()).wait());
+        });
+        assert!(
+            text.contains("locale 0") && text.contains("locale 1") && text.contains("seq 1"),
+            "the failure must name the local rank, the peer and the pending seq: {text}"
+        );
+    });
+}
+
+#[test]
+fn polling_an_async_call_whose_handler_panicked_does_not_panic() {
+    let nop = handlers::register("net.tests.nop", nop);
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let r0 = rank0_against(&peer);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            serve_one(&peer, |conn, seq| {
+                let failed = Msg::ReplyErr("the handler gave up".to_string());
+                wire::write_msg(&mut &*conn, seq, &failed).expect("reply");
+                // The next request comes on the same connection, which the
+                // requester pooled after the failed reply.
+                let (seq, _) = wire::read_msg(&mut BufReader::new(conn)).expect("a second request");
+                wire::write_msg(&mut &*conn, seq, &Msg::ReplyBytes(vec![7])).expect("reply");
+            });
+        });
+        r0.rt.run(|| {
+            let mut c = handlers::call_async(1, nop, Vec::new());
+            while !c.completed() {
+                std::thread::yield_now();
+            }
+            let text = panic_text(|| c.wait());
+            assert!(
+                text.contains("locale 1") && text.contains("the handler gave up"),
+                "{text}"
+            );
+            assert_eq!(handlers::call(1, nop, &[]), vec![7]);
+        });
+    });
+}
 
 #[test]
 fn a_peer_that_closes_mid_frame_fails_the_request_naming_both_ranks() {

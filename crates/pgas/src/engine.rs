@@ -387,7 +387,9 @@ pub fn bulk_on<'a>(
 /// (a socket awaiting a reply frame, say) implements this pair of
 /// poll/block primitives.
 pub trait CompletionWaiter: Send {
-    /// Non-blocking: has the remote handler finished?
+    /// Non-blocking: has the remote handler finished? Does not panic: a
+    /// remote panic or a lost reply counts as finished and is raised by
+    /// [`CompletionWaiter::wait`].
     fn poll(&mut self) -> bool;
 
     /// Block until the remote handler has finished, propagating a remote
