@@ -36,11 +36,11 @@
 //! stores the object in it and links it to the chain, all plain stores.
 //! Only the deletion that fills the bag pays, with one exchange that
 //! splices the whole chain onto the list (`LimboList::push_chain`), and
-//! only an empty stock pays one ABA compare-and-swap, which pops up to
-//! [`BAG`] nodes at once (`NodePool::get_chain`). Both stay wait-free and
-//! lock-free as before, the drain is unchanged, and a node still holds one
-//! object: a bag that is published before it fills costs no more memory
-//! than the paper's nodes would.
+//! only an empty stock pays one ABA compare-and-swap, which pops one run of
+//! up to [`BAG`] nodes at once (`NodePool::get_chain`). Both stay wait-free and
+//! lock-free as before, the drain still detaches a list with one exchange,
+//! and a node still holds one object: a bag that is published before it
+//! fills costs no more memory than the paper's nodes would.
 //!
 //! A bag goes into the list of the epoch its token was pinned in at the
 //! bag's *latest* deletion. That is never early. The global epoch and every
@@ -92,19 +92,33 @@
 //! publisher on another locale (a hazard-pointer scan) pays one atomic
 //! toward the slot's locale for each of its three accesses.
 //!
-//! ### Deviation from the paper: one pool DCAS per drained list
+//! ### Deviation from the paper: the pool holds runs
 //! The paper's `recycleNode` pushes every emptied node back onto that stack
 //! by itself, one ABA compare-and-swap per node, while the locale's tasks
 //! are popping the same stack for their next `deferDelete`. A detached limbo
 //! list is already a private chain through its `next` links, so the drain
-//! empties the nodes in place and `NodePool::put_chain` splices the whole
-//! chain under the stack's top with **one** compare-and-swap, whatever its
-//! length. The stack and its ABA protection are unchanged; the price is
-//! that a drained node becomes reusable when its drain ends, not as soon as
-//! it is emptied. A hazard-pointer scan also drains other locales' lists,
-//! and splices their emptied nodes into its own locale's pool: a
+//! empties the nodes in place and cuts them into *runs* of at most [`BAG`]
+//! nodes: each run is linked through `next` and ends at 0, and the runs are
+//! linked head to head through the nodes' second word, `seg`.
+//! `NodePool::put_chain` splices all the runs under the stack's top with
+//! **one** compare-and-swap, whatever their number, and
+//! `NodePool::get_chain` pops the top run whole by reading only its head's
+//! `seg`: a refill walks no node. The stack is a Treiber stack of runs, and
+//! its ABA protection is unchanged. The price is that a drained node becomes
+//! reusable when its drain ends, not as soon as it is emptied, that a
+//! refill may hand a token fewer than [`BAG`] nodes (the last run of a
+//! drain), and the `seg` word: a node grows from 32 to 40 bytes, which
+//! glibc's allocator still serves from a 48-byte chunk. A hazard-pointer
+//! scan also drains other locales' lists, through the same path, and
+//! splices their emptied nodes into its own locale's pool: a
 //! compare-and-swap on another locale's pool would be an active message.
 //! Every pool of a reclaimer drops with it, so a node may end in any.
+//!
+//! A pop reads the top node's `seg` before its compare-and-swap, and
+//! another task may have popped that node meanwhile and be filling it
+//! (nodes are only freed when their pool drops), so the value read may be
+//! stale. Every pop and push bumps the ABA counter, so the swap then fails
+//! and the stale `seg` is never installed.
 
 use std::cell::UnsafeCell;
 use std::ptr::null_mut;
@@ -118,7 +132,7 @@ use crate::math::{limbo_index, EPOCHS};
 use crate::token::{TokenRegistry, TokenSlot, QUIESCENT};
 
 /// Deletions per bag: the most a token holds back, and the most nodes one
-/// pool compare-and-swap hands it.
+/// pool run holds.
 pub const BAG: usize = 32;
 
 /// `next` value meaning "the pushing task has not yet published the link".
@@ -128,9 +142,12 @@ const PENDING: usize = usize::MAX;
 pub struct LimboNode {
     /// Touched only by the node's one owner of the moment: the token
     /// filling it, or the drain that detached it. A stale pool pop may
-    /// still load `next`, so nobody takes a `&mut` to the whole node.
+    /// still load `seg`, so nobody takes a `&mut` to the whole node.
     obj: UnsafeCell<Option<Erased>>,
     next: AtomicUsize,
+    /// In the pool, on a run's head only: the head of the run below, or 0.
+    /// Meaningless anywhere else, and a stale pool pop may load it.
+    seg: AtomicUsize,
 }
 
 impl LimboNode {
@@ -138,6 +155,7 @@ impl LimboNode {
         Box::new(LimboNode {
             obj: UnsafeCell::new(None),
             next: AtomicUsize::new(PENDING),
+            seg: AtomicUsize::new(0),
         })
     }
 }
@@ -201,6 +219,60 @@ impl Default for Chain {
             epoch: 0,
             first_vtime: u64::MAX,
         }
+    }
+}
+
+/// Emptied nodes cut into pool runs (see the module docs): each run holds
+/// at most [`BAG`] nodes linked through `next` and ending at 0, and the runs
+/// are linked head to head through `seg`. The last run's `seg` is left for
+/// `NodePool::put_chain` to link.
+struct Runs {
+    /// Head of the first run; null when there is no node.
+    first: *mut LimboNode,
+    /// Head and last node of the last run, and that run's length.
+    last: *mut LimboNode,
+    tail: *mut LimboNode,
+    run_len: usize,
+    len: usize,
+}
+
+impl Default for Runs {
+    fn default() -> Runs {
+        Runs {
+            first: null_mut(),
+            last: null_mut(),
+            tail: null_mut(),
+            run_len: 0,
+            len: 0,
+        }
+    }
+}
+
+impl Runs {
+    /// Link `node` in after the last node as the end of its run, opening a
+    /// run when the last one is full. The caller has read `node`'s `next`.
+    fn append(&mut self, node: *mut LimboNode) {
+        // SAFETY: the runs' nodes are their owner's alone.
+        unsafe { &*node }.next.store(0, Ordering::Relaxed);
+        if self.first.is_null() {
+            self.first = node;
+            self.last = node;
+        } else if self.run_len == BAG {
+            // SAFETY: as above.
+            unsafe { &*self.last }
+                .seg
+                .store(node as usize, Ordering::Relaxed);
+            self.last = node;
+            self.run_len = 0;
+        } else {
+            // SAFETY: as above.
+            unsafe { &*self.tail }
+                .next
+                .store(node as usize, Ordering::Relaxed);
+        }
+        self.tail = node;
+        self.run_len += 1;
+        self.len += 1;
     }
 }
 
@@ -306,9 +378,9 @@ pub(crate) struct TakenList {
 }
 
 impl TakenList {
-    /// Drain into `sink` every object `keep` rejects. Returns the chain of
-    /// the emptied nodes and the chain of the nodes whose objects `keep`
-    /// accepted, both in list order and ending at a `PENDING` link, as a
+    /// Drain into `sink` every object `keep` rejects. Returns the emptied
+    /// nodes, cut into pool runs, and the chain of the nodes whose objects
+    /// `keep` accepted, in list order and ending at a `PENDING` link, as a
     /// chain to splice must. The detached nodes are already a private chain
     /// through their `next` links, so they are sorted in place. If `sink`
     /// panics, the nodes and the objects not yet handed over are leaked,
@@ -317,8 +389,8 @@ impl TakenList {
         self,
         mut keep: impl FnMut(&Erased) -> bool,
         mut sink: impl FnMut(Erased),
-    ) -> (Chain, Chain) {
-        let (mut emptied, mut kept) = (Chain::default(), Chain::default());
+    ) -> (Runs, Chain) {
+        let (mut emptied, mut kept) = (Runs::default(), Chain::default());
         let mut cur = self.head as *mut LimboNode;
         while !cur.is_null() {
             // Wait for the pusher to publish the link (see module docs).
@@ -341,13 +413,11 @@ impl TakenList {
             }
             cur = next as *mut LimboNode;
         }
-        for chain in [&emptied, &kept] {
-            if chain.len > 0 {
-                // SAFETY: the chains' nodes are this drain's alone.
-                unsafe { &*chain.tail }
-                    .next
-                    .store(PENDING, Ordering::Relaxed);
-            }
+        if kept.len > 0 {
+            // SAFETY: the chain's nodes are this drain's alone.
+            unsafe { &*kept.tail }
+                .next
+                .store(PENDING, Ordering::Relaxed);
         }
         (emptied, kept)
     }
@@ -373,64 +443,51 @@ impl NodePool {
         }
     }
 
-    /// Pop up to `max` empty nodes with one ABA compare-and-swap, or
-    /// allocate `max` fresh ones when the stack is empty. Returns the first
-    /// of a chain linked through `next` and ending at 0.
-    ///
-    /// Walking the links below the top may read nodes another task has
-    /// popped meanwhile (nodes are only freed when the pool drops); every
-    /// pop and push bumps the ABA counter, so the swap then fails.
-    fn get_chain(&self, max: usize) -> *mut LimboNode {
+    /// Pop the top run of empty nodes with one ABA compare-and-swap, or
+    /// allocate [`BAG`] fresh ones when the stack is empty. Returns the
+    /// first of a chain of at most [`BAG`] nodes linked through `next` and
+    /// ending at 0. The `seg` read may be stale (see the module docs).
+    fn get_chain(&self) -> *mut LimboNode {
         loop {
             let snap = self.head.read_aba();
             let top = snap.get_object();
             if top.is_null() {
-                self.created.fetch_add(max as u64, Ordering::Relaxed);
-                return (0..max).fold(null_mut(), |next, _| {
+                self.created.fetch_add(BAG as u64, Ordering::Relaxed);
+                return (0..BAG).fold(null_mut(), |next, _| {
                     let node = LimboNode::new();
                     node.next.store(next as usize, Ordering::Relaxed);
                     Box::into_raw(node)
                 });
             }
-            let mut last = top.as_ptr();
-            let mut rest = 0;
-            for n in 1..=max {
-                // SAFETY: as above, `last` is a node of this pool.
-                rest = unsafe { &*last }.next.load(Ordering::Acquire);
-                if n == max || rest == 0 || rest == PENDING {
-                    break;
-                }
-                last = rest as *mut LimboNode;
-            }
-            let rest = if rest == 0 || rest == PENDING {
+            // SAFETY: `top` is a node of this reclaimer's pools, and nodes
+            // are only freed when their pool drops.
+            let below = unsafe { &*top.as_ptr() }.seg.load(Ordering::Acquire);
+            let below = if below == 0 {
                 GlobalPtr::null()
             } else {
-                GlobalPtr::new(top.locale(), rest)
+                GlobalPtr::new(top.locale(), below)
             };
-            if self.head.compare_and_swap_aba(snap, rest) {
-                // SAFETY: the swap made `top..=last` ours.
-                unsafe { &*last }.next.store(0, Ordering::Relaxed);
+            if self.head.compare_and_swap_aba(snap, below) {
                 return top.as_ptr();
             }
         }
     }
 
-    /// Return a chain of emptied nodes, linked `head → … → tail` through
-    /// `next`, to the stack with one ABA compare-and-swap however long the
-    /// chain is (`head == tail` for a single node).
+    /// Return `runs` to the stack with one ABA compare-and-swap however
+    /// many runs there are.
     ///
     /// # Safety
-    /// The caller owns every node of the chain exclusively, each came from
-    /// a pool of this pool's reclaimer and holds no object, and following
-    /// `next` from `head` reaches `tail`.
-    unsafe fn put_chain(&self, head: *mut LimboNode, tail: *mut LimboNode) {
-        let ptr = GlobalPtr::from_raw_parts(self.home, head);
-        // SAFETY: the chain is the caller's until the CAS below publishes it.
-        let tail = unsafe { &*tail };
+    /// The caller owns every node of `runs` exclusively, each came from a
+    /// pool of this pool's reclaimer and holds no object, and `runs` holds a
+    /// node.
+    unsafe fn put_chain(&self, runs: &Runs) {
+        let ptr = GlobalPtr::from_raw_parts(self.home, runs.first);
+        // SAFETY: the runs are the caller's until the CAS below publishes them.
+        let last = unsafe { &*runs.last };
         loop {
             let snap = self.head.read_aba();
             let top = snap.get_object();
-            tail.next.store(
+            last.seg.store(
                 if top.is_null() { 0 } else { top.addr() },
                 Ordering::Release,
             );
@@ -450,15 +507,22 @@ impl Default for NodePool {
 
 impl Drop for NodePool {
     fn drop(&mut self) {
-        // Free the pooled node shells. Uses the untracked read: Drop may
-        // run outside runtime context, and the pool is quiescent by then.
-        let mut cur = self.head.read_untracked().addr();
-        while cur != 0 {
+        // Free the pooled node shells, run by run. Uses the untracked read:
+        // Drop may run outside runtime context, and the pool is quiescent
+        // by then.
+        let mut run = self.head.read_untracked().addr();
+        while run != 0 {
+            let mut cur = run;
             // SAFETY: pooled nodes came from `Box`es and are the pool's
             // alone, and `&mut self` means nobody pops them any more.
-            let node = unsafe { Box::from_raw(cur as *mut LimboNode) };
-            let next = node.next.load(Ordering::Relaxed);
-            cur = if next == PENDING { 0 } else { next };
+            run = unsafe { &*(run as *const LimboNode) }
+                .seg
+                .load(Ordering::Relaxed);
+            while cur != 0 {
+                // SAFETY: as above.
+                let node = unsafe { Box::from_raw(cur as *mut LimboNode) };
+                cur = node.next.load(Ordering::Relaxed);
+            }
         }
     }
 }
@@ -498,7 +562,7 @@ impl Limbo {
         // SAFETY: the stock is the holder's alone.
         let stock = unsafe { &mut *bag.stock.get() };
         if stock.is_null() {
-            *stock = self.pool.get_chain(BAG);
+            *stock = self.pool.get_chain();
         }
         let node = *stock;
         // SAFETY: a stock node is the holder's alone.
@@ -637,8 +701,8 @@ impl Limbo {
     /// the objects `keep` accepts: they go back onto that list, stamped now,
     /// with one exchange charged toward this limbo's locale. The emptied
     /// nodes go to the pool of `recycle`, the calling task's locale's limbo,
-    /// with one compare-and-swap (see the module docs), so a drain from
-    /// another locale sends no message. Returns the numbers of objects
+    /// as runs spliced with one compare-and-swap (see the module docs), so a
+    /// drain from another locale sends no message. Returns the numbers of objects
     /// drained and kept.
     pub(crate) fn drain_detached(
         &self,
@@ -656,9 +720,9 @@ impl Limbo {
             held = self.publish(&mut kept);
         }
         if emptied.len > 0 {
-            // SAFETY: `emptied` links emptied nodes of this reclaimer's
+            // SAFETY: `emptied` holds emptied nodes of this reclaimer's
             // pools, owned by this drain alone.
-            unsafe { recycle.pool.put_chain(emptied.head, emptied.tail) };
+            unsafe { recycle.pool.put_chain(&emptied) };
         }
         (emptied.len as u64, held)
     }
@@ -686,31 +750,110 @@ mod tests {
         fn drain_into(self, pool: &NodePool, sink: impl FnMut(Erased)) -> usize {
             let (emptied, _) = self.drain_keeping(|_| false, sink);
             if emptied.len > 0 {
-                unsafe { pool.put_chain(emptied.head, emptied.tail) };
+                unsafe { pool.put_chain(&emptied) };
             }
             emptied.len
         }
     }
 
-    /// Publish `obj` alone, as a token with one deletion does.
-    fn push_one(list: &LimboList, pool: &NodePool, obj: Erased) {
-        let node = pool.get_chain(1);
-        unsafe {
-            *(*node).obj.get() = Some(obj);
-            (*node).next.store(PENDING, Ordering::Relaxed);
-            list.push_chain(here(), node, node);
+    /// A stock of empty nodes, kept the way a token keeps its bag's: one
+    /// pool run at a time, refilled when empty.
+    struct Stock(*mut LimboNode);
+
+    impl Stock {
+        fn new() -> Stock {
+            Stock(null_mut())
+        }
+
+        /// Publish `obj` alone, as a token with one deletion does.
+        fn push_one(&mut self, list: &LimboList, pool: &NodePool, obj: Erased) {
+            if self.0.is_null() {
+                self.0 = pool.get_chain();
+            }
+            let node = self.0;
+            unsafe {
+                self.0 = (*node).next.load(Ordering::Relaxed) as *mut LimboNode;
+                *(*node).obj.get() = Some(obj);
+                (*node).next.store(PENDING, Ordering::Relaxed);
+                list.push_chain(here(), node, node);
+            }
+        }
+
+        /// Hand the stock back to `pool` as one run.
+        fn put_back(mut self, pool: &NodePool) {
+            let mut run = Runs::default();
+            let mut cur = std::mem::replace(&mut self.0, null_mut());
+            while !cur.is_null() {
+                let next = unsafe { &*cur }.next.load(Ordering::Relaxed);
+                run.append(cur);
+                cur = next as *mut LimboNode;
+            }
+            if run.len > 0 {
+                unsafe { pool.put_chain(&run) };
+            }
         }
     }
 
-    /// Pop `expect` nodes and return their addresses. Fails if the pool had
-    /// to allocate, i.e. held fewer than that.
+    impl Drop for Stock {
+        fn drop(&mut self) {
+            free_run(self.0);
+        }
+    }
+
+    /// Publish `n` objects in fresh nodes, one at a time, leaving every
+    /// pool alone.
+    fn push_fresh(rt: &Runtime, list: &LimboList, n: u64) {
+        for i in 0..n {
+            let node = Box::into_raw(LimboNode::new());
+            unsafe {
+                *(*node).obj.get() = Some(erased(rt, i));
+                list.push_chain(here(), node, node);
+            }
+        }
+    }
+
+    /// The lengths of the runs in `pool`, top first, each counted along
+    /// `next` to its 0.
+    fn runs_in(pool: &NodePool) -> Vec<usize> {
+        let mut runs = Vec::new();
+        let mut run = pool.head.read_untracked().addr();
+        while run != 0 {
+            let (mut cur, mut len) = (run, 0);
+            while cur != 0 {
+                len += 1;
+                assert!(len <= BAG, "a run longer than a bag: its end was lost");
+                cur = unsafe { &*(cur as *const LimboNode) }
+                    .next
+                    .load(Ordering::Relaxed);
+            }
+            runs.push(len);
+            run = unsafe { &*(run as *const LimboNode) }
+                .seg
+                .load(Ordering::Relaxed);
+        }
+        runs
+    }
+
+    /// The nodes of the run that starts at `head`, freed.
+    fn free_run(mut head: *mut LimboNode) -> Vec<usize> {
+        let mut nodes = Vec::new();
+        while !head.is_null() {
+            nodes.push(head as usize);
+            let node = unsafe { Box::from_raw(head) };
+            head = node.next.load(Ordering::Relaxed) as *mut LimboNode;
+        }
+        nodes
+    }
+
+    /// Pop runs until `expect` nodes came out and return their addresses.
+    /// Fails if the pool had to allocate, i.e. held fewer than that.
     fn pop_all(pool: &NodePool, expect: u64) -> Vec<usize> {
         let created = pool.nodes_created();
-        let nodes: Vec<_> = (0..expect).map(|_| pool.get_chain(1) as usize).collect();
-        assert_eq!(pool.nodes_created(), created, "the pool lost a node");
-        for &n in &nodes {
-            drop(unsafe { Box::from_raw(n as *mut LimboNode) });
+        let mut nodes = Vec::new();
+        while (nodes.len() as u64) < expect {
+            nodes.extend(free_run(pool.get_chain()));
         }
+        assert_eq!(pool.nodes_created(), created, "the pool lost a node");
         nodes
     }
 
@@ -720,8 +863,9 @@ mod tests {
         rt.run(|| {
             let pool = NodePool::new();
             let list = LimboList::new();
+            let mut stock = Stock::new();
             for i in 0..5 {
-                push_one(&list, &pool, erased(&rt, i));
+                stock.push_one(&list, &pool, erased(&rt, i));
             }
             assert!(!list.is_empty());
             let mut got = Vec::new();
@@ -752,9 +896,12 @@ mod tests {
         rt.run(|| {
             let pool = NodePool::new();
             let list = LimboList::new();
-            for round in 0..4 {
+            let mut stock = Stock::new();
+            // The first four rounds use up the first refill's bag, the last
+            // four refill from the pool.
+            for round in 0..8 {
                 for i in 0..8 {
-                    push_one(&list, &pool, erased(&rt, round * 8 + i));
+                    stock.push_one(&list, &pool, erased(&rt, round * 8 + i));
                 }
                 let n = list
                     .take(here())
@@ -763,81 +910,74 @@ mod tests {
             }
             assert_eq!(
                 pool.nodes_created(),
-                8,
-                "subsequent rounds reuse the first round's nodes"
+                BAG as u64,
+                "later rounds reuse the first refill's nodes"
             );
         });
     }
 
     #[test]
-    fn drains_of_zero_one_and_many_nodes_return_each_node_once() {
+    fn drains_cut_runs_of_at_most_a_bag_spliced_with_one_compare_and_swap() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
         rt.run(|| {
-            let pool = NodePool::new();
-            let list = LimboList::new();
-            for (round, n) in [0u64, 1, 9, 0, 9, 1].into_iter().enumerate() {
-                for i in 0..n {
-                    push_one(&list, &pool, erased(&rt, i));
-                }
+            for n in [0, 1, 31, 32, 33, 100] {
+                let pool = NodePool::new();
+                let list = LimboList::new();
+                push_fresh(&rt, &list, n as u64);
                 let before = rt.total_comm().cpu_dcas;
                 let drained = list
                     .take(here())
                     .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
-                assert_eq!(drained as u64, n, "round {round}");
+                assert_eq!(drained, n);
                 assert_eq!(
                     rt.total_comm().cpu_dcas - before,
-                    2 * n.min(1),
-                    "one read and one compare-and-swap of the pool head per \
-                     drained list, nothing for an empty one"
+                    2 * n.min(1) as u64,
+                    "{n} nodes: one read and one compare-and-swap of the pool \
+                     head per drained list, nothing for an empty one"
                 );
+                let mut expect = vec![BAG; n / BAG];
+                if n % BAG > 0 {
+                    expect.push(n % BAG);
+                }
+                assert_eq!(runs_in(&pool), expect, "{n} nodes: full runs first");
+                let mut addrs = pop_all(&pool, n as u64);
+                addrs.sort_unstable();
+                addrs.dedup();
+                assert_eq!(addrs.len(), n, "{n} nodes: no node sits in the pool twice");
+                assert!(runs_in(&pool).is_empty(), "{n} nodes: and no more");
             }
-            assert_eq!(pool.nodes_created(), 9, "later rounds reuse the nine");
-            let mut addrs = pop_all(&pool, 9);
-            addrs.sort_unstable();
-            addrs.dedup();
-            assert_eq!(addrs.len(), 9, "no node sits in the pool twice");
             assert_eq!(rt.live_objects(), 0);
         });
     }
 
     #[test]
-    fn get_chain_pops_up_to_max_nodes_with_one_compare_and_swap() {
+    fn a_refill_pops_one_run_whole_with_one_compare_and_swap() {
         let rt = Runtime::new(RuntimeConfig::zero_latency(1));
         rt.run(|| {
             let pool = NodePool::new();
             let list = LimboList::new();
-            for i in 0..5 {
-                push_one(&list, &pool, erased(&rt, i));
-            }
+            push_fresh(&rt, &list, BAG as u64 + 8);
             list.take(here())
                 .drain_into(&pool, |e| unsafe { e.run_drop(&rt) });
-            let chain_len = |mut cur: *mut LimboNode| {
-                let mut n = 0;
-                while !cur.is_null() {
-                    let node = unsafe { Box::from_raw(cur) };
-                    cur = node.next.load(Ordering::Relaxed) as *mut LimboNode;
-                    n += 1;
-                }
-                n
+            // A refill's length and its reads and compare-and-swaps.
+            let pop = || {
+                let before = rt.total_comm().cpu_dcas;
+                let len = free_run(pool.get_chain()).len();
+                (len, rt.total_comm().cpu_dcas - before)
             };
-            let before = rt.total_comm().cpu_dcas;
-            assert_eq!(chain_len(pool.get_chain(3)), 3);
-            assert_eq!(
-                rt.total_comm().cpu_dcas - before,
-                2,
-                "one read and one compare-and-swap for three nodes"
-            );
-            assert_eq!(chain_len(pool.get_chain(3)), 2, "all the pool had left");
-            assert_eq!(pool.nodes_created(), 5);
-            assert_eq!(chain_len(pool.get_chain(3)), 3, "an empty pool allocates");
-            assert_eq!(pool.nodes_created(), 8);
+            assert_eq!(pop(), (BAG, 2), "the top run, whole");
+            assert_eq!(pop(), (8, 2), "the run below it, whole");
+            assert_eq!(pool.nodes_created(), 0);
+            assert_eq!(pop(), (BAG, 1), "an empty pool is read and allocates a bag");
+            assert_eq!(pool.nodes_created(), BAG as u64);
         });
     }
 
     #[test]
     fn put_chain_under_concurrent_get_loses_and_duplicates_no_node() {
-        // Two lists, used in turn: while the pushers fill one (popping the
-        // pool), the drainer empties the other (splicing into it).
+        // Two lists, used in turn: while the pushers fill one (refilling
+        // their stocks from the pool), the drainer empties the other
+        // (splicing into it).
         const PUSHERS: usize = 3;
         const BATCH: usize = 64;
         const ROUNDS: usize = 40;
@@ -848,13 +988,14 @@ mod tests {
             let round_start = std::sync::Barrier::new(PUSHERS + 1);
             let seen = parking_lot::Mutex::new(Vec::new());
             rt.coforall_tasks(PUSHERS + 1, |t| {
+                let mut stock = Stock::new();
                 for r in 0..=ROUNDS {
                     round_start.wait();
                     if t < PUSHERS {
                         if r < ROUNDS {
                             for i in 0..BATCH {
                                 let v = ((r * PUSHERS + t) * BATCH + i) as u64;
-                                push_one(&lists[r % 2], &pool, erased(&rt, v));
+                                stock.push_one(&lists[r % 2], &pool, erased(&rt, v));
                             }
                         }
                     } else if r > 0 {
@@ -866,17 +1007,25 @@ mod tests {
                         seen.lock().extend(got);
                     }
                 }
+                stock.put_back(&pool);
             });
             let mut seen = seen.into_inner();
             seen.sort_unstable();
             let expect: Vec<u64> = (0..(ROUNDS * PUSHERS * BATCH) as u64).collect();
             assert_eq!(seen, expect, "every object drained exactly once");
             assert_eq!(rt.live_objects(), 0);
-            // At most two rounds' nodes were ever outside the pool at once.
+            // A pusher creates a bag of nodes only when it finds the pool
+            // empty, i.e. when every node created so far is in a list or a
+            // stock. The two lists in use hold at most two rounds' pushes,
+            // counting a node taken from a stock as pushed, and a stock
+            // holds at most `BAG - 1` nodes once its pusher took one. A
+            // creation hands one of its `BAG` nodes to a list and keeps the
+            // rest in the creator's stock, so the count stays within both.
             let created = pool.nodes_created();
+            let bound = 2 * PUSHERS * BATCH + PUSHERS * (BAG - 1);
             assert!(
-                created <= (2 * PUSHERS * BATCH) as u64,
-                "{created} nodes created: a node was lost and replaced"
+                created <= bound as u64,
+                "{created} nodes created (at most {bound}): a node was lost and replaced"
             );
             let mut addrs = pop_all(&pool, created);
             addrs.sort_unstable();
@@ -894,8 +1043,9 @@ mod tests {
             let tasks = 4;
             let per_task = 200;
             rt.coforall_tasks(tasks, |t| {
+                let mut stock = Stock::new();
                 for i in 0..per_task {
-                    push_one(&list, &pool, erased(&rt, (t * per_task + i) as u64));
+                    stock.push_one(&list, &pool, erased(&rt, (t * per_task + i) as u64));
                 }
             });
             let mut seen = Vec::new();
@@ -930,8 +1080,9 @@ mod tests {
                         std::thread::yield_now();
                     }
                 } else {
+                    let mut stock = Stock::new();
                     for i in 0..100 {
-                        push_one(&list, &pool, erased(&rt, i));
+                        stock.push_one(&list, &pool, erased(&rt, i));
                         total.fetch_add(1, Ordering::Relaxed);
                     }
                 }

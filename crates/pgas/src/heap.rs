@@ -80,6 +80,15 @@ impl Erased {
     /// object — the guarantee epoch-based reclamation establishes.
     pub unsafe fn run_drop(self, core: &RuntimeCore) {
         core.locale(self.owner).heap.on_free();
+        // SAFETY: forwarded to the caller.
+        unsafe { self.drop_untracked() };
+    }
+
+    /// Drop the underlying object without accounting the free.
+    ///
+    /// # Safety
+    /// As for [`Erased::run_drop`]; the caller accounts the free.
+    unsafe fn drop_untracked(self) {
         // SAFETY: `dropper` is `drop_box::<T>` for the `T` that `addr` was
         // erased from, and the caller upholds its once-only contract.
         unsafe { (self.dropper)(self.addr) };
@@ -174,7 +183,9 @@ pub unsafe fn free_erased(core: &RuntimeCore, e: Erased) {
 /// locale, with bulk accounting — the handler-side half of a scatter flush
 /// (what a [`crate::engine::Batcher`] over [`Erased`] items calls in its
 /// destination handler). `arrived_remotely` says whether the batch crossed
-/// the wire to get here; remote arrivals count one `bulk_frees`.
+/// the wire to get here; remote arrivals count one `bulk_frees`. The `n`
+/// frees are counted in one visit of the locale's heap statistics, before
+/// the drops.
 ///
 /// # Safety
 /// Every entry must satisfy the conditions of [`Erased::run_drop`] and
@@ -196,9 +207,10 @@ pub unsafe fn free_erased_local_batch(
     }
     loc.stats.add(Counter::BulkFreedObjects, n);
     vtime::charge(core.config.network.remote_heap_op_ns * n);
+    loc.heap.on_free_n(n);
     for e in batch {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { e.run_drop(core) };
+        // SAFETY: forwarded from the caller's contract; counted above.
+        unsafe { e.drop_untracked() };
     }
 }
 
@@ -258,6 +270,38 @@ mod tests {
             unsafe { e.run_drop(&rt) };
         });
         assert!(DROPPED.load(Ordering::SeqCst));
+        assert_eq!(rt.live_objects(), 0);
+    }
+
+    #[test]
+    fn a_batch_free_counts_each_free_once_from_any_thread() {
+        let rt = Runtime::cluster(2);
+        rt.run(|| {
+            let heap = &rt.locale(1).heap;
+            let batch = |n: u64| -> Vec<Erased> {
+                (0..n).map(|i| Erased::new(alloc_on(&rt, 1, i))).collect()
+            };
+            let (first, second, third) = (batch(5), batch(7), batch(9));
+            let (live, frees) = (heap.live_objects(), heap.frees());
+            assert_eq!(live, 21);
+            let free =
+                |b: Vec<Erased>| rt.run_on(1, || unsafe { free_erased_local_batch(&rt, b, false) });
+            // A thread that has never recorded on locale 1.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    free(first);
+                    assert_eq!((heap.live_objects(), heap.frees()), (live - 5, frees + 5));
+                });
+            });
+            assert_eq!((heap.live_objects(), heap.frees()), (live - 5, frees + 5));
+            // Two threads at once.
+            std::thread::scope(|s| {
+                for b in [second, third] {
+                    s.spawn(|| free(b));
+                }
+            });
+            assert_eq!((heap.live_objects(), heap.frees()), (0, frees + 21));
+        });
         assert_eq!(rt.live_objects(), 0);
     }
 

@@ -205,9 +205,14 @@ impl HeapStats {
     }
 
     pub(crate) fn on_free(&self) {
+        self.on_free_n(1);
+    }
+
+    /// Count `n` frees in one visit of the caller's shard.
+    pub(crate) fn on_free_n(&self, n: u64) {
         self.0.with(|c| {
-            bump(&c[Self::LIVE], 1u64.wrapping_neg());
-            bump(&c[Self::FREES], 1);
+            bump(&c[Self::LIVE], n.wrapping_neg());
+            bump(&c[Self::FREES], n);
         });
     }
 
